@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench bench-smoke bench-ooc bench-traffic bench-algos bench-algos-smoke experiments serve-smoke cluster-smoke cluster-chaos bench-net clean
+.PHONY: all build test race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench bench-smoke bench-ooc bench-traffic bench-test experiments serve-smoke cluster-smoke cluster-chaos bench-net clean
 
 STATICCHECK ?= staticcheck
 
@@ -105,19 +105,11 @@ bench-ooc:
 bench-traffic:
 	$(GO) run ./cmd/havoqd -loadbench -scale 10 -ranks 4 		-load-qps 60 -load-duration 3s -load-out BENCH_traffic_smoke.json
 
-# Algorithm-layer before/after benchmark (BENCH_algos.json, DESIGN.md §14):
-# every algorithm's seed implementation vs this repo's — top-down vs
-# direction-optimizing BFS, binary-heap vs delta-stepping SSSP, offline-only
-# vs engine-served pagerank/triangles — each measured serialized and
-# concurrent on the same scale-14 RMAT graph the acceptance criteria name.
-# Gates enforced: every before/after pair hash-identical, and DO-BFS strictly
-# faster than top-down. This full run regenerates the committed
-# BENCH_algos.json; CI runs the reduced bench-algos-smoke with the same gates.
-bench-algos:
-	$(GO) run ./cmd/havoqd -algobench -scale 14 -ranks 8 -algos-out BENCH_algos.json
-
-bench-algos-smoke:
-	$(GO) run ./cmd/havoqd -algobench -scale 11 -ranks 4 -algos-out BENCH_algos_smoke.json
+# The benchmark (bench/, BENCHMARK.json) is a module of its own that compiles
+# against the root facade, so root `go test ./...` does not reach it: vet it
+# and run its short tests here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Regenerate every figure/table at laptop scale; per-phase obs communication
 # profiles land in obs_profiles.json (see -obs-json/-obs-csv flags).
@@ -157,5 +149,5 @@ bench-net:
 	$(GO) run ./cmd/havoqd -selfbench -cluster -workers 4 -ranks 8 -scale 14 -cluster-timeout 10m
 
 clean:
-	rm -f obs_profiles.json obs_profiles.csv cluster-worker-*.log BENCH_ooc_smoke.json BENCH_traffic_smoke.json BENCH_algos_smoke.json
+	rm -f obs_profiles.json obs_profiles.csv cluster-worker-*.log BENCH_ooc_smoke.json BENCH_traffic_smoke.json
 	$(GO) clean ./...

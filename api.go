@@ -9,10 +9,13 @@
 //	bfs, _ := g.BFS(0)
 //	fmt.Println(bfs.MaxLevel, bfs.Levels[17])
 //
-// The facade gathers distributed results into global arrays, which is
-// convenient up to tens of millions of vertices. For full control (per-rank
-// state, custom visitors, NVRAM-backed storage, validation) use the
-// internal packages directly the way cmd/ and examples/ do.
+// Every query runs on the one executor, internal/engine's rank loop: through
+// the engine attached with StartEngine when there is one — concurrent callers
+// then interleave over one message plane — and otherwise through a transient
+// engine that lives for the single call. The results are gathered into global
+// arrays, which is convenient up to tens of millions of vertices. For per-rank
+// state, NVRAM-backed storage or validation, use the internal packages
+// directly the way cmd/ and examples/ do.
 package havoqgt
 
 import (
@@ -22,12 +25,11 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/cc"
-	"havoqgt/internal/algos/kcore"
 	"havoqgt/internal/algos/pagerank"
 	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
@@ -68,17 +70,11 @@ type Options struct {
 	GhostsPerPartition int
 	// Undirect stores both directions of every input edge.
 	Undirect bool
-	// Simplify removes self loops and duplicate edges globally (required
-	// for k-core and triangle counting; applied automatically if unset only
-	// when those algorithms run would be unsafe — set it explicitly when
-	// your input has duplicates).
+	// Simplify removes self loops and duplicate edges globally at build
+	// time. KCore and EstimateTriangles need a simple graph and nothing
+	// simplifies it for them: set this when the input may hold duplicates or
+	// self loops. CountTriangles ignores both and does not need it.
 	Simplify bool
-	// DisableBucketOrder forces SSSP's local scheduler back onto the binary
-	// heap even though the algorithm declares bucketed (delta-stepping)
-	// ordering. A benchmarking knob: results are identical either way, only
-	// the relaxation schedule differs. Applies to both classic traversals
-	// and an attached engine.
-	DisableBucketOrder bool
 }
 
 func (o Options) normalized() Options {
@@ -95,11 +91,11 @@ func (o Options) normalized() Options {
 }
 
 // Graph is a partitioned graph bound to a simulated machine. Build once,
-// query many times. All query methods are safe for concurrent use: classic
-// (machine-exclusive) traversals serialize on an internal mutex, and while a
-// multi-query Engine is attached (StartEngine) the traversal methods route
-// through it instead — bypassing the mutex — so concurrent callers genuinely
-// interleave.
+// query many times. All query methods are safe for concurrent use: with no
+// engine attached each call runs on a transient engine of its own and the
+// calls serialize on an internal mutex; while an Engine is attached
+// (StartEngine) they route through it instead — bypassing the mutex — so
+// concurrent callers genuinely interleave.
 type Graph struct {
 	opts    Options
 	n       uint64
@@ -107,11 +103,10 @@ type Graph struct {
 	parts   []*partition.Part
 	ghosts  []*core.GhostTable
 
-	// mu serializes machine phases. A rt.Machine runs one collective phase
-	// at a time; two goroutines calling Run concurrently would interleave
-	// two traversals' untagged records on the same message plane and corrupt
-	// both (the data race this lock fixes). eng, when non-nil, redirects
-	// traversal methods to the multi-query engine.
+	// mu serializes machine phases: a rt.Machine hosts one engine (or one
+	// collective phase) at a time, so one-shot calls hold it for the life of
+	// their transient engine. eng, when non-nil, is the attached engine the
+	// query methods submit to instead.
 	mu  sync.Mutex
 	eng *Engine
 
@@ -128,25 +123,24 @@ type Graph struct {
 	version atomic.Uint64
 }
 
-// runExclusive executes one collective machine phase under the graph lock.
-// Fails if an engine currently owns the machine (the caller should have been
-// routed to it; only engine-incapable operations like sampled triangle
-// estimation see the error).
-func (g *Graph) runExclusive(fn func(r *rt.Rank)) error {
+// query answers one spec on the one executor: submitted to the attached
+// engine, or run on a transient one under g.mu when none is attached.
+func (g *Graph) query(spec engine.Spec) (*QueryResult, error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.eng != nil {
-		return fmt.Errorf("havoqgt: operation unavailable while a query engine is attached (close it first)")
+	if e := g.eng; e != nil {
+		g.mu.Unlock()
+		q, err := e.submit(spec)
+		if err != nil {
+			return nil, err
+		}
+		return q.Wait()
 	}
-	g.machine.Run(fn)
-	return nil
-}
-
-// engineOrNil returns the attached engine, if any.
-func (g *Graph) engineOrNil() *Engine {
-	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.eng
+	res, _, err := engine.RunOnce(g.engineConfig(), engine.Options{}, spec)
+	if err != nil {
+		return nil, err
+	}
+	return convert(spec, res), nil
 }
 
 // NewGraph partitions the given edge list across a fresh simulated machine.
@@ -255,26 +249,6 @@ func (g *Graph) Degree(v Vertex) (uint64, error) {
 	return g.parts[owner].GlobalDegree(v), nil
 }
 
-// cfg assembles a rank's visitor-queue config; ghost tables only for
-// algorithms that declare ghost usage.
-func (g *Graph) cfg(rank int, useGhosts bool) core.Config {
-	topo, _ := mailbox.ByName(g.opts.Topology, g.opts.Ranks)
-	c := core.Config{Topology: topo, DisableBucketOrder: g.opts.DisableBucketOrder}
-	if useGhosts {
-		c.Ghosts = g.ghosts[rank]
-	}
-	return c
-}
-
-// gather copies a per-vertex value from each master into a global array.
-func gather[T any](out []T, part *partition.Part, get func(i int) T) {
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		i, _ := part.LocalIndex(graph.Vertex(v))
-		out[v] = get(i)
-	}
-}
-
 // BFSResult holds a breadth-first search over the whole graph.
 type BFSResult struct {
 	Source   Vertex
@@ -288,32 +262,11 @@ type BFSResult struct {
 // use; with an attached engine, concurrent calls interleave as independent
 // queries.
 func (g *Graph) BFS(source Vertex) (*BFSResult, error) {
-	if uint64(source) >= g.n {
-		return nil, fmt.Errorf("havoqgt: source %d out of range", source)
-	}
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitBFS(source)
-		if err != nil {
-			return nil, err
-		}
-		return q.waitBFS()
-	}
-	out := &BFSResult{
-		Source:  source,
-		Levels:  make([]uint32, g.n),
-		Parents: make([]Vertex, g.n),
-	}
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := bfs.Run(r, part, source, g.cfg(r.Rank(), true))
-		gather(out.Levels, part, func(i int) uint32 { return res.Level[i] })
-		gather(out.Parents, part, func(i int) Vertex { return res.Parent[i] })
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoBFS, Source: source})
 	if err != nil {
 		return nil, err
 	}
-	finishBFSResult(out)
-	return out, nil
+	return r.BFS, nil
 }
 
 // BFSDirOpt runs the direction-optimizing BFS from source: top-down sparse
@@ -321,46 +274,13 @@ func (g *Graph) BFS(source Vertex) (*BFSResult, error) {
 // the Beamer heuristic thresholds, and back once it shrinks. Levels and
 // parent validity are bit-identical to BFS; only the traversal schedule (and
 // on low-diameter scale-free graphs, the edge examination count) differs.
-// Safe for concurrent use; with an attached engine, routes through it.
+// Safe for concurrent use.
 func (g *Graph) BFSDirOpt(source Vertex) (*BFSResult, error) {
-	if uint64(source) >= g.n {
-		return nil, fmt.Errorf("havoqgt: source %d out of range", source)
-	}
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitBFSDO(source)
-		if err != nil {
-			return nil, err
-		}
-		return q.waitBFS()
-	}
-	out := &BFSResult{
-		Source:  source,
-		Levels:  make([]uint32, g.n),
-		Parents: make([]Vertex, g.n),
-	}
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := bfs.RunDO(r, part, source, g.cfg(r.Rank(), false))
-		gather(out.Levels, part, func(i int) uint32 { return res.Level[i] })
-		gather(out.Parents, part, func(i int) Vertex { return res.Parent[i] })
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoBFSDO, Source: source})
 	if err != nil {
 		return nil, err
 	}
-	finishBFSResult(out)
-	return out, nil
-}
-
-// finishBFSResult derives the scalar summary fields from the level array.
-func finishBFSResult(out *BFSResult) {
-	for _, l := range out.Levels {
-		if l != Unreached {
-			out.Reached++
-			if l > out.MaxLevel {
-				out.MaxLevel = l
-			}
-		}
-	}
+	return r.BFS, nil
 }
 
 // SSSPResult holds single-source shortest paths under the synthesized
@@ -377,31 +297,11 @@ const UnreachedDistance = sssp.Unreached
 // ShortestPaths runs distributed SSSP from source with weights keyed by
 // weightSeed. Safe for concurrent use.
 func (g *Graph) ShortestPaths(source Vertex, weightSeed uint64) (*SSSPResult, error) {
-	if uint64(source) >= g.n {
-		return nil, fmt.Errorf("havoqgt: source %d out of range", source)
-	}
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitSSSP(source, weightSeed)
-		if err != nil {
-			return nil, err
-		}
-		return q.waitSSSP()
-	}
-	out := &SSSPResult{
-		Source:    source,
-		Distances: make([]uint64, g.n),
-		Parents:   make([]Vertex, g.n),
-	}
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := sssp.Run(r, part, source, weightSeed, g.cfg(r.Rank(), true))
-		gather(out.Distances, part, func(i int) uint64 { return res.Dist[i] })
-		gather(out.Parents, part, func(i int) Vertex { return res.Parent[i] })
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return r.SSSP, nil
 }
 
 // ComponentsResult labels every vertex with the smallest vertex id in its
@@ -413,26 +313,11 @@ type ComponentsResult struct {
 
 // Components runs distributed connected components. Safe for concurrent use.
 func (g *Graph) Components() (*ComponentsResult, error) {
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitComponents()
-		if err != nil {
-			return nil, err
-		}
-		return q.waitComponents()
-	}
-	out := &ComponentsResult{Labels: make([]Vertex, g.n)}
-	counts := make([]uint64, g.opts.Ranks)
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := cc.Run(r, part, g.cfg(r.Rank(), true))
-		gather(out.Labels, part, func(i int) Vertex { return res.Label[i] })
-		counts[r.Rank()] = cc.NumComponents(r, res)
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoCC})
 	if err != nil {
 		return nil, err
 	}
-	out.Count = counts[0]
-	return out, nil
+	return r.Components, nil
 }
 
 // KCoreResult holds a k-core membership query.
@@ -442,32 +327,14 @@ type KCoreResult struct {
 	CoreSize uint64
 }
 
-// KCore computes the k-core. The graph must be simple (set Options.Simplify
-// when building from inputs with duplicates or self loops).
+// KCore computes the k-core (k >= 1). The graph must be simple (set
+// Options.Simplify when building from inputs with duplicates or self loops).
 func (g *Graph) KCore(k uint32) (*KCoreResult, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("havoqgt: k must be >= 1")
-	}
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitKCore(k)
-		if err != nil {
-			return nil, err
-		}
-		return q.waitKCore()
-	}
-	out := &KCoreResult{K: k, InCore: make([]bool, g.n)}
-	sizes := make([]uint64, g.opts.Ranks)
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := kcore.Run(r, part, k, g.cfg(r.Rank(), false))
-		gather(out.InCore, part, func(i int) bool { return res.Alive[i] })
-		sizes[r.Rank()] = kcore.GlobalCoreSize(r, res)
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoKCore, K: k})
 	if err != nil {
 		return nil, err
 	}
-	out.CoreSize = sizes[0]
-	return out, nil
+	return r.KCore, nil
 }
 
 // PageRankResult holds fixed-point PageRank scores scaled by
@@ -480,32 +347,13 @@ type PageRankResult struct {
 }
 
 // PageRank runs the given number of damped PageRank iterations (0 = the
-// default count). Safe for concurrent use; routes through an attached engine.
+// default count, at most MaxPageRankIters). Safe for concurrent use.
 func (g *Graph) PageRank(iters uint32) (*PageRankResult, error) {
-	if iters > pagerank.MaxIters {
-		return nil, fmt.Errorf("havoqgt: pagerank iters %d exceeds max %d", iters, pagerank.MaxIters)
-	}
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitPageRank(iters)
-		if err != nil {
-			return nil, err
-		}
-		return q.waitPageRank()
-	}
-	effective := iters
-	if effective == 0 {
-		effective = pagerank.DefaultIters
-	}
-	out := &PageRankResult{Iters: effective, Ranks: make([]uint64, g.n)}
-	err := g.runExclusive(func(r *rt.Rank) {
-		part := g.parts[r.Rank()]
-		res := pagerank.Run(r, part, iters, g.cfg(r.Rank(), false))
-		gather(out.Ranks, part, func(i int) uint64 { return res.Rank[i] })
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return r.PageRank, nil
 }
 
 // TrianglesResult holds an exact triangle count.
@@ -514,45 +362,25 @@ type TrianglesResult struct {
 }
 
 // CountTriangles counts triangles exactly. Duplicate edges and self loops are
-// ignored, so the graph need not be simplified. Safe for concurrent use;
-// routes through an attached engine.
+// ignored, so the graph need not be simplified. Safe for concurrent use.
 func (g *Graph) CountTriangles() (uint64, error) {
-	if e := g.engineOrNil(); e != nil {
-		q, err := e.SubmitTriangles()
-		if err != nil {
-			return 0, err
-		}
-		r, err := q.waitTriangles()
-		if err != nil {
-			return 0, err
-		}
-		return r.Count, nil
-	}
-	counts := make([]uint64, g.opts.Ranks)
-	err := g.runExclusive(func(r *rt.Rank) {
-		res := triangle.Run(r, g.parts[r.Rank()], g.cfg(r.Rank(), false))
-		counts[r.Rank()] = res.GlobalCount
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoTriangles})
 	if err != nil {
 		return 0, err
 	}
-	return counts[0], nil
+	return r.Triangles.Count, nil
 }
 
 // EstimateTriangles approximates the triangle count by Bernoulli wedge
 // sampling with the given probability (0 < p < 1). The graph must be simple.
+// Safe for concurrent use.
 func (g *Graph) EstimateTriangles(sampleProb float64, seed uint64) (float64, error) {
-	if sampleProb <= 0 || sampleProb >= 1 {
+	if !(sampleProb > 0 && sampleProb < 1) {
 		return 0, fmt.Errorf("havoqgt: sample probability must be in (0, 1)")
 	}
-	ests := make([]float64, g.opts.Ranks)
-	err := g.runExclusive(func(r *rt.Rank) {
-		res := triangle.RunOpts(r, g.parts[r.Rank()], g.cfg(r.Rank(), false),
-			triangle.Options{SampleProb: sampleProb, SampleSeed: seed})
-		ests[r.Rank()] = res.Estimate()
-	})
+	r, err := g.query(engine.Spec{Algo: engine.AlgoTriangles, SampleProb: sampleProb, SampleSeed: seed})
 	if err != nil {
 		return 0, err
 	}
-	return ests[0], nil
+	return triangle.Options{SampleProb: sampleProb}.Estimate(r.Triangles.Count), nil
 }

@@ -24,11 +24,9 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/cc"
-	"havoqgt/internal/algos/kcore"
 	"havoqgt/internal/algos/sssp"
-	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/extmem"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
@@ -205,51 +203,76 @@ func addRunFlags(fs *flag.FlagSet) *runOpts {
 	return o
 }
 
-// setupRank loads a rank's chunk and builds its partition.
-func (o *runOpts) setupRank(r *rt.Rank, simplify bool) (*partition.Part, *extmem.Store, error) {
-	chunk, err := graphio.ReadChunk(o.in, r.Rank(), r.Size())
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := graphio.ReadHeader(o.in)
-	if err != nil {
-		return nil, nil, err
-	}
-	local := graph.Undirect(chunk)
-	var part *partition.Part
-	switch {
-	case o.oneD:
-		part, err = partition.Build1D(r, local, h.NumVertices)
-	case simplify:
-		part, err = partition.BuildEdgeListSimple(r, local, h.NumVertices)
-	default:
-		part, err = partition.BuildEdgeList(r, local, h.NumVertices)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var store *extmem.Store
-	if o.nvram {
-		cfg := extmem.DefaultNVRAM()
-		cfg.CacheBytes = o.cacheMB << 20
-		store, err = extmem.ExternalizeCSR(part.CSR, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return part, store, nil
+// loaded is an input graph partitioned over a fresh machine, ready to be
+// queried.
+type loaded struct {
+	o      *runOpts
+	m      *rt.Machine
+	parts  []*partition.Part
+	stores []*extmem.Store // nil without -nvram
 }
 
-func (o *runOpts) coreConfig(r *rt.Rank, part *partition.Part, ghosts int) (core.Config, error) {
-	topo, err := mailbox.ByName(o.topo, r.Size())
+// load reads every rank's chunk and builds the partitions (and NVRAM stores)
+// in one collective phase. Callers must close the result.
+func (o *runOpts) load(simplify bool) (*loaded, error) {
+	h, err := graphio.ReadHeader(o.in)
 	if err != nil {
-		return core.Config{}, err
+		return nil, err
 	}
-	cfg := core.Config{Topology: topo}
-	if ghosts > 0 {
-		cfg.Ghosts = core.BuildGhostTable(part, ghosts)
+	if _, err := mailbox.ByName(o.topo, o.p); err != nil {
+		return nil, err
 	}
-	return cfg, nil
+	g := &loaded{o: o, m: rt.NewMachine(o.p), parts: make([]*partition.Part, o.p)}
+	if o.nvram {
+		g.stores = make([]*extmem.Store, o.p)
+	}
+	errs := make([]error, o.p)
+	g.m.Run(func(r *rt.Rank) {
+		// A rank whose read failed must still enter the collective build.
+		chunk, readErr := graphio.ReadChunk(o.in, r.Rank(), r.Size())
+		local := graph.Undirect(chunk)
+		var part *partition.Part
+		var err error
+		switch {
+		case o.oneD:
+			part, err = partition.Build1D(r, local, h.NumVertices)
+		case simplify:
+			part, err = partition.BuildEdgeListSimple(r, local, h.NumVertices)
+		default:
+			part, err = partition.BuildEdgeList(r, local, h.NumVertices)
+		}
+		if err == nil && o.nvram {
+			cfg := extmem.DefaultNVRAM()
+			cfg.CacheBytes = o.cacheMB << 20
+			g.stores[r.Rank()], err = extmem.ExternalizeCSR(part.CSR, cfg)
+		}
+		g.parts[r.Rank()], errs[r.Rank()] = part, errors.Join(readErr, err)
+	})
+	for _, err := range errs {
+		if err != nil {
+			g.close()
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+func (g *loaded) close() {
+	for _, st := range g.stores {
+		if st != nil {
+			st.Close()
+		}
+	}
+}
+
+// query times one traversal on a transient engine, with hub filtering over
+// ghost tables of the given size (0 disables).
+func (g *loaded) query(ghosts int, spec engine.Spec) (*engine.Result, time.Duration, error) {
+	cfg := engine.Config{Machine: g.m, Parts: g.parts, Topology: g.o.topo,
+		Ghosts: core.BuildGhostTables(g.parts, ghosts)}
+	start := time.Now()
+	res, _, err := engine.RunOnce(cfg, engine.Options{}, spec)
+	return res, time.Since(start), err
 }
 
 func cmdBFS(args []string) error {
@@ -257,77 +280,43 @@ func cmdBFS(args []string) error {
 	o := addRunFlags(fs)
 	source := fs.Uint64("source", 0, "BFS source vertex")
 	ghosts := fs.Int("ghosts", core.DefaultGhostsPerPartition, "ghost vertices per partition (0 disables)")
-	validate := fs.Bool("validate", false, "run Graph500-style distributed validation after the traversal")
+	validate := fs.Bool("validate", false, "run Graph500-style validation after the traversal")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 
-	var teps float64
-	var reached, traversed uint64
-	var depth uint32
-	var elapsed time.Duration
-	var hitRate float64 = -1
-	var runErr error
-	rt.NewMachine(o.p).Run(func(r *rt.Rank) {
-		part, store, err := o.setupRank(r, false)
-		if err != nil {
-			panic(err)
-		}
-		cfg, err := o.coreConfig(r, part, *ghosts)
-		if err != nil {
-			panic(err)
-		}
-		if uint64(*source) >= part.NumVertices {
-			if r.Rank() == 0 {
-				runErr = fmt.Errorf("source %d out of range (n=%d)", *source, part.NumVertices)
-			}
-			return
-		}
-		r.Barrier()
-		start := time.Now()
-		res := bfs.Run(r, part, graph.Vertex(*source), cfg)
-		r.Barrier()
-		t := time.Since(start)
-		edges := r.AllReduceU64(res.ReachedEdges(), rt.Sum) / 2
-		verts := r.AllReduceU64(res.ReachedVertices(), rt.Sum)
-		lvl := uint32(r.AllReduceU64(uint64(res.MaxLevel()), rt.Max))
-		if *validate {
-			if err := harness.ValidateBFS(r, part, res.BFS, graph.Vertex(*source)); err != nil {
-				panic(fmt.Sprintf("validation failed: %v", err))
-			}
-		}
-		var h, m uint64
-		if store != nil {
-			st := store.Cache().Stats()
-			h, m = st.Hits, st.Misses
-		}
-		h = r.AllReduceU64(h, rt.Sum)
-		m = r.AllReduceU64(m, rt.Sum)
-		if r.Rank() == 0 {
-			elapsed = t
-			reached = verts
-			traversed = edges
-			depth = lvl
-			teps = float64(edges) / t.Seconds()
-			if o.nvram && h+m > 0 {
-				hitRate = float64(h) / float64(h+m)
-			}
-		}
-		if store != nil {
-			store.Close()
-		}
-	})
-	if runErr != nil {
-		return runErr
+	g, err := o.load(false)
+	if err != nil {
+		return err
 	}
+	defer g.close()
+	if n := g.parts[0].NumVertices; *source >= n {
+		return fmt.Errorf("source %d out of range (n=%d)", *source, n)
+	}
+	res, elapsed, err := g.query(*ghosts, engine.Spec{Algo: engine.AlgoBFS, Source: graph.Vertex(*source)})
+	if err != nil {
+		return err
+	}
+	if *validate {
+		if err := harness.ValidateBFS(g.parts, res.Levels, res.Parents, graph.Vertex(*source)); err != nil {
+			return fmt.Errorf("validation failed: %w", err)
+		}
+	}
+	reached, depth := bfs.Summary(res.Levels)
+	traversed := harness.TraversedEdges(g.parts, res.Levels)
 	fmt.Printf("bfs: source=%d ranks=%d topo=%s\n", *source, o.p, o.topo)
 	fmt.Printf("  time:             %v\n", elapsed.Round(time.Microsecond))
 	fmt.Printf("  reached vertices: %d\n", reached)
 	fmt.Printf("  traversed edges:  %d\n", traversed)
 	fmt.Printf("  bfs depth:        %d\n", depth)
-	fmt.Printf("  TEPS:             %.3g\n", teps)
-	if hitRate >= 0 {
-		fmt.Printf("  cache hit rate:   %.1f%%\n", 100*hitRate)
+	fmt.Printf("  TEPS:             %.3g\n", float64(traversed)/elapsed.Seconds())
+	var hits, misses uint64
+	for _, store := range g.stores {
+		st := store.Cache().Stats()
+		hits, misses = hits+st.Hits, misses+st.Misses
+	}
+	if hits+misses > 0 {
+		fmt.Printf("  cache hit rate:   %.1f%%\n", 100*float64(hits)/float64(hits+misses))
 	}
 	if *validate {
 		fmt.Println("  validation:       passed")
@@ -345,43 +334,22 @@ func cmdSSSP(args []string) error {
 		return err
 	}
 
-	var reached uint64
-	var maxDist uint64
-	var elapsed time.Duration
-	rt.NewMachine(o.p).Run(func(r *rt.Rank) {
-		part, store, err := o.setupRank(r, false)
-		if err != nil {
-			panic(err)
+	g, err := o.load(false)
+	if err != nil {
+		return err
+	}
+	defer g.close()
+	res, elapsed, err := g.query(*ghosts, engine.Spec{Algo: engine.AlgoSSSP, Source: graph.Vertex(*source), WeightSeed: *weightSeed})
+	if err != nil {
+		return err
+	}
+	var reached, maxDist uint64
+	for _, d := range res.Dist {
+		if d != sssp.Unreached {
+			reached++
+			maxDist = max(maxDist, d)
 		}
-		cfg, err := o.coreConfig(r, part, *ghosts)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		start := time.Now()
-		res := sssp.Run(r, part, graph.Vertex(*source), *weightSeed, cfg)
-		r.Barrier()
-		t := time.Since(start)
-		lo, hi := part.Owners.MasterRange(part.Rank)
-		var localReached, localMax uint64
-		for v := lo; v < hi; v++ {
-			i, _ := part.LocalIndex(graph.Vertex(v))
-			if d := res.Dist[i]; d != sssp.Unreached {
-				localReached++
-				if d > localMax {
-					localMax = d
-				}
-			}
-		}
-		gr := r.AllReduceU64(localReached, rt.Sum)
-		gm := r.AllReduceU64(localMax, rt.Max)
-		if r.Rank() == 0 {
-			elapsed, reached, maxDist = t, gr, gm
-		}
-		if store != nil {
-			store.Close()
-		}
-	})
+	}
 	fmt.Printf("sssp: source=%d ranks=%d topo=%s\n", *source, o.p, o.topo)
 	fmt.Printf("  time:             %v\n", elapsed.Round(time.Microsecond))
 	fmt.Printf("  reached vertices: %d\n", reached)
@@ -397,32 +365,17 @@ func cmdCC(args []string) error {
 		return err
 	}
 
-	var components uint64
-	var elapsed time.Duration
-	rt.NewMachine(o.p).Run(func(r *rt.Rank) {
-		part, store, err := o.setupRank(r, false)
-		if err != nil {
-			panic(err)
-		}
-		cfg, err := o.coreConfig(r, part, *ghosts)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		start := time.Now()
-		res := cc.Run(r, part, cfg)
-		r.Barrier()
-		t := time.Since(start)
-		n := cc.NumComponents(r, res)
-		if r.Rank() == 0 {
-			elapsed, components = t, n
-		}
-		if store != nil {
-			store.Close()
-		}
-	})
+	g, err := o.load(false)
+	if err != nil {
+		return err
+	}
+	defer g.close()
+	res, elapsed, err := g.query(*ghosts, engine.Spec{Algo: engine.AlgoCC})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("cc: ranks=%d topo=%s\n", o.p, o.topo)
-	fmt.Printf("  components: %d\n", components)
+	fmt.Printf("  components: %d\n", res.Components)
 	fmt.Printf("  time:       %v\n", elapsed.Round(time.Microsecond))
 	return nil
 }
@@ -443,39 +396,18 @@ func cmdKCore(args []string) error {
 		}
 		kvals = append(kvals, uint32(v))
 	}
-	type row struct {
-		k    uint32
-		size uint64
-		t    time.Duration
+	g, err := o.load(true)
+	if err != nil {
+		return err
 	}
-	rows := make([]row, len(kvals))
-	rt.NewMachine(o.p).Run(func(r *rt.Rank) {
-		part, store, err := o.setupRank(r, true)
-		if err != nil {
-			panic(err)
-		}
-		for i, k := range kvals {
-			cfg, err := o.coreConfig(r, part, 0)
-			if err != nil {
-				panic(err)
-			}
-			r.Barrier()
-			start := time.Now()
-			res := kcore.Run(r, part, k, cfg)
-			r.Barrier()
-			t := time.Since(start)
-			size := kcore.GlobalCoreSize(r, res)
-			if r.Rank() == 0 {
-				rows[i] = row{k: k, size: size, t: t}
-			}
-		}
-		if store != nil {
-			store.Close()
-		}
-	})
+	defer g.close()
 	fmt.Printf("kcore: ranks=%d topo=%s\n", o.p, o.topo)
-	for _, row := range rows {
-		fmt.Printf("  k=%-5d core-size=%-10d time=%v\n", row.k, row.size, row.t.Round(time.Microsecond))
+	for _, k := range kvals {
+		res, elapsed, err := g.query(0, engine.Spec{Algo: engine.AlgoKCore, K: k})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  k=%-5d core-size=%-10d time=%v\n", k, res.CoreSize, elapsed.Round(time.Microsecond))
 	}
 	return nil
 }
@@ -487,31 +419,17 @@ func cmdTriangles(args []string) error {
 		return err
 	}
 
-	var count uint64
-	var elapsed time.Duration
-	rt.NewMachine(o.p).Run(func(r *rt.Rank) {
-		part, store, err := o.setupRank(r, true)
-		if err != nil {
-			panic(err)
-		}
-		cfg, err := o.coreConfig(r, part, 0)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		start := time.Now()
-		res := triangle.Run(r, part, cfg)
-		r.Barrier()
-		if r.Rank() == 0 {
-			count = res.GlobalCount
-			elapsed = time.Since(start)
-		}
-		if store != nil {
-			store.Close()
-		}
-	})
+	g, err := o.load(true)
+	if err != nil {
+		return err
+	}
+	defer g.close()
+	res, elapsed, err := g.query(0, engine.Spec{Algo: engine.AlgoTriangles})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("tc: ranks=%d topo=%s\n", o.p, o.topo)
-	fmt.Printf("  triangles: %d\n", count)
+	fmt.Printf("  triangles: %d\n", res.Triangles)
 	fmt.Printf("  time:      %v\n", elapsed.Round(time.Microsecond))
 	return nil
 }

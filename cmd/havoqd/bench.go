@@ -3,8 +3,9 @@ package main
 // Selfbench: a closed-loop load generator that answers the question the
 // engine exists for — does interleaving queries on one resident graph beat
 // running them back to back? The same mixed workload is executed serialized
-// (the classic one-collective-phase-at-a-time path) and concurrently
-// (through the engine), in two transport regimes:
+// (one-shot facade calls: one transient engine, one query in flight, at a
+// time) and concurrently (all in flight on one attached engine) — the same
+// executor both times — in two transport regimes:
 //
 //   - zero latency: the simulator's default instantaneous transport. On a
 //     single host this is a pure CPU-throughput comparison — there is no
@@ -12,8 +13,8 @@ package main
 //   - modeled latency (-bench-latency): every rank-to-rank message pays a
 //     fixed delivery delay, emulating the interconnect / external-memory
 //     transfer costs of the distributed machines the paper targets. Here
-//     the serialized baseline stalls on every termination wave, barrier,
-//     and sparse-frontier round trip with the message plane idle, while
+//     the serialized baseline stalls on every termination wave and
+//     sparse-frontier round trip with the message plane idle, while
 //     the engine fills those stalls with other queries' work — the
 //     latency-hiding effect the asynchronous visitor queue is built for.
 //
@@ -64,9 +65,9 @@ type benchReport struct {
 	ModeledLatency benchComparison `json:"modeled_latency"`
 }
 
-// benchQuery is one workload item; run executes it through whatever path the
-// graph currently routes (classic when no engine is attached, engine
-// otherwise) and returns a content hash so serialized and concurrent phases
+// benchQuery is one workload item; run executes it through the facade
+// (a transient engine when none is attached, the attached one otherwise)
+// and returns a content hash so serialized and concurrent phases
 // can be checked for identical answers.
 type benchQuery struct {
 	name string
@@ -171,8 +172,8 @@ func summarize(lats []time.Duration, wall time.Duration, inFlight int, hash uint
 	}
 }
 
-// runSerialized executes the workload one query at a time on the classic
-// path (no engine attached).
+// runSerialized executes the workload one query at a time, with no engine
+// attached: each call is a transient engine with one query.
 func runSerialized(g *havoqgt.Graph, work []benchQuery) (benchPhase, error) {
 	lats := make([]time.Duration, len(work))
 	var hash uint64

@@ -8,13 +8,12 @@ package main
 //
 // For each fraction the workload runs twice from a cold cache:
 //
-//   - serialized: the classic one-collective-phase path. Cache misses are
-//     taken synchronously inside the traversal — the latency-not-hidden
-//     baseline.
-//   - concurrent: through the engine. A visit whose adjacency page is absent
-//     parks on the page while demand fetches overlap on the device queue and
-//     resident work (this query's and every other in-flight query's) keeps
-//     executing.
+//   - serialized: one-shot facade calls, one query in flight at a time. A
+//     visit whose adjacency page is absent parks on the page while demand
+//     fetches overlap on the device queue, but only this query's own resident
+//     work is there to hide the latency behind.
+//   - concurrent: all in flight on one attached engine — the same executor —
+//     so every other in-flight query's resident work keeps executing too.
 //
 // Every phase's result hash must equal the fully-resident baseline — the
 // sweep doubles as an out-of-core correctness check — and fractions below 1

@@ -88,11 +88,6 @@ type options struct {
 	benchQueries int
 	benchLatency time.Duration
 
-	// Algorithm-layer before/after benchmark (see bench_algos.go).
-	algoBench bool
-	algosOut  string
-	algoGates bool
-
 	// Out-of-core serving (see bench_ooc.go and the facade's MemoryConfig).
 	memBudget     float64
 	memPage       int
@@ -163,9 +158,6 @@ func run(args []string) int {
 	fs.StringVar(&o.benchOut, "bench-out", "", "benchmark output file for -selfbench (default BENCH_engine.json, BENCH_net.json with -cluster)")
 	fs.IntVar(&o.benchQueries, "bench-queries", 48, "workload size for -selfbench")
 	fs.DurationVar(&o.benchLatency, "bench-latency", 3*time.Millisecond, "modeled interconnect latency for the -selfbench latency regime")
-	fs.BoolVar(&o.algoBench, "algobench", false, "run the per-algorithm before/after benchmark (BENCH_algos.json) and exit")
-	fs.StringVar(&o.algosOut, "algos-out", "BENCH_algos.json", "benchmark output file for -algobench")
-	fs.BoolVar(&o.algoGates, "algo-gates", true, "enforce the algobench acceptance gates (hash-identical results, DO-BFS beats top-down; exit non-zero on violation)")
 	fs.Float64Var(&o.memBudget, "mem-budget", 1, "resident fraction of adjacency data kept in DRAM, (0,1]; <1 serves out of core")
 	fs.IntVar(&o.memPage, "mem-page", 0, "out-of-core cache page size in bytes (0 = 4096)")
 	fs.DurationVar(&o.memLatency, "mem-latency", 0, "modeled NVRAM read latency for out-of-core mode (0 = 25µs)")
@@ -204,8 +196,6 @@ func run(args []string) int {
 		err = oocbench(&o)
 	case o.loadBench:
 		err = loadbench(&o)
-	case o.algoBench:
-		err = algobench(&o)
 	case o.chaosMode && o.clusterMode:
 		err = clusterChaos(&o)
 	case o.selfbench && o.clusterMode:

@@ -95,7 +95,7 @@ func TestFacadeTimeoutErrAndResume(t *testing.T) {
 	}
 	defer e.Close()
 
-	q, err := e.SubmitWithDeadline("bfs", 5, 0, 0, 100*time.Microsecond)
+	q, err := e.SubmitQuery(havoqgt.QuerySpec{Algo: "bfs", Source: 5, Deadline: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +160,32 @@ func TestExecuteWithRecovery(t *testing.T) {
 	}
 	defer e.Close()
 
-	res, err := e.ExecuteWithRecovery("bfs", 2, 0, 0, havoqgt.RecoveryPolicy{
-		Attempts: 24,
-		Deadline: 100 * time.Microsecond,
-		Backoff:  time.Microsecond,
-	})
+	pol := havoqgt.RecoveryPolicy{Attempts: 24, Backoff: time.Microsecond}
+	res, err := e.ExecuteWithRecovery(havoqgt.QuerySpec{Algo: "bfs", Source: 2, Deadline: 100 * time.Microsecond}, pol)
 	if err != nil {
 		t.Fatalf("ExecuteWithRecovery: %v", err)
 	}
 	if res.BFS == nil || res.BFS.Reached != want.Reached || res.BFS.MaxLevel != want.MaxLevel {
 		t.Fatalf("recovered result wrong: %+v", res.BFS)
+	}
+
+	// The whole spec reaches the engine: a PageRank runs the iteration count
+	// it was asked for, not the default (the positional signature this
+	// replaced had no Iters and silently dropped it).
+	wantPR, err := g.PageRank(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.ExecuteWithRecovery(havoqgt.QuerySpec{Algo: "pagerank", Iters: 3}, pol)
+	if err != nil {
+		t.Fatalf("ExecuteWithRecovery pagerank: %v", err)
+	}
+	if res.PageRank == nil || res.PageRank.Iters != 3 {
+		t.Fatalf("pagerank through recovery ran %+v, want 3 iterations", res.PageRank)
+	}
+	for v, rk := range wantPR.Ranks {
+		if res.PageRank.Ranks[v] != rk {
+			t.Fatalf("pagerank through recovery: rank(%d) = %d, Graph.PageRank(3) says %d", v, res.PageRank.Ranks[v], rk)
+		}
 	}
 }

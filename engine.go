@@ -1,8 +1,8 @@
 package havoqgt
 
-// Facade over the multi-query execution engine (internal/engine): keep the
-// partitioned graph resident and serve many concurrent traversals over the
-// shared message plane, instead of one collective machine phase per call.
+// Facade over the execution engine (internal/engine): keep the partitioned
+// graph resident and serve many concurrent traversals over the shared message
+// plane, instead of one transient engine per call.
 //
 //	g, _ := havoqgt.GenerateRMAT(16, 42, havoqgt.Options{Ranks: 8})
 //	e, _ := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: 8})
@@ -11,9 +11,8 @@ package havoqgt
 //	q2, _ := e.SubmitSSSP(17, 1)
 //	bfsRes, _ := q1.Wait() // both traversals interleaved one message plane
 //
-// While an engine is attached, Graph.BFS/ShortestPaths/Components/KCore
-// route through it automatically, so existing callers become concurrent
-// without code changes.
+// While an engine is attached, every Graph query method routes through it
+// automatically, so existing callers become concurrent without code changes.
 
 import (
 	"context"
@@ -22,6 +21,7 @@ import (
 	"io"
 	"time"
 
+	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
 	"havoqgt/internal/engine"
 	"havoqgt/internal/obs"
@@ -59,40 +59,42 @@ type Engine struct {
 	d time.Duration // default deadline
 }
 
+// engineConfig binds an engine to the graph's machine. In out-of-core mode
+// each rank's pager goes along, so rank loops park visits on absent adjacency
+// pages instead of blocking on the device. Entries must be genuinely non-nil
+// interfaces (a typed-nil *ooc.Pager in a core.RowPager slot would defeat the
+// engine's nil checks), which Store.Pager guarantees for a live store. Caller
+// holds g.mu.
+func (g *Graph) engineConfig() engine.Config {
+	cfg := engine.Config{
+		Machine:  g.machine,
+		Parts:    g.parts,
+		Ghosts:   g.ghosts,
+		Topology: g.opts.Topology,
+	}
+	if g.stores != nil {
+		cfg.Pagers = make([]core.RowPager, len(g.stores))
+		for rank, st := range g.stores {
+			cfg.Pagers[rank] = st.Pager()
+		}
+	}
+	return cfg
+}
+
 // StartEngine attaches a multi-query engine to the graph. While attached,
-// the engine owns the simulated machine: Graph traversal methods (including
-// PageRank and CountTriangles) route through it, and classic collective
-// operations fail until Close.
+// the engine owns the simulated machine and every Graph query method routes
+// through it, until Close.
 func (g *Graph) StartEngine(opts EngineOptions) (*Engine, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.eng != nil {
 		return nil, errors.New("havoqgt: an engine is already attached to this graph")
 	}
-	// Out-of-core mode: hand each rank's pager to the engine so rank loops
-	// park visits on absent adjacency pages instead of blocking on the
-	// device. Entries must be genuinely non-nil interfaces (a typed-nil
-	// *ooc.Pager in a core.RowPager slot would defeat the engine's nil
-	// checks), which Store.Pager guarantees for a live store.
-	var pagers []core.RowPager
-	if g.stores != nil {
-		pagers = make([]core.RowPager, len(g.stores))
-		for rank, st := range g.stores {
-			pagers[rank] = st.Pager()
-		}
-	}
-	e, err := engine.Start(engine.Config{
-		Machine:  g.machine,
-		Parts:    g.parts,
-		Ghosts:   g.ghosts,
-		Topology: g.opts.Topology,
-		Pagers:   pagers,
-	}, engine.Options{
-		MaxInFlight:        opts.MaxInFlight,
-		MaxQueue:           opts.MaxQueue,
-		StepBatch:          opts.StepBatch,
-		Reliable:           opts.Reliable,
-		DisableBucketOrder: g.opts.DisableBucketOrder,
+	e, err := engine.Start(g.engineConfig(), engine.Options{
+		MaxInFlight: opts.MaxInFlight,
+		MaxQueue:    opts.MaxQueue,
+		StepBatch:   opts.StepBatch,
+		Core:        core.Config{Reliable: opts.Reliable},
 	})
 	if err != nil {
 		return nil, err
@@ -102,7 +104,7 @@ func (g *Graph) StartEngine(opts EngineOptions) (*Engine, error) {
 }
 
 // Close drains every outstanding query, stops the engine, and returns the
-// machine to classic (one-traversal-at-a-time) use.
+// graph to one-shot (one transient engine per call) use.
 func (e *Engine) Close() error {
 	err := e.e.Close()
 	e.g.mu.Lock()
@@ -129,9 +131,6 @@ type Query struct {
 	e    *Engine
 	t    *engine.Ticket
 	spec engine.Spec
-	algo engine.Algo
-	src  Vertex
-	k    uint32
 }
 
 // ID returns the query's engine-assigned identifier.
@@ -155,7 +154,9 @@ var ErrQueryCancelled = errors.New("havoqgt: query cancelled")
 // keep matching.
 var ErrQueryTimeout = fmt.Errorf("%w: deadline exceeded (retryable)", ErrQueryCancelled)
 
-func (q *Query) wait() (*engine.Result, error) {
+// Wait blocks until the query completes and returns its result, or
+// ErrQueryCancelled (ErrQueryTimeout when the deadline cancelled it).
+func (q *Query) Wait() (*QueryResult, error) {
 	res := q.t.Wait()
 	if res.Cancelled {
 		if errors.Is(q.t.Err(), context.DeadlineExceeded) {
@@ -163,7 +164,7 @@ func (q *Query) wait() (*engine.Result, error) {
 		}
 		return nil, ErrQueryCancelled
 	}
-	return res, nil
+	return convert(q.spec, res), nil
 }
 
 // Resume resubmits a finished, cancelled query as a new attempt. For the
@@ -193,7 +194,7 @@ func (q *Query) Resume(d time.Duration) (*Query, error) {
 	if cp := q.t.Checkpoint(); cp != nil {
 		spec = cp.ResumeSpec(d)
 	}
-	return q.e.submit(spec, q.src)
+	return q.e.submit(spec)
 }
 
 // RecoveryPolicy bounds ExecuteWithRecovery's server-side retry loop.
@@ -201,9 +202,6 @@ type RecoveryPolicy struct {
 	// Attempts is the total number of attempts, first try included
 	// (default 3).
 	Attempts int
-	// Deadline is the first attempt's budget (0 = the engine default);
-	// every retry doubles it.
-	Deadline time.Duration
 	// Backoff is the sleep before the first retry, doubling after each
 	// (default 5ms). Applies to admission rejections too, making this the
 	// client of the engine's 429-style backpressure.
@@ -220,15 +218,16 @@ func (p RecoveryPolicy) normalized() RecoveryPolicy {
 	return p
 }
 
-// ExecuteWithRecovery runs one query under a bounded retry policy: a
-// deadline-expired attempt is resubmitted from its checkpoint with a doubled
-// budget after a doubling backoff, and an admission rejection (ErrQueryRejected)
-// is retried after the same backoff. Non-retryable failures — explicit
-// cancellation, validation errors — return immediately. After the attempt
-// budget, the last error is returned.
-func (e *Engine) ExecuteWithRecovery(algo string, source Vertex, weightSeed uint64, k uint32, pol RecoveryPolicy) (*QueryResult, error) {
+// ExecuteWithRecovery runs one query under a bounded retry policy: qs.Deadline
+// (0 = the engine default) is the first attempt's budget; a deadline-expired
+// attempt is resubmitted from its checkpoint with a doubled budget after a
+// doubling backoff, and an admission rejection (ErrQueryRejected) is retried
+// after the same backoff. Non-retryable failures — explicit cancellation,
+// validation errors — return immediately. After the attempt budget, the last
+// error is returned.
+func (e *Engine) ExecuteWithRecovery(qs QuerySpec, pol RecoveryPolicy) (*QueryResult, error) {
 	pol = pol.normalized()
-	spec := engine.Spec{Algo: engine.Algo(algo), Source: source, WeightSeed: weightSeed, K: k, Deadline: pol.Deadline}
+	spec := qs.spec()
 	backoff := pol.Backoff
 	var lastErr error
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
@@ -236,7 +235,7 @@ func (e *Engine) ExecuteWithRecovery(algo string, source Vertex, weightSeed uint
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		q, err := e.submit(spec, source)
+		q, err := e.submit(spec)
 		if err != nil {
 			if errors.Is(err, ErrQueryRejected) {
 				lastErr = err // overload: back off and re-attempt admission
@@ -273,106 +272,33 @@ type QueryResult struct {
 	Triangles  *TrianglesResult
 }
 
-// Wait blocks until the query completes and returns its result, or
-// ErrQueryCancelled.
-func (q *Query) Wait() (*QueryResult, error) {
-	switch q.algo {
+// convert shapes an engine result as the spec's algorithm's facade result.
+func convert(spec engine.Spec, res *engine.Result) *QueryResult {
+	switch spec.Algo {
 	case engine.AlgoBFS, engine.AlgoBFSDO:
-		r, err := q.waitBFS()
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{BFS: r}, nil
+		out := &BFSResult{Source: spec.Source, Levels: res.Levels, Parents: res.Parents}
+		out.Reached, out.MaxLevel = bfs.Summary(res.Levels)
+		return &QueryResult{BFS: out}
 	case engine.AlgoSSSP:
-		r, err := q.waitSSSP()
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{SSSP: r}, nil
+		return &QueryResult{SSSP: &SSSPResult{Source: spec.Source, Distances: res.Dist, Parents: res.Parents}}
 	case engine.AlgoCC:
-		r, err := q.waitComponents()
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{Components: r}, nil
+		return &QueryResult{Components: &ComponentsResult{Labels: res.Labels, Count: res.Components}}
 	case engine.AlgoKCore:
-		r, err := q.waitKCore()
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{KCore: r}, nil
+		return &QueryResult{KCore: &KCoreResult{K: spec.K, InCore: res.InCore, CoreSize: res.CoreSize}}
 	case engine.AlgoPageRank:
-		r, err := q.waitPageRank()
-		if err != nil {
-			return nil, err
+		iters := spec.Iters
+		if iters == 0 {
+			iters = DefaultPageRankIters
 		}
-		return &QueryResult{PageRank: r}, nil
+		return &QueryResult{PageRank: &PageRankResult{Iters: iters, Ranks: res.Ranks}}
 	case engine.AlgoTriangles:
-		r, err := q.waitTriangles()
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{Triangles: r}, nil
+		return &QueryResult{Triangles: &TrianglesResult{Count: res.Triangles}}
 	}
-	return nil, fmt.Errorf("havoqgt: unknown query algorithm %q", q.algo)
-}
-
-func (q *Query) waitBFS() (*BFSResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	out := &BFSResult{Source: q.src, Levels: res.Levels, Parents: res.Parents}
-	finishBFSResult(out)
-	return out, nil
-}
-
-func (q *Query) waitSSSP() (*SSSPResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	return &SSSPResult{Source: q.src, Distances: res.Dist, Parents: res.Parents}, nil
-}
-
-func (q *Query) waitComponents() (*ComponentsResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	return &ComponentsResult{Labels: res.Labels, Count: res.Components}, nil
-}
-
-func (q *Query) waitKCore() (*KCoreResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	return &KCoreResult{K: q.k, InCore: res.InCore, CoreSize: res.CoreSize}, nil
-}
-
-func (q *Query) waitPageRank() (*PageRankResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	iters := q.spec.Iters
-	if iters == 0 {
-		iters = DefaultPageRankIters
-	}
-	return &PageRankResult{Iters: iters, Ranks: res.Ranks}, nil
-}
-
-func (q *Query) waitTriangles() (*TrianglesResult, error) {
-	res, err := q.wait()
-	if err != nil {
-		return nil, err
-	}
-	return &TrianglesResult{Count: res.Triangles}, nil
+	panic("havoqgt: unknown algorithm past engine validation")
 }
 
 // submit wraps engine admission with the facade's default deadline.
-func (e *Engine) submit(spec engine.Spec, src Vertex) (*Query, error) {
+func (e *Engine) submit(spec engine.Spec) (*Query, error) {
 	if spec.Deadline == 0 {
 		spec.Deadline = e.d
 	}
@@ -380,48 +306,48 @@ func (e *Engine) submit(spec engine.Spec, src Vertex) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{e: e, t: t, spec: spec, algo: spec.Algo, src: src, k: spec.K}, nil
+	return &Query{e: e, t: t, spec: spec}, nil
 }
 
 // SubmitBFS starts an asynchronous BFS query from source.
 func (e *Engine) SubmitBFS(source Vertex) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoBFS, Source: source}, source)
+	return e.submit(engine.Spec{Algo: engine.AlgoBFS, Source: source})
 }
 
 // SubmitSSSP starts an asynchronous single-source shortest-path query.
 func (e *Engine) SubmitSSSP(source Vertex, weightSeed uint64) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed}, source)
+	return e.submit(engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed})
 }
 
 // SubmitComponents starts an asynchronous connected-components query.
 func (e *Engine) SubmitComponents() (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoCC}, 0)
+	return e.submit(engine.Spec{Algo: engine.AlgoCC})
 }
 
 // SubmitKCore starts an asynchronous k-core query (k >= 1). The graph must
 // be simple (Options.Simplify).
 func (e *Engine) SubmitKCore(k uint32) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoKCore, K: k}, 0)
+	return e.submit(engine.Spec{Algo: engine.AlgoKCore, K: k})
 }
 
 // SubmitBFSDO starts an asynchronous direction-optimizing BFS from source.
 // Its Levels are hash-identical to SubmitBFS on the same graph; only the
 // traversal schedule (and typically the runtime) differs.
 func (e *Engine) SubmitBFSDO(source Vertex) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoBFSDO, Source: source}, source)
+	return e.submit(engine.Spec{Algo: engine.AlgoBFSDO, Source: source})
 }
 
 // SubmitPageRank starts an asynchronous fixed-point PageRank query. iters = 0
 // runs the default iteration count; values beyond the per-query cap are
 // rejected at admission.
 func (e *Engine) SubmitPageRank(iters uint32) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoPageRank, Iters: iters}, 0)
+	return e.submit(engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
 }
 
 // SubmitTriangles starts an asynchronous exact triangle count. Duplicate
 // edges and self-loops are ignored, so the graph need not be simplified.
 func (e *Engine) SubmitTriangles() (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoTriangles}, 0)
+	return e.submit(engine.Spec{Algo: engine.AlgoTriangles})
 }
 
 // QuerySpec names a query generically, for serving layers that receive the
@@ -435,18 +361,12 @@ type QuerySpec struct {
 	Deadline   time.Duration
 }
 
-// SubmitQuery starts the query described by a generic spec.
-func (e *Engine) SubmitQuery(qs QuerySpec) (*Query, error) {
-	spec := engine.Spec{
+func (qs QuerySpec) spec() engine.Spec {
+	return engine.Spec{
 		Algo: engine.Algo(qs.Algo), Source: qs.Source, WeightSeed: qs.WeightSeed,
 		K: qs.K, Iters: qs.Iters, Deadline: qs.Deadline,
 	}
-	return e.submit(spec, qs.Source)
 }
 
-// SubmitWithDeadline is like the Submit helpers but cancels the query if it
-// is still running after d.
-func (e *Engine) SubmitWithDeadline(algo string, source Vertex, weightSeed uint64, k uint32, d time.Duration) (*Query, error) {
-	spec := engine.Spec{Algo: engine.Algo(algo), Source: source, WeightSeed: weightSeed, K: k, Deadline: d}
-	return e.submit(spec, source)
-}
+// SubmitQuery starts the query described by a generic spec.
+func (e *Engine) SubmitQuery(qs QuerySpec) (*Query, error) { return e.submit(qs.spec()) }

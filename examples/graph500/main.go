@@ -14,10 +14,10 @@ import (
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/harness"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
@@ -41,57 +41,48 @@ func main() {
 		depth uint32
 	}
 	results := make([]rootResult, 0, numRoots)
-	var buildTime time.Duration
 
-	rt.NewMachine(ranks).Run(func(r *rt.Rank) {
-		start := time.Now()
+	// Set-up is one collective phase: every rank generates its chunk and the
+	// builder sorts globally into balanced partitions.
+	m := rt.NewMachine(ranks)
+	cfg := engine.Config{Machine: m, Topology: "3d",
+		Parts: make([]*partition.Part, ranks), Ghosts: make([]*core.GhostTable, ranks)}
+	start := time.Now()
+	m.Run(func(r *rt.Rank) {
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
 		part, err := partition.BuildEdgeList(r, local, gen.NumVertices())
 		if err != nil {
 			log.Fatal(err)
 		}
-		r.Barrier()
-		if r.Rank() == 0 {
-			buildTime = time.Since(start)
-		}
-
-		// Random roots with degree >= 1, agreed upon by all ranks through a
-		// shared RNG plus a degree check (the benchmark's sampling rule).
-		// Every rank draws the same candidate sequence from a shared seed
-		// and agrees collectively on acceptance, so the loop advances in
-		// lockstep without extra coordination.
-		rng := xrand.New(seed)
-		ghosts := core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
-		for accepted := 0; accepted < numRoots; {
-			root := graph.Vertex(rng.Uint64n(gen.NumVertices()))
-			var has uint64
-			if part.IsMaster(root) && part.GlobalDegree(root) > 0 {
-				has = 1
-			}
-			if r.AllReduceU64(has, rt.Max) == 0 {
-				continue
-			}
-			accepted++
-			cfg := core.Config{Topology: mailbox.NewGrid3D(ranks), Ghosts: ghosts}
-			r.Barrier()
-			t0 := time.Now()
-			res := bfs.Run(r, part, root, cfg)
-			r.Barrier()
-			elapsed := time.Since(t0)
-			if err := harness.ValidateBFS(r, part, res.BFS, root); err != nil {
-				log.Fatalf("validation failed for root %d: %v", root, err)
-			}
-			edges := r.AllReduceU64(res.ReachedEdges(), rt.Sum) / 2
-			depth := uint32(r.AllReduceU64(uint64(res.MaxLevel()), rt.Max))
-			if r.Rank() == 0 {
-				results = append(results, rootResult{
-					root:  root,
-					teps:  float64(edges) / elapsed.Seconds(),
-					depth: depth,
-				})
-			}
-		}
+		cfg.Parts[r.Rank()] = part
+		cfg.Ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 	})
+	buildTime := time.Since(start)
+
+	// Random roots with degree >= 1 (the benchmark's sampling rule); each
+	// traversal is one query on a transient engine.
+	rng := xrand.New(seed)
+	for len(results) < numRoots {
+		root := graph.Vertex(rng.Uint64n(gen.NumVertices()))
+		if cfg.Parts[cfg.Parts[0].Master(root)].GlobalDegree(root) == 0 {
+			continue
+		}
+		t0 := time.Now()
+		res, _, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoBFS, Source: root})
+		elapsed := time.Since(t0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := harness.ValidateBFS(cfg.Parts, res.Levels, res.Parents, root); err != nil {
+			log.Fatalf("validation failed for root %d: %v", root, err)
+		}
+		_, depth := bfs.Summary(res.Levels)
+		results = append(results, rootResult{
+			root:  root,
+			teps:  float64(harness.TraversedEdges(cfg.Parts, res.Levels)) / elapsed.Seconds(),
+			depth: depth,
+		})
+	}
 
 	fmt.Printf("construction: %v (distributed sort + equal-count split + CSR)\n\n", buildTime.Round(time.Millisecond))
 	fmt.Println("root      depth  TEPS")

@@ -19,12 +19,10 @@ import (
 	"log"
 
 	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/kcore"
-	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 )
@@ -38,75 +36,61 @@ const (
 func main() {
 	gen := generators.NewPA(numUsers, mPerUser, 0.05, 7)
 
-	var (
-		triangles  uint64
-		wedges     uint64
-		coreSizes  = map[uint32]uint64{}
-		histogram  = make([]uint64, 16)
-		reachable  uint64
-		seedVertex = graph.Vertex(42)
-	)
+	seedVertex := graph.Vertex(42)
 
+	// Every rank generates its own chunk of the network; the builder sorts
+	// globally and hands back balanced partitions. Simplify: k-core needs a
+	// simple graph.
 	machine := rt.NewMachine(ranks)
+	cfg := engine.Config{Machine: machine, Topology: "2d", Parts: make([]*partition.Part, ranks)}
 	machine.Run(func(r *rt.Rank) {
-		// Every rank generates its own chunk of the network; the builder
-		// sorts globally and hands back balanced partitions. Simplify:
-		// k-core and triangles need a simple graph.
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
 		part, err := partition.BuildEdgeListSimple(r, local, numUsers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		topo := mailbox.NewGrid2D(ranks)
-		cfg := core.Config{Topology: topo}
+		cfg.Parts[r.Rank()] = part
+	})
+	// Each question is one query on a transient engine over the machine.
+	query := func(cfg engine.Config, spec engine.Spec) *engine.Result {
+		res, _, err := engine.RunOnce(cfg, engine.Options{}, spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 
-		// 1. Triangles and wedges -> global clustering coefficient.
-		tri := triangle.Run(r, part, cfg)
-		var localWedges uint64
+	// 1. Triangles and wedges -> global clustering coefficient.
+	triangles := query(cfg, engine.Spec{Algo: engine.AlgoTriangles}).Triangles
+	var wedges uint64
+	for _, part := range cfg.Parts {
 		lo, hi := part.Owners.MasterRange(part.Rank)
 		for v := lo; v < hi; v++ {
 			d := part.GlobalDegree(graph.Vertex(v))
-			localWedges += d * (d - 1) / 2
+			wedges += d * (d - 1) / 2
 		}
-		allWedges := r.AllReduceU64(localWedges, rt.Sum)
+	}
 
-		// 2. k-core decomposition at increasing k: the "engaged core".
-		sizes := map[uint32]uint64{}
-		for _, k := range []uint32{2, 4, 8, 16} {
-			res := kcore.Run(r, part, k, cfg)
-			sizes[k] = kcore.GlobalCoreSize(r, res)
-		}
+	// 2. k-core decomposition at increasing k: the "engaged core".
+	coreSizes := map[uint32]uint64{}
+	for _, k := range []uint32{2, 4, 8, 16} {
+		coreSizes[k] = query(cfg, engine.Spec{Algo: engine.AlgoKCore, K: k}).CoreSize
+	}
 
-		// 3. Degrees of separation from a seed user, with ghost filtering
-		// for the celebrity hubs.
-		bcfg := cfg
-		bcfg.Ghosts = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
-		res := bfs.Run(r, part, seedVertex, bcfg)
-		localHist := make([]uint64, 16)
-		var localReached uint64
-		for v := lo; v < hi; v++ {
-			i, _ := part.LocalIndex(graph.Vertex(v))
-			if l := res.Level[i]; l != bfs.Unreached {
-				localReached++
-				if int(l) < len(localHist) {
-					localHist[l]++
-				}
+	// 3. Degrees of separation from a seed user, with ghost filtering for
+	// the celebrity hubs.
+	bcfg := cfg
+	bcfg.Ghosts = core.BuildGhostTables(cfg.Parts, core.DefaultGhostsPerPartition)
+	histogram := make([]uint64, 16)
+	var reachable uint64
+	for _, l := range query(bcfg, engine.Spec{Algo: engine.AlgoBFS, Source: seedVertex}).Levels {
+		if l != bfs.Unreached {
+			reachable++
+			if int(l) < len(histogram) {
+				histogram[l]++
 			}
 		}
-		globalReached := r.AllReduceU64(localReached, rt.Sum)
-		globalHist := make([]uint64, len(localHist))
-		for i := range localHist {
-			globalHist[i] = r.AllReduceU64(localHist[i], rt.Sum)
-		}
-
-		if r.Rank() == 0 {
-			triangles = tri.GlobalCount
-			wedges = allWedges
-			coreSizes = sizes
-			reachable = globalReached
-			copy(histogram, globalHist)
-		}
-	})
+	}
 
 	fmt.Printf("social network: %d users, preferential attachment (m=%d), %d simulated ranks\n\n",
 		numUsers, mPerUser, ranks)

@@ -1,0 +1,147 @@
+package havoqgt
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+	"time"
+)
+
+// goldenHashes are FNV-1a hashes of every query type's deterministic output
+// on GenerateRMAT(12, 42, {Ranks: 8, Topology: "2d", Simplify: true}),
+// recorded through the facade at the commit before the classic executor was
+// removed (PR 11, 9529f61). BFS/SSSP parents are excluded: they depend on
+// arrival order among equal-cost alternatives (cluster.HashResult excludes
+// them for the same reason).
+var goldenHashes = map[string]uint64{
+	"bfs":       0x16e372a9a7e3d76e,
+	"bfs_do":    0x16e372a9a7e3d76e,
+	"sssp":      0x51a91e68c93d821b,
+	"cc":        0xcd5403dcb8fd82f3,
+	"kcore":     0xbb1c2f5993bfca13,
+	"pagerank":  0x1dfe6634fc2e8e58,
+	"triangles": 0x16cd2e6b704c36d1,
+	"estimate":  0x190822ae263481cb,
+}
+
+func hashU64s(vals ...uint64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+func widen[T ~uint32 | ~uint64](in []T, extra ...uint64) []uint64 {
+	out := make([]uint64, 0, len(in)+len(extra))
+	for _, v := range in {
+		out = append(out, uint64(v))
+	}
+	return append(out, extra...)
+}
+
+// goldenRun answers all seven query types plus EstimateTriangles through the
+// facade and returns one hash per type.
+func goldenRun(t *testing.T, g *Graph) map[string]uint64 {
+	t.Helper()
+	var src Vertex
+	for v := Vertex(0); uint64(v) < g.NumVertices(); v++ {
+		if d, _ := g.Degree(v); d > 0 {
+			src = v
+			break
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]uint64{}
+
+	bfs, err := g.BFS(src)
+	must(err)
+	got["bfs"] = hashU64s(widen(bfs.Levels)...)
+	do, err := g.BFSDirOpt(src)
+	must(err)
+	got["bfs_do"] = hashU64s(widen(do.Levels)...)
+	sp, err := g.ShortestPaths(src, 7)
+	must(err)
+	got["sssp"] = hashU64s(sp.Distances...)
+	cc, err := g.Components()
+	must(err)
+	got["cc"] = hashU64s(widen(cc.Labels, cc.Count)...)
+	kc, err := g.KCore(4)
+	must(err)
+	in := make([]uint64, len(kc.InCore), len(kc.InCore)+1)
+	for v, alive := range kc.InCore {
+		if alive {
+			in[v] = 1
+		}
+	}
+	got["kcore"] = hashU64s(append(in, kc.CoreSize)...)
+	pr, err := g.PageRank(5)
+	must(err)
+	got["pagerank"] = hashU64s(pr.Ranks...)
+	tri, err := g.CountTriangles()
+	must(err)
+	got["triangles"] = hashU64s(tri)
+	est, err := g.EstimateTriangles(0.25, 9)
+	must(err)
+	got["estimate"] = hashU64s(math.Float64bits(est))
+	return got
+}
+
+func goldenGraph(t *testing.T) *Graph {
+	t.Helper()
+	g, err := GenerateRMAT(12, 42, Options{Ranks: 8, Topology: "2d", Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func checkGolden(t *testing.T, got map[string]uint64) {
+	t.Helper()
+	for name, want := range goldenHashes {
+		if got[name] != want {
+			t.Errorf("%s: hash %#x, golden %#x", name, got[name], want)
+		}
+	}
+}
+
+// TestGoldenHashes pins every query type's output across the executor
+// change, in the three ways a facade call can run: on a transient engine,
+// on an attached engine, and out of core at 1/8 resident adjacency.
+func TestGoldenHashes(t *testing.T) {
+	t.Run("unattached", func(t *testing.T) {
+		checkGolden(t, goldenRun(t, goldenGraph(t)))
+	})
+	t.Run("attached", func(t *testing.T) {
+		g := goldenGraph(t)
+		e, err := g.StartEngine(EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		checkGolden(t, goldenRun(t, g))
+	})
+	t.Run("out-of-core", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("a minute and a half under -race; check's differential sweep parks every algorithm there")
+		}
+		// 1/8 resident is four cache frames a rank at this scale, so the
+		// triangle kernels fault tens of thousands of times; the simulated
+		// device answers in 1µs instead of its default 25µs to keep the run
+		// in seconds. Latency changes no code path, only the waiting.
+		g := goldenGraph(t)
+		if err := g.SetMemoryBudget(MemoryConfig{ResidentFraction: 1.0 / 8, DeviceLatency: time.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		defer g.ResetMemoryBudget()
+		checkGolden(t, goldenRun(t, g))
+	})
+}

@@ -4,24 +4,19 @@ import (
 	"fmt"
 	"testing"
 
-	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/cc"
-	"havoqgt/internal/algos/kcore"
+	"havoqgt/internal/algos/algotest"
 	"havoqgt/internal/algos/sssp"
-	"havoqgt/internal/algos/triangle"
-	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/harness"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 )
 
 // TestIntegrationSweep runs every distributed algorithm across a matrix of
 // graph models, rank counts, routing topologies, and ghost settings, and
-// checks all results against the sequential references plus the distributed
+// checks all results against the sequential references plus the
 // Graph500-style BFS validator. This is the end-to-end safety net for the
 // whole stack: generators → sort/partition → mailbox → visitor queue →
 // termination → gather.
@@ -62,53 +57,22 @@ func TestIntegrationSweep(t *testing.T) {
 				for _, ghosts := range []int{0, 64} {
 					name := fmt.Sprintf("%s/p%d/%s/g%d", gc.name, p, topoName, ghosts)
 					t.Run(name, func(t *testing.T) {
-						levels := make([]uint32, gc.n)
-						labels := make([]graph.Vertex, gc.n)
-						dists := make([]uint64, gc.n)
-						inCore := make([]bool, gc.n)
-						tris := make([]uint64, p)
-						comps := make([]uint64, p)
-
-						rt.NewMachine(p).Run(func(r *rt.Rank) {
-							var local []graph.Edge
-							for i, e := range gc.edges {
-								if i%p == r.Rank() {
-									local = append(local, e)
-								}
-							}
-							part, err := partition.BuildEdgeList(r, local, gc.n)
-							if err != nil {
-								panic(err)
-							}
-							topo, err := mailbox.ByName(topoName, p)
-							if err != nil {
-								panic(err)
-							}
-							cfg := core.Config{Topology: topo}
-							if ghosts > 0 {
-								cfg.Ghosts = core.BuildGhostTable(part, ghosts)
-							}
-							lo, hi := part.Owners.MasterRange(part.Rank)
-
-							bres := bfs.Run(r, part, 1, cfg)
-							if err := harness.ValidateBFS(r, part, bres.BFS, 1); err != nil {
-								panic(fmt.Sprintf("validate: %v", err))
-							}
-							sres := sssp.Run(r, part, 1, 5, cfg)
-							cres := cc.Run(r, part, cfg)
-							comps[r.Rank()] = cc.NumComponents(r, cres)
-							kres := kcore.Run(r, part, 3, cfg)
-							tres := triangle.Run(r, part, cfg)
-							tris[r.Rank()] = tres.GlobalCount
-
-							for v := lo; v < hi; v++ {
-								i, _ := part.LocalIndex(graph.Vertex(v))
-								levels[v] = bres.Level[i]
-								labels[v] = cres.Label[i]
-								dists[v] = sres.Dist[i]
-								inCore[v] = kres.Alive[i]
-							}
-						})
+						g := algotest.Build(t, gc.edges, gc.n, p, partition.BuildEdgeList)
+						setup := algotest.Setup{Topology: topoName, Ghosts: ghosts}
+						query := func(spec engine.Spec) *engine.Result {
+							res, _ := g.Run(t, setup, spec)
+							return res
+						}
+						bres := query(engine.Spec{Algo: engine.AlgoBFS, Source: 1})
+						if err := harness.ValidateBFS(g.Parts, bres.Levels, bres.Parents, 1); err != nil {
+							t.Fatalf("validate: %v", err)
+						}
+						levels := bres.Levels
+						dists := query(engine.Spec{Algo: engine.AlgoSSSP, Source: 1, WeightSeed: 5}).Dist
+						cres := query(engine.Spec{Algo: engine.AlgoCC})
+						labels, comps := cres.Labels, cres.Components
+						inCore := query(engine.Spec{Algo: engine.AlgoKCore, K: 3}).InCore
+						tris := query(engine.Spec{Algo: engine.AlgoTriangles}).Triangles
 
 						for v := uint64(0); v < gc.n; v++ {
 							if levels[v] != wantLevels[v] {
@@ -124,11 +88,11 @@ func TestIntegrationSweep(t *testing.T) {
 								t.Fatalf("kcore(%d) = %v, want %v", v, inCore[v], wantCore[v])
 							}
 						}
-						if tris[0] != wantTri {
-							t.Fatalf("triangles = %d, want %d", tris[0], wantTri)
+						if tris != wantTri {
+							t.Fatalf("triangles = %d, want %d", tris, wantTri)
 						}
-						if comps[0] != wantComps {
-							t.Fatalf("components = %d, want %d", comps[0], wantComps)
+						if comps != wantComps {
+							t.Fatalf("components = %d, want %d", comps, wantComps)
 						}
 					})
 				}

@@ -1,12 +1,14 @@
 // Package algotest provides shared helpers for end-to-end tests of the
 // distributed algorithms: build a partitioned graph across a simulated
-// machine, run a per-rank function, and compare against the sequential
-// references.
+// machine, run queries on it through the one executor (engine.RunOnce), and
+// compare against the sequential references.
 package algotest
 
 import (
 	"testing"
 
+	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
@@ -16,42 +18,52 @@ import (
 // partition.Build1D).
 type Builder func(r *rt.Rank, local []graph.Edge, n uint64) (*partition.Part, error)
 
-// RunOnParts scatters edges round-robin over p ranks, builds each rank's
-// partition with build, and invokes fn on every rank concurrently.
-func RunOnParts(t *testing.T, edges []graph.Edge, n uint64, p int, build Builder,
-	fn func(r *rt.Rank, part *partition.Part)) {
+// Graph is a partitioned graph on its own simulated machine.
+type Graph struct {
+	Machine *rt.Machine
+	Parts   []*partition.Part
+}
+
+// Build scatters edges round-robin over p ranks and builds each rank's
+// partition with build.
+func Build(t testing.TB, edges []graph.Edge, n uint64, p int, build Builder) *Graph {
 	t.Helper()
-	m := rt.NewMachine(p)
-	m.Run(func(r *rt.Rank) {
+	g := &Graph{Machine: rt.NewMachine(p), Parts: make([]*partition.Part, p)}
+	errs := make([]error, p)
+	g.Machine.Run(func(r *rt.Rank) {
 		var local []graph.Edge
 		for i, e := range edges {
 			if i%p == r.Rank() {
 				local = append(local, e)
 			}
 		}
-		part, err := build(r, local, n)
-		if err != nil {
-			panic(err)
-		}
-		fn(r, part)
+		g.Parts[r.Rank()], errs[r.Rank()] = build(r, local, n)
 	})
-}
-
-// Gather collects one uint64 per master vertex from every rank into a single
-// global array: rank r writes out[v] for each v it masters.
-type Gathered struct {
-	Values []uint64
-}
-
-// NewGathered allocates a result array for n vertices.
-func NewGathered(n uint64) *Gathered { return &Gathered{Values: make([]uint64, n)} }
-
-// Set stores the value for all master vertices of the partition using get.
-// Safe to call concurrently from different ranks: master ranges are
-// disjoint.
-func (g *Gathered) Set(part *partition.Part, get func(v graph.Vertex) uint64) {
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		g.Values[v] = get(graph.Vertex(v))
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	return g
+}
+
+// Setup is how a query runs on a Graph; the zero value is 1-D routing, no
+// hub filtering, default core.Config.
+type Setup struct {
+	Topology string // "1d" (default), "2d", "3d"
+	Ghosts   int    // ghost table size per partition; 0 = none
+	Core     core.Config
+}
+
+// Run answers one query on a transient engine and returns its result with
+// the per-rank counters. A failed query fails the test.
+func (g *Graph) Run(t testing.TB, s Setup, spec engine.Spec) (*engine.Result, []core.Stats) {
+	t.Helper()
+	cfg := engine.Config{Machine: g.Machine, Parts: g.Parts, Topology: s.Topology,
+		Ghosts: core.BuildGhostTables(g.Parts, s.Ghosts)}
+	res, stats, err := engine.RunOnce(cfg, engine.Options{Core: s.Core}, spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Algo, err)
+	}
+	return res, stats
 }

@@ -13,7 +13,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
 // Unreached is the level of vertices not reached by the traversal (∞).
@@ -106,6 +105,18 @@ func (b *BFS) Visit(v Visitor, q *core.Queue[Visitor]) {
 	}
 }
 
+// Summary folds a global level array into the traversal's reached-vertex
+// count and depth (the deepest finite level).
+func Summary(levels []uint32) (reached uint64, depth uint32) {
+	for _, l := range levels {
+		if l != Unreached {
+			reached++
+			depth = max(depth, l)
+		}
+	}
+	return reached, depth
+}
+
 // Less orders the local queue by length (Algorithm 2 lines 20–22); the
 // framework breaks ties by vertex id for page locality.
 func (b *BFS) Less(a, c Visitor) bool { return a.Length < c.Length }
@@ -126,68 +137,4 @@ func (b *BFS) Decode(buf []byte) Visitor {
 		Length: binary.LittleEndian.Uint32(buf[8:]),
 		Parent: graph.Vertex(binary.LittleEndian.Uint64(buf[12:])),
 	}
-}
-
-// Result bundles one rank's BFS output.
-type Result struct {
-	*BFS
-	Stats core.Stats
-}
-
-// Run executes a BFS from source, collectively across all ranks. cfg.Ghosts,
-// if set, enables hub filtering (the algorithm declares ghost usage).
-func Run(r *rt.Rank, part *partition.Part, source graph.Vertex, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("bfs.run", r.Rank())
-	defer sp.End()
-	b := New(part)
-	if cfg.Ghosts != nil {
-		b.AttachGhosts(cfg.Ghosts)
-	}
-	q := core.NewQueue[Visitor](r, part, b, cfg)
-	if part.IsMaster(source) {
-		q.Push(Visitor{V: source, Length: 0, Parent: source})
-	}
-	q.Run()
-	return &Result{BFS: b, Stats: q.Stats()}
-}
-
-// MaxLevel returns the deepest finite level among this rank's master
-// vertices (combine across ranks with AllReduce Max).
-func (b *BFS) MaxLevel() uint32 {
-	lo, hi := b.part.Owners.MasterRange(b.part.Rank)
-	var mx uint32
-	for v := lo; v < hi; v++ {
-		i, _ := b.part.LocalIndex(graph.Vertex(v))
-		if l := b.Level[i]; l != Unreached && l > mx {
-			mx = l
-		}
-	}
-	return mx
-}
-
-// ReachedEdges returns the number of locally stored directed edges incident
-// to reached vertices — summed over ranks and halved, the Graph500 traversed
-// edge count for TEPS.
-func (b *BFS) ReachedEdges() uint64 {
-	var sum uint64
-	for i := 0; i < b.part.StateLen; i++ {
-		if b.Level[i] != Unreached {
-			sum += b.part.CSR.Degree(i)
-		}
-	}
-	return sum
-}
-
-// ReachedVertices returns the number of reached master vertices on this
-// rank.
-func (b *BFS) ReachedVertices() uint64 {
-	lo, hi := b.part.Owners.MasterRange(b.part.Rank)
-	var n uint64
-	for v := lo; v < hi; v++ {
-		i, _ := b.part.LocalIndex(graph.Vertex(v))
-		if b.Level[i] != Unreached {
-			n++
-		}
-	}
-	return n
 }

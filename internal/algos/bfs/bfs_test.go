@@ -1,43 +1,33 @@
-package bfs
+package bfs_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
+	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
-// runDistributedBFS executes BFS over p ranks and returns per-vertex levels
-// and parents gathered from the masters.
-func runDistributedBFS(t *testing.T, edges []graph.Edge, n uint64, p int,
-	source graph.Vertex, build algotest.Builder, mkCfg func(part *partition.Part) core.Config) (levels []uint32, parents []graph.Vertex) {
+// runBFS executes the given BFS flavour over p ranks on the one executor and
+// returns the global levels and parents with the per-rank stats.
+func runBFS(t *testing.T, algo engine.Algo, edges []graph.Edge, n uint64, p int,
+	source graph.Vertex, build algotest.Builder, setup algotest.Setup) ([]uint32, []graph.Vertex, []core.Stats) {
 	t.Helper()
-	gl := algotest.NewGathered(n)
-	gp := algotest.NewGathered(n)
-	algotest.RunOnParts(t, edges, n, p, build, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, source, mkCfg(part))
-		gl.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Level[i])
-		})
-		gp.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Parent[i])
-		})
-	})
-	levels = make([]uint32, n)
-	parents = make([]graph.Vertex, n)
-	for v := range levels {
-		levels[v] = uint32(gl.Values[v])
-		parents[v] = graph.Vertex(gp.Values[v])
-	}
+	res, stats := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: algo, Source: source})
+	return res.Levels, res.Parents, stats
+}
+
+// runDistributedBFS is runBFS for the top-down visitor-queue BFS.
+func runDistributedBFS(t *testing.T, edges []graph.Edge, n uint64, p int,
+	source graph.Vertex, build algotest.Builder, setup algotest.Setup) ([]uint32, []graph.Vertex) {
+	t.Helper()
+	levels, parents, _ := runBFS(t, engine.AlgoBFS, edges, n, p, source, build, setup)
 	return levels, parents
 }
 
@@ -55,7 +45,7 @@ func checkAgainstRef(t *testing.T, edges []graph.Edge, n uint64, source graph.Ve
 	}
 	for v := uint64(0); v < n; v++ {
 		switch {
-		case levels[v] == Unreached:
+		case levels[v] == bfs.Unreached:
 			if parents[v] != graph.Nil {
 				t.Fatalf("unreached vertex %d has parent %d", v, parents[v])
 			}
@@ -75,7 +65,7 @@ func checkAgainstRef(t *testing.T, edges []graph.Edge, n uint64, source graph.Ve
 	}
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func randomGraph(n uint64, m int, seed uint64) []graph.Edge {
 	rng := xrand.New(seed)
@@ -113,15 +103,7 @@ func TestBFSOnSmallWorldHighDiameter(t *testing.T) {
 func TestBFSWithRoutedTopologies(t *testing.T) {
 	edges := randomGraph(128, 512, 2)
 	for _, topo := range []string{"1d", "2d", "3d"} {
-		p := 8
-		mk := func(part *partition.Part) core.Config {
-			tp, err := mailbox.ByName(topo, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return core.Config{Topology: tp}
-		}
-		levels, parents := runDistributedBFS(t, edges, 128, p, 0, partition.BuildEdgeList, mk)
+		levels, parents := runDistributedBFS(t, edges, 128, 8, 0, partition.BuildEdgeList, algotest.Setup{Topology: topo})
 		checkAgainstRef(t, edges, 128, 0, levels, parents)
 	}
 }
@@ -131,10 +113,7 @@ func TestBFSWithGhosts(t *testing.T) {
 	g := generators.NewPA(1<<9, 4, 0, 3)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{Ghosts: core.BuildGhostTable(part, 64)}
-	}
-	levels, parents := runDistributedBFS(t, edges, n, 4, 1, partition.BuildEdgeList, mk)
+	levels, parents := runDistributedBFS(t, edges, n, 4, 1, partition.BuildEdgeList, algotest.Setup{Ghosts: 64})
 	checkAgainstRef(t, edges, n, 1, levels, parents)
 }
 
@@ -142,15 +121,11 @@ func TestBFSGhostsActuallyFilter(t *testing.T) {
 	g := generators.NewPA(1<<10, 8, 0, 13)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	counts := make([]uint64, 4)
-	algotest.RunOnParts(t, edges, n, 4, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		cfg := core.Config{Ghosts: core.BuildGhostTable(part, core.DefaultGhostsPerPartition)}
-		res := Run(r, part, 1, cfg)
-		counts[r.Rank()] = res.Stats.GhostFiltered
-	})
+	_, _, stats := runBFS(t, engine.AlgoBFS, edges, n, 4, 1, partition.BuildEdgeList,
+		algotest.Setup{Ghosts: core.DefaultGhostsPerPartition})
 	var total uint64
-	for _, c := range counts {
-		total += c
+	for _, s := range stats {
+		total += s.GhostFiltered
 	}
 	if total == 0 {
 		t.Fatal("ghost filter never fired on a hub-heavy PA graph")
@@ -168,7 +143,7 @@ func TestBFSDisconnectedGraph(t *testing.T) {
 	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 5, Dst: 6}, {Src: 6, Dst: 7}})
 	levels, parents := runDistributedBFS(t, edges, 8, 3, 0, partition.BuildEdgeList, defaultCfg)
 	checkAgainstRef(t, edges, 8, 0, levels, parents)
-	if levels[5] != Unreached || levels[3] != Unreached {
+	if levels[5] != bfs.Unreached || levels[3] != bfs.Unreached {
 		t.Fatal("unreachable vertices got levels")
 	}
 }
@@ -177,35 +152,21 @@ func TestBFSSingleVertexSource(t *testing.T) {
 	// Source with no edges: only itself reached.
 	edges := graph.Undirect([]graph.Edge{{Src: 1, Dst: 2}})
 	levels, _ := runDistributedBFS(t, edges, 4, 2, 0, partition.BuildEdgeList, defaultCfg)
-	if levels[0] != 0 || levels[1] != Unreached {
+	if levels[0] != 0 || levels[1] != bfs.Unreached {
 		t.Fatalf("levels = %v", levels)
 	}
 }
 
 func TestBFSLocalityOrderAblation(t *testing.T) {
 	edges := randomGraph(128, 512, 8)
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{DisableLocalityOrder: true}
-	}
-	levels, parents := runDistributedBFS(t, edges, 128, 4, 0, partition.BuildEdgeList, mk)
+	levels, parents := runDistributedBFS(t, edges, 128, 4, 0, partition.BuildEdgeList,
+		algotest.Setup{Core: core.Config{DisableLocalityOrder: true}})
 	checkAgainstRef(t, edges, 128, 0, levels, parents)
 }
 
 func TestBFSStatsAccounting(t *testing.T) {
 	edges := randomGraph(64, 256, 6)
-	stats := make([]core.Stats, 4)
-	reached := algotest.NewGathered(64)
-	algotest.RunOnParts(t, edges, 64, 4, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, 0, core.Config{})
-		stats[r.Rank()] = res.Stats
-		reached.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			if res.Level[i] != Unreached {
-				return 1
-			}
-			return 0
-		})
-	})
+	levels, _, stats := runBFS(t, engine.AlgoBFS, edges, 64, 4, 0, partition.BuildEdgeList, defaultCfg)
 	var executed, queued uint64
 	for _, s := range stats {
 		executed += s.Executed
@@ -215,8 +176,10 @@ func TestBFSStatsAccounting(t *testing.T) {
 		t.Fatalf("executed %d != queued %d after quiescence", executed, queued)
 	}
 	var reachedCount uint64
-	for _, x := range reached.Values {
-		reachedCount += x
+	for _, l := range levels {
+		if l != bfs.Unreached {
+			reachedCount++
+		}
 	}
 	if executed < reachedCount {
 		t.Fatalf("executed %d visitors but reached %d vertices", executed, reachedCount)
@@ -224,10 +187,10 @@ func TestBFSStatsAccounting(t *testing.T) {
 }
 
 func TestVisitorCodecRoundTrip(t *testing.T) {
-	b := &BFS{}
-	v := Visitor{V: 123456789, Length: 42, Parent: 987654321}
+	b := &bfs.BFS{}
+	v := bfs.Visitor{V: 123456789, Length: 42, Parent: 987654321}
 	buf := b.Encode(v, nil)
-	if len(buf) != wireBytes {
+	if len(buf) != 8+4+8 {
 		t.Fatalf("wire size %d", len(buf))
 	}
 	if got := b.Decode(buf); got != v {

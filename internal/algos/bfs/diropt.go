@@ -25,15 +25,10 @@ package bfs
 import (
 	"encoding/binary"
 	"math/bits"
-	"runtime"
-	"time"
 
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
-	"havoqgt/internal/termination"
 )
 
 // Beamer's switching thresholds: go bottom-up when the frontier's edges
@@ -66,8 +61,8 @@ type RowHinter interface{ PrefetchRow(row int) }
 // DO is one rank's direction-optimizing BFS state machine. Drive it with
 // Handle (one delivered payload) and TryAdvance (scan/merge when possible);
 // it reports completion via Done. Sends go through the injected send
-// function, so the same machine serves the classic path (own mailbox) and
-// the engine (shared tagged mailbox).
+// function: the engine's runner stamps them with the query's tag on the
+// rank's shared mailbox.
 type DO struct {
 	part *partition.Part
 	n    uint64
@@ -401,10 +396,9 @@ func (d *DO) merge(acc *doLevelAcc) {
 	}
 	d.frontier.CopyFrom(newly)
 
-	// Levels for every locally held newly visited vertex (replicas too, so
-	// ReachedEdges sums the same rows as the visitor-queue BFS); parents are
-	// resolved against the retired frontier (the parent level) in
-	// finishParents.
+	// Levels for every locally held newly visited vertex (replicas too, as
+	// in the visitor-queue BFS); parents are resolved against the retired
+	// frontier (the parent level) in finishParents.
 	d.forLocalRows(newly, false, func(i int, v graph.Vertex) {
 		d.Level[i] = d.level
 	})
@@ -483,60 +477,6 @@ func (d *DO) forLocalRows(bm core.Bitmap, invert bool, fn func(i int, v graph.Ve
 			w &= w - 1
 			v := graph.Vertex(wi<<6 + uint64(b))
 			fn(int(v-d.part.StateStart), v)
-		}
-	}
-}
-
-// RunDO executes a direction-optimizing BFS from source collectively across
-// all ranks (the classic, dedicated-mailbox path; the engine drives the same
-// state machine through its shared plane instead). Results are bit-identical
-// to Run's: levels are BFS depths, parents lie on shortest paths.
-func RunDO(r *rt.Rank, part *partition.Part, source graph.Vertex, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("bfs.rundo", r.Rank())
-	defer sp.End()
-	topo := cfg.Topology
-	if topo == nil {
-		topo = mailbox.NewDirect(r.Size())
-	}
-	det := termination.New(r)
-	var opts []mailbox.Option
-	if cfg.FlushBytes > 0 {
-		opts = append(opts, mailbox.WithFlushBytes(cfg.FlushBytes))
-	}
-	if cfg.Reliable {
-		opts = append(opts, mailbox.WithReliable(), mailbox.WithRTO(cfg.RTOBase, cfg.RTOMax))
-	}
-	mb := mailbox.New(r, topo, det, opts...)
-	d := NewDO(part, source, func(dest int, payload []byte) { mb.SendTagged(dest, 0, payload) }, nil)
-	d.Start()
-	idleSpins := 0
-	for {
-		progress := false
-		for _, rec := range mb.Poll() {
-			d.Handle(rec.Payload)
-			progress = true
-		}
-		for d.TryAdvance() {
-			progress = true
-		}
-		if progress {
-			idleSpins = 0
-			det.Pump(false)
-			continue
-		}
-		mb.FlushAll()
-		if det.Pump(d.Idle() && mb.Idle()) {
-			b := &BFS{part: part, Level: d.Level, Parent: d.Parent}
-			st := core.Stats{Mailbox: mb.Stats(), DetectorWaves: det.Waves,
-				DetectorSent: det.Sent(), DetectorReceived: det.Received()}
-			r.Barrier()
-			return &Result{BFS: b, Stats: st}
-		}
-		idleSpins++
-		if idleSpins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
 		}
 	}
 }

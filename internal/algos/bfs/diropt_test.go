@@ -1,42 +1,22 @@
-package bfs
+package bfs_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
 // runDistributedDO mirrors runDistributedBFS over the direction-optimizing
 // path.
 func runDistributedDO(t *testing.T, edges []graph.Edge, n uint64, p int,
-	source graph.Vertex, mkCfg func(part *partition.Part) core.Config) (levels []uint32, parents []graph.Vertex) {
+	source graph.Vertex, setup algotest.Setup) ([]uint32, []graph.Vertex) {
 	t.Helper()
-	gl := algotest.NewGathered(n)
-	gp := algotest.NewGathered(n)
-	var buLevels int
-	algotest.RunOnParts(t, edges, n, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := RunDO(r, part, source, mkCfg(part))
-		gl.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Level[i])
-		})
-		gp.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Parent[i])
-		})
-	})
-	_ = buLevels
-	levels = make([]uint32, n)
-	parents = make([]graph.Vertex, n)
-	for v := range levels {
-		levels[v] = uint32(gl.Values[v])
-		parents[v] = graph.Vertex(gp.Values[v])
-	}
+	levels, parents, _ := runBFS(t, engine.AlgoBFSDO, edges, n, p, source, partition.BuildEdgeList, setup)
 	return levels, parents
 }
 
@@ -93,22 +73,19 @@ func TestDOBFSSwitchesModes(t *testing.T) {
 	g := generators.NewGraph500(9, 16)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices()
-	var buLevels int
 	// p=1 drives the state machine directly: scan/merge and the mode
 	// decision all run, and no messages may be emitted.
-	algotest.RunOnParts(t, edges, n, 1, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		d := NewDO(part, 0, func(dest int, payload []byte) {
-			t.Fatalf("p=1 run must not send (dest %d)", dest)
-		}, nil)
-		d.Start()
-		for d.TryAdvance() {
-		}
-		if !d.Done() {
-			t.Fatal("p=1 DO-BFS did not finish")
-		}
-		buLevels = d.BottomUpLevels
-	})
-	if buLevels == 0 {
+	part := algotest.Build(t, edges, n, 1, partition.BuildEdgeList).Parts[0]
+	d := bfs.NewDO(part, 0, func(dest int, payload []byte) {
+		t.Fatalf("p=1 run must not send (dest %d)", dest)
+	}, nil)
+	d.Start()
+	for d.TryAdvance() {
+	}
+	if !d.Done() {
+		t.Fatal("p=1 DO-BFS did not finish")
+	}
+	if d.BottomUpLevels == 0 {
 		t.Fatal("dense RMAT BFS never switched bottom-up; heuristic dead")
 	}
 }
@@ -117,7 +94,7 @@ func TestDOBFSSwitchesModes(t *testing.T) {
 func TestDOBFSDisconnected(t *testing.T) {
 	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 4, Dst: 5}})
 	levels, parents := runDistributedDO(t, edges, 8, 2, 0, defaultCfg)
-	if levels[4] != Unreached || levels[1] != 1 {
+	if levels[4] != bfs.Unreached || levels[1] != 1 {
 		t.Fatalf("levels = %v", levels)
 	}
 	if parents[4] != graph.Nil {

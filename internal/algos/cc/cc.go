@@ -15,7 +15,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
 // Visitor carries a candidate component label to a vertex.
@@ -108,45 +107,4 @@ func (c *CC) Decode(buf []byte) Visitor {
 		V:     graph.Vertex(binary.LittleEndian.Uint64(buf[0:])),
 		Label: graph.Vertex(binary.LittleEndian.Uint64(buf[8:])),
 	}
-}
-
-// Result bundles one rank's CC output.
-type Result struct {
-	*CC
-	Stats core.Stats
-}
-
-// Run computes connected components collectively: every vertex is seeded
-// with its own identifier as a label, then minimum labels flood each
-// component. After Run, Label[i] is the smallest vertex id in the component
-// of vertex i.
-func Run(r *rt.Rank, part *partition.Part, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("cc.run", r.Rank())
-	defer sp.End()
-	c := New(part)
-	if cfg.Ghosts != nil {
-		c.AttachGhosts(cfg.Ghosts)
-	}
-	q := core.NewQueue[Visitor](r, part, c, cfg)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		q.Push(Visitor{V: graph.Vertex(v), Label: graph.Vertex(v)})
-	}
-	q.Run()
-	return &Result{CC: c, Stats: q.Stats()}
-}
-
-// NumComponents reduces the number of distinct components across ranks: a
-// master vertex whose label equals its own id is a component representative.
-func NumComponents(r *rt.Rank, res *Result) uint64 {
-	part := res.part
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	var local uint64
-	for v := lo; v < hi; v++ {
-		i, _ := part.LocalIndex(graph.Vertex(v))
-		if res.Label[i] == graph.Vertex(v) {
-			local++
-		}
-	}
-	return r.AllReduceU64(local, rt.Sum)
 }

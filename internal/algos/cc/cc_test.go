@@ -1,42 +1,23 @@
-package cc
+package cc_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/cc"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int,
-	mkCfg func(part *partition.Part) core.Config) ([]graph.Vertex, uint64) {
+	setup algotest.Setup) ([]graph.Vertex, uint64) {
 	t.Helper()
-	g := algotest.NewGathered(n)
-	counts := make([]uint64, p)
-	algotest.RunOnParts(t, edges, n, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, mkCfg(part))
-		g.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Label[i])
-		})
-		counts[r.Rank()] = NumComponents(r, res)
-	})
-	labels := make([]graph.Vertex, n)
-	for v := range labels {
-		labels[v] = graph.Vertex(g.Values[v])
-	}
-	for rank := 1; rank < p; rank++ {
-		if counts[rank] != counts[0] {
-			t.Fatalf("ranks disagree on component count: %v", counts)
-		}
-	}
-	return labels, counts[0]
+	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup, engine.Spec{Algo: engine.AlgoCC})
+	return res.Labels, res.Components
 }
 
 func checkAgainstRef(t *testing.T, edges []graph.Edge, n uint64, labels []graph.Vertex, count uint64) {
@@ -52,7 +33,7 @@ func checkAgainstRef(t *testing.T, edges []graph.Edge, n uint64, labels []graph.
 	}
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func TestCCMatchesReference(t *testing.T) {
 	rng := xrand.New(4)
@@ -85,13 +66,7 @@ func TestCCWithGhostsAndRouting(t *testing.T) {
 	g := generators.NewPA(1<<9, 4, 0.2, 6)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{
-			Topology: mailbox.NewGrid3D(8),
-			Ghosts:   core.BuildGhostTable(part, 64),
-		}
-	}
-	labels, count := runDistributed(t, edges, n, 8, mk)
+	labels, count := runDistributed(t, edges, n, 8, algotest.Setup{Topology: "3d", Ghosts: 64})
 	checkAgainstRef(t, edges, n, labels, count)
 }
 
@@ -125,10 +100,10 @@ func TestCCSingleComponentRing(t *testing.T) {
 }
 
 func TestVisitorCodecRoundTrip(t *testing.T) {
-	c := &CC{}
-	v := Visitor{V: 77, Label: 3}
+	c := &cc.CC{}
+	v := cc.Visitor{V: 77, Label: 3}
 	buf := c.Encode(v, nil)
-	if len(buf) != wireBytes {
+	if len(buf) != 8+8 {
 		t.Fatalf("wire size %d", len(buf))
 	}
 	if got := c.Decode(buf); got != v {

@@ -22,7 +22,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
 // Visitor notifies a vertex that one of its neighbors left the k-core
@@ -108,39 +107,8 @@ func (a *KCore) Decode(buf []byte) Visitor {
 	return Visitor{V: graph.Vertex(binary.LittleEndian.Uint64(buf))}
 }
 
-// Result bundles one rank's k-core output.
-type Result struct {
-	*KCore
-	Stats core.Stats
-}
-
-// Run computes the k-core collectively: every vertex is seeded with one
-// visitor (absorbing the +1 in the counter initialization, per Algorithm 5),
-// then the removal cascade runs to quiescence. k must be >= 1.
-func Run(r *rt.Rank, part *partition.Part, k uint32, cfg core.Config) *Result {
-	if k < 1 {
-		panic("kcore: k must be >= 1")
-	}
-	sp := r.Obs().StartPhase("kcore.run", r.Rank())
-	defer sp.End()
-	a := New(part, k)
-	q := core.NewQueue[Visitor](r, part, a, cfg)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		q.Push(Visitor{V: graph.Vertex(v)})
-	}
-	q.Run()
-	return &Result{KCore: a, Stats: q.Stats()}
-}
-
-// InCore reports whether a locally held vertex remained in the k-core.
-func (a *KCore) InCore(v graph.Vertex) bool {
-	i, ok := a.part.LocalIndex(v)
-	return ok && a.Alive[i]
-}
-
 // LocalCoreSize returns the number of this rank's master vertices remaining
-// in the core (AllReduce-Sum for the global size).
+// in the core (summed over ranks, the global core size).
 func (a *KCore) LocalCoreSize() uint64 {
 	lo, hi := a.part.Owners.MasterRange(a.part.Rank)
 	var n uint64
@@ -151,9 +119,4 @@ func (a *KCore) LocalCoreSize() uint64 {
 		}
 	}
 	return n
-}
-
-// GlobalCoreSize reduces the core size across ranks (collective call).
-func GlobalCoreSize(r *rt.Rank, res *Result) uint64 {
-	return r.AllReduceU64(res.LocalCoreSize(), rt.Sum)
 }

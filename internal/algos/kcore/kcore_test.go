@@ -1,16 +1,15 @@
-package kcore
+package kcore_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/kcore"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
@@ -26,23 +25,10 @@ func simpleUndirected(n uint64, m int, seed uint64) []graph.Edge {
 
 // runDistributedKCore returns per-vertex core membership.
 func runDistributedKCore(t *testing.T, edges []graph.Edge, n uint64, p int, k uint32,
-	build algotest.Builder, mkCfg func(part *partition.Part) core.Config) []bool {
+	build algotest.Builder, setup algotest.Setup) []bool {
 	t.Helper()
-	g := algotest.NewGathered(n)
-	algotest.RunOnParts(t, edges, n, p, build, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, k, mkCfg(part))
-		g.Set(part, func(v graph.Vertex) uint64 {
-			if res.InCore(v) {
-				return 1
-			}
-			return 0
-		})
-	})
-	out := make([]bool, n)
-	for v := range out {
-		out[v] = g.Values[v] == 1
-	}
-	return out
+	res, _ := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: engine.AlgoKCore, K: k})
+	return res.InCore
 }
 
 func checkKCore(t *testing.T, edges []graph.Edge, n uint64, k uint32, got []bool) {
@@ -55,7 +41,7 @@ func checkKCore(t *testing.T, edges []graph.Edge, n uint64, k uint32, got []bool
 	}
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func TestKCoreMatchesReference(t *testing.T) {
 	edges := simpleUndirected(64, 300, 1)
@@ -135,10 +121,7 @@ func TestKCoreCascade(t *testing.T) {
 
 func TestKCoreWithRoutedTopology(t *testing.T) {
 	edges := simpleUndirected(96, 500, 9)
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{Topology: mailbox.NewGrid2D(8)}
-	}
-	got := runDistributedKCore(t, edges, 96, 8, 3, partition.BuildEdgeList, mk)
+	got := runDistributedKCore(t, edges, 96, 8, 3, partition.BuildEdgeList, algotest.Setup{Topology: "2d"})
 	checkKCore(t, edges, 96, 3, got)
 }
 
@@ -158,79 +141,29 @@ func TestKCoreEmptyGraph(t *testing.T) {
 }
 
 func TestKCoreRejectsKZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("k=0 accepted")
-		}
-	}()
-	m := rt.NewMachine(1)
-	m.Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, nil, 4)
-		if err != nil {
-			panic(err)
-		}
-		Run(r, part, 0, core.Config{})
-	})
+	g := algotest.Build(t, nil, 4, 1, partition.BuildEdgeList)
+	_, _, err := engine.RunOnce(engine.Config{Machine: g.Machine, Parts: g.Parts}, engine.Options{},
+		engine.Spec{Algo: engine.AlgoKCore, K: 0})
+	if err == nil {
+		t.Fatal("k=0 accepted")
+	}
 }
 
-func TestGlobalCoreSize(t *testing.T) {
+func TestCoreSize(t *testing.T) {
 	edges := simpleUndirected(64, 300, 13)
 	want := ref.CoreSize(ref.KCore(ref.BuildAdj(edges, 64), 3))
-	sizes := make([]uint64, 4)
-	algotest.RunOnParts(t, edges, 64, 4, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, 3, core.Config{})
-		sizes[r.Rank()] = GlobalCoreSize(r, res)
-	})
-	for rank, s := range sizes {
-		if s != want {
-			t.Fatalf("rank %d reports core size %d, want %d", rank, s, want)
-		}
+	res, _ := algotest.Build(t, edges, 64, 4, partition.BuildEdgeList).Run(t, defaultCfg,
+		engine.Spec{Algo: engine.AlgoKCore, K: 3})
+	if res.CoreSize != want {
+		t.Fatalf("core size %d, want %d", res.CoreSize, want)
 	}
 }
 
 func TestVisitorCodecRoundTrip(t *testing.T) {
-	a := &KCore{}
-	v := Visitor{V: 9999999}
+	a := &kcore.KCore{}
+	v := kcore.Visitor{V: 9999999}
 	buf := a.Encode(v, nil)
 	if got := a.Decode(buf); got != v {
 		t.Fatalf("round trip %+v", got)
-	}
-}
-
-func TestDecomposeMatchesReferenceCoreness(t *testing.T) {
-	edges := simpleUndirected(64, 400, 21)
-	want := ref.CoreNumbers(ref.BuildAdj(edges, 64))
-	g := algotest.NewGathered(64)
-	algotest.RunOnParts(t, edges, 64, 4, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		coreNum := Decompose(r, part, 32, core.Config{})
-		g.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(coreNum[i])
-		})
-	})
-	for v := uint64(0); v < 64; v++ {
-		if uint32(g.Values[v]) != want[v] {
-			t.Fatalf("coreness(%d) = %d, want %d", v, g.Values[v], want[v])
-		}
-	}
-}
-
-func TestDecomposeEarlyStopsAtMaxK(t *testing.T) {
-	// A triangle has coreness 2 everywhere; maxK=1 must cap at 1.
-	edges := graph.Simplify(graph.Undirect([]graph.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
-	}))
-	g := algotest.NewGathered(3)
-	algotest.RunOnParts(t, edges, 3, 2, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		coreNum := Decompose(r, part, 1, core.Config{})
-		g.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(coreNum[i])
-		})
-	})
-	for v := 0; v < 3; v++ {
-		if g.Values[v] != 1 {
-			t.Fatalf("capped coreness(%d) = %d, want 1", v, g.Values[v])
-		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 )
 
 // DefaultIters is the iteration count when a query does not specify one.
@@ -206,21 +205,4 @@ func (p *PR) Decode(buf []byte) Visitor {
 		Iter: binary.LittleEndian.Uint32(buf[16:]),
 		Kind: buf[20],
 	}
-}
-
-// Result bundles one rank's PageRank output.
-type Result struct {
-	*PR
-	Stats core.Stats
-}
-
-// Run executes iters PageRank iterations collectively across all ranks.
-func Run(r *rt.Rank, part *partition.Part, iters uint32, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("pagerank.run", r.Rank())
-	defer sp.End()
-	p := New(part, iters)
-	q := core.NewQueue[Visitor](r, part, p, cfg)
-	p.Seed(q)
-	q.Run()
-	return &Result{PR: p, Stats: q.Stats()}
 }

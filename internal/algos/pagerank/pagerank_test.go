@@ -6,30 +6,23 @@ import (
 	"havoqgt/internal/algos/algotest"
 	"havoqgt/internal/algos/pagerank"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int, iters uint32,
-	mkCfg func(part *partition.Part) core.Config) []uint64 {
+	setup algotest.Setup) []uint64 {
 	t.Helper()
-	g := algotest.NewGathered(n)
-	algotest.RunOnParts(t, edges, n, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := pagerank.Run(r, part, iters, mkCfg(part))
-		g.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return res.Rank[i]
-		})
-	})
-	return g.Values
+	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup,
+		engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
+	return res.Ranks
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func randomMultigraph(n uint64, m int, seed uint64) []graph.Edge {
 	rng := xrand.New(seed)
@@ -78,10 +71,7 @@ func TestPageRankOnRMAT(t *testing.T) {
 func TestPageRankRoutedTopology(t *testing.T) {
 	edges := randomMultigraph(64, 200, 21)
 	want := ref.PageRank(ref.BuildAdj(edges, 64), 6)
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{Topology: mailbox.NewGrid2D(4), FlushBytes: 24}
-	}
-	got := runDistributed(t, edges, 64, 4, 6, mk)
+	got := runDistributed(t, edges, 64, 4, 6, algotest.Setup{Topology: "2d", Core: core.Config{FlushBytes: 24}})
 	for v := range got {
 		if got[v] != want[v] {
 			t.Fatalf("rank(%d) = %d, ref says %d", v, got[v], want[v])

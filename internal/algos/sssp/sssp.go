@@ -18,7 +18,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
@@ -180,26 +179,4 @@ func (s *SSSP) Decode(buf []byte) Visitor {
 		Dist:   binary.LittleEndian.Uint64(buf[8:]),
 		Parent: graph.Vertex(binary.LittleEndian.Uint64(buf[16:])),
 	}
-}
-
-// Result bundles one rank's SSSP output.
-type Result struct {
-	*SSSP
-	Stats core.Stats
-}
-
-// Run executes SSSP from source collectively across all ranks.
-func Run(r *rt.Rank, part *partition.Part, source graph.Vertex, weightSeed uint64, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("sssp.run", r.Rank())
-	defer sp.End()
-	s := New(part, weightSeed)
-	if cfg.Ghosts != nil {
-		s.AttachGhosts(cfg.Ghosts)
-	}
-	q := core.NewQueue[Visitor](r, part, s, cfg)
-	if part.IsMaster(source) {
-		q.Push(Visitor{V: source, Dist: 0, Parent: source})
-	}
-	q.Run()
-	return &Result{SSSP: s, Stats: q.Stats()}
 }

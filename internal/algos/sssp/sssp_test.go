@@ -1,49 +1,33 @@
-package sssp
+package sssp_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/sssp"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
 const weightSeed = 99
 
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int, source graph.Vertex,
-	mkCfg func(part *partition.Part) core.Config) ([]uint64, []graph.Vertex) {
+	setup algotest.Setup) ([]uint64, []graph.Vertex) {
 	t.Helper()
-	gd := algotest.NewGathered(n)
-	gp := algotest.NewGathered(n)
-	algotest.RunOnParts(t, edges, n, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, source, weightSeed, mkCfg(part))
-		gd.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return res.Dist[i]
-		})
-		gp.Set(part, func(v graph.Vertex) uint64 {
-			i, _ := part.LocalIndex(v)
-			return uint64(res.Parent[i])
-		})
-	})
-	parents := make([]graph.Vertex, n)
-	for v := range parents {
-		parents[v] = graph.Vertex(gp.Values[v])
-	}
-	return gd.Values, parents
+	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup,
+		engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed})
+	return res.Dist, res.Parents
 }
 
 func checkAgainstDijkstra(t *testing.T, edges []graph.Edge, n uint64, source graph.Vertex,
 	dist []uint64, parents []graph.Vertex) {
 	t.Helper()
 	adj := ref.BuildAdj(edges, n)
-	w := func(u, v graph.Vertex) uint64 { return Weight(u, v, weightSeed) }
+	w := func(u, v graph.Vertex) uint64 { return sssp.Weight(u, v, weightSeed) }
 	want, _ := ref.Dijkstra(adj, source, w)
 	for v := uint64(0); v < n; v++ {
 		if dist[v] != want[v] {
@@ -52,7 +36,7 @@ func checkAgainstDijkstra(t *testing.T, edges []graph.Edge, n uint64, source gra
 	}
 	// Parents form valid shortest paths.
 	for v := uint64(0); v < n; v++ {
-		if dist[v] == Unreached || graph.Vertex(v) == source {
+		if dist[v] == sssp.Unreached || graph.Vertex(v) == source {
 			continue
 		}
 		pv := parents[v]
@@ -65,7 +49,7 @@ func checkAgainstDijkstra(t *testing.T, edges []graph.Edge, n uint64, source gra
 	}
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func randomGraph(n uint64, m int, seed uint64) []graph.Edge {
 	rng := xrand.New(seed)
@@ -81,11 +65,11 @@ func TestWeightSymmetricAndBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		u := graph.Vertex(rng.Uint64n(1 << 30))
 		v := graph.Vertex(rng.Uint64n(1 << 30))
-		w1, w2 := Weight(u, v, 7), Weight(v, u, 7)
+		w1, w2 := sssp.Weight(u, v, 7), sssp.Weight(v, u, 7)
 		if w1 != w2 {
 			t.Fatalf("weight not symmetric for (%d,%d)", u, v)
 		}
-		if w1 < 1 || w1 > MaxWeight {
+		if w1 < 1 || w1 > sssp.MaxWeight {
 			t.Fatalf("weight %d out of range", w1)
 		}
 	}
@@ -111,89 +95,23 @@ func TestSSSPWithGhostsAndRouting(t *testing.T) {
 	g := generators.NewPA(1<<9, 6, 0, 8)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{
-			Topology: mailbox.NewGrid2D(4),
-			Ghosts:   core.BuildGhostTable(part, 128),
-		}
-	}
-	dist, parents := runDistributed(t, edges, n, 4, 3, mk)
+	dist, parents := runDistributed(t, edges, n, 4, 3, algotest.Setup{Topology: "2d", Ghosts: 128})
 	checkAgainstDijkstra(t, edges, n, 3, dist, parents)
 }
 
 func TestSSSPDisconnected(t *testing.T) {
 	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 4, Dst: 5}})
 	dist, _ := runDistributed(t, edges, 8, 2, 0, defaultCfg)
-	if dist[4] != Unreached || dist[1] == Unreached {
+	if dist[4] != sssp.Unreached || dist[1] == sssp.Unreached {
 		t.Fatalf("dist = %v", dist)
 	}
 }
 
-// TestCorruptDistanceRejectedAndSaturated is the regression test for the
-// relaxation-overflow bug: a corrupted (fault-injected) visitor carrying a
-// near-max distance used to relax edges with Dist+Weight wrapping past
-// Unreached, minting a tiny garbage distance that won every improvement
-// test. Now the wire-decode admission path (PreVisit) rejects distances
-// beyond MaxDist, and the relaxation itself saturates instead of wrapping.
-func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
-	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
-	algotest.RunOnParts(t, edges, 4, 1, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		s := New(part, weightSeed)
-		q := core.NewQueue[Visitor](r, part, s, core.Config{})
-
-		// Wire-decode path: corrupted near-∞ distances must not be admitted.
-		if s.PreVisit(Visitor{V: 1, Dist: ^uint64(0) - 3, Parent: 0}) {
-			t.Fatal("PreVisit admitted a near-max corrupted distance")
-		}
-		if s.PreVisit(Visitor{V: 1, Dist: MaxDist + 1, Parent: 0}) {
-			t.Fatal("PreVisit admitted a distance beyond MaxDist")
-		}
-		// Honest distances still pass.
-		if !s.PreVisit(Visitor{V: 1, Dist: 7, Parent: 0}) {
-			t.Fatal("PreVisit rejected an honest improving distance")
-		}
-
-		// Saturation path: state poked directly (as a memory fault would)
-		// must not wrap during relaxation — the saturated pushes get
-		// rejected at their targets' PreVisit, leaving neighbors untouched.
-		i, _ := part.LocalIndex(1)
-		s.Dist[i] = ^uint64(0) - 3
-		s.Visit(Visitor{V: 1, Dist: s.Dist[i], Parent: 0}, q)
-		q.Run()
-		for _, v := range []graph.Vertex{0, 2} {
-			j, _ := part.LocalIndex(v)
-			if s.Dist[j] != Unreached {
-				t.Fatalf("dist(%d) = %d: overflow-wrapped relaxation escaped", v, s.Dist[j])
-			}
-		}
-	})
-}
-
-// TestDeltaSteppingAblation proves the bucket scheduler and the heap
-// baseline converge to identical distances (delta-stepping changes the
-// drain order, never the fixpoint).
-func TestDeltaSteppingAblation(t *testing.T) {
-	edges := randomGraph(96, 300, 11)
-	heapCfg := func(part *partition.Part) core.Config {
-		return core.Config{DisableBucketOrder: true}
-	}
-	for _, p := range []int{1, 4} {
-		bucket, parents := runDistributed(t, edges, 96, p, 5, defaultCfg)
-		heap, _ := runDistributed(t, edges, 96, p, 5, heapCfg)
-		for v := range bucket {
-			if bucket[v] != heap[v] {
-				t.Fatalf("p=%d: bucket dist(%d)=%d, heap says %d", p, v, bucket[v], heap[v])
-			}
-		}
-		checkAgainstDijkstra(t, edges, 96, 5, bucket, parents)
-	}
-}
-
 func TestVisitorCodecRoundTrip(t *testing.T) {
-	s := &SSSP{}
-	v := Visitor{V: 7, Dist: 123456, Parent: 9}
+	s := &sssp.SSSP{}
+	v := sssp.Visitor{V: 7, Dist: 123456, Parent: 9}
 	buf := s.Encode(v, nil)
-	if len(buf) != wireBytes {
+	if len(buf) != 8+8+8 {
 		t.Fatalf("wire size %d", len(buf))
 	}
 	if got := s.Decode(buf); got != v {

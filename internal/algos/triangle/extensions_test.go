@@ -1,100 +1,42 @@
-package triangle
+package triangle_test
+
+// Wedge-sampling tests, through the query type that carries the option
+// (engine.Spec.SampleProb). The Subset and per-vertex-count variations no
+// Spec reaches are tested on the same executor in
+// internal/engine/visitor_test.go.
 
 import (
 	"math"
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/triangle"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 )
 
-func runWithOpts(t *testing.T, edges []graph.Edge, n uint64, p int, opts Options) *Result {
+// sampledCount returns the raw (unscaled) count of a run under opts.
+func sampledCount(t *testing.T, edges []graph.Edge, n uint64, p int, opts triangle.Options) uint64 {
 	t.Helper()
-	results := make([]*Result, p)
-	algotest.RunOnParts(t, edges, n, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		results[r.Rank()] = RunOpts(r, part, core.Config{}, opts)
-	})
-	return results[0]
+	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, defaultCfg,
+		engine.Spec{Algo: engine.AlgoTriangles, SampleProb: opts.SampleProb, SampleSeed: opts.SampleSeed})
+	return res.Triangles
 }
 
-func TestRunOptsExactMatchesRun(t *testing.T) {
+func TestZeroSampleProbIsExact(t *testing.T) {
 	g := generators.NewSmallWorld(1<<8, 8, 0.05, 2)
 	edges := graph.Simplify(graph.Undirect(g.Generate()))
 	n := g.NumVertices
 	want := ref.CountTriangles(ref.BuildAdj(edges, n))
-	res := runWithOpts(t, edges, n, 4, Options{})
-	if res.GlobalCount != want {
-		t.Fatalf("RunOpts exact counted %d, want %d", res.GlobalCount, want)
+	got := sampledCount(t, edges, n, 4, triangle.Options{})
+	if got != want {
+		t.Fatalf("exact run counted %d, want %d", got, want)
 	}
-	if res.Estimate() != float64(want) {
-		t.Fatalf("exact Estimate = %v", res.Estimate())
-	}
-}
-
-func TestSubsetCounting(t *testing.T) {
-	// K5 on vertices 0..4 plus a triangle on 5,6,7. Restricting to 0..4
-	// counts only K5's C(5,3)=10 triangles.
-	var pairs []graph.Edge
-	for a := uint64(0); a < 5; a++ {
-		for b := a + 1; b < 5; b++ {
-			pairs = append(pairs, graph.Edge{Src: graph.Vertex(a), Dst: graph.Vertex(b)})
-		}
-	}
-	pairs = append(pairs, graph.Edge{Src: 5, Dst: 6}, graph.Edge{Src: 6, Dst: 7}, graph.Edge{Src: 5, Dst: 7})
-	edges := graph.Simplify(graph.Undirect(pairs))
-	res := runWithOpts(t, edges, 8, 3, Options{Subset: func(v graph.Vertex) bool { return v < 5 }})
-	if res.GlobalCount != 10 {
-		t.Fatalf("subset counted %d, want 10", res.GlobalCount)
-	}
-	all := runWithOpts(t, edges, 8, 3, Options{})
-	if all.GlobalCount != 11 {
-		t.Fatalf("full count %d, want 11", all.GlobalCount)
-	}
-}
-
-func TestSubsetCrossTrianglesExcluded(t *testing.T) {
-	// Triangle 0-1-2 where vertex 2 is outside the subset: not counted.
-	pairs := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2}}
-	edges := graph.Simplify(graph.Undirect(pairs))
-	res := runWithOpts(t, edges, 3, 2, Options{Subset: func(v graph.Vertex) bool { return v < 2 }})
-	if res.GlobalCount != 0 {
-		t.Fatalf("cross triangle counted: %d", res.GlobalCount)
-	}
-}
-
-func TestPerVertexCounts(t *testing.T) {
-	// Two triangles sharing vertex 3: (1,2,3) and (0,1,3)... choose largest
-	// attribution: triangle {1,2,3} -> 3, {0,1,3} -> 3.
-	pairs := []graph.Edge{
-		{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 1, Dst: 3},
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 3},
-	}
-	edges := graph.Simplify(graph.Undirect(pairs))
-	p := 3
-	sums := make([]uint64, 4)
-	algotest.RunOnParts(t, edges, 4, p, partition.BuildEdgeList, func(r *rt.Rank, part *partition.Part) {
-		res := RunOpts(r, part, core.Config{}, Options{})
-		for v := graph.Vertex(0); v < 4; v++ {
-			c := res.PerVertexCount(v)
-			// Accumulate per rank slot-free: per-vertex counts live on
-			// disjoint rows except for split replicas, which hold disjoint
-			// increments; reduce with a collective.
-			total := r.AllReduceU64(c, rt.Sum)
-			if r.Rank() == 0 {
-				sums[v] = total
-			}
-		}
-	})
-	want := []uint64{0, 0, 0, 2} // both triangles attributed to vertex 3
-	for v := range want {
-		if sums[v] != want[v] {
-			t.Fatalf("per-vertex counts = %v, want %v", sums, want)
-		}
+	if est := (triangle.Options{}).Estimate(got); est != float64(want) {
+		t.Fatalf("exact Estimate = %v", est)
 	}
 }
 
@@ -108,15 +50,16 @@ func TestWedgeSamplingEstimate(t *testing.T) {
 	if exact < 1000 {
 		t.Fatalf("test graph too triangle-poor: %d", exact)
 	}
-	res := runWithOpts(t, edges, n, 4, Options{SampleProb: 0.25, SampleSeed: 5})
-	est := res.Estimate()
+	opts := triangle.Options{SampleProb: 0.25, SampleSeed: 5}
+	count := sampledCount(t, edges, n, 4, opts)
+	est := opts.Estimate(count)
 	relErr := math.Abs(est-float64(exact)) / float64(exact)
 	if relErr > 0.15 {
 		t.Fatalf("sampled estimate %.0f vs exact %d (rel err %.3f)", est, exact, relErr)
 	}
 	// Sampling must actually reduce the closing-edge searches.
-	if res.GlobalCount >= exact {
-		t.Fatalf("sampled run counted %d >= exact %d", res.GlobalCount, exact)
+	if count >= exact {
+		t.Fatalf("sampled run counted %d >= exact %d", count, exact)
 	}
 }
 
@@ -124,10 +67,21 @@ func TestSamplingDeterministicAcrossRankCounts(t *testing.T) {
 	g := generators.NewSmallWorld(1<<8, 8, 0.05, 4)
 	edges := graph.Simplify(graph.Undirect(g.Generate()))
 	n := g.NumVertices
-	opts := Options{SampleProb: 0.5, SampleSeed: 11}
-	a := runWithOpts(t, edges, n, 1, opts)
-	b := runWithOpts(t, edges, n, 4, opts)
-	if a.GlobalCount != b.GlobalCount {
-		t.Fatalf("sampled count depends on rank count: %d vs %d", a.GlobalCount, b.GlobalCount)
+	opts := triangle.Options{SampleProb: 0.5, SampleSeed: 11}
+	a := sampledCount(t, edges, n, 1, opts)
+	b := sampledCount(t, edges, n, 4, opts)
+	if a != b {
+		t.Fatalf("sampled count depends on rank count: %d vs %d", a, b)
+	}
+}
+
+func TestSampleProbValidatedAtSubmit(t *testing.T) {
+	g := algotest.Build(t, nil, 4, 1, partition.BuildEdgeList)
+	for _, p := range []float64{-0.5, 1, 1.5, math.NaN()} {
+		_, _, err := engine.RunOnce(engine.Config{Machine: g.Machine, Parts: g.Parts}, engine.Options{},
+			engine.Spec{Algo: engine.AlgoTriangles, SampleProb: p})
+		if err == nil {
+			t.Errorf("sample probability %v accepted", p)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
 // Visitor carries a partial triangle: Second and Third are ∞ (graph.Nil)
@@ -35,14 +34,40 @@ const wireBytes = 24
 // distributed over its replicas; the global sum is exact).
 type Triangle struct {
 	part  *partition.Part
+	opts  Options
 	Count []uint64
 }
 
 var _ core.Algorithm[Visitor] = (*Triangle)(nil)
 
-// New initializes the counters to zero (Algorithm 7 lines 3–5).
-func New(part *partition.Part) *Triangle {
-	return &Triangle{part: part, Count: make([]uint64, part.StateLen)}
+// New initializes the counters to zero (Algorithm 7 lines 3–5). The zero
+// Options count every triangle exactly.
+func New(part *partition.Part, opts Options) *Triangle {
+	return &Triangle{part: part, opts: opts, Count: make([]uint64, part.StateLen)}
+}
+
+// Seed pushes the traversal's initial visitors: one first-visit visitor per
+// (subset-member) vertex this rank masters (Algorithm 7). The graph must be
+// stored undirected (both directions present); it need not be simple — self
+// loops are ignored and duplicate edges count once (each triangle of the
+// underlying simple graph is counted exactly once, at its largest vertex).
+func (t *Triangle) Seed(q *core.Queue[Visitor]) {
+	lo, hi := t.part.Owners.MasterRange(t.part.Rank)
+	for v := lo; v < hi; v++ {
+		if t.opts.member(graph.Vertex(v)) {
+			q.Push(Visitor{V: graph.Vertex(v), Second: graph.Nil, Third: graph.Nil})
+		}
+	}
+}
+
+// LocalCount is this rank's tally after quiescence; the sum over ranks is
+// the (sampled) triangle count.
+func (t *Triangle) LocalCount() uint64 {
+	var local uint64
+	for _, c := range t.Count {
+		local += c
+	}
+	return local
 }
 
 // PreVisit always proceeds (Algorithm 6 lines 4–6): every duty must run.
@@ -88,16 +113,22 @@ func (t *Triangle) countsClosing(v, w graph.Vertex, row int) bool {
 	return t.part.CSR.HasTarget(row, w) && !t.dupOfPrevTail(v, w)
 }
 
-// Visit performs the three duties (Algorithm 6 lines 7–27).
+// Visit performs the three duties (Algorithm 6 lines 7–27), with the
+// Options' subset filter on fan-out and wedge sampling on the closing-edge
+// search.
 func (t *Triangle) Visit(v Visitor, q *core.Queue[Visitor]) {
 	switch {
 	case v.Second == graph.Nil: // first visit
 		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(vi graph.Vertex) {
-			q.Push(Visitor{V: vi, Second: v.V, Third: graph.Nil})
+			if t.opts.member(vi) {
+				q.Push(Visitor{V: vi, Second: v.V, Third: graph.Nil})
+			}
 		})
 	case v.Third == graph.Nil: // length-2 path visit
 		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(vi graph.Vertex) {
-			q.Push(Visitor{V: vi, Second: v.V, Third: v.Second})
+			if t.opts.member(vi) && t.opts.sampleWedge(v.Second, v.V, vi) {
+				q.Push(Visitor{V: vi, Second: v.V, Third: v.Second})
+			}
 		})
 	default: // search for closing edge of the length-3 cycle
 		row := q.LocalRow(v.V)
@@ -126,35 +157,4 @@ func (t *Triangle) Decode(buf []byte) Visitor {
 		Second: graph.Vertex(binary.LittleEndian.Uint64(buf[8:])),
 		Third:  graph.Vertex(binary.LittleEndian.Uint64(buf[16:])),
 	}
-}
-
-// Result bundles one rank's output.
-type Result struct {
-	*Triangle
-	Stats       core.Stats
-	GlobalCount uint64
-	sampleProb  float64 // set by RunOpts for sampled runs; see Estimate
-}
-
-// Run counts triangles collectively: one first-visit visitor per vertex,
-// traversal to quiescence, then an all-reduce of the local tallies
-// (Algorithm 7). The graph must be stored undirected (both directions
-// present); it need not be simple — self loops are ignored and duplicate
-// edges count once (each triangle of the underlying simple graph is counted
-// exactly once, at its largest vertex).
-func Run(r *rt.Rank, part *partition.Part, cfg core.Config) *Result {
-	sp := r.Obs().StartPhase("triangle.run", r.Rank())
-	defer sp.End()
-	t := New(part)
-	q := core.NewQueue[Visitor](r, part, t, cfg)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		q.Push(Visitor{V: graph.Vertex(v), Second: graph.Nil, Third: graph.Nil})
-	}
-	q.Run()
-	var local uint64
-	for _, c := range t.Count {
-		local += c
-	}
-	return &Result{Triangle: t, Stats: q.Stats(), GlobalCount: r.AllReduceU64(local, rt.Sum)}
 }

@@ -1,16 +1,15 @@
-package triangle
+package triangle_test
 
 import (
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
-	"havoqgt/internal/core"
+	"havoqgt/internal/algos/triangle"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
-	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
 )
 
@@ -24,22 +23,13 @@ func simpleUndirected(n uint64, m int, seed uint64) []graph.Edge {
 }
 
 func countDistributed(t *testing.T, edges []graph.Edge, n uint64, p int,
-	build algotest.Builder, mkCfg func(part *partition.Part) core.Config) uint64 {
+	build algotest.Builder, setup algotest.Setup) uint64 {
 	t.Helper()
-	counts := make([]uint64, p)
-	algotest.RunOnParts(t, edges, n, p, build, func(r *rt.Rank, part *partition.Part) {
-		res := Run(r, part, mkCfg(part))
-		counts[r.Rank()] = res.GlobalCount
-	})
-	for rank := 1; rank < p; rank++ {
-		if counts[rank] != counts[0] {
-			t.Fatalf("ranks disagree on global count: %v", counts)
-		}
-	}
-	return counts[0]
+	res, _ := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: engine.AlgoTriangles})
+	return res.Triangles
 }
 
-func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
+var defaultCfg = algotest.Setup{}
 
 func TestKnownSmallGraphs(t *testing.T) {
 	cases := []struct {
@@ -121,10 +111,7 @@ func TestSmallWorldTriangles(t *testing.T) {
 func TestWithRoutedTopology(t *testing.T) {
 	edges := simpleUndirected(64, 400, 7)
 	want := ref.CountTriangles(ref.BuildAdj(edges, 64))
-	mk := func(part *partition.Part) core.Config {
-		return core.Config{Topology: mailbox.NewGrid3D(8)}
-	}
-	if got := countDistributed(t, edges, 64, 8, partition.BuildEdgeList, mk); got != want {
+	if got := countDistributed(t, edges, 64, 8, partition.BuildEdgeList, algotest.Setup{Topology: "3d"}); got != want {
 		t.Fatalf("routed: %d triangles, want %d", got, want)
 	}
 }
@@ -210,10 +197,10 @@ func TestEmptyAndEdgelessGraphs(t *testing.T) {
 }
 
 func TestVisitorCodecRoundTrip(t *testing.T) {
-	tr := &Triangle{}
-	v := Visitor{V: 1, Second: graph.Nil, Third: 3}
+	tr := &triangle.Triangle{}
+	v := triangle.Visitor{V: 1, Second: graph.Nil, Third: 3}
 	buf := tr.Encode(v, nil)
-	if len(buf) != wireBytes {
+	if len(buf) != 8+8+8 {
 		t.Fatalf("wire size %d", len(buf))
 	}
 	if got := tr.Decode(buf); got != v {

@@ -48,9 +48,9 @@ func runWithWatchdog(t *testing.T, c check.Case) error {
 }
 
 // TestChaosSweep is the main matrix: 20 seeded fault plans (8 under -short;
-// both cover all four plan families) × 5 algorithms × 3 topologies. The
-// classic traversal path has no deadline escape hatch, so under these plans
-// — loss only ever paired with the reliable mailbox — every single case must
+// both cover all four plan families) × every algorithm × 3 topologies. The
+// cases set no deadline, so there is no escape hatch: under these plans —
+// loss only ever paired with the reliable mailbox — every single case must
 // complete AND match the reference. The ≥95%-correct-at-drop≤10% acceptance
 // bar is tallied explicitly over the lossy families.
 func TestChaosSweep(t *testing.T) {
@@ -142,8 +142,8 @@ func TestChaosEngineRecovery(t *testing.T) {
 		// FlushBytes 32 keeps envelopes tiny, so the traversal emits many
 		// frames and even a 2% drop rule is guaranteed to bite.
 		e, edges, n := buildChaosEngine(t, 9, 4, "2d",
-			engine.Options{MaxInFlight: 4, FlushBytes: 32, Reliable: true,
-				RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond}, idx)
+			engine.Options{MaxInFlight: 4, Core: core.Config{FlushBytes: 32, Reliable: true,
+				RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond}}, idx)
 		adj := ref.BuildAdj(edges, n)
 		const src = 3
 		wantLv, _ := ref.BFS(adj, src)

@@ -16,8 +16,8 @@
 //     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
 //     the four-counter termination waves must see drain)
 //
-// These checks are cheap (they read per-rank Stats snapshots) and are meant
-// to run after every traversal in tests, keeping the message plane honest as
+// These checks are cheap (they read the per-rank stats a query leaves on its
+// engine ticket) and are meant to run after every traversal in tests, keeping the message plane honest as
 // perf work (buffer pooling, async flush) lands on top of it.
 package check
 
@@ -113,29 +113,34 @@ func MailboxInFlight(topo mailbox.Topology, stats []mailbox.Stats, pending []int
 	return vs
 }
 
-// MessageTraversal checks the conservation laws for traversals that drive
-// the mailbox directly (direction-optimizing BFS) rather than through the
-// visitor queue: the queue-level push/receive accounting does not apply, but
-// record and envelope conservation and the detector's S/R agreement with the
-// mailbox counters still must hold.
-func MessageTraversal(topo mailbox.Topology, stats []core.Stats) []Violation {
-	mb := make([]mailbox.Stats, len(stats))
+// QueryConservation checks one quiesced query's own conservation laws from
+// its per-rank stats (engine.Ticket.Stats), whatever else shared the message
+// plane: globally Σsent == Σdelivered under the query's tag (no stranded or
+// leaked records anywhere, including after a mid-flight cancellation — a
+// cancelled query stops applying visitors, but its records still drain and
+// are still counted), and on every rank the detector's monotone S/R equal
+// the tagged record counts, the agreement that makes the four-counter waves
+// sound per query.
+func QueryConservation(stats []core.Stats) []Violation {
+	var vs violations
+	var sent, delivered, detS, detR uint64
 	for r, s := range stats {
-		mb[r] = s.Mailbox
-	}
-	vs := violations(MailboxQuiesced(topo, mb))
-	var detS, detR uint64
-	for r, s := range stats {
+		sent += s.Mailbox.RecordsSent
+		delivered += s.Mailbox.RecordsDelivered
 		detS += s.DetectorSent
 		detR += s.DetectorReceived
 		if s.DetectorSent != s.Mailbox.RecordsSent {
-			vs.addf("detector-agreement", "rank %d: detector S=%d != mailbox records sent=%d",
+			vs.addf("detector-agreement", "rank %d: detector S=%d != tagged records sent=%d",
 				r, s.DetectorSent, s.Mailbox.RecordsSent)
 		}
 		if s.DetectorReceived != s.Mailbox.RecordsDelivered {
-			vs.addf("detector-agreement", "rank %d: detector R=%d != mailbox records delivered=%d",
+			vs.addf("detector-agreement", "rank %d: detector R=%d != tagged records delivered=%d",
 				r, s.DetectorReceived, s.Mailbox.RecordsDelivered)
 		}
+	}
+	if sent != delivered {
+		vs.addf("record-conservation",
+			"Σsent=%d != Σdelivered=%d at quiescence (stranded or leaked tagged records)", sent, delivered)
 	}
 	if detS != detR {
 		vs.addf("termination-drain", "ΣS=%d != ΣR=%d after detection (the S−R gap never drained)", detS, detR)
@@ -143,28 +148,26 @@ func MessageTraversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 	return vs
 }
 
-// Traversal checks every conservation law over per-rank core.Stats after a
-// quiesced traversal (the snapshot core.Queue.Run records at termination),
-// including the termination detector's S/R agreement with the mailbox
-// counters.
-func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
+// MessageTraversal checks the conservation laws over the stats of a query
+// that had its engine to itself (engine.RunOnce), so the whole mailbox
+// ledger is its own: the per-query laws plus envelope conservation, the hop
+// and channel bounds and clean decode. These are all the laws for traversals
+// that drive the mailbox directly (direction-optimizing BFS), where the
+// queue-level push/receive accounting does not apply.
+func MessageTraversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 	mb := make([]mailbox.Stats, len(stats))
 	for r, s := range stats {
 		mb[r] = s.Mailbox
 	}
-	vs := violations(MailboxQuiesced(topo, mb))
-	var detS, detR uint64
+	return append(MailboxQuiesced(topo, mb), QueryConservation(stats)...)
+}
+
+// Traversal checks every conservation law over the stats of a visitor-queue
+// query that had its engine to itself: MessageTraversal plus the queue's
+// agreement with the mailbox.
+func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
+	vs := violations(MessageTraversal(topo, stats))
 	for r, s := range stats {
-		detS += s.DetectorSent
-		detR += s.DetectorReceived
-		if s.DetectorSent != s.Mailbox.RecordsSent {
-			vs.addf("detector-agreement", "rank %d: detector S=%d != mailbox records sent=%d",
-				r, s.DetectorSent, s.Mailbox.RecordsSent)
-		}
-		if s.DetectorReceived != s.Mailbox.RecordsDelivered {
-			vs.addf("detector-agreement", "rank %d: detector R=%d != mailbox records delivered=%d",
-				r, s.DetectorReceived, s.Mailbox.RecordsDelivered)
-		}
 		if s.Received != s.Mailbox.RecordsDelivered {
 			vs.addf("queue-agreement", "rank %d: visitors received=%d != mailbox records delivered=%d",
 				r, s.Received, s.Mailbox.RecordsDelivered)
@@ -176,9 +179,6 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 				"rank %d: pushed(%d) − ghost-filtered(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
 				r, s.Pushed, s.GhostFiltered, s.Forwarded, want, s.Mailbox.RecordsSent)
 		}
-	}
-	if detS != detR {
-		vs.addf("termination-drain", "ΣS=%d != ΣR=%d after detection (the S−R gap never drained)", detS, detR)
 	}
 	return vs
 }

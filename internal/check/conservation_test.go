@@ -8,10 +8,11 @@ import (
 )
 
 // TestConservationCrossTopology is the seeded conservation matrix: every
-// algorithm × every routing topology × several rank counts, each run
-// differentially against internal/ref AND through the full invariant set
-// (record/envelope conservation, hop and channel bounds, detector S/R
-// agreement). Graphs stay tiny — the value is the cross product.
+// algorithm × every routing topology × several rank counts × the resident
+// fractions (fully resident, and two where visits park on absent pages),
+// each run differentially against internal/ref AND through the full
+// invariant set (record/envelope conservation, hop and channel bounds,
+// detector S/R agreement). Graphs stay tiny — the value is the cross product.
 func TestConservationCrossTopology(t *testing.T) {
 	ranks := []int{1, 4, 9}
 	n, ef := uint64(32), 3
@@ -22,21 +23,24 @@ func TestConservationCrossTopology(t *testing.T) {
 	for _, algo := range Algos() {
 		for _, topo := range Topologies() {
 			for _, p := range ranks {
-				c := Case{
-					Algo:       algo,
-					Seed:       0xC0FFEE ^ uint64(p),
-					N:          n,
-					EdgeFactor: ef,
-					Ranks:      p,
-					Topo:       topo,
-					FlushBytes: 64,
-					K:          2,
-				}
-				t.Run(c.String(), func(t *testing.T) {
-					if err := c.Run(); err != nil {
-						t.Fatal(err)
+				for _, resident := range residentGrid {
+					c := Case{
+						Algo:       algo,
+						Seed:       0xC0FFEE ^ uint64(p),
+						N:          n,
+						EdgeFactor: ef,
+						Ranks:      p,
+						Topo:       topo,
+						FlushBytes: 64,
+						K:          2,
+						Resident:   resident,
 					}
-				})
+					t.Run(c.String(), func(t *testing.T) {
+						if err := c.Run(); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
 			}
 		}
 	}

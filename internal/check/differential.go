@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/cc"
-	"havoqgt/internal/algos/kcore"
-	"havoqgt/internal/algos/pagerank"
 	"havoqgt/internal/algos/sssp"
-	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/faults"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/ooc"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
 	"havoqgt/internal/rt"
@@ -29,9 +26,11 @@ func Algos() []string {
 func Topologies() []string { return []string{"1d", "2d", "3d"} }
 
 // Case is one randomized differential run: an algorithm on a random graph,
-// executed on the simulated machine under a routing topology and a flush
-// threshold, compared against the sequential reference in internal/ref, with
-// the conservation invariants asserted on the traversal's stats.
+// executed on the simulated machine through the one executor
+// (engine.RunOnce) under a routing topology, a flush threshold and a
+// resident fraction, compared against the sequential reference in
+// internal/ref, with the conservation invariants asserted on the query's
+// per-rank stats.
 type Case struct {
 	Algo       string // one of Algos()
 	Seed       uint64 // graph shape, source vertex and edge weights
@@ -41,6 +40,11 @@ type Case struct {
 	Topo       string // "1d", "2d", "3d"
 	FlushBytes int    // mailbox aggregation threshold (1 = degenerate)
 	K          uint32 // k-core parameter (kcore only)
+	// Resident, when in (0, 1), moves every rank's adjacency out of core at
+	// that resident fraction (ooc.Externalize, 64-byte pages so these tiny
+	// graphs span many) and hands the pagers to the engine, so the traversal
+	// parks and unparks. 0 runs fully resident.
+	Resident float64
 
 	// Fault, when non-nil, arms a deterministic injector on the machine's
 	// transport for the traversal phase only — graph construction runs
@@ -55,14 +59,18 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d",
-		c.Algo, c.Seed, c.N, c.EdgeFactor, c.Ranks, c.Topo, c.FlushBytes)
+	return fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d/resident=%.3g",
+		c.Algo, c.Seed, c.N, c.EdgeFactor, c.Ranks, c.Topo, c.FlushBytes, c.Resident)
 }
 
 // flushGrid holds the threshold sweep, including the degenerate 1-byte
 // threshold (every record ships alone) and a huge one (nothing ships until
 // FlushAll).
 var flushGrid = []int{1, 24, 256, 4096, 1 << 20}
+
+// residentGrid holds the resident-fraction sweep: fully resident, and two
+// budgets tight enough that visits park on absent pages.
+var residentGrid = []float64{0, 0.5, 0.125}
 
 // RandomCase draws a case from rng. Sizes stay small so thousands of cases
 // run in seconds; the coverage comes from the cross product, not the scale.
@@ -77,6 +85,7 @@ func RandomCase(rng *xrand.Rand) Case {
 		Topo:       topos[rng.Intn(len(topos))],
 		FlushBytes: flushGrid[rng.Intn(len(flushGrid))],
 		K:          1 + uint32(rng.Intn(4)),
+		Resident:   residentGrid[rng.Intn(len(residentGrid))],
 	}
 }
 
@@ -110,6 +119,27 @@ func (c Case) iters() uint32 {
 	return 1 + uint32(xrand.Mix64(c.Seed^0x5151)%12)
 }
 
+// spec is the case's query.
+func (c Case) spec() (engine.Spec, error) {
+	switch c.Algo {
+	case "bfs":
+		return engine.Spec{Algo: engine.AlgoBFS, Source: c.source()}, nil
+	case "bfs_do":
+		return engine.Spec{Algo: engine.AlgoBFSDO, Source: c.source()}, nil
+	case "sssp":
+		return engine.Spec{Algo: engine.AlgoSSSP, Source: c.source(), WeightSeed: c.Seed}, nil
+	case "cc":
+		return engine.Spec{Algo: engine.AlgoCC}, nil
+	case "kcore":
+		return engine.Spec{Algo: engine.AlgoKCore, K: c.K}, nil
+	case "triangle":
+		return engine.Spec{Algo: engine.AlgoTriangles}, nil
+	case "pagerank":
+		return engine.Spec{Algo: engine.AlgoPageRank, Iters: c.iters()}, nil
+	}
+	return engine.Spec{}, fmt.Errorf("unknown algorithm")
+}
+
 // Run executes the case and returns a non-nil error describing any
 // divergence from the reference implementation or any violated conservation
 // invariant.
@@ -119,150 +149,83 @@ func (c Case) Run() (err error) {
 			err = fmt.Errorf("%s: panic: %v", c, r)
 		}
 	}()
+	fail := func(err error) error { return fmt.Errorf("%s: %w", c, err) }
 	topo, err := mailbox.ByName(c.Topo, c.Ranks)
 	if err != nil {
-		return fmt.Errorf("%s: %w", c, err)
+		return fail(err)
+	}
+	spec, err := c.spec()
+	if err != nil {
+		return fail(err)
 	}
 	edges := c.Edges()
-	stats := make([]core.Stats, c.Ranks)
-	gathered := newGather(c.N)
 
-	run := func(fn func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats) {
-		m := rt.NewMachine(c.Ranks)
-		parts := make([]*partition.Part, c.Ranks)
-		m.Run(func(r *rt.Rank) {
-			var local []graph.Edge
-			for i, e := range edges {
-				if i%c.Ranks == r.Rank() {
-					local = append(local, e)
-				}
+	// Build phase: clean transport, fully resident.
+	cfg := engine.Config{Machine: rt.NewMachine(c.Ranks), Parts: make([]*partition.Part, c.Ranks), Topology: c.Topo}
+	cfg.Machine.Run(func(r *rt.Rank) {
+		var local []graph.Edge
+		for i, e := range edges {
+			if i%c.Ranks == r.Rank() {
+				local = append(local, e)
 			}
-			part, err := partition.BuildEdgeList(r, local, c.N)
-			if err != nil {
-				panic(err)
-			}
-			parts[r.Rank()] = part
-		})
-		if c.Fault != nil {
-			inj := faults.New(*c.Fault, m.Obs())
-			m.SetTransport(inj)
-			inj.Arm()
 		}
-		m.Run(func(r *rt.Rank) {
-			cfg := core.Config{Topology: topo, FlushBytes: c.FlushBytes,
-				Reliable: c.Reliable, RTOBase: c.RTOBase, RTOMax: c.RTOMax}
-			stats[r.Rank()] = fn(r, parts[r.Rank()], cfg)
-		})
+		part, err := partition.BuildEdgeList(r, local, c.N)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Parts[r.Rank()] = part
+	})
+	if c.Resident > 0 && c.Resident < 1 {
+		cfg.Pagers = make([]core.RowPager, c.Ranks)
+		for rank, part := range cfg.Parts {
+			st, err := ooc.Externalize(part, ooc.Config{ResidentFraction: c.Resident,
+				PageSize: 64, Latency: time.Microsecond, Rank: rank})
+			if err != nil {
+				return fail(err)
+			}
+			defer st.Restore()
+			cfg.Pagers[rank] = st.Pager()
+		}
+	}
+	if c.Fault != nil {
+		inj := faults.New(*c.Fault, cfg.Machine.Obs())
+		cfg.Machine.SetTransport(inj)
+		inj.Arm()
+	}
+	res, stats, err := engine.RunOnce(cfg, engine.Options{Core: core.Config{FlushBytes: c.FlushBytes,
+		Reliable: c.Reliable, RTOBase: c.RTOBase, RTOMax: c.RTOMax}}, spec)
+	if err != nil {
+		return fail(err)
 	}
 
 	adj := ref.BuildAdj(edges, c.N)
 	switch c.Algo {
 	case "bfs", "bfs_do":
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			var res *bfs.Result
-			if c.Algo == "bfs_do" {
-				res = bfs.RunDO(r, part, c.source(), cfg)
-			} else {
-				res = bfs.Run(r, part, c.source(), cfg)
-			}
-			gathered.set(part, func(v graph.Vertex) uint64 {
-				i, _ := part.LocalIndex(v)
-				return uint64(res.Level[i])
-			})
-			return res.Stats
-		})
 		want, _ := ref.BFS(adj, c.source())
-		for v := uint64(0); v < c.N; v++ {
-			if uint32(gathered.values[v]) != want[v] {
-				return fmt.Errorf("%s: bfs level(%d) = %d, ref says %d",
-					c, v, uint32(gathered.values[v]), want[v])
-			}
-		}
+		err = diff("bfs level", res.Levels, want)
 	case "sssp":
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			res := sssp.Run(r, part, c.source(), c.Seed, cfg)
-			gathered.set(part, func(v graph.Vertex) uint64 {
-				i, _ := part.LocalIndex(v)
-				return res.Dist[i]
-			})
-			return res.Stats
-		})
 		want, _ := ref.Dijkstra(adj, c.source(), func(u, v graph.Vertex) uint64 {
 			return sssp.Weight(u, v, c.Seed)
 		})
-		for v := uint64(0); v < c.N; v++ {
-			if gathered.values[v] != want[v] {
-				return fmt.Errorf("%s: sssp dist(%d) = %d, ref says %d",
-					c, v, gathered.values[v], want[v])
-			}
-		}
+		err = diff("sssp dist", res.Dist, want)
 	case "cc":
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			res := cc.Run(r, part, cfg)
-			gathered.set(part, func(v graph.Vertex) uint64 {
-				i, _ := part.LocalIndex(v)
-				return uint64(res.Label[i])
-			})
-			return res.Stats
-		})
-		want, _ := ref.Components(adj)
-		for v := uint64(0); v < c.N; v++ {
-			if graph.Vertex(gathered.values[v]) != want[v] {
-				return fmt.Errorf("%s: cc label(%d) = %d, ref says %d",
-					c, v, gathered.values[v], want[v])
-			}
+		want, count := ref.Components(adj)
+		if err = diff("cc label", res.Labels, want); err == nil && res.Components != count {
+			err = fmt.Errorf("cc counted %d components, ref says %d", res.Components, count)
 		}
 	case "kcore":
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			res := kcore.Run(r, part, c.K, cfg)
-			gathered.set(part, func(v graph.Vertex) uint64 {
-				if res.InCore(v) {
-					return 1
-				}
-				return 0
-			})
-			return res.Stats
-		})
-		want := ref.KCore(adj, c.K)
-		for v := uint64(0); v < c.N; v++ {
-			if (gathered.values[v] == 1) != want[v] {
-				return fmt.Errorf("%s: kcore(%d) in-core=%v, ref says %v",
-					c, v, gathered.values[v] == 1, want[v])
-			}
-		}
+		err = diff("kcore in-core", res.InCore, ref.KCore(adj, c.K))
 	case "triangle":
-		counts := make([]uint64, c.Ranks)
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			res := triangle.Run(r, part, cfg)
-			counts[r.Rank()] = res.GlobalCount
-			return res.Stats
-		})
 		// The distributed counter dedupes internally, so its answer on the
 		// raw multigraph must equal the reference on the simplified graph.
-		want := ref.CountTriangles(ref.BuildAdj(graph.Simplify(edges), c.N))
-		for rank, got := range counts {
-			if got != want {
-				return fmt.Errorf("%s: rank %d counted %d triangles, ref says %d", c, rank, got, want)
-			}
+		if want := ref.CountTriangles(ref.BuildAdj(graph.Simplify(edges), c.N)); res.Triangles != want {
+			err = fmt.Errorf("counted %d triangles, ref says %d", res.Triangles, want)
 		}
 	case "pagerank":
-		run(func(r *rt.Rank, part *partition.Part, cfg core.Config) core.Stats {
-			res := pagerank.Run(r, part, c.iters(), cfg)
-			gathered.set(part, func(v graph.Vertex) uint64 {
-				i, _ := part.LocalIndex(v)
-				return res.Rank[i]
-			})
-			return res.Stats
-		})
-		want := ref.PageRank(adj, int(c.iters()))
-		for v := uint64(0); v < c.N; v++ {
-			if gathered.values[v] != want[v] {
-				return fmt.Errorf("%s: pagerank rank(%d) = %d, ref says %d",
-					c, v, gathered.values[v], want[v])
-			}
-		}
-	default:
-		return fmt.Errorf("%s: unknown algorithm", c)
+		err = diff("pagerank rank", res.Ranks, ref.PageRank(adj, int(c.iters())))
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	// The strict conservation laws describe a clean transport: an armed
@@ -278,21 +241,18 @@ func (c Case) Run() (err error) {
 			check = MessageTraversal
 		}
 		if err := Error(check(topo, stats)); err != nil {
-			return fmt.Errorf("%s: %w", c, err)
+			return fail(err)
 		}
 	}
 	return nil
 }
 
-// gather collects one uint64 per master vertex across ranks (master ranges
-// are disjoint, so concurrent set calls never collide).
-type gather struct{ values []uint64 }
-
-func newGather(n uint64) *gather { return &gather{values: make([]uint64, n)} }
-
-func (g *gather) set(part *partition.Part, get func(v graph.Vertex) uint64) {
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		g.values[v] = get(graph.Vertex(v))
+// diff compares a per-vertex result array with the reference's.
+func diff[T comparable](what string, got, want []T) error {
+	for v := range want {
+		if got[v] != want[v] {
+			return fmt.Errorf("%s(%d) = %v, ref says %v", what, v, got[v], want[v])
+		}
 	}
+	return nil
 }

@@ -10,7 +10,7 @@ const recordHeader = 12
 // EnvRecord is one record to frame into a synthetic envelope.
 type EnvRecord struct {
 	Dest    int
-	Tag     uint32 // record namespace (query ID); 0 on the classic path
+	Tag     uint32 // record namespace (query ID); 0 = untagged (Box.Send)
 	Payload []byte
 }
 

@@ -222,7 +222,7 @@ func runWorkerSession(opts WorkerOptions) (joined bool, err error) {
 
 	eng, err := engine.Start(engine.Config{
 		Machine: machine, Parts: parts, Ghosts: ghosts, Topology: cfg.Topology,
-	}, engine.Options{Reliable: cfg.Reliable})
+	}, engine.Options{Core: core.Config{Reliable: cfg.Reliable}})
 	if err != nil {
 		return true, fmt.Errorf("cluster: start engine: %w", err)
 	}

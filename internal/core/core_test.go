@@ -102,7 +102,9 @@ func TestGhostTableZeroK(t *testing.T) {
 	}
 }
 
-// orderVisitor is a minimal visitor for heap tests.
+// orderVisitor is a minimal visitor for the heap property tests
+// (quick_test.go). The tests that drive toy visitors through a traversal run
+// on the one executor: internal/engine/visitor_test.go.
 type orderVisitor struct {
 	v    graph.Vertex
 	prio uint32
@@ -130,189 +132,8 @@ func (a *orderAlgo) Decode(buf []byte) orderVisitor {
 	}
 }
 
-func TestLocalQueueOrdering(t *testing.T) {
-	// Push visitors with mixed priorities and verify execution order:
-	// priority first, vertex id as tie-break (locality order, §V-A).
-	var edges []graph.Edge
-	n := uint64(16)
-	for v := uint64(0); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 1) % n)})
-	}
-	algo := &orderAlgo{}
-	rt.NewMachine(1).Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, edges, n)
-		if err != nil {
-			panic(err)
-		}
-		q := NewQueue[orderVisitor](r, part, algo, Config{})
-		push := []orderVisitor{
-			{v: 9, prio: 1}, {v: 3, prio: 0}, {v: 7, prio: 0},
-			{v: 1, prio: 1}, {v: 5, prio: 0},
-		}
-		for _, v := range push {
-			q.Push(v)
-		}
-		q.Run()
-	})
-	want := []orderVisitor{
-		{v: 3, prio: 0}, {v: 5, prio: 0}, {v: 7, prio: 0},
-		{v: 1, prio: 1}, {v: 9, prio: 1},
-	}
-	if len(algo.executed) != len(want) {
-		t.Fatalf("executed %d visitors, want %d", len(algo.executed), len(want))
-	}
-	for i := range want {
-		if algo.executed[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", algo.executed, want)
-		}
-	}
-}
-
-func TestLocalQueueOrderingWithoutLocality(t *testing.T) {
-	// With locality order disabled, equal priorities may execute in any
-	// order, but priority classes must still be respected.
-	var edges []graph.Edge
-	n := uint64(16)
-	for v := uint64(0); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 1) % n)})
-	}
-	algo := &orderAlgo{}
-	rt.NewMachine(1).Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, edges, n)
-		if err != nil {
-			panic(err)
-		}
-		q := NewQueue[orderVisitor](r, part, algo, Config{DisableLocalityOrder: true})
-		for _, v := range []orderVisitor{{v: 9, prio: 2}, {v: 3, prio: 1}, {v: 7, prio: 1}} {
-			q.Push(v)
-		}
-		q.Run()
-	})
-	if algo.executed[len(algo.executed)-1].prio != 2 {
-		t.Fatalf("priority 2 did not execute last: %v", algo.executed)
-	}
-}
-
-func TestQueueStatsConsistency(t *testing.T) {
-	var edges []graph.Edge
-	n := uint64(16)
-	for v := uint64(0); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 1) % n)})
-	}
-	algo := &orderAlgo{}
-	var stats Stats
-	rt.NewMachine(1).Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, edges, n)
-		if err != nil {
-			panic(err)
-		}
-		q := NewQueue[orderVisitor](r, part, algo, Config{})
-		for i := uint64(0); i < 10; i++ {
-			q.Push(orderVisitor{v: graph.Vertex(i % n), prio: uint32(i)})
-		}
-		q.Run()
-		stats = q.Stats()
-	})
-	if stats.Pushed != 10 || stats.Received != 10 || stats.Queued != 10 || stats.Executed != 10 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.Mailbox.RecordsSent != 10 || stats.Mailbox.RecordsDelivered != 10 {
-		t.Fatalf("mailbox stats = %+v", stats.Mailbox)
-	}
-}
-
 func TestDefaultGhostsConstant(t *testing.T) {
 	if DefaultGhostsPerPartition != 256 {
 		t.Fatal("paper uses 256 ghosts per partition for all BFS experiments")
 	}
-}
-
-// backToBackAlgo floods one hop from a seed vertex; used to stress
-// consecutive traversals with cross-rank traffic and no barriers between.
-type floodAlgo struct {
-	part  *partition.Part
-	seen  []bool
-	round uint32
-}
-
-type floodVisitor struct {
-	v     graph.Vertex
-	round uint32
-	hops  uint32
-}
-
-func (f floodVisitor) Vertex() graph.Vertex { return f.v }
-
-func (a *floodAlgo) PreVisit(v floodVisitor) bool {
-	if v.round != a.round {
-		// A visitor from another traversal reached this queue: the phase
-		// isolation is broken.
-		panic("cross-traversal visitor contamination")
-	}
-	i, ok := a.part.LocalIndex(v.v)
-	if !ok || a.seen[i] {
-		return false
-	}
-	a.seen[i] = true
-	return true
-}
-
-func (a *floodAlgo) Visit(v floodVisitor, q *Queue[floodVisitor]) {
-	if v.hops == 0 {
-		return
-	}
-	for _, t := range q.OutEdges(v.v) {
-		q.Push(floodVisitor{v: t, round: v.round, hops: v.hops - 1})
-	}
-}
-
-func (a *floodAlgo) Less(x, y floodVisitor) bool { return false }
-
-func (a *floodAlgo) Encode(v floodVisitor, buf []byte) []byte {
-	var w [16]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.v))
-	binary.LittleEndian.PutUint32(w[8:], v.round)
-	binary.LittleEndian.PutUint32(w[12:], v.hops)
-	return append(buf, w[:]...)
-}
-
-func (a *floodAlgo) Decode(buf []byte) floodVisitor {
-	return floodVisitor{
-		v:     graph.Vertex(binary.LittleEndian.Uint64(buf[0:])),
-		round: binary.LittleEndian.Uint32(buf[8:]),
-		hops:  binary.LittleEndian.Uint32(buf[12:]),
-	}
-}
-
-func TestConsecutiveTraversalsDoNotContaminate(t *testing.T) {
-	// Many back-to-back traversals on one machine with NO explicit barriers
-	// between them: Run's end-of-traversal barrier must isolate the phases.
-	var edges []graph.Edge
-	n := uint64(64)
-	for v := uint64(0); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 1) % n)})
-		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 7) % n)})
-	}
-	p := 4
-	rt.NewMachine(p).Run(func(r *rt.Rank) {
-		var local []graph.Edge
-		for i, e := range edges {
-			if i%p == r.Rank() {
-				local = append(local, e)
-			}
-		}
-		part, err := partition.BuildEdgeList(r, local, n)
-		if err != nil {
-			panic(err)
-		}
-		for round := uint32(0); round < 20; round++ {
-			algo := &floodAlgo{part: part, seen: make([]bool, part.StateLen), round: round}
-			q := NewQueue[floodVisitor](r, part, algo, Config{})
-			lo, hi := part.Owners.MasterRange(part.Rank)
-			for v := lo; v < hi; v++ {
-				q.Push(floodVisitor{v: graph.Vertex(v), round: round, hops: 3})
-			}
-			q.Run()
-		}
-	})
 }

@@ -74,6 +74,21 @@ func BuildGhostTable(part *partition.Part, k int) *GhostTable {
 	return t
 }
 
+// BuildGhostTables builds every rank's table of up to k ghosts, indexed like
+// parts (engine.Config.Ghosts); k <= 0 returns nil: no hub filtering.
+func BuildGhostTables(parts []*partition.Part, k int) []*GhostTable {
+	if k <= 0 {
+		return nil
+	}
+	tables := make([]*GhostTable, len(parts))
+	for rank, part := range parts {
+		if part != nil { // a cluster process holds only its own ranks' parts
+			tables[rank] = BuildGhostTable(part, k)
+		}
+	}
+	return tables
+}
+
 // Lookup returns the ghost index of v, if v is ghosted on this rank.
 func (t *GhostTable) Lookup(v graph.Vertex) (int, bool) {
 	i, ok := t.idx[v]

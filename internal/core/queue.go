@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"time"
 
 	"havoqgt/internal/graph"
@@ -12,11 +11,7 @@ import (
 	"havoqgt/internal/termination"
 )
 
-// visitBatch bounds how many local visitors execute between mailbox polls,
-// so incoming traffic keeps draining while the local queue is deep.
-const visitBatch = 256
-
-// Stats counts one rank's visitor-queue activity for a traversal.
+// Stats counts one rank's activity for one query.
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
@@ -26,35 +21,31 @@ type Stats struct {
 	Forwarded     uint64 // visitors forwarded along a replica chain
 	Parked        uint64 // visitors parked waiting for an adjacency page
 	Unparked      uint64 // parked visitors re-queued after their page arrived
+	// Mailbox is filled in by the executor when the query retires on the rank
+	// (see engine.Ticket.Stats for which of its counters are the query's own).
 	Mailbox       mailbox.Stats
 	DetectorWaves uint64
 	// DetectorSent/DetectorReceived are the termination detector's monotone
-	// S and R counters at quiescence. The mailbox feeds the detector (one
-	// CountSent per Send, one CountReceived per delivery), so after a quiesced
-	// traversal they must agree exactly with Mailbox.RecordsSent and
-	// Mailbox.RecordsDelivered on every rank — the S−R in-flight gap the
-	// four-counter waves watch drain. internal/check asserts this.
+	// S and R counters at quiescence. The mailbox's per-tag flow counts feed
+	// the detector (one CountSent per Send, one CountReceived per delivery),
+	// so after a quiesced query they must agree exactly with
+	// Mailbox.RecordsSent and Mailbox.RecordsDelivered on every rank — the
+	// S−R in-flight gap the four-counter waves watch drain. internal/check
+	// asserts this.
 	DetectorSent     uint64
 	DetectorReceived uint64
 }
 
-// Config tunes a Queue.
+// Config tunes the message plane and the local scheduler of an executor: the
+// engine builds every rank's shared mailbox from MailboxOptions and hands the
+// same Config to each query's Queue. Per-rank resources (ghost table, pager)
+// are not configuration and are passed to NewQueue directly.
 type Config struct {
-	// Topology routes the mailbox; nil selects mailbox.NewDirect.
-	Topology mailbox.Topology
 	// FlushBytes is the mailbox aggregation threshold (0 = default).
 	FlushBytes int
-	// Ghosts enables ghost filtering with the given table. The algorithm
-	// must implement GhostAlgorithm; otherwise the table is ignored.
-	Ghosts *GhostTable
-	// LocalityOrder breaks priority ties by vertex identifier to improve
-	// page-level locality of CSR reads (§V-A). On by default via NewQueue;
-	// set DisableLocalityOrder to ablate.
+	// DisableLocalityOrder ablates the vertex-identifier tie-break that
+	// improves page-level locality of CSR reads (§V-A).
 	DisableLocalityOrder bool
-	// DisableBucketOrder forces the binary-heap local scheduler even when the
-	// algorithm implements BucketAlgorithm — the single-priority-queue
-	// baseline for delta-stepping ablations (bench-algos "before" numbers).
-	DisableBucketOrder bool
 	// Reliable runs the mailbox's seq/ack/retransmit protocol under every
 	// envelope (mailbox.WithReliable), surviving message drop, duplication,
 	// reordering, and corruption injected by a faulty transport. Must be set
@@ -63,18 +54,24 @@ type Config struct {
 	// RTOBase/RTOMax bound the reliable layer's retransmission backoff
 	// (0 = mailbox defaults). Only meaningful with Reliable.
 	RTOBase, RTOMax time.Duration
-	// Pager, when non-nil, marks the partition's CSR targets as out-of-core:
-	// Step parks visitors whose adjacency pages are absent instead of
-	// blocking on the device, and the queue owner must feed Pager.Drain
-	// results back through Unpark. Engine mode only.
-	Pager RowPager
 }
 
-// Queue is one rank's end of the distributed asynchronous visitor queue
-// (Algorithm 1). Create one per rank per traversal with NewQueue, push the
-// initial visitors, then call Run — or, for the multi-query engine, create
-// one per rank per *query* with NewQueueShared over a shared mailbox and
-// drive it incrementally with Deliver/Step/PumpTermination.
+// MailboxOptions returns the mailbox construction options cfg implies.
+func (cfg Config) MailboxOptions() []mailbox.Option {
+	var opts []mailbox.Option
+	if cfg.FlushBytes > 0 {
+		opts = append(opts, mailbox.WithFlushBytes(cfg.FlushBytes))
+	}
+	if cfg.Reliable {
+		opts = append(opts, mailbox.WithReliable(), mailbox.WithRTO(cfg.RTOBase, cfg.RTOMax))
+	}
+	return opts
+}
+
+// Queue is one rank's end of one query's distributed asynchronous visitor
+// queue (Algorithm 1). It owns no loop: the rank's executor (internal/engine)
+// polls the shared mailbox, routes records carrying this queue's tag into
+// Deliver, gives it execution slices with Step, and pumps PumpTermination.
 type Queue[V Visitor] struct {
 	rank *rt.Rank
 	part *partition.Part
@@ -86,8 +83,7 @@ type Queue[V Visitor] struct {
 	mb  *mailbox.Box
 	det *termination.Detector
 
-	tag       uint32 // record tag stamped on every push (query ID; 0 classic)
-	shared    bool   // mailbox is shared with other queues (engine mode)
+	tag       uint32 // record tag stamped on every push (the query ID)
 	cancelled bool   // drain without applying (see Cancel)
 
 	heap          []V
@@ -95,8 +91,8 @@ type Queue[V Visitor] struct {
 	localityOrder bool
 	encBuf        []byte
 
-	// Out-of-core parking (engine mode with cfg.Pager): visitors whose
-	// adjacency page missed the cache, keyed by the page they wait for.
+	// Out-of-core parking (non-nil pager): visitors whose adjacency page
+	// missed the cache, keyed by the page they wait for.
 	// nParked is maintained alongside so idle checks are O(1).
 	pager   RowPager
 	parked  map[int64][]V
@@ -138,51 +134,16 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 	}
 }
 
-// NewQueue builds the rank's queue over the partitioned graph. Must be
-// created collectively (every rank of the machine), since termination
-// detection spans all ranks.
-func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cfg Config) *Queue[V] {
-	topo := cfg.Topology
-	if topo == nil {
-		topo = mailbox.NewDirect(r.Size())
-	}
-	det := termination.New(r)
-	var opts []mailbox.Option
-	if cfg.FlushBytes > 0 {
-		opts = append(opts, mailbox.WithFlushBytes(cfg.FlushBytes))
-	}
-	if cfg.Reliable {
-		opts = append(opts, mailbox.WithReliable(), mailbox.WithRTO(cfg.RTOBase, cfg.RTOMax))
-	}
-	q := &Queue[V]{
-		rank:          r,
-		part:          part,
-		algo:          algo,
-		mb:            mailbox.New(r, topo, det, opts...),
-		det:           det,
-		localityOrder: !cfg.DisableLocalityOrder,
-		met:           newQueueMetrics(r),
-	}
-	if cfg.Ghosts != nil && cfg.Ghosts.Len() > 0 {
-		if ga, ok := algo.(GhostAlgorithm[V]); ok {
-			q.ghostAlgo = ga
-			q.ghosts = cfg.Ghosts
-		}
-	}
-	if ba, ok := algo.(BucketAlgorithm[V]); ok && !cfg.DisableBucketOrder {
-		q.cal = newCalendar[V](ba)
-	}
-	return q
-}
-
-// NewQueueShared builds a queue for one query of the multi-query engine:
-// visitors travel through the caller-owned shared mailbox stamped with tag
-// (the query ID), and termination detection runs on the caller-minted
-// per-query detector. The caller owns the poll loop — it must route
-// delivered records with matching tag into Deliver, drive execution with
-// Step, and pump PumpTermination; Run must not be called on a shared queue.
-func NewQueueShared[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
-	cfg Config, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
+// NewQueue builds one query's queue on one rank: visitors travel through the
+// rank's shared mailbox stamped with tag (the query ID), and termination
+// detection runs on the caller-minted per-query detector. ghosts enables hub
+// filtering when the algorithm implements GhostAlgorithm (nil or empty
+// disables it). A non-nil pager marks the partition's CSR targets as out of
+// core: Step parks visitors whose adjacency pages are absent instead of
+// blocking on the device, and the caller must feed Pager.Drain results back
+// through Unpark.
+func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cfg Config,
+	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
 	q := &Queue[V]{
 		rank:          r,
 		part:          part,
@@ -190,21 +151,20 @@ func NewQueueShared[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[
 		mb:            mb,
 		det:           det,
 		tag:           tag,
-		shared:        true,
 		localityOrder: !cfg.DisableLocalityOrder,
-		pager:         cfg.Pager,
+		pager:         pager,
 		met:           newQueueMetrics(r),
 	}
 	if q.pager != nil {
 		q.parked = make(map[int64][]V)
 	}
-	if cfg.Ghosts != nil && cfg.Ghosts.Len() > 0 {
+	if ghosts != nil && ghosts.Len() > 0 {
 		if ga, ok := algo.(GhostAlgorithm[V]); ok {
 			q.ghostAlgo = ga
-			q.ghosts = cfg.Ghosts
+			q.ghosts = ghosts
 		}
 	}
-	if ba, ok := algo.(BucketAlgorithm[V]); ok && !cfg.DisableBucketOrder {
+	if ba, ok := algo.(BucketAlgorithm[V]); ok {
 		q.cal = newCalendar[V](ba)
 	}
 	return q
@@ -293,12 +253,11 @@ func (q *Queue[V]) receive(rec mailbox.Record) {
 }
 
 // Deliver routes one record (already demultiplexed by tag) into the queue.
-// Engine mode only; the classic Run path consumes its own mailbox.
 func (q *Queue[V]) Deliver(rec mailbox.Record) { q.receive(rec) }
 
 // Step executes up to batch locally queued visitors, returning whether any
-// work happened. Engine mode's slice of the DO_TRAVERSAL loop: the engine
-// interleaves Step calls across all in-flight queries on the rank.
+// work happened — this query's slice of the DO_TRAVERSAL loop, which the
+// engine interleaves with every other in-flight query's on the rank.
 //
 // With an out-of-core pager, a popped visitor whose adjacency page is absent
 // is parked on that page (the pager has already enqueued the demand fetch)
@@ -399,14 +358,11 @@ func (q *Queue[V]) Cancel() {
 	q.nParked = 0
 }
 
-// Cancelled reports whether Cancel was called on this rank.
-func (q *Queue[V]) Cancelled() bool { return q.cancelled }
-
 // PumpTermination drives this query's detector with the caller-computed
 // local idle state and returns true at global quiescence, snapshotting the
-// detector counters into Stats exactly once. Unlike Run, no end-of-traversal
-// barrier is needed: records of other queries cannot be misattributed — the
-// tag demultiplexes them — so ranks may retire the query independently.
+// detector counters into Stats exactly once. No end-of-traversal barrier is
+// needed: records of other queries cannot be misattributed — the tag
+// demultiplexes them — so ranks may retire the query independently.
 func (q *Queue[V]) PumpTermination(localIdle bool) bool {
 	if !q.det.Pump(localIdle && q.schedLen() == 0 && q.nParked == 0) {
 		return false
@@ -417,64 +373,9 @@ func (q *Queue[V]) PumpTermination(localIdle bool) bool {
 	return true
 }
 
-// Run executes the asynchronous traversal to completion (Algorithm 1,
-// DO_TRAVERSAL): drain the mailbox, execute locally queued visitors in
-// priority order, and participate in termination detection; returns when the
-// distributed queue is globally empty. Initial visitors must have been
-// pushed before Run (on whichever ranks create them).
-func (q *Queue[V]) Run() {
-	idleSpins := 0
-	for {
-		progress := false
-		for _, rec := range q.mb.Poll() {
-			q.receive(rec)
-			progress = true
-		}
-		if q.schedLen() > 0 {
-			// Sample local queue depth once per visit batch.
-			q.met.queueDepth.Observe(uint64(q.schedLen()))
-		}
-		for i := 0; i < visitBatch && q.schedLen() > 0; i++ {
-			v := q.schedPop()
-			q.stats.Executed++
-			q.met.executed.Inc(q.met.rank)
-			q.algo.Visit(v, q)
-			progress = true
-		}
-		if progress {
-			idleSpins = 0
-			// Answer termination waves even while busy; checking for
-			// non-termination is asynchronous (§V).
-			q.det.Pump(false)
-			continue
-		}
-		// Out of local work: flush aggregation buffers so partial batches
-		// cannot stall the traversal, then report idle.
-		q.mb.FlushAll()
-		idle := q.schedLen() == 0 && q.mb.Idle()
-		if q.det.Pump(idle) {
-			q.stats.Mailbox = q.mb.Stats()
-			q.stats.DetectorWaves = q.det.Waves
-			q.stats.DetectorSent = q.det.Sent()
-			q.stats.DetectorReceived = q.det.Received()
-			// End-of-traversal barrier: no rank may leave Run (and start
-			// pushing a *next* traversal's visitors) while another rank
-			// could still poll this traversal's mailbox — a record consumed
-			// by the wrong queue would unbalance the next traversal's
-			// termination counters and hang it.
-			q.rank.Barrier()
-			return
-		}
-		idleSpins++
-		if idleSpins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
-// Stats returns the rank's traversal counters (valid after Run).
+// Stats returns the rank's traversal counters; the detector fields are set
+// once PumpTermination has returned true. Mailbox is left zero — the mailbox
+// is the rank's, not the queue's, and its owner fills it in.
 func (q *Queue[V]) Stats() Stats { return q.stats }
 
 // --- local scheduler dispatch: calendar of buckets when the algorithm

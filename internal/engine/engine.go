@@ -1,5 +1,8 @@
-// Package engine multiplexes many concurrent graph traversals over one
-// resident partitioned graph.
+// Package engine is the executor: the one rank loop (the paper's
+// DO_TRAVERSAL, Algorithm 1) every traversal in this repository runs on,
+// multiplexing many concurrent graph traversals over one resident
+// partitioned graph. A one-shot traversal is a transient engine with one
+// query (RunOnce).
 //
 // The paper's framework answers one query at a time: build the graph once,
 // then run each traversal as a collective phase across the whole machine. A
@@ -14,7 +17,7 @@
 // Mechanics. Every visitor record is stamped with a compact query ID in the
 // mailbox record header (mailbox.SendTagged); each rank runs one long-lived
 // loop that polls the single shared mailbox and demultiplexes delivered
-// records into per-query visitor queues (core.NewQueueShared). Termination is
+// records into per-query visitor queues (core.NewQueue). Termination is
 // detected per query: each in-flight query gets its own four-counter detector
 // instance (termination.Mux), fed by a tag-aware flow counter registered on
 // the shared mailbox, so the S/R conservation argument of §V holds
@@ -105,10 +108,16 @@ func (a Algo) Resumable() bool {
 // Spec describes one query.
 type Spec struct {
 	Algo       Algo
-	Source     graph.Vertex  // bfs, bfs_do, sssp
-	WeightSeed uint64        // sssp
-	K          uint32        // kcore (>= 1)
-	Iters      uint32        // pagerank (0 = pagerank.DefaultIters, capped at MaxIters)
+	Source     graph.Vertex // bfs, bfs_do, sssp
+	WeightSeed uint64       // sssp
+	K          uint32       // kcore (>= 1)
+	Iters      uint32       // pagerank (0 = pagerank.DefaultIters, capped at MaxIters)
+	// SampleProb, for triangles, counts a Bernoulli wedge sample instead of
+	// every wedge: 0 is exact, otherwise it must lie in (0, 1) and
+	// Result.Triangles is the sampled count (divide by SampleProb for the
+	// estimate). SampleSeed keys the wedge hash.
+	SampleProb float64
+	SampleSeed uint64
 	Deadline   time.Duration // 0 = none; expiry cancels the query
 	// Resume, if non-nil, seeds the query from a checkpoint taken off an
 	// earlier cancelled run of the same traversal (same algo, source, and
@@ -164,24 +173,14 @@ type Result struct {
 	// PageRank: per-vertex fixed-point ranks (scaled by ref.PRScale).
 	Ranks []uint64
 
-	// Triangle counting.
+	// Triangle counting: the exact count, or the sampled count under
+	// Spec.SampleProb.
 	Triangles uint64
 
 	Cancelled bool
 	// Waves is the number of termination-detection waves the query's root
 	// detector completed.
 	Waves uint64
-}
-
-// FlowCell is one rank's per-query flow account, exposed for invariant
-// checking (internal/check.QueryConservation): end-to-end mailbox record
-// counts under the query's tag and the termination detector's monotone
-// counters at quiescence.
-type FlowCell struct {
-	Sent        uint64 // records sent under this query's tag on this rank
-	Delivered   uint64 // records delivered under this query's tag on this rank
-	DetSent     uint64 // detector S at quiescence
-	DetReceived uint64 // detector R at quiescence
 }
 
 // Options tune the engine.
@@ -193,20 +192,9 @@ type Options struct {
 	// StepBatch bounds visitors executed per query per rank-loop iteration,
 	// the interleaving granularity (default 128).
 	StepBatch int
-	// FlushBytes overrides the shared mailbox aggregation threshold (0 =
-	// mailbox default).
-	FlushBytes int
-	// Reliable runs the shared mailbox with sequence-numbered, acked,
-	// retransmitted delivery (mailbox.WithReliable), so the engine survives
-	// message drop/duplication/corruption on the data plane.
-	Reliable bool
-	// RTOBase/RTOMax bound the reliable layer's retransmission backoff
-	// (zero = mailbox defaults). Only meaningful with Reliable.
-	RTOBase, RTOMax time.Duration
-	// DisableBucketOrder forces SSSP runners onto the binary-heap local
-	// scheduler instead of the bucketed delta-stepping calendar (a
-	// benchmarking knob; results are identical either way).
-	DisableBucketOrder bool
+	// Core configures every rank's shared mailbox (aggregation threshold,
+	// reliable delivery) and every query's local scheduler.
+	Core core.Config
 }
 
 func (o Options) normalized() Options {
@@ -226,7 +214,7 @@ func (o Options) normalized() Options {
 type Config struct {
 	Machine *rt.Machine
 	Parts   []*partition.Part
-	Ghosts  []*core.GhostTable // per rank; nil entries disable hub filtering
+	Ghosts  []*core.GhostTable // per rank; nil (or nil entries) disables hub filtering
 	// Topology names the shared mailbox routing ("1d" default, "2d", "3d").
 	Topology string
 	// Pagers, when non-nil, marks the partitions' CSR targets as out-of-core
@@ -291,10 +279,13 @@ func (l *ctlLog) from(cursor int) []ctlEvent {
 // the final rank to quiesce closes done, which publishes every earlier write
 // to waiters.
 type query struct {
-	id        uint32
-	spec      Spec
-	res       *Result
-	flow      []FlowCell // per rank, each written by its own rank pre-done
+	id    uint32
+	spec  Spec
+	res   *Result
+	stats []core.Stats // per rank, each written by its own rank pre-done
+	// custom, when non-nil, builds the rank runners instead of the spec's
+	// algorithm: the seam in-package tests drive toy visitors through.
+	custom    func(*runEnv) runner
 	accum     atomic.Uint64
 	cancelled atomic.Bool
 	cause     atomic.Int32 // why cancelled: causeExplicit, causeDeadline, causeAborted
@@ -388,8 +379,13 @@ func (t *Ticket) Checkpoint() *Checkpoint {
 	return &Checkpoint{Spec: spec, Res: t.q.res}
 }
 
-// Flows returns the per-rank flow accounts. Valid only after Done.
-func (t *Ticket) Flows() []FlowCell { return t.q.flow }
+// Stats returns the query's per-rank counters as each rank recorded them when
+// it retired the query; valid only after Done, and all zero for a query that
+// never started. Mailbox is that rank's shared-mailbox snapshot — the whole
+// box, so its envelope, hop and pool counters are the query's own only when
+// it ran alone on a fresh engine (RunOnce) — except RecordsSent and
+// RecordsDelivered, which are always the query's own tagged record counts.
+func (t *Ticket) Stats() []core.Stats { return t.q.stats }
 
 // Cancel stops the query: an in-flight query drains its remaining tagged
 // records without applying them and still quiesces cleanly; a waiting query
@@ -533,6 +529,9 @@ func Start(cfg Config, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("engine: config missing the partition for local rank %d", r)
 		}
 	}
+	if cfg.Ghosts != nil && len(cfg.Ghosts) != cfg.Machine.Size() {
+		return nil, errors.New("engine: config needs one ghost-table slot per rank (nil entries allowed)")
+	}
 	if cfg.Pagers != nil && len(cfg.Pagers) != cfg.Machine.Size() {
 		return nil, errors.New("engine: config needs one pager slot per rank (nil entries allowed)")
 	}
@@ -549,7 +548,7 @@ func Start(cfg Config, opts Options) (*Engine, error) {
 		n:            cfg.Parts[lo].NumVertices,
 		p:            cfg.Machine.Size(),
 		localRanks:   cfg.Machine.LocalSize(),
-		nextID:       1, // 0 stays reserved for the classic single-traversal path
+		nextID:       1, // tag 0 is mailbox.Send's untagged record
 		drained:      make(chan struct{}),
 		runDone:      make(chan struct{}),
 		obsSubmitted: reg.Counter(obs.EngineSubmitted),
@@ -582,7 +581,11 @@ func (e *Engine) validate(spec Spec) error {
 		if uint64(spec.Source) >= e.n {
 			return fmt.Errorf("engine: source %d out of range [0, %d)", spec.Source, e.n)
 		}
-	case AlgoCC, AlgoTriangles:
+	case AlgoCC:
+	case AlgoTriangles:
+		if p := spec.SampleProb; p != 0 && !(p > 0 && p < 1) {
+			return fmt.Errorf("engine: triangles sample probability %v not in (0, 1)", p)
+		}
 	case AlgoKCore:
 		if spec.K < 1 {
 			return errors.New("engine: kcore needs k >= 1")
@@ -629,6 +632,24 @@ func (e *Engine) Submit(spec Spec) (*Ticket, error) {
 	if err := e.validate(spec); err != nil {
 		return nil, err
 	}
+	return e.admit(spec, nil)
+}
+
+// newQuery allocates the shared per-query object.
+func (e *Engine) newQuery(id uint32, spec Spec) *query {
+	return &query{
+		id:        id,
+		spec:      spec,
+		res:       newResult(spec, e.n),
+		stats:     make([]core.Stats, e.p),
+		done:      make(chan struct{}),
+		submitted: time.Now(),
+	}
+}
+
+// admit is Submit past validation; custom replaces the spec's runners (see
+// query.custom).
+func (e *Engine) admit(spec Spec, custom func(*runEnv) runner) (*Ticket, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -643,14 +664,8 @@ func (e *Engine) Submit(spec Spec) (*Ticket, error) {
 		e.mu.Unlock()
 		return nil, ErrRejected
 	}
-	q := &query{
-		id:        e.nextID,
-		spec:      spec,
-		res:       newResult(spec, e.n),
-		flow:      make([]FlowCell, e.p),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
+	q := e.newQuery(e.nextID, spec)
+	q.custom = custom
 	e.nextID++
 	e.outstanding++
 	e.obsSubmitted.Inc()
@@ -676,6 +691,29 @@ func (e *Engine) Submit(spec Spec) (*Ticket, error) {
 	}
 	e.mu.Unlock()
 	return t, nil
+}
+
+// RunOnce runs one query on a transient engine — Start, Submit, Wait, Close —
+// and returns its result with the per-rank counters (Ticket.Stats; the engine
+// was the query's alone, so every counter is the query's). This is what a
+// one-shot traversal is: the same rank loop, alive for one query. The machine
+// must be otherwise idle until RunOnce returns. A spec deadline that expires
+// returns the partial result with context.DeadlineExceeded.
+func RunOnce(cfg Config, opts Options, spec Spec) (*Result, []core.Stats, error) {
+	e, err := Start(cfg, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := e.Submit(spec)
+	if err != nil {
+		e.Close()
+		return nil, nil, err
+	}
+	res := t.Wait()
+	if err := e.Close(); err != nil {
+		return nil, nil, err
+	}
+	return res, t.Stats(), t.Err()
 }
 
 // newResult allocates the algorithm's output arrays, initialized to the

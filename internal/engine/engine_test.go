@@ -53,15 +53,8 @@ func buildEngine(t *testing.T, scale uint, p int, topo string, opts engine.Optio
 // ticket.
 func checkFlows(t *testing.T, tk *engine.Ticket) {
 	t.Helper()
-	flows := make([]check.QueryFlow, len(tk.Flows()))
-	for r, f := range tk.Flows() {
-		flows[r] = check.QueryFlow{
-			Sent: f.Sent, Delivered: f.Delivered,
-			DetSent: f.DetSent, DetReceived: f.DetReceived,
-		}
-	}
-	if err := check.Error(check.QueryConservation(tk.ID(), flows)); err != nil {
-		t.Error(err)
+	if err := check.Error(check.QueryConservation(tk.Stats())); err != nil {
+		t.Errorf("query %d: %v", tk.ID(), err)
 	}
 }
 
@@ -335,9 +328,9 @@ func TestEngineCancelWaiting(t *testing.T) {
 	if !res.Cancelled {
 		t.Fatal("cancelled waiting query did not report Cancelled")
 	}
-	for r, f := range waiting.Flows() {
-		if f != (engine.FlowCell{}) {
-			t.Fatalf("never-started query has nonzero flow on rank %d: %+v", r, f)
+	for r, st := range waiting.Stats() {
+		if st != (core.Stats{}) {
+			t.Fatalf("never-started query has nonzero stats on rank %d: %+v", r, st)
 		}
 	}
 	first.Wait()

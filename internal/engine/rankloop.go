@@ -18,17 +18,36 @@ type flowCell struct{ sent, received uint64 }
 // mailbox. Cells outlive detector creation — a record can be delivered (and
 // counted) before this rank has processed the query's start event — and the
 // running query later syncs cell deltas into its detector.
-type rankFlows struct{ cells map[uint32]*flowCell }
+type rankFlows struct {
+	cells map[uint32]*flowCell
+	// One-entry memo of the last cell looked up: the mailbox counts every
+	// record, and records come in long runs of one tag (always, with one
+	// query in flight), so the map is consulted once per run.
+	lastTag uint32
+	last    *flowCell
+}
 
 func newRankFlows() *rankFlows { return &rankFlows{cells: make(map[uint32]*flowCell)} }
 
 func (f *rankFlows) cell(tag uint32) *flowCell {
+	if f.last != nil && f.lastTag == tag {
+		return f.last
+	}
 	c := f.cells[tag]
 	if c == nil {
 		c = &flowCell{}
 		f.cells[tag] = c
 	}
+	f.lastTag, f.last = tag, c
 	return c
+}
+
+// drop forgets a retired query's cell.
+func (f *rankFlows) drop(tag uint32) {
+	delete(f.cells, tag)
+	if f.lastTag == tag {
+		f.last = nil
+	}
 }
 
 func (f *rankFlows) CountSent(tag uint32, n uint64)     { f.cell(tag).sent += n }
@@ -45,7 +64,6 @@ type runner interface {
 	Unpark(pages []int64) bool
 	LocalIdle() bool
 	Cancel()
-	Cancelled() bool
 	PumpTermination(localIdle bool) bool
 	Stats() core.Stats
 	// Finish gathers this rank's master-range results into the shared query
@@ -99,23 +117,15 @@ type rankState struct {
 	cursor int // control-log position
 }
 
-// rankLoop is the long-lived per-rank executor: replay control events, poll
-// the shared mailbox, demultiplex records to their queries, give every
-// in-flight query a slice of visitor execution, and pump every query's
-// termination detector. Exits after the shutdown event once no query is
-// active on this rank.
+// rankLoop is the per-rank executor, the repository's only traversal loop
+// (Algorithm 1, DO_TRAVERSAL): replay control events, poll the shared
+// mailbox, demultiplex records to their queries, give every in-flight query
+// a slice of visitor execution, and pump every query's termination detector.
+// Exits after the shutdown event once no query is active on this rank.
 func (e *Engine) rankLoop(r *rt.Rank) {
 	topo, _ := mailbox.ByName(e.cfg.Topology, r.Size())
-	var boxOpts []mailbox.Option
-	if e.opts.FlushBytes > 0 {
-		boxOpts = append(boxOpts, mailbox.WithFlushBytes(e.opts.FlushBytes))
-	}
-	if e.opts.Reliable {
-		boxOpts = append(boxOpts, mailbox.WithReliable(),
-			mailbox.WithRTO(e.opts.RTOBase, e.opts.RTOMax))
-	}
 	flows := newRankFlows()
-	boxOpts = append(boxOpts, mailbox.WithFlows(flows))
+	boxOpts := append(e.opts.Core.MailboxOptions(), mailbox.WithFlows(flows))
 	s := &rankState{
 		e:       e,
 		box:     mailbox.New(r, topo, nil, boxOpts...),
@@ -199,10 +209,15 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		// record awaits application — this poll drains them into the heaps
 		// (making LocalIdle false), and nothing below creates new local
 		// deliveries before the detectors pump.
+		var lastTag uint32 // one-entry memo of the demux, as in rankFlows.cell
+		var last *runningQuery
 		for _, rec := range s.box.Poll() {
 			progress = true
-			if rq := s.active[rec.Tag]; rq != nil {
-				rq.run.Deliver(rec)
+			if last == nil || rec.Tag != lastTag {
+				lastTag, last = rec.Tag, s.active[rec.Tag]
+			}
+			if last != nil {
+				last.run.Deliver(rec)
 			} else if _, gone := s.dead[rec.Tag]; gone {
 				// Straggler for a force-aborted query (a surviving peer kept
 				// sending until its own abort landed): drop it. The flow
@@ -257,8 +272,8 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 }
 
 // start brings a query live on this rank: mint its detector instance, build
-// its shared-mode visitor queue, seed the initial visitors, and drain any
-// records that arrived ahead of the start event.
+// its visitor queue, seed the initial visitors, and drain any records that
+// arrived ahead of the start event.
 func (s *rankState) start(r *rt.Rank, q *query) {
 	det := s.mux.Detector(q.id)
 	rq := &runningQuery{
@@ -266,7 +281,12 @@ func (s *rankState) start(r *rt.Rank, q *query) {
 		det:  det,
 		cell: s.flows.cell(q.id),
 	}
-	rq.run = newRunner(r, s.e.cfg.Parts[r.Rank()], s.e.cfg.Ghosts[r.Rank()], s.pager, s.box, det, q, s.e.opts)
+	env := &runEnv{r: r, part: s.e.cfg.Parts[r.Rank()], pager: s.pager,
+		box: s.box, det: det, cfg: s.e.opts.Core, q: q}
+	if s.e.cfg.Ghosts != nil {
+		env.ghosts = s.e.cfg.Ghosts[r.Rank()]
+	}
+	rq.run = newRunner(env)
 	s.active[q.id] = rq
 	if recs := s.pending[q.id]; len(recs) > 0 {
 		delete(s.pending, q.id)
@@ -276,11 +296,11 @@ func (s *rankState) start(r *rt.Rank, q *query) {
 	}
 }
 
-// finish retires a quiesced query on this rank: record the flow account,
-// gather results, release the detector's control-plane slice, and — on the
+// finish retires a quiesced query on this rank: record its counters, gather
+// results, release the detector's control-plane slice, and — on the
 // machine's last rank to get here — complete the query engine-side. No
 // end-of-query barrier is needed: record tags make misattribution impossible,
-// so ranks retire independently (contrast core.Queue.Run's barrier).
+// so ranks retire independently.
 func (s *rankState) finish(r *rt.Rank, id uint32) { s.retire(r, id, false) }
 
 // retire is finish with an optional forced mode for aborts. Forced retirement
@@ -292,13 +312,12 @@ func (s *rankState) retire(r *rt.Rank, id uint32, forced bool) {
 	rq := s.active[id]
 	delete(s.active, id)
 	st := rq.run.Stats()
-	rq.q.flow[r.Rank()] = FlowCell{
-		Sent:        rq.cell.sent,
-		Delivered:   rq.cell.received,
-		DetSent:     st.DetectorSent,
-		DetReceived: st.DetectorReceived,
-	}
-	delete(s.flows.cells, id)
+	// The box is the rank's, shared by every query in flight; the tag's flow
+	// cell is this query's (see Ticket.Stats).
+	st.Mailbox = s.box.Stats()
+	st.Mailbox.RecordsSent, st.Mailbox.RecordsDelivered = rq.cell.sent, rq.cell.received
+	rq.q.stats[r.Rank()] = st
+	s.flows.drop(id)
 	if r.Rank() == 0 {
 		rq.q.res.Waves = st.DetectorWaves
 	}

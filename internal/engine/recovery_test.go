@@ -323,7 +323,7 @@ func TestEngineReliableUnderMessageFaults(t *testing.T) {
 		},
 	}
 	e, edges, n := buildEngineFaulty(t, 8, 4, "2d",
-		engine.Options{Reliable: true, RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond}, plan)
+		engine.Options{Core: core.Config{Reliable: true, RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond}}, plan)
 	defer e.Close()
 
 	adj := ref.BuildAdj(edges, n)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"havoqgt/internal/termination"
 )
@@ -37,14 +36,7 @@ func (e *Engine) SubmitRemote(id uint32, spec Spec) (*Ticket, error) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	q := &query{
-		id:        id,
-		spec:      spec,
-		res:       newResult(spec, e.n),
-		flow:      make([]FlowCell, e.p),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
+	q := e.newQuery(id, spec)
 	e.outstanding++
 	e.inflight++
 	e.obsSubmitted.Inc()

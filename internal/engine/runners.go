@@ -1,10 +1,11 @@
 package engine
 
-// Per-algorithm runner constructors: each builds the algorithm's rank state
-// and a shared-mode visitor queue (core.NewQueueShared) over the engine's
-// shared mailbox and the query's detector instance, seeds the traversal's
-// initial visitors, and supplies the Finish gather. The embedded Queue
-// provides Deliver/Step/LocalIdle/Cancel/Cancelled/PumpTermination/Stats.
+// Per-algorithm runner constructors — the one place a traversal is seeded.
+// Each builds the algorithm's rank state and the query's visitor queue
+// (core.NewQueue) over the rank loop's shared mailbox and the query's
+// detector instance, pushes the initial visitors, and supplies the Finish
+// gather. The embedded Queue provides
+// Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats.
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -21,64 +22,94 @@ import (
 	"havoqgt/internal/termination"
 )
 
+// runEnv is what one query's runner is built from on one rank: the rank, its
+// share of the graph, the rank loop's shared plane, and the query.
+type runEnv struct {
+	r      *rt.Rank
+	part   *partition.Part
+	ghosts *core.GhostTable // nil: no hub filtering on this rank
+	pager  core.RowPager    // nil: fully resident
+	box    *mailbox.Box
+	det    *termination.Detector
+	cfg    core.Config
+	q      *query
+}
+
 // newRunner dispatches on the query's algorithm.
-func newRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query, opts Options) runner {
-	switch q.spec.Algo {
+func newRunner(env *runEnv) runner {
+	if env.q.custom != nil {
+		return env.q.custom(env)
+	}
+	switch env.q.spec.Algo {
 	case AlgoBFS:
-		return newBFSRunner(r, part, ghosts, pager, box, det, q)
+		return newBFSRunner(env)
 	case AlgoSSSP:
-		return newSSSPRunner(r, part, ghosts, pager, box, det, q, opts.DisableBucketOrder)
+		return newSSSPRunner(env)
 	case AlgoCC:
-		return newCCRunner(r, part, ghosts, pager, box, det, q)
+		return newCCRunner(env)
 	case AlgoKCore:
-		return newKCoreRunner(r, part, pager, box, det, q)
+		return newKCoreRunner(env)
 	case AlgoBFSDO:
-		return newDOBFSRunner(part, pager, box, det, q)
+		return newDOBFSRunner(env)
 	case AlgoPageRank:
-		return newPageRankRunner(r, part, pager, box, det, q)
+		return newPageRankRunner(env)
 	case AlgoTriangles:
-		return newTriangleRunner(r, part, pager, box, det, q)
+		return newTriangleRunner(env)
 	default:
 		panic("engine: unknown algorithm past Submit validation")
 	}
 }
 
-// ghostCfg assembles a shared-queue config with hub filtering for the
-// algorithms that declare ghost usage, plus the rank's out-of-core pager.
-func ghostCfg(ghosts *core.GhostTable, pager core.RowPager) core.Config {
-	return core.Config{Ghosts: ghosts, Pager: pager}
+// queueRunner is a visitor-queue runner: the query's core.Queue plus the
+// algorithm's gather.
+type queueRunner[V core.Visitor] struct {
+	*core.Queue[V]
+	finish func()
+}
+
+func (rn *queueRunner[V]) Finish() { rn.finish() }
+
+// newQueue builds the query's visitor queue for algo. Hub filtering is for
+// the algorithms that declare ghost usage (bfs, sssp, cc); the rest need
+// every visitor delivered — precise removal counts (§IV-B), adjacency
+// membership (§VI-C), counted contributions — and pass useGhosts false.
+func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V], useGhosts bool) *core.Queue[V] {
+	var ghosts *core.GhostTable
+	if useGhosts {
+		ghosts = env.ghosts
+	}
+	return core.NewQueue[V](env.r, env.part, algo, env.cfg, ghosts, env.pager, env.box, env.det, env.q.id)
+}
+
+// forMasters calls fn for every vertex this rank masters.
+func forMasters(part *partition.Part, fn func(v graph.Vertex)) {
+	lo, hi := part.Owners.MasterRange(part.Rank)
+	for v := lo; v < hi; v++ {
+		fn(graph.Vertex(v))
+	}
 }
 
 // gatherInto copies a per-vertex value from this rank's masters into the
 // shared global array. Master ranges are disjoint across ranks, and every
 // write happens before the rank's ranksDone increment, so waiters observing
 // the done channel see a complete array.
-func gatherInto[T any](out []T, part *partition.Part, get func(i int) T) {
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		i, _ := part.LocalIndex(graph.Vertex(v))
-		out[v] = get(i)
-	}
+func gatherInto[T any](out []T, part *partition.Part, local []T) {
+	forMasters(part, func(v graph.Vertex) {
+		i, _ := part.LocalIndex(v)
+		out[v] = local[i]
+	})
 }
 
 // --- BFS ---
 
-type bfsRunner struct {
-	*core.Queue[bfs.Visitor]
-	st   *bfs.BFS
-	part *partition.Part
-	q    *query
-}
-
-func newBFSRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
+func newBFSRunner(env *runEnv) runner {
+	part, q := env.part, env.q
 	st := bfs.New(part)
-	cfg := ghostCfg(ghosts, pager)
-	if ghosts != nil {
-		st.AttachGhosts(ghosts)
+	if env.ghosts != nil {
+		st.AttachGhosts(env.ghosts)
 	}
-	qu := core.NewQueueShared[bfs.Visitor](r, part, st, cfg, box, det, q.id)
+	qu := newQueue[bfs.Visitor](env, st, true)
+	src := bfs.Visitor{V: q.spec.Source, Length: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
 		// Resume: replay the checkpointed frontier onto fresh state. Every
 		// reached master re-enters as a visitor carrying its checkpointed
@@ -88,141 +119,103 @@ func newBFSRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pag
 		// interior is re-offered but immediately pruned by the level test —
 		// coarse, but it costs one visitor per reached vertex, not a restart
 		// of the whole traversal.
-		lo, hi := part.Owners.MasterRange(part.Rank)
-		for v := lo; v < hi; v++ {
+		forMasters(part, func(v graph.Vertex) {
 			if lv := cp.Res.Levels[v]; lv != bfs.Unreached {
-				qu.Push(bfs.Visitor{V: graph.Vertex(v), Length: lv, Parent: cp.Res.Parents[v]})
+				qu.Push(bfs.Visitor{V: v, Length: lv, Parent: cp.Res.Parents[v]})
 			}
-		}
+		})
 		if part.IsMaster(q.spec.Source) && cp.Res.Levels[q.spec.Source] == bfs.Unreached {
 			// Checkpoint from a run cancelled before the source was settled:
 			// fall back to a fresh start.
-			qu.Push(bfs.Visitor{V: q.spec.Source, Length: 0, Parent: q.spec.Source})
+			qu.Push(src)
 		}
 	} else if part.IsMaster(q.spec.Source) {
-		qu.Push(bfs.Visitor{V: q.spec.Source, Length: 0, Parent: q.spec.Source})
+		qu.Push(src)
 	}
-	return &bfsRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *bfsRunner) Finish() {
-	gatherInto(rn.q.res.Levels, rn.part, func(i int) uint32 { return rn.st.Level[i] })
-	gatherInto(rn.q.res.Parents, rn.part, func(i int) graph.Vertex { return rn.st.Parent[i] })
+	return &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {
+		gatherInto(q.res.Levels, part, st.Level)
+		gatherInto(q.res.Parents, part, st.Parent)
+	}}
 }
 
 // --- SSSP ---
 
-type ssspRunner struct {
-	*core.Queue[sssp.Visitor]
-	st   *sssp.SSSP
-	part *partition.Part
-	q    *query
-}
-
-func newSSSPRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query, disableBucketOrder bool) runner {
+func newSSSPRunner(env *runEnv) runner {
+	part, q := env.part, env.q
 	st := sssp.New(part, q.spec.WeightSeed)
-	cfg := ghostCfg(ghosts, pager)
-	cfg.DisableBucketOrder = disableBucketOrder
-	if ghosts != nil {
-		st.AttachGhosts(ghosts)
+	if env.ghosts != nil {
+		st.AttachGhosts(env.ghosts)
 	}
-	qu := core.NewQueueShared[sssp.Visitor](r, part, st, cfg, box, det, q.id)
+	qu := newQueue[sssp.Visitor](env, st, true)
+	src := sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
 		// Same frontier-replay scheme as BFS, over tentative distances.
 		// Distances in the checkpoint are upper bounds that only the relax
 		// rule can lower, so replaying them is safe even if the cancelled run
 		// had not converged them yet.
-		lo, hi := part.Owners.MasterRange(part.Rank)
-		for v := lo; v < hi; v++ {
+		forMasters(part, func(v graph.Vertex) {
 			if d := cp.Res.Dist[v]; d != sssp.Unreached {
-				qu.Push(sssp.Visitor{V: graph.Vertex(v), Dist: d, Parent: cp.Res.Parents[v]})
+				qu.Push(sssp.Visitor{V: v, Dist: d, Parent: cp.Res.Parents[v]})
 			}
-		}
+		})
 		if part.IsMaster(q.spec.Source) && cp.Res.Dist[q.spec.Source] == sssp.Unreached {
-			qu.Push(sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source})
+			qu.Push(src)
 		}
 	} else if part.IsMaster(q.spec.Source) {
-		qu.Push(sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source})
+		qu.Push(src)
 	}
-	return &ssspRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *ssspRunner) Finish() {
-	gatherInto(rn.q.res.Dist, rn.part, func(i int) uint64 { return rn.st.Dist[i] })
-	gatherInto(rn.q.res.Parents, rn.part, func(i int) graph.Vertex { return rn.st.Parent[i] })
+	return &queueRunner[sssp.Visitor]{Queue: qu, finish: func() {
+		gatherInto(q.res.Dist, part, st.Dist)
+		gatherInto(q.res.Parents, part, st.Parent)
+	}}
 }
 
 // --- Connected components ---
 
-type ccRunner struct {
-	*core.Queue[cc.Visitor]
-	st   *cc.CC
-	part *partition.Part
-	q    *query
-}
-
-func newCCRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
+func newCCRunner(env *runEnv) runner {
+	part, q := env.part, env.q
 	st := cc.New(part)
-	cfg := ghostCfg(ghosts, pager)
-	if ghosts != nil {
-		st.AttachGhosts(ghosts)
+	if env.ghosts != nil {
+		st.AttachGhosts(env.ghosts)
 	}
-	qu := core.NewQueueShared[cc.Visitor](r, part, st, cfg, box, det, q.id)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		lbl := graph.Vertex(v)
+	qu := newQueue[cc.Visitor](env, st, true)
+	forMasters(part, func(v graph.Vertex) {
+		lbl := v
 		if cp := q.spec.Resume; cp != nil && cp.Res.Labels[v] < lbl {
 			// Resume: start each master from its checkpointed label instead
 			// of its own id. Labels only decrease toward the component
 			// minimum, so any partial label is a valid (better) start.
 			lbl = cp.Res.Labels[v]
 		}
-		qu.Push(cc.Visitor{V: graph.Vertex(v), Label: lbl})
-	}
-	return &ccRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *ccRunner) Finish() {
-	gatherInto(rn.q.res.Labels, rn.part, func(i int) graph.Vertex { return rn.st.Label[i] })
-	// Component count: a master whose label is its own id represents one
-	// component. Accumulate atomically instead of AllReduce (see runner doc).
-	lo, hi := rn.part.Owners.MasterRange(rn.part.Rank)
-	var local uint64
-	for v := lo; v < hi; v++ {
-		i, _ := rn.part.LocalIndex(graph.Vertex(v))
-		if rn.st.Label[i] == graph.Vertex(v) {
-			local++
-		}
-	}
-	rn.q.accum.Add(local)
+		qu.Push(cc.Visitor{V: v, Label: lbl})
+	})
+	return &queueRunner[cc.Visitor]{Queue: qu, finish: func() {
+		gatherInto(q.res.Labels, part, st.Label)
+		// Component count: a master whose label is its own id represents one
+		// component. Accumulate atomically instead of AllReduce (see runner).
+		var local uint64
+		forMasters(part, func(v graph.Vertex) {
+			if i, _ := part.LocalIndex(v); st.Label[i] == v {
+				local++
+			}
+		})
+		q.accum.Add(local)
+	}}
 }
 
 // --- K-core ---
 
-type kcoreRunner struct {
-	*core.Queue[kcore.Visitor]
-	st   *kcore.KCore
-	part *partition.Part
-	q    *query
-}
-
-func newKCoreRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
+func newKCoreRunner(env *runEnv) runner {
+	part, q := env.part, env.q
 	st := kcore.New(part, q.spec.K)
-	// K-core needs precise removal counts, so no ghost filtering (§IV-B).
-	qu := core.NewQueueShared[kcore.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		qu.Push(kcore.Visitor{V: graph.Vertex(v)})
-	}
-	return &kcoreRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *kcoreRunner) Finish() {
-	gatherInto(rn.q.res.InCore, rn.part, func(i int) bool { return rn.st.Alive[i] })
-	rn.q.accum.Add(rn.st.LocalCoreSize())
+	qu := newQueue[kcore.Visitor](env, st, false)
+	// One visitor per vertex absorbs the +1 in the counter initialization
+	// (Algorithm 5); the removal cascade then runs to quiescence.
+	forMasters(part, func(v graph.Vertex) { qu.Push(kcore.Visitor{V: v}) })
+	return &queueRunner[kcore.Visitor]{Queue: qu, finish: func() {
+		gatherInto(q.res.InCore, part, st.Alive)
+		q.accum.Add(st.LocalCoreSize())
+	}}
 }
 
 // --- Direction-optimizing BFS ---
@@ -242,16 +235,16 @@ type doBFSRunner struct {
 	stats     core.Stats
 }
 
-func newDOBFSRunner(part *partition.Part, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
+func newDOBFSRunner(env *runEnv) runner {
+	box, q := env.box, env.q
 	send := func(dest int, payload []byte) { box.SendTagged(dest, q.id, payload) }
 	var hint bfs.RowHinter
-	if pager != nil {
-		hint = pager // bottom-up unvisited-row scans prefetch through the pager
+	if env.pager != nil {
+		hint = env.pager // bottom-up unvisited-row scans prefetch through the pager
 	}
-	d := bfs.NewDO(part, q.spec.Source, send, hint)
+	d := bfs.NewDO(env.part, q.spec.Source, send, hint)
 	d.Start()
-	return &doBFSRunner{d: d, det: det, part: part, q: q}
+	return &doBFSRunner{d: d, det: env.det, part: env.part, q: q}
 }
 
 func (rn *doBFSRunner) Deliver(rec mailbox.Record) {
@@ -280,8 +273,6 @@ func (rn *doBFSRunner) Cancel() {
 	rn.d.Abort()
 }
 
-func (rn *doBFSRunner) Cancelled() bool { return rn.cancelled }
-
 func (rn *doBFSRunner) PumpTermination(localIdle bool) bool {
 	if !rn.det.Pump(localIdle) {
 		return false
@@ -295,60 +286,32 @@ func (rn *doBFSRunner) PumpTermination(localIdle bool) bool {
 func (rn *doBFSRunner) Stats() core.Stats { return rn.stats }
 
 func (rn *doBFSRunner) Finish() {
-	gatherInto(rn.q.res.Levels, rn.part, func(i int) uint32 { return rn.d.Level[i] })
-	gatherInto(rn.q.res.Parents, rn.part, func(i int) graph.Vertex { return rn.d.Parent[i] })
+	gatherInto(rn.q.res.Levels, rn.part, rn.d.Level)
+	gatherInto(rn.q.res.Parents, rn.part, rn.d.Parent)
 }
 
 // --- PageRank ---
 
-type pagerankRunner struct {
-	*core.Queue[pagerank.Visitor]
-	st   *pagerank.PR
-	part *partition.Part
-	q    *query
-}
-
-func newPageRankRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
+func newPageRankRunner(env *runEnv) runner {
+	part, q := env.part, env.q
 	st := pagerank.New(part, q.spec.Iters)
-	// Counted completion needs every contribution delivered: no ghost
-	// filtering (the algorithm declares no ghost hook anyway).
-	qu := core.NewQueueShared[pagerank.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
+	qu := newQueue[pagerank.Visitor](env, st, false)
 	st.Seed(qu)
-	return &pagerankRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *pagerankRunner) Finish() {
-	gatherInto(rn.q.res.Ranks, rn.part, func(i int) uint64 { return rn.st.Rank[i] })
+	return &queueRunner[pagerank.Visitor]{Queue: qu, finish: func() {
+		gatherInto(q.res.Ranks, part, st.Rank)
+	}}
 }
 
 // --- Triangle counting ---
 
-type triangleRunner struct {
-	*core.Queue[triangle.Visitor]
-	st   *triangle.Triangle
-	part *partition.Part
-	q    *query
-}
-
-func newTriangleRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query) runner {
-	st := triangle.New(part)
-	// Triangle counting needs precise adjacency membership: no ghosts (§VI-C).
-	qu := core.NewQueueShared[triangle.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for v := lo; v < hi; v++ {
-		qu.Push(triangle.Visitor{V: graph.Vertex(v), Second: graph.Nil, Third: graph.Nil})
-	}
-	return &triangleRunner{Queue: qu, st: st, part: part, q: q}
-}
-
-func (rn *triangleRunner) Finish() {
-	// The classic path all-reduces local tallies; engine queries quiesce in
-	// different orders on different ranks, so accumulate atomically instead.
-	var local uint64
-	for _, c := range rn.st.Count {
-		local += c
-	}
-	rn.q.accum.Add(local)
+func newTriangleRunner(env *runEnv) runner {
+	part, q := env.part, env.q
+	st := triangle.New(part, triangle.Options{SampleProb: q.spec.SampleProb, SampleSeed: q.spec.SampleSeed})
+	qu := newQueue[triangle.Visitor](env, st, false)
+	st.Seed(qu)
+	return &queueRunner[triangle.Visitor]{Queue: qu, finish: func() {
+		// Queries quiesce in different orders on different ranks, so the
+		// local tallies accumulate atomically rather than all-reduce.
+		q.accum.Add(st.LocalCount())
+	}}
 }

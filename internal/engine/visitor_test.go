@@ -1,0 +1,351 @@
+package engine
+
+// Tests that drive caller-built visitor algorithms — toy visitors probing
+// the core.Queue scheduler, and algorithm variants no Spec reaches — through
+// the one rank loop. The seam is query.custom: a runner factory submitted in
+// place of a Spec's algorithm, so these run on exactly the loop, mailbox,
+// detector and retire path every real query runs on.
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"havoqgt/internal/algos/sssp"
+	"havoqgt/internal/algos/triangle"
+	"havoqgt/internal/core"
+	"havoqgt/internal/graph"
+	"havoqgt/internal/partition"
+	"havoqgt/internal/rt"
+)
+
+// testGraph is a partitioned edge list on its own machine.
+type testGraph struct {
+	m     *rt.Machine
+	parts []*partition.Part
+}
+
+func buildTestGraph(t *testing.T, edges []graph.Edge, n uint64, p int) *testGraph {
+	t.Helper()
+	g := &testGraph{m: rt.NewMachine(p), parts: make([]*partition.Part, p)}
+	g.m.Run(func(r *rt.Rank) {
+		var local []graph.Edge
+		for i, e := range edges {
+			if i%p == r.Rank() {
+				local = append(local, e)
+			}
+		}
+		part, err := partition.BuildEdgeList(r, local, n)
+		if err != nil {
+			panic(err)
+		}
+		g.parts[r.Rank()] = part
+	})
+	return g
+}
+
+// runVisitors runs one custom query to quiescence on a transient engine:
+// start builds each rank's algorithm and pushes its initial visitors (it
+// runs on the rank's own goroutine, concurrently with the other ranks').
+func runVisitors[V core.Visitor](t *testing.T, g *testGraph, cfg core.Config,
+	start func(part *partition.Part, newQueue func(core.Algorithm[V]) *core.Queue[V])) []core.Stats {
+	t.Helper()
+	e, err := Start(Config{Machine: g.m, Parts: g.parts}, Options{Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := e.admit(Spec{Algo: "custom"}, func(env *runEnv) runner {
+		var qu *core.Queue[V]
+		start(env.part, func(algo core.Algorithm[V]) *core.Queue[V] {
+			qu = newQueue[V](env, algo, false)
+			return qu
+		})
+		return &queueRunner[V]{Queue: qu, finish: func() {}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Wait()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tk.Stats()
+}
+
+func ring(n uint64, strides ...uint64) []graph.Edge {
+	var edges []graph.Edge
+	for v := uint64(0); v < n; v++ {
+		for _, s := range strides {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + s) % n)})
+		}
+	}
+	return edges
+}
+
+// orderVisitor/orderAlgo record the order the local scheduler executes in.
+type orderVisitor struct {
+	v    graph.Vertex
+	prio uint32
+}
+
+func (o orderVisitor) Vertex() graph.Vertex { return o.v }
+
+type orderAlgo struct{ executed []orderVisitor }
+
+func (a *orderAlgo) PreVisit(v orderVisitor) bool { return true }
+func (a *orderAlgo) Visit(v orderVisitor, q *core.Queue[orderVisitor]) {
+	a.executed = append(a.executed, v)
+}
+func (a *orderAlgo) Less(x, y orderVisitor) bool { return x.prio < y.prio }
+func (a *orderAlgo) Encode(v orderVisitor, buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
+	return binary.LittleEndian.AppendUint32(buf, v.prio)
+}
+func (a *orderAlgo) Decode(buf []byte) orderVisitor {
+	return orderVisitor{
+		v:    graph.Vertex(binary.LittleEndian.Uint64(buf)),
+		prio: binary.LittleEndian.Uint32(buf[8:]),
+	}
+}
+
+// runOrder pushes the visitors on a single rank and returns the algorithm
+// (with its execution log) and the rank's stats.
+func runOrder(t *testing.T, cfg core.Config, push []orderVisitor) (*orderAlgo, core.Stats) {
+	t.Helper()
+	algo := &orderAlgo{}
+	stats := runVisitors(t, buildTestGraph(t, ring(16, 1), 16, 1), cfg,
+		func(part *partition.Part, newQueue func(core.Algorithm[orderVisitor]) *core.Queue[orderVisitor]) {
+			q := newQueue(algo)
+			for _, v := range push {
+				q.Push(v)
+			}
+		})
+	return algo, stats[0]
+}
+
+func TestLocalQueueOrdering(t *testing.T) {
+	// Mixed priorities must execute priority first, vertex id as tie-break
+	// (locality order, §V-A).
+	algo, _ := runOrder(t, core.Config{}, []orderVisitor{
+		{v: 9, prio: 1}, {v: 3, prio: 0}, {v: 7, prio: 0},
+		{v: 1, prio: 1}, {v: 5, prio: 0},
+	})
+	want := []orderVisitor{
+		{v: 3, prio: 0}, {v: 5, prio: 0}, {v: 7, prio: 0},
+		{v: 1, prio: 1}, {v: 9, prio: 1},
+	}
+	if len(algo.executed) != len(want) {
+		t.Fatalf("executed %d visitors, want %d", len(algo.executed), len(want))
+	}
+	for i := range want {
+		if algo.executed[i] != want[i] {
+			t.Fatalf("execution order %v, want %v", algo.executed, want)
+		}
+	}
+}
+
+func TestLocalQueueOrderingWithoutLocality(t *testing.T) {
+	// With locality order disabled, equal priorities may execute in any
+	// order, but priority classes must still be respected.
+	algo, _ := runOrder(t, core.Config{DisableLocalityOrder: true},
+		[]orderVisitor{{v: 9, prio: 2}, {v: 3, prio: 1}, {v: 7, prio: 1}})
+	if len(algo.executed) != 3 || algo.executed[2].prio != 2 {
+		t.Fatalf("priority 2 did not execute last: %v", algo.executed)
+	}
+}
+
+func TestQueueStatsConsistency(t *testing.T) {
+	var push []orderVisitor
+	for i := uint32(0); i < 10; i++ {
+		push = append(push, orderVisitor{v: graph.Vertex(i), prio: i})
+	}
+	_, stats := runOrder(t, core.Config{}, push)
+	if stats.Pushed != 10 || stats.Received != 10 || stats.Queued != 10 || stats.Executed != 10 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	if stats.Mailbox.RecordsSent != 10 || stats.Mailbox.RecordsDelivered != 10 {
+		t.Fatalf("mailbox stats = %+v", stats.Mailbox)
+	}
+}
+
+// floodAlgo floods a few hops from every vertex; a visitor stamped with
+// another round reaching it means two traversals' records mixed.
+type floodAlgo struct {
+	part  *partition.Part
+	seen  []bool
+	round uint32
+}
+
+type floodVisitor struct {
+	v     graph.Vertex
+	round uint32
+	hops  uint32
+}
+
+func (f floodVisitor) Vertex() graph.Vertex { return f.v }
+
+func (a *floodAlgo) PreVisit(v floodVisitor) bool {
+	if v.round != a.round {
+		panic("cross-traversal visitor contamination")
+	}
+	i, ok := a.part.LocalIndex(v.v)
+	if !ok || a.seen[i] {
+		return false
+	}
+	a.seen[i] = true
+	return true
+}
+
+func (a *floodAlgo) Visit(v floodVisitor, q *core.Queue[floodVisitor]) {
+	if v.hops == 0 {
+		return
+	}
+	for _, t := range q.OutEdges(v.v) {
+		q.Push(floodVisitor{v: t, round: v.round, hops: v.hops - 1})
+	}
+}
+
+func (a *floodAlgo) Less(x, y floodVisitor) bool { return false }
+
+func (a *floodAlgo) Encode(v floodVisitor, buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
+	buf = binary.LittleEndian.AppendUint32(buf, v.round)
+	return binary.LittleEndian.AppendUint32(buf, v.hops)
+}
+
+func (a *floodAlgo) Decode(buf []byte) floodVisitor {
+	return floodVisitor{
+		v:     graph.Vertex(binary.LittleEndian.Uint64(buf[0:])),
+		round: binary.LittleEndian.Uint32(buf[8:]),
+		hops:  binary.LittleEndian.Uint32(buf[12:]),
+	}
+}
+
+func TestConsecutiveTraversalsDoNotContaminate(t *testing.T) {
+	// Many back-to-back one-shot traversals on one machine: every transient
+	// engine reuses query id 1, so nothing of a finished traversal — record,
+	// termination wave — may survive into the next one's plane.
+	g := buildTestGraph(t, ring(64, 1, 7), 64, 4)
+	for round := uint32(0); round < 20; round++ {
+		runVisitors(t, g, core.Config{},
+			func(part *partition.Part, newQueue func(core.Algorithm[floodVisitor]) *core.Queue[floodVisitor]) {
+				q := newQueue(&floodAlgo{part: part, seen: make([]bool, part.StateLen), round: round})
+				forMasters(part, func(v graph.Vertex) {
+					q.Push(floodVisitor{v: v, round: round, hops: 3})
+				})
+			})
+	}
+}
+
+// TestCorruptDistanceRejectedAndSaturated is the regression test for the
+// SSSP relaxation-overflow bug: a corrupted (fault-injected) visitor carrying
+// a near-max distance used to relax edges with Dist+Weight wrapping past
+// Unreached, minting a tiny garbage distance that won every improvement
+// test. Now the wire-decode admission path (PreVisit) rejects distances
+// beyond MaxDist, and the relaxation itself saturates instead of wrapping.
+func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
+	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	var s *sssp.SSSP
+	var part *partition.Part
+	runVisitors(t, buildTestGraph(t, edges, 4, 1), core.Config{},
+		func(p *partition.Part, newQueue func(core.Algorithm[sssp.Visitor]) *core.Queue[sssp.Visitor]) {
+			part, s = p, sssp.New(p, 99)
+			q := newQueue(s)
+
+			// Wire-decode path: corrupted near-∞ distances must not be admitted.
+			if s.PreVisit(sssp.Visitor{V: 1, Dist: ^uint64(0) - 3, Parent: 0}) {
+				t.Error("PreVisit admitted a near-max corrupted distance")
+			}
+			if s.PreVisit(sssp.Visitor{V: 1, Dist: sssp.MaxDist + 1, Parent: 0}) {
+				t.Error("PreVisit admitted a distance beyond MaxDist")
+			}
+			// Honest distances still pass.
+			if !s.PreVisit(sssp.Visitor{V: 1, Dist: 7, Parent: 0}) {
+				t.Error("PreVisit rejected an honest improving distance")
+			}
+
+			// Saturation path: state poked directly (as a memory fault would)
+			// must not wrap during relaxation — the saturated pushes get
+			// rejected at their targets' PreVisit, leaving neighbors untouched.
+			i, _ := p.LocalIndex(1)
+			s.Dist[i] = ^uint64(0) - 3
+			s.Visit(sssp.Visitor{V: 1, Dist: s.Dist[i], Parent: 0}, q)
+		})
+	for _, v := range []graph.Vertex{0, 2} {
+		j, _ := part.LocalIndex(v)
+		if s.Dist[j] != sssp.Unreached {
+			t.Fatalf("dist(%d) = %d: overflow-wrapped relaxation escaped", v, s.Dist[j])
+		}
+	}
+}
+
+// countTriangles runs the triangle counter with options no Spec carries and
+// returns every rank's algorithm state.
+func countTriangles(t *testing.T, pairs []graph.Edge, n uint64, p int, opts triangle.Options) []*triangle.Triangle {
+	t.Helper()
+	states := make([]*triangle.Triangle, p)
+	runVisitors(t, buildTestGraph(t, graph.Simplify(graph.Undirect(pairs)), n, p), core.Config{},
+		func(part *partition.Part, newQueue func(core.Algorithm[triangle.Visitor]) *core.Queue[triangle.Visitor]) {
+			st := triangle.New(part, opts)
+			states[part.Rank] = st
+			st.Seed(newQueue(st))
+		})
+	return states
+}
+
+func sumCounts(states []*triangle.Triangle) uint64 {
+	var total uint64
+	for _, st := range states {
+		total += st.LocalCount()
+	}
+	return total
+}
+
+func TestTriangleSubsetCounting(t *testing.T) {
+	// K5 on vertices 0..4 plus a triangle on 5,6,7. Restricting to 0..4
+	// counts only K5's C(5,3)=10 triangles.
+	var pairs []graph.Edge
+	for a := uint64(0); a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			pairs = append(pairs, graph.Edge{Src: graph.Vertex(a), Dst: graph.Vertex(b)})
+		}
+	}
+	pairs = append(pairs, graph.Edge{Src: 5, Dst: 6}, graph.Edge{Src: 6, Dst: 7}, graph.Edge{Src: 5, Dst: 7})
+	subset := triangle.Options{Subset: func(v graph.Vertex) bool { return v < 5 }}
+	if got := sumCounts(countTriangles(t, pairs, 8, 3, subset)); got != 10 {
+		t.Fatalf("subset counted %d, want 10", got)
+	}
+	if got := sumCounts(countTriangles(t, pairs, 8, 3, triangle.Options{})); got != 11 {
+		t.Fatalf("full count %d, want 11", got)
+	}
+}
+
+func TestTriangleSubsetCrossTrianglesExcluded(t *testing.T) {
+	// Triangle 0-1-2 where vertex 2 is outside the subset: not counted.
+	pairs := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2}}
+	subset := triangle.Options{Subset: func(v graph.Vertex) bool { return v < 2 }}
+	if got := sumCounts(countTriangles(t, pairs, 3, 2, subset)); got != 0 {
+		t.Fatalf("cross triangle counted: %d", got)
+	}
+}
+
+func TestTrianglePerVertexCounts(t *testing.T) {
+	// Two triangles sharing vertex 3, {1,2,3} and {0,1,3}: both are
+	// attributed to their largest member, vertex 3. Per-vertex counts live on
+	// disjoint rows except for split replicas, which hold disjoint
+	// increments, so the exact total is the sum over ranks.
+	pairs := []graph.Edge{
+		{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 1, Dst: 3},
+		{Src: 0, Dst: 1}, {Src: 0, Dst: 3},
+	}
+	states := countTriangles(t, pairs, 4, 3, triangle.Options{})
+	want := []uint64{0, 0, 0, 2}
+	for v := range want {
+		var total uint64
+		for _, st := range states {
+			total += st.PerVertexCount(graph.Vertex(v))
+		}
+		if total != want[v] {
+			t.Fatalf("per-vertex count(%d) = %d, want %d", v, total, want[v])
+		}
+	}
+}

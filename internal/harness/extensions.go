@@ -3,11 +3,10 @@ package harness
 import (
 	"time"
 
-	"havoqgt/internal/algos/cc"
 	"havoqgt/internal/algos/sssp"
-	"havoqgt/internal/algos/triangle"
+	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/rt"
 )
 
 // Extensions benchmarks the framework features beyond the paper's three
@@ -26,107 +25,59 @@ func Extensions(s Sizing) *Table {
 	p := min(8, s.MaxP)
 	spec := RMATSpec(s.VertsPerRankLog2+2, s.Seed)
 
+	opts := CommonOpts{P: p, Topology: "2d", Seed: s.Seed}
+	e, err := opts.setup(spec)
+	if err != nil {
+		panic(err)
+	}
+	defer e.close()
+	ghosts := core.BuildGhostTables(e.parts, core.DefaultGhostsPerPartition)
+
 	// SSSP.
-	var ssspTime time.Duration
+	var src graph.Vertex
+	if srcs := pickSources(e.parts, 1, s.Seed); len(srcs) > 0 {
+		src = srcs[0]
+	}
+	res, _, elapsed, err := e.run(ghosts, engine.Spec{Algo: engine.AlgoSSSP, Source: src, WeightSeed: s.Seed}, "sssp.run")
+	if err != nil {
+		panic(err)
+	}
 	var maxDist uint64
-	m := rt.NewMachine(p)
-	m.Run(func(r *rt.Rank) {
-		env, err := (CommonOpts{P: p, Topology: "2d", Seed: s.Seed}).setup(r, spec)
-		if err != nil {
-			panic(err)
+	for _, d := range res.Dist {
+		if d != sssp.Unreached {
+			maxDist = max(maxDist, d)
 		}
-		src := pickSourcesDistributed(r, env, s.Seed)
-		r.Barrier()
-		if r.Rank() == 0 {
-			m.ResetStats()
-		}
-		r.Barrier()
-		start := time.Now()
-		res := sssp.Run(r, env.part, src, s.Seed, (CommonOpts{P: p, Topology: "2d"}).coreConfig(env, 256))
-		r.Barrier()
-		elapsed := time.Since(start)
-		if r.Rank() == 0 {
-			RecordProfile(PhaseProfile{
-				Graph: spec.Name, Algo: "sssp", Phase: "sssp.run",
-				Topology: "2d", P: p,
-				WallNS: elapsed.Nanoseconds(), Metrics: m.Obs().Snapshot(),
-			})
-		}
-		lo, hi := env.part.Owners.MasterRange(env.part.Rank)
-		var localMax uint64
-		for v := lo; v < hi; v++ {
-			i, _ := env.part.LocalIndex(graph.Vertex(v))
-			if d := res.Dist[i]; d != sssp.Unreached && d > localMax {
-				localMax = d
-			}
-		}
-		g := r.AllReduceU64(localMax, rt.Max)
-		if r.Rank() == 0 {
-			ssspTime, maxDist = elapsed, g
-		}
-	})
-	t.AddRow("sssp", spec.Name, p, ssspTime.Round(time.Millisecond), maxDist)
+	}
+	t.AddRow("sssp", spec.Name, p, elapsed.Round(time.Millisecond), maxDist)
 
 	// Connected components.
-	var ccTime time.Duration
-	var comps uint64
-	m = rt.NewMachine(p)
-	m.Run(func(r *rt.Rank) {
-		env, err := (CommonOpts{P: p, Topology: "2d", Seed: s.Seed}).setup(r, spec)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		if r.Rank() == 0 {
-			m.ResetStats()
-		}
-		r.Barrier()
-		start := time.Now()
-		res := cc.Run(r, env.part, (CommonOpts{P: p, Topology: "2d"}).coreConfig(env, 256))
-		r.Barrier()
-		elapsed := time.Since(start)
-		if r.Rank() == 0 {
-			RecordProfile(PhaseProfile{
-				Graph: spec.Name, Algo: "cc", Phase: "cc.run",
-				Topology: "2d", P: p,
-				WallNS: elapsed.Nanoseconds(), Metrics: m.Obs().Snapshot(),
-			})
-		}
-		n := cc.NumComponents(r, res)
-		if r.Rank() == 0 {
-			ccTime, comps = elapsed, n
-		}
-	})
-	t.AddRow("cc", spec.Name, p, ccTime.Round(time.Millisecond), comps)
+	res, _, elapsed, err = e.run(ghosts, engine.Spec{Algo: engine.AlgoCC}, "cc.run")
+	if err != nil {
+		panic(err)
+	}
+	t.AddRow("cc", spec.Name, p, elapsed.Round(time.Millisecond), res.Components)
 
 	// Exact vs sampled triangle counting.
 	swSpec := SWSpec(uint64(1)<<(s.VertsPerRankLog2+1), 16, 0.05, s.Seed)
-	exact, err := RunTriangles(TriangleOpts{CommonOpts: CommonOpts{P: p, Topology: "2d", Seed: s.Seed}, Graph: swSpec})
+	exact, err := RunTriangles(TriangleOpts{CommonOpts: opts, Graph: swSpec})
 	if err != nil {
 		panic(err)
 	}
 	t.AddRow("tc-exact", swSpec.Name, p, exact.Time.Round(time.Millisecond), exact.Triangles)
 
-	var sampTime time.Duration
-	var estimate float64
-	m = rt.NewMachine(p)
-	m.Run(func(r *rt.Rank) {
-		opts := CommonOpts{P: p, Topology: "2d", Simplify: true, Seed: s.Seed}
-		env, err := opts.setup(r, swSpec)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		start := time.Now()
-		res := triangle.RunOpts(r, env.part, opts.coreConfig(env, 0),
-			triangle.Options{SampleProb: 0.25, SampleSeed: s.Seed})
-		r.Barrier()
-		elapsed := time.Since(start)
-		if r.Rank() == 0 {
-			sampTime, estimate = elapsed, res.Estimate()
-		}
-	})
-	t.AddRow("tc-sampled-25%", swSpec.Name, p, sampTime.Round(time.Millisecond), uint64(estimate))
+	opts.Simplify = true
+	sw, err := opts.setup(swSpec)
+	if err != nil {
+		panic(err)
+	}
+	defer sw.close()
+	const sampleProb = 0.25
+	res, _, elapsed, err = sw.run(nil, engine.Spec{Algo: engine.AlgoTriangles,
+		SampleProb: sampleProb, SampleSeed: s.Seed}, "triangle.sampled")
+	if err != nil {
+		panic(err)
+	}
+	t.AddRow("tc-sampled-25%", swSpec.Name, p, elapsed.Round(time.Millisecond), uint64(float64(res.Triangles)/sampleProb))
 
 	// Single-node multithreaded BFS (Leviathan-style, DRAM).
 	start := time.Now()
@@ -136,13 +87,4 @@ func Extensions(s Sizing) *Table {
 	}
 	t.AddRow("smp-bfs (1 node, 4 threads)", spec.Name, 1, time.Since(start).Round(time.Millisecond), uint64(smpTEPS))
 	return t
-}
-
-// pickSourcesDistributed picks one valid source (helper for extensions).
-func pickSourcesDistributed(r *rt.Rank, env *rankEnv, seed uint64) graph.Vertex {
-	srcs := pickSources(r, env.part, 1, seed)
-	if len(srcs) == 0 {
-		return 0
-	}
-	return srcs[0]
 }

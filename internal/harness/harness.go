@@ -2,7 +2,9 @@
 // distributed machine: it generates graphs in parallel (one chunk per rank),
 // builds the partitioned representation, optionally moves edge storage onto
 // simulated NVRAM behind the user-space page cache, runs the distributed
-// algorithms, and aggregates timings and counters into result rows.
+// algorithms — each timed traversal is one engine.RunOnce from outside the
+// machine's SPMD set-up phase — and aggregates timings and counters into
+// result rows.
 //
 // Every figure and table of the paper's evaluation section (§VII) has a
 // runner in figures.go; cmd/experiments and the root benchmarks are thin
@@ -14,13 +16,11 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/kcore"
-	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/extmem"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
@@ -99,10 +99,6 @@ func (o CommonOpts) topologyName() string {
 	return o.Topology
 }
 
-func (o CommonOpts) topology(p int) (mailbox.Topology, error) {
-	return mailbox.ByName(o.topologyName(), p)
-}
-
 func (o CommonOpts) build(r *rt.Rank, local []graph.Edge, n uint64) (*partition.Part, error) {
 	switch {
 	case o.Partition == OneD:
@@ -114,70 +110,88 @@ func (o CommonOpts) build(r *rt.Rank, local []graph.Edge, n uint64) (*partition.
 	}
 }
 
-// rankEnv is the per-rank state the runners build before the timed section.
-type rankEnv struct {
-	r     *rt.Rank
-	part  *partition.Part
-	store *extmem.Store // nil in DRAM runs
-	topo  mailbox.Topology
+// env is the machine-wide state a runner builds, SPMD, before its timed
+// sections: the machine, every rank's partition and (NVRAM runs) store.
+type env struct {
+	o      CommonOpts
+	graph  string
+	m      *rt.Machine
+	parts  []*partition.Part
+	stores []*extmem.Store // nil in DRAM runs
 }
 
-// setup generates this rank's chunk, builds the partition, and applies the
-// storage configuration. Collective.
-func (o CommonOpts) setup(r *rt.Rank, spec GraphSpec) (*rankEnv, error) {
-	directed := spec.GenChunk(r.Rank(), r.Size())
-	local := graph.Undirect(directed)
-	part, err := o.build(r, local, spec.NumVertices)
-	if err != nil {
-		return nil, err
-	}
-	env := &rankEnv{r: r, part: part}
+// setup generates every rank's chunk, builds the partitions, and applies the
+// storage configuration — one collective phase on a fresh machine.
+func (o CommonOpts) setup(spec GraphSpec) (*env, error) {
+	e := &env{o: o, graph: spec.Name, m: rt.NewMachine(o.P), parts: make([]*partition.Part, o.P)}
 	if o.NVRAM != nil {
-		cfg := *o.NVRAM
-		store, err := extmem.ExternalizeCSR(part.CSR, cfg)
+		e.stores = make([]*extmem.Store, o.P)
+	}
+	errs := make([]error, o.P)
+	e.m.Run(func(r *rt.Rank) {
+		local := graph.Undirect(spec.GenChunk(r.Rank(), r.Size()))
+		part, err := o.build(r, local, spec.NumVertices)
+		if err == nil && o.NVRAM != nil {
+			e.stores[r.Rank()], err = extmem.ExternalizeCSR(part.CSR, *o.NVRAM)
+		}
+		e.parts[r.Rank()], errs[r.Rank()] = part, err
+	})
+	for _, err := range errs {
 		if err != nil {
+			e.close()
 			return nil, err
 		}
-		env.store = store
 	}
-	env.topo, err = o.topology(r.Size())
-	if err != nil {
-		return nil, err
-	}
-	return env, nil
+	return e, nil
 }
 
-// coreConfig assembles the visitor-queue config for this rank.
-func (o CommonOpts) coreConfig(env *rankEnv, ghosts int) core.Config {
-	cfg := core.Config{
-		Topology:             env.topo,
-		FlushBytes:           o.FlushBytes,
-		DisableLocalityOrder: o.DisableLocalityOrder,
+func (e *env) close() {
+	for _, st := range e.stores {
+		if st != nil {
+			st.Close()
+		}
 	}
-	if ghosts > 0 {
-		cfg.Ghosts = core.BuildGhostTable(env.part, ghosts)
+}
+
+// run is one timed traversal: the machine's counters restart from a coherent
+// zero across rt/mailbox/termination, the query runs on a transient engine
+// (engine.RunOnce), and the phase's communication profile is recorded under
+// the given phase name.
+func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*engine.Result, AggStats, time.Duration, error) {
+	e.m.ResetStats()
+	span := e.m.Obs().StartPhase(string(spec.Algo)+".run", 0)
+	start := time.Now()
+	res, stats, err := engine.RunOnce(
+		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName()},
+		engine.Options{Core: core.Config{FlushBytes: e.o.FlushBytes, DisableLocalityOrder: e.o.DisableLocalityOrder}},
+		spec)
+	elapsed := time.Since(start)
+	span.End()
+	if err != nil {
+		return nil, AggStats{}, 0, err
 	}
-	return cfg
+	RecordProfile(PhaseProfile{
+		Graph: e.graph, Algo: string(spec.Algo), Phase: phase,
+		Topology: e.o.topologyName(), P: e.o.P,
+		WallNS:  elapsed.Nanoseconds(),
+		Metrics: e.m.Obs().Snapshot(),
+	})
+	return res, sumStats(stats), elapsed, nil
 }
 
 // pickSources selects n distinct source vertices with at least one edge,
-// using a shared deterministic RNG so every rank picks the same vertices
-// without communication beyond a degree check.
-func pickSources(r *rt.Rank, part *partition.Part, n int, seed uint64) []graph.Vertex {
+// deterministically from the seed.
+func pickSources(parts []*partition.Part, n int, seed uint64) []graph.Vertex {
 	rng := xrand.New(xrand.Mix64(seed) ^ 0xb105f00d)
 	var sources []graph.Vertex
 	seen := map[graph.Vertex]bool{}
 	for attempts := 0; len(sources) < n && attempts < 10000; attempts++ {
-		v := graph.Vertex(rng.Uint64n(part.NumVertices))
+		v := graph.Vertex(rng.Uint64n(parts[0].NumVertices))
 		if seen[v] {
 			continue
 		}
 		seen[v] = true
-		var hasEdges uint64
-		if part.IsMaster(v) && part.GlobalDegree(v) > 0 {
-			hasEdges = 1
-		}
-		if r.AllReduceU64(hasEdges, rt.Max) == 1 {
+		if parts[parts[0].Master(v)].GlobalDegree(v) > 0 {
 			sources = append(sources, v)
 		}
 	}
@@ -195,16 +209,32 @@ type AggStats struct {
 	DetectorWaves    uint64
 }
 
-func reduceStats(r *rt.Rank, s core.Stats) AggStats {
-	return AggStats{
-		VisitorsExecuted: r.AllReduceU64(s.Executed, rt.Sum),
-		VisitorsPushed:   r.AllReduceU64(s.Pushed, rt.Sum),
-		GhostFiltered:    r.AllReduceU64(s.GhostFiltered, rt.Sum),
-		Forwarded:        r.AllReduceU64(s.Forwarded, rt.Sum),
-		EnvelopesSent:    r.AllReduceU64(s.Mailbox.EnvelopesSent, rt.Sum),
-		RecordsSent:      r.AllReduceU64(s.Mailbox.RecordsSent, rt.Sum),
-		DetectorWaves:    r.AllReduceU64(s.DetectorWaves, rt.Max),
+// sumStats folds one query's per-rank counters (Ticket.Stats).
+func sumStats(stats []core.Stats) AggStats {
+	var a AggStats
+	for _, s := range stats {
+		a.add(AggStats{
+			VisitorsExecuted: s.Executed,
+			VisitorsPushed:   s.Pushed,
+			GhostFiltered:    s.GhostFiltered,
+			Forwarded:        s.Forwarded,
+			EnvelopesSent:    s.Mailbox.EnvelopesSent,
+			RecordsSent:      s.Mailbox.RecordsSent,
+			DetectorWaves:    s.DetectorWaves,
+		})
 	}
+	return a
+}
+
+// add accumulates b: sums, except the wave count, which is a maximum.
+func (a *AggStats) add(b AggStats) {
+	a.VisitorsExecuted += b.VisitorsExecuted
+	a.VisitorsPushed += b.VisitorsPushed
+	a.GhostFiltered += b.GhostFiltered
+	a.Forwarded += b.Forwarded
+	a.EnvelopesSent += b.EnvelopesSent
+	a.RecordsSent += b.RecordsSent
+	a.DetectorWaves = max(a.DetectorWaves, b.DetectorWaves)
 }
 
 // CacheAgg aggregates page-cache statistics across ranks.
@@ -220,16 +250,14 @@ func (c CacheAgg) HitRate() float64 {
 	return float64(c.Hits) / float64(c.Hits+c.Misses)
 }
 
-func reduceCache(r *rt.Rank, env *rankEnv) CacheAgg {
-	var h, m uint64
-	if env.store != nil {
-		st := env.store.Cache().Stats()
-		h, m = st.Hits, st.Misses
+func (e *env) cacheStats() CacheAgg {
+	var c CacheAgg
+	for _, store := range e.stores {
+		st := store.Cache().Stats()
+		c.Hits += st.Hits
+		c.Misses += st.Misses
 	}
-	return CacheAgg{
-		Hits:   r.AllReduceU64(h, rt.Sum),
-		Misses: r.AllReduceU64(m, rt.Sum),
-	}
+	return c
 }
 
 // BFSResult summarizes a BFS experiment.
@@ -254,7 +282,21 @@ type BFSOpts struct {
 	Graph    GraphSpec
 	Sources  int  // BFS roots to run and sum (Graph500 style)
 	Ghosts   int  // ghost table size per partition (0 = none)
-	Validate bool // run Graph500-style distributed validation per source
+	Validate bool // run Graph500-style validation per source
+}
+
+// TraversedEdges returns the Graph500 traversed-edge count of a BFS: the
+// stored directed edges incident to reached vertices, halved.
+func TraversedEdges(parts []*partition.Part, levels []uint32) uint64 {
+	var sum uint64
+	for _, part := range parts {
+		for i := 0; i < part.StateLen; i++ {
+			if levels[part.Vertex(i)] != bfs.Unreached {
+				sum += part.CSR.Degree(i)
+			}
+		}
+	}
+	return sum / 2
 }
 
 // RunBFS executes the experiment and returns aggregate results.
@@ -263,91 +305,43 @@ func RunBFS(o BFSOpts) (BFSResult, error) {
 		o.Sources = 1
 	}
 	res := BFSResult{Graph: o.Graph.Name, P: o.P, NumVertices: o.Graph.NumVertices, Sources: o.Sources}
-	var runErr error
-	m := rt.NewMachine(o.P)
-	m.Run(func(r *rt.Rank) {
-		buildStart := time.Now()
-		env, err := o.setup(r, o.Graph)
+	buildStart := time.Now()
+	e, err := o.setup(o.Graph)
+	if err != nil {
+		return res, err
+	}
+	defer e.close()
+	res.BuildTime = time.Since(buildStart)
+	res.GlobalEdges = e.parts[0].GlobalEdges
+	sources := pickSources(e.parts, o.Sources, o.Seed)
+	if len(sources) == 0 {
+		return res, fmt.Errorf("harness: no BFS source with edges found")
+	}
+	ghosts := core.BuildGhostTables(e.parts, o.Ghosts)
+	for si, src := range sources {
+		for _, store := range e.stores {
+			store.Cache().ResetStats()
+		}
+		out, stats, elapsed, err := e.run(ghosts, engine.Spec{Algo: engine.AlgoBFS, Source: src}, fmt.Sprintf("bfs.src%d", si))
 		if err != nil {
-			panic(err)
+			return res, err
 		}
-		r.Barrier()
-		if r.Rank() == 0 {
-			res.BuildTime = time.Since(buildStart)
-			res.GlobalEdges = env.part.GlobalEdges
-		}
-		sources := pickSources(r, env.part, o.Sources, o.Seed)
-		var agg AggStats
-		var traversed uint64
-		var total time.Duration
-		var maxLevel uint32
-		for si, src := range sources {
-			if env.store != nil {
-				env.store.Cache().ResetStats()
-			}
-			cfg := o.coreConfig(env, o.Ghosts)
-			r.Barrier()
-			if r.Rank() == 0 {
-				// One reset path for every subsystem's counters: the phase
-				// starts from a coherent zero across rt/mailbox/termination.
-				m.ResetStats()
-			}
-			r.Barrier()
-			start := time.Now()
-			out := bfs.Run(r, env.part, src, cfg)
-			r.Barrier()
-			elapsed := time.Since(start)
-			if r.Rank() == 0 {
-				RecordProfile(PhaseProfile{
-					Graph: o.Graph.Name, Algo: "bfs",
-					Phase:    fmt.Sprintf("bfs.src%d", si),
-					Topology: o.topologyName(), P: o.P,
-					WallNS:  elapsed.Nanoseconds(),
-					Metrics: m.Obs().Snapshot(),
-				})
-			}
-			if o.Validate {
-				if err := ValidateBFS(r, env.part, out.BFS, src); err != nil {
-					panic(fmt.Sprintf("BFS validation failed: %v", err))
-				}
-			}
-			reached := r.AllReduceU64(out.ReachedEdges(), rt.Sum) / 2
-			lvl := uint32(r.AllReduceU64(uint64(out.MaxLevel()), rt.Max))
-			s := reduceStats(r, out.Stats)
-			if r.Rank() == 0 {
-				total += elapsed
-				traversed += reached
-				if lvl > maxLevel {
-					maxLevel = lvl
-				}
-				agg.VisitorsExecuted += s.VisitorsExecuted
-				agg.VisitorsPushed += s.VisitorsPushed
-				agg.GhostFiltered += s.GhostFiltered
-				agg.Forwarded += s.Forwarded
-				agg.EnvelopesSent += s.EnvelopesSent
-				agg.RecordsSent += s.RecordsSent
-				agg.DetectorWaves = max(agg.DetectorWaves, s.DetectorWaves)
+		if o.Validate {
+			if err := ValidateBFS(e.parts, out.Levels, out.Parents, src); err != nil {
+				return res, fmt.Errorf("BFS validation failed: %w", err)
 			}
 		}
-		cache := reduceCache(r, env)
-		if r.Rank() == 0 {
-			res.TotalTime = total
-			res.TraversedEdges = traversed
-			res.MaxLevel = maxLevel
-			res.Stats = agg
-			res.Cache = cache
-			if total > 0 {
-				res.TEPS = float64(traversed) / total.Seconds()
-			}
-			if len(sources) == 0 {
-				runErr = fmt.Errorf("harness: no BFS source with edges found")
-			}
-		}
-		if env.store != nil {
-			env.store.Close()
-		}
-	})
-	return res, runErr
+		res.TotalTime += elapsed
+		res.TraversedEdges += TraversedEdges(e.parts, out.Levels)
+		_, depth := bfs.Summary(out.Levels)
+		res.MaxLevel = max(res.MaxLevel, depth)
+		res.Stats.add(stats)
+	}
+	res.Cache = e.cacheStats()
+	if res.TotalTime > 0 {
+		res.TEPS = float64(res.TraversedEdges) / res.TotalTime.Seconds()
+	}
+	return res, nil
 }
 
 // KCoreResult summarizes one k of a k-core experiment.
@@ -371,47 +365,24 @@ type KCoreOpts struct {
 // RunKCore executes the experiment for each k.
 func RunKCore(o KCoreOpts) ([]KCoreResult, error) {
 	o.Simplify = true // k-core requires a simple graph
+	e, err := o.setup(o.Graph)
+	if err != nil {
+		return nil, err
+	}
+	defer e.close()
 	results := make([]KCoreResult, len(o.Ks))
-	m := rt.NewMachine(o.P)
-	m.Run(func(r *rt.Rank) {
-		env, err := o.setup(r, o.Graph)
+	for i, k := range o.Ks {
+		// k-core cannot use ghosts.
+		out, stats, elapsed, err := e.run(nil, engine.Spec{Algo: engine.AlgoKCore, K: k}, fmt.Sprintf("kcore.k%d", k))
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		for i, k := range o.Ks {
-			cfg := o.coreConfig(env, 0) // k-core cannot use ghosts
-			r.Barrier()
-			if r.Rank() == 0 {
-				m.ResetStats()
-			}
-			r.Barrier()
-			start := time.Now()
-			out := kcore.Run(r, env.part, k, cfg)
-			r.Barrier()
-			elapsed := time.Since(start)
-			if r.Rank() == 0 {
-				RecordProfile(PhaseProfile{
-					Graph: o.Graph.Name, Algo: "kcore",
-					Phase:    fmt.Sprintf("kcore.k%d", k),
-					Topology: o.topologyName(), P: o.P,
-					WallNS:  elapsed.Nanoseconds(),
-					Metrics: m.Obs().Snapshot(),
-				})
-			}
-			size := kcore.GlobalCoreSize(r, out)
-			s := reduceStats(r, out.Stats)
-			if r.Rank() == 0 {
-				results[i] = KCoreResult{
-					Graph: o.Graph.Name, P: o.P, K: k,
-					GlobalEdges: env.part.GlobalEdges,
-					Time:        elapsed, CoreSize: size, Stats: s,
-				}
-			}
+		results[i] = KCoreResult{
+			Graph: o.Graph.Name, P: o.P, K: k,
+			GlobalEdges: e.parts[0].GlobalEdges,
+			Time:        elapsed, CoreSize: out.CoreSize, Stats: stats,
 		}
-		if env.store != nil {
-			env.store.Close()
-		}
-	})
+	}
 	return results, nil
 }
 
@@ -434,53 +405,28 @@ type TriangleOpts struct {
 
 // RunTriangles executes the experiment.
 func RunTriangles(o TriangleOpts) (TriangleResult, error) {
-	o.Simplify = true // triangle counting requires a simple graph
-	var res TriangleResult
-	m := rt.NewMachine(o.P)
-	m.Run(func(r *rt.Rank) {
-		env, err := o.setup(r, o.Graph)
-		if err != nil {
-			panic(err)
-		}
-		// Max degree (over masters) for the Figure 11 x-axis.
-		var localMax uint64
-		lo, hi := env.part.Owners.MasterRange(env.part.Rank)
+	o.Simplify = true // the paper counts on simple graphs
+	e, err := o.setup(o.Graph)
+	if err != nil {
+		return TriangleResult{}, err
+	}
+	defer e.close()
+	// Max degree (over masters) for the Figure 11 x-axis.
+	var maxDeg uint64
+	for _, part := range e.parts {
+		lo, hi := part.Owners.MasterRange(part.Rank)
 		for v := lo; v < hi; v++ {
-			if d := env.part.GlobalDegree(graph.Vertex(v)); d > localMax {
-				localMax = d
-			}
+			maxDeg = max(maxDeg, part.GlobalDegree(graph.Vertex(v)))
 		}
-		maxDeg := r.AllReduceU64(localMax, rt.Max)
-		cfg := o.coreConfig(env, 0) // triangle counting cannot use ghosts
-		r.Barrier()
-		if r.Rank() == 0 {
-			m.ResetStats()
-		}
-		r.Barrier()
-		start := time.Now()
-		out := triangle.Run(r, env.part, cfg)
-		r.Barrier()
-		elapsed := time.Since(start)
-		if r.Rank() == 0 {
-			RecordProfile(PhaseProfile{
-				Graph: o.Graph.Name, Algo: "triangle",
-				Phase:    "triangle.count",
-				Topology: o.topologyName(), P: o.P,
-				WallNS:  elapsed.Nanoseconds(),
-				Metrics: m.Obs().Snapshot(),
-			})
-		}
-		s := reduceStats(r, out.Stats)
-		if r.Rank() == 0 {
-			res = TriangleResult{
-				Graph: o.Graph.Name, P: o.P,
-				GlobalEdges: env.part.GlobalEdges, MaxDegree: maxDeg,
-				Time: elapsed, Triangles: out.GlobalCount, Stats: s,
-			}
-		}
-		if env.store != nil {
-			env.store.Close()
-		}
-	})
-	return res, nil
+	}
+	// Triangle counting cannot use ghosts.
+	out, stats, elapsed, err := e.run(nil, engine.Spec{Algo: engine.AlgoTriangles}, "triangle.count")
+	if err != nil {
+		return TriangleResult{}, err
+	}
+	return TriangleResult{
+		Graph: o.Graph.Name, P: o.P,
+		GlobalEdges: e.parts[0].GlobalEdges, MaxDegree: maxDeg,
+		Time: elapsed, Triangles: out.Triangles, Stats: stats,
+	}, nil
 }

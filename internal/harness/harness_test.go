@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"havoqgt/internal/extmem"
-	"havoqgt/internal/rt"
 )
 
 func tinySizing() Sizing {
@@ -296,7 +295,7 @@ func TestRunBFSWithValidation(t *testing.T) {
 		Graph:      RMATSpec(9, 4),
 		Sources:    2,
 		Ghosts:     64,
-		Validate:   true, // panics inside if the traversal is wrong
+		Validate:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,35 +335,23 @@ func TestExtensionsRuns(t *testing.T) {
 	}
 }
 
-func TestPickSourcesDeterministicAcrossRanks(t *testing.T) {
-	// Every rank must derive the same source list without coordination
-	// beyond the degree check.
-	spec := RMATSpec(9, 6)
-	lists := make([][]uint64, 3)
-	rt.NewMachine(3).Run(func(r *rt.Rank) {
-		env, err := (CommonOpts{P: 3, Seed: 6}).setup(r, spec)
-		if err != nil {
-			panic(err)
-		}
-		srcs := pickSources(r, env.part, 4, 6)
-		vals := make([]uint64, len(srcs))
-		for i, s := range srcs {
-			vals[i] = uint64(s)
-		}
-		lists[r.Rank()] = vals
-	})
-	for rank := 1; rank < 3; rank++ {
-		if len(lists[rank]) != len(lists[0]) {
-			t.Fatalf("rank %d picked %d sources, rank 0 picked %d", rank, len(lists[rank]), len(lists[0]))
-		}
-		for i := range lists[0] {
-			if lists[rank][i] != lists[0][i] {
-				t.Fatalf("rank %d source %d differs", rank, i)
-			}
-		}
+func TestPickSourcesDeterministicWithEdges(t *testing.T) {
+	e, err := (CommonOpts{P: 3, Seed: 6}).setup(RMATSpec(9, 6))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// All picked sources must have edges.
-	if len(lists[0]) != 4 {
-		t.Fatalf("wanted 4 sources, got %d", len(lists[0]))
+	defer e.close()
+	srcs := pickSources(e.parts, 4, 6)
+	if len(srcs) != 4 {
+		t.Fatalf("wanted 4 sources, got %d", len(srcs))
+	}
+	again := pickSources(e.parts, 4, 6)
+	for i, v := range srcs {
+		if again[i] != v {
+			t.Fatalf("source %d differs between two picks of one seed", i)
+		}
+		if e.parts[e.parts[0].Master(v)].GlobalDegree(v) == 0 {
+			t.Fatalf("picked source %d has no edges", v)
+		}
 	}
 }

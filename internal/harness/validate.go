@@ -1,17 +1,16 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
-// ValidateBFS performs distributed Graph500-style validation of a BFS
-// result, collectively across all ranks:
+// ValidateBFS performs Graph500-style validation of a BFS result (the global
+// level and parent arrays of an engine.Result) against every rank's stored
+// edges:
 //
 //  1. the source has level 0 and is its own parent;
 //  2. a vertex is unreached iff it has no parent;
@@ -19,148 +18,49 @@ import (
 //  4. for every stored edge (u, v): if u is reached then v is reached and
 //     their levels differ by at most 1.
 //
-// Levels of remote vertices are fetched with one request/response exchange
-// against their master partitions. Returns nil when every rank's checks
-// pass; otherwise an error describing the first local failure.
-func ValidateBFS(r *rt.Rank, part *partition.Part, b *bfs.BFS, source graph.Vertex) error {
-	var firstErr error
-	fail := func(format string, args ...any) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf(format, args...)
-		}
-	}
-
-	localLevel := func(v graph.Vertex) (uint32, bool) {
-		i, ok := part.LocalIndex(v)
-		if !ok {
-			return 0, false
-		}
-		return b.Level[i], true
-	}
-
-	// (1) and (2): local structural checks over the master range.
-	lo, hi := part.Owners.MasterRange(part.Rank)
-	for u := lo; u < hi; u++ {
-		v := graph.Vertex(u)
-		i, _ := part.LocalIndex(v)
-		lvl, par := b.Level[i], b.Parent[i]
+// Returns nil when every check passes; otherwise an error describing the
+// first failure.
+func ValidateBFS(parts []*partition.Part, levels []uint32, parents []graph.Vertex, source graph.Vertex) error {
+	// (1), (2) and (3): structural checks over every vertex.
+	for u, lvl := range levels {
+		v, par := graph.Vertex(u), parents[u]
 		switch {
 		case v == source:
 			if lvl != 0 || par != source {
-				fail("source %d has level %d parent %d", v, lvl, par)
+				return fmt.Errorf("source %d has level %d parent %d", v, lvl, par)
 			}
 		case lvl == bfs.Unreached:
 			if par != graph.Nil {
-				fail("unreached vertex %d has parent %d", v, par)
+				return fmt.Errorf("unreached vertex %d has parent %d", v, par)
 			}
-		default:
-			if par == graph.Nil {
-				fail("reached vertex %d (level %d) has no parent", v, lvl)
-			}
-		}
-	}
-
-	// Gather the remote vertices whose levels we need: every local edge
-	// target and every reached master vertex's parent.
-	need := make(map[graph.Vertex]uint32)
-	addNeed := func(v graph.Vertex) {
-		if _, ok := part.LocalIndex(v); !ok {
-			need[v] = bfs.Unreached
-		}
-	}
-	m := part.CSR
-	for row := 0; row < m.NumRows(); row++ {
-		for _, t := range m.Row(row) {
-			addNeed(t)
-		}
-	}
-	for u := lo; u < hi; u++ {
-		i, _ := part.LocalIndex(graph.Vertex(u))
-		if b.Level[i] != bfs.Unreached && b.Parent[i] != graph.Nil {
-			addNeed(b.Parent[i])
-		}
-	}
-
-	// Request/response exchange: ids to masters, levels back.
-	reqs := make([][]byte, r.Size())
-	for v := range need {
-		o := part.Master(v)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		reqs[o] = append(reqs[o], buf[:]...)
-	}
-	got := r.AllToAllv(reqs)
-	resps := make([][]byte, r.Size())
-	for from, payload := range got {
-		out := make([]byte, 0, len(payload)/8*12)
-		for off := 0; off+8 <= len(payload); off += 8 {
-			v := graph.Vertex(binary.LittleEndian.Uint64(payload[off:]))
-			lvl, ok := localLevel(v)
-			if !ok {
-				fail("asked for level of %d which is not local", v)
-				lvl = bfs.Unreached
-			}
-			var rec [12]byte
-			binary.LittleEndian.PutUint64(rec[0:], uint64(v))
-			binary.LittleEndian.PutUint32(rec[8:], lvl)
-			out = append(out, rec[:]...)
-		}
-		resps[from] = out
-	}
-	answers := r.AllToAllv(resps)
-	for _, payload := range answers {
-		for off := 0; off+12 <= len(payload); off += 12 {
-			v := graph.Vertex(binary.LittleEndian.Uint64(payload[off:]))
-			need[v] = binary.LittleEndian.Uint32(payload[off+8:])
-		}
-	}
-	level := func(v graph.Vertex) uint32 {
-		if l, ok := localLevel(v); ok {
-			return l
-		}
-		return need[v]
-	}
-
-	// (3): parent levels.
-	for u := lo; u < hi; u++ {
-		v := graph.Vertex(u)
-		i, _ := part.LocalIndex(v)
-		if v == source || b.Level[i] == bfs.Unreached {
-			continue
-		}
-		if pl := level(b.Parent[i]); pl != b.Level[i]-1 {
-			fail("vertex %d at level %d has parent %d at level %d", v, b.Level[i], b.Parent[i], pl)
+		case par == graph.Nil:
+			return fmt.Errorf("reached vertex %d (level %d) has no parent", v, lvl)
+		case uint64(par) >= uint64(len(levels)):
+			return fmt.Errorf("vertex %d has out-of-range parent %d", v, par)
+		case levels[par] != lvl-1:
+			return fmt.Errorf("vertex %d at level %d has parent %d at level %d", v, lvl, par, levels[par])
 		}
 	}
 
 	// (4): level consistency across every stored edge.
-	for row := 0; row < m.NumRows(); row++ {
-		u := part.Vertex(row)
-		lu, _ := localLevel(u)
-		for _, t := range m.Row(row) {
-			lt := level(t)
-			switch {
-			case lu == bfs.Unreached && lt == bfs.Unreached:
-			case lu == bfs.Unreached || lt == bfs.Unreached:
-				fail("edge %d-%d crosses the reached boundary (levels %d, %d)", u, t, lu, lt)
-			default:
-				d := int64(lu) - int64(lt)
-				if d < -1 || d > 1 {
-					fail("edge %d-%d spans levels %d and %d", u, t, lu, lt)
+	for _, part := range parts {
+		m := part.CSR
+		for row := 0; row < m.NumRows(); row++ {
+			u := part.Vertex(row)
+			lu := levels[u]
+			for _, t := range m.Row(row) {
+				lt := levels[t]
+				switch {
+				case lu == bfs.Unreached && lt == bfs.Unreached:
+				case lu == bfs.Unreached || lt == bfs.Unreached:
+					return fmt.Errorf("edge %d-%d crosses the reached boundary (levels %d, %d)", u, t, lu, lt)
+				default:
+					if d := int64(lu) - int64(lt); d < -1 || d > 1 {
+						return fmt.Errorf("edge %d-%d spans levels %d and %d", u, t, lu, lt)
+					}
 				}
 			}
 		}
 	}
-
-	var local uint64
-	if firstErr != nil {
-		local = 1
-	}
-	if r.AllReduceU64(local, rt.Sum) == 0 {
-		return nil
-	}
-	if firstErr == nil {
-		return fmt.Errorf("harness: BFS validation failed on another rank")
-	}
-	return firstErr
+	return nil
 }

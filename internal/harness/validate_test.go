@@ -6,107 +6,76 @@ import (
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
-	"havoqgt/internal/generators"
+	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/partition"
-	"havoqgt/internal/rt"
 )
 
+// bfsOn runs one BFS from source over spec on p ranks through the harness's
+// own set-up and timed-run path.
+func bfsOn(t *testing.T, spec GraphSpec, p int, ghosts int, source graph.Vertex) (*env, *engine.Result) {
+	t.Helper()
+	e, err := (CommonOpts{P: p}).setup(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.close)
+	res, _, _, err := e.run(core.BuildGhostTables(e.parts, ghosts), engine.Spec{Algo: engine.AlgoBFS, Source: source}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, res
+}
+
+// edgeSpec wraps a fixed directed edge list (stored undirected by setup).
+func edgeSpec(edges []graph.Edge, n uint64) GraphSpec {
+	return GraphSpec{Name: "fixed", NumVertices: n, GenChunk: func(rank, size int) []graph.Edge {
+		var local []graph.Edge
+		for i, e := range edges {
+			if i%size == rank {
+				local = append(local, e)
+			}
+		}
+		return local
+	}}
+}
+
 func TestValidateBFSAcceptsCorrectRun(t *testing.T) {
-	g := generators.NewGraph500(9, 17)
-	n := g.NumVertices()
-	errs := make([]error, 4)
-	rt.NewMachine(4).Run(func(r *rt.Rank) {
-		local := graph.Undirect(g.GenerateChunk(r.Rank(), r.Size()))
-		part, err := partition.BuildEdgeList(r, local, n)
-		if err != nil {
-			panic(err)
-		}
-		res := bfs.Run(r, part, 1, core.Config{Ghosts: core.BuildGhostTable(part, 64)})
-		errs[r.Rank()] = ValidateBFS(r, part, res.BFS, 1)
-	})
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: correct BFS failed validation: %v", rank, err)
-		}
+	e, res := bfsOn(t, RMATSpec(9, 17), 4, 64, 1)
+	if err := ValidateBFS(e.parts, res.Levels, res.Parents, 1); err != nil {
+		t.Fatalf("correct BFS failed validation: %v", err)
 	}
 }
 
 func TestValidateBFSRejectsCorruptedLevels(t *testing.T) {
-	g := generators.NewGraph500(8, 3)
-	n := g.NumVertices()
-	errs := make([]error, 3)
-	rt.NewMachine(3).Run(func(r *rt.Rank) {
-		local := graph.Undirect(g.GenerateChunk(r.Rank(), r.Size()))
-		part, err := partition.BuildEdgeList(r, local, n)
-		if err != nil {
-			panic(err)
-		}
-		res := bfs.Run(r, part, 0, core.Config{})
-		if r.Rank() == 1 {
-			// Corrupt one reached master vertex's level.
-			lo, hi := part.Owners.MasterRange(part.Rank)
-			for v := lo; v < hi; v++ {
-				i, _ := part.LocalIndex(graph.Vertex(v))
-				if res.Level[i] != bfs.Unreached && res.Level[i] > 0 {
-					res.Level[i] += 7
-					break
-				}
-			}
-		}
-		errs[r.Rank()] = ValidateBFS(r, part, res.BFS, 0)
-	})
-	failed := false
-	for _, err := range errs {
-		if err != nil {
-			failed = true
+	e, res := bfsOn(t, RMATSpec(8, 3), 3, 0, 0)
+	// Corrupt one reached vertex's level.
+	for v := range res.Levels {
+		if res.Levels[v] != bfs.Unreached && res.Levels[v] > 0 {
+			res.Levels[v] += 7
+			break
 		}
 	}
-	if !failed {
+	if ValidateBFS(e.parts, res.Levels, res.Parents, 0) == nil {
 		t.Fatal("corrupted levels passed validation")
 	}
 }
 
 func TestValidateBFSRejectsBadParent(t *testing.T) {
-	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
-	errs := make([]error, 2)
-	rt.NewMachine(2).Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, edges, 4)
-		if err != nil {
-			panic(err)
-		}
-		res := bfs.Run(r, part, 0, core.Config{})
-		// Point vertex 3's parent at vertex 0 (level 0, not level 2).
-		if i, ok := part.LocalIndex(3); ok && part.IsMaster(3) {
-			res.Parent[i] = 0
-		}
-		errs[r.Rank()] = ValidateBFS(r, part, res.BFS, 0)
-	})
-	anyErr := errs[0] != nil || errs[1] != nil
-	if !anyErr {
+	e, res := bfsOn(t, edgeSpec([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, 4), 2, 0, 0)
+	// Point vertex 3's parent at vertex 0 (level 0, not level 2).
+	res.Parents[3] = 0
+	err := ValidateBFS(e.parts, res.Levels, res.Parents, 0)
+	if err == nil {
 		t.Fatal("bad parent passed validation")
 	}
-	for _, err := range errs {
-		if err != nil && !strings.Contains(err.Error(), "parent") && !strings.Contains(err.Error(), "another rank") {
-			t.Fatalf("unexpected validation error: %v", err)
-		}
+	if !strings.Contains(err.Error(), "parent") {
+		t.Fatalf("unexpected validation error: %v", err)
 	}
 }
 
 func TestValidateBFSDisconnected(t *testing.T) {
-	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 4, Dst: 5}})
-	errs := make([]error, 2)
-	rt.NewMachine(2).Run(func(r *rt.Rank) {
-		part, err := partition.BuildEdgeList(r, edges, 8)
-		if err != nil {
-			panic(err)
-		}
-		res := bfs.Run(r, part, 0, core.Config{})
-		errs[r.Rank()] = ValidateBFS(r, part, res.BFS, 0)
-	})
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: disconnected graph failed validation: %v", rank, err)
-		}
+	e, res := bfsOn(t, edgeSpec([]graph.Edge{{Src: 0, Dst: 1}, {Src: 4, Dst: 5}}, 8), 2, 0, 0)
+	if err := ValidateBFS(e.parts, res.Levels, res.Parents, 0); err != nil {
+		t.Fatalf("disconnected graph failed validation: %v", err)
 	}
 }

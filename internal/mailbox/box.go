@@ -142,7 +142,8 @@ type FlowCounter interface {
 }
 
 // detFlow adapts a single termination detector to the FlowCounter seam for
-// the classic one-traversal-per-machine path (every record shares tag 0).
+// a Box that serves one exchange alone (every record feeds the one detector,
+// whatever its tag).
 type detFlow struct{ det *termination.Detector }
 
 func (f detFlow) CountSent(_ uint32, n uint64)     { f.det.CountSent(n) }

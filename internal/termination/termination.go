@@ -44,11 +44,12 @@ const (
 )
 
 // Detector tracks one traversal's visitor counters and drives detection
-// waves. Create one per rank per traversal with New, or one per rank per
-// *query* with Mux.Detector when multiple traversals share the machine.
+// waves. The engine mints one per rank per query with Mux.Detector, so many
+// traversals share the machine; New makes a standalone one that owns the
+// whole control plane (a mailbox exchange with nothing else on the machine).
 type Detector struct {
 	r   *rt.Rank
-	id  uint32 // instance ID, 0 on the classic single-traversal path
+	id  uint32 // instance ID; 0 for a standalone detector (New)
 	mux *Mux   // control-plane demultiplexer; nil = exclusive KindControl use
 
 	sent     uint64 // visitors sent by this rank (monotone)

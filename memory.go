@@ -2,11 +2,10 @@ package havoqgt
 
 // Memory-budget facade: move the resident graph's adjacency data out of core
 // (behind the user-space page cache over simulated NVRAM or a real file) so
-// the serving engine traverses more graph than the DRAM budget holds — the
-// paper's semi-external configuration (§VIII-A) under the multi-query
-// engine. Vertex state stays in DRAM; only the CSR target array (the bulk of
-// the data) pages in on demand, with visits parking on missing pages while
-// resident work continues.
+// the engine traverses more graph than the DRAM budget holds — the paper's
+// semi-external configuration (§VIII-A). Vertex state stays in DRAM; only the
+// CSR target array (the bulk of the data) pages in on demand, with visits
+// parking on missing pages while resident work continues.
 
 import (
 	"errors"
@@ -70,11 +69,11 @@ type TraversalCounters struct {
 
 // SetMemoryBudget moves every rank's CSR adjacency out of core under the
 // given budget. Must be called with no engine attached (the store swap is
-// not safe under in-flight queries); a subsequent StartEngine serves in
-// latency-hiding out-of-core mode, and classic (serialized) traversals read
-// through the cache synchronously — the latency-not-hidden baseline the
-// benchmark compares against. Undo with ResetMemoryBudget; calling again
-// without resetting fails.
+// not safe under in-flight queries). Every query afterwards — on an engine
+// attached by a subsequent StartEngine or on a one-shot call's transient one
+// — runs in latency-hiding out-of-core mode: visits park on absent pages and
+// frontier prefetch overlaps the device. Undo with ResetMemoryBudget; calling
+// again without resetting fails.
 func (g *Graph) SetMemoryBudget(cfg MemoryConfig) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -16,11 +16,11 @@ func bfsSig(r *BFSResult) uint64 {
 	return h
 }
 
-// TestMemoryBudgetClassicEquivalence runs the classic (serialized) path
-// under a 1/8 resident budget and checks the answers and the cache activity:
-// results identical to fully resident, misses equal to real fault-ins, and a
-// working restore path.
-func TestMemoryBudgetClassicEquivalence(t *testing.T) {
+// TestMemoryBudgetOneShotEquivalence runs one-shot calls (no engine
+// attached) under a 1/8 resident budget and checks the answers and the cache
+// activity: results identical to fully resident, misses equal to real
+// fault-ins, and a working restore path.
+func TestMemoryBudgetOneShotEquivalence(t *testing.T) {
 	g, err := GenerateRMAT(9, 7, Options{Ranks: 4, Undirect: true})
 	if err != nil {
 		t.Fatal(err)
