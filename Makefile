@@ -81,8 +81,15 @@ bench:
 # allocs/cycle, routed duplex well under the pre-pooling floor), and the
 # percentile tests pin the nearest-rank quantile fix. Fast enough to run
 # on every push; a regression here means pooling or arena delivery broke.
+# TestOneShotAllocBudget pins the same thing end to end (a scale-15 one-shot
+# BFS through the facade), and the message-plane micro-benchmarks run once
+# each so they cannot rot: BenchmarkVisitorPushRoute is the per-record number
+# to read before spending 24 seconds on bench/run.sh.
 bench-smoke:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
+	$(GO) test -count=1 -run 'TestOneShotAllocBudget' -v .
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
 	$(GO) test -count=1 -run 'TestPercentile' ./cmd/havoqd
 
 # Out-of-core serving smoke (BENCH_ooc_smoke.json, DESIGN.md §11): the

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -144,4 +146,54 @@ func TestGoldenHashes(t *testing.T) {
 		defer g.ResetMemoryBudget()
 		checkGolden(t, goldenRun(t, g))
 	})
+}
+
+// raceBuild reports whether the test binary was built with the race detector.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestOneShotAllocBudget pins what a one-shot BFS allocates at the
+// benchmark's shape (scale 15, 8 ranks, 2d). Before delivery epochs were
+// bounded, a rank that woke to a deep inbox grew a fresh arena and []Record
+// to hold all of it, and a query allocated 118-125 MB; bounded, it allocates
+// 35-38 MB. The effect does not exist at scale 12 (7 MB either way), so a
+// smaller graph pins nothing.
+func TestOneShotAllocBudget(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("scale-15 allocation budget: not under -short or -race")
+	}
+	g, err := GenerateRMAT(15, 42, Options{Ranks: 8, Topology: "2d", Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources []Vertex
+	for v := Vertex(0); len(sources) < 8; v++ {
+		if d, _ := g.Degree(v); d >= 8 {
+			sources = append(sources, v)
+		}
+	}
+	if _, err := g.BFS(sources[0]); err != nil { // warm-up: lazy set-up is not the query's
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, src := range sources {
+		if _, err := g.BFS(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const budgetMB = 60
+	mean := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(sources)) / 1e6
+	t.Logf("one-shot BFS allocates %.1f MB per query", mean)
+	if mean > budgetMB {
+		t.Errorf("one-shot BFS allocates %.1f MB per query, budget %d MB", mean, budgetMB)
+	}
 }

@@ -28,8 +28,6 @@ type Visitor struct {
 // Vertex returns the visitor's target.
 func (v Visitor) Vertex() graph.Vertex { return v.V }
 
-const wireBytes = 8 + 4 + 8
-
 // BFS is one rank's algorithm state: the level and parent of every locally
 // held vertex (master and replica rows).
 type BFS struct {
@@ -123,11 +121,9 @@ func (b *BFS) Less(a, c Visitor) bool { return a.Length < c.Length }
 
 // Encode appends the 20-byte wire form.
 func (b *BFS) Encode(v Visitor, buf []byte) []byte {
-	var w [wireBytes]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.V))
-	binary.LittleEndian.PutUint32(w[8:], v.Length)
-	binary.LittleEndian.PutUint64(w[12:], uint64(v.Parent))
-	return append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	buf = binary.LittleEndian.AppendUint32(buf, v.Length)
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.Parent))
 }
 
 // Decode parses one visitor record.

@@ -26,8 +26,6 @@ type Visitor struct {
 // Vertex returns the visitor's target.
 func (v Visitor) Vertex() graph.Vertex { return v.V }
 
-const wireBytes = 16
-
 // CC is one rank's algorithm state: the current minimum label of every
 // locally held vertex (graph.Nil until first visited).
 type CC struct {
@@ -95,10 +93,8 @@ func (c *CC) Less(a, b Visitor) bool { return a.Label < b.Label }
 
 // Encode appends the 16-byte wire form.
 func (c *CC) Encode(v Visitor, buf []byte) []byte {
-	var w [wireBytes]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.V))
-	binary.LittleEndian.PutUint64(w[8:], uint64(v.Label))
-	return append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.Label))
 }
 
 // Decode parses one visitor record.

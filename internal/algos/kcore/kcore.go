@@ -97,9 +97,7 @@ func (a *KCore) Less(x, y Visitor) bool { return false }
 
 // Encode appends the 8-byte wire form.
 func (a *KCore) Encode(v Visitor, buf []byte) []byte {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], uint64(v.V))
-	return append(buf, w[:]...)
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.V))
 }
 
 // Decode parses one visitor record.

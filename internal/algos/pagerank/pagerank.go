@@ -58,8 +58,6 @@ type Visitor struct {
 // Vertex returns the visitor's target.
 func (v Visitor) Vertex() graph.Vertex { return v.V }
 
-const wireBytes = 8 + 8 + 4 + 1
-
 // PR is one rank's PageRank state.
 type PR struct {
 	part  *partition.Part
@@ -189,12 +187,10 @@ func (p *PR) Less(a, b Visitor) bool { return false }
 
 // Encode appends the 21-byte wire form.
 func (p *PR) Encode(v Visitor, buf []byte) []byte {
-	var w [wireBytes]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.V))
-	binary.LittleEndian.PutUint64(w[8:], v.Val)
-	binary.LittleEndian.PutUint32(w[16:], v.Iter)
-	w[20] = v.Kind
-	return append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	buf = binary.LittleEndian.AppendUint64(buf, v.Val)
+	buf = binary.LittleEndian.AppendUint32(buf, v.Iter)
+	return append(buf, v.Kind)
 }
 
 // Decode parses one visitor record.

@@ -63,8 +63,6 @@ type Visitor struct {
 // Vertex returns the visitor's target.
 func (v Visitor) Vertex() graph.Vertex { return v.V }
 
-const wireBytes = 24
-
 // SSSP is one rank's algorithm state.
 type SSSP struct {
 	part *partition.Part
@@ -165,11 +163,9 @@ func (s *SSSP) Bucket(v Visitor) uint64 { return v.Dist / Delta }
 // any simulated scale, so the parent shares the word's high bits safely —
 // but we keep the simple 3-word layout for clarity.
 func (s *SSSP) Encode(v Visitor, buf []byte) []byte {
-	var w [wireBytes]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.V))
-	binary.LittleEndian.PutUint64(w[8:], v.Dist)
-	binary.LittleEndian.PutUint64(w[16:], uint64(v.Parent))
-	return append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	buf = binary.LittleEndian.AppendUint64(buf, v.Dist)
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.Parent))
 }
 
 // Decode parses one visitor record.

@@ -27,8 +27,6 @@ type Visitor struct {
 // Vertex returns the visitor's target.
 func (v Visitor) Vertex() graph.Vertex { return v.V }
 
-const wireBytes = 24
-
 // Triangle is one rank's algorithm state: per-row triangle counters.
 // Counters are plain local tallies (a split vertex's closing edges are
 // distributed over its replicas; the global sum is exact).
@@ -143,11 +141,9 @@ func (t *Triangle) Less(a, b Visitor) bool { return false }
 
 // Encode appends the 24-byte wire form.
 func (t *Triangle) Encode(v Visitor, buf []byte) []byte {
-	var w [wireBytes]byte
-	binary.LittleEndian.PutUint64(w[0:], uint64(v.V))
-	binary.LittleEndian.PutUint64(w[8:], uint64(v.Second))
-	binary.LittleEndian.PutUint64(w[16:], uint64(v.Third))
-	return append(buf, w[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Second))
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.Third))
 }
 
 // Decode parses one visitor record.

@@ -15,6 +15,9 @@
 //   - S/R agreement:         per rank, detector S == mailbox records sent and
 //     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
 //     the four-counter termination waves must see drain)
+//   - one ledger:            per rank, every batch-published obs cell equals
+//     the plain Stats field it mirrors (asserted on every clean differential
+//     case)
 //
 // These checks are cheap (they read the per-rank stats a query leaves on its
 // engine ticket) and are meant to run after every traversal in tests, keeping the message plane honest as
@@ -27,6 +30,7 @@ import (
 
 	"havoqgt/internal/core"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/obs"
 )
 
 // Violation describes one failed invariant.
@@ -178,6 +182,48 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 			vs.addf("push-accounting",
 				"rank %d: pushed(%d) − ghost-filtered(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
 				r, s.Pushed, s.GhostFiltered, s.Forwarded, want, s.Mailbox.RecordsSent)
+		}
+	}
+	return vs
+}
+
+// ledgerMirrored checks the one-ledger contract at quiescence (DESIGN.md §9,
+// "Counters on the hot path"): the hot paths write only the plain core.Stats
+// and mailbox.Stats fields and publish their growth to the registry in
+// batches, so once a query is done every such per-rank cell must equal the
+// field it mirrors, on every rank. stats must be those of the only query the
+// machine has run since its registry was last reset (engine.RunOnce on a
+// fresh machine).
+func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
+	mirrors := []struct {
+		name  string
+		field func(core.Stats) uint64
+	}{
+		{obs.CorePushed, func(s core.Stats) uint64 { return s.Pushed }},
+		{obs.CoreGhostFiltered, func(s core.Stats) uint64 { return s.GhostFiltered }},
+		{obs.CoreReceived, func(s core.Stats) uint64 { return s.Received }},
+		{obs.CoreQueued, func(s core.Stats) uint64 { return s.Queued }},
+		{obs.CoreExecuted, func(s core.Stats) uint64 { return s.Executed }},
+		{obs.CoreForwarded, func(s core.Stats) uint64 { return s.Forwarded }},
+		{obs.CoreParked, func(s core.Stats) uint64 { return s.Parked }},
+		{obs.CoreUnparked, func(s core.Stats) uint64 { return s.Unparked }},
+		{obs.MBRecordsSent, func(s core.Stats) uint64 { return s.Mailbox.RecordsSent }},
+		{obs.MBRecordsDelivered, func(s core.Stats) uint64 { return s.Mailbox.RecordsDelivered }},
+		{obs.MBRecordsForwarded, func(s core.Stats) uint64 { return s.Mailbox.RecordsForwarded }},
+		{obs.MBEnvelopesSent, func(s core.Stats) uint64 { return s.Mailbox.EnvelopesSent }},
+		{obs.MBEnvelopesRecv, func(s core.Stats) uint64 { return s.Mailbox.EnvelopesRecv }},
+		{obs.MBHops, func(s core.Stats) uint64 { return s.Mailbox.Hops }},
+		{obs.MBFlushes, func(s core.Stats) uint64 { return s.Mailbox.Flushes }},
+		{obs.MBPoolGets, func(s core.Stats) uint64 { return s.Mailbox.PoolGets }},
+		{obs.MBPoolHits, func(s core.Stats) uint64 { return s.Mailbox.PoolHits }},
+	}
+	var vs violations
+	for _, m := range mirrors {
+		cells := reg.PerRank(m.name, len(stats))
+		for r, s := range stats {
+			if got, want := cells.Rank(r), m.field(s); got != want {
+				vs.addf("one-ledger", "rank %d: registry %s=%d != Stats field=%d", r, m.name, got, want)
+			}
 		}
 	}
 	return vs

@@ -243,6 +243,9 @@ func (c Case) Run() (err error) {
 		if err := Error(check(topo, stats)); err != nil {
 			return fail(err)
 		}
+		if err := Error(ledgerMirrored(cfg.Machine.Obs(), stats)); err != nil {
+			return fail(err)
+		}
 	}
 	return nil
 }

@@ -17,9 +17,18 @@ const DefaultGhostsPerPartition = 256
 // targets — ghost information represents only the local partition's view of
 // remote hubs and is never globally synchronized (§IV-B).
 type GhostTable struct {
-	idx      map[graph.Vertex]int
+	// slots is an open-addressed index over vertices — a power of two at
+	// least 4x the entries, multiplicative hash (the top bits, >> shift),
+	// linear probe — holding index+1, 0 for empty. Lookup runs for every
+	// non-local push against at most a few hundred entries, where a probe or
+	// two in a 4 KB array beats a general-purpose map. nil when empty.
+	slots    []uint32
+	shift    uint
 	vertices []graph.Vertex
 }
+
+// ghostHashMul is the 64-bit golden-ratio multiplier of the slot hash.
+const ghostHashMul = 0x9E3779B97F4A7C15
 
 // BuildGhostTable scans the rank's local edge targets and selects up to k
 // remote vertices with the highest local in-edge count. Only vertices that
@@ -27,9 +36,8 @@ type GhostTable struct {
 // the partition has multiple edges to the hub (the paper's degree(v) > p
 // observation).
 func BuildGhostTable(part *partition.Part, k int) *GhostTable {
-	t := &GhostTable{idx: make(map[graph.Vertex]int)}
 	if k <= 0 {
-		return t
+		return newGhostTable(nil)
 	}
 	counts := make(map[graph.Vertex]uint32)
 	m := part.CSR
@@ -67,9 +75,31 @@ func BuildGhostTable(part *partition.Part, k int) *GhostTable {
 	if len(cands) > k {
 		cands = cands[:k]
 	}
+	vertices := make([]graph.Vertex, len(cands))
 	for i, c := range cands {
-		t.idx[c.v] = i
-		t.vertices = append(t.vertices, c.v)
+		vertices[i] = c.v
+	}
+	return newGhostTable(vertices)
+}
+
+// newGhostTable indexes the given distinct vertices in the given order.
+func newGhostTable(vertices []graph.Vertex) *GhostTable {
+	t := &GhostTable{vertices: vertices}
+	if len(vertices) == 0 {
+		return t
+	}
+	bits := uint(2)
+	for 1<<bits < 4*len(vertices) {
+		bits++
+	}
+	t.slots, t.shift = make([]uint32, 1<<bits), 64-bits
+	mask := uint64(len(t.slots) - 1)
+	for i, v := range vertices {
+		s := uint64(v) * ghostHashMul >> t.shift
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = uint32(i + 1)
 	}
 	return t
 }
@@ -91,8 +121,19 @@ func BuildGhostTables(parts []*partition.Part, k int) []*GhostTable {
 
 // Lookup returns the ghost index of v, if v is ghosted on this rank.
 func (t *GhostTable) Lookup(v graph.Vertex) (int, bool) {
-	i, ok := t.idx[v]
-	return i, ok
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	for s := uint64(v) * ghostHashMul >> t.shift; ; s = (s + 1) & mask {
+		i := t.slots[s]
+		if i == 0 {
+			return 0, false
+		}
+		if t.vertices[i-1] == v {
+			return int(i - 1), true
+		}
+	}
 }
 
 // Len returns the number of ghosts in the table.

@@ -11,7 +11,11 @@ import (
 	"havoqgt/internal/termination"
 )
 
-// Stats counts one rank's activity for one query.
+// Stats counts one rank's activity for one query. Like mailbox.Stats it is the
+// one ledger the hot path writes — plain fields — and the machine's
+// obs.Registry gets the growth of the queue's own counters (Pushed through
+// Unparked) under the core.* names once per rank-loop iteration
+// (Queue.publish).
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
@@ -98,13 +102,14 @@ type Queue[V Visitor] struct {
 	parked  map[int64][]V
 	nParked int
 
-	stats Stats
-	met   queueMetrics
+	stats    Stats
+	mirrored Stats // what publish has already given the registry
+	met      queueMetrics
 }
 
-// queueMetrics bundles the rank's obs handles for the visitor-queue hot
-// paths. Counters accumulate machine-wide (reset via obs.Registry.Reset);
-// the Stats struct stays per-Queue for per-traversal reads.
+// queueMetrics bundles the rank's obs handles for the visitor queue.
+// Counters accumulate machine-wide (reset via obs.Registry.Reset); the Stats
+// struct stays per-Queue for per-traversal reads.
 type queueMetrics struct {
 	rank          int
 	pushed        *obs.PerRank
@@ -197,13 +202,11 @@ func (q *Queue[V]) OutEdges(v graph.Vertex) []graph.Vertex {
 // through the routed mailbox.
 func (q *Queue[V]) Push(v V) {
 	q.stats.Pushed++
-	q.met.pushed.Inc(q.met.rank)
 	dest := q.part.Master(v.Vertex())
 	if q.ghostAlgo != nil && dest != q.part.Rank {
 		if gi, ok := q.ghosts.Lookup(v.Vertex()); ok {
 			if !q.ghostAlgo.PreVisitGhost(v, gi) {
 				q.stats.GhostFiltered++
-				q.met.ghostFiltered.Inc(q.met.rank)
 				return
 			}
 		}
@@ -225,7 +228,6 @@ func (q *Queue[V]) Push(v V) {
 // in-tree algorithm does — so nothing here outlives the epoch.
 func (q *Queue[V]) receive(rec mailbox.Record) {
 	q.stats.Received++
-	q.met.received.Inc(q.met.rank)
 	if q.cancelled {
 		return
 	}
@@ -234,7 +236,6 @@ func (q *Queue[V]) receive(rec mailbox.Record) {
 		return
 	}
 	q.stats.Queued++
-	q.met.queued.Inc(q.met.rank)
 	q.schedPush(v)
 	if q.pager != nil {
 		// Frontier-composition prefetch: this visitor just joined the local
@@ -246,7 +247,6 @@ func (q *Queue[V]) receive(rec mailbox.Record) {
 	}
 	if next, ok := q.part.ShouldForward(v.Vertex()); ok {
 		q.stats.Forwarded++
-		q.met.forwarded.Inc(q.met.rank)
 		q.encBuf = q.algo.Encode(v, q.encBuf[:0])
 		q.mb.SendTagged(next, q.tag, q.encBuf)
 	}
@@ -278,12 +278,10 @@ func (q *Queue[V]) Step(batch int) bool {
 				q.parked[key] = append(q.parked[key], v)
 				q.nParked++
 				q.stats.Parked++
-				q.met.parked.Inc(q.met.rank)
 				continue
 			}
 		}
 		q.stats.Executed++
-		q.met.executed.Inc(q.met.rank)
 		q.algo.Visit(v, q)
 	}
 	return true
@@ -322,9 +320,7 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 		any = true
 		for _, v := range vs {
 			q.stats.Unparked++
-			q.met.unparked.Inc(q.met.rank)
 			q.stats.Executed++
-			q.met.executed.Inc(q.met.rank)
 			q.algo.Visit(v, q)
 		}
 	}
@@ -364,6 +360,7 @@ func (q *Queue[V]) Cancel() {
 // needed: records of other queries cannot be misattributed — the tag
 // demultiplexes them — so ranks may retire the query independently.
 func (q *Queue[V]) PumpTermination(localIdle bool) bool {
+	q.publish()
 	if !q.det.Pump(localIdle && q.schedLen() == 0 && q.nParked == 0) {
 		return false
 	}
@@ -376,7 +373,27 @@ func (q *Queue[V]) PumpTermination(localIdle bool) bool {
 // Stats returns the rank's traversal counters; the detector fields are set
 // once PumpTermination has returned true. Mailbox is left zero — the mailbox
 // is the rank's, not the queue's, and its owner fills it in.
-func (q *Queue[V]) Stats() Stats { return q.stats }
+func (q *Queue[V]) Stats() Stats {
+	q.publish()
+	return q.stats
+}
+
+// publish gives the registry what the counters have grown since the last
+// publication (obs.PerRank.Publish). The rank loop reaches it through
+// PumpTermination every iteration and through Stats when it retires the
+// query, forced retirement included, so the registry equals Stats whenever
+// the rank is between iterations and lags by at most one while it runs.
+func (q *Queue[V]) publish() {
+	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
+	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
+	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
+	m.received.Publish(rank, cur.Received, &last.Received)
+	m.queued.Publish(rank, cur.Queued, &last.Queued)
+	m.executed.Publish(rank, cur.Executed, &last.Executed)
+	m.forwarded.Publish(rank, cur.Forwarded, &last.Forwarded)
+	m.parked.Publish(rank, cur.Parked, &last.Parked)
+	m.unparked.Publish(rank, cur.Unparked, &last.Unparked)
+}
 
 // --- local scheduler dispatch: calendar of buckets when the algorithm
 // implements BucketAlgorithm (delta-stepping), binary min-heap otherwise.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"havoqgt/internal/graph"
+	"havoqgt/internal/xrand"
 )
 
 // heapHarness exposes the queue's heap for property testing without a
@@ -71,6 +72,46 @@ func TestQuickHeapIsPermutation(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickGhostLookupMatchesMap: for any table of 0..256 distinct vertices,
+// scattered over the id space or clustered in a small range, the
+// open-addressed probe answers exactly as a map from vertex to index does —
+// for members, their neighbours and arbitrary non-members alike.
+func TestQuickGhostLookupMatchesMap(t *testing.T) {
+	f := func(seed uint64, sizeSel uint16, clustered bool) bool {
+		rng := xrand.New(seed)
+		want := make(map[graph.Vertex]int)
+		var vertices []graph.Vertex
+		for n := int(sizeSel) % 257; len(vertices) < n; {
+			v := graph.Vertex(rng.Uint64())
+			if clustered {
+				v %= 1024
+			}
+			if _, dup := want[v]; !dup {
+				want[v] = len(vertices)
+				vertices = append(vertices, v)
+			}
+		}
+		gt := newGhostTable(vertices)
+		if gt.Len() != len(vertices) {
+			return false
+		}
+		probes := []graph.Vertex{0, graph.Nil, graph.Vertex(rng.Uint64())}
+		for _, v := range vertices {
+			probes = append(probes, v, v+1, v-1)
+		}
+		for _, v := range probes {
+			wi, wok := want[v]
+			if gi, gok := gt.Lookup(v); gok != wok || gi != wi {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

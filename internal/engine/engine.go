@@ -235,7 +235,7 @@ const (
 	evShutdown
 )
 
-// ctlEvent is one entry of the engine's append-only control log — the only
+// ctlEvent is one entry of the engine's control log — the only
 // channel from the submitting side into the rank goroutines. Ranks replay
 // the log in order through private cursors, which gives every rank the same
 // totally ordered view of query admission, cancellation, and shutdown
@@ -245,31 +245,51 @@ type ctlEvent struct {
 	q    *query // evStart, evCancel; nil for evShutdown
 }
 
-// ctlLog is the shared append-only event log. Appends happen under the
-// exclusive lock and then publish the new length with an atomic store; rank
-// loops spin on the atomic (no lock) and take the read lock only when the
-// published length passed their cursor. Entries below the published length
-// are immutable.
+// ctlLog is the shared event log. Appends happen under the exclusive lock and
+// then publish the new length with an atomic store; rank loops spin on the
+// atomic (no lock) and take the read lock only when the published length
+// passed their cursor. Entries below the published length are immutable.
+//
+// The log is append-only in its indices, not in its memory: every locally
+// hosted rank publishes how far it has replayed, and append drops the prefix
+// all of them are past. An event holds its *query — result arrays included —
+// so an untrimmed log would keep every retired query alive until Close.
 type ctlLog struct {
-	mu     sync.RWMutex
-	events []ctlEvent
-	length atomic.Uint64
+	mu      sync.RWMutex
+	base    int        // log index of events[0]: everything below was dropped
+	events  []ctlEvent // the retained suffix
+	length  atomic.Uint64
+	cursors []atomic.Int64 // per locally hosted rank: events replayed so far
 }
 
 func (l *ctlLog) append(ev ctlEvent) {
 	l.mu.Lock()
+	replayed := int(l.cursors[0].Load()) // by every local rank
+	for i := 1; i < len(l.cursors); i++ {
+		replayed = min(replayed, int(l.cursors[i].Load()))
+	}
+	if replayed > l.base {
+		// Copy down rather than reslice, so the dropped events' queries are
+		// not retained by the backing array either.
+		n := copy(l.events, l.events[replayed-l.base:])
+		clear(l.events[n:])
+		l.events = l.events[:n]
+		l.base = replayed
+	}
 	l.events = append(l.events, ev)
-	l.length.Store(uint64(len(l.events)))
+	l.length.Store(uint64(l.base + len(l.events)))
 	l.mu.Unlock()
 }
 
-// from returns a copy of the events at index >= cursor.
+// from returns a copy of the events at log index >= cursor. The cursor is the
+// calling rank's, so it is never below base: base only advances to the minimum
+// of the published cursors, and a rank publishes after it replays.
 func (l *ctlLog) from(cursor int) []ctlEvent {
 	if l.length.Load() <= uint64(cursor) {
 		return nil
 	}
 	l.mu.RLock()
-	out := append([]ctlEvent(nil), l.events[cursor:]...)
+	out := append([]ctlEvent(nil), l.events[cursor-l.base:]...)
 	l.mu.RUnlock()
 	return out
 }
@@ -561,6 +581,7 @@ func Start(cfg Config, opts Options) (*Engine, error) {
 		obsDeadline:  reg.Counter(obs.EngineDeadlineExpired),
 		obsResumed:   reg.Counter(obs.EngineResumed),
 	}
+	e.log.cursors = make([]atomic.Int64, e.localRanks)
 	go func() {
 		defer close(e.runDone)
 		e.cfg.Machine.Run(e.rankLoop)
@@ -799,6 +820,7 @@ func (e *Engine) finishLocked(q *query) {
 func (e *Engine) admitLocked() {
 	for e.inflight < e.opts.MaxInFlight && len(e.waitq) > 0 {
 		q := e.waitq[0]
+		e.waitq[0] = nil // the backing array must not keep a retired query alive
 		e.waitq = e.waitq[1:]
 		q.waiting = false
 		e.obsWaiting.Set(int64(len(e.waitq)))

@@ -13,15 +13,15 @@ import (
 	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
 	"havoqgt/internal/rt"
 )
 
-// buildEngine constructs a partitioned RMAT graph on a fresh machine and
-// starts an engine over it. Also returns the full edge list for reference
-// computations.
-func buildEngine(t *testing.T, scale uint, p int, topo string, opts engine.Options) (*engine.Engine, []graph.Edge, uint64) {
+// buildConfig constructs a partitioned RMAT graph on a fresh machine. Also
+// returns the full edge list for reference computations.
+func buildConfig(t *testing.T, scale uint, p int, topo string) (engine.Config, []graph.Edge, uint64) {
 	t.Helper()
 	check.NoLeaks(t) // before anything spawns: the leak check must run last
 	gen := generators.NewGraph500(scale, 42)
@@ -42,7 +42,14 @@ func buildEngine(t *testing.T, scale uint, p int, topo string, opts engine.Optio
 		parts[r.Rank()] = part
 		ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 	})
-	e, err := engine.Start(engine.Config{Machine: m, Parts: parts, Ghosts: ghosts, Topology: topo}, opts)
+	return engine.Config{Machine: m, Parts: parts, Ghosts: ghosts, Topology: topo}, edges, n
+}
+
+// buildEngine starts an engine over a buildConfig graph.
+func buildEngine(t *testing.T, scale uint, p int, topo string, opts engine.Options) (*engine.Engine, []graph.Edge, uint64) {
+	t.Helper()
+	cfg, edges, n := buildConfig(t, scale, p, topo)
+	e, err := engine.Start(cfg, opts)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -398,6 +405,66 @@ func TestEngineCloseDrains(t *testing.T) {
 		case <-tk.Done():
 		default:
 			t.Fatalf("Close returned with query %d still outstanding", i)
+		}
+	}
+}
+
+// TestRegistryAtQuiescence pins the two registry contracts a retired rank
+// loop owes. The counters: hot paths write plain ledgers and publish to the
+// registry in batches, and the registry equals the ledgers when a query's
+// done closes, not only once the engine is gone. The pool gauge: a box that
+// is dropped takes its pooled buffers out of mailbox.pool_free, so the gauge
+// reads 0 after Engine.Close and after RunOnce instead of climbing with every
+// engine the machine has ever hosted.
+func TestRegistryAtQuiescence(t *testing.T) {
+	cfg, edges, _ := buildConfig(t, 10, 4, "2d")
+	spec := engine.Spec{Algo: engine.AlgoBFS, Source: edges[0].Src}
+	poolFree := cfg.Machine.Obs().Gauge(obs.MBPoolFree)
+
+	e, err := engine.Start(cfg, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Wait()
+	// done has closed and the engine is still running: the registry already
+	// holds everything the ranks' ledgers do.
+	var pushed, executed, sent, hops uint64
+	for _, s := range tk.Stats() {
+		pushed += s.Pushed
+		executed += s.Executed
+		sent += s.Mailbox.RecordsSent
+		hops += s.Mailbox.Hops
+	}
+	snap := e.Obs().Snapshot()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{{obs.CorePushed, pushed}, {obs.CoreExecuted, executed}, {obs.MBRecordsSent, sent},
+		{obs.MBRecordsDelivered, sent}, {obs.MBHops, hops}} {
+		if got := snap.Counter(c.name); got != c.want || got == 0 {
+			t.Errorf("when done closed: registry %s = %d, ledgers say %d", c.name, got, c.want)
+		}
+	}
+	if poolFree.Value() <= 0 {
+		t.Fatalf("%s = %d with resident boxes after a routed BFS, want > 0", obs.MBPoolFree, poolFree.Value())
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := poolFree.Value(); got != 0 {
+		t.Errorf("%s = %d after Engine.Close, want 0", obs.MBPoolFree, got)
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, _, err := engine.RunOnce(cfg, engine.Options{}, spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := poolFree.Value(); got != 0 {
+			t.Errorf("%s = %d after RunOnce %d, want 0", obs.MBPoolFree, got, i)
 		}
 	}
 }

@@ -138,6 +138,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 	if e.cfg.Pagers != nil {
 		s.pager = e.cfg.Pagers[r.Rank()]
 	}
+	localLo, _ := e.cfg.Machine.LocalRange()
 	shutdown := false
 	idleSpins := 0
 	var finished []uint32 // reused scratch
@@ -145,7 +146,8 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		progress := false
 
 		// Control events, in global log order.
-		for _, ev := range e.log.from(s.cursor) {
+		events := e.log.from(s.cursor)
+		for _, ev := range events {
 			s.cursor++
 			progress = true
 			switch ev.kind {
@@ -172,6 +174,10 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			case evShutdown:
 				shutdown = true
 			}
+		}
+		if len(events) > 0 {
+			// Replayed: the log may drop what every local rank is past.
+			e.log.cursors[r.Rank()-localLo].Store(int64(s.cursor))
 		}
 
 		// One execution slice per in-flight query. In out-of-core mode Step
@@ -209,28 +215,37 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		// record awaits application — this poll drains them into the heaps
 		// (making LocalIdle false), and nothing below creates new local
 		// deliveries before the detectors pump.
+		//
+		// A Poll returns one bounded, cache-sized epoch; the loop polls until
+		// the backlog is gone, so everything that had arrived when the first
+		// Poll ran is applied before the next Step. Interleaving epochs with
+		// execution slices instead pushes more visitors: a later, better
+		// visitor for a hub arrives after the hub was already expanded.
 		var lastTag uint32 // one-entry memo of the demux, as in rankFlows.cell
 		var last *runningQuery
-		for _, rec := range s.box.Poll() {
-			progress = true
-			if last == nil || rec.Tag != lastTag {
-				lastTag, last = rec.Tag, s.active[rec.Tag]
-			}
-			if last != nil {
-				last.run.Deliver(rec)
-			} else if _, gone := s.dead[rec.Tag]; gone {
-				// Straggler for a force-aborted query (a surviving peer kept
-				// sending until its own abort landed): drop it. The flow
-				// ledger of an aborted query is void by construction.
-				continue
-			} else {
-				// Start event not replayed yet (quiesced queries cannot
-				// receive: their S==R drained before ID retirement). Parking
-				// retains the record past this poll epoch, so the payload —
-				// an arena sub-slice the mailbox reclaims at its next Poll —
-				// must be copied out first (see mailbox.Record).
-				rec.Payload = append([]byte(nil), rec.Payload...)
-				s.pending[rec.Tag] = append(s.pending[rec.Tag], rec)
+		for more := true; more; more = s.box.Backlog() {
+			for _, rec := range s.box.Poll() {
+				progress = true
+				if last == nil || rec.Tag != lastTag {
+					lastTag, last = rec.Tag, s.active[rec.Tag]
+				}
+				if last != nil {
+					last.run.Deliver(rec)
+				} else if _, gone := s.dead[rec.Tag]; gone {
+					// Straggler for a force-aborted query (a surviving peer
+					// kept sending until its own abort landed): drop it. The
+					// flow ledger of an aborted query is void by construction.
+					continue
+				} else {
+					// Start event not replayed yet (quiesced queries cannot
+					// receive: their S==R drained before ID retirement).
+					// Parking retains the record past this poll epoch, so the
+					// payload — an arena sub-slice the mailbox reclaims at
+					// its next Poll — must be copied out first (see
+					// mailbox.Record).
+					rec.Payload = append([]byte(nil), rec.Payload...)
+					s.pending[rec.Tag] = append(s.pending[rec.Tag], rec)
+				}
 			}
 		}
 
@@ -256,6 +271,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		}
 
 		if shutdown && len(s.active) == 0 {
+			s.box.Close()
 			return
 		}
 		if progress {

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"havoqgt/internal/algos/sssp"
@@ -22,9 +23,10 @@ import (
 type testGraph struct {
 	m     *rt.Machine
 	parts []*partition.Part
+	topo  string // mailbox routing; "" is the engine's default, 1d
 }
 
-func buildTestGraph(t *testing.T, edges []graph.Edge, n uint64, p int) *testGraph {
+func buildTestGraph(t testing.TB, edges []graph.Edge, n uint64, p int) *testGraph {
 	t.Helper()
 	g := &testGraph{m: rt.NewMachine(p), parts: make([]*partition.Part, p)}
 	g.m.Run(func(r *rt.Rank) {
@@ -46,10 +48,10 @@ func buildTestGraph(t *testing.T, edges []graph.Edge, n uint64, p int) *testGrap
 // runVisitors runs one custom query to quiescence on a transient engine:
 // start builds each rank's algorithm and pushes its initial visitors (it
 // runs on the rank's own goroutine, concurrently with the other ranks').
-func runVisitors[V core.Visitor](t *testing.T, g *testGraph, cfg core.Config,
+func runVisitors[V core.Visitor](t testing.TB, g *testGraph, cfg core.Config,
 	start func(part *partition.Part, newQueue func(core.Algorithm[V]) *core.Queue[V])) []core.Stats {
 	t.Helper()
-	e, err := Start(Config{Machine: g.m, Parts: g.parts}, Options{Core: cfg})
+	e, err := Start(Config{Machine: g.m, Parts: g.parts, Topology: g.topo}, Options{Core: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,4 +350,77 @@ func TestTrianglePerVertexCounts(t *testing.T) {
 			t.Fatalf("per-vertex count(%d) = %d, want %d", v, total, want[v])
 		}
 	}
+}
+
+// burstAlgo is the toy behind BenchmarkVisitorPushRoute. A visitor with
+// bursts left is a generator: executing it pushes burstSize leaves at
+// pseudo-random vertices and then itself, one burst poorer. A leaf is
+// delivered and dropped by PreVisit, so it takes the whole per-record path
+// once and costs the scheduler nothing.
+type burstAlgo struct{ n uint64 }
+
+type burstVisitor struct {
+	v    graph.Vertex
+	left uint32 // bursts this generator still owes; 0 marks a leaf
+}
+
+const burstSize = 512
+
+func (b burstVisitor) Vertex() graph.Vertex { return b.v }
+
+func (a *burstAlgo) PreVisit(v burstVisitor) bool { return v.left > 0 }
+func (a *burstAlgo) Visit(v burstVisitor, q *core.Queue[burstVisitor]) {
+	x := uint64(v.v)<<32 | uint64(v.left)
+	for i := 0; i < burstSize; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		q.Push(burstVisitor{v: graph.Vertex(x >> 33 % a.n)})
+	}
+	if v.left > 1 {
+		q.Push(burstVisitor{v: v.v, left: v.left - 1})
+	}
+}
+func (a *burstAlgo) Less(x, y burstVisitor) bool { return false }
+func (a *burstAlgo) Encode(v burstVisitor, buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
+	return binary.LittleEndian.AppendUint32(buf, v.left)
+}
+func (a *burstAlgo) Decode(buf []byte) burstVisitor {
+	return burstVisitor{
+		v:    graph.Vertex(binary.LittleEndian.Uint64(buf)),
+		left: binary.LittleEndian.Uint32(buf[8:]),
+	}
+}
+
+// BenchmarkVisitorPushRoute is the number below the 24-second benchmark for
+// a message-plane change: what one visitor record costs from Queue.Push
+// through SendTagged, enqueue, the 2d route's forward hop, Poll and Deliver to
+// its PreVisit, on 8 ranks, with nothing of a real algorithm around it. One
+// generator per rank emits a burst per rank-loop iteration, so Step and Poll
+// alternate as they do under a real traversal. ns/record is wall time over
+// records delivered machine-wide: on fewer cores than ranks, CPU per record
+// divided by the cores.
+func BenchmarkVisitorPushRoute(b *testing.B) {
+	const p, n = 8, 1 << 12
+	g := buildTestGraph(b, ring(n, 1), n, p)
+	g.topo = "2d"
+	bursts := uint32(b.N/(p*burstSize)) + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	stats := runVisitors(b, g, core.Config{},
+		func(part *partition.Part, newQueue func(core.Algorithm[burstVisitor]) *core.Queue[burstVisitor]) {
+			lo, _ := part.Owners.MasterRange(part.Rank)
+			newQueue(&burstAlgo{n: n}).Push(burstVisitor{v: graph.Vertex(lo), left: bursts})
+		})
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	var records uint64
+	for _, s := range stats {
+		records += s.Received
+	}
+	if want := uint64(p) * uint64(bursts) * (burstSize + 1); records != want {
+		b.Fatalf("delivered %d records, want %d", records, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(records), "allocs/record")
 }

@@ -13,12 +13,14 @@ package mailbox
 //     ranks instead of being reallocated per shipment.
 //
 //   - delivered record payloads: previously one heap copy per record.
-//     Box.deliver now batch-copies each poll epoch's records into one
-//     grow-only arena and hands out capacity-clamped sub-slices (appending
-//     to a Record.Payload reallocates instead of running into a sibling).
-//     Two arenas alternate across Poll calls, so a poll's records stay valid
+//     Box.deliver now batch-copies each poll epoch's records into one arena
+//     and hands out capacity-clamped sub-slices (appending to a
+//     Record.Payload reallocates instead of running into a sibling). Two
+//     arenas alternate across Poll calls, so a poll's records stay valid
 //     while the caller processes them and expire at the next Poll, when
-//     their arena is reset and reused.
+//     their arena is reset and reused. An epoch is bounded
+//     (pollEpochRecords), so an arena stays cache-sized however deep the
+//     transport inbox was when Poll ran.
 //
 // Safety rule: a buffer enters the pool only while it provably has a single
 // live reference. On the raw path that is true for a drained envelope on the

@@ -125,11 +125,6 @@ type reliable struct {
 	// payload can back the consumer's next outbound ack. Gated on
 	// rt.Rank.ExclusiveDelivery like every inbound-recycling path.
 	ackPool [][]byte
-
-	// deliverScratch is the reusable accepted-envelope slice returned by
-	// poll; Box.Poll decodes (copying payload bytes into its arena) before
-	// the next poll reuses it.
-	deliverScratch [][]byte
 }
 
 func newReliable(r *rt.Rank, b *Box, base, max time.Duration) *reliable {
@@ -209,16 +204,10 @@ func (rl *reliable) send(hop int, records []byte) {
 	rl.r.Send(hop, rt.KindMailbox, relData, frame)
 }
 
-// poll drains the transport, returning accepted envelope record-bytes in
-// per-peer sequence order, then drives the retransmission timers. Exactly
-// the reliable analogue of the raw path's rt.Rank.Recv loop.
-func (rl *reliable) poll() [][]byte {
-	// Reuse last poll's accepted-envelope slice: Box.Poll finished decoding
-	// (and copying) its contents before calling us again.
-	for i := range rl.deliverScratch {
-		rl.deliverScratch[i] = nil
-	}
-	out := rl.deliverScratch[:0]
+// poll drains the transport, appending accepted envelope record-bytes to out
+// in per-peer sequence order, then drives the retransmission timers. Exactly
+// the reliable analogue of the raw path's rt.Rank.RecvInto.
+func (rl *reliable) poll(out [][]byte) [][]byte {
 	rl.b.msgScratch = rl.r.RecvInto(rt.KindMailbox, rl.b.msgScratch[:0])
 	for i := range rl.b.msgScratch {
 		m := &rl.b.msgScratch[i]
@@ -235,7 +224,6 @@ func (rl *reliable) poll() [][]byte {
 		m.Payload = nil
 	}
 	rl.tick()
-	rl.deliverScratch = out
 	return out
 }
 

@@ -55,7 +55,8 @@ const (
 	// per-box free-list (fed by consumed inbound envelopes on the raw path
 	// and by post-frame-copy aggregation buffers on the reliable path).
 	// RecycledBytes counts buffer capacity returned to the pool; PoolFree is
-	// the machine-wide gauge of buffers currently parked in pools. The pool
+	// the machine-wide gauge of buffers currently parked in the pools of live
+	// boxes (a box's share leaves with it at Box.Close). The pool
 	// hit rate, hits/gets, is the direct measure of how close the message
 	// plane runs to zero steady-state allocation.
 	MBPoolGets          = "mailbox.pool_gets"
@@ -65,7 +66,8 @@ const (
 
 	// MBArenaPollBytes is the histogram of delivery-arena occupancy at each
 	// Poll handoff: the bytes of record payloads delivered in one poll epoch,
-	// all carved from one grow-only arena instead of per-record allocations.
+	// all carved from one arena instead of per-record allocations. An epoch
+	// is bounded (4096 records plus one envelope's), and so is this.
 	MBArenaPollBytes = "mailbox.arena_poll_bytes"
 
 	// Reliable-delivery counters (mailbox.WithReliable): the recovery half

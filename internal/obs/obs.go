@@ -70,6 +70,19 @@ func (c *PerRank) Add(rank int, n uint64) { c.cells[rank].v.Add(n) }
 // Inc adds one to rank's slot.
 func (c *PerRank) Inc(rank int) { c.cells[rank].v.Add(1) }
 
+// Publish adds to rank's slot what a rank-confined plain counter has grown
+// since its previous publication: cur is the counter now, *last what the slot
+// has already been given (updated here). Hot paths keep one plain ledger and
+// call this once per batch instead of paying an atomic add per event; growth
+// rather than the absolute value is published so that Registry.Reset between
+// phases keeps working for a ledger that outlives the phase.
+func (c *PerRank) Publish(rank int, cur uint64, last *uint64) {
+	if cur != *last {
+		c.cells[rank].v.Add(cur - *last)
+		*last = cur
+	}
+}
+
 // Rank returns rank's slot value.
 func (c *PerRank) Rank(rank int) uint64 { return c.cells[rank].v.Load() }
 

@@ -17,7 +17,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
@@ -58,8 +57,18 @@ func (t OwnerTable) Master(v graph.Vertex) int {
 		panic(fmt.Sprintf("partition: vertex %d out of range (n=%d)", v, t.NumVertices()))
 	}
 	// First r with start[r+1] > v; empty ranges (start[r]==start[r+1]) are
-	// skipped automatically.
-	return sort.Search(t.P(), func(r int) bool { return t.start[r+1] > uint64(v) })
+	// skipped automatically. Searched by hand: this runs once per pushed
+	// visitor, and the library search costs a closure call per probe.
+	lo, hi := 0, t.P()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.start[mid+1] > uint64(v) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // MasterRange returns the half-open master vertex range of rank r.

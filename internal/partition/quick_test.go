@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,41 @@ func TestQuickOwnerTableMatchesLinearScan(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickOwnerTableMatchesSortSearch: the hand-written binary search in
+// Master is sort.Search's definition — the first r with start[r+1] > v — on
+// boundary arrays of up to 256 ranks with empty ranges anywhere (leading,
+// trailing, in runs), and it still panics past the last vertex.
+func TestQuickOwnerTableMatchesSortSearch(t *testing.T) {
+	f := func(widths []uint8, pSel uint8) (ok bool) {
+		p := int(pSel) + 1
+		start := make([]uint64, p+1)
+		for r := 0; r < p; r++ {
+			w := uint64(0) // ranks beyond the drawn widths master nothing
+			if r < len(widths) && widths[r]%3 != 0 {
+				w = uint64(widths[r])
+			}
+			start[r+1] = start[r] + w
+		}
+		ot, err := NewOwnerTable(start)
+		if err != nil {
+			return false
+		}
+		n := ot.NumVertices()
+		for v := uint64(0); v < n; v++ {
+			want := sort.Search(p, func(r int) bool { return start[r+1] > v })
+			if ot.Master(graph.Vertex(v)) != want {
+				return false
+			}
+		}
+		defer func() { ok = recover() != nil }() // out of range must panic
+		ot.Master(graph.Vertex(n))
+		return false
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
