@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench bench-smoke bench-ooc bench-traffic bench-test experiments serve-smoke cluster-smoke cluster-chaos bench-net clean
+.PHONY: all build test race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench-smoke bench-test experiments serve-smoke cluster-smoke cluster-chaos clean
 
 STATICCHECK ?= staticcheck
 
@@ -72,45 +72,21 @@ chaos-short:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/check
 	$(GO) test -race -short -count=1 -run 'SurvivesControl|Mux' ./internal/termination
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Allocation-budget smoke (BENCH_msgplane.json, DESIGN.md §9): the
-# TestAllocBudget* suite pins the message-plane hot paths to their
-# steady-state allocation budgets (loopback and decode/deliver at ~0
-# allocs/cycle, routed duplex well under the pre-pooling floor), and the
-# percentile tests pin the nearest-rank quantile fix. Fast enough to run
-# on every push; a regression here means pooling or arena delivery broke.
-# TestOneShotAllocBudget pins the same thing end to end (a scale-15 one-shot
-# BFS through the facade), and the message-plane micro-benchmarks run once
-# each so they cannot rot: BenchmarkVisitorPushRoute is the per-record number
-# to read before spending 24 seconds on bench/run.sh.
+# Allocation-budget smoke (DESIGN.md §9): the TestAllocBudget* suite pins the
+# message-plane hot paths to their steady-state allocation budgets (loopback
+# and decode/deliver at ~0 allocs/cycle, routed duplex well under the
+# pre-pooling floor). Fast enough to run on every push; a regression here
+# means pooling or arena delivery broke. TestOneShotAllocBudget pins the same
+# thing end to end (a scale-15 one-shot BFS through the facade), and the
+# message-plane micro-benchmarks run once each so they cannot rot:
+# BenchmarkVisitorPushRoute is the per-record number to read before spending
+# 24 seconds on bench/run.sh. Nothing here times the system: `bash
+# bench/run.sh` does (bench/README.md).
 bench-smoke:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
 	$(GO) test -count=1 -run 'TestOneShotAllocBudget' -v .
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
-	$(GO) test -count=1 -run 'TestPercentile' ./cmd/havoqd
-
-# Out-of-core serving smoke (BENCH_ooc_smoke.json, DESIGN.md §11): the
-# selfbench workload at resident fractions 1 and 1/4 on a tiny graph. The
-# sweep itself asserts the correctness gates — every phase's result hash
-# identical to the fully-resident baseline, and real cache activity (misses
-# and hits both nonzero) at the reduced budget — and exits non-zero on any
-# violation. The committed full sweep (BENCH_ooc.json) uses `-ooc` defaults.
-bench-ooc:
-	$(GO) run ./cmd/havoqd -ooc -scale 12 -ranks 4 -bench-queries 12 \
-		-ooc-fractions 1,0.25 -ooc-out BENCH_ooc_smoke.json
-
-# Front-door traffic-plane smoke (BENCH_traffic_smoke.json, DESIGN.md §12):
-# the open-loop load harness on a tiny graph with the acceptance gates on —
-# zero 5xx in every phase, >= 50% of hot-key requests absorbed by
-# cache+collapse, quota sheds with Retry-After under 10x overload, admitted
-# p99 within 4x of the uniform baseline, and the deterministic 16->1 collapse
-# probe. Exits non-zero on any gate violation. The committed full run
-# (BENCH_traffic.json) uses `-loadbench` defaults at scale 12.
-bench-traffic:
-	$(GO) run ./cmd/havoqd -loadbench -scale 10 -ranks 4 		-load-qps 60 -load-duration 3s -load-out BENCH_traffic_smoke.json
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own that compiles
 # against the root facade, so root `go test ./...` does not reach it: vet it
@@ -149,12 +125,6 @@ cluster-chaos:
 	$(GO) run ./cmd/havoqd -chaos -cluster -workers 4 -ranks 4 -scale 11 \
 		-heartbeat 200ms -liveness 2s -join-retry 60s -chaos-kills 2 -cluster-timeout 5m
 
-# Real-network benchmark (BENCH_net.json): the serialized-vs-concurrent
-# comparison over a 4-process TCP data plane, with per-phase mesh byte/frame
-# counters swept from the workers.
-bench-net:
-	$(GO) run ./cmd/havoqd -selfbench -cluster -workers 4 -ranks 8 -scale 14 -cluster-timeout 10m
-
 clean:
-	rm -f obs_profiles.json obs_profiles.csv cluster-worker-*.log BENCH_ooc_smoke.json BENCH_traffic_smoke.json
+	rm -f obs_profiles.json obs_profiles.csv cluster-worker-*.log
 	$(GO) clean ./...

@@ -1,12 +1,11 @@
-// Package havoqgt's root benchmarks regenerate every figure and table of
-// the paper's evaluation section through the experiment harness (one bench
-// per figure/table, reporting the headline metric), plus microbenchmarks of
-// the substrates. Run:
+// Package havoqgt's root benchmarks: the headline kernels at a fixed size
+// and microbenchmarks of the substrates, for reading one layer while working
+// on it. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem .
 //
-// cmd/experiments prints the full row-by-row series; these benches track the
-// end-to-end cost and key metrics over time.
+// cmd/experiments draws the paper's figures and tables; bench/ (bash
+// bench/run.sh) is what times the system end to end.
 package havoqgt
 
 import (
@@ -28,112 +27,6 @@ import (
 	"havoqgt/internal/termination"
 	"havoqgt/internal/xrand"
 )
-
-func benchSizing() harness.Sizing {
-	return harness.Sizing{Seed: 42, MaxP: 4, VertsPerRankLog2: 9, HubScaleMax: 13, Sources: 1}
-}
-
-// --- one bench per paper figure/table ---
-
-func BenchmarkFig1HubGrowth(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		tab := harness.Figure1(s)
-		if len(tab.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig2Imbalance(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure2(s)
-	}
-}
-
-func BenchmarkFig3EdgeListExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.Figure3()
-	}
-}
-
-func BenchmarkFig4Routing(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure4(s)
-	}
-}
-
-func BenchmarkFig5BFSWeakScaling(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure5(s)
-	}
-}
-
-func BenchmarkFig6KCore(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure6(s)
-	}
-}
-
-func BenchmarkFig7Triangles(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure7(s)
-	}
-}
-
-func BenchmarkFig8ExternalBFS(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure8(s)
-	}
-}
-
-func BenchmarkFig9DataScaling(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure9(s)
-	}
-}
-
-func BenchmarkFig10Diameter(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure10(s)
-	}
-}
-
-func BenchmarkFig11MaxDegree(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure11(s)
-	}
-}
-
-func BenchmarkFig12EdgeListVs1D(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure12(s)
-	}
-}
-
-func BenchmarkFig13Ghosts(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Figure13(s)
-	}
-}
-
-func BenchmarkTableIIGraph500(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.TableII(s)
-	}
-}
 
 // --- headline kernels at a fixed size, reporting TEPS ---
 
@@ -392,13 +285,6 @@ func BenchmarkSMPBFSNVRAM(b *testing.B) {
 		teps = t
 	}
 	b.ReportMetric(teps, "TEPS")
-}
-
-func BenchmarkExtensions(b *testing.B) {
-	s := benchSizing()
-	for i := 0; i < b.N; i++ {
-		harness.Extensions(s)
-	}
 }
 
 func BenchmarkFacadeBFS(b *testing.B) {

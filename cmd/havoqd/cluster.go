@@ -6,12 +6,13 @@ package main
 //   havoqd -join host:7642 -workers 4 -ranks 8 -scale 14   # one worker process
 //   havoqd -smoke -cluster -workers 4 -ranks 4 -scale 12   # spawn a local cluster,
 //                                                          # diff hashes vs in-process
-//   havoqd -selfbench -cluster ...                         # write BENCH_net.json
+//   havoqd -chaos -cluster -workers 4 -ranks 4 -scale 11   # kill -9 workers mid-query
+//                                                          # (chaos.go)
 //
 // The coordinator seals after -workers joins, broadcasts the layout, and then
 // serves POST /query over HTTP exactly like the single-process server —
 // queries fan out to every worker and assemble from master-range partials.
-// The -cluster smoke and bench modes spawn real OS processes (this binary
+// The -cluster smoke and chaos modes spawn real OS processes (this binary
 // with -join) on localhost, so the bytes genuinely cross the kernel's TCP
 // stack; worker output lands in cluster-worker-N.log for post-mortems.
 
@@ -25,7 +26,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -35,6 +35,7 @@ import (
 	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/traffic"
+	"havoqgt/internal/xrand"
 )
 
 // clusterCfg maps the shared command-line flags onto the cluster contract.
@@ -539,6 +540,9 @@ func armWatchdog(o *options, what string) *time.Timer {
 	})
 }
 
+// splitmix64 draws the smoke and chaos drills' deterministic sources.
+func splitmix64(x uint64) uint64 { return xrand.Mix64(x + 0x9e3779b97f4a7c15) }
+
 // clusterSmoke is `-smoke -cluster`: boot a real multi-process cluster, run
 // BFS/SSSP/CC through it, and require the deterministic result hashes to be
 // identical to the in-process engine on the same graph.
@@ -659,190 +663,5 @@ func clusterSmoke(o *options) error {
 	}
 	fmt.Printf("havoqd: cluster smoke: %d/%d hashes identical across %d processes in %v\n",
 		len(cases), len(cases), o.workers+1, queriesDone.Round(time.Millisecond))
-	return nil
-}
-
-// Cluster benchmark report (BENCH_net.json): the engine's serialized-vs-
-// concurrent comparison, but over a real multi-process TCP data plane.
-type benchNetReport struct {
-	Timestamp  string            `json:"timestamp"`
-	Scale      uint              `json:"scale"`
-	Workers    int               `json:"workers"`
-	Ranks      int               `json:"ranks"`
-	Topology   string            `json:"topology"`
-	Vertices   uint64            `json:"vertices"`
-	Workload   string            `json:"workload"`
-	Serialized benchPhase        `json:"serialized"`
-	Concurrent benchPhase        `json:"concurrent"`
-	Speedup    float64           `json:"speedup"`
-	NetSer     cluster.NetTotals `json:"net_serialized"`
-	NetCon     cluster.NetTotals `json:"net_concurrent"`
-}
-
-// clusterWorkload mirrors the selfbench mix at the Spec level (no kcore
-// unless -simplify, matching the single-process constraint).
-func clusterWorkload(n uint64, queries int, simplify bool) []engine.Spec {
-	var specs []engine.Spec
-	for i := 0; i < queries; i++ {
-		src := graph.Vertex(splitmix64(uint64(i)*0x9e37+42) % n)
-		switch {
-		case i == 5:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoCC})
-		case i == 7:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoPageRank, Iters: 8})
-		case i == 9:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoTriangles})
-		case i == 11 && simplify:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoKCore, K: 2})
-		case i%4 == 2:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoBFSDO, Source: src})
-		case i%2 == 0:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoBFS, Source: src})
-		default:
-			specs = append(specs, engine.Spec{Algo: engine.AlgoSSSP, Source: src, WeightSeed: uint64(i)})
-		}
-	}
-	return specs
-}
-
-// clusterBench is `-selfbench -cluster`: run the workload serialized (one
-// query at a time, every wave and frontier exchange paying real TCP latency)
-// and concurrently (interleaved on the same mesh), then write BENCH_net.json.
-func clusterBench(o *options) error {
-	watchdog := armWatchdog(o, "cluster bench")
-	defer watchdog.Stop()
-
-	out := o.benchOut
-	if out == "" {
-		out = "BENCH_net.json"
-	}
-	fmt.Printf("havoqd: cluster bench: %d workers x %d ranks, scale-%d rmat, %d queries\n",
-		o.workers, o.ranks/o.workers, o.scale, o.benchQueries)
-	lc, err := startLocalCluster(o)
-	if err != nil {
-		return err
-	}
-	n := lc.c.NumVertices()
-	work := clusterWorkload(n, o.benchQueries, o.simplify)
-
-	base, err := lc.c.NetStats(30 * time.Second)
-	if err != nil {
-		lc.kill()
-		return err
-	}
-
-	// Serialized: strictly one in-flight query.
-	serLats := make([]time.Duration, len(work))
-	var serHash uint64
-	serStart := time.Now()
-	for i, spec := range work {
-		t := time.Now()
-		q, err := lc.c.Submit(spec)
-		if err != nil {
-			lc.kill()
-			return fmt.Errorf("serialized #%d: %w", i, err)
-		}
-		res, err := q.Wait()
-		if err != nil {
-			lc.kill()
-			return fmt.Errorf("serialized #%d: %w", i, err)
-		}
-		serLats[i] = time.Since(t)
-		serHash += cluster.HashResult(res)
-	}
-	serWall := time.Since(serStart)
-	afterSer, err := lc.c.NetStats(30 * time.Second)
-	if err != nil {
-		lc.kill()
-		return err
-	}
-	ser := summarize(serLats, serWall, 1, serHash)
-	fmt.Printf("havoqd: cluster bench: serialized %.1f q/s (p50 %.1fms p99 %.1fms)\n",
-		ser.QPS, ser.LatP50MS, ser.LatP99MS)
-
-	// Concurrent: all submitted at once, bounded by the coordinator's global
-	// MaxInFlight admission.
-	conLats := make([]time.Duration, len(work))
-	hashes := make([]uint64, len(work))
-	errs := make([]error, len(work))
-	var wg sync.WaitGroup
-	conStart := time.Now()
-	for i, spec := range work {
-		i, spec := i, spec
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.Now()
-			q, err := lc.c.Submit(spec) // blocks while MaxInFlight are running
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := q.Wait()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			conLats[i] = time.Since(t)
-			hashes[i] = cluster.HashResult(res)
-		}()
-	}
-	wg.Wait()
-	conWall := time.Since(conStart)
-	var conHash uint64
-	for i, err := range errs {
-		if err != nil {
-			lc.kill()
-			return fmt.Errorf("concurrent #%d: %w", i, err)
-		}
-		conHash += hashes[i]
-	}
-	afterCon, err := lc.c.NetStats(30 * time.Second)
-	if err != nil {
-		lc.kill()
-		return err
-	}
-	con := summarize(conLats, conWall, o.maxInFlight, conHash)
-	fmt.Printf("havoqd: cluster bench: concurrent %.1f q/s (p50 %.1fms p99 %.1fms), speedup %.2fx\n",
-		con.QPS, con.LatP50MS, con.LatP99MS, con.QPS/ser.QPS)
-
-	if err := lc.shutdown(); err != nil {
-		return err
-	}
-	if serHash != conHash {
-		return errors.New("cluster bench: result divergence between serialized and concurrent phases")
-	}
-
-	rep := benchNetReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Scale:     o.scale,
-		Workers:   o.workers,
-		Ranks:     o.ranks,
-		Topology:  o.topo,
-		Vertices:  n,
-		Workload: fmt.Sprintf("%d queries over %d worker processes (TCP loopback): bfs/bfs_do/sssp mix + cc + pagerank + triangles + kcore",
-			len(work), o.workers),
-		Serialized: ser,
-		Concurrent: con,
-		Speedup:    con.QPS / ser.QPS,
-		NetSer:     afterSer.Sub(base),
-		NetCon:     afterCon.Sub(afterSer),
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("havoqd: cluster bench: wrote %s (%d frames, %.1f MB across the mesh)\n",
-		out, rep.NetSer.FramesOut+rep.NetCon.FramesOut,
-		float64(rep.NetSer.BytesOut+rep.NetCon.BytesOut)/1e6)
 	return nil
 }

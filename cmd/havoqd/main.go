@@ -9,14 +9,16 @@
 //	havoqd -model rmat -scale 14 -ranks 8 -addr :8642   # serve until SIGTERM
 //	havoqd -in graph.hvqg -ranks 8                      # serve a graph file
 //	havoqd -smoke -scale 12 -ranks 8 -queries 50        # end-to-end smoke run
-//	havoqd -selfbench -scale 14 -ranks 8                # write BENCH_engine.json
-//	havoqd -ooc -scale 14 -ranks 8                      # memory-budget sweep -> BENCH_ooc.json
 //	havoqd -mem-budget 0.125 -scale 14 -ranks 8         # serve with 1/8 of edges resident
+//
+// cluster.go has the multi-process modes (-coordinator, -join, -smoke
+// -cluster, -chaos -cluster). havoqd times nothing: bench/ is the benchmark
+// (bash bench/run.sh).
 //
 // Endpoints:
 //
-//	POST /query   {"algo":"bfs|sssp|cc|kcore","source":0,"weight_seed":1,"k":2,
-//	               "deadline_ms":0,"full":false}
+//	POST /query   {"algo":"bfs|bfs_do|sssp|cc|kcore|pagerank|triangles","source":0,
+//	               "weight_seed":1,"k":2,"iters":0,"deadline_ms":0,"full":false}
 //	GET  /healthz liveness + serve counters
 //	GET  /stats   full observability snapshot (transport/mailbox/termination/engine)
 //
@@ -70,33 +72,14 @@ type options struct {
 	smoke   bool
 	queries int
 
-	// Open-loop load harness (see loadbench.go).
-	loadBench     bool
-	loadOut       string
-	loadQPS       float64
-	loadDuration  time.Duration
-	loadZipfS     float64
-	loadOverload  float64
-	loadTenants   int
-	loadP99Factor float64
-	loadGates     bool
-
 	simLatency time.Duration
 
-	selfbench    bool
-	benchOut     string
-	benchQueries int
-	benchLatency time.Duration
-
-	// Out-of-core serving (see bench_ooc.go and the facade's MemoryConfig).
+	// Out-of-core serving (the facade's MemoryConfig).
 	memBudget     float64
 	memPage       int
 	memLatency    time.Duration
 	memQueueDepth int
 	memDir        string
-	oocBench      bool
-	oocFractions  string
-	oocOut        string
 
 	// Cluster modes (see cluster.go).
 	coordinator    bool
@@ -120,8 +103,9 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-func run(args []string) int {
-	var o options
+// newFlagSet registers every havoqd flag on o. TestFlagSurface pins the
+// names, so adding or removing one is a reviewed diff.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("havoqd", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
 	fs.StringVar(&o.in, "in", "", "graph file to serve (.hvqg); empty generates -model instead")
@@ -144,34 +128,18 @@ func run(args []string) int {
 	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "result cache capacity in bytes (0 = 64 MiB, negative disables)")
 	fs.BoolVar(&o.smoke, "smoke", false, "start the server, fire -queries concurrent queries at it, verify, exit")
 	fs.IntVar(&o.queries, "queries", 50, "concurrent queries for -smoke")
-	fs.BoolVar(&o.loadBench, "loadbench", false, "run the open-loop traffic benchmark (hotkey vs uniform vs overload) and exit")
-	fs.StringVar(&o.loadOut, "load-out", "BENCH_traffic.json", "benchmark output file for -loadbench")
-	fs.Float64Var(&o.loadQPS, "load-qps", 80, "offered request rate per phase for -loadbench (overload phase multiplies it)")
-	fs.DurationVar(&o.loadDuration, "load-duration", 8*time.Second, "duration of each -loadbench phase")
-	fs.Float64Var(&o.loadZipfS, "load-zipf-s", 1.25, "Zipf exponent for the hot-key source distribution (>= 1.0)")
-	fs.Float64Var(&o.loadOverload, "load-overload", 10, "offered-rate multiplier for the overload phase")
-	fs.IntVar(&o.loadTenants, "load-tenants", 4, "distinct tenants the load harness spreads requests across")
-	fs.Float64Var(&o.loadP99Factor, "load-p99-factor", 4, "gate: admitted p99 under overload/hotkey must stay within this factor of the uniform baseline")
-	fs.BoolVar(&o.loadGates, "load-gates", true, "enforce the loadbench acceptance gates (exit non-zero on violation)")
 	fs.DurationVar(&o.simLatency, "sim-latency", 0, "simulated per-message interconnect latency (0 = instantaneous transport)")
-	fs.BoolVar(&o.selfbench, "selfbench", false, "run the serialized-vs-concurrent benchmark and exit")
-	fs.StringVar(&o.benchOut, "bench-out", "", "benchmark output file for -selfbench (default BENCH_engine.json, BENCH_net.json with -cluster)")
-	fs.IntVar(&o.benchQueries, "bench-queries", 48, "workload size for -selfbench")
-	fs.DurationVar(&o.benchLatency, "bench-latency", 3*time.Millisecond, "modeled interconnect latency for the -selfbench latency regime")
 	fs.Float64Var(&o.memBudget, "mem-budget", 1, "resident fraction of adjacency data kept in DRAM, (0,1]; <1 serves out of core")
 	fs.IntVar(&o.memPage, "mem-page", 0, "out-of-core cache page size in bytes (0 = 4096)")
 	fs.DurationVar(&o.memLatency, "mem-latency", 0, "modeled NVRAM read latency for out-of-core mode (0 = 25µs)")
 	fs.IntVar(&o.memQueueDepth, "mem-queue-depth", 0, "modeled NVRAM queue depth for out-of-core mode (0 = 64)")
 	fs.StringVar(&o.memDir, "mem-dir", "", "back out-of-core adjacency with real files under this directory instead of simulated NVRAM")
-	fs.BoolVar(&o.oocBench, "ooc", false, "run the memory-budget sweep benchmark (TEPS and hit rate vs resident fraction) and exit")
-	fs.StringVar(&o.oocFractions, "ooc-fractions", "1,0.5,0.25,0.125,0.0625,0.03125", "comma-separated resident fractions for -ooc")
-	fs.StringVar(&o.oocOut, "ooc-out", "BENCH_ooc.json", "benchmark output file for -ooc")
 	fs.BoolVar(&o.coordinator, "coordinator", false, "run as a cluster coordinator: wait for -workers joins, then serve queries")
 	fs.StringVar(&o.join, "join", "", "run as a cluster worker joining the coordinator at this address")
 	fs.IntVar(&o.workers, "workers", 4, "worker processes in the cluster")
 	fs.IntVar(&o.slot, "slot", -1, "explicit worker slot for -join (-1 = coordinator-assigned)")
 	fs.StringVar(&o.meshAddr, "mesh-addr", "", "data-plane listen address for -join (default 127.0.0.1:0)")
-	fs.BoolVar(&o.clusterMode, "cluster", false, "with -smoke or -selfbench: spawn a real multi-process cluster on localhost")
+	fs.BoolVar(&o.clusterMode, "cluster", false, "with -smoke or -chaos: spawn a real multi-process cluster on localhost")
 	fs.StringVar(&o.clusterAddr, "cluster-addr", "127.0.0.1:7642", "control-plane listen address for -coordinator")
 	fs.DurationVar(&o.clusterTimeout, "cluster-timeout", 5*time.Minute, "cluster formation bound; also the -cluster watchdog abort")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 500*time.Millisecond, "coordinator ping spacing on worker control connections")
@@ -179,10 +147,39 @@ func run(args []string) int {
 	fs.DurationVar(&o.joinRetry, "join-retry", 0, "with -join: keep retrying a refused join for this long (a restarted worker must out-wait the failure detector); also re-join after eviction")
 	fs.BoolVar(&o.chaosMode, "chaos", false, "with -cluster: kill -9 workers mid-query and verify typed failure, re-join, and hash-identical recovery")
 	fs.IntVar(&o.chaosKills, "chaos-kills", 2, "kill/heal cycles for -chaos")
-	if err := fs.Parse(args); err != nil {
+	return fs
+}
+
+// checkModes rejects mode flags that only mean something together, so that
+// run's switch never reaches serve() — which builds a graph and listens until
+// signalled — with half of what was asked for dropped.
+func checkModes(o *options) error {
+	member := o.join != "" || o.coordinator
+	switch {
+	case o.join != "" && o.coordinator:
+		return errors.New("-join and -coordinator are different processes; give one")
+	case member && (o.smoke || o.clusterMode || o.chaosMode):
+		return errors.New("-smoke, -cluster and -chaos start their own servers; they do not combine with -join or -coordinator")
+	case o.chaosMode && !o.clusterMode:
+		return errors.New("-chaos needs -cluster")
+	case o.clusterMode && !o.smoke && !o.chaosMode:
+		return errors.New("-cluster needs -smoke or -chaos")
+	case o.smoke && o.chaosMode:
+		return errors.New("-smoke and -chaos are separate drills; give one")
+	}
+	return nil
+}
+
+func run(args []string) int {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if err := checkModes(&o); err != nil {
+		fmt.Fprintf(os.Stderr, "havoqd: %v\n", err)
 		return 2
 	}
 
@@ -192,15 +189,9 @@ func run(args []string) int {
 		err = runClusterWorker(&o)
 	case o.coordinator:
 		err = runClusterCoordinator(&o)
-	case o.oocBench:
-		err = oocbench(&o)
-	case o.loadBench:
-		err = loadbench(&o)
-	case o.chaosMode && o.clusterMode:
+	case o.chaosMode:
 		err = clusterChaos(&o)
-	case o.selfbench && o.clusterMode:
-		err = clusterBench(&o)
-	case o.smoke && o.clusterMode:
+	case o.clusterMode:
 		err = clusterSmoke(&o)
 	default:
 		err = serve(&o)
@@ -224,6 +215,33 @@ func trafficConfig(o *options) traffic.Config {
 	}
 }
 
+// memConfig assembles the facade memory config from the command line.
+func memConfig(o *options) havoqgt.MemoryConfig {
+	return havoqgt.MemoryConfig{
+		ResidentFraction: o.memBudget,
+		PageSize:         o.memPage,
+		DeviceLatency:    o.memLatency,
+		DeviceQueueDepth: o.memQueueDepth,
+		Dir:              o.memDir,
+	}
+}
+
+// memBanner describes the out-of-core set-up memConfig asks for. A zero
+// -mem-latency selects the device's own default, so it prints as "default",
+// not as a 0s device that does not exist; with -mem-dir there is no modeled
+// device at all.
+func memBanner(o *options) string {
+	device := "files under " + o.memDir
+	if o.memDir == "" {
+		latency := "default"
+		if o.memLatency > 0 {
+			latency = o.memLatency.String()
+		}
+		device = "simulated device, latency " + latency
+	}
+	return fmt.Sprintf("out-of-core: resident fraction %.4g (%s)", o.memBudget, device)
+}
+
 // buildGraph loads or generates the resident graph.
 func buildGraph(o *options) (*havoqgt.Graph, error) {
 	opts := havoqgt.Options{Ranks: o.ranks, Topology: o.topo, Simplify: o.simplify}
@@ -242,10 +260,6 @@ func buildGraph(o *options) (*havoqgt.Graph, error) {
 }
 
 func serve(o *options) error {
-	if o.selfbench {
-		return selfbench(o)
-	}
-
 	start := time.Now()
 	g, err := buildGraph(o)
 	if err != nil {
@@ -255,11 +269,10 @@ func serve(o *options) error {
 		g.SetSimLatency(o.simLatency)
 	}
 	if o.memBudget < 1 {
-		if err := g.SetMemoryBudget(memConfig(o, o.memBudget)); err != nil {
+		if err := g.SetMemoryBudget(memConfig(o)); err != nil {
 			return err
 		}
-		fmt.Printf("havoqd: out-of-core: resident fraction %.4g (device latency %v)\n",
-			o.memBudget, o.memLatency)
+		fmt.Println("havoqd: " + memBanner(o))
 	}
 	e, err := g.StartEngine(havoqgt.EngineOptions{
 		MaxInFlight:     o.maxInFlight,

@@ -3,12 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,17 +19,17 @@ import (
 )
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
-	return testServerConfig(t, traffic.Config{})
+	return testServerConfig(t, traffic.Config{}, havoqgt.EngineOptions{MaxInFlight: 8})
 }
 
-func testServerConfig(t *testing.T, tc traffic.Config) (*server, *httptest.Server) {
+func testServerConfig(t *testing.T, tc traffic.Config, eo havoqgt.EngineOptions) (*server, *httptest.Server) {
 	t.Helper()
 	check.NoLeaks(t) // registered first so the leak check runs after teardown
 	g, err := havoqgt.GenerateRMAT(9, 7, havoqgt.Options{Ranks: 4, Topology: "2d", Simplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: 8})
+	e, err := g.StartEngine(eo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +66,23 @@ func postQuery(t *testing.T, ts *httptest.Server, req queryRequest) (int, queryR
 		}
 	}
 	return res.StatusCode, qr, er
+}
+
+// postAs posts one query as the given tenant ("" = anonymous) and returns
+// the raw response, for tests that read headers; the caller closes the body.
+func postAs(t *testing.T, ts *httptest.Server, tenant string, q queryRequest) *http.Response {
+	t.Helper()
+	body, _ := json.Marshal(q)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if tenant != "" {
+		req.Header.Set(tenantHeader, tenant)
+	}
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestServerEndpoints(t *testing.T) {
@@ -187,6 +204,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentQueries fires 16 simultaneous requests for one cold
+// key: all are answered correctly, and exactly one leads an engine
+// execution — every other joins it in flight or hits the cache behind it.
 func TestServerConcurrentQueries(t *testing.T) {
 	s, ts := testServer(t)
 	want, err := s.g.BFS(0)
@@ -214,6 +234,12 @@ func TestServerConcurrentQueries(t *testing.T) {
 	if got := s.served.Load(); got != burst {
 		t.Fatalf("served counter %d, want %d", got, burst)
 	}
+	snap := s.e.Metrics().Snapshot()
+	leaders := snap.Counter(obs.TrafficCollapseLeaders)
+	absorbed := snap.Counter(obs.TrafficCollapseHits) + snap.Counter(obs.TrafficCacheHits)
+	if leaders != 1 || absorbed != burst-1 {
+		t.Fatalf("collapse: %d leaders, %d collapsed or cached; want 1 and %d", leaders, absorbed, burst-1)
+	}
 }
 
 // TestServerQuotaShedsStructured429 drives a tenant past a tiny quota and
@@ -222,19 +248,9 @@ func TestServerConcurrentQueries(t *testing.T) {
 func TestServerQuotaShedsStructured429(t *testing.T) {
 	_, ts := testServerConfig(t, traffic.Config{
 		Quota: traffic.QuotaConfig{Rate: 1, Burst: 2, Tick: time.Hour},
-	})
+	}, havoqgt.EngineOptions{MaxInFlight: 8})
 	post := func(tenant string) *http.Response {
-		body, _ := json.Marshal(queryRequest{Algo: "bfs", Source: 0})
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			req.Header.Set(tenantHeader, tenant)
-		}
-		res, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return postAs(t, ts, tenant, queryRequest{Algo: "bfs", Source: 0})
 	}
 	for i := 0; i < 2; i++ {
 		res := post("")
@@ -274,12 +290,7 @@ func TestServerQuotaShedsStructured429(t *testing.T) {
 func TestServerCacheOutcomeHeaders(t *testing.T) {
 	s, ts := testServer(t)
 	post := func() *http.Response {
-		body, _ := json.Marshal(queryRequest{Algo: "bfs", Source: 5})
-		res, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return postAs(t, ts, "", queryRequest{Algo: "bfs", Source: 5})
 	}
 	res := post()
 	io.Copy(io.Discard, res.Body)
@@ -321,6 +332,20 @@ func TestServerCacheOutcomeHeaders(t *testing.T) {
 		t.Fatalf("cached answer reached=%d max=%d, fresh answer reached=%d max=%d",
 			cached.Reached, cached.MaxLevel, fresh.Reached, fresh.MaxLevel)
 	}
+
+	// Hot keys: N sequential requests over K distinct cold sources execute
+	// exactly K times; the cache absorbs the other N-K.
+	const n, k = 24, 4
+	outcomes := map[string]int{}
+	for i := 0; i < n; i++ {
+		res := postAs(t, ts, "", queryRequest{Algo: "bfs", Source: uint64(100 + i%k)})
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		outcomes[res.Header.Get("X-Traffic-Outcome")]++
+	}
+	if outcomes["executed"] != k || outcomes["cached"] != n-k {
+		t.Fatalf("%d requests over %d keys: outcomes %v, want %d executed and %d cached", n, k, outcomes, k, n-k)
+	}
 }
 
 // TestServerStatsExposesTrafficCounters: the traffic plane reports into the
@@ -350,36 +375,72 @@ func TestServerStatsExposesTrafficCounters(t *testing.T) {
 	}
 }
 
-func TestLoadbenchMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadbench is a timed run")
+// TestServerOverloadContract is the front door's overload contract as a
+// closed burst: 160 requests for distinct keys from 4 tenants whose buckets
+// hold 12 tokens and never refill, against an engine that runs 2 queries and
+// queues 2 more, cache off. Every response is a 200 or a retryable 429 with
+// the structured body and Retry-After — never a 5xx, never a dropped
+// connection — and both shed counts follow from the configuration.
+func TestServerOverloadContract(t *testing.T) {
+	const tenants, perTenant, burst = 4, 40, 12
+	s, ts := testServerConfig(t, traffic.Config{
+		Quota:      traffic.QuotaConfig{Rate: 1, Burst: burst, Tick: time.Hour},
+		CacheBytes: -1,
+	}, havoqgt.EngineOptions{MaxInFlight: 2, MaxQueue: 2})
+
+	var ok, quotaShed, engineShed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < tenants*perTenant; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(queryRequest{Algo: "bfs", Source: uint64(i)})
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+			req.Header.Set(tenantHeader, fmt.Sprintf("tenant-%d", i%tenants))
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer res.Body.Close()
+			if res.StatusCode == http.StatusOK {
+				io.Copy(io.Discard, res.Body)
+				ok.Add(1)
+				return
+			}
+			var er errorResponse
+			if err := json.NewDecoder(res.Body).Decode(&er); err != nil {
+				t.Errorf("request %d: status %d with unstructured body: %v", i, res.StatusCode, err)
+				return
+			}
+			switch {
+			case res.StatusCode != http.StatusTooManyRequests:
+				t.Errorf("request %d: status %d (%v), want 200 or 429", i, res.StatusCode, er)
+			case res.Header.Get("Retry-After") == "" || er.RetryAfterSec < 1:
+				t.Errorf("request %d: 429 without Retry-After: %+v", i, er)
+			case er.Code == codeQuotaExceeded:
+				quotaShed.Add(1)
+			case er.Code == codeEngineOverloaded:
+				engineShed.Add(1)
+			default:
+				t.Errorf("request %d: 429 with code %q, want a retryable shed", i, er.Code)
+			}
+		}()
 	}
-	outPath := filepath.Join(t.TempDir(), "traffic.json")
-	// Tiny scale and short phases: the statistical gates are not meaningful
-	// here, so they are off; the run must still be clean (zero 5xx) and the
-	// deterministic collapse probe must still hold.
-	code := run([]string{"-loadbench", "-scale", "9", "-ranks", "4",
-		"-load-qps", "40", "-load-duration", "1s", "-load-gates=false", "-load-out", outPath})
-	if code != 0 {
-		t.Fatalf("loadbench exited %d", code)
+	wg.Wait()
+
+	admitted := int64(tenants * burst)
+	if got, want := quotaShed.Load(), int64(tenants*(perTenant-burst)); got != want {
+		t.Errorf("%d quota sheds, want %d", got, want)
 	}
-	var rep loadReport
-	if err := json.Unmarshal(readFile(t, outPath), &rep); err != nil {
-		t.Fatalf("loadbench output not JSON: %v", err)
+	if got := ok.Load() + engineShed.Load(); got != admitted {
+		t.Errorf("%d served + %d engine sheds, want the %d admitted", ok.Load(), engineShed.Load(), admitted)
 	}
-	if len(rep.Phases) != 4 {
-		t.Fatalf("%d phases, want 4", len(rep.Phases))
+	if got := s.served.Load() + s.shed.Load() + s.failed.Load(); got != tenants*perTenant {
+		t.Errorf("served+shed+failed = %d, want %d", got, tenants*perTenant)
 	}
-	for _, ph := range rep.Phases {
-		if ph.Status5xx != 0 || ph.ClientErrors != 0 {
-			t.Fatalf("phase %s: 5xx=%d client_errors=%d", ph.Name, ph.Status5xx, ph.ClientErrors)
-		}
-	}
-	probe := rep.Phases[3]
-	if probe.CollapseLeaders != 1 || probe.CollapseHits+probe.CacheHits != uint64(probe.Sent-1) {
-		t.Fatalf("collapse probe: leaders=%d collapsed=%d cached=%d sent=%d",
-			probe.CollapseLeaders, probe.CollapseHits, probe.CacheHits, probe.Sent)
-	}
+	t.Logf("served %d, quota sheds %d, engine sheds %d", ok.Load(), quotaShed.Load(), engineShed.Load())
 }
 
 func TestSmokeMode(t *testing.T) {
@@ -390,38 +451,4 @@ func TestSmokeMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("smoke run exited %d", code)
 	}
-}
-
-func TestSelfbenchMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selfbench is a timed run")
-	}
-	outPath := filepath.Join(t.TempDir(), "bench.json")
-	code := run([]string{"-selfbench", "-scale", "9", "-ranks", "4",
-		"-bench-queries", "8", "-bench-latency", "1ms", "-bench-out", outPath})
-	if code != 0 {
-		t.Fatalf("selfbench exited %d", code)
-	}
-	raw := readFile(t, outPath)
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bench output not JSON: %v", err)
-	}
-	for _, cmp := range []benchComparison{rep.ZeroLatency, rep.ModeledLatency} {
-		if cmp.Serialized.Queries != cmp.Concurrent.Queries || cmp.Serialized.Queries == 0 {
-			t.Fatalf("bad query counts: %+v", cmp)
-		}
-		if cmp.Serialized.ResultHash != cmp.Concurrent.ResultHash {
-			t.Fatalf("phases disagree: %d vs %d", cmp.Serialized.ResultHash, cmp.Concurrent.ResultHash)
-		}
-	}
-}
-
-func readFile(t *testing.T, path string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

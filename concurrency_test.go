@@ -9,6 +9,7 @@ package havoqgt
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"havoqgt/internal/check"
 	"havoqgt/internal/graph"
@@ -73,8 +74,16 @@ func TestConcurrentOneShotCallsAreSerialized(t *testing.T) {
 // TestEngineBackedFacadeCalls attaches an engine and checks that (a) every
 // Graph query method routes through it and stays correct under concurrency,
 // (b) a second engine cannot attach, and (c) one-shot calls work again after
-// Close.
+// Close — on the instantaneous transport and under a modeled 1 ms
+// interconnect, where every termination wave and frontier round trip stalls
+// with other queries' work filling the gap.
 func TestEngineBackedFacadeCalls(t *testing.T) {
+	for _, latency := range []time.Duration{0, time.Millisecond} {
+		t.Run(latency.String(), func(t *testing.T) { engineBackedFacadeCalls(t, latency) })
+	}
+}
+
+func engineBackedFacadeCalls(t *testing.T, latency time.Duration) {
 	check.NoLeaks(t)
 	const n = 300
 	edges := testEdges(n, 1200, 11)
@@ -82,6 +91,7 @@ func TestEngineBackedFacadeCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.SetSimLatency(latency)
 	adj := ref.BuildAdj(graph.Undirect(edges), n)
 	unattachedEst, err := g.EstimateTriangles(0.5, 1)
 	if err != nil {

@@ -116,20 +116,29 @@ func checkGolden(t *testing.T, got map[string]uint64) {
 }
 
 // TestGoldenHashes pins every query type's output across the executor
-// change, in the three ways a facade call can run: on a transient engine,
-// on an attached engine, and out of core at 1/8 resident adjacency.
+// change, in the three ways a facade call can run — on a transient engine,
+// on an attached engine, and out of core at 1/8 resident adjacency — and on
+// an attached engine whose every message takes a modeled 1 ms to arrive.
 func TestGoldenHashes(t *testing.T) {
 	t.Run("unattached", func(t *testing.T) {
 		checkGolden(t, goldenRun(t, goldenGraph(t)))
 	})
-	t.Run("attached", func(t *testing.T) {
+	attached := func(t *testing.T, latency time.Duration) {
 		g := goldenGraph(t)
+		g.SetSimLatency(latency)
 		e, err := g.StartEngine(EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
 		checkGolden(t, goldenRun(t, g))
+	}
+	t.Run("attached", func(t *testing.T) { attached(t, 0) })
+	t.Run("modeled-latency", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("two seconds plain, half a minute under -race")
+		}
+		attached(t, time.Millisecond)
 	})
 	t.Run("out-of-core", func(t *testing.T) {
 		if testing.Short() {

@@ -74,7 +74,6 @@ type Coordinator struct {
 	queries map[uint32]*Query
 	nextQID uint32
 	closed  bool
-	statsW  *statsWaiter // at most one outstanding NetStats sweep
 
 	sem chan struct{} // global MaxInFlight admission
 
@@ -321,18 +320,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			if q != nil {
 				q.addPartial(&m)
 			}
-		case "stats":
-			c.mu.Lock()
-			sw := c.statsW
-			if sw != nil && m.Net != nil {
-				sw.totals.add(m.Net)
-				sw.remaining--
-				if sw.remaining == 0 {
-					c.statsW = nil
-					close(sw.done)
-				}
-			}
-			c.mu.Unlock()
 		}
 	}
 }
@@ -736,47 +723,6 @@ func (q *Query) Cancel() {
 		if w != nil {
 			w.send(msg{Type: "cancel", QID: q.id})
 		}
-	}
-}
-
-// statsWaiter collects one NetStats sweep's replies.
-type statsWaiter struct {
-	remaining int
-	totals    NetTotals
-	done      chan struct{}
-}
-
-// NetStats sweeps every live worker's data-plane counters and returns the
-// sum. One sweep at a time; callers serialize.
-func (c *Coordinator) NetStats(timeout time.Duration) (NetTotals, error) {
-	c.mu.Lock()
-	if c.statsW != nil {
-		c.mu.Unlock()
-		return NetTotals{}, errors.New("cluster: a stats sweep is already in flight")
-	}
-	conns := make([]*wconn, 0, len(c.workers))
-	for _, w := range c.workers {
-		if w != nil {
-			conns = append(conns, w)
-		}
-	}
-	sw := &statsWaiter{remaining: len(conns), done: make(chan struct{})}
-	c.statsW = sw
-	c.mu.Unlock()
-
-	for _, w := range conns {
-		w.send(msg{Type: "stats"})
-	}
-	select {
-	case <-sw.done:
-		return sw.totals, nil
-	case <-time.After(timeout):
-		c.mu.Lock()
-		if c.statsW == sw {
-			c.statsW = nil
-		}
-		c.mu.Unlock()
-		return sw.totals, fmt.Errorf("cluster: stats sweep timed out with %d workers unreported", sw.remaining)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 
 // Version names the control-plane protocol. Joins from any other version are
 // refused with ErrVersionMismatch.
-const Version = "havoqd-cluster/1"
+const Version = "havoqd-cluster/2"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator
@@ -209,8 +209,8 @@ type workerInfo struct {
 // are meaningful. One struct keeps the codec trivial (a JSON line per
 // message) at the cost of some slack — acceptable on a low-rate plane.
 //
-// Types, worker → coordinator: "join", "ready", "result", "stats",
-// "layout-ack", "pong".
+// Types, worker → coordinator: "join", "ready", "result", "layout-ack",
+// "pong".
 // Types, coordinator → worker: "joined", "error", "cluster", "submit",
 // "cancel", "shutdown", "ping", "abort", "evicted".
 type msg struct {
@@ -253,35 +253,4 @@ type msg struct {
 	Waves     uint64   `json:"waves,omitempty"` // detector waves (slot hosting rank 0 only)
 	Cancelled bool     `json:"cancelled,omitempty"`
 	Err       string   `json:"err,omitempty"`
-
-	// stats reply: the worker's data-plane counters.
-	Net *NetTotals `json:"net,omitempty"`
-}
-
-// NetTotals aggregates the data-plane counters, per worker or cluster-wide.
-type NetTotals struct {
-	BytesIn    uint64 `json:"bytes_in"`
-	BytesOut   uint64 `json:"bytes_out"`
-	FramesIn   uint64 `json:"frames_in"`
-	FramesOut  uint64 `json:"frames_out"`
-	Reconnects uint64 `json:"reconnects"`
-}
-
-func (t *NetTotals) add(o *NetTotals) {
-	t.BytesIn += o.BytesIn
-	t.BytesOut += o.BytesOut
-	t.FramesIn += o.FramesIn
-	t.FramesOut += o.FramesOut
-	t.Reconnects += o.Reconnects
-}
-
-// Sub returns t - o (for per-phase deltas).
-func (t NetTotals) Sub(o NetTotals) NetTotals {
-	return NetTotals{
-		BytesIn:    t.BytesIn - o.BytesIn,
-		BytesOut:   t.BytesOut - o.BytesOut,
-		FramesIn:   t.FramesIn - o.FramesIn,
-		FramesOut:  t.FramesOut - o.FramesOut,
-		Reconnects: t.Reconnects - o.Reconnects,
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	hnet "havoqgt/internal/net"
-	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 )
@@ -316,15 +315,6 @@ serve:
 			mesh.Update(m.Epoch, layoutPeers(m.Workers, slot))
 			send(&msg{Type: "layout-ack", Slot: slot, Epoch: m.Epoch})
 			opts.Logf("cluster: worker %d adopted layout epoch %d", slot, m.Epoch)
-		case "stats":
-			reg := machine.Obs()
-			send(&msg{Type: "stats", Slot: slot, Net: &NetTotals{
-				BytesIn:    reg.Counter(obs.NetBytesIn).Value(),
-				BytesOut:   reg.Counter(obs.NetBytesOut).Value(),
-				FramesIn:   reg.Counter(obs.NetFramesIn).Value(),
-				FramesOut:  reg.Counter(obs.NetFramesOut).Value(),
-				Reconnects: reg.Counter(obs.NetReconnects).Value(),
-			}})
 		case "evicted":
 			serveErr = ErrEvicted
 			break serve

@@ -40,17 +40,6 @@ func DefaultSizing() Sizing {
 	}
 }
 
-// BenchSizing targets sub-second per-experiment runs for testing.B loops.
-func BenchSizing() Sizing {
-	return Sizing{
-		Seed:             42,
-		MaxP:             4,
-		VertsPerRankLog2: 10,
-		HubScaleMax:      14,
-		Sources:          1,
-	}
-}
-
 func (s Sizing) pSweep() []int {
 	var ps []int
 	for p := 1; p <= s.MaxP; p *= 2 {

@@ -4,8 +4,8 @@ package mailbox
 //
 // The routed aggregating mailbox is the system's per-record hot path: every
 // visitor crosses Send → enqueue (framing) → ship → transport → Poll →
-// decodeEnvelope → deliver → drain. BENCH_msgplane.json records the
-// before/after numbers for the pooled-envelope + arena-delivery rework; the
+// decodeEnvelope → deliver → drain. DESIGN.md §9 records the before/after
+// numbers for the pooled-envelope + arena-delivery rework; the
 // TestAllocBudget* tests below pin the steady-state budgets so allocation
 // regressions fail `make bench-smoke` (and CI), not just benchmarks.
 //

@@ -175,8 +175,7 @@ const (
 
 	// TrafficRequestNS is the histogram of end-to-end served-request latency
 	// at the HTTP front door (admission through response serialization),
-	// nanoseconds. The loadbench percentiles (p50/p99/p999) come from
-	// per-phase deltas of this histogram.
+	// nanoseconds.
 	TrafficRequestNS = "traffic.request_ns"
 )
 

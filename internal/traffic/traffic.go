@@ -193,7 +193,7 @@ func (p *Plane) Do(ctx context.Context, key Key, exec func(ctx context.Context) 
 }
 
 // ObserveLatency records one served request's end-to-end latency into the
-// traffic.request_ns histogram (the source of the loadbench percentiles).
+// traffic.request_ns histogram.
 func (p *Plane) ObserveLatency(d time.Duration) {
 	if d < 0 {
 		d = 0
