@@ -64,9 +64,11 @@ type Options struct {
 	Ranks int
 	// Topology routes the visitor mailbox: "1d" (direct, default), "2d", "3d".
 	Topology string
-	// GhostsPerPartition sets the hub-filter table size for algorithms that
-	// declare ghost usage (BFS, SSSP, CC). Default 256, the paper's value;
-	// set negative to disable.
+	// GhostsPerPartition bounds each rank's ghost table, the sender-side
+	// filter of the algorithms that declare ghost usage (BFS, SSSP, CC). The
+	// default, 0, keeps every remote vertex the rank holds at least two edges
+	// to; a positive value caps the table at that many of the most repeated
+	// (the paper's experiments use 256); negative disables the filter.
 	GhostsPerPartition int
 	// Undirect stores both directions of every input edge.
 	Undirect bool
@@ -83,9 +85,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Topology == "" {
 		o.Topology = "1d"
-	}
-	if o.GhostsPerPartition == 0 {
-		o.GhostsPerPartition = core.DefaultGhostsPerPartition
 	}
 	return o
 }
@@ -181,7 +180,6 @@ func build(chunk func(rank, size int) []Edge, n uint64, opts Options) (*Graph, e
 		n:       n,
 		machine: rt.NewMachine(opts.Ranks),
 		parts:   make([]*partition.Part, opts.Ranks),
-		ghosts:  make([]*core.GhostTable, opts.Ranks),
 	}
 	errs := make([]error, opts.Ranks)
 	g.machine.Run(func(r *rt.Rank) {
@@ -198,15 +196,13 @@ func build(chunk func(rank, size int) []Edge, n uint64, opts Options) (*Graph, e
 			return
 		}
 		g.parts[r.Rank()] = part
-		if opts.GhostsPerPartition > 0 {
-			g.ghosts[r.Rank()] = core.BuildGhostTable(part, opts.GhostsPerPartition)
-		}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	g.ghosts = core.BuildGhostTables(g.parts, opts.GhostsPerPartition)
 	g.version.Store(1)
 	return g, nil
 }

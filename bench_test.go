@@ -46,7 +46,7 @@ func benchBFSTEPS(b *testing.B, ghosts int, topo string, nv *extmem.NVRAMConfig)
 	b.ReportMetric(teps, "TEPS")
 }
 
-func BenchmarkBFSNoGhosts(b *testing.B)  { benchBFSTEPS(b, 0, "1d", nil) }
+func BenchmarkBFSNoGhosts(b *testing.B)  { benchBFSTEPS(b, -1, "1d", nil) }
 func BenchmarkBFSGhosts256(b *testing.B) { benchBFSTEPS(b, 256, "1d", nil) }
 func BenchmarkBFS2DRouting(b *testing.B) { benchBFSTEPS(b, 256, "2d", nil) }
 func BenchmarkBFS3DRouting(b *testing.B) { benchBFSTEPS(b, 256, "3d", nil) }

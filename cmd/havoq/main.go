@@ -265,8 +265,15 @@ func (g *loaded) close() {
 	}
 }
 
-// query times one traversal on a transient engine, with hub filtering over
-// ghost tables of the given size (0 disables).
+// ghostsFlag declares -ghosts for the traversals that filter at the sender
+// (bfs, sssp, cc); core.BuildGhostTables gives the value its meaning, the
+// same as the library's Options.GhostsPerPartition.
+func ghostsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("ghosts", 0, "ghost vertices per partition: 0 keeps every remote vertex the rank has two or more edges to, N caps the table at the N most repeated, negative disables")
+}
+
+// query times one traversal on a transient engine, with the sender-side
+// filter over ghost tables built for the -ghosts setting.
 func (g *loaded) query(ghosts int, spec engine.Spec) (*engine.Result, time.Duration, error) {
 	cfg := engine.Config{Machine: g.m, Parts: g.parts, Topology: g.o.topo,
 		Ghosts: core.BuildGhostTables(g.parts, ghosts)}
@@ -279,7 +286,7 @@ func cmdBFS(args []string) error {
 	fs := flag.NewFlagSet("bfs", flag.ContinueOnError)
 	o := addRunFlags(fs)
 	source := fs.Uint64("source", 0, "BFS source vertex")
-	ghosts := fs.Int("ghosts", core.DefaultGhostsPerPartition, "ghost vertices per partition (0 disables)")
+	ghosts := ghostsFlag(fs)
 	validate := fs.Bool("validate", false, "run Graph500-style validation after the traversal")
 	if err := parseArgs(fs, args); err != nil {
 		return err
@@ -328,7 +335,7 @@ func cmdSSSP(args []string) error {
 	fs := flag.NewFlagSet("sssp", flag.ContinueOnError)
 	o := addRunFlags(fs)
 	source := fs.Uint64("source", 0, "SSSP source vertex")
-	ghosts := fs.Int("ghosts", core.DefaultGhostsPerPartition, "ghost vertices per partition (0 disables)")
+	ghosts := ghostsFlag(fs)
 	weightSeed := fs.Uint64("weight-seed", 1, "seed for the synthesized edge weights")
 	if err := parseArgs(fs, args); err != nil {
 		return err
@@ -360,7 +367,7 @@ func cmdSSSP(args []string) error {
 func cmdCC(args []string) error {
 	fs := flag.NewFlagSet("cc", flag.ContinueOnError)
 	o := addRunFlags(fs)
-	ghosts := fs.Int("ghosts", core.DefaultGhostsPerPartition, "ghost vertices per partition (0 disables)")
+	ghosts := ghostsFlag(fs)
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}

@@ -8,6 +8,9 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/engine"
 )
 
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
@@ -204,5 +207,55 @@ func TestOneShotAllocBudget(t *testing.T) {
 	t.Logf("one-shot BFS allocates %.1f MB per query", mean)
 	if mean > budgetMB {
 		t.Errorf("one-shot BFS allocates %.1f MB per query, budget %d MB", mean, budgetMB)
+	}
+}
+
+// TestBFSRecordBudget pins what a one-shot BFS sends at the benchmark's
+// shape (scale 15, 8 ranks, 2d), in counts, which the box's timing noise
+// cannot move: with the sender deciding — ghost filtering over every
+// repeated remote target, local targets applied in place — one traversal of
+// the giant component routes about 105 K records (736 K when the ghost table
+// stopped at 256 entries and local targets went through the mailbox), filters
+// three pushes in four, and executes what it always did: 1.15–1.3 visits per
+// reached vertex (an asynchronous traversal re-visits a vertex whose better
+// level arrives late, and a split row is visited on every rank holding a
+// piece), so sending less has not meant visiting more.
+func TestBFSRecordBudget(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("scale-15 record budget: not under -short or -race")
+	}
+	g, err := GenerateRMAT(15, 42, Options{Ranks: 8, Topology: "2d", Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var source Vertex
+	for d, _ := g.Degree(source); d < 8; d, _ = g.Degree(source) {
+		source++
+	}
+	res, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, engine.Spec{Algo: engine.AlgoBFS, Source: source})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached, _ := bfs.Summary(res.Levels)
+	if reached < g.NumVertices()/4 {
+		t.Fatalf("source %d reaches %d vertices: not in the giant component", source, reached)
+	}
+	var pushed, filtered, executed, records uint64
+	for _, s := range stats {
+		pushed += s.Pushed
+		filtered += s.GhostFiltered
+		executed += s.Executed
+		records += s.Mailbox.RecordsSent
+	}
+	t.Logf("reached %d: pushed %d, ghost-filtered %d (%.3f), records sent %d, executed %d (%.3f per reached vertex)",
+		reached, pushed, filtered, float64(filtered)/float64(pushed), records, executed, float64(executed)/float64(reached))
+	if records > 300_000 {
+		t.Errorf("one BFS sent %d records, budget 300000", records)
+	}
+	if float64(filtered) < 0.70*float64(pushed) {
+		t.Errorf("ghost filter dropped %d of %d pushes, want at least 0.70", filtered, pushed)
+	}
+	if executed < reached || float64(executed) > 1.5*float64(reached) {
+		t.Errorf("executed %d visits to reach %d vertices, want between 1 and 1.5 per vertex", executed, reached)
 	}
 }

@@ -54,7 +54,7 @@ func TestIntegrationSweep(t *testing.T) {
 
 		for _, p := range []int{1, 3, 8} {
 			for _, topoName := range []string{"1d", "2d", "3d"} {
-				for _, ghosts := range []int{0, 64} {
+				for _, ghosts := range []int{-1, 64, 0} { // off, capped, the default
 					name := fmt.Sprintf("%s/p%d/%s/g%d", gc.name, p, topoName, ghosts)
 					t.Run(name, func(t *testing.T) {
 						g := algotest.Build(t, gc.edges, gc.n, p, partition.BuildEdgeList)

@@ -47,11 +47,11 @@ func Build(t testing.TB, edges []graph.Edge, n uint64, p int, build Builder) *Gr
 	return g
 }
 
-// Setup is how a query runs on a Graph; the zero value is 1-D routing, no
-// hub filtering, default core.Config.
+// Setup is how a query runs on a Graph; the zero value is 1-D routing, the
+// default ghost tables, default core.Config.
 type Setup struct {
 	Topology string // "1d" (default), "2d", "3d"
-	Ghosts   int    // ghost table size per partition; 0 = none
+	Ghosts   int    // ghost table cap per partition (core.BuildGhostTables: 0 = default, negative = none)
 	Core     core.Config
 }
 

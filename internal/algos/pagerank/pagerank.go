@@ -141,17 +141,20 @@ func (p *PR) PreVisit(v Visitor) bool {
 	case p.done[i]:
 		p.accCur[i] += v.Val
 		p.cntCur[i]++
+		// The contribution that completes the current iteration becomes the
+		// completion trigger: admit it so Visit runs the completion cascade
+		// (PreVisit cannot push). Exactly one contribution per completed
+		// bucket is that one.
+		return uint64(p.cntCur[i]) == p.part.GlobalDegree(v.V)
 	case p.done[i] + 1:
+		// Never a trigger, even when the current bucket is already full: its
+		// trigger is queued, and the cascade it runs promotes this bucket.
 		p.accNext[i] += v.Val
 		p.cntNext[i]++
 	default:
 		p.dropped++ // impossible under exactly-once delivery; tolerated
-		return false
 	}
-	// The contribution that completes the current iteration becomes the
-	// completion trigger: admit it so Visit runs the completion cascade
-	// (PreVisit cannot push).
-	return uint64(p.cntCur[i]) == p.part.GlobalDegree(v.V)
+	return false
 }
 
 // Visit runs an emit fan-out over the locally stored row portion, or — for

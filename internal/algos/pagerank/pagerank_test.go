@@ -92,3 +92,43 @@ func TestPageRankMassConservation(t *testing.T) {
 		t.Fatalf("total mass %d outside sane envelope", total)
 	}
 }
+
+// TestPageRankExecutesOnlyEmitsAndCompletions pins the kernel's visit count:
+// an executed visitor is an emit (one per vertex, iteration and holder of a
+// piece of the vertex's row) or the one contribution that completed an
+// iteration — never a contribution that merely arrived while a completion
+// trigger was still queued. A completion trigger can run several iterations
+// at once when the next bucket filled while it waited, which would make the
+// count depend on the schedule; a self-loop on every vertex rules that out
+// (a vertex's next bucket needs its own next contribution, which only the
+// trigger emits), so the count is exact on any rank count.
+func TestPageRankExecutesOnlyEmitsAndCompletions(t *testing.T) {
+	const n, iters = 40, 3
+	edges := randomMultigraph(n, 120, 11)
+	for v := graph.Vertex(0); v < n; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v})
+	}
+	for _, p := range []int{1, 4} {
+		g := algotest.Build(t, edges, n, p, partition.BuildEdgeList)
+		var want uint64
+		for v := graph.Vertex(0); v < n; v++ {
+			holders := uint64(1)
+			for part := g.Parts[g.Parts[0].Master(v)]; ; holders++ {
+				next, ok := part.ShouldForward(v)
+				if !ok {
+					break
+				}
+				part = g.Parts[next]
+			}
+			want += iters * (holders + 1) // emits, and one completion per iteration
+		}
+		_, stats := g.Run(t, defaultCfg, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
+		var executed uint64
+		for _, s := range stats {
+			executed += s.Executed
+		}
+		if executed != want {
+			t.Errorf("p=%d: executed %d visitors, emits + completions = %d", p, executed, want)
+		}
+	}
+}

@@ -15,6 +15,9 @@
 //   - S/R agreement:         per rank, detector S == mailbox records sent and
 //     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
 //     the four-counter termination waves must see drain)
+//   - push accounting:       per rank, pushed − ghost-filtered − applied in
+//     place + replica-forwarded == mailbox records sent, and visitors
+//     received == mailbox records delivered
 //   - one ledger:            per rank, every batch-published obs cell equals
 //     the plain Stats field it mirrors (asserted on every clean differential
 //     case)
@@ -168,7 +171,9 @@ func MessageTraversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 
 // Traversal checks every conservation law over the stats of a visitor-queue
 // query that had its engine to itself: MessageTraversal plus the queue's
-// agreement with the mailbox.
+// agreement with the mailbox: what the queue received is what the mailbox
+// delivered (a push applied in place on its master rank is neither), and
+// every push is accounted for.
 func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 	vs := violations(MessageTraversal(topo, stats))
 	for r, s := range stats {
@@ -176,12 +181,13 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 			vs.addf("queue-agreement", "rank %d: visitors received=%d != mailbox records delivered=%d",
 				r, s.Received, s.Mailbox.RecordsDelivered)
 		}
-		// Every visitor push either gets ghost-filtered or becomes a mailbox
-		// send; replica forwards send again. Anything else is a leak.
-		if want := s.Pushed - s.GhostFiltered + s.Forwarded; want != s.Mailbox.RecordsSent {
+		// Every visitor push gets ghost-filtered, is applied in place on its
+		// master rank, or becomes a mailbox send; replica forwards send again.
+		// Anything else is a leak.
+		if want := s.Pushed - s.GhostFiltered - s.Local + s.Forwarded; want != s.Mailbox.RecordsSent {
 			vs.addf("push-accounting",
-				"rank %d: pushed(%d) − ghost-filtered(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
-				r, s.Pushed, s.GhostFiltered, s.Forwarded, want, s.Mailbox.RecordsSent)
+				"rank %d: pushed(%d) − ghost-filtered(%d) − applied-locally(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
+				r, s.Pushed, s.GhostFiltered, s.Local, s.Forwarded, want, s.Mailbox.RecordsSent)
 		}
 	}
 	return vs
@@ -201,6 +207,7 @@ func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 	}{
 		{obs.CorePushed, func(s core.Stats) uint64 { return s.Pushed }},
 		{obs.CoreGhostFiltered, func(s core.Stats) uint64 { return s.GhostFiltered }},
+		{obs.CoreLocal, func(s core.Stats) uint64 { return s.Local }},
 		{obs.CoreReceived, func(s core.Stats) uint64 { return s.Received }},
 		{obs.CoreQueued, func(s core.Stats) uint64 { return s.Queued }},
 		{obs.CoreExecuted, func(s core.Stats) uint64 { return s.Executed }},

@@ -9,8 +9,9 @@ import (
 
 // TestConservationCrossTopology is the seeded conservation matrix: every
 // algorithm × every routing topology × several rank counts × the resident
-// fractions (fully resident, and two where visits park on absent pages),
-// each run differentially against internal/ref AND through the full
+// fractions (fully resident, and two where visits park on absent pages) ×
+// the ghost settings (for the algorithms that filter; the setting is inert
+// for the rest), each run differentially against internal/ref AND through the full
 // invariant set (record/envelope conservation, hop and channel bounds,
 // detector S/R agreement). Graphs stay tiny — the value is the cross product.
 func TestConservationCrossTopology(t *testing.T) {
@@ -23,25 +24,66 @@ func TestConservationCrossTopology(t *testing.T) {
 	for _, algo := range Algos() {
 		for _, topo := range Topologies() {
 			for _, p := range ranks {
+				ghosts := ghostGrid
+				if algo != "bfs" && algo != "sssp" && algo != "cc" {
+					ghosts = []int{0}
+				}
 				for _, resident := range residentGrid {
-					c := Case{
-						Algo:       algo,
-						Seed:       0xC0FFEE ^ uint64(p),
-						N:          n,
-						EdgeFactor: ef,
-						Ranks:      p,
-						Topo:       topo,
-						FlushBytes: 64,
-						K:          2,
-						Resident:   resident,
-					}
-					t.Run(c.String(), func(t *testing.T) {
-						if err := c.Run(); err != nil {
-							t.Fatal(err)
+					for _, g := range ghosts {
+						c := Case{
+							Algo:       algo,
+							Seed:       0xC0FFEE ^ uint64(p),
+							N:          n,
+							EdgeFactor: ef,
+							Ranks:      p,
+							Topo:       topo,
+							FlushBytes: 64,
+							K:          2,
+							Ghosts:     g,
+							Resident:   resident,
 						}
-					})
+						t.Run(c.String(), func(t *testing.T) {
+							if err := c.Run(); err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestConservationSeesGhostsAndLocalApplies: the laws above are only worth
+// asserting if the sweep's tiny graphs drive both sender-side decisions. With
+// the default tables the label algorithms must filter some pushes and apply
+// some in place; with the setting off, and for an algorithm that declares no
+// ghost usage, nothing may be filtered.
+func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
+	for _, tc := range []struct {
+		algo    string
+		ghosts  int
+		filters bool
+	}{
+		{"bfs", 0, true}, {"sssp", 0, true}, {"cc", 0, true},
+		{"bfs", -1, false}, {"kcore", 0, false}, {"pagerank", 0, false},
+	} {
+		c := Case{Algo: tc.algo, Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
+			FlushBytes: 64, K: 2, Ghosts: tc.ghosts}
+		stats, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var filtered, local uint64
+		for _, s := range stats {
+			filtered += s.GhostFiltered
+			local += s.Local
+		}
+		if (filtered > 0) != tc.filters {
+			t.Errorf("%s: %d pushes ghost-filtered, want filtering = %v", c, filtered, tc.filters)
+		}
+		if local == 0 {
+			t.Errorf("%s: no push was applied in place", c)
 		}
 	}
 }

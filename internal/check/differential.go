@@ -27,9 +27,9 @@ func Topologies() []string { return []string{"1d", "2d", "3d"} }
 
 // Case is one randomized differential run: an algorithm on a random graph,
 // executed on the simulated machine through the one executor
-// (engine.RunOnce) under a routing topology, a flush threshold and a
-// resident fraction, compared against the sequential reference in
-// internal/ref, with the conservation invariants asserted on the query's
+// (engine.RunOnce) under a routing topology, a flush threshold, a ghost
+// setting and a resident fraction, compared against the sequential reference
+// in internal/ref, with the conservation invariants asserted on the query's
 // per-rank stats.
 type Case struct {
 	Algo       string // one of Algos()
@@ -40,6 +40,9 @@ type Case struct {
 	Topo       string // "1d", "2d", "3d"
 	FlushBytes int    // mailbox aggregation threshold (1 = degenerate)
 	K          uint32 // k-core parameter (kcore only)
+	// Ghosts is the ghost setting handed to core.BuildGhostTables: 0 the
+	// default tables, negative none. Only bfs, sssp and cc filter.
+	Ghosts int
 	// Resident, when in (0, 1), moves every rank's adjacency out of core at
 	// that resident fraction (ooc.Externalize, 64-byte pages so these tiny
 	// graphs span many) and hands the pagers to the engine, so the traversal
@@ -59,14 +62,17 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d/resident=%.3g",
-		c.Algo, c.Seed, c.N, c.EdgeFactor, c.Ranks, c.Topo, c.FlushBytes, c.Resident)
+	return fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d/ghosts=%d/resident=%.3g",
+		c.Algo, c.Seed, c.N, c.EdgeFactor, c.Ranks, c.Topo, c.FlushBytes, c.Ghosts, c.Resident)
 }
 
 // flushGrid holds the threshold sweep, including the degenerate 1-byte
 // threshold (every record ships alone) and a huge one (nothing ships until
 // FlushAll).
 var flushGrid = []int{1, 24, 256, 4096, 1 << 20}
+
+// ghostGrid holds the ghost settings swept: off, and the default tables.
+var ghostGrid = []int{-1, 0}
 
 // residentGrid holds the resident-fraction sweep: fully resident, and two
 // budgets tight enough that visits park on absent pages.
@@ -86,6 +92,7 @@ func RandomCase(rng *xrand.Rand) Case {
 		FlushBytes: flushGrid[rng.Intn(len(flushGrid))],
 		K:          1 + uint32(rng.Intn(4)),
 		Resident:   residentGrid[rng.Intn(len(residentGrid))],
+		Ghosts:     ghostGrid[rng.Intn(len(ghostGrid))],
 	}
 }
 
@@ -143,13 +150,19 @@ func (c Case) spec() (engine.Spec, error) {
 // Run executes the case and returns a non-nil error describing any
 // divergence from the reference implementation or any violated conservation
 // invariant.
-func (c Case) Run() (err error) {
+func (c Case) Run() error {
+	_, err := c.run()
+	return err
+}
+
+// run is Run, also returning the query's per-rank stats.
+func (c Case) run() (stats []core.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%s: panic: %v", c, r)
 		}
 	}()
-	fail := func(err error) error { return fmt.Errorf("%s: %w", c, err) }
+	fail := func(err error) ([]core.Stats, error) { return nil, fmt.Errorf("%s: %w", c, err) }
 	topo, err := mailbox.ByName(c.Topo, c.Ranks)
 	if err != nil {
 		return fail(err)
@@ -175,6 +188,7 @@ func (c Case) Run() (err error) {
 		}
 		cfg.Parts[r.Rank()] = part
 	})
+	cfg.Ghosts = core.BuildGhostTables(cfg.Parts, c.Ghosts)
 	if c.Resident > 0 && c.Resident < 1 {
 		cfg.Pagers = make([]core.RowPager, c.Ranks)
 		for rank, part := range cfg.Parts {
@@ -247,7 +261,7 @@ func (c Case) Run() (err error) {
 			return fail(err)
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // diff compares a per-vertex result array with the reference's.

@@ -132,7 +132,7 @@ type ClusterConfig struct {
 	Seed  uint64
 
 	Topology string // mailbox routing ("1d" default)
-	Ghosts   int    // hub-filter table entries per partition (0 = default)
+	Ghosts   int    // ghost-table cap per partition (0 = default, negative = off: core.BuildGhostTables)
 	Reliable bool   // run the shared mailbox in reliable mode
 	Simplify bool   // drop self loops and duplicate edges (required for kcore)
 

@@ -359,7 +359,6 @@ func buildPartitions(machine *rt.Machine, cfg ClusterConfig, logf func(string, .
 	n := uint64(1) << cfg.Scale
 	gen := generators.NewGraph500(cfg.Scale, cfg.Seed)
 	parts := make([]*partition.Part, p)
-	ghosts := make([]*core.GhostTable, p)
 	buildErrs := make([]error, p)
 	machine.Run(func(r *rt.Rank) {
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), p))
@@ -375,20 +374,13 @@ func buildPartitions(machine *rt.Machine, cfg ClusterConfig, logf func(string, .
 			return
 		}
 		parts[r.Rank()] = part
-		if cfg.Ghosts >= 0 {
-			k := cfg.Ghosts
-			if k == 0 {
-				k = core.DefaultGhostsPerPartition
-			}
-			ghosts[r.Rank()] = core.BuildGhostTable(part, k)
-		}
 	})
 	for r := 0; r < p; r++ {
 		if buildErrs[r] != nil {
 			return nil, nil, fmt.Errorf("cluster: build rank %d: %w", r, buildErrs[r])
 		}
 	}
-	return parts, ghosts, nil
+	return parts, core.BuildGhostTables(parts, cfg.Ghosts), nil
 }
 
 // resultMsg packages one query's worker-local outcome: the master-range

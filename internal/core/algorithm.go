@@ -24,12 +24,17 @@ type Visitor interface {
 type Algorithm[V Visitor] interface {
 	// PreVisit performs a preliminary evaluation of the state and returns
 	// true if the visit should proceed. Called on every rank that holds
-	// state for the vertex (master first, then replicas down the chain).
+	// state for the vertex (master first, then replicas down the chain) —
+	// on the master possibly from inside another vertex's Visit, because a
+	// Push for a vertex the pushing rank masters is applied before Push
+	// returns. It must not push.
 	PreVisit(v V) bool
 
 	// Visit is the main visitor procedure. It may push new visitors into
 	// the queue. It sees only the local portion of the vertex's adjacency
-	// list; replicas of a split vertex each visit their own portion.
+	// list; replicas of a split vertex each visit their own portion. Any
+	// per-vertex state it needs it must read before a Push or re-read after:
+	// a Push can run PreVisit on another local vertex, or this one.
 	Visit(v V, q *Queue[V])
 
 	// Less orders visitors in the local min-heap priority queue. Algorithms
@@ -70,6 +75,10 @@ type BucketAlgorithm[V Visitor] interface {
 // (k-core, triangle counting) must not.
 type GhostAlgorithm[V Visitor] interface {
 	Algorithm[V]
+	// AttachGhosts allocates the ghost copies, one per entry of the rank's
+	// ghost table, each in the state of a vertex not yet seen. The queue calls
+	// it once, before the first PreVisitGhost.
+	AttachGhosts(t *GhostTable)
 	// PreVisitGhost applies the visitor to the local ghost copy identified
 	// by ghostIdx (an index into the rank's ghost table, usable for a
 	// parallel ghost-state array). It returns true if the visitor should

@@ -2,11 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"sort"
 	"testing"
 
 	"havoqgt/internal/graph"
+	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
+	"havoqgt/internal/termination"
 )
 
 // buildPart builds a single-rank edge-list partition for unit tests.
@@ -56,7 +59,7 @@ func TestGhostTableSelectsHighInDegreeRemotes(t *testing.T) {
 	edges = append(edges, graph.Edge{Src: hub, Dst: 0})
 	parts := buildParts(t, edges, n, 2)
 	gt := BuildGhostTable(parts[0], 8)
-	if _, ok := gt.Lookup(hub); !ok {
+	if _, _, ok := gt.Lookup(hub); !ok {
 		t.Fatalf("hub %d not ghosted; table = %v", hub, gt.Vertices())
 	}
 	if gt.Len() > 8 {
@@ -132,8 +135,156 @@ func (a *orderAlgo) Decode(buf []byte) orderVisitor {
 	}
 }
 
-func TestDefaultGhostsConstant(t *testing.T) {
-	if DefaultGhostsPerPartition != 256 {
-		t.Fatal("paper uses 256 ghosts per partition for all BFS experiments")
+// TestGhostTableCoverage: the default table holds every remote target the
+// rank has at least two edges to — no top-k cut — and a positive k still
+// keeps exactly the k highest counts.
+func TestGhostTableCoverage(t *testing.T) {
+	// Skewed: source s has an edge to every target t in [32, 32+s), so target
+	// 32+j is hit by the 23−j sources above j. Both ranks hold a share.
+	var edges []graph.Edge
+	for s := uint64(0); s < 24; s++ {
+		for j := uint64(0); j < s; j++ {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(s), Dst: graph.Vertex(32 + j)})
+		}
 	}
+	for _, part := range buildParts(t, edges, 64, 2) {
+		counts := map[graph.Vertex]int{}
+		for row := 0; row < part.CSR.NumRows(); row++ {
+			for _, tgt := range part.CSR.Row(row) {
+				if !part.IsMaster(tgt) {
+					counts[tgt]++
+				}
+			}
+		}
+		var repeated []int
+		for _, c := range counts {
+			if c >= 2 {
+				repeated = append(repeated, c)
+			}
+		}
+		sort.Sort(sort.Reverse(sort.IntSlice(repeated)))
+		if part.Rank == 0 && len(repeated) < 8 {
+			t.Fatalf("rank 0 repeats only %d remote targets: the graph tests nothing", len(repeated))
+		}
+
+		full := BuildGhostTable(part, DefaultGhostsPerPartition)
+		if full.Len() != len(repeated) {
+			t.Fatalf("rank %d: default table holds %d ghosts, %d remote targets have >= 2 local edges",
+				part.Rank, full.Len(), len(repeated))
+		}
+		for _, v := range full.Vertices() {
+			if counts[v] < 2 {
+				t.Fatalf("rank %d: ghosted %d, seen %d times", part.Rank, v, counts[v])
+			}
+		}
+
+		const k = 3
+		capped := BuildGhostTable(part, k)
+		if want := min(k, len(repeated)); capped.Len() != want {
+			t.Fatalf("rank %d: k=%d table holds %d ghosts, want %d", part.Rank, k, capped.Len(), want)
+		}
+		for i, v := range capped.Vertices() {
+			if counts[v] != repeated[i] {
+				t.Fatalf("rank %d: k=%d ghost %d has count %d, the %d-th highest is %d",
+					part.Rank, k, i, counts[v], i, repeated[i])
+			}
+		}
+	}
+}
+
+// TestBuildGhostTablesSetting: BuildGhostTables is where the ghost setting
+// is interpreted — 0 the default, negative off, positive a cap.
+func TestBuildGhostTablesSetting(t *testing.T) {
+	var edges []graph.Edge
+	for s := uint64(0); s < 8; s++ {
+		for j := uint64(0); j < 4; j++ {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(s), Dst: graph.Vertex(24 + j)})
+		}
+	}
+	parts := buildParts(t, edges, 32, 2)
+	if BuildGhostTables(parts, -1) != nil {
+		t.Fatal("negative setting built tables")
+	}
+	def, capped := BuildGhostTables(parts, 0), BuildGhostTables(parts, 1)
+	for rank, part := range parts {
+		if want := BuildGhostTable(part, DefaultGhostsPerPartition).Len(); def[rank].Len() != want {
+			t.Fatalf("rank %d: setting 0 built %d ghosts, the default table has %d", rank, def[rank].Len(), want)
+		}
+		if capped[rank].Len() > 1 {
+			t.Fatalf("rank %d: setting 1 built %d ghosts", rank, capped[rank].Len())
+		}
+	}
+	if def[0].Len() < 2 {
+		t.Fatalf("rank 0's default table holds %d ghosts: the graph tests nothing", def[0].Len())
+	}
+	if sparse := BuildGhostTables([]*partition.Part{nil, parts[1]}, 0); sparse[0] != nil || sparse[1] == nil {
+		t.Fatal("a process that holds only some ranks' parts must get tables for exactly those")
+	}
+}
+
+// TestLocalPushAppliedInPlace: a push for a vertex the rank masters is
+// applied before Push returns — queued, the queue no longer idle — and never
+// touches the mailbox or the detector's in-flight counts; a remote push still
+// becomes a record; a cancelled queue counts a push and drops it.
+func TestLocalPushAppliedInPlace(t *testing.T) {
+	parts := buildParts(t, []graph.Edge{{Src: 0, Dst: 9}, {Src: 9, Dst: 0}}, 16, 2)
+	topo, err := mailbox.ByName("1d", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.NewMachine(2).Run(func(r *rt.Rank) {
+		if r.Rank() != 0 {
+			return
+		}
+		part := parts[0]
+		lo, hi := part.Owners.MasterRange(0)
+		if lo >= hi || hi >= part.NumVertices {
+			t.Errorf("rank 0 masters [%d, %d): the test needs a local and a remote vertex", lo, hi)
+			return
+		}
+		local, remote := graph.Vertex(lo), graph.Vertex(hi)
+		det := termination.New(r)
+		box := mailbox.New(r, topo, det)
+		algo := &orderAlgo{}
+		q := NewQueue[orderVisitor](r, part, algo, Config{}, nil, nil, box, det, 0)
+		if !q.LocalIdle() {
+			t.Error("fresh queue not idle")
+		}
+
+		q.Push(orderVisitor{v: local, prio: 1})
+		if st := q.Stats(); st.Pushed != 1 || st.Local != 1 || st.Queued != 1 || st.Received != 0 {
+			t.Errorf("after a local push: %+v", st)
+		}
+		if q.LocalIdle() {
+			t.Error("queue idle with a local push queued")
+		}
+		if mb := box.Stats(); mb.RecordsSent != 0 || box.PendingRecords() != 0 || len(box.Poll()) != 0 {
+			t.Errorf("local push entered the mailbox: %+v", mb)
+		}
+		if det.Sent() != 0 || det.Received() != 0 {
+			t.Errorf("local push counted in flight: S=%d R=%d", det.Sent(), det.Received())
+		}
+		if !q.Step(8) || len(algo.executed) != 1 || algo.executed[0].v != local {
+			t.Errorf("local push did not execute: %v", algo.executed)
+		}
+
+		q.Push(orderVisitor{v: remote})
+		if st, mb := q.Stats(), box.Stats(); st.Pushed != 2 || st.Local != 1 || st.Queued != 1 ||
+			mb.RecordsSent != 1 || det.Sent() != 1 {
+			t.Errorf("after a remote push: %+v, mailbox %+v, S=%d", st, mb, det.Sent())
+		}
+
+		q.Cancel()
+		q.Push(orderVisitor{v: local})
+		if st := q.Stats(); st.Pushed != 3 || st.Local != 2 || st.Queued != 1 {
+			t.Errorf("cancelled queue, after a local push: %+v", st)
+		}
+		if !q.LocalIdle() {
+			t.Error("cancelled queue queued a local push")
+		}
+		st, mb := q.Stats(), box.Stats()
+		if st.Pushed-st.GhostFiltered-st.Local+st.Forwarded != mb.RecordsSent {
+			t.Errorf("push accounting: %+v against %d records sent", st, mb.RecordsSent)
+		}
+	})
 }

@@ -15,11 +15,15 @@ import (
 // one ledger the hot path writes — plain fields — and the machine's
 // obs.Registry gets the growth of the queue's own counters (Pushed through
 // Unparked) under the core.* names once per rank-loop iteration
-// (Queue.publish).
+// (Queue.publish). Every push ends one of three ways, and a replica forward
+// sends once more: Pushed − GhostFiltered − Local + Forwarded ==
+// Mailbox.RecordsSent, and Received == Mailbox.RecordsDelivered
+// (check.Traversal).
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
-	Received      uint64 // visitors delivered to this rank
+	Local         uint64 // visitors pushed to a vertex this rank masters: applied in place, never sent
+	Received      uint64 // visitors the mailbox delivered to this rank
 	Queued        uint64 // visitors whose PreVisit returned true
 	Executed      uint64 // visitors whose Visit ran
 	Forwarded     uint64 // visitors forwarded along a replica chain
@@ -81,8 +85,9 @@ type Queue[V Visitor] struct {
 	part *partition.Part
 	algo Algorithm[V]
 
-	ghostAlgo GhostAlgorithm[V] // nil when ghosts unused
-	ghosts    *GhostTable
+	ghostAlgo     GhostAlgorithm[V] // nil when ghosts unused
+	ghosts        *GhostTable
+	ghostAttached bool // ghostAlgo holds its filter state (sized on the first hit)
 
 	mb  *mailbox.Box
 	det *termination.Detector
@@ -114,6 +119,7 @@ type queueMetrics struct {
 	rank          int
 	pushed        *obs.PerRank
 	ghostFiltered *obs.PerRank
+	local         *obs.PerRank
 	received      *obs.PerRank
 	queued        *obs.PerRank
 	executed      *obs.PerRank
@@ -129,6 +135,7 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 		rank:          r.Rank(),
 		pushed:        reg.PerRank(obs.CorePushed, p),
 		ghostFiltered: reg.PerRank(obs.CoreGhostFiltered, p),
+		local:         reg.PerRank(obs.CoreLocal, p),
 		received:      reg.PerRank(obs.CoreReceived, p),
 		queued:        reg.PerRank(obs.CoreQueued, p),
 		executed:      reg.PerRank(obs.CoreExecuted, p),
@@ -141,9 +148,11 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 
 // NewQueue builds one query's queue on one rank: visitors travel through the
 // rank's shared mailbox stamped with tag (the query ID), and termination
-// detection runs on the caller-minted per-query detector. ghosts enables hub
-// filtering when the algorithm implements GhostAlgorithm (nil or empty
-// disables it). A non-nil pager marks the partition's CSR targets as out of
+// detection runs on the caller-minted per-query detector. ghosts enables the
+// sender-side filter when the algorithm implements GhostAlgorithm (nil or
+// empty disables it); the algorithm's filter state is sized when a push first
+// hits the table, so a query that never leaves its source's rank pays nothing
+// for it. A non-nil pager marks the partition's CSR targets as out of
 // core: Step parks visitors whose adjacency pages are absent instead of
 // blocking on the device, and the caller must feed Pager.Drain results back
 // through Unpark.
@@ -196,43 +205,54 @@ func (q *Queue[V]) OutEdges(v graph.Vertex) []graph.Vertex {
 	return q.part.CSR.Row(q.LocalRow(v))
 }
 
-// Push inserts a visitor into the distributed queue (Algorithm 1, PUSH):
-// apply the local ghost filter if ghost information for the vertex is stored
-// locally, then transmit the visitor to the vertex's master partition
-// through the routed mailbox.
+// Push inserts a visitor into the distributed queue (Algorithm 1, PUSH),
+// deciding at the sender everything that can be decided there. A visitor for
+// a vertex this rank masters is applied in place, before Push returns: it is
+// never encoded, sent or counted in flight, and LocalIdle is false from the
+// moment it is queued. Any other vertex is looked up in the ghost table
+// first: a hit yields the local ghost filter's verdict and the vertex's
+// master rank from the same cache line, so the owner table is searched only
+// on a miss. What survives is transmitted to the master partition through
+// the routed mailbox.
 func (q *Queue[V]) Push(v V) {
 	q.stats.Pushed++
-	dest := q.part.Master(v.Vertex())
-	if q.ghostAlgo != nil && dest != q.part.Rank {
-		if gi, ok := q.ghosts.Lookup(v.Vertex()); ok {
-			if !q.ghostAlgo.PreVisitGhost(v, gi) {
-				q.stats.GhostFiltered++
-				return
+	vtx := v.Vertex()
+	if q.part.IsMaster(vtx) {
+		q.stats.Local++
+		q.apply(v)
+		return
+	}
+	if q.ghostAlgo != nil {
+		if gi, owner, ok := q.ghosts.Lookup(vtx); ok {
+			if !q.ghostAttached {
+				q.ghostAlgo.AttachGhosts(q.ghosts)
+				q.ghostAttached = true
 			}
+			if q.ghostAlgo.PreVisitGhost(v, gi) {
+				q.send(owner, v)
+			} else {
+				q.stats.GhostFiltered++
+			}
+			return
 		}
 	}
+	q.send(q.part.Master(vtx), v)
+}
+
+// send transmits v to rank dest under the query's tag.
+func (q *Queue[V]) send(dest int, v V) {
 	q.encBuf = q.algo.Encode(v, q.encBuf[:0])
 	q.mb.SendTagged(dest, q.tag, q.encBuf)
 }
 
-// receive handles one delivered visitor (Algorithm 1, CHECK_MAILBOX body):
-// PreVisit against local state; if it proceeds, queue locally and forward to
-// the next replica when the vertex's adjacency list continues on a later
-// partition. A cancelled queue drains the record without applying it — the
-// delivery was already counted toward termination by the mailbox, so the
-// query still quiesces, but no new state changes or pushes happen.
-// receive applies one delivered record. Recycle-epoch handshake with the
-// mailbox's arena delivery (mailbox.Record): rec.Payload is only valid until
-// the next mailbox Poll, and Algorithm.Decode is required to deserialize
-// into a value-typed visitor without retaining the payload slice — every
-// in-tree algorithm does — so nothing here outlives the epoch.
-func (q *Queue[V]) receive(rec mailbox.Record) {
-	q.stats.Received++
-	if q.cancelled {
-		return
-	}
-	v := q.algo.Decode(rec.Payload)
-	if !q.algo.PreVisit(v) {
+// apply handles one visitor that has reached a rank holding state for its
+// vertex (Algorithm 1, CHECK_MAILBOX body): PreVisit against local state; if
+// it proceeds, queue locally and forward to the next replica when the
+// vertex's adjacency list continues on a later partition. A cancelled queue
+// drops the visitor without applying it: no new state changes or pushes
+// happen.
+func (q *Queue[V]) apply(v V) {
+	if q.cancelled || !q.algo.PreVisit(v) {
 		return
 	}
 	q.stats.Queued++
@@ -247,13 +267,22 @@ func (q *Queue[V]) receive(rec mailbox.Record) {
 	}
 	if next, ok := q.part.ShouldForward(v.Vertex()); ok {
 		q.stats.Forwarded++
-		q.encBuf = q.algo.Encode(v, q.encBuf[:0])
-		q.mb.SendTagged(next, q.tag, q.encBuf)
+		q.send(next, v)
 	}
 }
 
-// Deliver routes one record (already demultiplexed by tag) into the queue.
-func (q *Queue[V]) Deliver(rec mailbox.Record) { q.receive(rec) }
+// Deliver applies one record of this queue's tag that the mailbox delivered.
+// A cancelled queue counts it and drops it (apply) — the delivery was already
+// counted toward termination by the mailbox, so the query still quiesces.
+// Recycle-epoch handshake with the mailbox's arena delivery (mailbox.Record):
+// rec.Payload is only valid until the next mailbox Poll, and Algorithm.Decode
+// is required to deserialize into a value-typed visitor without retaining the
+// payload slice — every in-tree algorithm does — so nothing here outlives the
+// epoch.
+func (q *Queue[V]) Deliver(rec mailbox.Record) {
+	q.stats.Received++
+	q.apply(q.algo.Decode(rec.Payload))
+}
 
 // Step executes up to batch locally queued visitors, returning whether any
 // work happened — this query's slice of the DO_TRAVERSAL loop, which the
@@ -387,6 +416,7 @@ func (q *Queue[V]) publish() {
 	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
 	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
 	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
+	m.local.Publish(rank, cur.Local, &last.Local)
 	m.received.Publish(rank, cur.Received, &last.Received)
 	m.queued.Publish(rank, cur.Queued, &last.Queued)
 	m.executed.Publish(rank, cur.Executed, &last.Executed)
@@ -428,14 +458,20 @@ func (q *Queue[V]) schedLen() int {
 // in a free list, so steady-state operation allocates nothing.
 type calendar[V Visitor] struct {
 	algo    BucketAlgorithm[V]
-	buckets map[uint64][]V
+	buckets map[uint64]bucket[V]
 	order   []uint64 // min-heap of bucket indices present in buckets
 	free    [][]V    // spent bucket backing arrays for reuse
 	n       int
 }
 
+// bucket is a FIFO: vs[head:] are the visitors still queued.
+type bucket[V Visitor] struct {
+	vs   []V
+	head int
+}
+
 func newCalendar[V Visitor](algo BucketAlgorithm[V]) *calendar[V] {
-	return &calendar[V]{algo: algo, buckets: make(map[uint64][]V)}
+	return &calendar[V]{algo: algo, buckets: make(map[uint64]bucket[V])}
 }
 
 func (c *calendar[V]) push(v V) {
@@ -443,32 +479,37 @@ func (c *calendar[V]) push(v V) {
 	s, ok := c.buckets[b]
 	if !ok {
 		if f := len(c.free); f > 0 {
-			s = c.free[f-1][:0]
+			s.vs = c.free[f-1][:0]
 			c.free = c.free[:f-1]
 		}
 		c.orderPush(b)
 	}
-	c.buckets[b] = append(s, v)
+	s.vs = append(s.vs, v)
+	c.buckets[b] = s
 	c.n++
 }
 
-// pop returns a visitor from the lowest-indexed non-empty bucket. Within a
-// bucket the drain is LIFO — bucket membership already bounds the priority
-// spread to Δ, and the label-correcting kernels this serves converge under
-// any within-bucket order; LIFO keeps the pop at a slice truncation.
+// pop returns the oldest visitor of the lowest-indexed non-empty bucket.
+// Bucket membership already bounds the priority spread to Δ, and the
+// label-correcting kernels this serves converge under any within-bucket
+// order — but not at the same cost. A push for a local vertex is queued
+// before Push returns (Queue.Push), so a LIFO drain would chase one chain of
+// local relaxations depth-first through the whole execution slice on
+// distances no neighbour has yet had the chance to improve; arrival order
+// expands a bucket breadth-first.
 func (c *calendar[V]) pop() V {
 	b := c.order[0]
 	s := c.buckets[b]
-	last := len(s) - 1
-	v := s[last]
+	v := s.vs[s.head]
 	var zero V
-	s[last] = zero
-	if last == 0 {
+	s.vs[s.head] = zero
+	s.head++
+	if s.head == len(s.vs) {
 		delete(c.buckets, b)
 		c.orderPop()
-		c.free = append(c.free, s[:0])
+		c.free = append(c.free, s.vs[:0])
 	} else {
-		c.buckets[b] = s[:last]
+		c.buckets[b] = s
 	}
 	c.n--
 	return v

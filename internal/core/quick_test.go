@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"havoqgt/internal/graph"
+	"havoqgt/internal/partition"
 	"havoqgt/internal/xrand"
 )
 
@@ -76,26 +77,35 @@ func TestQuickHeapIsPermutation(t *testing.T) {
 	}
 }
 
-// TestQuickGhostLookupMatchesMap: for any table of 0..256 distinct vertices,
+// TestQuickGhostLookupMatchesMap: for any table of distinct vertices — a
+// handful, the paper's 256, or the tens of thousands a covering table holds —
 // scattered over the id space or clustered in a small range, the
-// open-addressed probe answers exactly as a map from vertex to index does —
-// for members, their neighbours and arbitrary non-members alike.
+// open-addressed probe answers exactly as a map from vertex to index does,
+// and returns the owner table's master rank — for members, their neighbours
+// and arbitrary non-members alike.
 func TestQuickGhostLookupMatchesMap(t *testing.T) {
+	const n = 1 << 20
+	owners, err := partition.NewOwnerTable([]uint64{0, 1000, 1000, n / 3, n - 7, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{0, 1, 2, 3, 200, 256, 257, 5000, 20_000, 33_000}
 	f := func(seed uint64, sizeSel uint16, clustered bool) bool {
 		rng := xrand.New(seed)
-		want := make(map[graph.Vertex]int)
-		var vertices []graph.Vertex
-		for n := int(sizeSel) % 257; len(vertices) < n; {
-			v := graph.Vertex(rng.Uint64())
-			if clustered {
-				v %= 1024
-			}
+		size, span := sizes[int(sizeSel)%len(sizes)], uint64(n)
+		if clustered {
+			span = uint64(2*size + 16)
+		}
+		want := make(map[graph.Vertex]int, size)
+		vertices := make([]graph.Vertex, 0, size)
+		for len(vertices) < size {
+			v := graph.Vertex(rng.Uint64n(span))
 			if _, dup := want[v]; !dup {
 				want[v] = len(vertices)
 				vertices = append(vertices, v)
 			}
 		}
-		gt := newGhostTable(vertices)
+		gt := newGhostTable(owners, vertices)
 		if gt.Len() != len(vertices) {
 			return false
 		}
@@ -105,13 +115,53 @@ func TestQuickGhostLookupMatchesMap(t *testing.T) {
 		}
 		for _, v := range probes {
 			wi, wok := want[v]
-			if gi, gok := gt.Lookup(v); gok != wok || gi != wi {
+			gi, owner, gok := gt.Lookup(v)
+			if gok != wok || gi != wi || (gok && owner != owners.Master(v)) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bucketAlgo schedules orderVisitors on the calendar, one bucket per prio.
+type bucketAlgo struct{ orderAlgo }
+
+func (a *bucketAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
+
+// TestQuickCalendarPopsLowestBucketInArrivalOrder: under any interleaving of
+// pushes and pops, the calendar pops from the lowest non-empty bucket, and
+// within a bucket in arrival order — pushes that land in the bucket being
+// drained included.
+func TestQuickCalendarPopsLowestBucketInArrivalOrder(t *testing.T) {
+	f := func(ops []uint8) bool {
+		c := newCalendar[orderVisitor](&bucketAlgo{})
+		model := map[uint32][]orderVisitor{}
+		queued := 0
+		for i, op := range ops {
+			if op < 160 || queued == 0 {
+				v := orderVisitor{v: graph.Vertex(i), prio: uint32(op % 5)}
+				c.push(v)
+				model[v.prio] = append(model[v.prio], v)
+				queued++
+				continue
+			}
+			lowest := uint32(0)
+			for len(model[lowest]) == 0 {
+				lowest++
+			}
+			if got := c.pop(); got != model[lowest][0] {
+				return false
+			}
+			model[lowest] = model[lowest][1:]
+			queued--
+		}
+		return c.n == queued
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -214,7 +214,7 @@ func (o Options) normalized() Options {
 type Config struct {
 	Machine *rt.Machine
 	Parts   []*partition.Part
-	Ghosts  []*core.GhostTable // per rank; nil (or nil entries) disables hub filtering
+	Ghosts  []*core.GhostTable // per rank; nil (or nil entries) disables ghost filtering
 	// Topology names the shared mailbox routing ("1d" default, "2d", "3d").
 	Topology string
 	// Pagers, when non-nil, marks the partitions' CSR targets as out-of-core

@@ -208,13 +208,17 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			}
 		}
 
-		// Shared mailbox poll, demultiplexed by record tag. Polling AFTER the
-		// execution slices matters for termination safety: loopback records
-		// pushed during Step are counted received the moment the mailbox
-		// parks them, so a query must not report local idleness while such a
-		// record awaits application — this poll drains them into the heaps
-		// (making LocalIdle false), and nothing below creates new local
-		// deliveries before the detectors pump.
+		// Shared mailbox poll, demultiplexed by record tag. No in-tree runner
+		// sends to its own rank any more: a visitor queue applies a push for
+		// a vertex the rank masters inside core.Queue.Push (nothing in
+		// flight, LocalIdle false before Push returns), and
+		// direction-optimizing BFS merges its own contribution directly. The
+		// box keeps its loopback path for callers that drive it themselves,
+		// and a runner that used it from Step would depend on the poll coming
+		// AFTER the execution slices: a loopback record is counted received
+		// the moment the mailbox parks it, so its query must not report local
+		// idleness before this poll has handed the record over, and nothing
+		// below creates new local deliveries before the detectors pump.
 		//
 		// A Poll returns one bounded, cache-sized epoch; the loop polls until
 		// the backlog is gone, so everything that had arrived when the first

@@ -27,7 +27,7 @@ import (
 type runEnv struct {
 	r      *rt.Rank
 	part   *partition.Part
-	ghosts *core.GhostTable // nil: no hub filtering on this rank
+	ghosts *core.GhostTable // nil: no ghost filtering on this rank
 	pager  core.RowPager    // nil: fully resident
 	box    *mailbox.Box
 	det    *termination.Detector
@@ -69,7 +69,7 @@ type queueRunner[V core.Visitor] struct {
 
 func (rn *queueRunner[V]) Finish() { rn.finish() }
 
-// newQueue builds the query's visitor queue for algo. Hub filtering is for
+// newQueue builds the query's visitor queue for algo. Ghost filtering is for
 // the algorithms that declare ghost usage (bfs, sssp, cc); the rest need
 // every visitor delivered — precise removal counts (§IV-B), adjacency
 // membership (§VI-C), counted contributions — and pass useGhosts false.
@@ -105,9 +105,6 @@ func gatherInto[T any](out []T, part *partition.Part, local []T) {
 func newBFSRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := bfs.New(part)
-	if env.ghosts != nil {
-		st.AttachGhosts(env.ghosts)
-	}
 	qu := newQueue[bfs.Visitor](env, st, true)
 	src := bfs.Visitor{V: q.spec.Source, Length: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
@@ -143,9 +140,6 @@ func newBFSRunner(env *runEnv) runner {
 func newSSSPRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := sssp.New(part, q.spec.WeightSeed)
-	if env.ghosts != nil {
-		st.AttachGhosts(env.ghosts)
-	}
 	qu := newQueue[sssp.Visitor](env, st, true)
 	src := sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
@@ -175,9 +169,6 @@ func newSSSPRunner(env *runEnv) runner {
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	if env.ghosts != nil {
-		st.AttachGhosts(env.ghosts)
-	}
 	qu := newQueue[cc.Visitor](env, st, true)
 	forMasters(part, func(v graph.Vertex) {
 		lbl := v

@@ -395,14 +395,16 @@ func Figure12(s Sizing) *Table {
 }
 
 // Figure13 reproduces the ghost-vertex sweep: percent BFS improvement of k
-// ghosts per partition over no ghosts.
+// ghosts per partition over no ghosts. The paper stops at 512; the sweep goes
+// on to "all", every remote vertex a rank holds two or more edges to, which
+// is the library's default.
 func Figure13(s Sizing) *Table {
 	t := &Table{
 		Title:   "Figure 13: percent improvement of ghost vertices vs no ghosts (BFS, RMAT)",
 		Columns: []string{"ghosts", "TEPS", "improvement-%", "ghost-filtered-visitors"},
 		Notes: []string{
 			"paper: 4096 cores, 2^30 vertices; 1 ghost already gives >12%, 512 gives 19.5%",
-			"expected shape: monotone-ish improvement, saturating by a few hundred ghosts",
+			"expected shape: monotone-ish improvement; on a few ranks holding many edges each it keeps growing past the paper's 512, up to full coverage",
 		},
 	}
 	p := min(8, s.MaxP)
@@ -410,13 +412,13 @@ func Figure13(s Sizing) *Table {
 	spec := RMATSpec(scale, s.Seed)
 	base, err := RunBFS(BFSOpts{
 		CommonOpts: CommonOpts{P: p, Topology: "2d", Seed: s.Seed},
-		Graph:      spec, Sources: s.Sources, Ghosts: 0,
+		Graph:      spec, Sources: s.Sources, Ghosts: -1,
 	})
 	if err != nil {
 		panic(err)
 	}
 	t.AddRow(0, base.TEPS, 0.0, 0)
-	for _, k := range []int{1, 4, 16, 64, 256, 512} {
+	for _, k := range []int{1, 4, 16, 64, 256, 512, 1024, 4096, 0} {
 		res, err := RunBFS(BFSOpts{
 			CommonOpts: CommonOpts{P: p, Topology: "2d", Seed: s.Seed},
 			Graph:      spec, Sources: s.Sources, Ghosts: k,
@@ -428,7 +430,11 @@ func Figure13(s Sizing) *Table {
 		if base.TEPS > 0 {
 			imp = 100 * (res.TEPS - base.TEPS) / base.TEPS
 		}
-		t.AddRow(k, res.TEPS, imp, res.Stats.GhostFiltered)
+		label := any(k)
+		if k == 0 {
+			label = "all"
+		}
+		t.AddRow(label, res.TEPS, imp, res.Stats.GhostFiltered)
 	}
 	return t
 }

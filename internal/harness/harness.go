@@ -281,7 +281,7 @@ type BFSOpts struct {
 	CommonOpts
 	Graph    GraphSpec
 	Sources  int  // BFS roots to run and sum (Graph500 style)
-	Ghosts   int  // ghost table size per partition (0 = none)
+	Ghosts   int  // ghost table cap per partition (core.BuildGhostTables: 0 = every candidate, negative = none)
 	Validate bool // run Graph500-style validation per source
 }
 

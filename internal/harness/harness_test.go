@@ -41,7 +41,7 @@ func TestRunBFSExternalMemory(t *testing.T) {
 		CommonOpts: CommonOpts{P: 2, NVRAM: &nv, Seed: 1},
 		Graph:      RMATSpec(10, 1),
 		Sources:    1,
-		Ghosts:     0,
+		Ghosts:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +162,10 @@ func TestFigure13GhostsImprove(t *testing.T) {
 	s := tinySizing()
 	s.VertsPerRankLog2 = 10
 	tab := Figure13(s)
-	// The last rows must show nonzero ghost-filtered visitors.
+	// The last row is full coverage.
 	last := tab.Rows[len(tab.Rows)-1]
-	if last[3] == "0" {
-		t.Fatal("512 ghosts filtered nothing")
+	if last[0] != "all" || last[3] == "0" {
+		t.Fatalf("full coverage filtered nothing: %v", last)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestValidateBFSAcceptsCorrectRun(t *testing.T) {
 }
 
 func TestValidateBFSRejectsCorruptedLevels(t *testing.T) {
-	e, res := bfsOn(t, RMATSpec(8, 3), 3, 0, 0)
+	e, res := bfsOn(t, RMATSpec(8, 3), 3, -1, 0)
 	// Corrupt one reached vertex's level.
 	for v := range res.Levels {
 		if res.Levels[v] != bfs.Unreached && res.Levels[v] > 0 {

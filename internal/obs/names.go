@@ -100,7 +100,8 @@ const (
 	// Visitor queue (internal/core), per rank.
 	CorePushed        = "core.pushed"
 	CoreGhostFiltered = "core.ghost_filtered"
-	CoreReceived      = "core.received"
+	CoreLocal         = "core.local"    // pushes applied in place on the master rank, never sent
+	CoreReceived      = "core.received" // mailbox deliveries
 	CoreQueued        = "core.queued"
 	CoreExecuted      = "core.executed"
 	CoreForwarded     = "core.forwarded"

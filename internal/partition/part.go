@@ -134,8 +134,13 @@ func (p *Part) Vertex(i int) graph.Vertex { return p.StateStart + graph.Vertex(i
 // Master returns min_owner(v).
 func (p *Part) Master(v graph.Vertex) int { return p.Owners.Master(v) }
 
-// IsMaster reports whether this rank is v's master.
-func (p *Part) IsMaster(v graph.Vertex) bool { return p.Owners.Master(v) == p.Rank }
+// IsMaster reports whether this rank is v's master: v lies in the rank's
+// master range, which is where Master's search would find it, at the cost of
+// one compare. A vertex outside the graph has no master.
+func (p *Part) IsMaster(v graph.Vertex) bool {
+	lo, hi := p.Owners.MasterRange(p.Rank)
+	return uint64(v)-lo < hi-lo
+}
 
 // GlobalDegree returns the full degree of a locally held vertex, accounting
 // for adjacency lists split across partitions.

@@ -10,7 +10,9 @@ import (
 
 // TestQuickOwnerTableMatchesLinearScan: Master must equal the first rank
 // whose (start, next-start) range contains the vertex, for any monotone
-// boundary table.
+// boundary table — and Part.IsMaster, which compares against the rank's own
+// range instead of searching, must say so on that rank and no other, and
+// must disown a vertex past the end.
 func TestQuickOwnerTableMatchesLinearScan(t *testing.T) {
 	f := func(deltas []uint8, n uint16) bool {
 		if len(deltas) == 0 {
@@ -40,6 +42,16 @@ func TestQuickOwnerTableMatchesLinearScan(t *testing.T) {
 				}
 			}
 			if got := ot.Master(graph.Vertex(v)); got != want {
+				return false
+			}
+			for r := 0; r < ot.P(); r++ {
+				if (&Part{Rank: r, Owners: ot}).IsMaster(graph.Vertex(v)) != (r == want) {
+					return false
+				}
+			}
+		}
+		for r := 0; r < ot.P(); r++ {
+			if part := (&Part{Rank: r, Owners: ot}); part.IsMaster(graph.Vertex(total)) || part.IsMaster(graph.Nil) {
 				return false
 			}
 		}
