@@ -79,14 +79,17 @@ chaos-short:
 # means pooling or arena delivery broke. TestOneShotAllocBudget pins the same
 # thing end to end (a scale-15 one-shot BFS through the facade),
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
-# share of pushes the ghost filter drops, visits per reached vertex), and the
-# message-plane micro-benchmarks run once each so they cannot rot:
-# BenchmarkVisitorPushRoute is the per-record number to read before spending
-# 24 seconds on bench/run.sh. Nothing here times the system: `bash
+# share of pushes the ghost filter drops, visits per reached vertex, every
+# push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what
+# k-core and PageRank execute on the FIFO against the heap's logged ranges, and
+# the message-plane micro-benchmarks run once each so they cannot rot:
+# BenchmarkVisitorPushRoute is the per-record number (/random) and the
+# per-push number by outcome over real tagged edges (/edges) to read before
+# spending 24 seconds on bench/run.sh. Nothing here times the system: `bash
 # bench/run.sh` does (bench/README.md).
 bench-smoke:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
-	$(GO) test -count=1 -run 'TestOneShotAllocBudget|TestBFSRecordBudget' -v .
+	$(GO) test -count=1 -run 'TestOneShotAllocBudget|TestBFSRecordBudget|TestAnalyticsExecutedBudget' -v .
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
 

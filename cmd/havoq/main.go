@@ -269,7 +269,7 @@ func (g *loaded) close() {
 // (bfs, sssp, cc); core.BuildGhostTables gives the value its meaning, the
 // same as the library's Options.GhostsPerPartition.
 func ghostsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("ghosts", 0, "ghost vertices per partition: 0 keeps every remote vertex the rank has two or more edges to, N caps the table at the N most repeated, negative disables")
+	return fs.Int("ghosts", 0, "ghost vertices per partition: 0 filters on every remote vertex the rank has two or more edges to, N on the N most repeated (a prefix of the numbering the partition build gives them), negative disables")
 }
 
 // query times one traversal on a transient engine, with the sender-side

@@ -46,7 +46,7 @@ func main() {
 	// builder sorts globally into balanced partitions.
 	m := rt.NewMachine(ranks)
 	cfg := engine.Config{Machine: m, Topology: "3d",
-		Parts: make([]*partition.Part, ranks), Ghosts: make([]*core.GhostTable, ranks)}
+		Parts: make([]*partition.Part, ranks)}
 	start := time.Now()
 	m.Run(func(r *rt.Rank) {
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
@@ -55,8 +55,8 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Parts[r.Rank()] = part
-		cfg.Ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 	})
+	cfg.Ghosts = core.BuildGhostTables(cfg.Parts, 0)
 	buildTime := time.Since(start)
 
 	// Random roots with degree >= 1 (the benchmark's sampling rule); each

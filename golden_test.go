@@ -10,7 +10,17 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/csr"
 	"havoqgt/internal/engine"
+)
+
+// The heap's Σ Executed at the benchmark's shape, five runs each at the commit
+// before the FIFO: k-core(64) 30,829 every time (a vertex is visited once, when
+// it is removed, whatever the schedule), PageRank(3) 143,193–143,979 (which
+// contribution completes a vertex's iteration depends on arrival order).
+const (
+	kcoreExecutedMin, kcoreExecutedMax       = 30_829, 30_829
+	pagerankExecutedMin, pagerankExecutedMax = 141_000, 146_000
 )
 
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
@@ -240,15 +250,23 @@ func TestBFSRecordBudget(t *testing.T) {
 	if reached < g.NumVertices()/4 {
 		t.Fatalf("source %d reaches %d vertices: not in the giant component", source, reached)
 	}
-	var pushed, filtered, executed, records uint64
-	for _, s := range stats {
+	var pushed, filtered, local, forwarded, executed, records uint64
+	slots := make([]int, len(g.parts))
+	for rank, s := range stats {
 		pushed += s.Pushed
 		filtered += s.GhostFiltered
+		local += s.Local
+		forwarded += s.Forwarded
 		executed += s.Executed
 		records += s.Mailbox.RecordsSent
+		slots[rank] = len(g.parts[rank].SlotVertex)
 	}
-	t.Logf("reached %d: pushed %d, ghost-filtered %d (%.3f), records sent %d, executed %d (%.3f per reached vertex)",
-		reached, pushed, filtered, float64(filtered)/float64(pushed), records, executed, float64(executed)/float64(reached))
+	t.Logf("reached %d: pushed %d, applied in place %d, ghost-filtered %d (%.3f), records sent %d, executed %d (%.3f per reached vertex); remote slots per rank %v",
+		reached, pushed, local, filtered, float64(filtered)/float64(pushed), records, executed, float64(executed)/float64(reached), slots)
+	if local+filtered+records-forwarded != pushed {
+		t.Errorf("applied in place %d + ghost-filtered %d + records sent %d − replica-forwarded %d != pushed %d: a push took no outcome, or two",
+			local, filtered, records, forwarded, pushed)
+	}
 	if records > 300_000 {
 		t.Errorf("one BFS sent %d records, budget 300000", records)
 	}
@@ -257,5 +275,82 @@ func TestBFSRecordBudget(t *testing.T) {
 	}
 	if executed < reached || float64(executed) > 1.5*float64(reached) {
 		t.Errorf("executed %d visits to reach %d vertices, want between 1 and 1.5 per vertex", executed, reached)
+	}
+}
+
+// TestAnalyticsExecutedBudget pins what the unordered kernels execute at the
+// benchmark's shape (scale 15, 8 ranks, 2d; k-core 64 and three PageRank
+// iterations, as bench/'s analytics round runs them): they run on a FIFO
+// instead of a heap that ordered them by vertex id alone, and arrival order
+// must not mean more visits. The bounds are the heap's logged ranges, widened
+// by the run-to-run spread of an asynchronous traversal.
+func TestAnalyticsExecutedBudget(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("scale-15 visit budget: not under -short or -race")
+	}
+	g, err := GenerateRMAT(15, 42, Options{Ranks: 8, Topology: "2d", Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec     engine.Spec
+		min, max uint64
+	}{
+		{engine.Spec{Algo: engine.AlgoKCore, K: 64}, kcoreExecutedMin, kcoreExecutedMax},
+		{engine.Spec{Algo: engine.AlgoPageRank, Iters: 3}, pagerankExecutedMin, pagerankExecutedMax},
+	} {
+		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed, queued, records uint64
+		for _, s := range stats {
+			executed += s.Executed
+			queued += s.Queued
+			records += s.Mailbox.RecordsSent
+		}
+		t.Logf("%s: executed %d, queued %d, records sent %d", c.spec.Algo, executed, queued, records)
+		if executed < c.min || executed > c.max {
+			t.Errorf("%s executed %d visits, want %d to %d", c.spec.Algo, executed, c.min, c.max)
+		}
+	}
+}
+
+// TestUntaggedTargetsTraverseIdentically: the tags in the stored target words
+// are an accelerator, not data. With every tag stripped from a built graph —
+// what an old target file or a hand-built matrix looks like — each push takes
+// the general path (range compare, owner table), nothing is ghost-filtered,
+// and all seven query types return the golden answers.
+func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
+	g := goldenGraph(t)
+	for _, part := range g.parts {
+		mem := part.CSR.Targets().(csr.MemTargets)
+		for i, w := range mem {
+			mem[i] = csr.Target(w.Vertex())
+		}
+	}
+	checkGolden(t, goldenRun(t, g))
+	for _, spec := range []engine.Spec{
+		{Algo: engine.AlgoBFS, Source: 1}, {Algo: engine.AlgoSSSP, Source: 1, WeightSeed: 7}, {Algo: engine.AlgoCC},
+	} {
+		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pushed, local uint64
+		for rank, s := range stats {
+			pushed += s.Pushed
+			local += s.Local
+			if s.GhostFiltered != 0 {
+				t.Errorf("%s rank %d: %d pushes ghost-filtered through untagged words", spec.Algo, rank, s.GhostFiltered)
+			}
+			if want := s.Pushed - s.Local + s.Forwarded; want != s.Mailbox.RecordsSent {
+				t.Errorf("%s rank %d: pushed %d − applied in place %d + forwarded %d != %d records sent",
+					spec.Algo, rank, s.Pushed, s.Local, s.Forwarded, s.Mailbox.RecordsSent)
+			}
+		}
+		if spec.Algo == engine.AlgoCC && (pushed == 0 || local == 0) {
+			t.Errorf("cc pushed %d, %d in place: untagged local targets must still be applied in place", pushed, local)
+		}
 	}
 }

@@ -54,7 +54,6 @@ func TestEngineMatchesReferenceAcrossTopologies(t *testing.T) {
 		t.Run(topoName, func(t *testing.T) {
 			m := rt.NewMachine(p)
 			parts := make([]*partition.Part, p)
-			ghosts := make([]*core.GhostTable, p)
 			m.Run(func(r *rt.Rank) {
 				local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
 				part, err := partition.BuildEdgeList(r, local, n)
@@ -62,12 +61,11 @@ func TestEngineMatchesReferenceAcrossTopologies(t *testing.T) {
 					panic(err)
 				}
 				parts[r.Rank()] = part
-				ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 			})
 
 			// Interleaved: every query in flight at once through the engine.
 			e, err := engine.Start(engine.Config{
-				Machine: m, Parts: parts, Ghosts: ghosts, Topology: topoName,
+				Machine: m, Parts: parts, Ghosts: core.BuildGhostTables(parts, 0), Topology: topoName,
 			}, engine.Options{MaxInFlight: len(specs)})
 			if err != nil {
 				t.Fatal(err)

@@ -40,6 +40,7 @@ type BFS struct {
 }
 
 var _ core.GhostAlgorithm[Visitor] = (*BFS)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*BFS)(nil)
 
 // New initializes BFS state over the partition: every vertex at length ∞
 // (Algorithm 3 lines 4–7).
@@ -99,7 +100,7 @@ func (b *BFS) Visit(v Visitor, q *core.Queue[Visitor]) {
 	}
 	next := v.Length + 1
 	for _, t := range q.OutEdges(v.V) {
-		q.Push(Visitor{V: t, Length: next, Parent: v.V})
+		q.PushEdge(t, Visitor{V: t.Vertex(), Length: next, Parent: v.V})
 	}
 }
 
@@ -115,9 +116,12 @@ func Summary(levels []uint32) (reached uint64, depth uint32) {
 	return reached, depth
 }
 
-// Less orders the local queue by length (Algorithm 2 lines 20–22); the
-// framework breaks ties by vertex id for page locality.
+// Less orders the local queue by length (Algorithm 2 lines 20–22).
 func (b *BFS) Less(a, c Visitor) bool { return a.Length < c.Length }
+
+// Bucket implements core.BucketAlgorithm: that order is a small integer, so
+// the queue keeps one FIFO per level instead of sifting a heap.
+func (b *BFS) Bucket(v Visitor) uint64 { return uint64(v.Length) }
 
 // Encode appends the 20-byte wire form.
 func (b *BFS) Encode(v Visitor, buf []byte) []byte {

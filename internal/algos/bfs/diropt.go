@@ -303,9 +303,9 @@ func (d *DO) scanAndSend() {
 	if d.mode == modeTopDown {
 		d.TopDownLevels++
 		d.forLocalRows(d.frontier, false, func(i int, v graph.Vertex) {
-			for _, t := range d.part.CSR.Row(i) {
-				if !d.visited.Get(uint64(t)) {
-					d.contrib.Set(uint64(t))
+			for _, e := range d.part.CSR.Row(i) {
+				if t := uint64(e.Vertex()); !d.visited.Get(t) {
+					d.contrib.Set(t)
 				}
 			}
 		})
@@ -320,7 +320,7 @@ func (d *DO) scanAndSend() {
 		}
 		d.forLocalRows(d.visited, true, func(i int, v graph.Vertex) {
 			for _, t := range d.part.CSR.Row(i) {
-				if d.frontier.Get(uint64(t)) {
+				if d.frontier.Get(uint64(t.Vertex())) {
 					d.contrib.Set(uint64(v))
 					break // one frontier neighbor suffices
 				}
@@ -428,8 +428,8 @@ func (d *DO) finishParents(newly core.Bitmap) {
 			return
 		}
 		var found graph.Vertex = graph.Nil
-		for _, t := range d.part.CSR.Row(i) {
-			if d.prevFrontier.Get(uint64(t)) {
+		for _, e := range d.part.CSR.Row(i) {
+			if t := e.Vertex(); d.prevFrontier.Get(uint64(t)) {
 				found = t
 				break
 			}

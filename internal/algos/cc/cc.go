@@ -83,7 +83,7 @@ func (c *CC) Visit(v Visitor, q *core.Queue[Visitor]) {
 		return
 	}
 	for _, t := range q.OutEdges(v.V) {
-		q.Push(Visitor{V: t, Label: v.Label})
+		q.PushEdge(t, Visitor{V: t.Vertex(), Label: v.Label})
 	}
 }
 

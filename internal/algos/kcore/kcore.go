@@ -42,7 +42,7 @@ type KCore struct {
 	Core  []uint32 // remaining degree + 1, master rows only meaningful
 }
 
-var _ core.Algorithm[Visitor] = (*KCore)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*KCore)(nil)
 
 // New initializes the state per Algorithm 5: alive, with core counters at
 // degree(v)+1 (global degree, which for partition-boundary vertices comes
@@ -88,12 +88,15 @@ func (a *KCore) PreVisit(v Visitor) bool {
 // core (Algorithm 4 lines 13–17).
 func (a *KCore) Visit(v Visitor, q *core.Queue[Visitor]) {
 	for _, t := range q.OutEdges(v.V) {
-		q.Push(Visitor{V: t})
+		q.PushEdge(t, Visitor{V: t.Vertex()})
 	}
 }
 
 // Less: no visitor order required (Algorithm 4).
 func (a *KCore) Less(x, y Visitor) bool { return false }
+
+// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
+func (a *KCore) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 8-byte wire form.
 func (a *KCore) Encode(v Visitor, buf []byte) []byte {

@@ -76,7 +76,7 @@ type PR struct {
 	dropped         uint64 // contributions outside the two-bucket window
 }
 
-var _ core.Algorithm[Visitor] = (*PR)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*PR)(nil)
 
 // New initializes PageRank state: every vertex at rank 1/n.
 func New(part *partition.Part, iters uint32) *PR {
@@ -163,7 +163,7 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 	i := q.LocalRow(v.V)
 	if v.Kind == kindEmit {
 		for _, t := range q.OutEdges(v.V) {
-			q.Push(Visitor{V: t, Val: v.Val, Iter: v.Iter, Kind: kindContrib})
+			q.PushEdge(t, Visitor{V: t.Vertex(), Val: v.Val, Iter: v.Iter, Kind: kindContrib})
 		}
 		return
 	}
@@ -187,6 +187,9 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 
 // Less: no ordering requirement; completion is counted, not scheduled.
 func (p *PR) Less(a, b Visitor) bool { return false }
+
+// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
+func (p *PR) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 21-byte wire form.
 func (p *PR) Encode(v Visitor, buf []byte) []byte {

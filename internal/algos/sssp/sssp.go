@@ -142,11 +142,11 @@ func (s *SSSP) Visit(v Visitor, q *core.Queue[Visitor]) {
 		return
 	}
 	for _, t := range q.OutEdges(v.V) {
-		nd := v.Dist + Weight(v.V, t, s.seed)
+		nd := v.Dist + Weight(v.V, t.Vertex(), s.seed)
 		if nd < v.Dist {
 			nd = Unreached // saturate instead of wrapping
 		}
-		q.Push(Visitor{V: t, Dist: nd, Parent: v.V})
+		q.PushEdge(t, Visitor{V: t.Vertex(), Dist: nd, Parent: v.V})
 	}
 }
 

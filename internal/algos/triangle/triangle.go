@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 
 	"havoqgt/internal/core"
+	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 )
@@ -36,7 +37,7 @@ type Triangle struct {
 	Count []uint64
 }
 
-var _ core.Algorithm[Visitor] = (*Triangle)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*Triangle)(nil)
 
 // New initializes the counters to zero (Algorithm 7 lines 3–5). The zero
 // Options count every triangle exactly.
@@ -88,18 +89,19 @@ func (t *Triangle) dupOfPrevTail(v, w graph.Vertex) bool {
 // Self loops fail the vi > v test. This is what keeps triangle counting
 // exact on multigraphs: each wedge is generated once per distinct edge, not
 // once per stored copy.
-func (t *Triangle) forDistinctLarger(v graph.Vertex, row []graph.Vertex, fn func(graph.Vertex)) {
+func (t *Triangle) forDistinctLarger(v graph.Vertex, row []csr.Target, fn func(csr.Target)) {
 	prev, havePrev := graph.Vertex(0), false
 	if t.part.PrevTailValid && t.part.PrevTail.Src == v {
 		prev, havePrev = t.part.PrevTail.Dst, true
 	}
-	for _, vi := range row {
+	for _, e := range row {
+		vi := e.Vertex()
 		if havePrev && vi == prev {
 			continue
 		}
 		prev, havePrev = vi, true
 		if vi > v {
-			fn(vi)
+			fn(e)
 		}
 	}
 }
@@ -117,15 +119,15 @@ func (t *Triangle) countsClosing(v, w graph.Vertex, row int) bool {
 func (t *Triangle) Visit(v Visitor, q *core.Queue[Visitor]) {
 	switch {
 	case v.Second == graph.Nil: // first visit
-		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(vi graph.Vertex) {
-			if t.opts.member(vi) {
-				q.Push(Visitor{V: vi, Second: v.V, Third: graph.Nil})
+		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(e csr.Target) {
+			if vi := e.Vertex(); t.opts.member(vi) {
+				q.PushEdge(e, Visitor{V: vi, Second: v.V, Third: graph.Nil})
 			}
 		})
 	case v.Third == graph.Nil: // length-2 path visit
-		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(vi graph.Vertex) {
-			if t.opts.member(vi) && t.opts.sampleWedge(v.Second, v.V, vi) {
-				q.Push(Visitor{V: vi, Second: v.V, Third: v.Second})
+		t.forDistinctLarger(v.V, q.OutEdges(v.V), func(e csr.Target) {
+			if vi := e.Vertex(); t.opts.member(vi) && t.opts.sampleWedge(v.Second, v.V, vi) {
+				q.PushEdge(e, Visitor{V: vi, Second: v.V, Third: v.Second})
 			}
 		})
 	default: // search for closing edge of the length-3 cycle
@@ -138,6 +140,9 @@ func (t *Triangle) Visit(v Visitor, q *core.Queue[Visitor]) {
 
 // Less: no visitor order required (Algorithm 6).
 func (t *Triangle) Less(a, b Visitor) bool { return false }
+
+// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
+func (t *Triangle) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 24-byte wire form.
 func (t *Triangle) Encode(v Visitor, buf []byte) []byte {

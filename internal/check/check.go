@@ -21,6 +21,10 @@
 //   - one ledger:            per rank, every batch-published obs cell equals
 //     the plain Stats field it mirrors (asserted on every clean differential
 //     case)
+//   - edge tags:             per rank, what the partition build resolved into
+//     each stored target word is what the owner table and the rank's own edge
+//     counts say (EdgeTags; asserted on every differential case, through the
+//     page cache when the case runs out of core)
 //
 // These checks are cheap (they read the per-rank stats a query leaves on its
 // engine ticket) and are meant to run after every traversal in tests, keeping the message plane honest as
@@ -32,8 +36,11 @@ import (
 	"strings"
 
 	"havoqgt/internal/core"
+	"havoqgt/internal/csr"
+	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 	"havoqgt/internal/obs"
+	"havoqgt/internal/partition"
 )
 
 // Violation describes one failed invariant.
@@ -231,6 +238,57 @@ func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 			if got, want := cells.Rank(r), m.field(s); got != want {
 				vs.addf("one-ledger", "rank %d: registry %s=%d != Stats field=%d", r, m.name, got, want)
 			}
+		}
+	}
+	return vs
+}
+
+// EdgeTags checks the tags in a partition's stored target words against what
+// they claim to have resolved (partition.Part, csr.Target), reading the rows
+// through whatever store holds them: the local bit is set exactly on targets
+// the rank masters; a slot names the target's own vertex and its master rank;
+// a remote target has a slot exactly when the rank stores at least two edges
+// to it (unless every slot a word can name is taken); and slots are numbered
+// by that edge count descending, then vertex — the order that makes every
+// ghost cap a prefix.
+func EdgeTags(part *partition.Part) []Violation {
+	var vs violations
+	if len(part.SlotVertex) != len(part.SlotOwner) {
+		vs.addf("edge-tags", "rank %d: %d slot vertices, %d slot owners", part.Rank, len(part.SlotVertex), len(part.SlotOwner))
+		return vs
+	}
+	counts := map[graph.Vertex]int{}
+	for row := 0; row < part.CSR.NumRows(); row++ {
+		for _, t := range part.CSR.Row(row) {
+			if v := t.Vertex(); !part.IsMaster(v) {
+				counts[v]++
+			}
+		}
+	}
+	for row := 0; row < part.CSR.NumRows(); row++ {
+		for _, t := range part.CSR.Row(row) {
+			v, slot, bad := t.Vertex(), t.Slot(), ""
+			switch {
+			case t.Local() != part.IsMaster(v):
+				bad = "local bit against the master range"
+			case slot >= len(part.SlotVertex) || (slot >= 0 && t.Local()):
+				bad = "a slot past the rank's last, or on a local target"
+			case slot >= 0 && (part.SlotVertex[slot] != v || int(part.SlotOwner[slot]) != part.Master(v)):
+				bad = "another vertex's slot, or the wrong owner in it"
+			case !t.Local() && (slot >= 0) != (counts[v] >= 2) && !(slot < 0 && len(part.SlotVertex) == csr.MaxSlots):
+				bad = "slot presence against the edge count"
+			}
+			if bad != "" {
+				vs.addf("edge-tags", "rank %d: edge %d-%d, word %#x (%d local edges to it, master %d): %s",
+					part.Rank, part.Vertex(row), v, uint64(t), counts[v], part.Master(v), bad)
+			}
+		}
+	}
+	for s := 1; s < len(part.SlotVertex); s++ {
+		a, b := part.SlotVertex[s-1], part.SlotVertex[s]
+		if counts[a] < counts[b] || (counts[a] == counts[b] && a >= b) {
+			vs.addf("edge-tags", "rank %d: slot %d (vertex %d, %d edges) before slot %d (vertex %d, %d edges)",
+				part.Rank, s-1, a, counts[a], s, b, counts[b])
 		}
 	}
 	return vs

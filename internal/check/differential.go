@@ -201,6 +201,11 @@ func (c Case) run() (stats []core.Stats, err error) {
 			cfg.Pagers[rank] = st.Pager()
 		}
 	}
+	for _, part := range cfg.Parts {
+		if err := Error(EdgeTags(part)); err != nil {
+			return fail(err)
+		}
+	}
 	if c.Fault != nil {
 		inj := faults.New(*c.Fault, cfg.Machine.Obs())
 		cfg.Machine.SetTransport(inj)

@@ -37,8 +37,9 @@ type Algorithm[V Visitor] interface {
 	// a Push can run PreVisit on another local vertex, or this one.
 	Visit(v V, q *Queue[V])
 
-	// Less orders visitors in the local min-heap priority queue. Algorithms
-	// with no ordering requirement return false.
+	// Less orders visitors in the local min-heap priority queue, the
+	// scheduler of an algorithm that declares no buckets (BucketAlgorithm).
+	// Algorithms with no ordering requirement return false.
 	Less(a, b V) bool
 
 	// Encode appends v's wire form to buf and returns it.
@@ -52,13 +53,13 @@ type Algorithm[V Visitor] interface {
 }
 
 // BucketAlgorithm is implemented by algorithms whose visitor ordering is a
-// coarse monotone priority — delta-stepping SSSP being the canonical case.
+// small integer — BFS's level, delta-stepping SSSP's ⌊Dist/Δ⌋ — or nothing at
+// all: k-core, PageRank and triangle counting declare the single bucket 0.
 // When an algorithm implements it, the queue replaces the binary-heap local
 // scheduler with a calendar of FIFO buckets drained in bucket order: push and
-// pop become O(1) amortized (the residual heap orders bucket indices, of
-// which there are ~MaxPriority/Δ, not visitors), and visitors within one
-// bucket execute in arrival order, preserving page-level locality of the
-// mailbox's aggregated batches. Correctness only needs Bucket to be
+// pop become O(1) amortized, visitors within one bucket execute in arrival
+// order, preserving page-level locality of the mailbox's aggregated batches,
+// and one bucket is a plain FIFO. Correctness only needs Bucket to be
 // consistent with Less (a Less b ⇒ Bucket(a) <= Bucket(b)): label-correcting
 // kernels converge to the same fixpoint under any drain order, bucket order
 // merely keeps the work near-optimal.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"time"
 
+	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 	"havoqgt/internal/obs"
@@ -81,12 +83,12 @@ func (cfg Config) MailboxOptions() []mailbox.Option {
 // polls the shared mailbox, routes records carrying this queue's tag into
 // Deliver, gives it execution slices with Step, and pumps PumpTermination.
 type Queue[V Visitor] struct {
-	rank *rt.Rank
 	part *partition.Part
 	algo Algorithm[V]
 
 	ghostAlgo     GhostAlgorithm[V] // nil when ghosts unused
 	ghosts        *GhostTable
+	nGhosts       int  // slots below this are filtered; 0 when ghosts unused
 	ghostAttached bool // ghostAlgo holds its filter state (sized on the first hit)
 
 	mb  *mailbox.Box
@@ -96,7 +98,7 @@ type Queue[V Visitor] struct {
 	cancelled bool   // drain without applying (see Cancel)
 
 	heap          []V
-	cal           *calendar[V] // non-nil: bucket scheduler replaces the heap
+	cal           *calendar[V] // non-nil: the algorithm declares buckets, no heap
 	localityOrder bool
 	encBuf        []byte
 
@@ -159,7 +161,6 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cfg Config,
 	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
 	q := &Queue[V]{
-		rank:          r,
 		part:          part,
 		algo:          algo,
 		mb:            mb,
@@ -176,6 +177,7 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cf
 		if ga, ok := algo.(GhostAlgorithm[V]); ok {
 			q.ghostAlgo = ga
 			q.ghosts = ghosts
+			q.nGhosts = ghosts.Len()
 		}
 	}
 	if ba, ok := algo.(BucketAlgorithm[V]); ok {
@@ -183,12 +185,6 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cf
 	}
 	return q
 }
-
-// Part returns the partition this queue traverses.
-func (q *Queue[V]) Part() *partition.Part { return q.part }
-
-// Rank returns the underlying simulated rank.
-func (q *Queue[V]) Rank() *rt.Rank { return q.rank }
 
 // LocalRow returns the CSR row index for a locally held vertex.
 func (q *Queue[V]) LocalRow(v graph.Vertex) int {
@@ -201,42 +197,61 @@ func (q *Queue[V]) LocalRow(v graph.Vertex) int {
 
 // OutEdges returns the local portion of v's adjacency list. The slice is
 // valid until the next OutEdges call (external stores reuse a buffer).
-func (q *Queue[V]) OutEdges(v graph.Vertex) []graph.Vertex {
+func (q *Queue[V]) OutEdges(v graph.Vertex) []csr.Target {
 	return q.part.CSR.Row(q.LocalRow(v))
 }
 
-// Push inserts a visitor into the distributed queue (Algorithm 1, PUSH),
-// deciding at the sender everything that can be decided there. A visitor for
-// a vertex this rank masters is applied in place, before Push returns: it is
-// never encoded, sent or counted in flight, and LocalIdle is false from the
-// moment it is queued. Any other vertex is looked up in the ghost table
-// first: a hit yields the local ghost filter's verdict and the vertex's
-// master rank from the same cache line, so the owner table is searched only
-// on a miss. What survives is transmitted to the master partition through
-// the routed mailbox.
+// Push inserts a visitor that does not travel a stored edge — a seed, a
+// resume replay, a vertex's message to itself — into the distributed queue
+// (Algorithm 1, PUSH). A visitor for a vertex this rank masters is applied in
+// place, before Push returns: it is never encoded, sent or counted in flight,
+// and LocalIdle is false from the moment it is queued. Any other is
+// transmitted to its master partition through the routed mailbox.
 func (q *Queue[V]) Push(v V) {
 	q.stats.Pushed++
-	vtx := v.Vertex()
-	if q.part.IsMaster(vtx) {
+	q.route(v)
+}
+
+// route decides a push by range compare and owner-table search.
+func (q *Queue[V]) route(v V) {
+	if vtx := v.Vertex(); q.part.IsMaster(vtx) {
+		q.stats.Local++
+		q.apply(v)
+	} else {
+		q.send(q.part.Master(vtx), v)
+	}
+}
+
+// PushEdge is Push for a visitor travelling the stored edge whose target word
+// is t (v.Vertex() == t.Vertex()): what the sender can decide was resolved
+// into the word when the partition was built, so deciding is reading it. A
+// local target is applied in place; a target in one of the rank's remote slots
+// goes to the owner the slot names, after the ghost filter's verdict when the
+// slot is within the table of an algorithm that declares ghost usage; a word
+// with nothing resolved takes Push's path.
+func (q *Queue[V]) PushEdge(t csr.Target, v V) {
+	q.stats.Pushed++
+	if t.Local() {
 		q.stats.Local++
 		q.apply(v)
 		return
 	}
-	if q.ghostAlgo != nil {
-		if gi, owner, ok := q.ghosts.Lookup(vtx); ok {
-			if !q.ghostAttached {
-				q.ghostAlgo.AttachGhosts(q.ghosts)
-				q.ghostAttached = true
-			}
-			if q.ghostAlgo.PreVisitGhost(v, gi) {
-				q.send(owner, v)
-			} else {
-				q.stats.GhostFiltered++
-			}
+	slot := t.Slot()
+	if slot < 0 {
+		q.route(v)
+		return
+	}
+	if slot < q.nGhosts {
+		if !q.ghostAttached {
+			q.ghostAlgo.AttachGhosts(q.ghosts)
+			q.ghostAttached = true
+		}
+		if !q.ghostAlgo.PreVisitGhost(v, slot) {
+			q.stats.GhostFiltered++
 			return
 		}
 	}
-	q.send(q.part.Master(vtx), v)
+	q.send(int(q.part.SlotOwner[slot]), v)
 }
 
 // send transmits v to rank dest under the query's tag.
@@ -425,8 +440,9 @@ func (q *Queue[V]) publish() {
 	m.unparked.Publish(rank, cur.Unparked, &last.Unparked)
 }
 
-// --- local scheduler dispatch: calendar of buckets when the algorithm
-// implements BucketAlgorithm (delta-stepping), binary min-heap otherwise.
+// --- local scheduler dispatch, chosen in NewQueue from what the algorithm
+// declares: calendar of FIFO buckets when it implements BucketAlgorithm (one
+// bucket, a plain FIFO, when it needs no order), binary min-heap otherwise.
 
 func (q *Queue[V]) schedPush(v V) {
 	if q.cal != nil {
@@ -450,42 +466,59 @@ func (q *Queue[V]) schedLen() int {
 	return len(q.heap)
 }
 
-// calendar is the delta-stepping bucket scheduler: visitors land in FIFO
-// buckets keyed by BucketAlgorithm.Bucket, drained in ascending bucket order.
-// Push and pop are O(1) amortized — the small residual heap in order sorts
-// bucket indices (hundreds at most for SSSP's ⌊Dist/Δ⌋), not visitors
-// (thousands to millions). Empty buckets keep their allocated backing arrays
-// in a free list, so steady-state operation allocates nothing.
+// calendar is the bucket scheduler: visitors land in FIFO buckets keyed by
+// BucketAlgorithm.Bucket, drained in ascending bucket order. Push and pop are
+// O(1) amortized — order sorts the indices of the buckets present (a handful
+// for SSSP's ⌊Dist/Δ⌋, two for BFS's levels; touched once per bucket), not
+// visitors — and neither pays the map for the bucket it used last: open is
+// the one being drained, last the one pushed into most recently. Spent buckets
+// keep their backing arrays in a free list: the steady state allocates nothing.
 type calendar[V Visitor] struct {
 	algo    BucketAlgorithm[V]
-	buckets map[uint64]bucket[V]
-	order   []uint64 // min-heap of bucket indices present in buckets
-	free    [][]V    // spent bucket backing arrays for reuse
+	buckets map[uint64]*bucket[V]
+	order   []uint64   // ascending indices of the buckets present
+	open    *bucket[V] // buckets[order[0]], or nil: look it up
+	last    *bucket[V] // the bucket of the latest push, or nil
+	free    []*bucket[V]
 	n       int
 }
 
 // bucket is a FIFO: vs[head:] are the visitors still queued.
 type bucket[V Visitor] struct {
+	key  uint64
 	vs   []V
 	head int
 }
 
+// compactAt is the consumed prefix past which pop slides a bucket's live tail
+// down, so a bucket that never runs empty stays the size of what it holds.
+const compactAt = 1024
+
 func newCalendar[V Visitor](algo BucketAlgorithm[V]) *calendar[V] {
-	return &calendar[V]{algo: algo, buckets: make(map[uint64]bucket[V])}
+	return &calendar[V]{algo: algo, buckets: make(map[uint64]*bucket[V])}
 }
 
 func (c *calendar[V]) push(v V) {
 	b := c.algo.Bucket(v)
-	s, ok := c.buckets[b]
-	if !ok {
-		if f := len(c.free); f > 0 {
-			s.vs = c.free[f-1][:0]
-			c.free = c.free[:f-1]
+	s := c.last
+	if s == nil || s.key != b {
+		if s = c.buckets[b]; s == nil {
+			if f := len(c.free); f > 0 {
+				s, c.free = c.free[f-1], c.free[:f-1]
+			} else {
+				s = new(bucket[V])
+			}
+			s.key = b
+			c.buckets[b] = s
+			i, _ := slices.BinarySearch(c.order, b)
+			c.order = slices.Insert(c.order, i, b)
+			if i == 0 {
+				c.open = nil // a lower bucket than the one being drained
+			}
 		}
-		c.orderPush(b)
+		c.last = s
 	}
 	s.vs = append(s.vs, v)
-	c.buckets[b] = s
 	c.n++
 }
 
@@ -498,62 +531,49 @@ func (c *calendar[V]) push(v V) {
 // distances no neighbour has yet had the chance to improve; arrival order
 // expands a bucket breadth-first.
 func (c *calendar[V]) pop() V {
-	b := c.order[0]
-	s := c.buckets[b]
+	s := c.open
+	if s == nil {
+		s = c.buckets[c.order[0]]
+		c.open = s
+	}
 	v := s.vs[s.head]
 	var zero V
 	s.vs[s.head] = zero
 	s.head++
-	if s.head == len(s.vs) {
-		delete(c.buckets, b)
-		c.orderPop()
-		c.free = append(c.free, s.vs[:0])
-	} else {
-		c.buckets[b] = s
+	switch {
+	case s.head == len(s.vs):
+		delete(c.buckets, s.key)
+		c.order = slices.Delete(c.order, 0, 1)
+		c.release(s)
+	case s.head >= compactAt && 2*s.head >= len(s.vs):
+		live := copy(s.vs, s.vs[s.head:])
+		clear(s.vs[live:])
+		s.vs, s.head = s.vs[:live], 0
 	}
 	c.n--
 	return v
 }
 
+// release returns a bucket no longer in the map to the free list.
+func (c *calendar[V]) release(s *bucket[V]) {
+	if c.open == s {
+		c.open = nil
+	}
+	if c.last == s {
+		c.last = nil
+	}
+	clear(s.vs[s.head:])
+	s.vs, s.head = s.vs[:0], 0
+	c.free = append(c.free, s)
+}
+
 func (c *calendar[V]) clear() {
+	for _, s := range c.buckets {
+		c.release(s)
+	}
 	clear(c.buckets)
 	c.order = c.order[:0]
 	c.n = 0
-}
-
-func (c *calendar[V]) orderPush(b uint64) {
-	c.order = append(c.order, b)
-	i := len(c.order) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if c.order[i] >= c.order[p] {
-			break
-		}
-		c.order[i], c.order[p] = c.order[p], c.order[i]
-		i = p
-	}
-}
-
-func (c *calendar[V]) orderPop() {
-	last := len(c.order) - 1
-	c.order[0] = c.order[last]
-	c.order = c.order[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && c.order[l] < c.order[small] {
-			small = l
-		}
-		if r < last && c.order[r] < c.order[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		c.order[i], c.order[small] = c.order[small], c.order[i]
-		i = small
-	}
 }
 
 // --- local min-heap priority queue, ordered by the algorithm's Less with an

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"havoqgt/internal/graph"
-	"havoqgt/internal/partition"
 	"havoqgt/internal/xrand"
 )
 
@@ -77,52 +78,55 @@ func TestQuickHeapIsPermutation(t *testing.T) {
 	}
 }
 
-// TestQuickGhostLookupMatchesMap: for any table of distinct vertices — a
-// handful, the paper's 256, or the tens of thousands a covering table holds —
-// scattered over the id space or clustered in a small range, the
-// open-addressed probe answers exactly as a map from vertex to index does,
-// and returns the owner table's master rank — for members, their neighbours
-// and arbitrary non-members alike.
-func TestQuickGhostLookupMatchesMap(t *testing.T) {
-	const n = 1 << 20
-	owners, err := partition.NewOwnerTable([]uint64{0, 1000, 1000, n / 3, n - 7, n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := []int{0, 1, 2, 3, 200, 256, 257, 5000, 20_000, 33_000}
-	f := func(seed uint64, sizeSel uint16, clustered bool) bool {
+// TestQuickSlotPrefixMatchesTopK: the partition build's slot order is the
+// ghost candidate order — remote targets with at least two local edges, by
+// count descending then vertex — so for random graphs and every cap k the
+// table BuildGhostTable returns holds exactly the vertices a count, sort and
+// cut over the rank's edges selects, at the same indices, and the slot's owner
+// is the owner table's master rank.
+func TestQuickSlotPrefixMatchesTopK(t *testing.T) {
+	f := func(seed uint64, ranks uint8) bool {
 		rng := xrand.New(seed)
-		size, span := sizes[int(sizeSel)%len(sizes)], uint64(n)
-		if clustered {
-			span = uint64(2*size + 16)
+		n, p := uint64(96), 1+int(ranks%4)
+		edges := make([]graph.Edge, 600)
+		for i := range edges {
+			// Squared draws skew the targets, so counts repeat and differ.
+			d := rng.Uint64n(n)
+			edges[i] = graph.Edge{Src: graph.Vertex(rng.Uint64n(n)), Dst: graph.Vertex(d * d / n)}
 		}
-		want := make(map[graph.Vertex]int, size)
-		vertices := make([]graph.Vertex, 0, size)
-		for len(vertices) < size {
-			v := graph.Vertex(rng.Uint64n(span))
-			if _, dup := want[v]; !dup {
-				want[v] = len(vertices)
-				vertices = append(vertices, v)
+		for _, part := range buildParts(t, edges, n, p) {
+			counts := map[graph.Vertex]int{}
+			for row := 0; row < part.CSR.NumRows(); row++ {
+				for _, tgt := range part.CSR.Row(row) {
+					if v := tgt.Vertex(); !part.IsMaster(v) {
+						counts[v]++
+					}
+				}
 			}
-		}
-		gt := newGhostTable(owners, vertices)
-		if gt.Len() != len(vertices) {
-			return false
-		}
-		probes := []graph.Vertex{0, graph.Nil, graph.Vertex(rng.Uint64())}
-		for _, v := range vertices {
-			probes = append(probes, v, v+1, v-1)
-		}
-		for _, v := range probes {
-			wi, wok := want[v]
-			gi, owner, gok := gt.Lookup(v)
-			if gok != wok || gi != wi || (gok && owner != owners.Master(v)) {
-				return false
+			var want []graph.Vertex
+			for v, c := range counts {
+				if c >= 2 {
+					want = append(want, v)
+				}
+			}
+			slices.SortFunc(want, func(a, b graph.Vertex) int {
+				return cmp.Or(cmp.Compare(counts[b], counts[a]), cmp.Compare(a, b))
+			})
+			for _, k := range []int{-1, 0, 1, 64, 256, len(want), DefaultGhostsPerPartition} {
+				got := BuildGhostTable(part, k).Vertices()
+				if !slices.Equal(got, want[:min(max(k, 0), len(want))]) {
+					return false
+				}
+				for i, v := range got {
+					if int(part.SlotOwner[i]) != part.Master(v) {
+						return false
+					}
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,35 +137,78 @@ type bucketAlgo struct{ orderAlgo }
 func (a *bucketAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
 
 // TestQuickCalendarPopsLowestBucketInArrivalOrder: under any interleaving of
-// pushes and pops, the calendar pops from the lowest non-empty bucket, and
-// within a bucket in arrival order — pushes that land in the bucket being
-// drained included.
+// pushes, pops and cancels, the calendar pops from the lowest non-empty
+// bucket, and within a bucket in arrival order — through the cached buckets
+// too: pushes that land in the bucket being drained, pushes into a lower one
+// (the open bucket must yield), and a clear mid-drain, which must leave no
+// cached bucket behind and hand every backing array back to the free list.
 func TestQuickCalendarPopsLowestBucketInArrivalOrder(t *testing.T) {
 	f := func(ops []uint8) bool {
 		c := newCalendar[orderVisitor](&bucketAlgo{})
 		model := map[uint32][]orderVisitor{}
-		queued := 0
+		queued, made := 0, map[*bucket[orderVisitor]]bool{}
 		for i, op := range ops {
-			if op < 160 || queued == 0 {
+			switch {
+			case op >= 250:
+				for _, s := range c.buckets {
+					made[s] = true
+				}
+				c.clear()
+				clear(model)
+				queued = 0
+				if c.open != nil || c.last != nil || len(c.buckets) != 0 || len(c.order) != 0 {
+					return false
+				}
+			case op < 160 || queued == 0:
 				v := orderVisitor{v: graph.Vertex(i), prio: uint32(op % 5)}
 				c.push(v)
 				model[v.prio] = append(model[v.prio], v)
 				queued++
-				continue
+			default:
+				lowest := uint32(0)
+				for len(model[lowest]) == 0 {
+					lowest++
+				}
+				if got := c.pop(); got != model[lowest][0] {
+					return false
+				}
+				model[lowest] = model[lowest][1:]
+				queued--
 			}
-			lowest := uint32(0)
-			for len(model[lowest]) == 0 {
-				lowest++
-			}
-			if got := c.pop(); got != model[lowest][0] {
+			if c.n != queued {
 				return false
 			}
-			model[lowest] = model[lowest][1:]
-			queued--
 		}
-		return c.n == queued
+		// Every bucket a clear emptied is either on the free list or back in
+		// use, reset.
+		for _, s := range c.free {
+			if len(s.vs) != 0 || s.head != 0 {
+				return false
+			}
+			delete(made, s)
+		}
+		for _, s := range c.buckets {
+			delete(made, s)
+		}
+		return len(made) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCalendarCompactsLongLivedBucket: a bucket that never runs empty does not
+// keep the visitors it has already handed out.
+func TestCalendarCompactsLongLivedBucket(t *testing.T) {
+	c := newCalendar[orderVisitor](&bucketAlgo{})
+	c.push(orderVisitor{})
+	for i := 1; i <= 100*compactAt; i++ {
+		c.push(orderVisitor{v: graph.Vertex(i)})
+		if got := c.pop(); got.v != graph.Vertex(i-1) {
+			t.Fatalf("pop %d returned vertex %d", i, got.v)
+		}
+	}
+	if s := c.buckets[0]; c.n != 1 || cap(s.vs) > 4*compactAt {
+		t.Fatalf("one visitor queued (n=%d) in a bucket of capacity %d", c.n, cap(s.vs))
 	}
 }

@@ -13,11 +13,44 @@ import (
 	"havoqgt/internal/graph"
 )
 
+// Target is one stored CSR target word: the target vertex in the low 40 bits
+// and, above it, what the partition build resolved about the edge on the rank
+// that stores it — that the rank masters the target, or which of the rank's
+// remote slots (partition.Part) the target occupies. The tags ride whatever
+// store holds the word and are optional: a bare vertex id is a valid word.
+type Target uint64
+
+const (
+	vertexBits = 40
+	slotBits   = 23
+	localBit   = Target(1) << 63
+
+	// MaxVertices is the largest vertex count a target word can address.
+	MaxVertices = uint64(1) << vertexBits
+	// MaxSlots is the number of distinct remote slots a word can name.
+	MaxSlots = 1<<slotBits - 1
+)
+
+// Vertex returns the target vertex.
+func (t Target) Vertex() graph.Vertex { return graph.Vertex(t & (1<<vertexBits - 1)) }
+
+// Local reports whether the storing rank masters the target.
+func (t Target) Local() bool { return t&localBit != 0 }
+
+// Slot returns the target's remote slot on the storing rank, or -1.
+func (t Target) Slot() int { return int(t>>vertexBits&MaxSlots) - 1 }
+
+// AsLocal returns the word tagged "the storing rank masters this vertex".
+func (t Target) AsLocal() Target { return t | localBit }
+
+// WithSlot returns the word tagged with remote slot s, 0 <= s < MaxSlots.
+func (t Target) WithSlot(s int) Target { return t | Target(s+1)<<vertexBits }
+
 // TargetStore is the backing storage for the CSR target array.
 type TargetStore interface {
 	// Read returns targets[lo:hi]. The returned slice is valid until the
 	// next Read on the same store; callers must not retain it.
-	Read(lo, hi uint64) []graph.Vertex
+	Read(lo, hi uint64) []Target
 	// Len returns the total number of stored targets.
 	Len() uint64
 	// Close releases resources.
@@ -25,15 +58,16 @@ type TargetStore interface {
 }
 
 // MemTargets is an in-memory TargetStore (the DRAM configuration).
-type MemTargets []graph.Vertex
+type MemTargets []Target
 
-func (m MemTargets) Read(lo, hi uint64) []graph.Vertex { return m[lo:hi] }
-func (m MemTargets) Len() uint64                       { return uint64(len(m)) }
-func (m MemTargets) Close() error                      { return nil }
+func (m MemTargets) Read(lo, hi uint64) []Target { return m[lo:hi] }
+func (m MemTargets) Len() uint64                 { return uint64(len(m)) }
+func (m MemTargets) Close() error                { return nil }
 
 // Matrix is one partition's local adjacency in CSR form. Row i holds the
 // local portion of the adjacency list of vertex (base + i); rows are sorted
-// by target, which HasTarget exploits.
+// by target vertex (not by raw word: tags sit above the vertex bits), which
+// HasTarget exploits.
 type Matrix struct {
 	offsets []uint64 // len = rows+1
 	targets TargetStore
@@ -70,8 +104,11 @@ func FromSortedEdges(edges []graph.Edge, base graph.Vertex, rows int) (*Matrix, 
 		if i > 0 && graph.CompareEdges(edges[i-1], e) > 0 {
 			return nil, fmt.Errorf("csr: edges not sorted at index %d", i)
 		}
+		if uint64(e.Dst) >= MaxVertices {
+			return nil, fmt.Errorf("csr: edge %v targets a vertex beyond the %d-bit target word", e, vertexBits)
+		}
 		offsets[e.Src-base+1]++
-		targets[i] = e.Dst
+		targets[i] = Target(e.Dst)
 	}
 	for i := 1; i <= rows; i++ {
 		offsets[i] += offsets[i-1]
@@ -90,7 +127,7 @@ func (m *Matrix) Degree(i int) uint64 { return m.offsets[i+1] - m.offsets[i] }
 
 // Row returns the targets of row i. The slice is valid until the next Row or
 // HasTarget call (external stores reuse a read buffer).
-func (m *Matrix) Row(i int) []graph.Vertex {
+func (m *Matrix) Row(i int) []Target {
 	return m.targets.Read(m.offsets[i], m.offsets[i+1])
 }
 
@@ -105,8 +142,8 @@ func (m *Matrix) RowSpan(i int) (lo, hi uint64) {
 // are sorted by target). Duplicate edges are tolerated.
 func (m *Matrix) HasTarget(i int, v graph.Vertex) bool {
 	row := m.Row(i)
-	j := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	return j < len(row) && row[j] == v
+	j := sort.Search(len(row), func(k int) bool { return row[k].Vertex() >= v })
+	return j < len(row) && row[j].Vertex() == v
 }
 
 // Targets exposes the backing store (for cache statistics).

@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"slices"
 	"testing"
 
 	"havoqgt/internal/graph"
@@ -106,5 +107,44 @@ func TestEmptyMatrix(t *testing.T) {
 	m := mustBuild(t, nil, 0, 0)
 	if m.NumRows() != 0 || m.NumEdges() != 0 {
 		t.Fatal("empty matrix misreports size")
+	}
+}
+
+func TestTargetWord(t *testing.T) {
+	v := graph.Vertex(MaxVertices - 1)
+	bare := Target(v)
+	if bare.Vertex() != v || bare.Local() || bare.Slot() != -1 {
+		t.Fatalf("bare word %#x: vertex %d local %v slot %d", uint64(bare), bare.Vertex(), bare.Local(), bare.Slot())
+	}
+	if l := bare.AsLocal(); l.Vertex() != v || !l.Local() || l.Slot() != -1 {
+		t.Fatalf("local word %#x: vertex %d local %v slot %d", uint64(l), l.Vertex(), l.Local(), l.Slot())
+	}
+	for _, s := range []int{0, 1, MaxSlots - 1} {
+		if w := bare.WithSlot(s); w.Vertex() != v || w.Local() || w.Slot() != s {
+			t.Fatalf("slot %d word %#x: vertex %d local %v slot %d", s, uint64(w), w.Vertex(), w.Local(), w.Slot())
+		}
+	}
+	if _, err := FromSortedEdges([]graph.Edge{{Src: 0, Dst: graph.Vertex(MaxVertices)}}, 0, 1); err == nil {
+		t.Fatal("a target beyond the word's vertex field was stored")
+	}
+}
+
+// TestHasTargetComparesVertices: tags sit above the vertex bits, so a tagged
+// row is sorted by vertex but not by raw word — here the local bit on the
+// lowest target makes it the largest word, and slots run against the vertex
+// order. The membership search must look at the vertex alone.
+func TestHasTargetComparesVertices(t *testing.T) {
+	row := MemTargets{Target(2).AsLocal(), Target(5).WithSlot(7), Target(9).WithSlot(0), Target(11)}
+	if slices.IsSorted(row) {
+		t.Fatal("the tagged row is still sorted by raw word: the test tests nothing")
+	}
+	m, err := New([]uint64{0, uint64(len(row))}, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.Vertex(0); v < 16; v++ {
+		if want := v == 2 || v == 5 || v == 9 || v == 11; m.HasTarget(0, v) != want {
+			t.Errorf("HasTarget(0, %d) = %v", v, !want)
+		}
 	}
 }

@@ -26,9 +26,9 @@ func TestQuickCSRMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := make([][]graph.Vertex, rows)
+		want := make([][]Target, rows)
 		for _, e := range edges {
-			want[e.Src] = append(want[e.Src], e.Dst)
+			want[e.Src] = append(want[e.Src], Target(e.Dst))
 		}
 		for r := 0; r < rows; r++ {
 			got := m.Row(r)
@@ -36,7 +36,7 @@ func TestQuickCSRMatchesBruteForce(t *testing.T) {
 				return false
 			}
 			for v := graph.Vertex(0); v < 64; v++ {
-				if m.HasTarget(r, v) != slices.Contains(want[r], v) {
+				if m.HasTarget(r, v) != slices.Contains(want[r], Target(v)) {
 					return false
 				}
 			}

@@ -32,7 +32,6 @@ func buildConfig(t *testing.T, scale uint, p int, topo string) (engine.Config, [
 	}
 	m := rt.NewMachine(p)
 	parts := make([]*partition.Part, p)
-	ghosts := make([]*core.GhostTable, p)
 	m.Run(func(r *rt.Rank) {
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
 		part, err := partition.BuildEdgeList(r, local, n)
@@ -40,9 +39,8 @@ func buildConfig(t *testing.T, scale uint, p int, topo string) (engine.Config, [
 			panic(err)
 		}
 		parts[r.Rank()] = part
-		ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 	})
-	return engine.Config{Machine: m, Parts: parts, Ghosts: ghosts, Topology: topo}, edges, n
+	return engine.Config{Machine: m, Parts: parts, Ghosts: core.BuildGhostTables(parts, 0), Topology: topo}, edges, n
 }
 
 // buildEngine starts an engine over a buildConfig graph.

@@ -40,7 +40,6 @@ func buildEngineFaulty(t *testing.T, scale uint, p int, topo string,
 	}
 	m := rt.NewMachine(p)
 	parts := make([]*partition.Part, p)
-	ghosts := make([]*core.GhostTable, p)
 	m.Run(func(r *rt.Rank) {
 		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
 		part, err := partition.BuildEdgeList(r, local, n)
@@ -48,12 +47,11 @@ func buildEngineFaulty(t *testing.T, scale uint, p int, topo string,
 			panic(err)
 		}
 		parts[r.Rank()] = part
-		ghosts[r.Rank()] = core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
 	})
 	inj := faults.New(plan, m.Obs())
 	m.SetTransport(inj)
 	inj.Arm()
-	e, err := engine.Start(engine.Config{Machine: m, Parts: parts, Ghosts: ghosts, Topology: topo}, opts)
+	e, err := engine.Start(engine.Config{Machine: m, Parts: parts, Ghosts: core.BuildGhostTables(parts, 0), Topology: topo}, opts)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}

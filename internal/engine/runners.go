@@ -69,16 +69,12 @@ type queueRunner[V core.Visitor] struct {
 
 func (rn *queueRunner[V]) Finish() { rn.finish() }
 
-// newQueue builds the query's visitor queue for algo. Ghost filtering is for
-// the algorithms that declare ghost usage (bfs, sssp, cc); the rest need
-// every visitor delivered — precise removal counts (§IV-B), adjacency
-// membership (§VI-C), counted contributions — and pass useGhosts false.
-func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V], useGhosts bool) *core.Queue[V] {
-	var ghosts *core.GhostTable
-	if useGhosts {
-		ghosts = env.ghosts
-	}
-	return core.NewQueue[V](env.r, env.part, algo, env.cfg, ghosts, env.pager, env.box, env.det, env.q.id)
+// newQueue builds the query's visitor queue for algo. The ghost table filters
+// only for the algorithms that declare ghost usage (core.GhostAlgorithm: bfs,
+// sssp, cc); the rest need every visitor delivered — precise removal counts
+// (§IV-B), adjacency membership (§VI-C), counted contributions.
+func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
+	return core.NewQueue[V](env.r, env.part, algo, env.cfg, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }
 
 // forMasters calls fn for every vertex this rank masters.
@@ -105,7 +101,7 @@ func gatherInto[T any](out []T, part *partition.Part, local []T) {
 func newBFSRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := bfs.New(part)
-	qu := newQueue[bfs.Visitor](env, st, true)
+	qu := newQueue[bfs.Visitor](env, st)
 	src := bfs.Visitor{V: q.spec.Source, Length: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
 		// Resume: replay the checkpointed frontier onto fresh state. Every
@@ -140,7 +136,7 @@ func newBFSRunner(env *runEnv) runner {
 func newSSSPRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := sssp.New(part, q.spec.WeightSeed)
-	qu := newQueue[sssp.Visitor](env, st, true)
+	qu := newQueue[sssp.Visitor](env, st)
 	src := sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source}
 	if cp := q.spec.Resume; cp != nil {
 		// Same frontier-replay scheme as BFS, over tentative distances.
@@ -169,7 +165,7 @@ func newSSSPRunner(env *runEnv) runner {
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	qu := newQueue[cc.Visitor](env, st, true)
+	qu := newQueue[cc.Visitor](env, st)
 	forMasters(part, func(v graph.Vertex) {
 		lbl := v
 		if cp := q.spec.Resume; cp != nil && cp.Res.Labels[v] < lbl {
@@ -199,7 +195,7 @@ func newCCRunner(env *runEnv) runner {
 func newKCoreRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := kcore.New(part, q.spec.K)
-	qu := newQueue[kcore.Visitor](env, st, false)
+	qu := newQueue[kcore.Visitor](env, st)
 	// One visitor per vertex absorbs the +1 in the counter initialization
 	// (Algorithm 5); the removal cascade then runs to quiescence.
 	forMasters(part, func(v graph.Vertex) { qu.Push(kcore.Visitor{V: v}) })
@@ -286,7 +282,7 @@ func (rn *doBFSRunner) Finish() {
 func newPageRankRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := pagerank.New(part, q.spec.Iters)
-	qu := newQueue[pagerank.Visitor](env, st, false)
+	qu := newQueue[pagerank.Visitor](env, st)
 	st.Seed(qu)
 	return &queueRunner[pagerank.Visitor]{Queue: qu, finish: func() {
 		gatherInto(q.res.Ranks, part, st.Rank)
@@ -298,7 +294,7 @@ func newPageRankRunner(env *runEnv) runner {
 func newTriangleRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := triangle.New(part, triangle.Options{SampleProb: q.spec.SampleProb, SampleSeed: q.spec.SampleSeed})
-	qu := newQueue[triangle.Visitor](env, st, false)
+	qu := newQueue[triangle.Visitor](env, st)
 	st.Seed(qu)
 	return &queueRunner[triangle.Visitor]{Queue: qu, finish: func() {
 		// Queries quiesce in different orders on different ranks, so the

@@ -10,20 +10,26 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"time"
 
+	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
+	"havoqgt/internal/csr"
+	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/mailbox"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 )
 
 // testGraph is a partitioned edge list on its own machine.
 type testGraph struct {
-	m     *rt.Machine
-	parts []*partition.Part
-	topo  string // mailbox routing; "" is the engine's default, 1d
+	m      *rt.Machine
+	parts  []*partition.Part
+	ghosts []*core.GhostTable // nil: no ghost filtering
+	topo   string             // mailbox routing; "" is the engine's default, 1d
 }
 
 func buildTestGraph(t testing.TB, edges []graph.Edge, n uint64, p int) *testGraph {
@@ -51,18 +57,25 @@ func buildTestGraph(t testing.TB, edges []graph.Edge, n uint64, p int) *testGrap
 func runVisitors[V core.Visitor](t testing.TB, g *testGraph, cfg core.Config,
 	start func(part *partition.Part, newQueue func(core.Algorithm[V]) *core.Queue[V])) []core.Stats {
 	t.Helper()
-	e, err := Start(Config{Machine: g.m, Parts: g.parts, Topology: g.topo}, Options{Core: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := e.admit(Spec{Algo: "custom"}, func(env *runEnv) runner {
+	return runCustom(t, g, cfg, func(env *runEnv) runner {
 		var qu *core.Queue[V]
 		start(env.part, func(algo core.Algorithm[V]) *core.Queue[V] {
-			qu = newQueue[V](env, algo, false)
+			qu = newQueue[V](env, algo)
 			return qu
 		})
 		return &queueRunner[V]{Queue: qu, finish: func() {}}
 	})
+}
+
+// runCustom runs one query whose runner the caller builds, per rank, to
+// quiescence on a transient engine.
+func runCustom(t testing.TB, g *testGraph, cfg core.Config, custom func(*runEnv) runner) []core.Stats {
+	t.Helper()
+	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := e.admit(Spec{Algo: "custom"}, custom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +84,16 @@ func runVisitors[V core.Visitor](t testing.TB, g *testGraph, cfg core.Config,
 		t.Fatal(err)
 	}
 	return tk.Stats()
+}
+
+// rmatTestGraph is buildTestGraph over a Graph500 RMAT edge list, with the
+// default ghost tables.
+func rmatTestGraph(t testing.TB, scale uint, p int) *testGraph {
+	t.Helper()
+	gen := generators.NewGraph500(scale, 42)
+	g := buildTestGraph(t, graph.Undirect(gen.Generate()), gen.NumVertices(), p)
+	g.ghosts = core.BuildGhostTables(g.parts, 0)
+	return g
 }
 
 func ring(n uint64, strides ...uint64) []graph.Edge {
@@ -204,7 +227,7 @@ func (a *floodAlgo) Visit(v floodVisitor, q *core.Queue[floodVisitor]) {
 		return
 	}
 	for _, t := range q.OutEdges(v.v) {
-		q.Push(floodVisitor{v: t, round: v.round, hops: v.hops - 1})
+		q.PushEdge(t, floodVisitor{v: t.Vertex(), round: v.round, hops: v.hops - 1})
 	}
 }
 
@@ -354,7 +377,69 @@ func TestTrianglePerVertexCounts(t *testing.T) {
 	}
 }
 
-// burstAlgo is the toy behind BenchmarkVisitorPushRoute. A visitor with
+// levelWatch is a BFS runner that remembers the level of the rank's last
+// visit since its last delivery; watchedBFS is the BFS that reports to it.
+type levelWatch struct {
+	*queueRunner[bfs.Visitor]
+	floor          uint32
+	visits, behind int
+}
+
+func (w *levelWatch) Deliver(rec mailbox.Record) {
+	w.floor = 0
+	w.queueRunner.Deliver(rec)
+}
+
+type watchedBFS struct {
+	*bfs.BFS
+	w *levelWatch
+}
+
+func (a watchedBFS) Visit(v bfs.Visitor, q *core.Queue[bfs.Visitor]) {
+	a.w.visits++
+	if v.Length < a.w.floor {
+		a.w.behind++
+	}
+	a.w.floor = v.Length
+	a.BFS.Visit(v, q)
+}
+
+// TestBFSVisitsLevelsInOrderBetweenDeliveries: BFS runs on level buckets, so
+// between two deliveries — the only events that can hand a rank a level lower
+// than the one it is draining — a rank's visits never step back a level. (The
+// heap gave the same order; this pins that the calendar's cached buckets do.)
+func TestBFSVisitsLevelsInOrderBetweenDeliveries(t *testing.T) {
+	const p = 4
+	g := rmatTestGraph(t, 10, p)
+	g.topo = "2d"
+	var source graph.Vertex
+	for g.parts[g.parts[0].Master(source)].GlobalDegree(source) < 8 {
+		source++
+	}
+	watches := make([]*levelWatch, p)
+	runCustom(t, g, core.Config{}, func(env *runEnv) runner {
+		w := &levelWatch{}
+		watches[env.part.Rank] = w
+		qu := newQueue[bfs.Visitor](env, watchedBFS{bfs.New(env.part), w})
+		w.queueRunner = &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {}}
+		if env.part.IsMaster(source) {
+			qu.Push(bfs.Visitor{V: source, Parent: source})
+		}
+		return w
+	})
+	visits := 0
+	for rank, w := range watches {
+		visits += w.visits
+		if w.behind > 0 {
+			t.Errorf("rank %d: %d of %d visits ran a level below the one before, with no delivery between", rank, w.behind, w.visits)
+		}
+	}
+	if visits < 256 {
+		t.Fatalf("%d visits: the source reaches too little to test anything", visits)
+	}
+}
+
+// burstAlgo is the toy behind BenchmarkVisitorPushRoute/random. A visitor with
 // bursts left is a generator: executing it pushes burstSize leaves at
 // pseudo-random vertices and then itself, one burst poorer. A leaf is
 // delivered and dropped by PreVisit, so it takes the whole per-record path
@@ -394,15 +479,22 @@ func (a *burstAlgo) Decode(buf []byte) burstVisitor {
 	}
 }
 
-// BenchmarkVisitorPushRoute is the number below the 24-second benchmark for
-// a message-plane change: what one visitor record costs from Queue.Push
-// through SendTagged, enqueue, the 2d route's forward hop, Poll and Deliver to
-// its PreVisit, on 8 ranks, with nothing of a real algorithm around it. One
+// BenchmarkVisitorPushRoute holds the numbers below the 24-second benchmark
+// for a change to the push path or the message plane: what a routed record
+// costs end to end (random) and what a push costs by outcome (edges).
+func BenchmarkVisitorPushRoute(b *testing.B) {
+	b.Run("random", benchPushRandom)
+	b.Run("edges", benchPushEdges)
+}
+
+// benchPushRandom is what one visitor record costs from Queue.Push through
+// SendTagged, enqueue, the 2d route's forward hop, Poll and Deliver to its
+// PreVisit, on 8 ranks, with nothing of a real algorithm around it. One
 // generator per rank emits a burst per rank-loop iteration, so Step and Poll
 // alternate as they do under a real traversal. ns/record is wall time over
 // records the mailbox delivered machine-wide: on fewer cores than ranks, CPU
 // per record divided by the cores.
-func BenchmarkVisitorPushRoute(b *testing.B) {
+func benchPushRandom(b *testing.B) {
 	const p, n = 8, 1 << 12
 	g := buildTestGraph(b, ring(n, 1), n, p)
 	g.topo = "2d"
@@ -427,4 +519,117 @@ func BenchmarkVisitorPushRoute(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(records), "allocs/record")
+}
+
+// edgeAlgo is the toy behind BenchmarkVisitorPushRoute/edges. Its generator
+// visitor pushes one visitor along every edge its rank stores — once per
+// outcome the edge can have — and then itself, one pass poorer. The pushed
+// visitors are dropped on arrival; the ghost filter passes exactly those
+// marked send. ns is the rank's time inside each outcome's loop.
+type edgeAlgo struct {
+	local, slotted, remote []csr.Target
+	ns                     [3]time.Duration // by outcome: local, ghost-filtered, sent
+}
+
+type edgeVisitor struct {
+	v    graph.Vertex
+	left uint32 // passes this generator still owes; 0 marks a pushed visitor
+	send bool
+}
+
+func (e edgeVisitor) Vertex() graph.Vertex { return e.v }
+
+func newEdgeAlgo(part *partition.Part) *edgeAlgo {
+	a := &edgeAlgo{}
+	for row := 0; row < part.CSR.NumRows(); row++ {
+		for _, t := range part.CSR.Row(row) {
+			switch {
+			case t.Local():
+				a.local = append(a.local, t)
+			case t.Slot() >= 0:
+				a.slotted = append(a.slotted, t)
+				fallthrough
+			default:
+				a.remote = append(a.remote, t)
+			}
+		}
+	}
+	return a
+}
+
+func (a *edgeAlgo) PreVisit(v edgeVisitor) bool             { return v.left > 0 }
+func (a *edgeAlgo) AttachGhosts(*core.GhostTable)           {}
+func (a *edgeAlgo) PreVisitGhost(v edgeVisitor, _ int) bool { return v.send }
+func (a *edgeAlgo) Less(x, y edgeVisitor) bool              { return false }
+func (a *edgeAlgo) Visit(v edgeVisitor, q *core.Queue[edgeVisitor]) {
+	for i, class := range []struct {
+		targets []csr.Target
+		send    bool
+	}{{a.local, false}, {a.slotted, false}, {a.remote, true}} {
+		start := time.Now()
+		for _, t := range class.targets {
+			q.PushEdge(t, edgeVisitor{v: t.Vertex(), send: class.send})
+		}
+		a.ns[i] += time.Since(start)
+	}
+	if v.left > 1 {
+		q.Push(edgeVisitor{v: v.v, left: v.left - 1})
+	}
+}
+func (a *edgeAlgo) Encode(v edgeVisitor, buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
+	return binary.LittleEndian.AppendUint32(buf, v.left)
+}
+func (a *edgeAlgo) Decode(buf []byte) edgeVisitor {
+	return edgeVisitor{
+		v:    graph.Vertex(binary.LittleEndian.Uint64(buf)),
+		left: binary.LittleEndian.Uint32(buf[8:]),
+	}
+}
+
+// benchPushEdges is what Queue.PushEdge costs by outcome, over the edges of a
+// real partition (scale-12 RMAT, 8 ranks, 2d, default ghost tables), where the
+// target words carry what a BFS push reads: ns per push applied in place (to
+// a PreVisit that drops it), per push the ghost filter drops, and per push
+// sent — encode and SendTagged included, delivery not. Each is the ranks'
+// time inside that outcome's loop over the pushes that took it, so on fewer
+// cores than ranks it includes the time a rank spent descheduled there.
+func benchPushEdges(b *testing.B) {
+	const p = 8
+	g := rmatTestGraph(b, 12, p)
+	g.topo = "2d"
+	var edges uint64
+	for _, part := range g.parts {
+		edges += part.LocalEdges()
+	}
+	passes := uint32(uint64(b.N)/edges) + 1
+	algos := make([]*edgeAlgo, p)
+	b.ResetTimer()
+	stats := runVisitors(b, g, core.Config{},
+		func(part *partition.Part, newQueue func(core.Algorithm[edgeVisitor]) *core.Queue[edgeVisitor]) {
+			algos[part.Rank] = newEdgeAlgo(part)
+			lo, _ := part.Owners.MasterRange(part.Rank)
+			newQueue(algos[part.Rank]).Push(edgeVisitor{v: graph.Vertex(lo), left: passes})
+		})
+	b.StopTimer()
+	var ns [3]time.Duration
+	var want, got [3]uint64 // by outcome, as in edgeAlgo.ns
+	for rank, s := range stats {
+		a := algos[rank]
+		for i := range ns {
+			ns[i] += a.ns[i]
+		}
+		want[0] += uint64(passes) * uint64(len(a.local))
+		want[1] += uint64(passes) * uint64(len(a.slotted))
+		want[2] += uint64(passes) * uint64(len(a.remote))
+		got[0] += s.Local - uint64(passes) // the generator's own pushes are local too
+		got[1] += s.GhostFiltered
+		got[2] += s.Mailbox.RecordsSent
+	}
+	if got != want {
+		b.Fatalf("pushes by outcome (local, filtered, sent) = %v, want %v", got, want)
+	}
+	for i, name := range []string{"ns/local-push", "ns/filtered-push", "ns/sent-push"} {
+		b.ReportMetric(float64(ns[i].Nanoseconds())/float64(want[i]), name)
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"havoqgt/internal/csr"
-	"havoqgt/internal/graph"
 	"havoqgt/internal/pagecache"
 )
 
@@ -29,7 +28,7 @@ const vertexBytes = VertexBytes
 type Store struct {
 	cache *pagecache.Cache
 	n     uint64
-	buf   []graph.Vertex
+	buf   []csr.Target
 	raw   []byte
 }
 
@@ -42,13 +41,13 @@ func NewStore(cache *pagecache.Cache, n uint64) *Store {
 
 // Read returns targets[lo:hi] decoded from the cache. The returned slice is
 // reused by the next Read.
-func (s *Store) Read(lo, hi uint64) []graph.Vertex {
+func (s *Store) Read(lo, hi uint64) []csr.Target {
 	if hi < lo || hi > s.n {
 		panic(fmt.Sprintf("extmem: bad target range [%d,%d) of %d", lo, hi, s.n))
 	}
 	n := int(hi - lo)
 	if cap(s.buf) < n {
-		s.buf = make([]graph.Vertex, n)
+		s.buf = make([]csr.Target, n)
 		s.raw = make([]byte, n*vertexBytes)
 	}
 	s.buf = s.buf[:n]
@@ -65,7 +64,7 @@ func (s *Store) Read(lo, hi uint64) []graph.Vertex {
 		panic(fmt.Sprintf("extmem: device read failed after %d bytes: %v", nr, err))
 	}
 	for i := 0; i < n; i++ {
-		s.buf[i] = graph.Vertex(binary.LittleEndian.Uint64(s.raw[i*vertexBytes:]))
+		s.buf[i] = csr.Target(binary.LittleEndian.Uint64(s.raw[i*vertexBytes:]))
 	}
 	return s.buf
 }
@@ -84,8 +83,9 @@ func (s *Store) Close() error { return s.cache.Close() }
 // Cache exposes the page cache for statistics.
 func (s *Store) Cache() *pagecache.Cache { return s.cache }
 
-// SerializeTargets encodes a target array into the on-device byte layout.
-func SerializeTargets(targets []graph.Vertex) []byte {
+// SerializeTargets encodes a target array into the on-device byte layout:
+// the whole word, so the partition build's tags reach out-of-core rows.
+func SerializeTargets(targets []csr.Target) []byte {
 	raw := make([]byte, len(targets)*vertexBytes)
 	for i, v := range targets {
 		binary.LittleEndian.PutUint64(raw[i*vertexBytes:], uint64(v))
@@ -125,7 +125,7 @@ func CommoditySSD() NVRAMConfig {
 
 // NewSimStore places serialized targets on a simulated NVRAM device behind a
 // page cache sized to cfg.CacheBytes.
-func NewSimStore(targets []graph.Vertex, cfg NVRAMConfig) (*Store, error) {
+func NewSimStore(targets []csr.Target, cfg NVRAMConfig) (*Store, error) {
 	dev := pagecache.NewSimDevice(&pagecache.MemDevice{Data: SerializeTargets(targets)}, cfg.Latency, cfg.QueueDepth)
 	frames := max(1, cfg.CacheBytes/cfg.PageSize)
 	cache, err := pagecache.New(dev, cfg.PageSize, frames)
@@ -155,7 +155,7 @@ var ErrCorruptTargets = errors.New("extmem: targets file corrupt or torn")
 // WriteTargetsTo streams the serialized targets plus the integrity footer to
 // w. Factored out of WriteTargetsFile so fault harnesses can interpose a
 // torn writer on the byte stream.
-func WriteTargetsTo(w io.Writer, targets []graph.Vertex) error {
+func WriteTargetsTo(w io.Writer, targets []csr.Target) error {
 	raw := SerializeTargets(targets)
 	if _, err := w.Write(raw); err != nil {
 		return err
@@ -170,7 +170,7 @@ func WriteTargetsTo(w io.Writer, targets []graph.Vertex) error {
 
 // WriteTargetsFile serializes targets to path (the real-file configuration),
 // with the integrity footer that OpenFileStore validates.
-func WriteTargetsFile(path string, targets []graph.Vertex) error {
+func WriteTargetsFile(path string, targets []csr.Target) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -10,15 +10,15 @@ import (
 	"havoqgt/internal/pagecache"
 )
 
-func testTargets(n int) []graph.Vertex {
-	ts := make([]graph.Vertex, n)
+func testTargets(n int) []csr.Target {
+	ts := make([]csr.Target, n)
 	for i := range ts {
-		ts[i] = graph.Vertex(i * 7)
+		ts[i] = csr.Target(i * 7)
 	}
 	return ts
 }
 
-func simStore(t *testing.T, targets []graph.Vertex) *Store {
+func simStore(t *testing.T, targets []csr.Target) *Store {
 	t.Helper()
 	s, err := NewSimStore(targets, NVRAMConfig{
 		Latency: 0, QueueDepth: 4, PageSize: 64, CacheBytes: 256,

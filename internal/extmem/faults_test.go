@@ -6,16 +6,16 @@ import (
 	"path/filepath"
 	"testing"
 
+	"havoqgt/internal/csr"
 	"havoqgt/internal/faults"
-	"havoqgt/internal/graph"
 	"havoqgt/internal/obs"
 	"havoqgt/internal/pagecache"
 )
 
-func tornTargets(n int) []graph.Vertex {
-	out := make([]graph.Vertex, n)
+func tornTargets(n int) []csr.Target {
+	out := make([]csr.Target, n)
 	for i := range out {
-		out[i] = graph.Vertex(i * 31)
+		out[i] = csr.Target(i * 31)
 	}
 	return out
 }

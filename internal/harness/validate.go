@@ -48,7 +48,8 @@ func ValidateBFS(parts []*partition.Part, levels []uint32, parents []graph.Verte
 		for row := 0; row < m.NumRows(); row++ {
 			u := part.Vertex(row)
 			lu := levels[u]
-			for _, t := range m.Row(row) {
+			for _, e := range m.Row(row) {
+				t := e.Vertex()
 				lt := levels[t]
 				switch {
 				case lu == bfs.Unreached && lt == bfs.Unreached:

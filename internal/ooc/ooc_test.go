@@ -7,7 +7,6 @@ import (
 
 	"havoqgt/internal/csr"
 	"havoqgt/internal/extmem"
-	"havoqgt/internal/graph"
 	"havoqgt/internal/pagecache"
 )
 
@@ -23,7 +22,7 @@ func testMatrix(t *testing.T, degrees []uint64, pageSize, frames int,
 	}
 	mem := make(csr.MemTargets, offsets[len(degrees)])
 	for i := range mem {
-		mem[i] = graph.Vertex(i * 7)
+		mem[i] = csr.Target(i * 7)
 	}
 	var dev pagecache.BlockDevice = &pagecache.MemDevice{Data: extmem.SerializeTargets(mem)}
 	if wrap != nil {
@@ -96,7 +95,7 @@ func TestPagerDemandFetch(t *testing.T) {
 		t.Fatal("no demand fetch counted")
 	}
 	// The row's targets must now read correctly through the cache.
-	if got := m.Row(0); got[3] != graph.Vertex(21) {
+	if got := m.Row(0); got[3] != csr.Target(21) {
 		t.Fatalf("row 0 target 3 = %d, want 21", got[3])
 	}
 }
@@ -192,7 +191,7 @@ func TestPagerWideRowIsResident(t *testing.T) {
 		t.Fatalf("wide row enqueued fetches: demand=%d prefetch=%d", demand, prefetch)
 	}
 	// The synchronous path must still read it correctly.
-	if got := m.Row(0); got[1000] != graph.Vertex(7000) {
+	if got := m.Row(0); got[1000] != csr.Target(7000) {
 		t.Fatalf("row 0 target 1000 = %d, want 7000", got[1000])
 	}
 }

@@ -37,6 +37,9 @@ func BuildEdgeListSimple(r *rt.Rank, local []graph.Edge, numVertices uint64) (*P
 }
 
 func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify bool) (*Part, error) {
+	if err := checkVertexCount(numVertices); err != nil {
+		return nil, err
+	}
 	local = append([]graph.Edge(nil), local...) // own and mutate freely
 	if simplify {
 		// Drop self loops before the sort; duplicates fall out after it.
@@ -182,6 +185,9 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 		return nil, err
 	}
 	part.CSR = m
+	if err := part.tagTargets(csr.MaxSlots); err != nil {
+		return nil, err
+	}
 	return part, nil
 }
 

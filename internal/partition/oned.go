@@ -15,6 +15,9 @@ import (
 // partition — it simply never splits an adjacency list (HasForward is always
 // false) and its ownership table is the block mapping.
 func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) {
+	if err := checkVertexCount(numVertices); err != nil {
+		return nil, err
+	}
 	p := r.Size()
 	block := (numVertices + uint64(p) - 1) / uint64(p)
 	if block == 0 {
@@ -61,5 +64,8 @@ func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) 
 		return nil, err
 	}
 	part.CSR = m
+	if err := part.tagTargets(csr.MaxSlots); err != nil {
+		return nil, err
+	}
 	return part, nil
 }

@@ -25,8 +25,8 @@ import (
 // OwnerTable is the replicated table mapping a vertex to its master
 // partition: rank r masters vertices [start[r], start[r+1]). It is the
 // constant-size structure that makes min_owner(v) an O(lg p) lookup on any
-// rank (the paper's alternative of packing owner bits into the identifier
-// trades this lookup for identifier space).
+// rank. Edges to a rank's own and to its repeated remote targets never pay it:
+// the partition build resolves those once, in the stored word (tagTargets).
 type OwnerTable struct {
 	start []uint64 // len p+1; start[0]=0, start[p]=NumVertices; non-decreasing
 }
@@ -57,8 +57,7 @@ func (t OwnerTable) Master(v graph.Vertex) int {
 		panic(fmt.Sprintf("partition: vertex %d out of range (n=%d)", v, t.NumVertices()))
 	}
 	// First r with start[r+1] > v; empty ranges (start[r]==start[r+1]) are
-	// skipped automatically. Searched by hand: this runs once per pushed
-	// visitor, and the library search costs a closure call per probe.
+	// skipped automatically.
 	lo, hi := 0, t.P()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -90,8 +89,15 @@ type Part struct {
 	StateStart graph.Vertex
 	StateLen   int
 
-	// CSR holds the local adjacency; row i is vertex StateStart+i.
+	// CSR holds the local adjacency; row i is vertex StateStart+i. Its target
+	// words carry what tagTargets resolved about each edge.
 	CSR *csr.Matrix
+
+	// Remote slots: the remote vertices this rank stores at least two edges
+	// to, by local edge count descending then vertex, and each one's master
+	// rank. A csr.Target's Slot indexes both.
+	SlotVertex []graph.Vertex
+	SlotOwner  []uint32
 
 	// Replica forwarding: when HasForward, visitors applied to ForwardVertex
 	// must be forwarded to rank ForwardTo, the next partition holding a

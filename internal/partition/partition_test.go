@@ -158,7 +158,7 @@ func validateEdgeListBuild(t *testing.T, edges []graph.Edge, n uint64, parts []*
 		for row := 0; row < m.NumRows(); row++ {
 			src := part.Vertex(row)
 			for _, dst := range m.Row(row) {
-				want[graph.Edge{Src: src, Dst: dst}]--
+				want[graph.Edge{Src: src, Dst: dst.Vertex()}]--
 			}
 		}
 	}
@@ -430,7 +430,7 @@ func TestBuildEdgeListSimple(t *testing.T) {
 		for row := 0; row < part.CSR.NumRows(); row++ {
 			src := part.Vertex(row)
 			for _, dst := range part.CSR.Row(row) {
-				stored[graph.Edge{Src: src, Dst: dst}]++
+				stored[graph.Edge{Src: src, Dst: dst.Vertex()}]++
 			}
 		}
 	}
@@ -478,7 +478,7 @@ func TestBuildEdgeListSimpleMatchesGraphSimplify(t *testing.T) {
 		for row := 0; row < part.CSR.NumRows(); row++ {
 			src := part.Vertex(row)
 			for _, dst := range part.CSR.Row(row) {
-				got = append(got, graph.Edge{Src: src, Dst: dst})
+				got = append(got, graph.Edge{Src: src, Dst: dst.Vertex()})
 			}
 		}
 	}

@@ -95,7 +95,8 @@ func (a *bfsAlgo) Visit(t int, v bfsVisitor, emit func(bfsVisitor)) {
 		return
 	}
 	next := v.length + 1
-	for _, tgt := range a.views[t].Row(int(v.v)) {
+	for _, e := range a.views[t].Row(int(v.v)) {
+		tgt := e.Vertex()
 		emit(bfsVisitor{v: tgt, length: next, parent: v.v})
 	}
 }
@@ -164,7 +165,8 @@ func (a *ssspAlgo) Visit(t int, v ssspVisitor, emit func(ssspVisitor)) {
 	if v.dist != a.res.Dist[v.v] {
 		return
 	}
-	for _, tgt := range a.views[t].Row(int(v.v)) {
+	for _, e := range a.views[t].Row(int(v.v)) {
+		tgt := e.Vertex()
 		emit(ssspVisitor{v: tgt, dist: v.dist + a.weight(v.v, tgt), parent: v.v})
 	}
 }
@@ -241,7 +243,8 @@ func (a *ccAlgo) Visit(t int, v ccVisitor, emit func(ccVisitor)) {
 	if v.label != a.res.Label[v.v] {
 		return
 	}
-	for _, tgt := range a.views[t].Row(int(v.v)) {
+	for _, e := range a.views[t].Row(int(v.v)) {
+		tgt := e.Vertex()
 		emit(ccVisitor{v: tgt, label: v.label})
 	}
 }
