@@ -81,7 +81,8 @@ chaos-short:
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
 # share of pushes the ghost filter drops, visits per reached vertex, every
 # push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what
-# k-core and PageRank execute on the FIFO against the heap's logged ranges, and
+# k-core and PageRank execute on the FIFO against the heap's logged ranges and
+# what they send, merged at the sender and (exactly) without a ghost table, and
 # the message-plane micro-benchmarks run once each so they cannot rot:
 # BenchmarkVisitorPushRoute is the per-record number (/random) and the
 # per-push number by outcome over real tagged edges (/edges) to read before

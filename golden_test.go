@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/core"
 	"havoqgt/internal/csr"
 	"havoqgt/internal/engine"
 )
@@ -21,6 +22,15 @@ import (
 const (
 	kcoreExecutedMin, kcoreExecutedMax       = 30_829, 30_829
 	pagerankExecutedMin, pagerankExecutedMax = 141_000, 146_000
+)
+
+// What the same two runs send. Uncombined (no ghost table) is exact and was
+// the count before the combiner: every push not applied in place is one
+// record. Combined, one record per (rank, ghost slot, iteration) plus whatever
+// a slot's refused merges send early — 57–58 K and 340–360 K over runs.
+const (
+	kcoreRecordsUncombined, kcoreRecordsMax       = 252_464, 75_000
+	pagerankRecordsUncombined, pagerankRecordsMax = 2_319_546, 420_000
 )
 
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
@@ -278,12 +288,16 @@ func TestBFSRecordBudget(t *testing.T) {
 	}
 }
 
-// TestAnalyticsExecutedBudget pins what the unordered kernels execute at the
-// benchmark's shape (scale 15, 8 ranks, 2d; k-core 64 and three PageRank
-// iterations, as bench/'s analytics round runs them): they run on a FIFO
-// instead of a heap that ordered them by vertex id alone, and arrival order
-// must not mean more visits. The bounds are the heap's logged ranges, widened
-// by the run-to-run spread of an asynchronous traversal.
+// TestAnalyticsExecutedBudget pins what the counted kernels execute and send
+// at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64 and three
+// PageRank iterations, as bench/'s analytics round runs them). Executed: they
+// run on a FIFO instead of a heap that ordered them by vertex id alone, and
+// arrival order must not mean more visits — the bounds are the heap's logged
+// ranges, widened by the run-to-run spread of an asynchronous traversal, and
+// merging at the sender must not move them either. Records: the combiner
+// must cut them to the budget, and with no ghost table it must send exactly
+// what the kernels sent before it existed — it rides the table and nothing
+// else.
 func TestAnalyticsExecutedBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 visit budget: not under -short or -race")
@@ -292,26 +306,41 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	uncombined := g.engineConfig()
+	uncombined.Ghosts = core.BuildGhostTables(g.parts, -1)
 	for _, c := range []struct {
-		spec     engine.Spec
-		min, max uint64
+		spec                  engine.Spec
+		min, max              uint64
+		records, uncombinedAt uint64 // budget with the default tables; exact count without
 	}{
-		{engine.Spec{Algo: engine.AlgoKCore, K: 64}, kcoreExecutedMin, kcoreExecutedMax},
-		{engine.Spec{Algo: engine.AlgoPageRank, Iters: 3}, pagerankExecutedMin, pagerankExecutedMax},
+		{engine.Spec{Algo: engine.AlgoKCore, K: 64}, kcoreExecutedMin, kcoreExecutedMax, kcoreRecordsMax, kcoreRecordsUncombined},
+		{engine.Spec{Algo: engine.AlgoPageRank, Iters: 3}, pagerankExecutedMin, pagerankExecutedMax, pagerankRecordsMax, pagerankRecordsUncombined},
 	} {
-		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, c.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var executed, queued, records uint64
-		for _, s := range stats {
-			executed += s.Executed
-			queued += s.Queued
-			records += s.Mailbox.RecordsSent
-		}
-		t.Logf("%s: executed %d, queued %d, records sent %d", c.spec.Algo, executed, queued, records)
-		if executed < c.min || executed > c.max {
-			t.Errorf("%s executed %d visits, want %d to %d", c.spec.Algo, executed, c.min, c.max)
+		for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
+			_, stats, err := engine.RunOnce(cfg, engine.Options{}, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var executed, queued, combined, records uint64
+			for _, s := range stats {
+				executed += s.Executed
+				queued += s.Queued
+				combined += s.Combined
+				records += s.Mailbox.RecordsSent
+			}
+			combining := cfg.Ghosts != nil
+			t.Logf("%s (combining %v): executed %d, queued %d, combined %d, records sent %d",
+				c.spec.Algo, combining, executed, queued, combined, records)
+			if executed < c.min || executed > c.max {
+				t.Errorf("%s executed %d visits, want %d to %d", c.spec.Algo, executed, c.min, c.max)
+			}
+			switch {
+			case combining && records > c.records:
+				t.Errorf("%s sent %d records, budget %d", c.spec.Algo, records, c.records)
+			case !combining && (records != c.uncombinedAt || combined != 0):
+				t.Errorf("%s with no ghost table sent %d records (%d combined), want exactly %d, none combined",
+					c.spec.Algo, records, combined, c.uncombinedAt)
+			}
 		}
 	}
 }

@@ -3,8 +3,11 @@
 // vertices whose remaining degree drops below k are asynchronously removed,
 // each removal notifying the neighbors, cascading until the k-core is fixed.
 //
-// K-core requires precise counts of removal events, so it cannot use ghost
-// vertices (§IV-B): every notification must reach the master's counter.
+// K-core requires precise counts of removal events, so it cannot filter on
+// ghost vertices (§IV-B): every notification must reach the master's counter.
+// It can combine them (core.CombineAlgorithm): notices bound for one remote
+// vertex merge at the sender into one visitor carrying their number, and the
+// master subtracts that number at once.
 //
 // Replica semantics. Every count-bearing visitor routes to the vertex's
 // master (Algorithm 1 PUSH), so only the master's counter tracks the true
@@ -24,10 +27,11 @@ import (
 	"havoqgt/internal/partition"
 )
 
-// Visitor notifies a vertex that one of its neighbors left the k-core
-// (Algorithm 4 state: just the target vertex).
+// Visitor notifies a vertex that N of its neighbors left the k-core
+// (Algorithm 4 state: the target vertex, and how many notices it carries).
 type Visitor struct {
 	V graph.Vertex
+	N uint32
 }
 
 // Vertex returns the visitor's target.
@@ -42,7 +46,10 @@ type KCore struct {
 	Core  []uint32 // remaining degree + 1, master rows only meaningful
 }
 
-var _ core.BucketAlgorithm[Visitor] = (*KCore)(nil)
+var (
+	_ core.BucketAlgorithm[Visitor]  = (*KCore)(nil)
+	_ core.CombineAlgorithm[Visitor] = (*KCore)(nil)
+)
 
 // New initializes the state per Algorithm 5: alive, with core counters at
 // degree(v)+1 (global degree, which for partition-boundary vertices comes
@@ -62,7 +69,9 @@ func New(part *partition.Part, k uint32) *KCore {
 }
 
 // PreVisit implements Algorithm 4 lines 3–12 on the master, and the
-// removal-notice semantics on replicas (see package comment).
+// removal-notice semantics on replicas (see package comment). The master's
+// counter cannot wrap: a live vertex receives at most one notice per edge
+// plus its seed, deg + 1 in all, which is where the counter starts.
 func (a *KCore) PreVisit(v Visitor) bool {
 	i, ok := a.part.LocalIndex(v.V)
 	if !ok {
@@ -72,7 +81,7 @@ func (a *KCore) PreVisit(v Visitor) bool {
 		return false
 	}
 	if a.part.IsMaster(v.V) {
-		a.Core[i]--
+		a.Core[i] -= v.N
 		if a.Core[i] < a.K {
 			a.Alive[i] = false
 			return true
@@ -88,8 +97,14 @@ func (a *KCore) PreVisit(v Visitor) bool {
 // core (Algorithm 4 lines 13–17).
 func (a *KCore) Visit(v Visitor, q *core.Queue[Visitor]) {
 	for _, t := range q.OutEdges(v.V) {
-		q.PushEdge(t, Visitor{V: t.Vertex()})
+		q.PushEdge(t, Visitor{V: t.Vertex(), N: 1})
 	}
+}
+
+// Combine adds up two notices for one vertex (core.CombineAlgorithm).
+func (a *KCore) Combine(acc *Visitor, v Visitor) bool {
+	acc.N += v.N
+	return true
 }
 
 // Less: no visitor order required (Algorithm 4).
@@ -98,14 +113,15 @@ func (a *KCore) Less(x, y Visitor) bool { return false }
 // Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
 func (a *KCore) Bucket(Visitor) uint64 { return 0 }
 
-// Encode appends the 8-byte wire form.
+// Encode appends the 12-byte wire form.
 func (a *KCore) Encode(v Visitor, buf []byte) []byte {
-	return binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
+	return binary.LittleEndian.AppendUint32(buf, v.N)
 }
 
 // Decode parses one visitor record.
 func (a *KCore) Decode(buf []byte) Visitor {
-	return Visitor{V: graph.Vertex(binary.LittleEndian.Uint64(buf))}
+	return Visitor{V: graph.Vertex(binary.LittleEndian.Uint64(buf)), N: binary.LittleEndian.Uint32(buf[8:])}
 }
 
 // LocalCoreSize returns the number of this rank's master vertices remaining

@@ -161,7 +161,7 @@ func TestCoreSize(t *testing.T) {
 
 func TestVisitorCodecRoundTrip(t *testing.T) {
 	a := &kcore.KCore{}
-	v := kcore.Visitor{V: 9999999}
+	v := kcore.Visitor{V: 9999999, N: 77}
 	buf := a.Encode(v, nil)
 	if got := a.Decode(buf); got != v {
 		t.Fatalf("round trip %+v", got)

@@ -14,7 +14,10 @@
 // suffice. Because the arithmetic is integral and completion is counted,
 // the result is bit-identical to the synchronous reference under any
 // message schedule — which is what makes pagerank hashable for cluster
-// equivalence.
+// equivalence. For the same reason contributions can be merged before they
+// leave the sending rank (core.CombineAlgorithm): a merged visitor carries the
+// sum of its contributions and how many it stands for, and fixed-point sums
+// are associative, so the master's bucket ends the same.
 //
 // PageRank is not monotone (ranks move both ways between iterations), so
 // the algorithm is non-resumable: the engine's capability flag routes
@@ -36,12 +39,12 @@ const DefaultIters = 20
 
 // MaxIters bounds a query's requested iteration count (each iteration is a
 // full supersweep of the edge set; 64 is far past convergence at fixed
-// point).
+// point). It also keeps Visitor.Iter in 16 bits.
 const MaxIters = 64
 
 // Visitor kinds.
 const (
-	kindContrib = 0 // one neighbor's per-edge contribution for iteration Iter
+	kindContrib = 0 // Cnt per-edge contributions for iteration Iter, summed in Val
 	kindEmit    = 1 // fan out Val along the vertex's locally stored edges
 )
 
@@ -51,7 +54,8 @@ const (
 type Visitor struct {
 	V    graph.Vertex
 	Val  uint64
-	Iter uint32
+	Cnt  uint32 // contributions summed into Val (contrib only)
+	Iter uint16
 	Kind uint8
 }
 
@@ -76,7 +80,10 @@ type PR struct {
 	dropped         uint64 // contributions outside the two-bucket window
 }
 
-var _ core.BucketAlgorithm[Visitor] = (*PR)(nil)
+var (
+	_ core.BucketAlgorithm[Visitor]  = (*PR)(nil)
+	_ core.CombineAlgorithm[Visitor] = (*PR)(nil)
+)
 
 // New initializes PageRank state: every vertex at rank 1/n.
 func New(part *partition.Part, iters uint32) *PR {
@@ -137,20 +144,20 @@ func (p *PR) PreVisit(v Visitor) bool {
 	if p.done[i] >= p.iters {
 		return false // vertex finished all iterations
 	}
-	switch v.Iter {
+	switch uint32(v.Iter) {
 	case p.done[i]:
 		p.accCur[i] += v.Val
-		p.cntCur[i]++
+		p.cntCur[i] += v.Cnt
 		// The contribution that completes the current iteration becomes the
 		// completion trigger: admit it so Visit runs the completion cascade
 		// (PreVisit cannot push). Exactly one contribution per completed
-		// bucket is that one.
+		// bucket is that one, merged or not: the count only rises.
 		return uint64(p.cntCur[i]) == p.part.GlobalDegree(v.V)
 	case p.done[i] + 1:
 		// Never a trigger, even when the current bucket is already full: its
 		// trigger is queued, and the cascade it runs promotes this bucket.
 		p.accNext[i] += v.Val
-		p.cntNext[i]++
+		p.cntNext[i] += v.Cnt
 	default:
 		p.dropped++ // impossible under exactly-once delivery; tolerated
 	}
@@ -163,7 +170,7 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 	i := q.LocalRow(v.V)
 	if v.Kind == kindEmit {
 		for _, t := range q.OutEdges(v.V) {
-			q.PushEdge(t, Visitor{V: t.Vertex(), Val: v.Val, Iter: v.Iter, Kind: kindContrib})
+			q.PushEdge(t, Visitor{V: t.Vertex(), Val: v.Val, Cnt: 1, Iter: v.Iter, Kind: kindContrib})
 		}
 		return
 	}
@@ -180,7 +187,7 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 		p.accCur[i], p.accNext[i] = p.accNext[i], 0
 		p.cntCur[i], p.cntNext[i] = p.cntNext[i], 0
 		if p.done[i] < p.iters {
-			q.Push(Visitor{V: v.V, Val: ref.PRContrib(p.Rank[i], deg), Iter: p.done[i], Kind: kindEmit})
+			q.Push(Visitor{V: v.V, Val: ref.PRContrib(p.Rank[i], deg), Iter: uint16(p.done[i]), Kind: kindEmit})
 		}
 	}
 }
@@ -191,11 +198,23 @@ func (p *PR) Less(a, b Visitor) bool { return false }
 // Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
 func (p *PR) Bucket(Visitor) uint64 { return 0 }
 
-// Encode appends the 21-byte wire form.
+// Combine merges two contributions of one iteration (core.CombineAlgorithm).
+// Only contributions travel an edge, so only they are ever offered.
+func (p *PR) Combine(acc *Visitor, v Visitor) bool {
+	if acc.Iter != v.Iter {
+		return false
+	}
+	acc.Val += v.Val
+	acc.Cnt += v.Cnt
+	return true
+}
+
+// Encode appends the 23-byte wire form.
 func (p *PR) Encode(v Visitor, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
 	buf = binary.LittleEndian.AppendUint64(buf, v.Val)
-	buf = binary.LittleEndian.AppendUint32(buf, v.Iter)
+	buf = binary.LittleEndian.AppendUint32(buf, v.Cnt)
+	buf = binary.LittleEndian.AppendUint16(buf, v.Iter)
 	return append(buf, v.Kind)
 }
 
@@ -204,7 +223,8 @@ func (p *PR) Decode(buf []byte) Visitor {
 	return Visitor{
 		V:    graph.Vertex(binary.LittleEndian.Uint64(buf[0:])),
 		Val:  binary.LittleEndian.Uint64(buf[8:]),
-		Iter: binary.LittleEndian.Uint32(buf[16:]),
-		Kind: buf[20],
+		Cnt:  binary.LittleEndian.Uint32(buf[16:]),
+		Iter: binary.LittleEndian.Uint16(buf[20:]),
+		Kind: buf[22],
 	}
 }

@@ -66,6 +66,42 @@ func TestPageRankOnRMAT(t *testing.T) {
 	}
 }
 
+// TestPageRankCombinedMatchesReference: contributions merged at the sender
+// (core.CombineAlgorithm) leave every rank bit-identical to the reference,
+// because fixed-point sums are associative — with no ghost table (nothing
+// merges), one slot and 256 (a few merge, the rest go out one by one) and
+// every slot (the default).
+func TestPageRankCombinedMatchesReference(t *testing.T) {
+	gen := generators.NewGraph500(9, 8)
+	edges := graph.Undirect(gen.Generate())
+	n := gen.NumVertices()
+	want := ref.PageRank(ref.BuildAdj(edges, n), 6)
+	g := algotest.Build(t, edges, n, 4, partition.BuildEdgeList)
+	for _, ghosts := range []int{-1, 1, 256, 0} {
+		res, stats := g.Run(t, algotest.Setup{Topology: "2d", Ghosts: ghosts}, engine.Spec{Algo: engine.AlgoPageRank, Iters: 6})
+		var combined uint64
+		for _, s := range stats {
+			combined += s.Combined
+		}
+		if (combined > 0) != (ghosts >= 0) {
+			t.Errorf("ghosts=%d: %d contributions combined", ghosts, combined)
+		}
+		for v := range want {
+			if res.Ranks[v] != want[v] {
+				t.Fatalf("ghosts=%d: rank(%d) = %d, ref says %d", ghosts, v, res.Ranks[v], want[v])
+			}
+		}
+	}
+}
+
+func TestVisitorCodecRoundTrip(t *testing.T) {
+	p := &pagerank.PR{}
+	v := pagerank.Visitor{V: 1<<40 - 1, Val: 1<<63 + 5, Cnt: 123456, Iter: pagerank.MaxIters - 1, Kind: 1}
+	if got := p.Decode(p.Encode(v, nil)); got != v {
+		t.Fatalf("round trip %+v", got)
+	}
+}
+
 // TestPageRankRoutedTopology: grid routing reorders message delivery; the
 // counted-completion clock must still produce identical results.
 func TestPageRankRoutedTopology(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 // TestConservationCrossTopology is the seeded conservation matrix: every
 // algorithm × every routing topology × several rank counts × the resident
 // fractions (fully resident, and two where visits park on absent pages) ×
-// the ghost settings (for the algorithms that filter; the setting is inert
-// for the rest), each run differentially against internal/ref AND through the full
+// the ghost settings (for the algorithms that filter or combine; the setting
+// is inert for the rest), each run differentially against internal/ref AND through the full
 // invariant set (record/envelope conservation, hop and channel bounds,
 // detector S/R agreement). Graphs stay tiny — the value is the cross product.
 func TestConservationCrossTopology(t *testing.T) {
@@ -25,7 +25,7 @@ func TestConservationCrossTopology(t *testing.T) {
 		for _, topo := range Topologies() {
 			for _, p := range ranks {
 				ghosts := ghostGrid
-				if algo != "bfs" && algo != "sssp" && algo != "cc" {
+				if algo == "bfs_do" || algo == "triangle" {
 					ghosts = []int{0}
 				}
 				for _, resident := range residentGrid {
@@ -55,32 +55,39 @@ func TestConservationCrossTopology(t *testing.T) {
 }
 
 // TestConservationSeesGhostsAndLocalApplies: the laws above are only worth
-// asserting if the sweep's tiny graphs drive both sender-side decisions. With
-// the default tables the label algorithms must filter some pushes and apply
-// some in place; with the setting off, and for an algorithm that declares no
-// ghost usage, nothing may be filtered.
+// asserting if the sweep's tiny graphs drive every sender-side decision. With
+// the default tables the label algorithms must filter some pushes, the
+// counted ones combine some, and all of them apply some in place; with the
+// setting off, or for an algorithm that does not declare the capability,
+// nothing may be filtered or combined.
 func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 	for _, tc := range []struct {
-		algo    string
-		ghosts  int
-		filters bool
+		algo              string
+		ghosts            int
+		filters, combines bool
 	}{
-		{"bfs", 0, true}, {"sssp", 0, true}, {"cc", 0, true},
-		{"bfs", -1, false}, {"kcore", 0, false}, {"pagerank", 0, false},
+		{"bfs", 0, true, false}, {"sssp", 0, true, false}, {"cc", 0, true, false},
+		{"kcore", 0, false, true}, {"pagerank", 0, false, true},
+		{"bfs", -1, false, false}, {"kcore", -1, false, false}, {"pagerank", -1, false, false},
+		{"triangle", 0, false, false},
 	} {
 		c := Case{Algo: tc.algo, Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
-			FlushBytes: 64, K: 2, Ghosts: tc.ghosts}
+			FlushBytes: 64, K: 6, Ghosts: tc.ghosts} // k = 6 peels most of this graph; 2 peels nothing
 		stats, err := c.run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var filtered, local uint64
+		var filtered, combined, local uint64
 		for _, s := range stats {
 			filtered += s.GhostFiltered
+			combined += s.Combined
 			local += s.Local
 		}
 		if (filtered > 0) != tc.filters {
 			t.Errorf("%s: %d pushes ghost-filtered, want filtering = %v", c, filtered, tc.filters)
+		}
+		if (combined > 0) != tc.combines {
+			t.Errorf("%s: %d pushes combined, want combining = %v", c, combined, tc.combines)
 		}
 		if local == 0 {
 			t.Errorf("%s: no push was applied in place", c)

@@ -41,7 +41,8 @@ type Case struct {
 	FlushBytes int    // mailbox aggregation threshold (1 = degenerate)
 	K          uint32 // k-core parameter (kcore only)
 	// Ghosts is the ghost setting handed to core.BuildGhostTables: 0 the
-	// default tables, negative none. Only bfs, sssp and cc filter.
+	// default tables, negative none. bfs, sssp and cc filter on the table;
+	// kcore and pagerank combine over it.
 	Ghosts int
 	// Resident, when in (0, 1), moves every rank's adjacency out of core at
 	// that resident fraction (ooc.Externalize, 64-byte pages so these tiny

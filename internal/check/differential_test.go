@@ -12,11 +12,11 @@ import (
 // conservation invariants. Failures print the full Case string, which is
 // sufficient to replay the run deterministically.
 func TestDifferentialRandomized(t *testing.T) {
-	cases := 48
+	cases := sweepCases
 	if testing.Short() {
 		cases = 10
 	}
-	rng := xrand.New(0xD1FF)
+	rng := xrand.New(sweepSeed)
 	for i := 0; i < cases; i++ {
 		c := RandomCase(rng)
 		t.Run(c.String(), func(t *testing.T) {
@@ -24,6 +24,30 @@ func TestDifferentialRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// The randomized sweep's seed and its case count outside -short.
+const sweepSeed, sweepCases = 0xD1FF, 48
+
+// TestDifferentialGhostAxisCoversCombiners: the sweep draws the ghost axis
+// for every algorithm, so the two that combine over the ghost table — kcore
+// and pagerank — run both with it and without it. Pinned here so a change to
+// the draw or the grids cannot quietly drop a side.
+func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
+	seen := map[string]map[int]bool{"kcore": {}, "pagerank": {}}
+	rng := xrand.New(sweepSeed)
+	for i := 0; i < sweepCases; i++ {
+		if c := RandomCase(rng); seen[c.Algo] != nil {
+			seen[c.Algo][c.Ghosts] = true
+		}
+	}
+	for algo, drawn := range seen {
+		for _, g := range ghostGrid {
+			if !drawn[g] {
+				t.Errorf("the %d-case sweep never runs %s with ghosts=%d", sweepCases, algo, g)
+			}
+		}
 	}
 }
 

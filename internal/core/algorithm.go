@@ -4,7 +4,8 @@
 // visitor state to other vertices — and the queue provides parallelism,
 // asynchronous transmission through the routed mailbox, scheduling via a
 // local priority queue, replica forwarding for split adjacency lists, ghost
-// filtering for high in-degree hubs, and termination detection.
+// filtering for high in-degree hubs, merging at the sender for counted
+// visitors, and termination detection.
 package core
 
 import "havoqgt/internal/graph"
@@ -73,7 +74,8 @@ type BucketAlgorithm[V Visitor] interface {
 // usage (§IV-B). Ghosts are an imprecise local filter: the ghost copy of a
 // hub's state is never globally synchronized, so only algorithms tolerant of
 // stale state (e.g. BFS) can opt in; algorithms needing precise event counts
-// (k-core, triangle counting) must not.
+// (k-core, PageRank, triangle counting) must not filter — the counted ones
+// merge instead (CombineAlgorithm).
 type GhostAlgorithm[V Visitor] interface {
 	Algorithm[V]
 	// AttachGhosts allocates the ghost copies, one per entry of the rank's
@@ -85,4 +87,20 @@ type GhostAlgorithm[V Visitor] interface {
 	// parallel ghost-state array). It returns true if the visitor should
 	// still be transmitted to the vertex's master partition.
 	PreVisitGhost(v V, ghostIdx int) bool
+}
+
+// CombineAlgorithm is implemented by algorithms whose visitors for one vertex
+// can be merged before they leave the rank: PageRank's contributions within an
+// iteration sum, k-core's removal notices count. The queue holds one pending
+// visitor per slot of the rank's ghost table — the remote targets the rank
+// stores at least two edges to, the only ones with anything to merge — folds
+// every later push for that slot into it, and sends what it holds when the
+// local scheduler runs dry. The merged visitor must have the effect on the
+// master that the visitors it absorbed would have had, in any order.
+type CombineAlgorithm[V Visitor] interface {
+	Algorithm[V]
+	// Combine merges v into *acc, a visitor for the same vertex, and returns
+	// true; false when the two cannot merge (the queue then sends *acc and
+	// holds v in its place).
+	Combine(acc *V, v V) bool
 }

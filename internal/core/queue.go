@@ -17,14 +17,16 @@ import (
 // one ledger the hot path writes — plain fields — and the machine's
 // obs.Registry gets the growth of the queue's own counters (Pushed through
 // Unparked) under the core.* names once per rank-loop iteration
-// (Queue.publish). Every push ends one of three ways, and a replica forward
-// sends once more: Pushed − GhostFiltered − Local + Forwarded ==
+// (Queue.publish). Every push ends one of four ways, and a replica forward
+// sends once more: Pushed − GhostFiltered − Local − Combined + Forwarded ==
 // Mailbox.RecordsSent, and Received == Mailbox.RecordsDelivered
-// (check.Traversal).
+// (check.Traversal). The one exception is a cancelled query: the visitors its
+// queue held unsent are discarded, like the deliveries it drops.
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
 	Local         uint64 // visitors pushed to a vertex this rank masters: applied in place, never sent
+	Combined      uint64 // visitors merged into one already held for the same ghost slot, never sent
 	Received      uint64 // visitors the mailbox delivered to this rank
 	Queued        uint64 // visitors whose PreVisit returned true
 	Executed      uint64 // visitors whose Visit ran
@@ -86,10 +88,16 @@ type Queue[V Visitor] struct {
 	part *partition.Part
 	algo Algorithm[V]
 
-	ghostAlgo     GhostAlgorithm[V] // nil when ghosts unused
+	ghostAlgo     GhostAlgorithm[V]   // nil when ghosts unused
+	combAlgo      CombineAlgorithm[V] // nil when the algorithm does not combine or ghosts unused
 	ghosts        *GhostTable
-	nGhosts       int  // slots below this are filtered; 0 when ghosts unused
+	nGhosts       int  // slots below this are filtered or combined; 0 when ghosts unused
 	ghostAttached bool // ghostAlgo holds its filter state (sized on the first hit)
+
+	// The combiner's accumulator: one pending visitor per ghost slot (sized on
+	// the first hit), and the slots holding one, in the order they took it.
+	held  []pending[V]
+	dirty []int32
 
 	mb  *mailbox.Box
 	det *termination.Detector
@@ -114,6 +122,12 @@ type Queue[V Visitor] struct {
 	met      queueMetrics
 }
 
+// pending is one ghost slot's held visitor.
+type pending[V Visitor] struct {
+	v  V
+	ok bool
+}
+
 // queueMetrics bundles the rank's obs handles for the visitor queue.
 // Counters accumulate machine-wide (reset via obs.Registry.Reset); the Stats
 // struct stays per-Queue for per-traversal reads.
@@ -122,6 +136,7 @@ type queueMetrics struct {
 	pushed        *obs.PerRank
 	ghostFiltered *obs.PerRank
 	local         *obs.PerRank
+	combined      *obs.PerRank
 	received      *obs.PerRank
 	queued        *obs.PerRank
 	executed      *obs.PerRank
@@ -138,6 +153,7 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 		pushed:        reg.PerRank(obs.CorePushed, p),
 		ghostFiltered: reg.PerRank(obs.CoreGhostFiltered, p),
 		local:         reg.PerRank(obs.CoreLocal, p),
+		combined:      reg.PerRank(obs.CoreCombined, p),
 		received:      reg.PerRank(obs.CoreReceived, p),
 		queued:        reg.PerRank(obs.CoreQueued, p),
 		executed:      reg.PerRank(obs.CoreExecuted, p),
@@ -151,10 +167,11 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 // NewQueue builds one query's queue on one rank: visitors travel through the
 // rank's shared mailbox stamped with tag (the query ID), and termination
 // detection runs on the caller-minted per-query detector. ghosts enables the
-// sender-side filter when the algorithm implements GhostAlgorithm (nil or
-// empty disables it); the algorithm's filter state is sized when a push first
+// sender-side filter when the algorithm implements GhostAlgorithm and the
+// combiner when it implements CombineAlgorithm (nil or empty disables both);
+// the filter state and the combiner's accumulator are sized when a push first
 // hits the table, so a query that never leaves its source's rank pays nothing
-// for it. A non-nil pager marks the partition's CSR targets as out of
+// for them. A non-nil pager marks the partition's CSR targets as out of
 // core: Step parks visitors whose adjacency pages are absent instead of
 // blocking on the device, and the caller must feed Pager.Drain results back
 // through Unpark.
@@ -174,8 +191,9 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cf
 		q.parked = make(map[int64][]V)
 	}
 	if ghosts != nil && ghosts.Len() > 0 {
-		if ga, ok := algo.(GhostAlgorithm[V]); ok {
-			q.ghostAlgo = ga
+		q.ghostAlgo, _ = algo.(GhostAlgorithm[V])
+		q.combAlgo, _ = algo.(CombineAlgorithm[V])
+		if q.ghostAlgo != nil || q.combAlgo != nil {
 			q.ghosts = ghosts
 			q.nGhosts = ghosts.Len()
 		}
@@ -226,9 +244,10 @@ func (q *Queue[V]) route(v V) {
 // is t (v.Vertex() == t.Vertex()): what the sender can decide was resolved
 // into the word when the partition was built, so deciding is reading it. A
 // local target is applied in place; a target in one of the rank's remote slots
-// goes to the owner the slot names, after the ghost filter's verdict when the
-// slot is within the table of an algorithm that declares ghost usage; a word
-// with nothing resolved takes Push's path.
+// goes to the owner the slot names — when the slot is within the ghost table,
+// after the filter's verdict for an algorithm that declares ghost usage, and
+// through the slot's held visitor for one that combines; a word with nothing
+// resolved takes Push's path.
 func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 	q.stats.Pushed++
 	if t.Local() {
@@ -242,16 +261,55 @@ func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 		return
 	}
 	if slot < q.nGhosts {
-		if !q.ghostAttached {
-			q.ghostAlgo.AttachGhosts(q.ghosts)
-			q.ghostAttached = true
+		if q.ghostAlgo != nil {
+			if !q.ghostAttached {
+				q.ghostAlgo.AttachGhosts(q.ghosts)
+				q.ghostAttached = true
+			}
+			if !q.ghostAlgo.PreVisitGhost(v, slot) {
+				q.stats.GhostFiltered++
+				return
+			}
 		}
-		if !q.ghostAlgo.PreVisitGhost(v, slot) {
-			q.stats.GhostFiltered++
+		if q.combAlgo != nil {
+			q.hold(slot, v)
 			return
 		}
 	}
 	q.send(int(q.part.SlotOwner[slot]), v)
+}
+
+// hold makes v the slot's pending visitor: it takes an empty slot, merges into
+// the visitor already there, or — when the two cannot merge — sends that one
+// and takes its place. What a slot holds is work the termination detector
+// cannot see, so LocalIdle stays false until Step sends it (flushHeld).
+func (q *Queue[V]) hold(slot int, v V) {
+	if q.held == nil {
+		q.held = make([]pending[V], q.nGhosts)
+	}
+	p := &q.held[slot]
+	switch {
+	case !p.ok:
+		p.v, p.ok = v, true
+		q.dirty = append(q.dirty, int32(slot))
+	case q.combAlgo.Combine(&p.v, v):
+		q.stats.Combined++
+	default:
+		q.send(int(q.part.SlotOwner[slot]), p.v)
+		p.v = v
+	}
+}
+
+// flushHeld sends every held visitor and reports whether there was one.
+func (q *Queue[V]) flushHeld() bool {
+	for _, slot := range q.dirty {
+		p := &q.held[slot]
+		q.send(int(q.part.SlotOwner[slot]), p.v)
+		*p = pending[V]{}
+	}
+	sent := len(q.dirty) > 0
+	q.dirty = q.dirty[:0]
+	return sent
 }
 
 // send transmits v to rank dest under the query's tag.
@@ -310,9 +368,14 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // counts as progress: the queue did advance its frontier bookkeeping, and
 // reporting false here could let the rank loop sleep while fetches it must
 // drain are in flight.
+//
+// Whenever the slice leaves the scheduler empty, or finds it so, Step sends
+// what the combiner holds: merging goes on for as long as the rank has local
+// work, and the rank never waits on its peers over visitors it has not sent.
+// Sending them is progress.
 func (q *Queue[V]) Step(batch int) bool {
 	if q.schedLen() == 0 {
-		return false
+		return q.flushHeld()
 	}
 	q.met.queueDepth.Observe(uint64(q.schedLen()))
 	for i := 0; i < batch && q.schedLen() > 0; i++ {
@@ -327,6 +390,9 @@ func (q *Queue[V]) Step(batch int) bool {
 		}
 		q.stats.Executed++
 		q.algo.Visit(v, q)
+	}
+	if q.schedLen() == 0 {
+		q.flushHeld()
 	}
 	return true
 }
@@ -371,17 +437,22 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 	return any
 }
 
-// LocalIdle reports whether this queue holds no executable local work.
-// Parked visitors are pending work — a queue with visits waiting on device
-// pages must not report idle, or termination detection could declare
-// quiescence with traversal still to do.
-func (q *Queue[V]) LocalIdle() bool { return q.schedLen() == 0 && q.nParked == 0 }
+// LocalIdle reports whether this queue holds no local work. Parked visitors
+// and the combiner's held ones are pending work — neither is in flight, so a
+// queue holding any must not report idle, or termination detection could
+// declare quiescence with traversal still to do.
+func (q *Queue[V]) LocalIdle() bool {
+	return q.schedLen() == 0 && q.nParked == 0 && len(q.dirty) == 0
+}
 
-// Cancel marks the queue cancelled on this rank: the local visitor heap is
-// discarded and subsequent deliveries are drained without being applied.
+// Cancel marks the queue cancelled on this rank: the local visitor heap and
+// the combiner's held visitors are discarded (never sent, so never counted in
+// flight) and subsequent deliveries are drained without being applied.
 // Termination detection still runs to quiescence so the query's tagged
 // records fully drain from the message plane before the ID is retired.
 func (q *Queue[V]) Cancel() {
+	clear(q.held)
+	q.dirty = q.dirty[:0]
 	q.cancelled = true
 	var zero V
 	for i := range q.heap {
@@ -405,7 +476,7 @@ func (q *Queue[V]) Cancel() {
 // demultiplexes them — so ranks may retire the query independently.
 func (q *Queue[V]) PumpTermination(localIdle bool) bool {
 	q.publish()
-	if !q.det.Pump(localIdle && q.schedLen() == 0 && q.nParked == 0) {
+	if !q.det.Pump(localIdle && q.LocalIdle()) {
 		return false
 	}
 	q.stats.DetectorWaves = q.det.Waves
@@ -432,6 +503,7 @@ func (q *Queue[V]) publish() {
 	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
 	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
 	m.local.Publish(rank, cur.Local, &last.Local)
+	m.combined.Publish(rank, cur.Combined, &last.Combined)
 	m.received.Publish(rank, cur.Received, &last.Received)
 	m.queued.Publish(rank, cur.Queued, &last.Queued)
 	m.executed.Publish(rank, cur.Executed, &last.Executed)

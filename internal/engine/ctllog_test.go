@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,4 +59,59 @@ func TestControlLogDropsReplayedEvents(t *testing.T) {
 		}
 	}
 	t.Fatal("a retired query's Result is still reachable after its ticket was dropped")
+}
+
+// gated is a runner that cannot report idle, and so cannot quiesce, until its
+// gate opens.
+type gated struct {
+	runner
+	open *atomic.Bool
+}
+
+func (g gated) LocalIdle() bool { return g.open.Load() && g.runner.LocalIdle() }
+
+// TestUnwaitLeavesNoStaleTail: cancelling or aborting a query that is still in
+// the wait queue, and not its last entry, splices it out without leaving the
+// old last element — a pointer to a query — in the backing array past
+// len(waitq).
+func TestUnwaitLeavesNoStaleTail(t *testing.T) {
+	g := buildTestGraph(t, ring(64, 1), 64, 2)
+	e, err := Start(Config{Machine: g.m, Parts: g.parts}, Options{MaxInFlight: 1, MaxQueue: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var open atomic.Bool
+	defer open.Store(true) // before Close, which waits for the blocker
+	blocker, err := e.admit(Spec{Algo: "custom"}, func(env *runEnv) runner {
+		qu := newQueue[orderVisitor](env, &orderAlgo{})
+		return gated{&queueRunner[orderVisitor]{Queue: qu, finish: func() {}}, &open}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waiting []*Ticket
+	for i := 0; i < 4; i++ {
+		tk, err := e.Submit(Spec{Algo: AlgoBFS, Source: graph.Vertex(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waiting = append(waiting, tk)
+	}
+	for _, retire := range []func(){waiting[1].Cancel, waiting[0].Abort} {
+		retire()
+		e.mu.Lock()
+		n := len(e.waitq)
+		stale := e.waitq[:n+1][n]
+		e.mu.Unlock()
+		if stale != nil {
+			t.Fatalf("wait queue of %d keeps a query at index %d of its backing array", n, n)
+		}
+	}
+	open.Store(true)
+	for _, tk := range []*Ticket{blocker, waiting[2], waiting[3]} {
+		if res := tk.Wait(); res.Cancelled {
+			t.Fatal("a query nobody cancelled completed cancelled")
+		}
+	}
 }

@@ -40,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -435,21 +436,24 @@ func (t *Ticket) cancel(cause int32) {
 		e.obsDeadline.Inc()
 	}
 	if q.waiting {
-		// Never started: remove from the wait queue and complete in place.
-		for i, w := range e.waitq {
-			if w == q {
-				e.waitq = append(e.waitq[:i], e.waitq[i+1:]...)
-				break
-			}
-		}
-		q.waiting = false
-		e.obsWaiting.Set(int64(len(e.waitq)))
-		e.finishLocked(q)
+		e.unwait(q)
 		e.mu.Unlock()
 		return
 	}
 	e.mu.Unlock()
 	e.log.append(ctlEvent{kind: evCancel, q: q})
+}
+
+// unwait removes a query that never started from the wait queue and completes
+// it in place. slices.Delete zeroes the vacated tail element, so the backing
+// array keeps no retired query alive. Called with e.mu held.
+func (e *Engine) unwait(q *query) {
+	if i := slices.Index(e.waitq, q); i >= 0 {
+		e.waitq = slices.Delete(e.waitq, i, i+1)
+	}
+	q.waiting = false
+	e.obsWaiting.Set(int64(len(e.waitq)))
+	e.finishLocked(q)
 }
 
 // Abort forcibly retires the query on every local rank without waiting for
@@ -477,16 +481,7 @@ func (t *Ticket) Abort() {
 		e.obsCancelled.Inc()
 	}
 	if q.waiting {
-		// Never started: remove from the wait queue and complete in place.
-		for i, w := range e.waitq {
-			if w == q {
-				e.waitq = append(e.waitq[:i], e.waitq[i+1:]...)
-				break
-			}
-		}
-		q.waiting = false
-		e.obsWaiting.Set(int64(len(e.waitq)))
-		e.finishLocked(q)
+		e.unwait(q)
 		e.mu.Unlock()
 		return
 	}

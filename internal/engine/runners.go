@@ -71,8 +71,10 @@ func (rn *queueRunner[V]) Finish() { rn.finish() }
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
 // only for the algorithms that declare ghost usage (core.GhostAlgorithm: bfs,
-// sssp, cc); the rest need every visitor delivered — precise removal counts
-// (§IV-B), adjacency membership (§VI-C), counted contributions.
+// sssp, cc); the counted ones need every visitor's effect delivered and merge
+// over the same table instead (core.CombineAlgorithm: k-core's removal
+// counts, PageRank's contributions); triangle counting needs every adjacency
+// membership query (§VI-C) and does neither.
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
 	return core.NewQueue[V](env.r, env.part, algo, env.cfg, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }
@@ -198,7 +200,7 @@ func newKCoreRunner(env *runEnv) runner {
 	qu := newQueue[kcore.Visitor](env, st)
 	// One visitor per vertex absorbs the +1 in the counter initialization
 	// (Algorithm 5); the removal cascade then runs to quiescence.
-	forMasters(part, func(v graph.Vertex) { qu.Push(kcore.Visitor{V: v}) })
+	forMasters(part, func(v graph.Vertex) { qu.Push(kcore.Visitor{V: v, N: 1}) })
 	return &queueRunner[kcore.Visitor]{Queue: qu, finish: func() {
 		gatherInto(q.res.InCore, part, st.Alive)
 		q.accum.Add(st.LocalCoreSize())

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/algos/kcore"
 	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/algos/triangle"
 	"havoqgt/internal/core"
@@ -301,6 +302,45 @@ func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
 		j, _ := part.LocalIndex(v)
 		if s.Dist[j] != sssp.Unreached {
 			t.Fatalf("dist(%d) = %d: overflow-wrapped relaxation escaped", v, s.Dist[j])
+		}
+	}
+}
+
+// TestKCoreCountersNeverWrap: a master's counter starts at deg + 1, and a
+// notice merged at the sender subtracts several at once. A live vertex gets at
+// most one notice per edge plus its seed, so after any k-core run — notices
+// combined, peeled down to nothing at the largest k — no master's counter may
+// read above where it started, which is what a wrapped uint32 would.
+func TestKCoreCountersNeverWrap(t *testing.T) {
+	const p = 4
+	gen := generators.NewGraph500(10, 42)
+	g := buildTestGraph(t, graph.Simplify(graph.Undirect(gen.Generate())), gen.NumVertices(), p)
+	g.ghosts = core.BuildGhostTables(g.parts, 0)
+	g.topo = "2d"
+	for _, k := range []uint32{4, 16, 1 << 20} {
+		states := make([]*kcore.KCore, p)
+		stats := runVisitors(t, g, core.Config{},
+			func(part *partition.Part, newQueue func(core.Algorithm[kcore.Visitor]) *core.Queue[kcore.Visitor]) {
+				st := kcore.New(part, k)
+				states[part.Rank] = st
+				q := newQueue(st)
+				forMasters(part, func(v graph.Vertex) { q.Push(kcore.Visitor{V: v, N: 1}) })
+			})
+		var combined uint64
+		for _, s := range stats {
+			combined += s.Combined
+		}
+		if combined == 0 {
+			t.Errorf("k=%d: no notice combined", k)
+		}
+		for rank, st := range states {
+			part := g.parts[rank]
+			forMasters(part, func(v graph.Vertex) {
+				i, _ := part.LocalIndex(v)
+				if start := part.GlobalDegree(v) + 1; uint64(st.Core[i]) > start {
+					t.Errorf("k=%d: vertex %d's counter reads %d, started at %d", k, v, st.Core[i], start)
+				}
+			})
 		}
 	}
 }

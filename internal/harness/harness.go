@@ -372,7 +372,8 @@ func RunKCore(o KCoreOpts) ([]KCoreResult, error) {
 	defer e.close()
 	results := make([]KCoreResult, len(o.Ks))
 	for i, k := range o.Ks {
-		// k-core cannot use ghosts.
+		// No ghost table, so no combiner: Fig. 6 measures the paper's k-core,
+		// one notice per removed edge.
 		out, stats, elapsed, err := e.run(nil, engine.Spec{Algo: engine.AlgoKCore, K: k}, fmt.Sprintf("kcore.k%d", k))
 		if err != nil {
 			return nil, err
