@@ -33,6 +33,12 @@ const (
 	pagerankRecordsUncombined, pagerankRecordsMax = 2_319_546, 420_000
 )
 
+// cc at the same shape. Min-label propagation over the whole graph executed
+// 99,221 visits and sent 230,090 records. Marking the hub's component first
+// leaves 8,605 components of 1–3 vertices to propagate over: 17–32 visits and
+// 355–364 records over runs, 338 of them the marking's.
+const ccExecutedMax, ccRecordsMax = 1_000, 1_000
+
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
 // on GenerateRMAT(12, 42, {Ranks: 8, Topology: "2d", Simplify: true}),
 // recorded through the facade at the commit before the classic executor was
@@ -288,16 +294,17 @@ func TestBFSRecordBudget(t *testing.T) {
 	}
 }
 
-// TestAnalyticsExecutedBudget pins what the counted kernels execute and send
-// at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64 and three
-// PageRank iterations, as bench/'s analytics round runs them). Executed: they
-// run on a FIFO instead of a heap that ordered them by vertex id alone, and
-// arrival order must not mean more visits — the bounds are the heap's logged
-// ranges, widened by the run-to-run spread of an asynchronous traversal, and
-// merging at the sender must not move them either. Records: the combiner
-// must cut them to the budget, and with no ghost table it must send exactly
-// what the kernels sent before it existed — it rides the table and nothing
-// else.
+// TestAnalyticsExecutedBudget pins what the analytics kernels execute and
+// send at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64, three
+// PageRank iterations and cc, as bench/'s analytics round runs them).
+// Executed: the counted kernels run on a FIFO instead of a heap that ordered
+// them by vertex id alone, and arrival order must not mean more visits — the
+// bounds are the heap's logged ranges, widened by the run-to-run spread of an
+// asynchronous traversal, and merging at the sender must not move them
+// either. Records: the combiner must cut them to the budget, and with no
+// ghost table it must send exactly what the kernels sent before it existed —
+// it rides the table and nothing else. cc must leave label propagation only
+// what its marking did not reach.
 func TestAnalyticsExecutedBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 visit budget: not under -short or -race")
@@ -343,13 +350,31 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 			}
 		}
 	}
+
+	_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, engine.Spec{Algo: engine.AlgoCC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed, records, marking uint64
+	for _, s := range stats {
+		executed += s.Executed
+		records += s.Mailbox.RecordsSent
+		marking += s.ProtocolSent
+	}
+	t.Logf("cc: executed %d, records sent %d (marking %d, label propagation %d)", executed, records, marking, records-marking)
+	if executed > ccExecutedMax || records > ccRecordsMax {
+		t.Errorf("cc executed %d visits and sent %d records, budget %d and %d", executed, records, ccExecutedMax, ccRecordsMax)
+	}
 }
 
 // TestUntaggedTargetsTraverseIdentically: the tags in the stored target words
 // are an accelerator, not data. With every tag stripped from a built graph —
 // what an old target file or a hand-built matrix looks like — each push takes
 // the general path (range compare, owner table), nothing is ghost-filtered,
-// and all seven query types return the golden answers.
+// and all seven query types return the golden answers. cc's marking leaves
+// its label propagation only isolated vertices on this graph, so cc pushes
+// here as a resume from a checkpoint that labelled nothing, which propagates
+// over the whole graph.
 func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
 	g := goldenGraph(t)
 	for _, part := range g.parts {
@@ -359,8 +384,14 @@ func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
 		}
 	}
 	checkGolden(t, goldenRun(t, g))
+	own := make([]Vertex, g.NumVertices())
+	for v := range own {
+		own[v] = Vertex(v)
+	}
+	unlabelled := &engine.Checkpoint{Spec: engine.Spec{Algo: engine.AlgoCC}, Res: &engine.Result{Labels: own, Cancelled: true}}
 	for _, spec := range []engine.Spec{
-		{Algo: engine.AlgoBFS, Source: 1}, {Algo: engine.AlgoSSSP, Source: 1, WeightSeed: 7}, {Algo: engine.AlgoCC},
+		{Algo: engine.AlgoBFS, Source: 1}, {Algo: engine.AlgoSSSP, Source: 1, WeightSeed: 7},
+		{Algo: engine.AlgoCC}, unlabelled.ResumeSpec(0),
 	} {
 		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, spec)
 		if err != nil {
@@ -373,12 +404,12 @@ func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
 			if s.GhostFiltered != 0 {
 				t.Errorf("%s rank %d: %d pushes ghost-filtered through untagged words", spec.Algo, rank, s.GhostFiltered)
 			}
-			if want := s.Pushed - s.Local + s.Forwarded; want != s.Mailbox.RecordsSent {
-				t.Errorf("%s rank %d: pushed %d − applied in place %d + forwarded %d != %d records sent",
-					spec.Algo, rank, s.Pushed, s.Local, s.Forwarded, s.Mailbox.RecordsSent)
+			if want := s.Pushed - s.Local + s.Forwarded + s.ProtocolSent; want != s.Mailbox.RecordsSent {
+				t.Errorf("%s rank %d: pushed %d − applied in place %d + forwarded %d + protocol %d != %d records sent",
+					spec.Algo, rank, s.Pushed, s.Local, s.Forwarded, s.ProtocolSent, s.Mailbox.RecordsSent)
 			}
 		}
-		if spec.Algo == engine.AlgoCC && (pushed == 0 || local == 0) {
+		if spec.Resume != nil && (pushed == 0 || local == 0) {
 			t.Errorf("cc pushed %d, %d in place: untagged local targets must still be applied in place", pushed, local)
 		}
 	}

@@ -46,6 +46,11 @@ const (
 	doKindParent = 3 // parent candidate for a split vertex's master
 )
 
+// DOKindMax is the highest first byte a DO payload carries. A runner that
+// sends records of its own under the same tag as a DO starts them with a
+// byte above it, so that each record says which stream it belongs to.
+const DOKindMax = doKindParent
+
 type doMode uint8
 
 const (
@@ -69,6 +74,8 @@ type DO struct {
 	p    int
 	send func(dest int, payload []byte)
 	hint RowHinter // optional pager prefetch hints
+
+	source graph.Vertex // graph.Nil until the hub is chosen (NewDO)
 
 	deg     []uint32 // replicated global degrees (u32: plenty at any simulated scale)
 	degSeen []bool
@@ -105,7 +112,10 @@ type doLevelAcc struct {
 }
 
 // NewDO builds the state machine. send transmits one protocol payload to a
-// peer rank (never to self). hint may be nil.
+// peer rank (never to self). hint may be nil. A source of graph.Nil starts
+// the traversal from the hub — the vertex of highest global degree, lowest id
+// on ties — which every rank reads off the same replicated degree table once
+// the table is complete, so the choice costs no message of its own.
 func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payload []byte), hint RowHinter) *DO {
 	d := &DO{
 		part:         part,
@@ -113,6 +123,7 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		p:            part.P,
 		send:         send,
 		hint:         hint,
+		source:       source,
 		deg:          make([]uint32, part.NumVertices),
 		degSeen:      make([]bool, part.P),
 		degLeft:      part.P,
@@ -128,13 +139,32 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		d.Level[i] = Unreached
 		d.Parent[i] = graph.Nil
 	}
-	d.visited.Set(uint64(source))
-	d.frontier.Set(uint64(source))
-	if i, ok := part.LocalIndex(source); ok {
-		d.Level[i] = 0
-		d.Parent[i] = source
+	if source != graph.Nil {
+		d.setSource()
 	}
 	return d
+}
+
+// setSource makes d.source the visited level-0 frontier.
+func (d *DO) setSource() {
+	d.visited.Set(uint64(d.source))
+	d.frontier.Set(uint64(d.source))
+	if i, ok := d.part.LocalIndex(d.source); ok {
+		d.Level[i] = 0
+		d.Parent[i] = d.source
+	}
+}
+
+// hub returns the vertex of highest degree in the replicated table, lowest
+// id on ties.
+func (d *DO) hub() graph.Vertex {
+	var best graph.Vertex
+	for v, g := range d.deg {
+		if g > d.deg[best] {
+			best = graph.Vertex(v)
+		}
+	}
+	return best
 }
 
 // Start broadcasts this rank's degree-table fragment and merges its own.
@@ -168,6 +198,10 @@ func (d *DO) mergeDeg(src int, lo uint64, packed []byte) {
 		d.deg[lo+uint64(i)] = binary.LittleEndian.Uint32(packed[i*4:])
 	}
 	if d.degLeft == 0 {
+		if d.source == graph.Nil && d.n > 0 {
+			d.source = d.hub()
+			d.setSource()
+		}
 		for _, g := range d.deg {
 			d.uEdges += uint64(g)
 		}
@@ -287,6 +321,11 @@ func (d *DO) Idle() bool {
 
 // Done reports whether the traversal has finished on this rank.
 func (d *DO) Done() bool { return d.done }
+
+// Visited returns the replicated set of reached vertices. When the traversal
+// has run to its end, it is the source's whole component, the same on every
+// rank.
+func (d *DO) Visited() core.Bitmap { return d.visited }
 
 // Abort marks the machine done and drops buffered state (engine Cancel).
 func (d *DO) Abort() {

@@ -5,6 +5,13 @@
 // is the third kernel of the authors' original asynchronous framework
 // (§IV-A, reference [4]).
 //
+// A query does not flood the whole graph. The engine's cc runner first marks
+// the hub's component — the giant component of a scale-free graph — with a
+// direction-optimizing BFS and labels it with its minimum id, then seeds
+// label propagation only at the vertices the marking did not reach (and not
+// at those of degree 0, which label themselves). Label propagation runs over
+// the whole graph only when a query resumes from a checkpoint.
+//
 // Labels improve monotonically (minimum), so CC declares ghost usage: a
 // stale ghost copy can only fail to filter, never lose a better label.
 package cc

@@ -16,9 +16,12 @@
 //     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
 //     the four-counter termination waves must see drain)
 //   - push accounting:       per rank, pushed − ghost-filtered − applied in
-//     place − combined + replica-forwarded == mailbox records sent, and
-//     visitors received == mailbox records delivered (a cancelled query is
-//     the exception: the visitors its combiner held are discarded unsent)
+//     place − combined + replica-forwarded + protocol records sent == mailbox
+//     records sent, and visitors received + protocol records received ==
+//     mailbox records delivered, where a protocol record is one a runner
+//     sends outside its visitor queue (a direction-optimizing BFS, alone or
+//     marking cc's giant component); a cancelled query is the exception: the
+//     visitors its combiner held are discarded unsent
 //   - one ledger:            per rank, every batch-published obs cell equals
 //     the plain Stats field it mirrors (asserted on every clean differential
 //     case)
@@ -163,40 +166,32 @@ func QueryConservation(stats []core.Stats) []Violation {
 	return vs
 }
 
-// MessageTraversal checks the conservation laws over the stats of a query
-// that had its engine to itself (engine.RunOnce), so the whole mailbox
-// ledger is its own: the per-query laws plus envelope conservation, the hop
-// and channel bounds and clean decode. These are all the laws for traversals
-// that drive the mailbox directly (direction-optimizing BFS), where the
-// queue-level push/receive accounting does not apply.
-func MessageTraversal(topo mailbox.Topology, stats []core.Stats) []Violation {
+// Traversal checks every conservation law over the stats of a query that had
+// its engine to itself (engine.RunOnce), so the whole mailbox ledger is its
+// own: the per-query laws, envelope conservation, the hop and channel bounds,
+// clean decode, and the runner's agreement with the mailbox — what its queue
+// and its protocol received is what the mailbox delivered (a push applied in
+// place on its master rank is neither), and every push and every protocol
+// record is accounted for.
+func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 	mb := make([]mailbox.Stats, len(stats))
 	for r, s := range stats {
 		mb[r] = s.Mailbox
 	}
-	return append(MailboxQuiesced(topo, mb), QueryConservation(stats)...)
-}
-
-// Traversal checks every conservation law over the stats of a visitor-queue
-// query that had its engine to itself: MessageTraversal plus the queue's
-// agreement with the mailbox: what the queue received is what the mailbox
-// delivered (a push applied in place on its master rank is neither), and
-// every push is accounted for.
-func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
-	vs := violations(MessageTraversal(topo, stats))
+	vs := violations(append(MailboxQuiesced(topo, mb), QueryConservation(stats)...))
 	for r, s := range stats {
-		if s.Received != s.Mailbox.RecordsDelivered {
-			vs.addf("queue-agreement", "rank %d: visitors received=%d != mailbox records delivered=%d",
-				r, s.Received, s.Mailbox.RecordsDelivered)
+		if got := s.Received + s.ProtocolReceived; got != s.Mailbox.RecordsDelivered {
+			vs.addf("queue-agreement", "rank %d: visitors received(%d) + protocol records received(%d) = %d != mailbox records delivered=%d",
+				r, s.Received, s.ProtocolReceived, got, s.Mailbox.RecordsDelivered)
 		}
 		// Every visitor push gets ghost-filtered, is applied in place on its
 		// master rank, is merged into the visitor held for its ghost slot, or
-		// becomes a mailbox send; replica forwards send again. Anything else is
-		// a leak — a held visitor never sent included.
-		if want := s.Pushed - s.GhostFiltered - s.Local - s.Combined + s.Forwarded; want != s.Mailbox.RecordsSent {
+		// becomes a mailbox send; replica forwards and protocol records send
+		// again. Anything else is a leak — a held visitor never sent included.
+		if want := s.Pushed - s.GhostFiltered - s.Local - s.Combined + s.Forwarded + s.ProtocolSent; want != s.Mailbox.RecordsSent {
 			vs.addf("push-accounting",
-				"rank %d: pushed(%d) − ghost-filtered(%d) − applied-locally(%d) − combined(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
-				r, s.Pushed, s.GhostFiltered, s.Local, s.Combined, s.Forwarded, want, s.Mailbox.RecordsSent)
+				"rank %d: pushed(%d) − ghost-filtered(%d) − applied-locally(%d) − combined(%d) + replica-forwarded(%d) + protocol(%d) = %d != mailbox records sent=%d",
+				r, s.Pushed, s.GhostFiltered, s.Local, s.Combined, s.Forwarded, s.ProtocolSent, want, s.Mailbox.RecordsSent)
 		}
 	}
 	return vs

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 )
 
@@ -59,8 +60,12 @@ func TestConservationCrossTopology(t *testing.T) {
 // the default tables the label algorithms must filter some pushes, the
 // counted ones combine some, and all of them apply some in place; with the
 // setting off, or for an algorithm that does not declare the capability,
-// nothing may be filtered or combined.
+// nothing may be filtered or combined. cc's marking takes the hub's component
+// whole, so cc runs on four interleaved copies of the graph: its label
+// propagation has the other three.
 func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
+	base := Case{Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
+		FlushBytes: 64, K: 6} // k = 6 peels most of this graph; 2 peels nothing
 	for _, tc := range []struct {
 		algo              string
 		ghosts            int
@@ -68,11 +73,14 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 	}{
 		{"bfs", 0, true, false}, {"sssp", 0, true, false}, {"cc", 0, true, false},
 		{"kcore", 0, false, true}, {"pagerank", 0, false, true},
-		{"bfs", -1, false, false}, {"kcore", -1, false, false}, {"pagerank", -1, false, false},
+		{"bfs", -1, false, false}, {"cc", -1, false, false}, {"kcore", -1, false, false}, {"pagerank", -1, false, false},
 		{"triangle", 0, false, false},
 	} {
-		c := Case{Algo: tc.algo, Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
-			FlushBytes: 64, K: 6, Ghosts: tc.ghosts} // k = 6 peels most of this graph; 2 peels nothing
+		c := base
+		c.Algo, c.Ghosts = tc.algo, tc.ghosts
+		if c.Algo == "cc" {
+			c.Graph, c.N = interleaved(base.Edges(), 4), 4*base.N
+		}
 		stats, err := c.run()
 		if err != nil {
 			t.Fatal(err)
@@ -93,6 +101,18 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 			t.Errorf("%s: no push was applied in place", c)
 		}
 	}
+}
+
+// interleaved returns k copies of an edge list, copy i on the ids v·k + i: a
+// graph of at least k components, each spread over every rank.
+func interleaved(edges []graph.Edge, k uint64) []graph.Edge {
+	out := make([]graph.Edge, 0, len(edges)*int(k))
+	for i := uint64(0); i < k; i++ {
+		for _, e := range edges {
+			out = append(out, graph.Edge{Src: e.Src*graph.Vertex(k) + graph.Vertex(i), Dst: e.Dst*graph.Vertex(k) + graph.Vertex(i)})
+		}
+	}
+	return out
 }
 
 // TestConservationDegenerateFlushThresholds pins the flush-threshold

@@ -49,6 +49,9 @@ type Case struct {
 	// graphs span many) and hands the pagers to the engine, so the traversal
 	// parks and unparks. 0 runs fully resident.
 	Resident float64
+	// Graph, when non-nil, is the undirected edge list over N vertices used
+	// instead of the seeded random one: a shape a test pins by hand.
+	Graph []graph.Edge
 
 	// Fault, when non-nil, arms a deterministic injector on the machine's
 	// transport for the traversal phase only — graph construction runs
@@ -63,8 +66,12 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d/ghosts=%d/resident=%.3g",
+	s := fmt.Sprintf("%s/seed=%d/n=%d/ef=%d/p=%d/%s/flush=%d/ghosts=%d/resident=%.3g",
 		c.Algo, c.Seed, c.N, c.EdgeFactor, c.Ranks, c.Topo, c.FlushBytes, c.Ghosts, c.Resident)
+	if c.Graph != nil {
+		s += fmt.Sprintf("/pinned=%d-edges", len(c.Graph))
+	}
+	return s
 }
 
 // flushGrid holds the threshold sweep, including the degenerate 1-byte
@@ -97,11 +104,14 @@ func RandomCase(rng *xrand.Rand) Case {
 	}
 }
 
-// Edges returns the case's deterministic random edge list. kcore requires a
-// simple undirected graph; the rest — triangle counting included, which
-// dedupes internally — tolerate duplicates and self-loops, which the
-// partition builder keeps.
+// Edges returns the case's pinned graph, or its deterministic random edge
+// list. kcore requires a simple undirected graph; the rest — triangle
+// counting included, which dedupes internally — tolerate duplicates and
+// self-loops, which the partition builder keeps.
 func (c Case) Edges() []graph.Edge {
+	if c.Graph != nil {
+		return c.Graph
+	}
 	rng := xrand.New(c.Seed)
 	m := int(c.N) * c.EdgeFactor
 	pairs := make([]graph.Edge, m)
@@ -252,15 +262,9 @@ func (c Case) run() (stats []core.Stats, err error) {
 	// injector legitimately perturbs the raw envelope/hop counters (dropped
 	// frames are re-sent, corrupt frames are CRC-rejected), so under faults
 	// the correctness bar is the reference comparison above, not the
-	// transport-level ledger. Direction-optimizing BFS drives the mailbox
-	// directly — no visitor queue — so it answers to the message-level laws
-	// (MessageTraversal) rather than the queue push-accounting.
+	// transport-level ledger.
 	if c.Fault == nil {
-		check := Traversal
-		if c.Algo == "bfs_do" {
-			check = MessageTraversal
-		}
-		if err := Error(check(topo, stats)); err != nil {
+		if err := Error(Traversal(topo, stats)); err != nil {
 			return fail(err)
 		}
 		if err := Error(ledgerMirrored(cfg.Machine.Obs(), stats)); err != nil {

@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"havoqgt/internal/graph"
 	"havoqgt/internal/xrand"
 )
 
@@ -46,6 +47,56 @@ func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
 		for _, g := range ghostGrid {
 			if !drawn[g] {
 				t.Errorf("the %d-case sweep never runs %s with ghosts=%d", sweepCases, algo, g)
+			}
+		}
+	}
+}
+
+// TestDifferentialCCShapes pins the graphs where marking the hub's component
+// first could go wrong, across rank counts, topologies and the ghost setting:
+// the minimum id outside the hub's component; a hub in a small dense
+// component beside a larger sparse one, so label propagation has the larger;
+// and graphs with no edge, no vertex, or one vertex.
+func TestDifferentialCCShapes(t *testing.T) {
+	var star, dense []graph.Edge
+	star = append(star, graph.Edge{Src: 0, Dst: 1}, graph.Edge{Src: 16, Dst: 17})
+	for leaf := graph.Vertex(2); leaf < 16; leaf++ {
+		if leaf != 7 {
+			star = append(star, graph.Edge{Src: 7, Dst: leaf}) // hub 7; its component's minimum is 2
+		}
+	}
+	for v := graph.Vertex(0); v+1 < 20; v++ {
+		dense = append(dense, graph.Edge{Src: v, Dst: v + 1}) // a path 0..19: degree 2 at most
+	}
+	for a := graph.Vertex(20); a < 26; a++ {
+		for b := a + 1; b < 26; b++ {
+			dense = append(dense, graph.Edge{Src: a, Dst: b}) // K6: degree 5, hub 20
+		}
+	}
+	shapes := []struct {
+		name  string
+		n     uint64
+		edges []graph.Edge
+	}{
+		{"min-outside-hub", 24, star},
+		{"dense-hub", 30, dense},
+		{"edgeless", 16, nil},
+		{"no-vertex", 0, nil},
+		{"one-vertex", 1, nil},
+		{"one-vertex-loop", 1, []graph.Edge{{Src: 0, Dst: 0}}},
+	}
+	for _, sh := range shapes {
+		for _, p := range []int{1, 3, 8} {
+			for _, topo := range Topologies() {
+				for _, ghosts := range ghostGrid {
+					c := Case{Algo: "cc", N: sh.n, Ranks: p, Topo: topo, FlushBytes: 64, Ghosts: ghosts,
+						Graph: append([]graph.Edge{}, graph.Undirect(sh.edges)...)}
+					t.Run(sh.name+"/"+c.String(), func(t *testing.T) {
+						if err := c.Run(); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -32,9 +32,12 @@ import (
 	"time"
 )
 
-// Version names the control-plane protocol. Joins from any other version are
-// refused with ErrVersionMismatch.
-const Version = "havoqd-cluster/2"
+// Version names the protocol a worker speaks. Joins from any other version
+// are refused with ErrVersionMismatch. It covers the control plane and the
+// rank plane alike: every query type's tagged-record format is part of it,
+// since a worker that joins with another format decodes its peers' records
+// wrong and diverges without an error. Change a format, bump the version.
+const Version = "havoqd-cluster/3"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

@@ -37,5 +37,15 @@ func (b Bitmap) Count() uint64 {
 	return n
 }
 
+// First returns the lowest set bit, and false when none is set.
+func (b Bitmap) First() (uint64, bool) {
+	for wi, w := range b.words {
+		if w != 0 {
+			return uint64(wi)<<6 + uint64(bits.TrailingZeros64(w)), true
+		}
+	}
+	return 0, false
+}
+
 // CopyFrom overwrites b with src (same length).
 func (b Bitmap) CopyFrom(src Bitmap) { copy(b.words, src.words) }

@@ -17,11 +17,14 @@ import (
 // one ledger the hot path writes — plain fields — and the machine's
 // obs.Registry gets the growth of the queue's own counters (Pushed through
 // Unparked) under the core.* names once per rank-loop iteration
-// (Queue.publish). Every push ends one of four ways, and a replica forward
-// sends once more: Pushed − GhostFiltered − Local − Combined + Forwarded ==
-// Mailbox.RecordsSent, and Received == Mailbox.RecordsDelivered
-// (check.Traversal). The one exception is a cancelled query: the visitors its
-// queue held unsent are discarded, like the deliveries it drops.
+// (Queue.publish). Every push ends one of four ways, a replica forward sends
+// once more, and a runner may send and receive records of a protocol of its
+// own beside its queue (a direction-optimizing BFS's level messages):
+// Pushed − GhostFiltered − Local − Combined + Forwarded + ProtocolSent ==
+// Mailbox.RecordsSent, and Received + ProtocolReceived ==
+// Mailbox.RecordsDelivered (check.Traversal). The one exception is a
+// cancelled query: the visitors its queue held unsent are discarded, like the
+// deliveries it drops.
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
@@ -33,6 +36,11 @@ type Stats struct {
 	Forwarded     uint64 // visitors forwarded along a replica chain
 	Parked        uint64 // visitors parked waiting for an adjacency page
 	Unparked      uint64 // parked visitors re-queued after their page arrived
+	// ProtocolSent/ProtocolReceived count the records a runner sent, or was
+	// delivered, outside its visitor queue. The runner fills them in; a Queue
+	// leaves them zero.
+	ProtocolSent     uint64
+	ProtocolReceived uint64
 	// Mailbox is filled in by the executor when the query retires on the rank
 	// (see engine.Ticket.Stats for which of its counters are the query's own).
 	Mailbox       mailbox.Stats

@@ -164,32 +164,139 @@ func newSSSPRunner(env *runEnv) runner {
 
 // --- Connected components ---
 
+// ccKind is the first byte of a cc visitor record. A cc query's marking and
+// its label propagation send under the one query tag; the marking's DO
+// payloads start with a kind of their own, and this byte is above them all.
+const ccKind = bfs.DOKindMax + 1
+
+// ccWire is cc's algorithm with ccKind ahead of its wire form.
+type ccWire struct{ *cc.CC }
+
+func (w ccWire) Encode(v cc.Visitor, buf []byte) []byte { return w.CC.Encode(v, append(buf, ccKind)) }
+func (w ccWire) Decode(buf []byte) cc.Visitor           { return w.CC.Decode(buf[1:]) }
+
+// ccRunner labels the giant component first. On a scale-free graph the hub
+// sits in the giant component, so a direction-optimizing BFS from it (bfs.DO,
+// whose source is the hub when given none) marks most of the graph; DO's
+// visited set is replicated, so when the marking ends every rank holds the
+// same component, and its lowest set bit — the component's minimum id — is
+// already the final label: no reduction, no barrier. Label propagation then
+// runs over the unmarked masters only. Components are closed, so a remainder
+// visitor never reaches a marked vertex, and one arriving at a rank still
+// marking is applied at once; the marking's and the remainder's records share
+// one detector epoch.
+type ccRunner struct {
+	*core.Queue[cc.Visitor]
+	st   *cc.CC
+	mark *bfs.DO // the marking while it runs on this rank; nil after, or on resume
+	part *partition.Part
+	q    *query
+
+	protocolSent, protocolReceived uint64
+}
+
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	qu := newQueue[cc.Visitor](env, st)
-	forMasters(part, func(v graph.Vertex) {
-		lbl := v
-		if cp := q.spec.Resume; cp != nil && cp.Res.Labels[v] < lbl {
-			// Resume: start each master from its checkpointed label instead
-			// of its own id. Labels only decrease toward the component
-			// minimum, so any partial label is a valid (better) start.
-			lbl = cp.Res.Labels[v]
-		}
-		qu.Push(cc.Visitor{V: v, Label: lbl})
+	rn := &ccRunner{Queue: newQueue[cc.Visitor](env, ccWire{st}), st: st, part: part, q: q}
+	if cp := q.spec.Resume; cp != nil {
+		// Resume: full propagation, each master starting from its
+		// checkpointed label instead of its own id. Labels only decrease
+		// toward the component minimum, so any partial label is a valid
+		// (better) start.
+		forMasters(part, func(v graph.Vertex) { rn.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
+		return rn
+	}
+	rn.mark = newDO(env, graph.Nil, func(dest int, payload []byte) {
+		rn.protocolSent++
+		env.box.SendTagged(dest, q.id, payload)
 	})
-	return &queueRunner[cc.Visitor]{Queue: qu, finish: func() {
-		gatherInto(q.res.Labels, part, st.Label)
+	return rn
+}
+
+func (rn *ccRunner) Deliver(rec mailbox.Record) {
+	if len(rec.Payload) > 0 && rec.Payload[0] == ccKind {
+		rn.Queue.Deliver(rec)
+		return
+	}
+	rn.protocolReceived++
+	if rn.mark != nil {
+		rn.mark.Handle(rec.Payload)
+	}
+}
+
+func (rn *ccRunner) Step(batch int) bool {
+	progress := false
+	if rn.mark != nil {
+		for i := 0; i < batch && rn.mark.TryAdvance(); i++ {
+			progress = true
+		}
+		if rn.mark.Done() {
+			rn.label()
+			progress = true
+		}
+	}
+	return rn.Queue.Step(batch) || progress
+}
+
+// label ends the marking on this rank: every locally held marked vertex takes
+// the marked set's lowest id; an unmarked master of degree 0 is a component of
+// its own and takes its id without a visit; every other unmarked master seeds
+// label propagation with its own id.
+func (rn *ccRunner) label() {
+	marked := rn.mark.Visited()
+	rn.mark = nil
+	first, _ := marked.First() // the source at least is marked
+	for i := range rn.st.Label {
+		if marked.Get(uint64(rn.part.StateStart) + uint64(i)) {
+			rn.st.Label[i] = graph.Vertex(first)
+		}
+	}
+	forMasters(rn.part, func(v graph.Vertex) {
+		switch {
+		case marked.Get(uint64(v)):
+		case rn.part.GlobalDegree(v) == 0:
+			i, _ := rn.part.LocalIndex(v)
+			rn.st.Label[i] = v
+		default:
+			rn.Push(cc.Visitor{V: v, Label: v})
+		}
+	})
+}
+
+func (rn *ccRunner) LocalIdle() bool {
+	return (rn.mark == nil || rn.mark.Idle()) && rn.Queue.LocalIdle()
+}
+
+func (rn *ccRunner) Cancel() {
+	rn.mark = nil
+	rn.Queue.Cancel()
+}
+
+func (rn *ccRunner) Stats() core.Stats {
+	s := rn.Queue.Stats()
+	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
+	return s
+}
+
+func (rn *ccRunner) Finish() {
+	part, st, q := rn.part, rn.st, rn.q
+	var local uint64
+	forMasters(part, func(v graph.Vertex) {
+		i, _ := part.LocalIndex(v)
+		if st.Label[i] == graph.Nil {
+			// Cancelled before the marking ended: a master nothing labelled
+			// keeps its own id, which leaves a valid checkpoint.
+			st.Label[i] = v
+		}
 		// Component count: a master whose label is its own id represents one
 		// component. Accumulate atomically instead of AllReduce (see runner).
-		var local uint64
-		forMasters(part, func(v graph.Vertex) {
-			if i, _ := part.LocalIndex(v); st.Label[i] == v {
-				local++
-			}
-		})
-		q.accum.Add(local)
-	}}
+		if st.Label[i] == v {
+			local++
+		}
+	})
+	gatherInto(q.res.Labels, part, st.Label)
+	q.accum.Add(local)
 }
 
 // --- K-core ---
@@ -213,8 +320,9 @@ func newKCoreRunner(env *runEnv) runner {
 // protocol rather than a visitor queue — to the engine's runner face. Sends
 // travel through the shared mailbox under the query's tag, so the rank-level
 // flow counter and the per-query detector account for them exactly like
-// visitor records; quiescence is reached when every rank has merged the
-// empty frontier and all level messages have drained.
+// visitor records, and Stats counts them as protocol records; quiescence is
+// reached when every rank has merged the empty frontier and all level
+// messages have drained.
 type doBFSRunner struct {
 	d         *bfs.DO
 	det       *termination.Detector
@@ -225,18 +333,28 @@ type doBFSRunner struct {
 }
 
 func newDOBFSRunner(env *runEnv) runner {
-	box, q := env.box, env.q
-	send := func(dest int, payload []byte) { box.SendTagged(dest, q.id, payload) }
+	rn := &doBFSRunner{det: env.det, part: env.part, q: env.q}
+	rn.d = newDO(env, env.q.spec.Source, func(dest int, payload []byte) {
+		rn.stats.ProtocolSent++
+		env.box.SendTagged(dest, env.q.id, payload)
+	})
+	return rn
+}
+
+// newDO builds and starts a direction-optimizing BFS from source (graph.Nil:
+// the hub) that sends through send.
+func newDO(env *runEnv, source graph.Vertex, send func(dest int, payload []byte)) *bfs.DO {
 	var hint bfs.RowHinter
 	if env.pager != nil {
 		hint = env.pager // bottom-up unvisited-row scans prefetch through the pager
 	}
-	d := bfs.NewDO(env.part, q.spec.Source, send, hint)
+	d := bfs.NewDO(env.part, source, send, hint)
 	d.Start()
-	return &doBFSRunner{d: d, det: env.det, part: env.part, q: q}
+	return d
 }
 
 func (rn *doBFSRunner) Deliver(rec mailbox.Record) {
+	rn.stats.ProtocolReceived++
 	if rn.cancelled {
 		return // drain: delivery already counted, state no longer advances
 	}
