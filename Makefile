@@ -81,10 +81,12 @@ chaos-short:
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
 # share of pushes the ghost filter drops, visits per reached vertex, every
 # push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what
-# k-core and PageRank execute on the FIFO against the heap's logged ranges and
-# what they send, merged at the sender and (exactly) without a ghost table, and
-# what cc executes and sends once its marking has taken the giant component
-# (≤ 1,000 each; it logs the marking's records next to the remainder's), and
+# k-core and PageRank execute against their logged ranges and what they send,
+# merged at the sender and (exactly) without a ghost table, what cc executes
+# and sends once its marking has taken the giant component (≤ 1,000 each; it
+# logs the marking's records next to the remainder's), and what cc's
+# whole-graph flood (a resume that labelled nothing) executes and sends
+# (≤ 200 K visits, ≤ 470 K records), and
 # the message-plane micro-benchmarks run once each so they cannot rot:
 # BenchmarkVisitorPushRoute is the per-record number (/random) and the
 # per-push number by outcome over real tagged edges (/edges) to read before

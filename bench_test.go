@@ -261,32 +261,6 @@ func Example_tableFormat() {
 	// 1  2
 }
 
-func BenchmarkSMPBFS(b *testing.B) {
-	var teps float64
-	for i := 0; i < b.N; i++ {
-		t, err := harness.RunSMPBFS(harness.RMATSpec(13, 42), 4, nil, 1, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		teps = t
-	}
-	b.ReportMetric(teps, "TEPS")
-}
-
-func BenchmarkSMPBFSNVRAM(b *testing.B) {
-	nv := extmem.DefaultNVRAM()
-	nv.CacheBytes = 1 << 17
-	var teps float64
-	for i := 0; i < b.N; i++ {
-		t, err := harness.RunSMPBFS(harness.RMATSpec(13, 42), 4, &nv, 1, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		teps = t
-	}
-	b.ReportMetric(teps, "TEPS")
-}
-
 func BenchmarkFacadeBFS(b *testing.B) {
 	g, err := GenerateRMAT(12, 42, Options{Ranks: 4})
 	if err != nil {

@@ -32,7 +32,7 @@ import (
 var order = []string{
 	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table2",
-	"ablation-topology", "ablation-locality", "ablation-aggregation",
+	"ablation-topology", "ablation-aggregation",
 	"extensions",
 }
 
@@ -53,7 +53,6 @@ func runners(s harness.Sizing) map[string]func() *harness.Table {
 		"fig13":                func() *harness.Table { return harness.Figure13(s) },
 		"table2":               func() *harness.Table { return harness.TableII(s) },
 		"ablation-topology":    func() *harness.Table { return harness.AblationTopology(s) },
-		"ablation-locality":    func() *harness.Table { return harness.AblationLocality(s) },
 		"ablation-aggregation": func() *harness.Table { return harness.AblationAggregation(s) },
 		"extensions":           func() *harness.Table { return harness.Extensions(s) },
 	}

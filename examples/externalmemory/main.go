@@ -49,9 +49,9 @@ func main() {
 		nvram.TEPS, 100*nvram.Cache.HitRate())
 
 	if dram.TEPS > 0 {
-		fmt.Printf("\ndegradation: %.1f%% — the asynchronous traversal and the\n",
+		fmt.Printf("\ndegradation: %.1f%% — the asynchronous traversal keeps the other\n",
 			100*(dram.TEPS-nvram.TEPS)/dram.TEPS)
-		fmt.Println("locality-ordered visitor queue hide most of the device latency,")
-		fmt.Println("which is how the paper traverses trillion-edge graphs from NAND Flash.")
+		fmt.Println("ranks visiting while one waits on the device, which is how the paper")
+		fmt.Println("traverses trillion-edge graphs from NAND Flash.")
 	}
 }

@@ -15,10 +15,10 @@ import (
 	"havoqgt/internal/engine"
 )
 
-// The heap's Σ Executed at the benchmark's shape, five runs each at the commit
-// before the FIFO: k-core(64) 30,829 every time (a vertex is visited once, when
-// it is removed, whatever the schedule), PageRank(3) 143,193–143,979 (which
-// contribution completes a vertex's iteration depends on arrival order).
+// Σ Executed at the benchmark's shape on the FIFO: k-core(64) 30,829 every
+// time (a vertex is visited once, when it is removed, whatever the schedule),
+// PageRank(3) 142,595–144,588 over 16 runs (which contribution completes a
+// vertex's iteration depends on arrival order).
 const (
 	kcoreExecutedMin, kcoreExecutedMax       = 30_829, 30_829
 	pagerankExecutedMin, pagerankExecutedMax = 141_000, 146_000
@@ -38,6 +38,11 @@ const (
 // leaves 8,605 components of 1–3 vertices to propagate over: 17–32 visits and
 // 355–364 records over runs, 338 of them the marking's.
 const ccExecutedMax, ccRecordsMax = 1_000, 1_000
+
+// cc's flood at the same shape (ccFlood) on the FIFO, over 31 runs: 79–135 K
+// visits (median ≈ 104 K) and 146–337 K records. The budgets are about 1.4×
+// the highest of each.
+const ccFloodExecutedMax, ccFloodRecordsMax = 200_000, 470_000
 
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
 // on GenerateRMAT(12, 42, {Ranks: 8, Topology: "2d", Simplify: true}),
@@ -297,14 +302,13 @@ func TestBFSRecordBudget(t *testing.T) {
 // TestAnalyticsExecutedBudget pins what the analytics kernels execute and
 // send at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64, three
 // PageRank iterations and cc, as bench/'s analytics round runs them).
-// Executed: the counted kernels run on a FIFO instead of a heap that ordered
-// them by vertex id alone, and arrival order must not mean more visits — the
-// bounds are the heap's logged ranges, widened by the run-to-run spread of an
-// asynchronous traversal, and merging at the sender must not move them
-// either. Records: the combiner must cut them to the budget, and with no
-// ghost table it must send exactly what the kernels sent before it existed —
-// it rides the table and nothing else. cc must leave label propagation only
-// what its marking did not reach.
+// Executed: the bounds are the FIFO's logged ranges, widened by the
+// run-to-run spread of an asynchronous traversal, and merging at the sender
+// must not move them. Records: the combiner must cut them to the budget, and
+// with no ghost table it must send exactly what the kernels sent before it
+// existed — it rides the table and nothing else. cc must leave label
+// propagation only what its marking did not reach, and its whole-graph flood
+// (a resume that labelled nothing) must stay within its own budget.
 func TestAnalyticsExecutedBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 visit budget: not under -short or -race")
@@ -351,20 +355,40 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 		}
 	}
 
-	_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, engine.Spec{Algo: engine.AlgoCC})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name              string
+		spec              engine.Spec
+		executed, records uint64
+	}{
+		{"cc", engine.Spec{Algo: engine.AlgoCC}, ccExecutedMax, ccRecordsMax},
+		{"cc flood", ccFlood(g.NumVertices()), ccFloodExecutedMax, ccFloodRecordsMax},
+	} {
+		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed, records, marking uint64
+		for _, s := range stats {
+			executed += s.Executed
+			records += s.Mailbox.RecordsSent
+			marking += s.ProtocolSent
+		}
+		t.Logf("%s: executed %d, records sent %d (marking %d, label propagation %d)", c.name, executed, records, marking, records-marking)
+		if executed > c.executed || records > c.records {
+			t.Errorf("%s executed %d visits and sent %d records, budget %d and %d", c.name, executed, records, c.executed, c.records)
+		}
 	}
-	var executed, records, marking uint64
-	for _, s := range stats {
-		executed += s.Executed
-		records += s.Mailbox.RecordsSent
-		marking += s.ProtocolSent
+}
+
+// ccFlood is cc resumed from a checkpoint that labelled nothing on a graph of
+// n vertices: min-label propagation over the whole graph, with no marking.
+func ccFlood(n uint64) engine.Spec {
+	own := make([]Vertex, n)
+	for v := range own {
+		own[v] = Vertex(v)
 	}
-	t.Logf("cc: executed %d, records sent %d (marking %d, label propagation %d)", executed, records, marking, records-marking)
-	if executed > ccExecutedMax || records > ccRecordsMax {
-		t.Errorf("cc executed %d visits and sent %d records, budget %d and %d", executed, records, ccExecutedMax, ccRecordsMax)
-	}
+	cp := &engine.Checkpoint{Spec: engine.Spec{Algo: engine.AlgoCC}, Res: &engine.Result{Labels: own, Cancelled: true}}
+	return cp.ResumeSpec(0)
 }
 
 // TestUntaggedTargetsTraverseIdentically: the tags in the stored target words
@@ -384,14 +408,9 @@ func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
 		}
 	}
 	checkGolden(t, goldenRun(t, g))
-	own := make([]Vertex, g.NumVertices())
-	for v := range own {
-		own[v] = Vertex(v)
-	}
-	unlabelled := &engine.Checkpoint{Spec: engine.Spec{Algo: engine.AlgoCC}, Res: &engine.Result{Labels: own, Cancelled: true}}
 	for _, spec := range []engine.Spec{
 		{Algo: engine.AlgoBFS, Source: 1}, {Algo: engine.AlgoSSSP, Source: 1, WeightSeed: 7},
-		{Algo: engine.AlgoCC}, unlabelled.ResumeSpec(0),
+		{Algo: engine.AlgoCC}, ccFlood(g.NumVertices()),
 	} {
 		_, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, spec)
 		if err != nil {

@@ -116,11 +116,8 @@ func Summary(levels []uint32) (reached uint64, depth uint32) {
 	return reached, depth
 }
 
-// Less orders the local queue by length (Algorithm 2 lines 20–22).
-func (b *BFS) Less(a, c Visitor) bool { return a.Length < c.Length }
-
-// Bucket implements core.BucketAlgorithm: that order is a small integer, so
-// the queue keeps one FIFO per level instead of sifting a heap.
+// Bucket implements core.BucketAlgorithm: the local queue is ordered by
+// length (Algorithm 2 lines 20–22), one FIFO per level.
 func (b *BFS) Bucket(v Visitor) uint64 { return uint64(v.Length) }
 
 // Encode appends the 20-byte wire form.

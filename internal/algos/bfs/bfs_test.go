@@ -157,13 +157,6 @@ func TestBFSSingleVertexSource(t *testing.T) {
 	}
 }
 
-func TestBFSLocalityOrderAblation(t *testing.T) {
-	edges := randomGraph(128, 512, 8)
-	levels, parents := runDistributedBFS(t, edges, 128, 4, 0, partition.BuildEdgeList,
-		algotest.Setup{Core: core.Config{DisableLocalityOrder: true}})
-	checkAgainstRef(t, edges, 128, 0, levels, parents)
-}
-
 func TestBFSStatsAccounting(t *testing.T) {
 	edges := randomGraph(64, 256, 6)
 	levels, _, stats := runBFS(t, engine.AlgoBFS, edges, 64, 4, 0, partition.BuildEdgeList, defaultCfg)

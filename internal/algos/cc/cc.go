@@ -94,10 +94,6 @@ func (c *CC) Visit(v Visitor, q *core.Queue[Visitor]) {
 	}
 }
 
-// Less: label propagation needs no visitor order; lower labels first is a
-// mild heuristic that shortens cascades.
-func (c *CC) Less(a, b Visitor) bool { return a.Label < b.Label }
-
 // Encode appends the 16-byte wire form.
 func (c *CC) Encode(v Visitor, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))

@@ -46,10 +46,7 @@ type KCore struct {
 	Core  []uint32 // remaining degree + 1, master rows only meaningful
 }
 
-var (
-	_ core.BucketAlgorithm[Visitor]  = (*KCore)(nil)
-	_ core.CombineAlgorithm[Visitor] = (*KCore)(nil)
-)
+var _ core.CombineAlgorithm[Visitor] = (*KCore)(nil)
 
 // New initializes the state per Algorithm 5: alive, with core counters at
 // degree(v)+1 (global degree, which for partition-boundary vertices comes
@@ -106,12 +103,6 @@ func (a *KCore) Combine(acc *Visitor, v Visitor) bool {
 	acc.N += v.N
 	return true
 }
-
-// Less: no visitor order required (Algorithm 4).
-func (a *KCore) Less(x, y Visitor) bool { return false }
-
-// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
-func (a *KCore) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 12-byte wire form.
 func (a *KCore) Encode(v Visitor, buf []byte) []byte {

@@ -80,10 +80,7 @@ type PR struct {
 	dropped         uint64 // contributions outside the two-bucket window
 }
 
-var (
-	_ core.BucketAlgorithm[Visitor]  = (*PR)(nil)
-	_ core.CombineAlgorithm[Visitor] = (*PR)(nil)
-)
+var _ core.CombineAlgorithm[Visitor] = (*PR)(nil)
 
 // New initializes PageRank state: every vertex at rank 1/n.
 func New(part *partition.Part, iters uint32) *PR {
@@ -191,12 +188,6 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 		}
 	}
 }
-
-// Less: no ordering requirement; completion is counted, not scheduled.
-func (p *PR) Less(a, b Visitor) bool { return false }
-
-// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
-func (p *PR) Bucket(Visitor) uint64 { return 0 }
 
 // Combine merges two contributions of one iteration (core.CombineAlgorithm).
 // Only contributions travel an edge, so only they are ever offered.

@@ -37,7 +37,7 @@ const MaxDist = uint64(1) << 40
 
 // Delta is the bucket width for delta-stepping: visitors are drained in
 // ⌊Dist/Delta⌋ order instead of strict Dist order, so the local scheduler
-// needs only O(1) bucket push/pop rather than a binary heap. Relaxations of
+// needs only O(1) bucket push/pop. Relaxations of
 // light edges (weight < Delta) land in the current or next bucket and are
 // processed in the same wave; heavy-edge relaxations defer to later buckets.
 // Set to MaxWeight+1 so every edge is "light": one bucket per weight-rounded
@@ -150,13 +150,9 @@ func (s *SSSP) Visit(v Visitor, q *core.Queue[Visitor]) {
 	}
 }
 
-// Less orders the local queue by tentative distance.
-func (s *SSSP) Less(a, b Visitor) bool { return a.Dist < b.Dist }
-
 // Bucket implements core.BucketAlgorithm: delta-stepping's bucket index.
 // Draining in ⌊Dist/Delta⌋ order is enough for the label-correcting
-// relaxation to converge with near-Dijkstra work, and lets the queue use a
-// calendar of FIFO buckets (O(1) push/pop) instead of the binary heap.
+// relaxation to converge with near-Dijkstra work.
 func (s *SSSP) Bucket(v Visitor) uint64 { return v.Dist / Delta }
 
 // Encode appends the 24-byte wire form. Distances stay well below 2^40 at

@@ -37,7 +37,7 @@ type Triangle struct {
 	Count []uint64
 }
 
-var _ core.BucketAlgorithm[Visitor] = (*Triangle)(nil)
+var _ core.Algorithm[Visitor] = (*Triangle)(nil)
 
 // New initializes the counters to zero (Algorithm 7 lines 3–5). The zero
 // Options count every triangle exactly.
@@ -137,12 +137,6 @@ func (t *Triangle) Visit(v Visitor, q *core.Queue[Visitor]) {
 		}
 	}
 }
-
-// Less: no visitor order required (Algorithm 6).
-func (t *Triangle) Less(a, b Visitor) bool { return false }
-
-// Bucket declares that to the queue (core.BucketAlgorithm): one FIFO, no heap.
-func (t *Triangle) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 24-byte wire form.
 func (t *Triangle) Encode(v Visitor, buf []byte) []byte {

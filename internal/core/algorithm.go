@@ -3,9 +3,9 @@
 // expressed as visitors — vertex-centric procedures with the ability to pass
 // visitor state to other vertices — and the queue provides parallelism,
 // asynchronous transmission through the routed mailbox, scheduling via a
-// local priority queue, replica forwarding for split adjacency lists, ghost
-// filtering for high in-degree hubs, merging at the sender for counted
-// visitors, and termination detection.
+// local calendar of FIFO buckets, replica forwarding for split adjacency
+// lists, ghost filtering for high in-degree hubs, merging at the sender for
+// counted visitors, and termination detection.
 package core
 
 import "havoqgt/internal/graph"
@@ -38,11 +38,6 @@ type Algorithm[V Visitor] interface {
 	// a Push can run PreVisit on another local vertex, or this one.
 	Visit(v V, q *Queue[V])
 
-	// Less orders visitors in the local min-heap priority queue, the
-	// scheduler of an algorithm that declares no buckets (BucketAlgorithm).
-	// Algorithms with no ordering requirement return false.
-	Less(a, b V) bool
-
 	// Encode appends v's wire form to buf and returns it.
 	Encode(v V, buf []byte) []byte
 	// Decode parses one visitor from buf (which holds exactly one record).
@@ -53,17 +48,15 @@ type Algorithm[V Visitor] interface {
 	Decode(buf []byte) V
 }
 
-// BucketAlgorithm is implemented by algorithms whose visitor ordering is a
-// small integer — BFS's level, delta-stepping SSSP's ⌊Dist/Δ⌋ — or nothing at
-// all: k-core, PageRank and triangle counting declare the single bucket 0.
-// When an algorithm implements it, the queue replaces the binary-heap local
-// scheduler with a calendar of FIFO buckets drained in bucket order: push and
-// pop become O(1) amortized, visitors within one bucket execute in arrival
-// order, preserving page-level locality of the mailbox's aggregated batches,
-// and one bucket is a plain FIFO. Correctness only needs Bucket to be
-// consistent with Less (a Less b ⇒ Bucket(a) <= Bucket(b)): label-correcting
-// kernels converge to the same fixpoint under any drain order, bucket order
-// merely keeps the work near-optimal.
+// BucketAlgorithm is the one order declaration: it is implemented by
+// algorithms whose visitor ordering is a small integer — BFS's level,
+// delta-stepping SSSP's ⌊Dist/Δ⌋. The queue's local scheduler is a calendar
+// of FIFO buckets drained in ascending bucket order, push and pop O(1)
+// amortized, visitors within one bucket in arrival order. An algorithm that
+// does not implement it — cc, k-core, PageRank, triangle counting — drains one
+// FIFO bucket 0. Correctness never depends on the order: label-correcting
+// kernels converge to the same fixpoint under any drain order, and bucket
+// order merely keeps the work near-optimal.
 type BucketAlgorithm[V Visitor] interface {
 	Algorithm[V]
 	// Bucket returns the visitor's scheduling bucket (e.g. ⌊Dist/Δ⌋).

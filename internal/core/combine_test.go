@@ -34,7 +34,6 @@ type countAlgo struct {
 
 func (a *countAlgo) PreVisit(v countVisitor) bool                  { a.got += uint64(v.n); return false }
 func (a *countAlgo) Visit(countVisitor, *core.Queue[countVisitor]) {}
-func (a *countAlgo) Less(x, y countVisitor) bool                   { return false }
 func (a *countAlgo) Combine(acc *countVisitor, v countVisitor) bool {
 	if a.rng.Intn(4) == 0 {
 		return false
@@ -110,7 +109,7 @@ func runCombiner(seed uint64, p, ghostCap int, cancel bool) (uint64, error) {
 		det := termination.New(r)
 		box := mailbox.New(r, topo, det)
 		algo := &countAlgo{rng: xrand.New(seed ^ uint64(r.Rank()+1))}
-		q := core.NewQueue[countVisitor](r, part, algo, core.Config{}, core.BuildGhostTable(part, ghostCap), nil, box, det, 0)
+		q := core.NewQueue[countVisitor](r, part, algo, core.BuildGhostTable(part, ghostCap), nil, box, det, 0)
 
 		fail := func(format string, args ...any) {
 			if errs[r.Rank()] == nil {

@@ -106,7 +106,7 @@ func TestGhostTableZeroK(t *testing.T) {
 	}
 }
 
-// orderVisitor is a minimal visitor for the heap property tests
+// orderVisitor is a minimal visitor for the calendar property tests
 // (quick_test.go). The tests that drive toy visitors through a traversal run
 // on the one executor: internal/engine/visitor_test.go.
 type orderVisitor struct {
@@ -116,13 +116,14 @@ type orderVisitor struct {
 
 func (o orderVisitor) Vertex() graph.Vertex { return o.v }
 
+// orderAlgo schedules orderVisitors on the calendar, one bucket per prio.
 type orderAlgo struct{ executed []orderVisitor }
 
 func (a *orderAlgo) PreVisit(v orderVisitor) bool { return true }
 func (a *orderAlgo) Visit(v orderVisitor, q *Queue[orderVisitor]) {
 	a.executed = append(a.executed, v)
 }
-func (a *orderAlgo) Less(x, y orderVisitor) bool { return x.prio < y.prio }
+func (a *orderAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
 func (a *orderAlgo) Encode(v orderVisitor, buf []byte) []byte {
 	var w [12]byte
 	binary.LittleEndian.PutUint64(w[0:], uint64(v.v))
@@ -247,7 +248,7 @@ func TestLocalPushAppliedInPlace(t *testing.T) {
 		det := termination.New(r)
 		box := mailbox.New(r, topo, det)
 		algo := &orderAlgo{}
-		q := NewQueue[orderVisitor](r, part, algo, Config{}, nil, nil, box, det, 0)
+		q := NewQueue[orderVisitor](r, part, algo, nil, nil, box, det, 0)
 		if !q.LocalIdle() {
 			t.Error("fresh queue not idle")
 		}

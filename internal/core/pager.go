@@ -22,7 +22,7 @@ type RowPager interface {
 	RowResident(row int) (key int64, resident bool)
 
 	// PrefetchRow hints that row's adjacency will be visited soon (it just
-	// entered a local heap — frontier composition). Best-effort: the pager
+	// entered the local scheduler — frontier composition). Best-effort: the pager
 	// may drop hints under load; correctness never depends on them.
 	PrefetchRow(row int)
 

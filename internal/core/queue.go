@@ -56,16 +56,12 @@ type Stats struct {
 	DetectorReceived uint64
 }
 
-// Config tunes the message plane and the local scheduler of an executor: the
-// engine builds every rank's shared mailbox from MailboxOptions and hands the
-// same Config to each query's Queue. Per-rank resources (ghost table, pager)
-// are not configuration and are passed to NewQueue directly.
+// Config tunes the message plane of an executor: the engine builds every
+// rank's shared mailbox from MailboxOptions. Per-rank resources (ghost table,
+// pager) are not configuration and are passed to NewQueue directly.
 type Config struct {
 	// FlushBytes is the mailbox aggregation threshold (0 = default).
 	FlushBytes int
-	// DisableLocalityOrder ablates the vertex-identifier tie-break that
-	// improves page-level locality of CSR reads (§V-A).
-	DisableLocalityOrder bool
 	// Reliable runs the mailbox's seq/ack/retransmit protocol under every
 	// envelope (mailbox.WithReliable), surviving message drop, duplication,
 	// reordering, and corruption injected by a faulty transport. Must be set
@@ -113,10 +109,8 @@ type Queue[V Visitor] struct {
 	tag       uint32 // record tag stamped on every push (the query ID)
 	cancelled bool   // drain without applying (see Cancel)
 
-	heap          []V
-	cal           *calendar[V] // non-nil: the algorithm declares buckets, no heap
-	localityOrder bool
-	encBuf        []byte
+	cal    *calendar[V] // the local scheduler
+	encBuf []byte
 
 	// Out-of-core parking (non-nil pager): visitors whose adjacency page
 	// missed the cache, keyed by the page they wait for.
@@ -182,18 +176,20 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 // for them. A non-nil pager marks the partition's CSR targets as out of
 // core: Step parks visitors whose adjacency pages are absent instead of
 // blocking on the device, and the caller must feed Pager.Drain results back
-// through Unpark.
-func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cfg Config,
+// through Unpark. The local scheduler is a calendar of FIFO buckets, keyed by
+// the algorithm's BucketAlgorithm.Bucket, or one bucket when it declares none.
+func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
+	ba, _ := algo.(BucketAlgorithm[V])
 	q := &Queue[V]{
-		part:          part,
-		algo:          algo,
-		mb:            mb,
-		det:           det,
-		tag:           tag,
-		localityOrder: !cfg.DisableLocalityOrder,
-		pager:         pager,
-		met:           newQueueMetrics(r),
+		part:  part,
+		algo:  algo,
+		mb:    mb,
+		det:   det,
+		tag:   tag,
+		cal:   newCalendar[V](ba),
+		pager: pager,
+		met:   newQueueMetrics(r),
 	}
 	if q.pager != nil {
 		q.parked = make(map[int64][]V)
@@ -205,9 +201,6 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V], cf
 			q.ghosts = ghosts
 			q.nGhosts = ghosts.Len()
 		}
-	}
-	if ba, ok := algo.(BucketAlgorithm[V]); ok {
-		q.cal = newCalendar[V](ba)
 	}
 	return q
 }
@@ -337,11 +330,11 @@ func (q *Queue[V]) apply(v V) {
 		return
 	}
 	q.stats.Queued++
-	q.schedPush(v)
+	q.cal.push(v)
 	if q.pager != nil {
 		// Frontier-composition prefetch: this visitor just joined the local
-		// heap, so its adjacency page will be wanted within the next few Step
-		// slices — hint the pager now so the read overlaps queued work.
+		// scheduler, so its adjacency page will be wanted within the next few
+		// Step slices — hint the pager now so the read overlaps queued work.
 		if i, ok := q.part.LocalIndex(v.Vertex()); ok {
 			q.pager.PrefetchRow(i)
 		}
@@ -382,12 +375,12 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // work, and the rank never waits on its peers over visitors it has not sent.
 // Sending them is progress.
 func (q *Queue[V]) Step(batch int) bool {
-	if q.schedLen() == 0 {
+	if q.cal.n == 0 {
 		return q.flushHeld()
 	}
-	q.met.queueDepth.Observe(uint64(q.schedLen()))
-	for i := 0; i < batch && q.schedLen() > 0; i++ {
-		v := q.schedPop()
+	q.met.queueDepth.Observe(uint64(q.cal.n))
+	for i := 0; i < batch && q.cal.n > 0; i++ {
+		v := q.cal.pop()
 		if q.pager != nil {
 			if key, resident := q.pager.RowResident(q.LocalRow(v.Vertex())); !resident {
 				q.parked[key] = append(q.parked[key], v)
@@ -399,7 +392,7 @@ func (q *Queue[V]) Step(batch int) bool {
 		q.stats.Executed++
 		q.algo.Visit(v, q)
 	}
-	if q.schedLen() == 0 {
+	if q.cal.n == 0 {
 		q.flushHeld()
 	}
 	return true
@@ -407,16 +400,16 @@ func (q *Queue[V]) Step(batch int) bool {
 
 // Unpark runs the visitors parked on the given pages (called by the rank
 // loop with a Pager.Drain result) and reports whether any work happened.
-// Waiters execute immediately and unconditionally — not via the heap, and
-// with no residency re-check. Both halves matter under a tight budget:
-// a visitor that round-trips through the heap finds its page evicted by the
+// Waiters execute immediately and unconditionally — not via the scheduler,
+// and with no residency re-check. Both halves matter under a tight budget:
+// a visitor that round-trips through the scheduler finds its page evicted by the
 // time Step pops it, re-parks, and the traversal degenerates into a
 // park/fetch/evict livelock (millions of parks per thousand visits, ranks
 // never quiescing); and a re-check at drain time reintroduces the same cycle
 // for multi-page rows — park on page p, p arrives pinned, re-park on p+1, p
 // is released and evicted before p+1 completes, re-park on p, forever.
 // Executing unconditionally bounds every visitor to exactly one park per
-// heap pop: the parked page itself is pinned resident from Drain to Release
+// scheduler pop: the parked page itself is pinned resident from Drain to Release
 // (the rank loop's contract with the pager), and any other span page that
 // lost the residency race faults synchronously in the serving read path — a
 // bounded stall, traded for guaranteed forward progress. PreVisit is not
@@ -450,26 +443,19 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 // queue holding any must not report idle, or termination detection could
 // declare quiescence with traversal still to do.
 func (q *Queue[V]) LocalIdle() bool {
-	return q.schedLen() == 0 && q.nParked == 0 && len(q.dirty) == 0
+	return q.cal.n == 0 && q.nParked == 0 && len(q.dirty) == 0
 }
 
-// Cancel marks the queue cancelled on this rank: the local visitor heap and
-// the combiner's held visitors are discarded (never sent, so never counted in
-// flight) and subsequent deliveries are drained without being applied.
+// Cancel marks the queue cancelled on this rank: the locally queued visitors
+// and the combiner's held visitors are discarded (never sent, so never counted
+// in flight) and subsequent deliveries are drained without being applied.
 // Termination detection still runs to quiescence so the query's tagged
 // records fully drain from the message plane before the ID is retired.
 func (q *Queue[V]) Cancel() {
 	clear(q.held)
 	q.dirty = q.dirty[:0]
 	q.cancelled = true
-	var zero V
-	for i := range q.heap {
-		q.heap[i] = zero
-	}
-	q.heap = q.heap[:0]
-	if q.cal != nil {
-		q.cal.clear()
-	}
+	q.cal.clear()
 	// Parked visitors are dropped too: their demand fetches may still
 	// complete, but Unpark on a cancelled queue has nothing to re-queue and
 	// the pages simply age out of the cache.
@@ -520,41 +506,17 @@ func (q *Queue[V]) publish() {
 	m.unparked.Publish(rank, cur.Unparked, &last.Unparked)
 }
 
-// --- local scheduler dispatch, chosen in NewQueue from what the algorithm
-// declares: calendar of FIFO buckets when it implements BucketAlgorithm (one
-// bucket, a plain FIFO, when it needs no order), binary min-heap otherwise.
-
-func (q *Queue[V]) schedPush(v V) {
-	if q.cal != nil {
-		q.cal.push(v)
-		return
-	}
-	q.heapPush(v)
-}
-
-func (q *Queue[V]) schedPop() V {
-	if q.cal != nil {
-		return q.cal.pop()
-	}
-	return q.heapPop()
-}
-
-func (q *Queue[V]) schedLen() int {
-	if q.cal != nil {
-		return q.cal.n
-	}
-	return len(q.heap)
-}
-
-// calendar is the bucket scheduler: visitors land in FIFO buckets keyed by
-// BucketAlgorithm.Bucket, drained in ascending bucket order. Push and pop are
+// calendar is the local scheduler: visitors land in FIFO buckets keyed by
+// BucketAlgorithm.Bucket — all in bucket 0, one plain FIFO, when the
+// algorithm declares no order (algo nil) — drained in ascending bucket order.
+// Push and pop are
 // O(1) amortized — order sorts the indices of the buckets present (a handful
 // for SSSP's ⌊Dist/Δ⌋, two for BFS's levels; touched once per bucket), not
 // visitors — and neither pays the map for the bucket it used last: open is
 // the one being drained, last the one pushed into most recently. Spent buckets
 // keep their backing arrays in a free list: the steady state allocates nothing.
 type calendar[V Visitor] struct {
-	algo    BucketAlgorithm[V]
+	algo    BucketAlgorithm[V] // nil: every visitor in bucket 0
 	buckets map[uint64]*bucket[V]
 	order   []uint64   // ascending indices of the buckets present
 	open    *bucket[V] // buckets[order[0]], or nil: look it up
@@ -579,7 +541,10 @@ func newCalendar[V Visitor](algo BucketAlgorithm[V]) *calendar[V] {
 }
 
 func (c *calendar[V]) push(v V) {
-	b := c.algo.Bucket(v)
+	var b uint64
+	if c.algo != nil {
+		b = c.algo.Bucket(v)
+	}
 	s := c.last
 	if s == nil || s.key != b {
 		if s = c.buckets[b]; s == nil {
@@ -654,56 +619,4 @@ func (c *calendar[V]) clear() {
 	clear(c.buckets)
 	c.order = c.order[:0]
 	c.n = 0
-}
-
-// --- local min-heap priority queue, ordered by the algorithm's Less with an
-// optional vertex-identifier tie-break for external-memory locality (§V-A).
-
-func (q *Queue[V]) less(a, b V) bool {
-	if q.algo.Less(a, b) {
-		return true
-	}
-	if q.localityOrder && !q.algo.Less(b, a) {
-		return a.Vertex() < b.Vertex()
-	}
-	return false
-}
-
-func (q *Queue[V]) heapPush(v V) {
-	q.heap = append(q.heap, v)
-	i := len(q.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(q.heap[i], q.heap[p]) {
-			break
-		}
-		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
-		i = p
-	}
-}
-
-func (q *Queue[V]) heapPop() V {
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	var zero V
-	q.heap[last] = zero
-	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.heap) && q.less(q.heap[l], q.heap[small]) {
-			small = l
-		}
-		if r < len(q.heap) && q.less(q.heap[r], q.heap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.heap[i], q.heap[small] = q.heap[small], q.heap[i]
-		i = small
-	}
-	return top
 }

@@ -3,80 +3,12 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"havoqgt/internal/graph"
 	"havoqgt/internal/xrand"
 )
-
-// heapHarness exposes the queue's heap for property testing without a
-// traversal.
-func newHeapHarness(locality bool) *Queue[orderVisitor] {
-	return &Queue[orderVisitor]{algo: &orderAlgo{}, localityOrder: locality}
-}
-
-// TestQuickHeapPopsSorted: for any push sequence, pops come out
-// non-decreasing under the algorithm's Less, and with the locality
-// tie-break, equal priorities come out in vertex order.
-func TestQuickHeapPopsSorted(t *testing.T) {
-	f := func(raw []uint16) bool {
-		q := newHeapHarness(true)
-		for i := 0; i+1 < len(raw); i += 2 {
-			q.heapPush(orderVisitor{v: graph.Vertex(raw[i] % 64), prio: uint32(raw[i+1] % 8)})
-		}
-		var out []orderVisitor
-		for len(q.heap) > 0 {
-			out = append(out, q.heapPop())
-		}
-		for i := 1; i < len(out); i++ {
-			a, b := out[i-1], out[i]
-			if a.prio > b.prio {
-				return false
-			}
-			if a.prio == b.prio && a.v > b.v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickHeapIsPermutation: pops return exactly the pushed multiset.
-func TestQuickHeapIsPermutation(t *testing.T) {
-	f := func(raw []uint16) bool {
-		q := newHeapHarness(false)
-		var in []orderVisitor
-		for i := 0; i+1 < len(raw); i += 2 {
-			v := orderVisitor{v: graph.Vertex(raw[i]), prio: uint32(raw[i+1])}
-			in = append(in, v)
-			q.heapPush(v)
-		}
-		var out []orderVisitor
-		for len(q.heap) > 0 {
-			out = append(out, q.heapPop())
-		}
-		if len(in) != len(out) {
-			return false
-		}
-		key := func(o orderVisitor) uint64 { return uint64(o.prio)<<32 | uint64(o.v) }
-		sort.Slice(in, func(i, j int) bool { return key(in[i]) < key(in[j]) })
-		sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-		for i := range in {
-			if in[i] != out[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestQuickSlotPrefixMatchesTopK: the partition build's slot order is the
 // ghost candidate order — remote targets with at least two local edges, by
@@ -131,11 +63,6 @@ func TestQuickSlotPrefixMatchesTopK(t *testing.T) {
 	}
 }
 
-// bucketAlgo schedules orderVisitors on the calendar, one bucket per prio.
-type bucketAlgo struct{ orderAlgo }
-
-func (a *bucketAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
-
 // TestQuickCalendarPopsLowestBucketInArrivalOrder: under any interleaving of
 // pushes, pops and cancels, the calendar pops from the lowest non-empty
 // bucket, and within a bucket in arrival order — through the cached buckets
@@ -144,7 +71,7 @@ func (a *bucketAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
 // cached bucket behind and hand every backing array back to the free list.
 func TestQuickCalendarPopsLowestBucketInArrivalOrder(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := newCalendar[orderVisitor](&bucketAlgo{})
+		c := newCalendar[orderVisitor](&orderAlgo{})
 		model := map[uint32][]orderVisitor{}
 		queued, made := 0, map[*bucket[orderVisitor]]bool{}
 		for i, op := range ops {
@@ -200,7 +127,7 @@ func TestQuickCalendarPopsLowestBucketInArrivalOrder(t *testing.T) {
 // TestCalendarCompactsLongLivedBucket: a bucket that never runs empty does not
 // keep the visitors it has already handed out.
 func TestCalendarCompactsLongLivedBucket(t *testing.T) {
-	c := newCalendar[orderVisitor](&bucketAlgo{})
+	c := newCalendar[orderVisitor](&orderAlgo{})
 	c.push(orderVisitor{})
 	for i := 1; i <= 100*compactAt; i++ {
 		c.push(orderVisitor{v: graph.Vertex(i)})

@@ -160,15 +160,5 @@ func (m *Matrix) ReplaceTargets(s TargetStore) error {
 	return nil
 }
 
-// WithTargets returns a view of the matrix sharing its offsets but reading
-// targets through a different store — used to give each thread of a
-// multithreaded traversal its own read buffers over one shared page cache.
-func (m *Matrix) WithTargets(s TargetStore) (*Matrix, error) {
-	if s.Len() != m.targets.Len() {
-		return nil, fmt.Errorf("csr: view store holds %d targets, want %d", s.Len(), m.targets.Len())
-	}
-	return &Matrix{offsets: m.offsets, targets: s}, nil
-}
-
 // Close closes the backing store.
 func (m *Matrix) Close() error { return m.targets.Close() }

@@ -194,7 +194,7 @@ type Options struct {
 	// the interleaving granularity (default 128).
 	StepBatch int
 	// Core configures every rank's shared mailbox (aggregation threshold,
-	// reliable delivery) and every query's local scheduler.
+	// reliable delivery).
 	Core core.Config
 }
 

@@ -302,7 +302,7 @@ func (s *rankState) start(r *rt.Rank, q *query) {
 		cell: s.flows.cell(q.id),
 	}
 	env := &runEnv{r: r, part: s.e.cfg.Parts[r.Rank()], pager: s.pager,
-		box: s.box, det: det, cfg: s.e.opts.Core, q: q}
+		box: s.box, det: det, q: q}
 	if s.e.cfg.Ghosts != nil {
 		env.ghosts = s.e.cfg.Ghosts[r.Rank()]
 	}

@@ -31,7 +31,6 @@ type runEnv struct {
 	pager  core.RowPager    // nil: fully resident
 	box    *mailbox.Box
 	det    *termination.Detector
-	cfg    core.Config
 	q      *query
 }
 
@@ -76,7 +75,7 @@ func (rn *queueRunner[V]) Finish() { rn.finish() }
 // counts, PageRank's contributions); triangle counting needs every adjacency
 // membership query (§VI-C) and does neither.
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
-	return core.NewQueue[V](env.r, env.part, algo, env.cfg, env.ghosts, env.pager, env.box, env.det, env.q.id)
+	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }
 
 // forMasters calls fn for every vertex this rank masters.

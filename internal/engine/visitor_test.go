@@ -9,6 +9,7 @@ package engine
 import (
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,10 +56,10 @@ func buildTestGraph(t testing.TB, edges []graph.Edge, n uint64, p int) *testGrap
 // runVisitors runs one custom query to quiescence on a transient engine:
 // start builds each rank's algorithm and pushes its initial visitors (it
 // runs on the rank's own goroutine, concurrently with the other ranks').
-func runVisitors[V core.Visitor](t testing.TB, g *testGraph, cfg core.Config,
+func runVisitors[V core.Visitor](t testing.TB, g *testGraph,
 	start func(part *partition.Part, newQueue func(core.Algorithm[V]) *core.Queue[V])) []core.Stats {
 	t.Helper()
-	return runCustom(t, g, cfg, func(env *runEnv) runner {
+	return runCustom(t, g, func(env *runEnv) runner {
 		var qu *core.Queue[V]
 		start(env.part, func(algo core.Algorithm[V]) *core.Queue[V] {
 			qu = newQueue[V](env, algo)
@@ -70,9 +71,9 @@ func runVisitors[V core.Visitor](t testing.TB, g *testGraph, cfg core.Config,
 
 // runCustom runs one query whose runner the caller builds, per rank, to
 // quiescence on a transient engine.
-func runCustom(t testing.TB, g *testGraph, cfg core.Config, custom func(*runEnv) runner) []core.Stats {
+func runCustom(t testing.TB, g *testGraph, custom func(*runEnv) runner) []core.Stats {
 	t.Helper()
-	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{Core: cfg})
+	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,8 @@ func ring(n uint64, strides ...uint64) []graph.Edge {
 	return edges
 }
 
-// orderVisitor/orderAlgo record the order the local scheduler executes in.
+// orderVisitor/orderAlgo record the order the local scheduler executes in;
+// orderAlgo declares one bucket per prio.
 type orderVisitor struct {
 	v    graph.Vertex
 	prio uint32
@@ -121,7 +123,7 @@ func (a *orderAlgo) PreVisit(v orderVisitor) bool { return true }
 func (a *orderAlgo) Visit(v orderVisitor, q *core.Queue[orderVisitor]) {
 	a.executed = append(a.executed, v)
 }
-func (a *orderAlgo) Less(x, y orderVisitor) bool { return x.prio < y.prio }
+func (a *orderAlgo) Bucket(v orderVisitor) uint64 { return uint64(v.prio) }
 func (a *orderAlgo) Encode(v orderVisitor, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
 	return binary.LittleEndian.AppendUint32(buf, v.prio)
@@ -135,10 +137,10 @@ func (a *orderAlgo) Decode(buf []byte) orderVisitor {
 
 // runOrder pushes the visitors on a single rank and returns the algorithm
 // (with its execution log) and the rank's stats.
-func runOrder(t *testing.T, cfg core.Config, push []orderVisitor) (*orderAlgo, core.Stats) {
+func runOrder(t *testing.T, push []orderVisitor) (*orderAlgo, core.Stats) {
 	t.Helper()
 	algo := &orderAlgo{}
-	stats := runVisitors(t, buildTestGraph(t, ring(16, 1), 16, 1), cfg,
+	stats := runVisitors(t, buildTestGraph(t, ring(16, 1), 16, 1),
 		func(part *partition.Part, newQueue func(core.Algorithm[orderVisitor]) *core.Queue[orderVisitor]) {
 			q := newQueue(algo)
 			for _, v := range push {
@@ -149,33 +151,17 @@ func runOrder(t *testing.T, cfg core.Config, push []orderVisitor) (*orderAlgo, c
 }
 
 func TestLocalQueueOrdering(t *testing.T) {
-	// Mixed priorities must execute priority first, vertex id as tie-break
-	// (locality order, §V-A).
-	algo, _ := runOrder(t, core.Config{}, []orderVisitor{
+	// The lowest bucket drains first, and each bucket in arrival order.
+	algo, _ := runOrder(t, []orderVisitor{
 		{v: 9, prio: 1}, {v: 3, prio: 0}, {v: 7, prio: 0},
 		{v: 1, prio: 1}, {v: 5, prio: 0},
 	})
 	want := []orderVisitor{
-		{v: 3, prio: 0}, {v: 5, prio: 0}, {v: 7, prio: 0},
-		{v: 1, prio: 1}, {v: 9, prio: 1},
+		{v: 3, prio: 0}, {v: 7, prio: 0}, {v: 5, prio: 0},
+		{v: 9, prio: 1}, {v: 1, prio: 1},
 	}
-	if len(algo.executed) != len(want) {
-		t.Fatalf("executed %d visitors, want %d", len(algo.executed), len(want))
-	}
-	for i := range want {
-		if algo.executed[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", algo.executed, want)
-		}
-	}
-}
-
-func TestLocalQueueOrderingWithoutLocality(t *testing.T) {
-	// With locality order disabled, equal priorities may execute in any
-	// order, but priority classes must still be respected.
-	algo, _ := runOrder(t, core.Config{DisableLocalityOrder: true},
-		[]orderVisitor{{v: 9, prio: 2}, {v: 3, prio: 1}, {v: 7, prio: 1}})
-	if len(algo.executed) != 3 || algo.executed[2].prio != 2 {
-		t.Fatalf("priority 2 did not execute last: %v", algo.executed)
+	if !slices.Equal(algo.executed, want) {
+		t.Fatalf("execution order %v, want %v", algo.executed, want)
 	}
 }
 
@@ -186,7 +172,7 @@ func TestQueueStatsConsistency(t *testing.T) {
 	}
 	// One rank masters every vertex, so every push is applied in place and
 	// the mailbox carries nothing.
-	_, stats := runOrder(t, core.Config{}, push)
+	_, stats := runOrder(t, push)
 	if stats.Pushed != 10 || stats.Local != 10 || stats.Received != 0 || stats.Queued != 10 || stats.Executed != 10 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -232,8 +218,6 @@ func (a *floodAlgo) Visit(v floodVisitor, q *core.Queue[floodVisitor]) {
 	}
 }
 
-func (a *floodAlgo) Less(x, y floodVisitor) bool { return false }
-
 func (a *floodAlgo) Encode(v floodVisitor, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
 	buf = binary.LittleEndian.AppendUint32(buf, v.round)
@@ -254,7 +238,7 @@ func TestConsecutiveTraversalsDoNotContaminate(t *testing.T) {
 	// termination wave — may survive into the next one's plane.
 	g := buildTestGraph(t, ring(64, 1, 7), 64, 4)
 	for round := uint32(0); round < 20; round++ {
-		runVisitors(t, g, core.Config{},
+		runVisitors(t, g,
 			func(part *partition.Part, newQueue func(core.Algorithm[floodVisitor]) *core.Queue[floodVisitor]) {
 				q := newQueue(&floodAlgo{part: part, seen: make([]bool, part.StateLen), round: round})
 				forMasters(part, func(v graph.Vertex) {
@@ -274,7 +258,7 @@ func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
 	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	var s *sssp.SSSP
 	var part *partition.Part
-	runVisitors(t, buildTestGraph(t, edges, 4, 1), core.Config{},
+	runVisitors(t, buildTestGraph(t, edges, 4, 1),
 		func(p *partition.Part, newQueue func(core.Algorithm[sssp.Visitor]) *core.Queue[sssp.Visitor]) {
 			part, s = p, sssp.New(p, 99)
 			q := newQueue(s)
@@ -319,7 +303,7 @@ func TestKCoreCountersNeverWrap(t *testing.T) {
 	g.topo = "2d"
 	for _, k := range []uint32{4, 16, 1 << 20} {
 		states := make([]*kcore.KCore, p)
-		stats := runVisitors(t, g, core.Config{},
+		stats := runVisitors(t, g,
 			func(part *partition.Part, newQueue func(core.Algorithm[kcore.Visitor]) *core.Queue[kcore.Visitor]) {
 				st := kcore.New(part, k)
 				states[part.Rank] = st
@@ -350,7 +334,7 @@ func TestKCoreCountersNeverWrap(t *testing.T) {
 func countTriangles(t *testing.T, pairs []graph.Edge, n uint64, p int, opts triangle.Options) []*triangle.Triangle {
 	t.Helper()
 	states := make([]*triangle.Triangle, p)
-	runVisitors(t, buildTestGraph(t, graph.Simplify(graph.Undirect(pairs)), n, p), core.Config{},
+	runVisitors(t, buildTestGraph(t, graph.Simplify(graph.Undirect(pairs)), n, p),
 		func(part *partition.Part, newQueue func(core.Algorithm[triangle.Visitor]) *core.Queue[triangle.Visitor]) {
 			st := triangle.New(part, opts)
 			states[part.Rank] = st
@@ -446,8 +430,8 @@ func (a watchedBFS) Visit(v bfs.Visitor, q *core.Queue[bfs.Visitor]) {
 
 // TestBFSVisitsLevelsInOrderBetweenDeliveries: BFS runs on level buckets, so
 // between two deliveries — the only events that can hand a rank a level lower
-// than the one it is draining — a rank's visits never step back a level. (The
-// heap gave the same order; this pins that the calendar's cached buckets do.)
+// than the one it is draining — a rank's visits never step back a level, through
+// the calendar's cached buckets too.
 func TestBFSVisitsLevelsInOrderBetweenDeliveries(t *testing.T) {
 	const p = 4
 	g := rmatTestGraph(t, 10, p)
@@ -457,7 +441,7 @@ func TestBFSVisitsLevelsInOrderBetweenDeliveries(t *testing.T) {
 		source++
 	}
 	watches := make([]*levelWatch, p)
-	runCustom(t, g, core.Config{}, func(env *runEnv) runner {
+	runCustom(t, g, func(env *runEnv) runner {
 		w := &levelWatch{}
 		watches[env.part.Rank] = w
 		qu := newQueue[bfs.Visitor](env, watchedBFS{bfs.New(env.part), w})
@@ -507,7 +491,6 @@ func (a *burstAlgo) Visit(v burstVisitor, q *core.Queue[burstVisitor]) {
 		q.Push(burstVisitor{v: v.v, left: v.left - 1})
 	}
 }
-func (a *burstAlgo) Less(x, y burstVisitor) bool { return false }
 func (a *burstAlgo) Encode(v burstVisitor, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.v))
 	return binary.LittleEndian.AppendUint32(buf, v.left)
@@ -542,7 +525,7 @@ func benchPushRandom(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
-	stats := runVisitors(b, g, core.Config{},
+	stats := runVisitors(b, g,
 		func(part *partition.Part, newQueue func(core.Algorithm[burstVisitor]) *core.Queue[burstVisitor]) {
 			lo, _ := part.Owners.MasterRange(part.Rank)
 			newQueue(&burstAlgo{n: n}).Push(burstVisitor{v: graph.Vertex(lo), left: bursts})
@@ -600,7 +583,6 @@ func newEdgeAlgo(part *partition.Part) *edgeAlgo {
 func (a *edgeAlgo) PreVisit(v edgeVisitor) bool             { return v.left > 0 }
 func (a *edgeAlgo) AttachGhosts(*core.GhostTable)           {}
 func (a *edgeAlgo) PreVisitGhost(v edgeVisitor, _ int) bool { return v.send }
-func (a *edgeAlgo) Less(x, y edgeVisitor) bool              { return false }
 func (a *edgeAlgo) Visit(v edgeVisitor, q *core.Queue[edgeVisitor]) {
 	for i, class := range []struct {
 		targets []csr.Target
@@ -645,7 +627,7 @@ func benchPushEdges(b *testing.B) {
 	passes := uint32(uint64(b.N)/edges) + 1
 	algos := make([]*edgeAlgo, p)
 	b.ResetTimer()
-	stats := runVisitors(b, g, core.Config{},
+	stats := runVisitors(b, g,
 		func(part *partition.Part, newQueue func(core.Algorithm[edgeVisitor]) *core.Queue[edgeVisitor]) {
 			algos[part.Rank] = newEdgeAlgo(part)
 			lo, _ := part.Owners.MasterRange(part.Rank)

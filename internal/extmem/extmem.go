@@ -72,11 +72,6 @@ func (s *Store) Read(lo, hi uint64) []csr.Target {
 // Len returns the number of stored targets.
 func (s *Store) Len() uint64 { return s.n }
 
-// View returns a Store sharing this store's page cache (and device) but
-// owning its own read buffers, so multiple threads can read concurrently.
-// Close the parent store once; views must not be closed.
-func (s *Store) View() *Store { return NewStore(s.cache, s.n) }
-
 // Close closes the cache and device.
 func (s *Store) Close() error { return s.cache.Close() }
 

@@ -11,12 +11,11 @@ import (
 
 // Extensions benchmarks the framework features beyond the paper's three
 // evaluation kernels: SSSP and connected components (the other kernels of
-// the authors' earlier asynchronous framework, §IV-A), the wedge-sampling
-// approximate triangle counter (§VI-C's suggested extension), and the
-// single-node multithreaded queue (Table II's Leviathan configuration).
+// the authors' earlier asynchronous framework, §IV-A) and the wedge-sampling
+// approximate triangle counter (§VI-C's suggested extension).
 func Extensions(s Sizing) *Table {
 	t := &Table{
-		Title:   "Extensions: SSSP, connected components, sampled triangles, single-node smp",
+		Title:   "Extensions: SSSP, connected components, sampled triangles",
 		Columns: []string{"kernel", "graph", "p", "time", "result"},
 		Notes: []string{
 			"these kernels are not in the paper's evaluation; they exercise the same visitor queue",
@@ -79,12 +78,5 @@ func Extensions(s Sizing) *Table {
 	}
 	t.AddRow("tc-sampled-25%", swSpec.Name, p, elapsed.Round(time.Millisecond), uint64(float64(res.Triangles)/sampleProb))
 
-	// Single-node multithreaded BFS (Leviathan-style, DRAM).
-	start := time.Now()
-	smpTEPS, err := RunSMPBFS(spec, 4, nil, s.Sources, s.Seed)
-	if err != nil {
-		panic(err)
-	}
-	t.AddRow("smp-bfs (1 node, 4 threads)", spec.Name, 1, time.Since(start).Round(time.Millisecond), uint64(smpTEPS))
 	return t
 }

@@ -2,67 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"havoqgt/internal/csr"
 	"havoqgt/internal/extmem"
-	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
-	"havoqgt/internal/ref"
-	"havoqgt/internal/smp"
 )
-
-// RunSMPBFS times the single-node multithreaded asynchronous BFS (the
-// paper's Leviathan configuration, reference [4]) on the given graph with
-// edges optionally on simulated NVRAM. Returns summed TEPS over the sources.
-func RunSMPBFS(spec GraphSpec, threads int, nv *extmem.NVRAMConfig, sources int, seed uint64) (float64, error) {
-	edges := graph.Undirect(spec.GenChunk(0, 1))
-	graph.SortEdges(edges)
-	m, err := csr.FromSortedEdges(edges, 0, int(spec.NumVertices))
-	if err != nil {
-		return 0, err
-	}
-	views := []*csr.Matrix{m}
-	var store *extmem.Store
-	if nv != nil {
-		store, err = extmem.ExternalizeCSR(m, *nv)
-		if err != nil {
-			return 0, err
-		}
-		defer store.Close()
-		views = make([]*csr.Matrix, threads)
-		for i := range views {
-			v, err := m.WithTargets(store.View())
-			if err != nil {
-				return 0, err
-			}
-			views[i] = v
-		}
-	} else {
-		views = make([]*csr.Matrix, threads)
-		for i := range views {
-			views[i] = m
-		}
-	}
-	adj := ref.BuildAdj(edges, spec.NumVertices) // for source picking + TEPS
-	var total time.Duration
-	var traversed uint64
-	for i := 0; i < sources; i++ {
-		src := pickSequentialSource(adj, seed+uint64(i))
-		start := time.Now()
-		res := smp.BFSWithViews(views, spec.NumVertices, src)
-		total += time.Since(start)
-		for v := uint64(0); v < spec.NumVertices; v++ {
-			if res.Level[v] != smp.Unreached {
-				traversed += uint64(len(adj[v]))
-			}
-		}
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return float64(traversed/2) / total.Seconds(), nil
-}
 
 // Figure8 reproduces the weak scaling of distributed external-memory BFS:
 // every rank stores its edge partition on simulated node-local NVRAM behind
@@ -187,15 +130,9 @@ func TableII(s Sizing) *Table {
 	addRun("Hyperion-DIT (DRAM)", p, "DRAM", scaleDRAM, nil)
 	addRun("Hyperion-DIT (Fusion-io)", p, "sim-NVRAM", scaleNV, &fio)
 	addRun("Trestles (SATA SSD)", p, "sim-SSD", scaleNV, &ssd)
-	// Leviathan is a single host running the multithreaded asynchronous
-	// visitor queue of reference [4] (internal/smp), not the distributed
-	// framework.
-	leviathan := fio
-	smpTEPS, err := RunSMPBFS(RMATSpec(scaleNV, s.Seed), 4, &leviathan, s.Sources, s.Seed)
-	if err != nil {
-		panic(err)
-	}
-	t.AddRow("Leviathan (single node, smp)", 1, "sim-NVRAM", scaleNV, smpTEPS)
+	// Leviathan is a single host: the same framework, its ranks in one
+	// process, with the graph on the host's flash.
+	addRun("Leviathan (single node)", 4, "sim-NVRAM", scaleNV, &fio)
 	return t
 }
 
@@ -224,33 +161,6 @@ func AblationTopology(s Sizing) *Table {
 			panic(err)
 		}
 		t.AddRow(name, topo.MaxChannels(), res.Stats.EnvelopesSent, res.Stats.RecordsSent, res.TEPS)
-	}
-	return t
-}
-
-// AblationLocality compares visitor locality ordering on vs off for
-// external-memory BFS (the §V-A optimization), reporting cache hit rates.
-func AblationLocality(s Sizing) *Table {
-	t := &Table{
-		Title:   "Ablation: visitor locality ordering (external-memory BFS)",
-		Columns: []string{"locality-order", "TEPS", "cache-hit-%"},
-		Notes: []string{
-			"ordering equal-priority visitors by vertex id improves page-level locality (paper §V-A)",
-		},
-	}
-	p := min(8, s.MaxP)
-	spec := RMATSpec(s.VertsPerRankLog2+3, s.Seed)
-	nv := extmem.DefaultNVRAM()
-	nv.CacheBytes = int(spec.NumGenEdges * 2 * 8 / uint64(p) / 16)
-	for _, disable := range []bool{false, true} {
-		res, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: p, Topology: "2d", NVRAM: &nv, DisableLocalityOrder: disable, Seed: s.Seed},
-			Graph:      spec, Sources: s.Sources, Ghosts: 256,
-		})
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(!disable, res.TEPS, 100*res.Cache.HitRate())
 	}
 	return t
 }

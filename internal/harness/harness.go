@@ -82,14 +82,13 @@ const (
 
 // CommonOpts configure a distributed run.
 type CommonOpts struct {
-	P                    int           // number of simulated ranks
-	Topology             string        // "1d", "2d", "3d" (default "1d")
-	Partition            PartitionKind // default EdgeList
-	Simplify             bool          // globally remove self loops + duplicates
-	NVRAM                *extmem.NVRAMConfig
-	FlushBytes           int
-	DisableLocalityOrder bool
-	Seed                 uint64
+	P          int           // number of simulated ranks
+	Topology   string        // "1d", "2d", "3d" (default "1d")
+	Partition  PartitionKind // default EdgeList
+	Simplify   bool          // globally remove self loops + duplicates
+	NVRAM      *extmem.NVRAMConfig
+	FlushBytes int
+	Seed       uint64
 }
 
 func (o CommonOpts) topologyName() string {
@@ -163,7 +162,7 @@ func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*e
 	start := time.Now()
 	res, stats, err := engine.RunOnce(
 		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName()},
-		engine.Options{Core: core.Config{FlushBytes: e.o.FlushBytes, DisableLocalityOrder: e.o.DisableLocalityOrder}},
+		engine.Options{Core: core.Config{FlushBytes: e.o.FlushBytes}},
 		spec)
 	elapsed := time.Since(start)
 	span.End()

@@ -305,33 +305,13 @@ func TestRunBFSWithValidation(t *testing.T) {
 	}
 }
 
-func TestRunSMPBFS(t *testing.T) {
-	teps, err := RunSMPBFS(RMATSpec(10, 2), 4, nil, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if teps <= 0 {
-		t.Fatal("no TEPS from smp run")
-	}
-	nv := extmem.DefaultNVRAM()
-	nv.Latency = 0
-	nv.CacheBytes = 1 << 14
-	teps2, err := RunSMPBFS(RMATSpec(10, 2), 4, &nv, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if teps2 <= 0 {
-		t.Fatal("no TEPS from external smp run")
-	}
-}
-
 func TestExtensionsRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
 	tab := Extensions(tinySizing())
-	if len(tab.Rows) != 5 {
-		t.Fatalf("expected 5 extension rows, got %d", len(tab.Rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("expected 4 extension rows, got %d", len(tab.Rows))
 	}
 }
 

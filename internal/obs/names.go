@@ -135,8 +135,8 @@ const (
 	// Out-of-core serving (internal/ooc + core parking). When a partition's
 	// CSR targets live behind the page cache, a visitor popped for a vertex
 	// whose adjacency page is absent is parked (CoreParked) instead of
-	// executed, a demand fetch is issued, and the visitor re-enters the heap
-	// when the page arrives (CoreUnparked). Parked − Unparked is the gauge of
+	// executed, a demand fetch is issued, and the visitor executes when the
+	// page arrives (CoreUnparked). Parked − Unparked is the gauge of
 	// visits currently pending on device I/O.
 	CoreParked   = "core.parked"
 	CoreUnparked = "core.unparked"

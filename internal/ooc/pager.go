@@ -17,7 +17,8 @@ import (
 //     a demand fetch for the first missing page of the row's span — the rank
 //     loop parks the visitor on the returned page key.
 //   - PrefetchRow enqueues best-effort fetches for rows that just entered a
-//     local heap (frontier composition), so pages arrive ahead of the wave.
+//     local scheduler (frontier composition), so pages arrive ahead of the
+//     wave.
 //   - Drain hands completed page keys back to the rank loop, which unparks
 //     the visitors waiting on them.
 //
