@@ -15,11 +15,11 @@ import (
 	"time"
 
 	"havoqgt/internal/core"
-	"havoqgt/internal/extmem"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/harness"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/ooc"
 	"havoqgt/internal/pagecache"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
@@ -30,12 +30,12 @@ import (
 
 // --- headline kernels at a fixed size, reporting TEPS ---
 
-func benchBFSTEPS(b *testing.B, ghosts int, topo string, nv *extmem.NVRAMConfig) {
+func benchBFSTEPS(b *testing.B, ghosts int, topo string, nv *ooc.Config) {
 	spec := harness.RMATSpec(12, 42)
 	var teps float64
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunBFS(harness.BFSOpts{
-			CommonOpts: harness.CommonOpts{P: 4, Topology: topo, NVRAM: nv, Seed: 42},
+			CommonOpts: harness.CommonOpts{P: 4, Topology: topo, OOC: nv, Seed: 42},
 			Graph:      spec, Sources: 1, Ghosts: ghosts,
 		})
 		if err != nil {
@@ -52,9 +52,8 @@ func BenchmarkBFS2DRouting(b *testing.B) { benchBFSTEPS(b, 256, "2d", nil) }
 func BenchmarkBFS3DRouting(b *testing.B) { benchBFSTEPS(b, 256, "3d", nil) }
 
 func BenchmarkBFSNVRAM(b *testing.B) {
-	nv := extmem.DefaultNVRAM()
-	nv.CacheBytes = 1 << 16
-	benchBFSTEPS(b, 256, "1d", &nv)
+	// A 64 KiB page cache per rank: a quarter of its targets.
+	benchBFSTEPS(b, 256, "1d", &ooc.Config{ResidentFraction: 1.0 / 4})
 }
 
 func BenchmarkKCoreRMAT(b *testing.B) {

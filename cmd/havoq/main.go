@@ -2,7 +2,9 @@
 // synthetic scale-free graphs, inspect their degree structure, and run the
 // distributed asynchronous algorithms (BFS, k-core, triangle counting) over
 // a simulated distributed machine — optionally with edge storage on
-// simulated node-local NVRAM.
+// simulated node-local NVRAM behind a per-rank page cache (-nvram), where a
+// visit whose adjacency page is absent parks until the page arrives while
+// the rank keeps visiting.
 //
 // Usage:
 //
@@ -33,6 +35,7 @@ import (
 	"havoqgt/internal/graphio"
 	"havoqgt/internal/harness"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/ooc"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 )
@@ -209,11 +212,13 @@ type loaded struct {
 	o      *runOpts
 	m      *rt.Machine
 	parts  []*partition.Part
-	stores []*extmem.Store // nil without -nvram
+	stores []*ooc.Store    // nil without -nvram
+	pagers []core.RowPager // stores[r].Pager(), for engine.Config.Pagers
 }
 
-// load reads every rank's chunk and builds the partitions (and NVRAM stores)
-// in one collective phase. Callers must close the result.
+// load reads every rank's chunk and builds the partitions (and NVRAM stores,
+// each caching -cache-mb of its rank's targets) in one collective phase.
+// Callers must close the result.
 func (o *runOpts) load(simplify bool) (*loaded, error) {
 	h, err := graphio.ReadHeader(o.in)
 	if err != nil {
@@ -224,7 +229,7 @@ func (o *runOpts) load(simplify bool) (*loaded, error) {
 	}
 	g := &loaded{o: o, m: rt.NewMachine(o.p), parts: make([]*partition.Part, o.p)}
 	if o.nvram {
-		g.stores = make([]*extmem.Store, o.p)
+		g.stores = make([]*ooc.Store, o.p)
 	}
 	errs := make([]error, o.p)
 	g.m.Run(func(r *rt.Rank) {
@@ -242,9 +247,14 @@ func (o *runOpts) load(simplify bool) (*loaded, error) {
 			part, err = partition.BuildEdgeList(r, local, h.NumVertices)
 		}
 		if err == nil && o.nvram {
-			cfg := extmem.DefaultNVRAM()
-			cfg.CacheBytes = o.cacheMB << 20
-			g.stores[r.Rank()], err = extmem.ExternalizeCSR(part.CSR, cfg)
+			// The budget as a share of this rank's targets, in (0, 1]; a
+			// rank without targets divides by zero and caches them all.
+			targetBytes := float64(part.CSR.Targets().Len() * extmem.VertexBytes)
+			g.stores[r.Rank()], err = ooc.Externalize(part, ooc.Config{
+				ResidentFraction: min(1, float64(max(o.cacheMB<<20, 1))/targetBytes),
+				Rank:             r.Rank(),
+				Obs:              g.m.Obs(),
+			})
 		}
 		g.parts[r.Rank()], errs[r.Rank()] = part, errors.Join(readErr, err)
 	})
@@ -253,6 +263,9 @@ func (o *runOpts) load(simplify bool) (*loaded, error) {
 			g.close()
 			return nil, err
 		}
+	}
+	for _, st := range g.stores {
+		g.pagers = append(g.pagers, st.Pager())
 	}
 	return g, nil
 }
@@ -277,7 +290,7 @@ func ghostsFlag(fs *flag.FlagSet) *int {
 // filter over ghost tables built for the -ghosts setting.
 func (g *loaded) query(ghosts int, spec engine.Spec) (*engine.Result, time.Duration, error) {
 	cfg := engine.Config{Machine: g.m, Parts: g.parts, Topology: g.o.topo,
-		Ghosts: core.BuildGhostTables(g.parts, ghosts)}
+		Ghosts: core.BuildGhostTables(g.parts, ghosts), Pagers: g.pagers}
 	start := time.Now()
 	res, _, err := engine.RunOnce(cfg, engine.Options{}, spec)
 	return res, time.Since(start), err
@@ -320,7 +333,7 @@ func cmdBFS(args []string) error {
 	fmt.Printf("  TEPS:             %.3g\n", float64(traversed)/elapsed.Seconds())
 	var hits, misses uint64
 	for _, store := range g.stores {
-		st := store.Cache().Stats()
+		st := store.Stats().Cache
 		hits, misses = hits+st.Hits, misses+st.Misses
 	}
 	if hits+misses > 0 {

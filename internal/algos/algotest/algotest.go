@@ -18,10 +18,12 @@ import (
 // partition.Build1D).
 type Builder func(r *rt.Rank, local []graph.Edge, n uint64) (*partition.Part, error)
 
-// Graph is a partitioned graph on its own simulated machine.
+// Graph is a partitioned graph on its own simulated machine. Tests that
+// move the partitions' targets out of core set Pagers (engine.Config.Pagers).
 type Graph struct {
 	Machine *rt.Machine
 	Parts   []*partition.Part
+	Pagers  []core.RowPager
 }
 
 // Build scatters edges round-robin over p ranks and builds each rank's
@@ -60,7 +62,7 @@ type Setup struct {
 func (g *Graph) Run(t testing.TB, s Setup, spec engine.Spec) (*engine.Result, []core.Stats) {
 	t.Helper()
 	cfg := engine.Config{Machine: g.Machine, Parts: g.Parts, Topology: s.Topology,
-		Ghosts: core.BuildGhostTables(g.Parts, s.Ghosts)}
+		Ghosts: core.BuildGhostTables(g.Parts, s.Ghosts), Pagers: g.Pagers}
 	res, stats, err := engine.RunOnce(cfg, engine.Options{Core: s.Core}, spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Algo, err)

@@ -3,41 +3,47 @@ package algotest_test
 // Single-node runs: every rank of the machine in one process, the
 // configuration of Table II's Leviathan row. BFS, SSSP and connected
 // components must match the sequential references for any rank count, with
-// the edges in DRAM or on simulated NVRAM behind each rank's own page cache.
+// the edges in DRAM or on simulated NVRAM behind each rank's own page cache,
+// where visits park on absent pages.
 
 import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"havoqgt/internal/algos/algotest"
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/core"
 	"havoqgt/internal/engine"
-	"havoqgt/internal/extmem"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/obs"
+	"havoqgt/internal/ooc"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
 	"havoqgt/internal/xrand"
 )
 
 // singleNode builds edges over p ranks of one process and, with nv non-nil,
-// moves each rank's CSR targets onto simulated NVRAM. The stores are closed
-// when the test ends.
-func singleNode(t *testing.T, edges []graph.Edge, n uint64, p int, nv *extmem.NVRAMConfig) (*algotest.Graph, []*extmem.Store) {
+// moves each rank's CSR targets onto simulated NVRAM with its pager wired to
+// the engine. The stores are closed when the test ends.
+func singleNode(t *testing.T, edges []graph.Edge, n uint64, p int, nv *ooc.Config) (*algotest.Graph, []*ooc.Store) {
 	t.Helper()
 	g := algotest.Build(t, edges, n, p, partition.BuildEdgeList)
-	var stores []*extmem.Store
+	var stores []*ooc.Store
 	if nv != nil {
-		for _, part := range g.Parts {
-			store, err := extmem.ExternalizeCSR(part.CSR, *nv)
+		for rank, part := range g.Parts {
+			cfg := *nv
+			cfg.Rank, cfg.Obs = rank, g.Machine.Obs()
+			store, err := ooc.Externalize(part, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { store.Close() })
 			stores = append(stores, store)
+			g.Pagers = append(g.Pagers, store.Pager())
 		}
 	}
 	return g, stores
@@ -120,21 +126,24 @@ func TestBFSParentsValid(t *testing.T) {
 }
 
 // TestBFSExternalMemoryViews: with the edges on simulated NVRAM, each rank
-// reads its partition's targets through its own page cache, and the levels
-// are those of the in-memory traversal.
+// reads its partition's targets through its own page cache, parking visits
+// on absent pages, and the levels are those of the in-memory traversal.
 func TestBFSExternalMemoryViews(t *testing.T) {
 	gen := generators.NewGraph500(10, 3)
 	edges := graph.Undirect(gen.Generate())
 	n := gen.NumVertices()
-	g, stores := singleNode(t, edges, n, 4, &extmem.NVRAMConfig{
-		Latency: 0, QueueDepth: 16, PageSize: 512, CacheBytes: 1 << 14,
+	g, stores := singleNode(t, edges, n, 4, &ooc.Config{
+		ResidentFraction: 1.0 / 4, Latency: time.Microsecond, QueueDepth: 16, PageSize: 512,
 	})
 	res, _ := g.Run(t, algotest.Setup{}, engine.Spec{Algo: engine.AlgoBFS, Source: 2})
 	checkLevels(t, edges, n, 2, res.Levels)
 	for r, store := range stores {
-		if st := store.Cache().Stats(); st.Hits+st.Misses == 0 {
+		if st := store.Stats().Cache; st.Hits+st.Misses == 0 {
 			t.Fatalf("rank %d: external BFS never touched the cache", r)
 		}
+	}
+	if g.Machine.Obs().Snapshot().Counter(obs.CoreParked) == 0 {
+		t.Fatal("no visit parked on an absent page")
 	}
 }
 
@@ -197,8 +206,8 @@ func TestCCExternalViews(t *testing.T) {
 	gen := generators.NewGraph500(9, 7)
 	edges := graph.Undirect(gen.Generate())
 	n := gen.NumVertices()
-	g, _ := singleNode(t, edges, n, 3, &extmem.NVRAMConfig{
-		Latency: 0, QueueDepth: 8, PageSize: 256, CacheBytes: 1 << 13,
+	g, _ := singleNode(t, edges, n, 3, &ooc.Config{
+		ResidentFraction: 1.0 / 4, Latency: time.Microsecond, QueueDepth: 8, PageSize: 256,
 	})
 	res, _ := g.Run(t, algotest.Setup{}, engine.Spec{Algo: engine.AlgoCC})
 	if _, wantCount := ref.Components(ref.BuildAdj(edges, n)); res.Components != wantCount {

@@ -1,8 +1,9 @@
-// Package extmem stores a CSR target array in (simulated or real) external
-// memory behind the user-space page cache, implementing the distributed
-// *external* memory configuration of §VII-C: vertex state stays in DRAM
-// (semi-external model) while the edge set — the bulk of the data — lives on
-// node-local NVRAM.
+// Package extmem is the decoding layer of the distributed *external* memory
+// configuration of §VII-C: a CSR target array serialized onto a block device
+// and read back through the user-space page cache, plus the integrity-checked
+// targets-file format. Vertex state stays in DRAM (semi-external model) while
+// the edge set — the bulk of the data — lives on node-local NVRAM. Package
+// ooc builds the device stack over it and parks traversals on missing pages.
 package extmem
 
 import (
@@ -12,7 +13,6 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
-	"time"
 
 	"havoqgt/internal/csr"
 	"havoqgt/internal/pagecache"
@@ -75,9 +75,6 @@ func (s *Store) Len() uint64 { return s.n }
 // Close closes the cache and device.
 func (s *Store) Close() error { return s.cache.Close() }
 
-// Cache exposes the page cache for statistics.
-func (s *Store) Cache() *pagecache.Cache { return s.cache }
-
 // SerializeTargets encodes a target array into the on-device byte layout:
 // the whole word, so the partition build's tags reach out-of-core rows.
 func SerializeTargets(targets []csr.Target) []byte {
@@ -86,48 +83,6 @@ func SerializeTargets(targets []csr.Target) []byte {
 		binary.LittleEndian.PutUint64(raw[i*vertexBytes:], uint64(v))
 	}
 	return raw
-}
-
-// NVRAMConfig describes a simulated node-local NVRAM part.
-type NVRAMConfig struct {
-	Latency    time.Duration // per-read service latency
-	QueueDepth int           // concurrent reads the device sustains
-	PageSize   int           // cache page size in bytes
-	CacheBytes int           // DRAM budget for cached pages
-}
-
-// DefaultNVRAM approximates an enterprise NAND-Flash card (Fusion-io class):
-// tens of microseconds of latency hidden behind a deep queue.
-func DefaultNVRAM() NVRAMConfig {
-	return NVRAMConfig{
-		Latency:    25 * time.Microsecond,
-		QueueDepth: 64,
-		PageSize:   4096,
-		CacheBytes: 1 << 22, // 4 MiB per rank unless overridden
-	}
-}
-
-// CommoditySSD approximates a SATA SSD (Trestles class): higher latency,
-// shallower queue.
-func CommoditySSD() NVRAMConfig {
-	return NVRAMConfig{
-		Latency:    90 * time.Microsecond,
-		QueueDepth: 16,
-		PageSize:   4096,
-		CacheBytes: 1 << 22,
-	}
-}
-
-// NewSimStore places serialized targets on a simulated NVRAM device behind a
-// page cache sized to cfg.CacheBytes.
-func NewSimStore(targets []csr.Target, cfg NVRAMConfig) (*Store, error) {
-	dev := pagecache.NewSimDevice(&pagecache.MemDevice{Data: SerializeTargets(targets)}, cfg.Latency, cfg.QueueDepth)
-	frames := max(1, cfg.CacheBytes/cfg.PageSize)
-	cache, err := pagecache.New(dev, cfg.PageSize, frames)
-	if err != nil {
-		return nil, err
-	}
-	return NewStore(cache, uint64(len(targets))), nil
 }
 
 // Targets-file footer: [count u64][crc64(payload) u64][magic u64], appended
@@ -243,22 +198,4 @@ func OpenFileStore(path string, pageSize, frames int) (*Store, error) {
 		return nil, err
 	}
 	return NewStore(cache, count), nil
-}
-
-// ExternalizeCSR moves a matrix's in-memory targets onto simulated NVRAM,
-// returning the store so callers can read cache statistics.
-func ExternalizeCSR(m *csr.Matrix, cfg NVRAMConfig) (*Store, error) {
-	mem, ok := m.Targets().(csr.MemTargets)
-	if !ok {
-		return nil, fmt.Errorf("extmem: matrix targets already external")
-	}
-	store, err := NewSimStore(mem, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.ReplaceTargets(store); err != nil {
-		store.Close()
-		return nil, err
-	}
-	return store, nil
 }

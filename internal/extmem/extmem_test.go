@@ -18,15 +18,20 @@ func testTargets(n int) []csr.Target {
 	return ts
 }
 
-func simStore(t *testing.T, targets []csr.Target) *Store {
+// newStore places targets on a simulated device with the given read latency,
+// behind a page cache of frames pages of pageSize bytes.
+func newStore(t *testing.T, targets []csr.Target, latency time.Duration, pageSize, frames int) *Store {
 	t.Helper()
-	s, err := NewSimStore(targets, NVRAMConfig{
-		Latency: 0, QueueDepth: 4, PageSize: 64, CacheBytes: 256,
-	})
+	dev := pagecache.NewSimDevice(&pagecache.MemDevice{Data: SerializeTargets(targets)}, latency, 4)
+	cache, err := pagecache.New(dev, pageSize, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return NewStore(cache, uint64(len(targets)))
+}
+
+func simStore(t *testing.T, targets []csr.Target) *Store {
+	return newStore(t, targets, 0, 64, 4)
 }
 
 func TestStoreReadRanges(t *testing.T) {
@@ -63,11 +68,12 @@ func TestSerializeRoundTripThroughCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := ExternalizeCSR(m, NVRAMConfig{Latency: 0, QueueDepth: 2, PageSize: 16, CacheBytes: 32})
-	if err != nil {
+	mem := m.Targets().(csr.MemTargets)
+	store := newStore(t, mem, 0, 16, 2)
+	defer store.Close()
+	if err := m.ReplaceTargets(store); err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	row0 := m.Row(0)
 	if len(row0) != 2 || row0[0] != 3 || row0[1] != 9 {
 		t.Fatalf("externalized row 0 = %v", row0)
@@ -75,17 +81,18 @@ func TestSerializeRoundTripThroughCSR(t *testing.T) {
 	if !m.HasTarget(1, 2) || m.HasTarget(1, 3) {
 		t.Fatal("externalized HasTarget wrong")
 	}
-	if _, err := ExternalizeCSR(m, DefaultNVRAM()); err == nil {
-		t.Fatal("double externalize accepted")
-	}
 }
 
 func TestCacheStatsFlowThrough(t *testing.T) {
-	s := simStore(t, testTargets(1024))
+	cache, err := pagecache.New(&pagecache.MemDevice{Data: SerializeTargets(testTargets(1024))}, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(cache, 1024)
 	defer s.Close()
 	s.Read(0, 8)
 	s.Read(0, 8)
-	st := s.Cache().Stats()
+	st := cache.Stats()
 	if st.Misses == 0 {
 		t.Fatal("no misses recorded on cold read")
 	}
@@ -117,12 +124,7 @@ func TestFileStore(t *testing.T) {
 }
 
 func TestSimLatencyObservable(t *testing.T) {
-	s, err := NewSimStore(testTargets(4096), NVRAMConfig{
-		Latency: 500 * time.Microsecond, QueueDepth: 1, PageSize: 64, CacheBytes: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(t, testTargets(4096), 500*time.Microsecond, 64, 1)
 	defer s.Close()
 	start := time.Now()
 	s.Read(0, 8) // one cold page
@@ -133,15 +135,6 @@ func TestSimLatencyObservable(t *testing.T) {
 	s.Read(0, 8) // warm
 	if time.Since(start) > 300*time.Microsecond {
 		t.Fatal("warm read paid device latency")
-	}
-}
-
-func TestDeviceConfigs(t *testing.T) {
-	if d := DefaultNVRAM(); d.Latency >= CommoditySSD().Latency {
-		t.Fatal("enterprise NVRAM should be faster than commodity SSD")
-	}
-	if d := CommoditySSD(); d.QueueDepth >= DefaultNVRAM().QueueDepth {
-		t.Fatal("commodity SSD should have shallower queue")
 	}
 }
 

@@ -2,14 +2,17 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
 	"havoqgt/internal/extmem"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/ooc"
 )
 
 // Figure8 reproduces the weak scaling of distributed external-memory BFS:
 // every rank stores its edge partition on simulated node-local NVRAM behind
-// the user-space page cache, with a fixed DRAM cache budget per rank.
+// the user-space page cache, with a fixed DRAM cache budget per rank, and
+// parks visits on missing pages while the device works.
 func Figure8(s Sizing) *Table {
 	t := &Table{
 		Title:   "Figure 8: weak scaling of distributed external-memory BFS (RMAT on simulated NVRAM)",
@@ -19,17 +22,13 @@ func Figure8(s Sizing) *Table {
 			"expected shape: TEPS scales with p while each rank's edge set exceeds its cache",
 		},
 	}
-	nv := extmem.DefaultNVRAM()
-	// Budget the cache at ~1/8 of each rank's edge bytes so the run is
+	// Budget the cache at 1/8 of each rank's edge bytes so the run is
 	// genuinely external.
 	for _, p := range s.pSweep() {
 		scale := s.VertsPerRankLog2 + log2(p)
 		spec := RMATSpec(scale, s.Seed)
-		perRankBytes := int(spec.NumGenEdges * 2 * 8 / uint64(p))
-		cfg := nv
-		cfg.CacheBytes = max(cfg.PageSize, perRankBytes/8)
 		res, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: p, Topology: "3d", NVRAM: &cfg, Seed: s.Seed},
+			CommonOpts: CommonOpts{P: p, Topology: "3d", OOC: &ooc.Config{ResidentFraction: 1.0 / 8}, Seed: s.Seed},
 			Graph:      spec,
 			Sources:    s.Sources,
 			Ghosts:     256,
@@ -59,11 +58,8 @@ func Figure9(s Sizing) *Table {
 	p := min(8, s.MaxP)
 	baseScale := s.VertsPerRankLog2 + 2
 	// Fix the per-rank cache to the base graph's per-rank edge bytes, so the
-	// base run is ~1x (fully cached) and each +1 scale doubles the ratio.
-	baseSpec := RMATSpec(baseScale, s.Seed)
-	cacheBytes := int(baseSpec.NumGenEdges * 2 * 8 / uint64(p))
-	nv := extmem.DefaultNVRAM()
-	nv.CacheBytes = cacheBytes
+	// base run is 1x (fully cached) and each +1 scale doubles the ratio,
+	// halving the resident fraction.
 	for scale := baseScale; scale <= baseScale+5; scale++ {
 		spec := RMATSpec(scale, s.Seed)
 		ratio := 1 << (scale - baseScale)
@@ -75,7 +71,7 @@ func Figure9(s Sizing) *Table {
 			panic(err)
 		}
 		nvram, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: p, Topology: "2d", NVRAM: &nv, Seed: s.Seed},
+			CommonOpts: CommonOpts{P: p, Topology: "2d", OOC: &ooc.Config{ResidentFraction: 1 / float64(ratio)}, Seed: s.Seed},
 			Graph:      spec, Sources: s.Sources, Ghosts: 256,
 		})
 		if err != nil {
@@ -109,10 +105,18 @@ func TableII(s Sizing) *Table {
 	scaleDRAM := s.VertsPerRankLog2 + 2
 	scaleNV := scaleDRAM + 3 // NVRAM configs run a larger graph, as in the paper
 
-	addRun := func(name string, ranks int, storage string, scale uint, nv *extmem.NVRAMConfig) {
+	addRun := func(name string, ranks int, storage string, scale uint, dev *ooc.Config) {
+		spec := RMATSpec(scale, s.Seed)
+		if dev != nil {
+			// Every NVRAM configuration caches 2 MiB of each rank's edges.
+			perRank := float64(spec.NumGenEdges*2*extmem.VertexBytes) / float64(ranks)
+			c := *dev
+			c.ResidentFraction = min(1, (1<<21)/perRank)
+			dev = &c
+		}
 		res, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: ranks, Topology: "2d", NVRAM: nv, Seed: s.Seed},
-			Graph:      RMATSpec(scale, s.Seed),
+			CommonOpts: CommonOpts{P: ranks, Topology: "2d", OOC: dev, Seed: s.Seed},
+			Graph:      spec,
 			Sources:    s.Sources,
 			Ghosts:     256,
 		})
@@ -122,10 +126,8 @@ func TableII(s Sizing) *Table {
 		t.AddRow(name, ranks, storage, scale, res.TEPS)
 	}
 
-	fio := extmem.DefaultNVRAM()
-	fio.CacheBytes = 1 << 21
-	ssd := extmem.CommoditySSD()
-	ssd.CacheBytes = 1 << 21
+	fio := ooc.Config{} // the enterprise NAND-Flash default device
+	ssd := ooc.Config{Latency: 90 * time.Microsecond, QueueDepth: 16}
 
 	addRun("Hyperion-DIT (DRAM)", p, "DRAM", scaleDRAM, nil)
 	addRun("Hyperion-DIT (Fusion-io)", p, "sim-NVRAM", scaleNV, &fio)

@@ -1,10 +1,10 @@
 // Package harness runs the paper's experiments end to end on the simulated
 // distributed machine: it generates graphs in parallel (one chunk per rank),
-// builds the partitioned representation, optionally moves edge storage onto
-// simulated NVRAM behind the user-space page cache, runs the distributed
-// algorithms — each timed traversal is one engine.RunOnce from outside the
-// machine's SPMD set-up phase — and aggregates timings and counters into
-// result rows.
+// builds the partitioned representation, optionally moves edge storage out
+// of core (ooc: simulated NVRAM behind the user-space page cache, visits
+// parked on missing pages), runs the distributed algorithms — each timed
+// traversal is one engine.RunOnce from outside the machine's SPMD set-up
+// phase — and aggregates timings and counters into result rows.
 //
 // Every figure and table of the paper's evaluation section (§VII) has a
 // runner in figures.go; cmd/experiments and the root benchmarks are thin
@@ -18,9 +18,9 @@ import (
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
 	"havoqgt/internal/engine"
-	"havoqgt/internal/extmem"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/ooc"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
@@ -86,7 +86,7 @@ type CommonOpts struct {
 	Topology   string        // "1d", "2d", "3d" (default "1d")
 	Partition  PartitionKind // default EdgeList
 	Simplify   bool          // globally remove self loops + duplicates
-	NVRAM      *extmem.NVRAMConfig
+	OOC        *ooc.Config   // non-nil: every rank's adjacency out of core (Rank and Obs are set per rank)
 	FlushBytes int
 	Seed       uint64
 }
@@ -110,28 +110,32 @@ func (o CommonOpts) build(r *rt.Rank, local []graph.Edge, n uint64) (*partition.
 }
 
 // env is the machine-wide state a runner builds, SPMD, before its timed
-// sections: the machine, every rank's partition and (NVRAM runs) store.
+// sections: the machine, every rank's partition and (out-of-core runs) its
+// store and pager.
 type env struct {
 	o      CommonOpts
 	graph  string
 	m      *rt.Machine
 	parts  []*partition.Part
-	stores []*extmem.Store // nil in DRAM runs
+	stores []*ooc.Store    // nil in DRAM runs
+	pagers []core.RowPager // stores[r].Pager(), for engine.Config.Pagers
 }
 
 // setup generates every rank's chunk, builds the partitions, and applies the
 // storage configuration — one collective phase on a fresh machine.
 func (o CommonOpts) setup(spec GraphSpec) (*env, error) {
 	e := &env{o: o, graph: spec.Name, m: rt.NewMachine(o.P), parts: make([]*partition.Part, o.P)}
-	if o.NVRAM != nil {
-		e.stores = make([]*extmem.Store, o.P)
+	if o.OOC != nil {
+		e.stores = make([]*ooc.Store, o.P)
 	}
 	errs := make([]error, o.P)
 	e.m.Run(func(r *rt.Rank) {
 		local := graph.Undirect(spec.GenChunk(r.Rank(), r.Size()))
 		part, err := o.build(r, local, spec.NumVertices)
-		if err == nil && o.NVRAM != nil {
-			e.stores[r.Rank()], err = extmem.ExternalizeCSR(part.CSR, *o.NVRAM)
+		if err == nil && o.OOC != nil {
+			cfg := *o.OOC
+			cfg.Rank, cfg.Obs = r.Rank(), e.m.Obs()
+			e.stores[r.Rank()], err = ooc.Externalize(part, cfg)
 		}
 		e.parts[r.Rank()], errs[r.Rank()] = part, err
 	})
@@ -140,6 +144,9 @@ func (o CommonOpts) setup(spec GraphSpec) (*env, error) {
 			e.close()
 			return nil, err
 		}
+	}
+	for _, st := range e.stores {
+		e.pagers = append(e.pagers, st.Pager())
 	}
 	return e, nil
 }
@@ -161,7 +168,7 @@ func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*e
 	span := e.m.Obs().StartPhase(string(spec.Algo)+".run", 0)
 	start := time.Now()
 	res, stats, err := engine.RunOnce(
-		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName()},
+		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName(), Pagers: e.pagers},
 		engine.Options{Core: core.Config{FlushBytes: e.o.FlushBytes}},
 		spec)
 	elapsed := time.Since(start)
@@ -252,7 +259,7 @@ func (c CacheAgg) HitRate() float64 {
 func (e *env) cacheStats() CacheAgg {
 	var c CacheAgg
 	for _, store := range e.stores {
-		st := store.Cache().Stats()
+		st := store.Stats().Cache
 		c.Hits += st.Hits
 		c.Misses += st.Misses
 	}
@@ -317,10 +324,10 @@ func RunBFS(o BFSOpts) (BFSResult, error) {
 		return res, fmt.Errorf("harness: no BFS source with edges found")
 	}
 	ghosts := core.BuildGhostTables(e.parts, o.Ghosts)
+	for _, store := range e.stores {
+		store.ResetStats()
+	}
 	for si, src := range sources {
-		for _, store := range e.stores {
-			store.Cache().ResetStats()
-		}
 		out, stats, elapsed, err := e.run(ghosts, engine.Spec{Algo: engine.AlgoBFS, Source: src}, fmt.Sprintf("bfs.src%d", si))
 		if err != nil {
 			return res, err

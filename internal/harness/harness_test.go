@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
-	"havoqgt/internal/extmem"
+	"havoqgt/internal/obs"
+	"havoqgt/internal/ooc"
 )
 
 func tinySizing() Sizing {
@@ -33,21 +35,87 @@ func TestRunBFSSmoke(t *testing.T) {
 	}
 }
 
-func TestRunBFSExternalMemory(t *testing.T) {
-	nv := extmem.DefaultNVRAM()
-	nv.Latency = 0 // keep the test fast; the cache path is what we exercise
-	nv.CacheBytes = 1 << 14
-	res, err := RunBFS(BFSOpts{
-		CommonOpts: CommonOpts{P: 2, NVRAM: &nv, Seed: 1},
+// outOfCore is a fast simulated device at 1/8 resident with pages small
+// enough that the test graphs span many of them.
+func outOfCore() *ooc.Config {
+	return &ooc.Config{ResidentFraction: 1.0 / 8, PageSize: 512, Latency: time.Microsecond}
+}
+
+// profilesSince returns the bfs phase profiles recorded after index before.
+func profilesSince(before int) []PhaseProfile {
+	var mine []PhaseProfile
+	for _, p := range Profiles()[before:] {
+		if p.Algo == "bfs" {
+			mine = append(mine, p)
+		}
+	}
+	return mine
+}
+
+// TestRunBFSOutOfCoreParks: the figures' out-of-core runs hide latency. The
+// same sources at 1/8 resident reach what the DRAM-resident run reaches
+// (both validated, which pins every level to its BFS distance), and the
+// visits whose adjacency page was absent parked instead of blocking.
+func TestRunBFSOutOfCoreParks(t *testing.T) {
+	opts := BFSOpts{
+		CommonOpts: CommonOpts{P: 2, Topology: "2d", Seed: 1},
 		Graph:      RMATSpec(10, 1),
-		Sources:    1,
-		Ghosts:     -1,
-	})
+		Sources:    2,
+		Ghosts:     64,
+		Validate:   true,
+	}
+	dram, err := RunBFS(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Hits+res.Cache.Misses == 0 {
-		t.Fatal("external run never touched the page cache")
+	before := len(Profiles())
+	opts.OOC = outOfCore()
+	ext, err := RunBFS(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.TraversedEdges != dram.TraversedEdges || ext.MaxLevel != dram.MaxLevel {
+		t.Fatalf("out of core reached %d edges to depth %d, DRAM %d to depth %d",
+			ext.TraversedEdges, ext.MaxLevel, dram.TraversedEdges, dram.MaxLevel)
+	}
+	if ext.Cache.Misses == 0 {
+		t.Fatal("out-of-core run never missed the page cache")
+	}
+	profs := profilesSince(before)
+	if len(profs) != opts.Sources {
+		t.Fatalf("recorded %d bfs profiles, want %d", len(profs), opts.Sources)
+	}
+	for _, p := range profs {
+		if p.Metrics.Counter(obs.CoreParked) == 0 {
+			t.Fatalf("profile %s: no visit parked on a missing page", p.Phase)
+		}
+	}
+}
+
+// TestRunBFSCacheStatsCoverEverySource: the reported cache counters sum over
+// all sources, as TEPS does. At resident fraction 1 nothing is evicted, so a
+// page faults once per run: three sources fault at least the pages the first
+// one does, while the third alone, reached from the same giant component,
+// faults almost none. No ghost table, whose build would fault every page in
+// before the first source.
+func TestRunBFSCacheStatsCoverEverySource(t *testing.T) {
+	misses := func(sources int) uint64 {
+		t.Helper()
+		res, err := RunBFS(BFSOpts{
+			CommonOpts: CommonOpts{P: 2, Seed: 3,
+				OOC: &ooc.Config{ResidentFraction: 1, PageSize: 512, Latency: time.Microsecond}},
+			Graph:   RMATSpec(10, 3),
+			Sources: sources,
+			Ghosts:  -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cache.Misses
+	}
+	one, three := misses(1), misses(3)
+	if one == 0 || three < one {
+		t.Fatalf("misses over 3 sources = %d, over its first source alone = %d", three, one)
 	}
 }
 
@@ -228,6 +296,35 @@ func TestFigure8Runs(t *testing.T) {
 	tab := Figure8(s)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(tab.Rows))
+	}
+}
+
+// TestFigure9DataScalingShape gates Fig. 9 on counts, not timings: six
+// graphs at fixed compute, the data:cache ratio doubling from 1x to 32x, and
+// a cache that hits less once it holds 1/32 of the edges than when it holds
+// them all.
+func TestFigure9DataScalingShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy figure runner")
+	}
+	tab := Figure9(tinySizing())
+	if len(tab.Rows) != 6 {
+		t.Fatalf("expected 6 rows, got %d", len(tab.Rows))
+	}
+	for i, row := range tab.Rows {
+		if want := fmt.Sprintf("%dx", 1<<i); row[1] != want {
+			t.Fatalf("row %d: data-vs-cache %s, want %s", i, row[1], want)
+		}
+	}
+	var first, last float64
+	if _, err := sscan(tab.Rows[0][5], &first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sscan(tab.Rows[5][5], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last >= first {
+		t.Fatalf("cache hit rate did not fall with the data: %v%% at 1x, %v%% at 32x", first, last)
 	}
 }
 

@@ -35,7 +35,9 @@ type Config struct {
 	PageSize int
 	// Latency and QueueDepth model the NVRAM device (pagecache.SimDevice)
 	// when Dir is empty: per-read service latency and sustained concurrent
-	// reads. Defaults follow extmem.DefaultNVRAM (25µs, 64).
+	// reads. The defaults (25µs, 64) approximate an enterprise NAND-Flash
+	// card (Fusion-io class): tens of microseconds of latency hidden behind
+	// a deep queue.
 	Latency    time.Duration
 	QueueDepth int
 	// Dir, when non-empty, stores the serialized targets in a real file
@@ -62,15 +64,19 @@ type Config struct {
 }
 
 func (c Config) normalized() Config {
-	def := extmem.DefaultNVRAM()
+	const (
+		defaultPageSize   = 4096
+		defaultLatency    = 25 * time.Microsecond
+		defaultQueueDepth = 64
+	)
 	if c.PageSize <= 0 {
-		c.PageSize = def.PageSize
+		c.PageSize = defaultPageSize
 	}
 	if c.Latency <= 0 {
-		c.Latency = def.Latency
+		c.Latency = defaultLatency
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = def.QueueDepth
+		c.QueueDepth = defaultQueueDepth
 	}
 	if c.Fetchers <= 0 {
 		c.Fetchers = min(c.QueueDepth, 8)
@@ -195,9 +201,6 @@ func framesFor(fraction float64, targetBytes, devSize int64, pageSize int) int {
 // Pager returns the fetch engine to register with the serving engine
 // (engine.Config.Pagers). It satisfies core.RowPager structurally.
 func (s *Store) Pager() *Pager { return s.pager }
-
-// CacheStats returns the page cache counters.
-func (s *Store) CacheStats() pagecache.Stats { return s.cache.Stats() }
 
 // Stats returns all of the store's counters in one snapshot.
 func (s *Store) Stats() Snapshot {
