@@ -75,9 +75,10 @@ chaos-short:
 # Allocation-budget smoke (DESIGN.md §9): the TestAllocBudget* suite pins the
 # message-plane hot paths to their steady-state allocation budgets (loopback
 # and decode/deliver at ~0 allocs/cycle, routed duplex well under the
-# pre-pooling floor). Fast enough to run on every push; a regression here
+# pre-pooling floor, a box that adopted a closed box's storage at ~0 allocs on
+# its first routed cycle). Fast enough to run on every push; a regression here
 # means pooling or arena delivery broke. TestOneShotAllocBudget pins the same
-# thing end to end (a scale-15 one-shot BFS through the facade),
+# thing end to end (a scale-15 one-shot BFS and KCore(64) through the facade),
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
 # share of pushes the ghost filter drops, visits per reached vertex, every
 # push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -410,12 +411,14 @@ func TestEngineCloseDrains(t *testing.T) {
 // TestRegistryAtQuiescence pins the two registry contracts a retired rank
 // loop owes. The counters: hot paths write plain ledgers and publish to the
 // registry in batches, and the registry equals the ledgers when a query's
-// done closes, not only once the engine is gone. The pool gauge: a box that
-// is dropped takes its pooled buffers out of mailbox.pool_free, so the gauge
-// reads 0 after Engine.Close and after RunOnce instead of climbing with every
-// engine the machine has ever hosted.
+// done closes, not only once the engine is gone. The pool gauge: a closed box
+// takes its pooled buffers out of mailbox.pool_free and the box that adopts
+// its storage brings them back in, so the gauge reads 0 after Engine.Close
+// and after RunOnce instead of climbing with every engine the machine has
+// ever hosted — and a one-shot after the first starts with the carried
+// free-lists counted, before it ships anything, and draws pool hits on them.
 func TestRegistryAtQuiescence(t *testing.T) {
-	cfg, edges, _ := buildConfig(t, 10, 4, "2d")
+	cfg, edges, n := buildConfig(t, 10, 4, "2d")
 	spec := engine.Spec{Algo: engine.AlgoBFS, Source: edges[0].Src}
 	poolFree := cfg.Machine.Obs().Gauge(obs.MBPoolFree)
 
@@ -465,4 +468,68 @@ func TestRegistryAtQuiescence(t *testing.T) {
 			t.Errorf("%s = %d after RunOnce %d, want 0", obs.MBPoolFree, got, i)
 		}
 	}
+
+	// The same one-shots spelled out (RunOnce is Start, one query, Close)
+	// with a probe in front: a BFS from an isolated vertex ships nothing, so
+	// once it is done every box is built and the gauge holds only what they
+	// adopted at New, the free-lists the previous engine's boxes carried.
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e.Src]++
+		deg[e.Dst]++
+	}
+	isolated := graph.Vertex(0)
+	for deg[isolated] > 0 {
+		isolated++
+	}
+	for i := 0; i < 3; i++ {
+		e, err := engine.Start(cfg, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := e.Submit(engine.Spec{Algo: engine.AlgoBFS, Source: isolated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.Wait()
+		carried := poolFree.Value()
+		tk, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Wait()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var shipped, hits uint64
+		for _, s := range probe.Stats() {
+			shipped += s.Mailbox.EnvelopesSent
+		}
+		for _, s := range tk.Stats() {
+			hits += s.Mailbox.PoolHits
+		}
+		t.Logf("one-shot %d: %d free buffers carried before the first ship, %d pool hits", i, carried, hits)
+		if got := poolFree.Value(); got != 0 {
+			t.Errorf("%s = %d after one-shot %d, want 0", obs.MBPoolFree, got, i)
+		}
+		if shipped != 0 {
+			t.Fatalf("the isolated probe shipped %d envelopes", shipped)
+		}
+		// The race runtime's sync.Pool drops a quarter of its puts at random.
+		if i > 0 && !raceBuild() && (carried <= 0 || hits == 0) {
+			t.Errorf("one-shot %d: %d free buffers carried before the first ship and %d pool hits, want both > 0",
+				i, carried, hits)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary was built with the race detector.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package mailbox
 
 import (
 	"encoding/binary"
+	"sync"
 	"time"
 
 	"havoqgt/internal/obs"
@@ -201,7 +202,28 @@ type Box struct {
 	rel             *reliable
 	wantRel         bool
 	rtoBase, rtoMax time.Duration
+
+	closed bool // Close has handed the storage on
 }
+
+// storage is what outlives a Box: the allocations it would otherwise regrow
+// from empty — the two delivery arenas, the two Record batches, the envelope
+// free-list, the inbox and the drain scratch. Close hands it to spare and New
+// takes it back, so a one-shot query's transient engine starts from the last
+// one's capacity. Nothing else carries over: stats, flows, routes, channel
+// buffers, reliable-layer state and the epoch are per box.
+type storage struct {
+	delivered, deliveredPrev []Record
+	arena, arenaPrev         []byte
+	free                     [][]byte
+	inbox                    [][]byte
+	msgScratch               []rt.Msg
+}
+
+// spare holds the storage of closed boxes, process-wide. Every buffer on a
+// handed-on free-list has a single live reference (pool.go's safety rule), so
+// moving it to another box, on any machine, keeps the rule.
+var spare sync.Pool
 
 // channel is the aggregation state of one next-hop rank.
 type channel struct {
@@ -212,9 +234,10 @@ type channel struct {
 // Record is one delivered visitor record. The payload is a copy carved from
 // the Box's delivery arena: it never aliases transport buffers, and it is
 // capacity-clamped so appending to it reallocates instead of running into a
-// sibling record's bytes. Payloads are valid until the NEXT Poll on the same
-// Box — at that point their arena is reset and reused for a new epoch — so a
-// caller that parks a Record across polls must copy the payload out
+// sibling record's bytes. Payloads are valid until the next Poll or Close on
+// the same Box — at the one their arena is reset and reused for a new epoch,
+// at the other it passes to the next box built — so a caller that parks a
+// Record across polls must copy the payload out
 // (append([]byte(nil), p...)). Mutating a payload in place within its epoch
 // is safe and affects no other record. Tag is the record namespace stamped
 // at Send time (query ID under the multi-query engine, 0 on the
@@ -271,6 +294,13 @@ func New(r *rt.Rank, topo Topology, det *termination.Detector, opts ...Option) *
 		route:      make([]int32, r.Size()),
 		channels:   make([]channel, r.Size()),
 		met:        newMetrics(r),
+	}
+	if st, _ := spare.Get().(*storage); st != nil {
+		b.delivered, b.deliveredPrev = st.delivered, st.deliveredPrev
+		b.arena, b.arenaPrev = st.arena, st.arenaPrev
+		b.pool.free = st.free
+		b.inbox, b.msgScratch = st.inbox, st.msgScratch
+		b.met.poolFree.Add(int64(b.pool.size()))
 	}
 	for dest := range b.route {
 		if dest != r.Rank() { // own rank is loopback, never routed
@@ -380,7 +410,7 @@ func (b *Box) ship(hop int, buf []byte) {
 // current poll epoch's grow-only arena and the Record gets a
 // capacity-clamped sub-slice (appending to it reallocates rather than
 // running into the next record's bytes). Arena storage is reclaimed at the
-// next-plus-one Poll; see Record for the ownership contract.
+// next-plus-one Poll or at Close; see Record for the ownership contract.
 func (b *Box) deliver(tag uint32, record []byte) {
 	off := len(b.arena)
 	b.arena = append(b.arena, record...)
@@ -442,14 +472,35 @@ func (b *Box) publish() {
 	m.poolHits.Publish(rank, cur.PoolHits, &last.PoolHits)
 }
 
-// Close retires the Box: the last publication of its counters, and its pooled
-// buffers leave the machine-wide mailbox.pool_free gauge with it (a dropped
-// Box's pool is garbage; left counted, the gauge could only ever rise). The
-// owner calls it once the Box will send and poll no more.
+// Close retires the Box: the last publication of its counters, and its
+// storage goes to the next box New builds (see storage). Its pooled buffers
+// leave this machine's mailbox.pool_free gauge here and join the adopting
+// box's machine there, so the gauge reads 0 once every box is closed. Every
+// Record is zeroed and every inbox slot nil'd first; an undecoded backlog (a
+// forced abort's) and unshipped channel buffers are dropped. Records from the
+// last Poll expire here, as at the next Poll. The owner calls it once the
+// Box will send and poll no more; a second call does nothing, since two
+// boxes sharing one arena would alias payloads.
 func (b *Box) Close() {
+	if b.closed {
+		return
+	}
+	b.closed = true
 	b.publish()
 	b.met.poolFree.Add(-int64(b.pool.size()))
+	clear(b.delivered[:cap(b.delivered)])
+	clear(b.deliveredPrev[:cap(b.deliveredPrev)])
+	clear(b.inbox[:cap(b.inbox)])
+	clear(b.msgScratch[:cap(b.msgScratch)])
+	spare.Put(&storage{
+		delivered: b.delivered[:0], deliveredPrev: b.deliveredPrev[:0],
+		arena: b.arena[:0], arenaPrev: b.arenaPrev[:0],
+		free:  b.pool.free,
+		inbox: b.inbox[:0], msgScratch: b.msgScratch[:0],
+	})
 	b.pool = envPool{}
+	b.delivered, b.deliveredPrev, b.arena, b.arenaPrev = nil, nil, nil, nil
+	b.inbox, b.next, b.msgScratch = nil, 0, nil
 }
 
 // decodeError counts one malformed envelope datum (Stats.DecodeErrors and
@@ -537,9 +588,9 @@ const pollEpochRecords = 4096
 // until the epoch holds at least pollEpochRecords records, and the rest stay
 // behind as a backlog (see Backlog), so a caller that wants everything that
 // has arrived polls until Backlog is false. The returned slice and every
-// Record.Payload in it stay valid until the NEXT Poll on this Box, when their
-// arena epoch is reclaimed; callers that park records longer must copy
-// payloads out (see Record).
+// Record.Payload in it stay valid until the next Poll or Close on this Box,
+// when their arena epoch is reclaimed; callers that park records longer must
+// copy payloads out (see Record).
 func (b *Box) Poll() []Record {
 	if b.next == len(b.inbox) {
 		b.inbox, b.next = b.inbox[:0], 0

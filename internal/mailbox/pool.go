@@ -17,10 +17,15 @@ package mailbox
 //     and hands out capacity-clamped sub-slices (appending to a
 //     Record.Payload reallocates instead of running into a sibling). Two
 //     arenas alternate across Poll calls, so a poll's records stay valid
-//     while the caller processes them and expire at the next Poll, when
-//     their arena is reset and reused. An epoch is bounded
+//     while the caller processes them and expire at the next Poll or Close,
+//     when their arena is reset and reused. An epoch is bounded
 //     (pollEpochRecords), so an arena stays cache-sized however deep the
 //     transport inbox was when Poll ran.
+//
+// Both outlive the Box: Close hands its arenas, Record batches and free-list
+// (with the inbox and drain scratch) to the next box New builds, through a
+// process-wide sync.Pool (box.go, storage). A one-shot query's transient
+// engine therefore starts warm instead of regrowing all of it per rank.
 //
 // Safety rule: a buffer enters the pool only while it provably has a single
 // live reference. On the raw path that is true for a drained envelope on the
