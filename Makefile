@@ -118,10 +118,11 @@ serve-smoke:
 
 # Real multi-process cluster smoke: boot a coordinator plus 4 worker
 # OS processes on localhost (rank frames crossing the kernel's TCP stack),
-# run BFS/SSSP/CC through the cluster, and require the deterministic result
-# hashes to be identical to the in-process engine on the same scale-12 RMAT
-# graph. A hard watchdog aborts with exit 124 if the cluster wedges; worker
-# output lands in cluster-worker-N.log for post-mortems.
+# run every query type in the engine's table (bfs, bfs_do, sssp, cc, kcore,
+# triangles, pagerank) through the cluster, and require the deterministic
+# result hashes to be identical to the in-process engine on the same
+# scale-12 RMAT graph. A hard watchdog aborts with exit 124 if the cluster
+# wedges; worker output lands in cluster-worker-N.log for post-mortems.
 cluster-smoke:
 	$(GO) run ./cmd/havoqd -smoke -cluster -workers 4 -ranks 4 -scale 12 -cluster-timeout 5m
 

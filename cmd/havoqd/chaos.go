@@ -24,7 +24,6 @@ import (
 	"os/exec"
 	"time"
 
-	"havoqgt"
 	"havoqgt/internal/cluster"
 	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
@@ -58,41 +57,6 @@ func (lc *localCluster) respawn(o *options, slot int) error {
 	return nil
 }
 
-// chaosRefHashes computes the in-process reference hashes for the chaos
-// query mix on the identical deterministic graph.
-func chaosRefHashes(o *options, specs []engine.Spec) ([]uint64, error) {
-	g, err := havoqgt.GenerateRMAT(o.scale, o.seed, havoqgt.Options{
-		Ranks: o.ranks, Topology: o.topo, Simplify: o.simplify,
-	})
-	if err != nil {
-		return nil, err
-	}
-	hashes := make([]uint64, len(specs))
-	for i, spec := range specs {
-		switch spec.Algo {
-		case engine.AlgoBFS:
-			res, err := g.BFS(spec.Source)
-			if err != nil {
-				return nil, err
-			}
-			hashes[i] = cluster.HashU32s(res.Levels)
-		case engine.AlgoSSSP:
-			res, err := g.ShortestPaths(spec.Source, spec.WeightSeed)
-			if err != nil {
-				return nil, err
-			}
-			hashes[i] = cluster.HashU64s(res.Distances)
-		case engine.AlgoCC:
-			res, err := g.Components()
-			if err != nil {
-				return nil, err
-			}
-			hashes[i] = cluster.HashVertices(res.Labels)
-		}
-	}
-	return hashes, nil
-}
-
 // clusterChaos is the `-chaos -cluster` driver.
 func clusterChaos(o *options) error {
 	watchdog := armWatchdog(o, "cluster chaos")
@@ -109,7 +73,7 @@ func clusterChaos(o *options) error {
 	}
 	fmt.Printf("havoqd: cluster chaos: %d workers x %d ranks, scale-%d rmat, %d kill/heal cycles (heartbeat %v, liveness %v)\n",
 		o.workers, o.ranks/o.workers, o.scale, o.chaosKills, o.heartbeat, o.liveness)
-	refs, err := chaosRefHashes(o, specs)
+	refs, err := refHashes(o, specs)
 	if err != nil {
 		return err
 	}

@@ -18,16 +18,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
+	"slices"
 	"time"
 
 	"havoqgt"
@@ -133,77 +130,37 @@ func runClusterCoordinator(o *options) error {
 
 	cs := newCoordServer(c, o, ln.Addr().String())
 	defer cs.close()
-	srv := &http.Server{
-		Handler:           cs.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    1 << 16,
+	err = serveUntilSignal(newHTTPServer(cs.handler()), ln)
+	if cerr := c.Close(); err == nil {
+		err = cerr
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		c.Close()
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("havoqd: signal received; draining cluster")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		c.Close()
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := c.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("havoqd: cluster drained; served=%d failed=%d\n", cs.served.Load(), cs.failed.Load())
 	return nil
 }
 
-// coordServer is the coordinator's HTTP face: the same /query contract as
-// the single-process server, backed by cluster-wide fan-out and fronted by
-// the same traffic plane — tenant quota admission, versioned result cache,
-// and hot-query collapsing — so a degraded cluster sheds load at the front
-// door instead of queueing doomed work.
+// coordServer is the coordinator's mode: the front end over cluster-wide
+// fan-out, so a degraded cluster sheds load at the front door instead of
+// queueing doomed work.
 type coordServer struct {
+	frontEnd
 	c *cluster.Coordinator
-	// plane is the front-door admission layer (internal/traffic), identical
-	// to the single-process server's.
-	plane *traffic.Plane
-	// retries bounds the server-side recovery ladder: how many times a query
-	// killed by a worker loss (or refused while degraded) is retried after
-	// waiting for the cluster to heal.
-	retries int
 	// healWait bounds each recovery-ladder wait for the cluster to go whole.
 	healWait time.Duration
-	addr     string // resolved HTTP listen address
-	served   atomic.Uint64
-	failed   atomic.Uint64
-	shed     atomic.Uint64
-	retried  atomic.Uint64
-	started  time.Time
 }
 
+// newCoordServer assembles the coordinator's mode. A query killed by a
+// worker loss, or refused while degraded, is retried after the cluster
+// heals, up to -query-retries times.
 func newCoordServer(c *cluster.Coordinator, o *options, addr string) *coordServer {
-	return &coordServer{
-		c:        c,
-		plane:    traffic.New(trafficConfig(o)),
-		retries:  o.queryRetries,
-		healWait: o.clusterTimeout,
-		addr:     addr,
-		started:  time.Now(),
-	}
+	s := &coordServer{c: c, healWait: o.clusterTimeout, frontEnd: frontEnd{
+		plane: traffic.New(trafficConfig(o)), n: c.NumVertices(), retries: o.queryRetries, addr: addr, started: time.Now(),
+	}}
+	s.exec = s.execute
+	return s
 }
-
-// close releases the traffic plane's background resources.
-func (s *coordServer) close() { s.plane.Close() }
 
 func (s *coordServer) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -221,37 +178,14 @@ func (s *coordServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if missing == nil {
 		missing = []int{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":            len(missing) == 0,
-		"degraded":      len(missing) > 0,
-		"missing_slots": missing,
-		"addr":          s.addr,
-		"cluster":       true,
-		"vertices":      s.c.NumVertices(),
-		"epoch":         s.c.Epoch(),
-		"uptime_ms":     time.Since(s.started).Milliseconds(),
-		"served":        s.served.Load(),
-		"failed":        s.failed.Load(),
-		"shed":          s.shed.Load(),
-		"retried":       s.retried.Load(),
-	})
-}
-
-// collapseKey mirrors the single-process server's cache/collapse identity.
-// The cluster graph is immutable for the process lifetime — a heal rebuilds
-// the identical deterministic partitions — so the version is constant and
-// cached results stay valid across worker deaths.
-func (s *coordServer) collapseKey(req *queryRequest) traffic.Key {
-	return traffic.Key{
-		Algo:       req.Algo,
-		Source:     req.Source,
-		WeightSeed: req.WeightSeed,
-		K:          req.K,
-		Iters:      req.Iters,
-		Full:       req.Full,
-		DeadlineMS: req.DeadlineMS,
-		Version:    1,
-	}
+	h := s.health()
+	h["ok"] = len(missing) == 0
+	h["degraded"] = len(missing) > 0
+	h["missing_slots"] = missing
+	h["cluster"] = true
+	h["vertices"] = s.c.NumVertices()
+	h["epoch"] = s.c.Epoch()
+	writeJSON(w, http.StatusOK, h)
 }
 
 // execute runs one cluster query to completion, climbing the recovery
@@ -259,17 +193,7 @@ func (s *coordServer) collapseKey(req *queryRequest) traffic.Key {
 // query killed by a worker loss waits for the heal (bounded by healWait) and
 // retries, up to s.retries times. Deterministic partitions make the retry
 // transparent — the healed cluster returns bit-identical results.
-func (s *coordServer) execute(ctx context.Context, req *queryRequest) ([]byte, error) {
-	spec := engine.Spec{
-		Algo:       engine.Algo(req.Algo),
-		Source:     graph.Vertex(req.Source),
-		WeightSeed: req.WeightSeed,
-		K:          req.K,
-		Iters:      req.Iters,
-	}
-	if req.DeadlineMS > 0 {
-		spec.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
+func (s *coordServer) execute(ctx context.Context, spec engine.Spec, full bool) ([]byte, error) {
 	attempts := s.retries
 	retry := func(err error) bool {
 		if attempts <= 0 || ctx.Err() != nil {
@@ -305,160 +229,12 @@ func (s *coordServer) execute(ctx context.Context, req *queryRequest) ([]byte, e
 			return nil, err
 		}
 		if res.Cancelled {
-			return nil, errTimeoutCancelled
+			// Drained cancelled (deadline or waiter abandonment) rather
+			// than failed typed.
+			return nil, havoqgt.ErrQueryCancelled
 		}
-
-		resp := queryResponse{ID: q.ID(), Algo: req.Algo, ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3}
-		switch {
-		case res.Levels != nil:
-			for _, l := range res.Levels {
-				if l != havoqgt.Unreached {
-					resp.Reached++
-					if l > resp.MaxLevel {
-						resp.MaxLevel = l
-					}
-				}
-			}
-			if req.Full {
-				resp.Levels = res.Levels
-			}
-		case res.Dist != nil:
-			for _, d := range res.Dist {
-				if d != havoqgt.UnreachedDistance {
-					resp.Reached++
-					if d > resp.MaxDist {
-						resp.MaxDist = d
-					}
-				}
-			}
-			if req.Full {
-				resp.Distances = res.Dist
-			}
-		case res.Labels != nil:
-			resp.Components = res.Components
-			if req.Full {
-				resp.Labels = res.Labels
-			}
-		case res.InCore != nil:
-			resp.CoreSize = res.CoreSize
-			if req.Full {
-				resp.InCore = res.InCore
-			}
-		case res.Ranks != nil:
-			resp.Iters = req.Iters
-			if resp.Iters == 0 {
-				resp.Iters = havoqgt.DefaultPageRankIters
-			}
-			if req.Full {
-				resp.Ranks = res.Ranks
-			}
-		default: // triangles: scalar-only result
-			resp.Triangles = res.Triangles
-		}
-		return json.Marshal(resp)
+		return respond(spec, full, q.ID(), start, res)
 	}
-}
-
-// validate rejects malformed parameters before any quota or cluster work.
-func (s *coordServer) validate(req *queryRequest) error {
-	switch req.Algo {
-	case "bfs", "bfs_do", "sssp":
-		if req.Source >= s.c.NumVertices() {
-			return fmt.Errorf("source %d out of range (n=%d)", req.Source, s.c.NumVertices())
-		}
-	case "cc", "triangles":
-	case "kcore":
-		if req.K < 1 {
-			return fmt.Errorf("kcore needs k >= 1")
-		}
-	case "pagerank":
-		if req.Iters > havoqgt.MaxPageRankIters {
-			return fmt.Errorf("pagerank iters %d exceeds max %d", req.Iters, havoqgt.MaxPageRankIters)
-		}
-	default:
-		return fmt.Errorf("unknown algo %q (want bfs|bfs_do|sssp|cc|kcore|pagerank|triangles)", req.Algo)
-	}
-	return nil
-}
-
-// errTimeoutCancelled marks a cluster query that drained as cancelled
-// (deadline or waiter abandonment) rather than failing typed.
-var errTimeoutCancelled = errors.New("query cancelled (deadline or client disconnect)")
-
-func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only", 0)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failed.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("request body over %d bytes", tooBig.Limit), 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error(), 0)
-		return
-	}
-
-	// Front door, step 1: tenant quota — one token-bucket decrement; a shed
-	// request costs the cluster nothing.
-	if err := s.plane.Admit(tenantID(r)); err != nil {
-		s.shed.Add(1)
-		retryAfter := 1
-		var qe *traffic.ErrQuotaExceeded
-		if errors.As(err, &qe) {
-			if sec := int(qe.RetryAfter / time.Second); sec > retryAfter {
-				retryAfter = sec
-			}
-		}
-		writeError(w, http.StatusTooManyRequests, codeQuotaExceeded, err.Error(), retryAfter)
-		return
-	}
-
-	if err := s.validate(&req); err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
-		return
-	}
-
-	// Steps 2+3: versioned result cache, then hot-query collapsing; misses
-	// run one shared cluster execution with the recovery ladder inside.
-	start := time.Now()
-	body, outcome, err := s.plane.Do(r.Context(), s.collapseKey(&req), func(ctx context.Context) ([]byte, error) {
-		return s.execute(ctx, &req)
-	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.failed.Add(1)
-			return
-		}
-		switch {
-		case errors.Is(err, cluster.ErrClusterDegraded), errors.Is(err, cluster.ErrWorkerLost):
-			// Self-healing in progress and the retry budget ran out: shed
-			// with the structured schema so clients back off and retry once
-			// the cluster is whole.
-			s.shed.Add(1)
-			writeError(w, http.StatusServiceUnavailable, codeClusterDegraded, err.Error(), 5)
-		case errors.Is(err, errTimeoutCancelled):
-			s.failed.Add(1)
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, err.Error(), 1)
-		default:
-			s.failed.Add(1)
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error(), 0)
-		}
-		return
-	}
-
-	s.served.Add(1)
-	s.plane.ObserveLatency(time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Traffic-Outcome", outcome.String())
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
 }
 
 // localCluster is a coordinator plus its spawned local worker processes.
@@ -543,8 +319,40 @@ func armWatchdog(o *options, what string) *time.Timer {
 // splitmix64 draws the smoke and chaos drills' deterministic sources.
 func splitmix64(x uint64) uint64 { return xrand.Mix64(x + 0x9e3779b97f4a7c15) }
 
+// refHashes answers specs on the in-process engine over the identical
+// deterministic graph and hashes each answer as cluster.HashResult hashes the
+// cluster's: what the smoke and chaos drills hold the cluster to, for every
+// query type.
+func refHashes(o *options, specs []engine.Spec) ([]uint64, error) {
+	g, err := havoqgt.GenerateRMAT(o.scale, o.seed, havoqgt.Options{
+		Ranks: o.ranks, Topology: o.topo, Simplify: o.simplify,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e, err := g.StartEngine(havoqgt.EngineOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	hashes := make([]uint64, len(specs))
+	for i, spec := range specs {
+		q, err := e.SubmitQuery(querySpec(spec))
+		if err != nil {
+			return nil, err
+		}
+		res, err := q.Wait()
+		if err != nil {
+			return nil, err
+		}
+		hashes[i] = cluster.HashResult(engineResult(res))
+	}
+	return hashes, nil
+}
+
 // clusterSmoke is `-smoke -cluster`: boot a real multi-process cluster, run
-// BFS/SSSP/CC through it, and require the deterministic result hashes to be
+// every query type in the engine's table through it (those that read a
+// source from three), and require the deterministic result hashes to be
 // identical to the in-process engine on the same graph.
 func clusterSmoke(o *options) error {
 	watchdog := armWatchdog(o, "cluster smoke")
@@ -560,32 +368,30 @@ func clusterSmoke(o *options) error {
 	fmt.Printf("havoqd: cluster smoke: cluster ready in %v\n", time.Since(start).Round(time.Millisecond))
 
 	n := lc.c.NumVertices()
-	type smokeCase struct {
-		name string
-		spec engine.Spec
+	var specs []engine.Spec
+	for _, a := range engine.Algos() {
+		for i := uint64(0); i < 3; i++ {
+			spec := engine.Canonical(engine.Spec{Algo: a, Source: graph.Vertex(splitmix64(i*0x9e37+42) % n),
+				WeightSeed: i, K: 4, Iters: 8})
+			if !slices.Contains(specs, spec) {
+				specs = append(specs, spec)
+			}
+		}
 	}
-	var cases []smokeCase
-	for i := 0; i < 3; i++ {
-		src := graph.Vertex(splitmix64(uint64(i)*0x9e37+42) % n)
-		cases = append(cases,
-			smokeCase{fmt.Sprintf("bfs(%d)", src), engine.Spec{Algo: engine.AlgoBFS, Source: src}},
-			smokeCase{fmt.Sprintf("bfs_do(%d)", src), engine.Spec{Algo: engine.AlgoBFSDO, Source: src}},
-			smokeCase{fmt.Sprintf("sssp(%d)", src), engine.Spec{Algo: engine.AlgoSSSP, Source: src, WeightSeed: uint64(i)}},
-		)
+	name := func(spec engine.Spec) string {
+		if spec.Source == 0 {
+			return string(spec.Algo)
+		}
+		return fmt.Sprintf("%s(%d)", spec.Algo, spec.Source)
 	}
-	cases = append(cases,
-		smokeCase{"cc", engine.Spec{Algo: engine.AlgoCC}},
-		smokeCase{"pagerank", engine.Spec{Algo: engine.AlgoPageRank, Iters: 8}},
-		smokeCase{"triangles", engine.Spec{Algo: engine.AlgoTriangles}},
-	)
 
-	clusterHashes := make([]uint64, len(cases))
-	queries := make([]*cluster.Query, len(cases))
-	for i, tc := range cases {
-		q, err := lc.c.Submit(tc.spec)
+	clusterHashes := make([]uint64, len(specs))
+	queries := make([]*cluster.Query, len(specs))
+	for i, spec := range specs {
+		q, err := lc.c.Submit(spec)
 		if err != nil {
 			lc.kill()
-			return fmt.Errorf("cluster smoke: submit %s: %w", tc.name, err)
+			return fmt.Errorf("cluster smoke: submit %s: %w", name(spec), err)
 		}
 		queries[i] = q
 	}
@@ -593,7 +399,7 @@ func clusterSmoke(o *options) error {
 		res, err := q.Wait()
 		if err != nil {
 			lc.kill()
-			return fmt.Errorf("cluster smoke: %s: %w", cases[i].name, err)
+			return fmt.Errorf("cluster smoke: %s: %w", name(specs[i]), err)
 		}
 		clusterHashes[i] = cluster.HashResult(res)
 	}
@@ -602,66 +408,24 @@ func clusterSmoke(o *options) error {
 		return fmt.Errorf("cluster smoke: %w", err)
 	}
 
-	// In-process reference: the same graph, the same queries, through the
-	// single-process engine.
-	g, err := havoqgt.GenerateRMAT(o.scale, o.seed, havoqgt.Options{
-		Ranks: o.ranks, Topology: o.topo, Simplify: o.simplify,
-	})
+	refHashes, err := refHashes(o, specs)
 	if err != nil {
 		return err
 	}
-	refHashes := make([]uint64, len(cases))
-	for i, tc := range cases {
-		switch tc.spec.Algo {
-		case engine.AlgoBFS, engine.AlgoBFSDO:
-			// bfs_do's levels must hash-match the plain top-down BFS: same
-			// fixpoint, different traversal schedule.
-			res, err := g.BFS(tc.spec.Source)
-			if err != nil {
-				return err
-			}
-			refHashes[i] = cluster.HashU32s(res.Levels)
-		case engine.AlgoSSSP:
-			res, err := g.ShortestPaths(tc.spec.Source, tc.spec.WeightSeed)
-			if err != nil {
-				return err
-			}
-			refHashes[i] = cluster.HashU64s(res.Distances)
-		case engine.AlgoCC:
-			res, err := g.Components()
-			if err != nil {
-				return err
-			}
-			refHashes[i] = cluster.HashVertices(res.Labels)
-		case engine.AlgoPageRank:
-			res, err := g.PageRank(tc.spec.Iters)
-			if err != nil {
-				return err
-			}
-			refHashes[i] = cluster.HashU64s(res.Ranks)
-		case engine.AlgoTriangles:
-			count, err := g.CountTriangles()
-			if err != nil {
-				return err
-			}
-			refHashes[i] = cluster.HashU64s([]uint64{count})
-		}
-	}
-
 	bad := 0
-	for i := range cases {
+	for i, spec := range specs {
 		status := "ok"
 		if clusterHashes[i] != refHashes[i] {
 			status = "MISMATCH"
 			bad++
 		}
 		fmt.Printf("havoqd: cluster smoke: %-12s cluster=%016x in-process=%016x %s\n",
-			cases[i].name, clusterHashes[i], refHashes[i], status)
+			name(spec), clusterHashes[i], refHashes[i], status)
 	}
 	if bad > 0 {
-		return fmt.Errorf("cluster smoke: %d/%d result hashes diverged from the in-process engine", bad, len(cases))
+		return fmt.Errorf("cluster smoke: %d/%d result hashes diverged from the in-process engine", bad, len(specs))
 	}
 	fmt.Printf("havoqd: cluster smoke: %d/%d hashes identical across %d processes in %v\n",
-		len(cases), len(cases), o.workers+1, queriesDone.Round(time.Millisecond))
+		len(specs), len(specs), o.workers+1, queriesDone.Round(time.Millisecond))
 	return nil
 }

@@ -296,37 +296,34 @@ func serve(o *options) error {
 		return err
 	}
 	s.addr = ln.Addr().String()
-	// Hardened server limits: a stalled or malicious client must not pin a
-	// connection (and its handler goroutine) forever. WriteTimeout bounds the
-	// whole handler, so it must cover the slowest legitimate query including
-	// the server-side retry budget; 5 minutes is far past any deadline the
-	// degradation path grants.
-	srv := &http.Server{
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    1 << 16,
-	}
-
+	srv := newHTTPServer(s.handler())
 	if o.smoke {
 		return smoke(o, s, srv, ln, e)
 	}
 
-	// Serve until SIGTERM/SIGINT, then drain gracefully: stop accepting,
-	// let in-flight handlers (and so in-flight queries) finish, close the
-	// engine.
+	fmt.Printf("havoqd: listening on %s (max-in-flight=%d max-queue=%d)\n", ln.Addr(), o.maxInFlight, o.maxQueue)
+	err = serveUntilSignal(srv, ln)
+	s.close()
+	if cerr := e.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("havoqd: drained; served=%d failed=%d shed=%d\n", s.served.Load(), s.failed.Load(), s.shed.Load())
+	return nil
+}
+
+// serveUntilSignal serves on ln until SIGTERM or SIGINT, then drains
+// gracefully: stop accepting, and let in-flight handlers — and so in-flight
+// queries — finish.
+func serveUntilSignal(srv *http.Server, ln net.Listener) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	fmt.Printf("havoqd: listening on %s (max-in-flight=%d max-queue=%d)\n", ln.Addr(), o.maxInFlight, o.maxQueue)
-
 	select {
 	case err := <-errc:
-		s.close()
-		e.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -335,14 +332,7 @@ func serve(o *options) error {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		s.close()
-		e.Close()
 		return fmt.Errorf("drain: %w", err)
 	}
-	s.close()
-	if err := e.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("havoqd: drained; served=%d failed=%d shed=%d\n", s.served.Load(), s.failed.Load(), s.shed.Load())
 	return nil
 }

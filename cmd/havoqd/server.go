@@ -1,11 +1,13 @@
 package main
 
-// HTTP layer of havoqd: a thin JSON front end over the multi-query engine,
-// fronted by the traffic plane (internal/traffic). Every POST /query passes,
-// in order: per-tenant quota admission (batched token buckets), the
-// versioned result cache, and hot-query collapsing — so under the hot-key
-// skew that scale-free graphs attract, most requests never reach the engine
-// at all, and the ones that do are one execution shared by many clients.
+// HTTP layer of havoqd: one JSON front end, the same for the single-process
+// server and the cluster coordinator, fronted by the traffic plane
+// (internal/traffic). Every POST /query passes, in order: per-tenant quota
+// admission (batched token buckets), validation against the engine's
+// query-type table, the versioned result cache, and hot-query collapsing —
+// so under the hot-key skew that scale-free graphs attract, most requests
+// never reach the engine at all, and the ones that do are one execution
+// shared by many clients. Only execute differs between the modes.
 
 import (
 	"bytes"
@@ -20,6 +22,11 @@ import (
 	"time"
 
 	"havoqgt"
+	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/algos/sssp"
+	"havoqgt/internal/cluster"
+	"havoqgt/internal/engine"
+	"havoqgt/internal/graph"
 	"havoqgt/internal/traffic"
 )
 
@@ -110,49 +117,201 @@ const tenantHeader = "X-Api-Key"
 // anonTenant is the shared bucket for unidentified requests.
 const anonTenant = "anonymous"
 
-// server binds one resident graph + engine + traffic plane to the HTTP
-// handlers.
-type server struct {
-	g *havoqgt.Graph
-	e *havoqgt.Engine
+// frontEnd is POST /query for both modes: decode, tenant quota, validation,
+// then the traffic plane's cache and collapsing around the mode's exec. A
+// mode embeds it and supplies exec.
+type frontEnd struct {
 	// plane is the front-door admission layer: tenant quotas, result cache,
-	// hot-query collapsing. Reports into the engine's obs registry.
+	// hot-query collapsing.
 	plane *traffic.Plane
-	// retries bounds the server-side degradation path: how many times a
-	// deadline-expired query is resumed from its checkpoint (with a doubled
-	// budget) before the client gets a 504.
+	n     uint64 // vertices: the bound a source is validated against
+	// version is the graph's snapshot version, keyed into the cache and
+	// reported as X-Graph-Version. nil for the cluster, whose graph never
+	// changes — a heal rebuilds the identical deterministic partitions — so
+	// its answers key at version 1 and stay cached across worker deaths.
+	version func() uint64
+	// exec runs one validated, canonical query to completion and returns
+	// the serialized 200 body. ctx is the collapse group's context: it
+	// cancels only when every client waiting on this execution has gone
+	// away, at which point the query is cancelled to free the message plane.
+	exec func(ctx context.Context, spec engine.Spec, full bool) ([]byte, error)
+	// retries bounds the mode's server-side retry ladder.
 	retries int
 	// addr is the resolved listen address ("-addr :0" binds an ephemeral
 	// port; this is where it actually landed).
-	addr    string
-	served  atomic.Uint64
-	failed  atomic.Uint64
-	shed    atomic.Uint64
-	retried atomic.Uint64
-	started time.Time
-}
-
-// newServer assembles the HTTP layer with a traffic plane built from tc.
-// The plane registers its metrics in the engine's registry so /stats
-// carries traffic.* next to engine.* and mailbox.*.
-func newServer(g *havoqgt.Graph, e *havoqgt.Engine, tc traffic.Config) *server {
-	if tc.Registry == nil {
-		tc.Registry = e.Metrics()
-	}
-	return &server{g: g, e: e, plane: traffic.New(tc), retries: 2, started: time.Now()}
+	addr                          string
+	served, failed, shed, retried atomic.Uint64
+	started                       time.Time
 }
 
 // close releases the traffic plane's background resources (quota refill
 // ticker). Call after the HTTP server has stopped.
-func (s *server) close() { s.plane.Close() }
+func (f *frontEnd) close() { f.plane.Close() }
 
-// handler builds the route table.
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
-	return mux
+// health is the /healthz fields both modes report.
+func (f *frontEnd) health() map[string]any {
+	return map[string]any{
+		"addr":      f.addr,
+		"uptime_ms": time.Since(f.started).Milliseconds(),
+		"served":    f.served.Load(),
+		"failed":    f.failed.Load(),
+		"shed":      f.shed.Load(),
+		"retried":   f.retried.Load(),
+	}
+}
+
+// collapseKey is the identity under which equivalent requests collapse and
+// results cache: the canonical spec — so a field the query type does not
+// read, or a default spelled out, cannot split one question into two keys —
+// plus the rest of what shapes the answer bytes, and the graph version so a
+// snapshot swap invalidates by key mismatch.
+func collapseKey(spec engine.Spec, req *queryRequest, version uint64) traffic.Key {
+	return traffic.Key{
+		Algo:       string(spec.Algo),
+		Source:     uint64(spec.Source),
+		WeightSeed: spec.WeightSeed,
+		K:          spec.K,
+		Iters:      spec.Iters,
+		Full:       req.Full,
+		DeadlineMS: req.DeadlineMS,
+		Version:    version,
+	}
+}
+
+func (f *frontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only", 0)
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+	var req queryRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		f.failed.Add(1)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+				fmt.Sprintf("request body over %d bytes", tooBig.Limit), 0)
+			return
+		}
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error(), 0)
+		return
+	}
+
+	// Front door, step 1: tenant quota. One atomic decrement on the
+	// tenant's token bucket; a shed costs no engine work at all.
+	if err := f.plane.Admit(tenantID(r)); err != nil {
+		f.shed.Add(1)
+		retryAfter := 1
+		var qe *traffic.ErrQuotaExceeded
+		if errors.As(err, &qe) {
+			if sec := int(qe.RetryAfter / time.Second); sec > retryAfter {
+				retryAfter = sec
+			}
+		}
+		writeError(w, http.StatusTooManyRequests, codeQuotaExceeded, err.Error(), retryAfter)
+		return
+	}
+
+	spec := engine.Spec{
+		Algo:       engine.Algo(req.Algo),
+		Source:     graph.Vertex(req.Source),
+		WeightSeed: req.WeightSeed,
+		K:          req.K,
+		Iters:      req.Iters,
+		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
+	}
+	if err := engine.Validate(spec, f.n); err != nil {
+		f.failed.Add(1)
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
+		return
+	}
+	spec = engine.Canonical(spec)
+
+	// Steps 2+3: result cache, then hot-query collapsing. The execution
+	// runs detached — this handler's disconnect only cancels it if no
+	// other client is collapsed onto it.
+	version := uint64(1)
+	if f.version != nil {
+		version = f.version()
+	}
+	start := time.Now()
+	body, outcome, err := f.plane.Do(r.Context(), collapseKey(spec, &req, version), func(ctx context.Context) ([]byte, error) {
+		return f.exec(ctx, spec, req.Full)
+	})
+	if err != nil {
+		switch {
+		case r.Context().Err() != nil:
+			// This client is gone; nothing useful can be written.
+			f.failed.Add(1)
+		case errors.Is(err, cluster.ErrClusterDegraded), errors.Is(err, cluster.ErrWorkerLost):
+			// Self-healing in progress and the retry budget ran out: shed
+			// with the structured schema so clients back off and retry once
+			// the cluster is whole.
+			f.shed.Add(1)
+			writeError(w, http.StatusServiceUnavailable, codeClusterDegraded, err.Error(), 5)
+		case errors.Is(err, havoqgt.ErrQueryRejected):
+			// Backpressure: the engine's wait queue is full.
+			f.failed.Add(1)
+			writeError(w, http.StatusTooManyRequests, codeEngineOverloaded, err.Error(), 1)
+		case errors.Is(err, havoqgt.ErrQueryCancelled):
+			// Deadline exhaustion (even after retries) or all waiters gone.
+			f.failed.Add(1)
+			writeError(w, http.StatusGatewayTimeout, codeTimeout,
+				"query cancelled (deadline or client disconnect)", 1)
+		default:
+			f.failed.Add(1)
+			writeError(w, http.StatusInternalServerError, codeInternal, err.Error(), 0)
+		}
+		return
+	}
+
+	f.served.Add(1)
+	f.plane.ObserveLatency(time.Since(start))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Traffic-Outcome", outcome.String())
+	if f.version != nil {
+		w.Header().Set("X-Graph-Version", strconv.FormatUint(version, 10))
+	}
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// respond shapes a finished query as the 200 body, the same in both modes:
+// the scalar summary always, the per-vertex arrays with "full". A cluster's
+// result carries no parents, so neither does its full answer.
+func respond(spec engine.Spec, full bool, id uint32, start time.Time, res *engine.Result) ([]byte, error) {
+	resp := queryResponse{
+		ID: id, Algo: string(spec.Algo), ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+		Components: res.Components, CoreSize: res.CoreSize, Triangles: res.Triangles,
+		Iters: spec.Iters, // canonical: pagerank's effective count, 0 for the rest
+	}
+	if res.Levels != nil {
+		resp.Reached, resp.MaxLevel = bfs.Summary(res.Levels)
+	}
+	if res.Dist != nil {
+		resp.Reached, resp.MaxDist = sssp.Summary(res.Dist)
+	}
+	if full {
+		resp.Levels, resp.Distances, resp.Parents = res.Levels, res.Dist, res.Parents
+		resp.Labels, resp.InCore, resp.Ranks = res.Labels, res.InCore, res.Ranks
+	}
+	return json.Marshal(resp)
+}
+
+// newHTTPServer serves h under the limits both modes share: a stalled or
+// malicious client must not pin a connection (and its handler goroutine)
+// forever. WriteTimeout bounds the whole handler, so it must cover the
+// slowest legitimate query including the server-side retry budget; 5
+// minutes is far past any deadline the degradation path grants.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    1 << 16,
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -184,20 +343,45 @@ func tenantID(r *http.Request) string {
 	return anonTenant
 }
 
+// server is the single-process mode: the front end over one resident graph
+// and its multi-query engine.
+type server struct {
+	frontEnd
+	g *havoqgt.Graph
+	e *havoqgt.Engine
+}
+
+// newServer assembles the single-process mode with a traffic plane built
+// from tc. The plane registers its metrics in the engine's registry so
+// /stats carries traffic.* next to engine.* and mailbox.*.
+func newServer(g *havoqgt.Graph, e *havoqgt.Engine, tc traffic.Config) *server {
+	if tc.Registry == nil {
+		tc.Registry = e.Metrics()
+	}
+	s := &server{g: g, e: e, frontEnd: frontEnd{
+		plane: traffic.New(tc), n: g.NumVertices(), version: g.Version, retries: 2, started: time.Now(),
+	}}
+	s.exec = s.execute
+	return s
+}
+
+// handler builds the route table.
+func (s *server) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/query", s.handleQuery)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/stats", s.handleStats)
+	return mux
+}
+
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":            true,
-		"addr":          s.addr,
-		"vertices":      s.g.NumVertices(),
-		"edges":         s.g.NumEdges(),
-		"ranks":         s.g.Ranks(),
-		"graph_version": s.g.Version(),
-		"uptime_ms":     time.Since(s.started).Milliseconds(),
-		"served":        s.served.Load(),
-		"failed":        s.failed.Load(),
-		"shed":          s.shed.Load(),
-		"retried":       s.retried.Load(),
-	})
+	h := s.health()
+	h["ok"] = true
+	h["vertices"] = s.g.NumVertices()
+	h["edges"] = s.g.NumEdges()
+	h["ranks"] = s.g.Ranks()
+	h["graph_version"] = s.g.Version()
+	writeJSON(w, http.StatusOK, h)
 }
 
 // handleStats serves the machine's full observability snapshot (transport,
@@ -219,63 +403,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// validate rejects malformed query parameters before any quota or engine
-// work is attempted.
-func (s *server) validate(req *queryRequest) error {
-	switch req.Algo {
-	case "bfs", "bfs_do", "sssp":
-		if req.Source >= s.g.NumVertices() {
-			return fmt.Errorf("source %d out of range (n=%d)", req.Source, s.g.NumVertices())
-		}
-	case "cc", "triangles":
-	case "kcore":
-		if req.K < 1 {
-			return fmt.Errorf("kcore needs k >= 1")
-		}
-	case "pagerank":
-		if req.Iters > havoqgt.MaxPageRankIters {
-			return fmt.Errorf("pagerank iters %d exceeds max %d", req.Iters, havoqgt.MaxPageRankIters)
-		}
-	default:
-		return fmt.Errorf("unknown algo %q (want bfs|bfs_do|sssp|cc|kcore|pagerank|triangles)", req.Algo)
-	}
-	return nil
-}
-
-// submit hands a validated request to the engine.
-func (s *server) submit(req *queryRequest) (*havoqgt.Query, error) {
-	return s.e.SubmitQuery(havoqgt.QuerySpec{
-		Algo:       req.Algo,
-		Source:     havoqgt.Vertex(req.Source),
-		WeightSeed: req.WeightSeed,
-		K:          req.K,
-		Iters:      req.Iters,
-		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
-	})
-}
-
-// collapseKey is the identity under which identical requests collapse and
-// results cache: every request field that shapes the answer, plus the graph
-// version so a snapshot swap invalidates by key mismatch.
-func (s *server) collapseKey(req *queryRequest) traffic.Key {
-	return traffic.Key{
-		Algo:       req.Algo,
-		Source:     req.Source,
-		WeightSeed: req.WeightSeed,
-		K:          req.K,
-		Iters:      req.Iters,
-		Full:       req.Full,
-		DeadlineMS: req.DeadlineMS,
-		Version:    s.g.Version(),
-	}
-}
-
-// execute runs one engine execution for req to completion and returns the
-// serialized 200 response body. ctx is the collapse group's context: it
-// cancels only when every client waiting on this execution has gone away,
-// at which point the traversal is cancelled to free the message plane.
-func (s *server) execute(ctx context.Context, req *queryRequest) ([]byte, error) {
-	q, err := s.submit(req)
+// execute runs one engine execution to completion. The degradation path: a
+// deadline-expired attempt is resumed from its checkpoint with a doubled
+// budget — the traversal progress already paid for is kept — up to
+// s.retries times and only while someone is still waiting.
+func (s *server) execute(ctx context.Context, spec engine.Spec, full bool) ([]byte, error) {
+	q, err := s.e.SubmitQuery(querySpec(spec))
 	if err != nil {
 		return nil, err
 	}
@@ -296,10 +429,6 @@ func (s *server) execute(ctx context.Context, req *queryRequest) ([]byte, error)
 		if err == nil {
 			break
 		}
-		// Degradation path: a deadline-expired attempt is retried
-		// server-side from its checkpoint with a doubled budget — the
-		// traversal progress already paid for is kept — bounded by
-		// s.retries and only while someone is still waiting.
 		if errors.Is(err, havoqgt.ErrQueryTimeout) && retries > 0 && ctx.Err() == nil {
 			if nq, rerr := q.Resume(0); rerr == nil {
 				retries--
@@ -310,121 +439,38 @@ func (s *server) execute(ctx context.Context, req *queryRequest) ([]byte, error)
 		}
 		return nil, err
 	}
-
-	resp := queryResponse{ID: q.ID(), Algo: req.Algo, ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3}
-	switch {
-	case res.BFS != nil:
-		resp.Reached = res.BFS.Reached
-		resp.MaxLevel = res.BFS.MaxLevel
-		if req.Full {
-			resp.Levels, resp.Parents = res.BFS.Levels, res.BFS.Parents
-		}
-	case res.SSSP != nil:
-		for _, d := range res.SSSP.Distances {
-			if d != havoqgt.UnreachedDistance {
-				resp.Reached++
-				if d > resp.MaxDist {
-					resp.MaxDist = d
-				}
-			}
-		}
-		if req.Full {
-			resp.Distances, resp.Parents = res.SSSP.Distances, res.SSSP.Parents
-		}
-	case res.Components != nil:
-		resp.Components = res.Components.Count
-		if req.Full {
-			resp.Labels = res.Components.Labels
-		}
-	case res.KCore != nil:
-		resp.CoreSize = res.KCore.CoreSize
-		if req.Full {
-			resp.InCore = res.KCore.InCore
-		}
-	case res.PageRank != nil:
-		resp.Iters = res.PageRank.Iters
-		if req.Full {
-			resp.Ranks = res.PageRank.Ranks
-		}
-	case res.Triangles != nil:
-		resp.Triangles = res.Triangles.Count
-	}
-	return json.Marshal(resp)
+	return respond(spec, full, q.ID(), start, engineResult(res))
 }
 
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only", 0)
-		return
+// querySpec is spec as the facade takes it.
+func querySpec(spec engine.Spec) havoqgt.QuerySpec {
+	return havoqgt.QuerySpec{
+		Algo: string(spec.Algo), Source: spec.Source, WeightSeed: spec.WeightSeed,
+		K: spec.K, Iters: spec.Iters, Deadline: spec.Deadline,
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failed.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("request body over %d bytes", tooBig.Limit), 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error(), 0)
-		return
-	}
+}
 
-	// Front door, step 1: tenant quota. One atomic decrement on the
-	// tenant's token bucket; a shed costs no engine work at all.
-	if err := s.plane.Admit(tenantID(r)); err != nil {
-		s.shed.Add(1)
-		retryAfter := 1
-		var qe *traffic.ErrQuotaExceeded
-		if errors.As(err, &qe) {
-			if sec := int(qe.RetryAfter / time.Second); sec > retryAfter {
-				retryAfter = sec
-			}
-		}
-		writeError(w, http.StatusTooManyRequests, codeQuotaExceeded, err.Error(), retryAfter)
-		return
+// engineResult flattens the facade's per-algorithm result back into the
+// engine's one result shape, the shape respond and cluster.HashResult read.
+func engineResult(r *havoqgt.QueryResult) *engine.Result {
+	res := &engine.Result{}
+	if b := r.BFS; b != nil {
+		res.Levels, res.Parents = b.Levels, b.Parents
 	}
-
-	if err := s.validate(&req); err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
-		return
+	if d := r.SSSP; d != nil {
+		res.Dist, res.Parents = d.Distances, d.Parents
 	}
-
-	// Steps 2+3: result cache, then hot-query collapsing. The execution
-	// runs detached — this handler's disconnect only cancels it if no
-	// other client is collapsed onto it.
-	start := time.Now()
-	body, outcome, err := s.plane.Do(r.Context(), s.collapseKey(&req), func(ctx context.Context) ([]byte, error) {
-		return s.execute(ctx, &req)
-	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			// This client is gone; nothing useful can be written.
-			s.failed.Add(1)
-			return
-		}
-		s.failed.Add(1)
-		switch {
-		case errors.Is(err, havoqgt.ErrQueryRejected):
-			// Backpressure: the engine's wait queue is full.
-			writeError(w, http.StatusTooManyRequests, codeEngineOverloaded, err.Error(), 1)
-		case errors.Is(err, havoqgt.ErrQueryCancelled):
-			// Deadline exhaustion (even after retries) or all waiters gone.
-			writeError(w, http.StatusGatewayTimeout, codeTimeout,
-				"query cancelled (deadline or client disconnect)", 1)
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error(), 0)
-		}
-		return
+	if c := r.Components; c != nil {
+		res.Labels, res.Components = c.Labels, c.Count
 	}
-
-	s.served.Add(1)
-	s.plane.ObserveLatency(time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Traffic-Outcome", outcome.String())
-	w.Header().Set("X-Graph-Version", strconv.FormatUint(s.g.Version(), 10))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	if k := r.KCore; k != nil {
+		res.InCore, res.CoreSize = k.InCore, k.CoreSize
+	}
+	if p := r.PageRank; p != nil {
+		res.Ranks = p.Ranks
+	}
+	if t := r.Triangles; t != nil {
+		res.Triangles = t.Count
+	}
+	return res
 }

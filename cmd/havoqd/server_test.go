@@ -161,8 +161,19 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestServerRejectsBadRequests runs against both front ends: the
+// single-process server's and the cluster coordinator's.
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, ts := testServer(t)
+	_, single := testServer(t)
+	for _, fe := range []struct {
+		name string
+		ts   *httptest.Server
+	}{{"single", single}, {"cluster", testCoordServer(t)}} {
+		t.Run(fe.name, func(t *testing.T) { rejectsBadRequests(t, fe.ts) })
+	}
+}
+
+func rejectsBadRequests(t *testing.T, ts *httptest.Server) {
 	cases := []struct {
 		name string
 		req  queryRequest
@@ -201,6 +212,28 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: status %d", res.StatusCode)
+	}
+}
+
+// TestServerEquivalentRequestsShareAnswers: requests that ask the same
+// question key as one — a field the query type does not read, or a default
+// spelled out, does not split them — so the second of each pair is served
+// from the cache.
+func TestServerEquivalentRequestsShareAnswers(t *testing.T) {
+	_, ts := testServer(t)
+	for _, pair := range [][2]queryRequest{
+		{{Algo: "cc", Source: 5}, {Algo: "cc"}},
+		{{Algo: "pagerank"}, {Algo: "pagerank", Iters: 20}},
+	} {
+		for i, q := range pair {
+			res := postAs(t, ts, "", q)
+			io.Copy(io.Discard, res.Body)
+			res.Body.Close()
+			want := []string{"executed", "cached"}[i]
+			if got := res.Header.Get("X-Traffic-Outcome"); res.StatusCode != http.StatusOK || got != want {
+				t.Errorf("%+v: status %d outcome %q, want 200 %s", q, res.StatusCode, got, want)
+			}
+		}
 	}
 }
 

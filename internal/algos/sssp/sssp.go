@@ -24,6 +24,18 @@ import (
 // Unreached is the distance of vertices not reached by the traversal (∞).
 const Unreached = ^uint64(0)
 
+// Summary folds a global distance array into the traversal's reached-vertex
+// count and its longest finite distance.
+func Summary(dist []uint64) (reached, maxDist uint64) {
+	for _, d := range dist {
+		if d != Unreached {
+			reached++
+			maxDist = max(maxDist, d)
+		}
+	}
+	return reached, maxDist
+}
+
 // MaxWeight bounds synthesized edge weights to [1, MaxWeight].
 const MaxWeight = 255
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"havoqgt/internal/engine"
 	"havoqgt/internal/faults"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
@@ -127,7 +128,7 @@ func ChaosPlan(seed uint64, index int) (faults.Plan, bool) {
 // index): a small random graph whose traversal exchanges enough messages for
 // the plan's rates to bite, with the plan from ChaosPlan armed and the
 // reliable mailbox switched on exactly when the plan requires it.
-func ChaosCaseAt(algo, topo string, seed uint64, index int) Case {
+func ChaosCaseAt(algo engine.Algo, topo string, seed uint64, index int) Case {
 	rng := xrand.New(xrand.Mix64(seed + uint64(index)*0x61c8864680b583eb))
 	plan, reliable := ChaosPlan(seed, index)
 	return Case{

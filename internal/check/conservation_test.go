@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 )
@@ -26,7 +27,7 @@ func TestConservationCrossTopology(t *testing.T) {
 		for _, topo := range Topologies() {
 			for _, p := range ranks {
 				ghosts := ghostGrid
-				if algo == "bfs_do" || algo == "triangle" {
+				if algo == engine.AlgoBFSDO || algo == engine.AlgoTriangles {
 					ghosts = []int{0}
 				}
 				for _, resident := range residentGrid {
@@ -67,14 +68,14 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 	base := Case{Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
 		FlushBytes: 64, K: 6} // k = 6 peels most of this graph; 2 peels nothing
 	for _, tc := range []struct {
-		algo              string
+		algo              engine.Algo
 		ghosts            int
 		filters, combines bool
 	}{
 		{"bfs", 0, true, false}, {"sssp", 0, true, false}, {"cc", 0, true, false},
 		{"kcore", 0, false, true}, {"pagerank", 0, false, true},
 		{"bfs", -1, false, false}, {"cc", -1, false, false}, {"kcore", -1, false, false}, {"pagerank", -1, false, false},
-		{"triangle", 0, false, false},
+		{"triangles", 0, false, false},
 	} {
 		c := base
 		c.Algo, c.Ghosts = tc.algo, tc.ghosts

@@ -17,10 +17,10 @@ import (
 	"havoqgt/internal/xrand"
 )
 
-// Algos lists the algorithms the differential harness can exercise.
-func Algos() []string {
-	return []string{"bfs", "bfs_do", "sssp", "cc", "kcore", "triangle", "pagerank"}
-}
+// Algos lists the algorithms the differential harness exercises: every
+// query type, in the engine's table order (which RandomCase's draw depends
+// on).
+func Algos() []engine.Algo { return engine.Algos() }
 
 // Topologies lists the routing topologies the harness sweeps.
 func Topologies() []string { return []string{"1d", "2d", "3d"} }
@@ -32,14 +32,14 @@ func Topologies() []string { return []string{"1d", "2d", "3d"} }
 // in internal/ref, with the conservation invariants asserted on the query's
 // per-rank stats.
 type Case struct {
-	Algo       string // one of Algos()
-	Seed       uint64 // graph shape, source vertex and edge weights
-	N          uint64 // vertices
-	EdgeFactor int    // ≈ directed edges per vertex before undirecting
-	Ranks      int    // simulated machine size
-	Topo       string // "1d", "2d", "3d"
-	FlushBytes int    // mailbox aggregation threshold (1 = degenerate)
-	K          uint32 // k-core parameter (kcore only)
+	Algo       engine.Algo // one of Algos()
+	Seed       uint64      // graph shape, source vertex and edge weights
+	N          uint64      // vertices
+	EdgeFactor int         // ≈ directed edges per vertex before undirecting
+	Ranks      int         // simulated machine size
+	Topo       string      // "1d", "2d", "3d"
+	FlushBytes int         // mailbox aggregation threshold (1 = degenerate)
+	K          uint32      // k-core parameter (kcore only)
 	// Ghosts is the ghost setting handed to core.BuildGhostTables: 0 the
 	// default tables, negative none. bfs, sssp and cc filter on the table;
 	// kcore and pagerank combine over it.
@@ -121,15 +121,16 @@ func (c Case) Edges() []graph.Edge {
 			Dst: graph.Vertex(rng.Uint64n(c.N)),
 		}
 	}
-	if c.Algo == "kcore" {
+	if c.Algo == engine.AlgoKCore {
 		return graph.Simplify(graph.Undirect(pairs))
 	}
 	return graph.Undirect(pairs)
 }
 
-// source derives the deterministic source vertex for BFS/SSSP.
+// source derives the deterministic source vertex for BFS/SSSP (0 on a graph
+// with no vertex, which only cc's shapes use).
 func (c Case) source() graph.Vertex {
-	return graph.Vertex(xrand.Mix64(c.Seed^0xA5A5) % c.N)
+	return graph.Vertex(xrand.Mix64(c.Seed^0xA5A5) % max(c.N, 1))
 }
 
 // iters derives the deterministic pagerank iteration count.
@@ -137,25 +138,10 @@ func (c Case) iters() uint32 {
 	return 1 + uint32(xrand.Mix64(c.Seed^0x5151)%12)
 }
 
-// spec is the case's query.
-func (c Case) spec() (engine.Spec, error) {
-	switch c.Algo {
-	case "bfs":
-		return engine.Spec{Algo: engine.AlgoBFS, Source: c.source()}, nil
-	case "bfs_do":
-		return engine.Spec{Algo: engine.AlgoBFSDO, Source: c.source()}, nil
-	case "sssp":
-		return engine.Spec{Algo: engine.AlgoSSSP, Source: c.source(), WeightSeed: c.Seed}, nil
-	case "cc":
-		return engine.Spec{Algo: engine.AlgoCC}, nil
-	case "kcore":
-		return engine.Spec{Algo: engine.AlgoKCore, K: c.K}, nil
-	case "triangle":
-		return engine.Spec{Algo: engine.AlgoTriangles}, nil
-	case "pagerank":
-		return engine.Spec{Algo: engine.AlgoPageRank, Iters: c.iters()}, nil
-	}
-	return engine.Spec{}, fmt.Errorf("unknown algorithm")
+// spec is the case's query: every parameter derived, the ones its type does
+// not read dropped.
+func (c Case) spec() engine.Spec {
+	return engine.Canonical(engine.Spec{Algo: c.Algo, Source: c.source(), WeightSeed: c.Seed, K: c.K, Iters: c.iters()})
 }
 
 // Run executes the case and returns a non-nil error describing any
@@ -175,10 +161,6 @@ func (c Case) run() (stats []core.Stats, err error) {
 	}()
 	fail := func(err error) ([]core.Stats, error) { return nil, fmt.Errorf("%s: %w", c, err) }
 	topo, err := mailbox.ByName(c.Topo, c.Ranks)
-	if err != nil {
-		return fail(err)
-	}
-	spec, err := c.spec()
 	if err != nil {
 		return fail(err)
 	}
@@ -223,35 +205,35 @@ func (c Case) run() (stats []core.Stats, err error) {
 		inj.Arm()
 	}
 	res, stats, err := engine.RunOnce(cfg, engine.Options{Core: core.Config{FlushBytes: c.FlushBytes,
-		Reliable: c.Reliable, RTOBase: c.RTOBase, RTOMax: c.RTOMax}}, spec)
+		Reliable: c.Reliable, RTOBase: c.RTOBase, RTOMax: c.RTOMax}}, c.spec())
 	if err != nil {
 		return fail(err)
 	}
 
 	adj := ref.BuildAdj(edges, c.N)
 	switch c.Algo {
-	case "bfs", "bfs_do":
+	case engine.AlgoBFS, engine.AlgoBFSDO:
 		want, _ := ref.BFS(adj, c.source())
 		err = diff("bfs level", res.Levels, want)
-	case "sssp":
+	case engine.AlgoSSSP:
 		want, _ := ref.Dijkstra(adj, c.source(), func(u, v graph.Vertex) uint64 {
 			return sssp.Weight(u, v, c.Seed)
 		})
 		err = diff("sssp dist", res.Dist, want)
-	case "cc":
+	case engine.AlgoCC:
 		want, count := ref.Components(adj)
 		if err = diff("cc label", res.Labels, want); err == nil && res.Components != count {
 			err = fmt.Errorf("cc counted %d components, ref says %d", res.Components, count)
 		}
-	case "kcore":
+	case engine.AlgoKCore:
 		err = diff("kcore in-core", res.InCore, ref.KCore(adj, c.K))
-	case "triangle":
+	case engine.AlgoTriangles:
 		// The distributed counter dedupes internally, so its answer on the
 		// raw multigraph must equal the reference on the simplified graph.
 		if want := ref.CountTriangles(ref.BuildAdj(graph.Simplify(edges), c.N)); res.Triangles != want {
 			err = fmt.Errorf("counted %d triangles, ref says %d", res.Triangles, want)
 		}
-	case "pagerank":
+	case engine.AlgoPageRank:
 		err = diff("pagerank rank", res.Ranks, ref.PageRank(adj, int(c.iters())))
 	}
 	if err != nil {

@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/xrand"
 )
@@ -36,7 +37,7 @@ const sweepSeed, sweepCases = 0xD1FF, 48
 // and pagerank — run both with it and without it. Pinned here so a change to
 // the draw or the grids cannot quietly drop a side.
 func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
-	seen := map[string]map[int]bool{"kcore": {}, "pagerank": {}}
+	seen := map[engine.Algo]map[int]bool{engine.AlgoKCore: {}, engine.AlgoPageRank: {}}
 	rng := xrand.New(sweepSeed)
 	for i := 0; i < sweepCases; i++ {
 		if c := RandomCase(rng); seen[c.Algo] != nil {
@@ -111,7 +112,7 @@ func TestDifferentialReplaySeeds(t *testing.T) {
 		{Algo: "sssp", Seed: 2, N: 33, EdgeFactor: 3, Ranks: 5, Topo: "2d", FlushBytes: 1},
 		{Algo: "cc", Seed: 3, N: 48, EdgeFactor: 1, Ranks: 7, Topo: "3d", FlushBytes: 24},
 		{Algo: "kcore", Seed: 4, N: 30, EdgeFactor: 4, Ranks: 5, Topo: "2d", FlushBytes: 1, K: 3},
-		{Algo: "triangle", Seed: 5, N: 26, EdgeFactor: 3, Ranks: 3, Topo: "3d", FlushBytes: 1 << 20},
+		{Algo: "triangles", Seed: 5, N: 26, EdgeFactor: 3, Ranks: 3, Topo: "3d", FlushBytes: 1 << 20},
 	}
 	if testing.Short() {
 		pinned = pinned[:3]

@@ -9,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"havoqgt/internal/algos/pagerank"
 	"havoqgt/internal/engine"
 	"havoqgt/internal/graph"
-	"havoqgt/internal/ref"
 )
 
 // ErrCoordinatorClosed reports a Submit after Close.
@@ -509,22 +507,8 @@ type Query struct {
 // immediately with *DegradedError instead of queueing onto a cluster that
 // cannot answer.
 func (c *Coordinator) Submit(spec engine.Spec) (*Query, error) {
-	switch spec.Algo {
-	case engine.AlgoBFS, engine.AlgoBFSDO, engine.AlgoSSSP:
-		if uint64(spec.Source) >= c.n {
-			return nil, fmt.Errorf("cluster: source %d out of range [0, %d)", spec.Source, c.n)
-		}
-	case engine.AlgoCC, engine.AlgoTriangles:
-	case engine.AlgoKCore:
-		if spec.K < 1 {
-			return nil, errors.New("cluster: kcore needs k >= 1")
-		}
-	case engine.AlgoPageRank:
-		if spec.Iters > pagerank.MaxIters {
-			return nil, fmt.Errorf("cluster: pagerank iters %d exceeds max %d", spec.Iters, pagerank.MaxIters)
-		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown algorithm %q", spec.Algo)
+	if err := engine.Validate(spec, c.n); err != nil {
+		return nil, err
 	}
 	c.sem <- struct{}{} // global admission: one slot per in-flight query
 
@@ -547,10 +531,12 @@ func (c *Coordinator) Submit(spec engine.Spec) (*Query, error) {
 		c:       c,
 		id:      c.nextQID,
 		spec:    spec,
-		res:     newClusterResult(spec, c.n),
+		res:     engine.NewResult(spec, c.n),
 		pending: c.cfg.Workers,
 		done:    make(chan struct{}),
 	}
+	// Parents depend on arrival order, so workers never ship them.
+	q.res.Parents = nil
 	c.nextQID++
 	c.queries[q.id] = q
 	conns := append([]*wconn(nil), c.workers...)
@@ -570,40 +556,6 @@ func (c *Coordinator) Submit(spec engine.Spec) (*Query, error) {
 		}
 	}
 	return q, nil
-}
-
-// newClusterResult mirrors the engine's result initialization so a cancelled
-// (partial) assembly still reads as "unreached", never as spurious zeros.
-func newClusterResult(spec engine.Spec, n uint64) *engine.Result {
-	res := &engine.Result{}
-	switch spec.Algo {
-	case engine.AlgoBFS, engine.AlgoBFSDO:
-		res.Levels = make([]uint32, n)
-		for i := range res.Levels {
-			res.Levels[i] = ^uint32(0)
-		}
-	case engine.AlgoSSSP:
-		res.Dist = make([]uint64, n)
-		for i := range res.Dist {
-			res.Dist[i] = ^uint64(0)
-		}
-	case engine.AlgoCC:
-		res.Labels = make([]graph.Vertex, n)
-		for i := range res.Labels {
-			res.Labels[i] = graph.Vertex(i)
-		}
-	case engine.AlgoKCore:
-		res.InCore = make([]bool, n)
-	case engine.AlgoPageRank:
-		res.Ranks = make([]uint64, n)
-		if n > 0 {
-			init := ref.PRScale / n
-			for i := range res.Ranks {
-				res.Ranks[i] = init
-			}
-		}
-	}
-	return res
 }
 
 // addPartial folds one worker's master-range result into the assembly; the
@@ -643,13 +595,8 @@ func (q *Query) addPartial(m *msg) {
 	last := q.pending == 0
 	if last {
 		q.finished = true
-		switch q.spec.Algo {
-		case engine.AlgoCC:
-			q.res.Components = q.accumSum
-		case engine.AlgoKCore:
-			q.res.CoreSize = q.accumSum
-		case engine.AlgoTriangles:
-			q.res.Triangles = q.accumSum
+		if total := q.spec.Algo.Total(q.res); total != nil {
+			*total = q.accumSum
 		}
 		if q.timer != nil {
 			q.timer.Stop()

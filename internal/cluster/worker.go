@@ -290,7 +290,7 @@ serve:
 				mu.Lock()
 				delete(tickets, qid)
 				mu.Unlock()
-				send(resultMsg(qid, res, gLo, gHi))
+				send(resultMsg(qid, spec.Algo, res, gLo, gHi))
 			}(m.QID, tk)
 		case "cancel":
 			mu.Lock()
@@ -384,10 +384,13 @@ func buildPartitions(machine *rt.Machine, cfg ClusterConfig, logf func(string, .
 }
 
 // resultMsg packages one query's worker-local outcome: the master-range
-// slice of the deterministic arrays, the worker-local scalar accumulator,
-// and (from rank 0's host only) the detector wave count.
-func resultMsg(qid uint32, res *engine.Result, gLo, gHi uint64) *msg {
-	m := &msg{Type: "result", QID: qid, Lo: gLo, Hi: gHi, Cancelled: res.Cancelled}
+// slice of the deterministic arrays, the worker-local total of the query
+// type's scalar, and (from rank 0's host only) the detector wave count.
+func resultMsg(qid uint32, algo engine.Algo, res *engine.Result, gLo, gHi uint64) *msg {
+	m := &msg{Type: "result", QID: qid, Lo: gLo, Hi: gHi, Cancelled: res.Cancelled, Waves: res.Waves}
+	if total := algo.Total(res); total != nil {
+		m.Accum = *total
+	}
 	switch {
 	case res.Levels != nil:
 		m.Levels = res.Levels[gLo:gHi]
@@ -398,17 +401,10 @@ func resultMsg(qid uint32, res *engine.Result, gLo, gHi uint64) *msg {
 		for i, v := range res.Labels[gLo:gHi] {
 			m.Labels[i] = uint64(v)
 		}
-		m.Accum = res.Components
 	case res.InCore != nil:
 		m.InCore = res.InCore[gLo:gHi]
-		m.Accum = res.CoreSize
 	case res.Ranks != nil:
 		m.Ranks = res.Ranks[gLo:gHi]
-	default:
-		// Scalar-only results (triangle counting) carry the worker-local
-		// accumulator with no per-vertex array.
-		m.Accum = res.Triangles
 	}
-	m.Waves = res.Waves
 	return m
 }

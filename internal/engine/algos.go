@@ -1,0 +1,269 @@
+package engine
+
+// The query-type table. A query type is one entry: the Spec fields it reads
+// and the checks they must pass, the Result arrays it fills and what they
+// hold before any rank gathered into them, its runner constructor, whether
+// it resumes, and the Result scalar its ranks' accum totals into. Validate,
+// NewResult, Canonical, Algo.Resumable and Algo.Total read the table; the
+// cluster and havoqd reach it only through them. Submit resolves a query's
+// entry once and carries it on the query, so rank loops never read the
+// table. What a query type still needs outside it: its facade method and
+// result struct, its cluster wire array, and its internal/ref oracle with
+// its differential case.
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"strings"
+
+	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/algos/pagerank"
+	"havoqgt/internal/algos/sssp"
+	"havoqgt/internal/graph"
+	"havoqgt/internal/ref"
+)
+
+// algo is one query type's table entry.
+type algo struct {
+	name Algo
+	// params returns the Spec fields the query type reads, defaults
+	// resolved, every other field zero; nil reads none.
+	params func(Spec) Spec
+	// check rejects parameters the query type cannot run with on an
+	// n-vertex graph; nil accepts every value.
+	check func(spec Spec, n uint64) error
+	// arrays are the per-vertex Result arrays the ranks gather into.
+	arrays []array
+	// run builds the query's runner on one rank (runners.go).
+	run func(*runEnv) runner
+	// resumes is the checkpoint/resume capability (Algo.Resumable).
+	resumes bool
+	// total, when non-nil, is the Result scalar the ranks' accum totals into.
+	total func(*Result) *uint64
+}
+
+// algos is the table, in the order Algos lists it.
+var algos = []*algo{
+	{name: AlgoBFS, params: source, check: sourceInRange, arrays: []array{levels, parents},
+		run: newBFSRunner, resumes: true},
+	{name: AlgoBFSDO, params: source, check: sourceInRange, arrays: []array{levels, parents},
+		run: newDOBFSRunner},
+	{name: AlgoSSSP, params: func(s Spec) Spec { return Spec{Source: s.Source, WeightSeed: s.WeightSeed} },
+		check: sourceInRange, arrays: []array{dist, parents}, run: newSSSPRunner, resumes: true},
+	{name: AlgoCC, arrays: []array{labels}, run: newCCRunner, resumes: true,
+		total: func(r *Result) *uint64 { return &r.Components }},
+	{name: AlgoKCore, params: func(s Spec) Spec { return Spec{K: s.K} },
+		check: func(s Spec, _ uint64) error {
+			if s.K < 1 {
+				return errors.New("engine: kcore needs k >= 1")
+			}
+			return nil
+		},
+		arrays: []array{inCore}, run: newKCoreRunner, total: func(r *Result) *uint64 { return &r.CoreSize }},
+	{name: AlgoTriangles, params: func(s Spec) Spec { return Spec{SampleProb: s.SampleProb, SampleSeed: s.SampleSeed} },
+		check: func(s Spec, _ uint64) error {
+			if p := s.SampleProb; p != 0 && !(p > 0 && p < 1) {
+				return fmt.Errorf("engine: triangles sample probability %v not in (0, 1)", p)
+			}
+			return nil
+		},
+		run: newTriangleRunner, total: func(r *Result) *uint64 { return &r.Triangles }},
+	{name: AlgoPageRank, params: func(s Spec) Spec { return Spec{Iters: cmp.Or(s.Iters, pagerank.DefaultIters)} },
+		check: func(s Spec, _ uint64) error {
+			if s.Iters > pagerank.MaxIters {
+				return fmt.Errorf("engine: pagerank iters %d exceeds max %d", s.Iters, pagerank.MaxIters)
+			}
+			return nil
+		},
+		arrays: []array{ranks}, run: newPageRankRunner},
+}
+
+func source(s Spec) Spec { return Spec{Source: s.Source} }
+
+func sourceInRange(s Spec, n uint64) error {
+	if uint64(s.Source) >= n {
+		return fmt.Errorf("engine: source %d out of range [0, %d)", s.Source, n)
+	}
+	return nil
+}
+
+// array is one per-vertex Result array.
+type array struct {
+	// alloc sets the array to n entries of its "nothing known" value rather
+	// than zero. A completed query overwrites every entry through the
+	// per-rank gathers, but a query cancelled before it ever started skips
+	// them, and its result must still be a valid (empty) checkpoint, not an
+	// array of spurious level-0 vertices.
+	alloc func(res *Result, n uint64)
+	size  func(res *Result) int
+}
+
+// filled is the array field returns, every entry starting at none(n); nil
+// none leaves the zero value.
+func filled[T any](field func(*Result) *[]T, none func(n uint64) T) array {
+	return array{
+		alloc: func(res *Result, n uint64) {
+			a := make([]T, n)
+			if none != nil && n > 0 {
+				x := none(n)
+				for i := range a {
+					a[i] = x
+				}
+			}
+			*field(res) = a
+		},
+		size: func(res *Result) int { return len(*field(res)) },
+	}
+}
+
+var (
+	levels  = filled(func(r *Result) *[]uint32 { return &r.Levels }, func(uint64) uint32 { return bfs.Unreached })
+	dist    = filled(func(r *Result) *[]uint64 { return &r.Dist }, func(uint64) uint64 { return sssp.Unreached })
+	parents = filled(func(r *Result) *[]graph.Vertex { return &r.Parents }, nil)
+	inCore  = filled(func(r *Result) *[]bool { return &r.InCore }, nil)
+	// Iteration 0, uniform 1/n: what a query cancelled before any iteration
+	// would mean.
+	ranks = filled(func(r *Result) *[]uint64 { return &r.Ranks }, func(n uint64) uint64 { return ref.PRScale / n })
+	// Every vertex its own component.
+	labels = array{
+		alloc: func(r *Result, n uint64) {
+			r.Labels = make([]graph.Vertex, n)
+			for v := range r.Labels {
+				r.Labels[v] = graph.Vertex(v)
+			}
+		},
+		size: func(r *Result) int { return len(r.Labels) },
+	}
+)
+
+// lookup returns a's entry, or nil for a type the table does not hold.
+func lookup(a Algo) *algo {
+	for _, e := range algos {
+		if e.name == a {
+			return e
+		}
+	}
+	return nil
+}
+
+// Algos lists every query type, in table order.
+func Algos() []Algo {
+	out := make([]Algo, len(algos))
+	for i, e := range algos {
+		out[i] = e.name
+	}
+	return out
+}
+
+// Resumable is the checkpoint/resume capability flag: true when the
+// algorithm's per-vertex state is monotone (levels, distances, and labels
+// only ever improve toward the fixpoint), so a cancelled query's partial
+// gather is a consistent lower bound a resumed run can re-seed from.
+//
+// The others fail the test for structural reasons, not as special cases:
+// k-core's interlocked removal counts would double-remove edges on replay;
+// pagerank ranks move both ways between iterations; the direction-optimizing
+// BFS and triangle counting hold mid-protocol wavefront state (frontier
+// bitmaps, partial wedges) that a fresh engine cannot re-enter. Everything
+// that gates on resumability — Spec.Resume validation, Ticket.Checkpoint,
+// retry ladders — consults this one flag, the entry's.
+func (a Algo) Resumable() bool {
+	e := lookup(a)
+	return e != nil && e.resumes
+}
+
+// Total returns the Result scalar a query of type a totals its ranks' (in a
+// cluster, its workers') accumulators into — the component count, the core
+// size, the triangle count — or nil for a type with none.
+func (a Algo) Total(res *Result) *uint64 {
+	if e := lookup(a); e != nil && e.total != nil {
+		return e.total(res)
+	}
+	return nil
+}
+
+// key is the part of spec the entry reads.
+func (e *algo) key(spec Spec) Spec {
+	if e.params == nil {
+		return Spec{}
+	}
+	return e.params(spec)
+}
+
+// Canonical returns spec with every field its query type does not read
+// zeroed and the defaults of those it does resolved (PageRank's Iters 0 is
+// pagerank.DefaultIters), so two specs asking the same question are equal.
+// Deadline and Resume are kept. A spec of an unknown type comes back as is.
+func Canonical(spec Spec) Spec {
+	e := lookup(spec.Algo)
+	if e == nil {
+		return spec
+	}
+	c := e.key(spec)
+	c.Algo, c.Deadline, c.Resume = spec.Algo, spec.Deadline, spec.Resume
+	return c
+}
+
+// Validate rejects a spec no engine over an n-vertex graph can run: an
+// unknown query type, parameters its entry's checks refuse, or a Resume
+// checkpoint from another query, another graph, or a type that does not
+// resume (ErrNotResumable).
+func Validate(spec Spec, n uint64) error {
+	_, err := resolve(spec, n)
+	return err
+}
+
+// resolve is Validate, also returning the spec's entry.
+func resolve(spec Spec, n uint64) (*algo, error) {
+	e := lookup(spec.Algo)
+	if e == nil {
+		names := make([]string, len(algos))
+		for i, a := range algos {
+			names[i] = string(a.name)
+		}
+		return nil, fmt.Errorf("engine: unknown algorithm %q (want %s)", spec.Algo, strings.Join(names, "|"))
+	}
+	if e.check != nil {
+		if err := e.check(spec, n); err != nil {
+			return nil, err
+		}
+	}
+	cp := spec.Resume
+	if cp == nil {
+		return e, nil
+	}
+	if !e.resumes {
+		return nil, fmt.Errorf("%w: %s", ErrNotResumable, spec.Algo)
+	}
+	if cp.Res == nil {
+		return nil, errors.New("engine: resume checkpoint has no result state")
+	}
+	if cp.Spec.Algo != spec.Algo || e.key(cp.Spec) != e.key(spec) {
+		return nil, errors.New("engine: resume checkpoint is from an incompatible query")
+	}
+	for _, a := range e.arrays {
+		if uint64(a.size(cp.Res)) != n {
+			return nil, errors.New("engine: resume checkpoint sized for a different graph")
+		}
+	}
+	return e, nil
+}
+
+// NewResult allocates spec's result over an n-vertex graph: its query type's
+// arrays, each filled with its "nothing known" value (Unreached levels and
+// distances, own-id labels, uniform ranks).
+func NewResult(spec Spec, n uint64) *Result {
+	if e := lookup(spec.Algo); e != nil {
+		return e.newResult(n)
+	}
+	return &Result{}
+}
+
+func (e *algo) newResult(n uint64) *Result {
+	res := &Result{}
+	for _, a := range e.arrays {
+		a.alloc(res, n)
+	}
+	return res
+}

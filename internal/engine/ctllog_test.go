@@ -83,10 +83,11 @@ func TestUnwaitLeavesNoStaleTail(t *testing.T) {
 	defer e.Close()
 	var open atomic.Bool
 	defer open.Store(true) // before Close, which waits for the blocker
-	blocker, err := e.admit(Spec{Algo: "custom"}, func(env *runEnv) runner {
+	t.Cleanup(register(&algo{name: "gated", run: func(env *runEnv) runner {
 		qu := newQueue[orderVisitor](env, &orderAlgo{})
 		return gated{&queueRunner[orderVisitor]{Queue: qu, finish: func() {}}, &open}
-	})
+	}}))
+	blocker, err := e.Submit(Spec{Algo: "gated"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/pagerank"
-	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
-	"havoqgt/internal/ref"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/termination"
 )
@@ -75,7 +71,7 @@ var ErrNotResumable = errors.New("engine: algorithm is not resumable")
 // Algo selects the traversal a query runs.
 type Algo string
 
-// Supported query algorithms.
+// Supported query algorithms, one table entry each (algos.go).
 const (
 	AlgoBFS       Algo = "bfs"
 	AlgoSSSP      Algo = "sssp"
@@ -85,26 +81,6 @@ const (
 	AlgoPageRank  Algo = "pagerank"  // fixed-point PageRank (Spec.Iters)
 	AlgoTriangles Algo = "triangles" // exact triangle count
 )
-
-// Resumable is the checkpoint/resume capability flag: true when the
-// algorithm's per-vertex state is monotone (levels, distances, and labels
-// only ever improve toward the fixpoint), so a cancelled query's partial
-// gather is a consistent lower bound a resumed run can re-seed from.
-//
-// The others fail the test for structural reasons, not as special cases:
-// k-core's interlocked removal counts would double-remove edges on replay;
-// pagerank ranks move both ways between iterations; the direction-optimizing
-// BFS and triangle counting hold mid-protocol wavefront state (frontier
-// bitmaps, partial wedges) that a fresh engine cannot re-enter. Everything
-// that gates on resumability — Spec.Resume validation, Ticket.Checkpoint,
-// retry ladders — consults this one flag.
-func (a Algo) Resumable() bool {
-	switch a {
-	case AlgoBFS, AlgoSSSP, AlgoCC:
-		return true
-	}
-	return false
-}
 
 // Spec describes one query.
 type Spec struct {
@@ -121,9 +97,9 @@ type Spec struct {
 	SampleSeed uint64
 	Deadline   time.Duration // 0 = none; expiry cancels the query
 	// Resume, if non-nil, seeds the query from a checkpoint taken off an
-	// earlier cancelled run of the same traversal (same algo, source, and
-	// weight seed) instead of from scratch. Only algorithms with
-	// Algo.Resumable may resume. See Ticket.Checkpoint.
+	// earlier cancelled run of the same traversal (same algo, and the same
+	// values of the fields it reads) instead of from scratch. Only
+	// algorithms with Algo.Resumable may resume. See Ticket.Checkpoint.
 	Resume *Checkpoint
 }
 
@@ -300,13 +276,11 @@ func (l *ctlLog) from(cursor int) []ctlEvent {
 // the final rank to quiesce closes done, which publishes every earlier write
 // to waiters.
 type query struct {
-	id    uint32
-	spec  Spec
-	res   *Result
-	stats []core.Stats // per rank, each written by its own rank pre-done
-	// custom, when non-nil, builds the rank runners instead of the spec's
-	// algorithm: the seam in-package tests drive toy visitors through.
-	custom    func(*runEnv) runner
+	id        uint32
+	spec      Spec
+	algo      *algo // the spec's table entry, resolved once at submission
+	res       *Result
+	stats     []core.Stats // per rank, each written by its own rank pre-done
 	accum     atomic.Uint64
 	cancelled atomic.Bool
 	cause     atomic.Int32 // why cancelled: causeExplicit, causeDeadline, causeAborted
@@ -391,7 +365,7 @@ func (t *Ticket) Checkpoint() *Checkpoint {
 	default:
 		return nil
 	}
-	if !t.q.res.Cancelled || !t.q.spec.Algo.Resumable() {
+	if !t.q.res.Cancelled || !t.q.algo.resumes {
 		return nil
 	}
 	spec := t.q.spec
@@ -590,82 +564,31 @@ func (e *Engine) NumVertices() uint64 { return e.n }
 // Obs returns the machine's metrics registry (for /stats endpoints).
 func (e *Engine) Obs() *obs.Registry { return e.cfg.Machine.Obs() }
 
-// validate rejects malformed specs before admission.
-func (e *Engine) validate(spec Spec) error {
-	switch spec.Algo {
-	case AlgoBFS, AlgoSSSP, AlgoBFSDO:
-		if uint64(spec.Source) >= e.n {
-			return fmt.Errorf("engine: source %d out of range [0, %d)", spec.Source, e.n)
-		}
-	case AlgoCC:
-	case AlgoTriangles:
-		if p := spec.SampleProb; p != 0 && !(p > 0 && p < 1) {
-			return fmt.Errorf("engine: triangles sample probability %v not in (0, 1)", p)
-		}
-	case AlgoKCore:
-		if spec.K < 1 {
-			return errors.New("engine: kcore needs k >= 1")
-		}
-	case AlgoPageRank:
-		if spec.Iters > pagerank.MaxIters {
-			return fmt.Errorf("engine: pagerank iters %d exceeds max %d", spec.Iters, pagerank.MaxIters)
-		}
-	default:
-		return fmt.Errorf("engine: unknown algorithm %q", spec.Algo)
-	}
-	if cp := spec.Resume; cp != nil {
-		if !spec.Algo.Resumable() {
-			return fmt.Errorf("%w: %s", ErrNotResumable, spec.Algo)
-		}
-		if cp.Res == nil {
-			return errors.New("engine: resume checkpoint has no result state")
-		}
-		if cp.Spec.Algo != spec.Algo || cp.Spec.Source != spec.Source ||
-			cp.Spec.WeightSeed != spec.WeightSeed {
-			return errors.New("engine: resume checkpoint is from an incompatible query")
-		}
-		switch spec.Algo {
-		case AlgoBFS:
-			if uint64(len(cp.Res.Levels)) != e.n || uint64(len(cp.Res.Parents)) != e.n {
-				return errors.New("engine: resume checkpoint sized for a different graph")
-			}
-		case AlgoSSSP:
-			if uint64(len(cp.Res.Dist)) != e.n || uint64(len(cp.Res.Parents)) != e.n {
-				return errors.New("engine: resume checkpoint sized for a different graph")
-			}
-		case AlgoCC:
-			if uint64(len(cp.Res.Labels)) != e.n {
-				return errors.New("engine: resume checkpoint sized for a different graph")
-			}
-		}
-	}
-	return nil
-}
-
 // Submit admits, queues, or rejects a query. A non-nil Ticket is returned
 // exactly when err is nil.
 func (e *Engine) Submit(spec Spec) (*Ticket, error) {
-	if err := e.validate(spec); err != nil {
+	a, err := resolve(spec, e.n)
+	if err != nil {
 		return nil, err
 	}
-	return e.admit(spec, nil)
+	return e.admit(a, spec)
 }
 
 // newQuery allocates the shared per-query object.
-func (e *Engine) newQuery(id uint32, spec Spec) *query {
+func (e *Engine) newQuery(id uint32, a *algo, spec Spec) *query {
 	return &query{
 		id:        id,
 		spec:      spec,
-		res:       newResult(spec, e.n),
+		algo:      a,
+		res:       a.newResult(e.n),
 		stats:     make([]core.Stats, e.p),
 		done:      make(chan struct{}),
 		submitted: time.Now(),
 	}
 }
 
-// admit is Submit past validation; custom replaces the spec's runners (see
-// query.custom).
-func (e *Engine) admit(spec Spec, custom func(*runEnv) runner) (*Ticket, error) {
+// admit is Submit past validation, with the spec's resolved entry.
+func (e *Engine) admit(a *algo, spec Spec) (*Ticket, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -680,8 +603,7 @@ func (e *Engine) admit(spec Spec, custom func(*runEnv) runner) (*Ticket, error) 
 		e.mu.Unlock()
 		return nil, ErrRejected
 	}
-	q := e.newQuery(e.nextID, spec)
-	q.custom = custom
+	q := e.newQuery(e.nextID, a, spec)
 	e.nextID++
 	e.outstanding++
 	e.obsSubmitted.Inc()
@@ -732,56 +654,12 @@ func RunOnce(cfg Config, opts Options, spec Spec) (*Result, []core.Stats, error)
 	return res, t.Stats(), t.Err()
 }
 
-// newResult allocates the algorithm's output arrays, initialized to the
-// traversal's "nothing known" values (Unreached levels/distances, own-id
-// labels) rather than zero. A completed query overwrites every entry through
-// the per-rank gathers, but a query cancelled before it ever started skips
-// them — and its result must still be a valid (empty) checkpoint, not an
-// array of spurious level-0 vertices.
-func newResult(spec Spec, n uint64) *Result {
-	res := &Result{}
-	switch spec.Algo {
-	case AlgoBFS, AlgoBFSDO:
-		res.Levels = make([]uint32, n)
-		for i := range res.Levels {
-			res.Levels[i] = bfs.Unreached
-		}
-		res.Parents = make([]graph.Vertex, n)
-	case AlgoSSSP:
-		res.Dist = make([]uint64, n)
-		for i := range res.Dist {
-			res.Dist[i] = sssp.Unreached
-		}
-		res.Parents = make([]graph.Vertex, n)
-	case AlgoCC:
-		res.Labels = make([]graph.Vertex, n)
-		for i := range res.Labels {
-			res.Labels[i] = graph.Vertex(i)
-		}
-	case AlgoKCore:
-		res.InCore = make([]bool, n)
-	case AlgoPageRank:
-		// Iteration-0 value (uniform 1/n), the fixed-point starting mass —
-		// matching what a query cancelled before any iteration would mean.
-		res.Ranks = make([]uint64, n)
-		for i := range res.Ranks {
-			res.Ranks[i] = ref.PRScale / n
-		}
-	}
-	return res
-}
-
 // completeQuery runs on the last rank to quiesce a started query: publish
 // scalar aggregates, close done, release the slot, and admit the next waiter.
 func (e *Engine) completeQuery(q *query) {
 	q.res.Cancelled = q.cancelled.Load()
-	switch q.spec.Algo {
-	case AlgoCC:
-		q.res.Components = q.accum.Load()
-	case AlgoKCore:
-		q.res.CoreSize = q.accum.Load()
-	case AlgoTriangles:
-		q.res.Triangles = q.accum.Load()
+	if total := q.algo.total; total != nil {
+		*total(q.res) = q.accum.Load()
 	}
 	e.mu.Lock()
 	e.inflight--

@@ -306,7 +306,7 @@ func (s *rankState) start(r *rt.Rank, q *query) {
 	if s.e.cfg.Ghosts != nil {
 		env.ghosts = s.e.cfg.Ghosts[r.Rank()]
 	}
-	rq.run = newRunner(env)
+	rq.run = q.algo.run(env)
 	s.active[q.id] = rq
 	if recs := s.pending[q.id]; len(recs) > 0 {
 		delete(s.pending, q.id)

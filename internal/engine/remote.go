@@ -25,7 +25,8 @@ import (
 // and broadcasts an explicit cancel, so all workers flip to drain mode off the
 // same control decision instead of racing local clocks.
 func (e *Engine) SubmitRemote(id uint32, spec Spec) (*Ticket, error) {
-	if err := e.validate(spec); err != nil {
+	a, err := resolve(spec, e.n)
+	if err != nil {
 		return nil, err
 	}
 	if id == 0 || uint64(id) > uint64(termination.MaxID) {
@@ -36,7 +37,7 @@ func (e *Engine) SubmitRemote(id uint32, spec Spec) (*Ticket, error) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	q := e.newQuery(id, spec)
+	q := e.newQuery(id, a, spec)
 	e.outstanding++
 	e.inflight++
 	e.obsSubmitted.Inc()

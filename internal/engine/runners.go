@@ -1,11 +1,11 @@
 package engine
 
 // Per-algorithm runner constructors — the one place a traversal is seeded.
-// Each builds the algorithm's rank state and the query's visitor queue
-// (core.NewQueue) over the rank loop's shared mailbox and the query's
-// detector instance, pushes the initial visitors, and supplies the Finish
-// gather. The embedded Queue provides
-// Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats.
+// Each is its query type's entry's run (algos.go). Each builds the
+// algorithm's rank state and the query's visitor queue (core.NewQueue) over
+// the rank loop's shared mailbox and the query's detector instance, pushes
+// the initial visitors, and supplies the Finish gather. The embedded Queue
+// provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats.
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -32,31 +32,6 @@ type runEnv struct {
 	box    *mailbox.Box
 	det    *termination.Detector
 	q      *query
-}
-
-// newRunner dispatches on the query's algorithm.
-func newRunner(env *runEnv) runner {
-	if env.q.custom != nil {
-		return env.q.custom(env)
-	}
-	switch env.q.spec.Algo {
-	case AlgoBFS:
-		return newBFSRunner(env)
-	case AlgoSSSP:
-		return newSSSPRunner(env)
-	case AlgoCC:
-		return newCCRunner(env)
-	case AlgoKCore:
-		return newKCoreRunner(env)
-	case AlgoBFSDO:
-		return newDOBFSRunner(env)
-	case AlgoPageRank:
-		return newPageRankRunner(env)
-	case AlgoTriangles:
-		return newTriangleRunner(env)
-	default:
-		panic("engine: unknown algorithm past Submit validation")
-	}
 }
 
 // queueRunner is a visitor-queue runner: the query's core.Queue plus the

@@ -35,15 +35,19 @@ func (m *stalledMarking) Cancel() {
 	m.ccRunner.Cancel()
 }
 
-// startCC starts an engine on g and admits one cc query whose rank runners
-// custom builds.
-func startCC(t *testing.T, g *testGraph, custom func(*runEnv) runner) (*Engine, *Ticket) {
+// startCC starts an engine on g and submits one query of a cc variant: cc's
+// entry, registered for the test under another name, with rank runners run
+// builds.
+func startCC(t *testing.T, g *testGraph, run func(*runEnv) runner) (*Engine, *Ticket) {
 	t.Helper()
+	variant := *lookup(AlgoCC)
+	variant.name, variant.run = "cc_variant", run
+	t.Cleanup(register(&variant))
 	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := e.admit(Spec{Algo: AlgoCC}, custom)
+	tk, err := e.Submit(Spec{Algo: variant.name})
 	if err != nil {
 		e.Close()
 		t.Fatal(err)

@@ -2,9 +2,10 @@ package engine
 
 // Tests that drive caller-built visitor algorithms — toy visitors probing
 // the core.Queue scheduler, and algorithm variants no Spec reaches — through
-// the one rank loop. The seam is query.custom: a runner factory submitted in
-// place of a Spec's algorithm, so these run on exactly the loop, mailbox,
-// detector and retire path every real query runs on.
+// the one rank loop. The seam is the query-type table: a test registers its
+// toy as an entry (register, algos_test.go) and submits it, so these run on
+// exactly the loop, mailbox, detector and retire path every real query runs
+// on.
 
 import (
 	"encoding/binary"
@@ -53,7 +54,7 @@ func buildTestGraph(t testing.TB, edges []graph.Edge, n uint64, p int) *testGrap
 	return g
 }
 
-// runVisitors runs one custom query to quiescence on a transient engine:
+// runVisitors runs one toy query to quiescence on a transient engine:
 // start builds each rank's algorithm and pushes its initial visitors (it
 // runs on the rank's own goroutine, concurrently with the other ranks').
 func runVisitors[V core.Visitor](t testing.TB, g *testGraph,
@@ -70,22 +71,16 @@ func runVisitors[V core.Visitor](t testing.TB, g *testGraph,
 }
 
 // runCustom runs one query whose runner the caller builds, per rank, to
-// quiescence on a transient engine.
-func runCustom(t testing.TB, g *testGraph, custom func(*runEnv) runner) []core.Stats {
+// quiescence on a transient engine: a toy entry registered for the call.
+func runCustom(t testing.TB, g *testGraph, run func(*runEnv) runner) []core.Stats {
 	t.Helper()
-	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{})
+	defer register(&algo{name: "custom", run: run})()
+	_, stats, err := RunOnce(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{},
+		Spec{Algo: "custom"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := e.admit(Spec{Algo: "custom"}, custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Wait()
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return tk.Stats()
+	return stats
 }
 
 // rmatTestGraph is buildTestGraph over a Graph500 RMAT edge list, with the
