@@ -21,10 +21,12 @@ test:
 # Short-mode run under the race detector; slow simulation tests are gated
 # behind testing.Short() so this finishes in minutes. The multi-query engine
 # and its differential tests additionally run in full (not -short): concurrent
-# traversals sharing one message plane are exactly where races hide.
+# traversals sharing one message plane are exactly where races hide. So do the
+# out-of-core packages: fetch workers write the page cache's residency bits
+# that rank goroutines read without its lock.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/engine ./internal/algos/algotest
+	$(GO) test -race ./internal/engine ./internal/algos/algotest ./internal/pagecache ./internal/ooc
 
 vet:
 	$(GO) vet ./...

@@ -59,8 +59,9 @@ const (
 )
 
 // RowHinter receives prefetch hints for rows the bottom-up scan is about to
-// read; the engine passes its out-of-core pager (core.RowPager) so unvisited
-// row scans overlap device fetches instead of faulting serially.
+// read; the engine passes its out-of-core pager (ooc.Pager) so unvisited row
+// scans overlap device fetches instead of faulting serially. It is the one
+// source of prefetch hints: top-down visitor queues fetch on demand only.
 type RowHinter interface{ PrefetchRow(row int) }
 
 // DO is one rank's direction-optimizing BFS state machine. Drive it with

@@ -11,26 +11,29 @@ package core
 // implementations need internal synchronization only against their own fetch
 // workers, not against concurrent queue calls.
 type RowPager interface {
-	// RowResident reports whether every page of row's adjacency span is
-	// resident. When it is not, RowResident enqueues asynchronous demand
-	// fetches for all absent pages and returns the page key the caller should
-	// park on (the span's last absent page); the key will later appear in a
-	// Drain result when its fetch completes. Rows whose spans are impractical
-	// to fault in asynchronously (wider than the cache) are reported resident
-	// — the serving read path then faults synchronously, which always
-	// terminates.
-	RowResident(row int) (key int64, resident bool)
+	// Resident reports whether every page of row's adjacency span is
+	// resident. It takes no lock — Step asks it of every popped visitor — and
+	// is advisory: a page can load or be evicted the moment it returns. Rows
+	// with no targets, and rows whose spans are impractical to fault in
+	// asynchronously (wider than half the cache), are reported resident: the
+	// serving read path then faults synchronously, which always terminates.
+	Resident(row int) bool
 
-	// PrefetchRow hints that row's adjacency will be visited soon (it just
-	// entered the local scheduler — frontier composition). Best-effort: the pager
-	// may drop hints under load; correctness never depends on them.
-	PrefetchRow(row int)
+	// Park takes the rows of one Step slice that Resident reported absent
+	// and, under one lock, enqueues asynchronous demand fetches for every page
+	// of their spans still absent. It sets keys[i] (len(keys) == len(rows))
+	// to the page key rows[i]'s visitor parks on — the span's last absent
+	// page, which will later appear in a Drain result — or to a negative value
+	// when the row turned out resident after all (its pages completed since
+	// the check, or their fetch failed permanently and the read path must
+	// surface the error): that visitor runs in the same Step.
+	Park(rows []int, keys []int64)
 
 	// Drain returns the page keys whose fetches completed since the last
 	// Drain (successfully or not — a failed page is also "ready": parked
 	// visitors must retry and surface the device error on the synchronous
 	// path rather than wait forever). Drained pages stay pinned against
-	// eviction until released.
+	// eviction until released. The batch is valid until the next Drain.
 	Drain() []int64
 
 	// Release drops the eviction pins on a Drain batch. The caller invokes it

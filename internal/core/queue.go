@@ -113,11 +113,17 @@ type Queue[V Visitor] struct {
 	encBuf []byte
 
 	// Out-of-core parking (non-nil pager): visitors whose adjacency page
-	// missed the cache, keyed by the page they wait for.
-	// nParked is maintained alongside so idle checks are O(1).
+	// missed the cache, indexed by the page they wait for; each page's slice
+	// keeps its capacity across unparks. nParked is maintained alongside so
+	// idle checks are O(1).
 	pager   RowPager
-	parked  map[int64][]V
+	parked  [][]V
 	nParked int
+	// One Step slice's misses — rows, their visitors, and the park keys
+	// RowPager.Park returns for them — reused across slices.
+	missRows []int
+	missVs   []V
+	missKeys []int64
 
 	stats    Stats
 	mirrored Stats // what publish has already given the registry
@@ -190,9 +196,6 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 		cal:   newCalendar[V](ba),
 		pager: pager,
 		met:   newQueueMetrics(r),
-	}
-	if q.pager != nil {
-		q.parked = make(map[int64][]V)
 	}
 	if ghosts != nil && ghosts.Len() > 0 {
 		q.ghostAlgo, _ = algo.(GhostAlgorithm[V])
@@ -331,14 +334,6 @@ func (q *Queue[V]) apply(v V) {
 	}
 	q.stats.Queued++
 	q.cal.push(v)
-	if q.pager != nil {
-		// Frontier-composition prefetch: this visitor just joined the local
-		// scheduler, so its adjacency page will be wanted within the next few
-		// Step slices — hint the pager now so the read overlaps queued work.
-		if i, ok := q.part.LocalIndex(v.Vertex()); ok {
-			q.pager.PrefetchRow(i)
-		}
-	}
 	if next, ok := q.part.ShouldForward(v.Vertex()); ok {
 		q.stats.Forwarded++
 		q.send(next, v)
@@ -362,13 +357,14 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // work happened — this query's slice of the DO_TRAVERSAL loop, which the
 // engine interleaves with every other in-flight query's on the rank.
 //
-// With an out-of-core pager, a popped visitor whose adjacency page is absent
-// is parked on that page (the pager has already enqueued the demand fetch)
-// and the loop moves on to the next visitor — the visit slot is spent hiding
-// device latency behind resident work instead of blocking on it. Parking
-// counts as progress: the queue did advance its frontier bookkeeping, and
-// reporting false here could let the rank loop sleep while fetches it must
-// drain are in flight.
+// With an out-of-core pager, each popped visitor's row is checked against the
+// cache's residency bits without a lock; the slice's misses go to the pager
+// in one RowPager.Park call after the loop, which enqueues their demand
+// fetches and parks each visitor on its page — or runs it, when its page
+// completed in between. The visit slot is spent hiding device latency behind
+// resident work instead of blocking on it. Parking counts as progress: the
+// queue did advance its frontier bookkeeping, and reporting false here could
+// let the rank loop sleep while fetches it must drain are in flight.
 //
 // Whenever the slice leaves the scheduler empty, or finds it so, Step sends
 // what the combiner holds: merging goes on for as long as the rank has local
@@ -382,20 +378,55 @@ func (q *Queue[V]) Step(batch int) bool {
 	for i := 0; i < batch && q.cal.n > 0; i++ {
 		v := q.cal.pop()
 		if q.pager != nil {
-			if key, resident := q.pager.RowResident(q.LocalRow(v.Vertex())); !resident {
-				q.parked[key] = append(q.parked[key], v)
-				q.nParked++
-				q.stats.Parked++
+			if row := q.LocalRow(v.Vertex()); !q.pager.Resident(row) {
+				q.missRows = append(q.missRows, row)
+				q.missVs = append(q.missVs, v)
 				continue
 			}
 		}
 		q.stats.Executed++
 		q.algo.Visit(v, q)
 	}
+	if len(q.missRows) > 0 {
+		q.park()
+	}
 	if q.cal.n == 0 {
 		q.flushHeld()
 	}
 	return true
+}
+
+// parkedPageCap is the capacity a page's parked slice starts with: a
+// scale-15 BFS at 1/8 resident parks ≈ 24 visitors per fetched page, so
+// starting at one would regrow each page's slice five times a query.
+const parkedPageCap = 16
+
+// park hands the slice's misses to the pager in one call and parks each
+// visitor on the page key it returns, or runs it when its row turned out
+// resident after all.
+func (q *Queue[V]) park() {
+	n := len(q.missRows)
+	q.missKeys = slices.Grow(q.missKeys[:0], n)[:n]
+	q.pager.Park(q.missRows, q.missKeys)
+	for i, key := range q.missKeys {
+		v := q.missVs[i]
+		if key < 0 {
+			q.stats.Executed++
+			q.algo.Visit(v, q)
+			continue
+		}
+		if int(key) >= len(q.parked) {
+			q.parked = slices.Grow(q.parked, int(key)+1-len(q.parked))[:key+1]
+		}
+		if q.parked[key] == nil {
+			q.parked[key] = make([]V, 0, parkedPageCap)
+		}
+		q.parked[key] = append(q.parked[key], v)
+		q.nParked++
+		q.stats.Parked++
+	}
+	clear(q.missVs)
+	q.missRows, q.missVs = q.missRows[:0], q.missVs[:0]
 }
 
 // Unpark runs the visitors parked on the given pages (called by the rank
@@ -422,11 +453,13 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 	}
 	any := false
 	for _, pg := range pages {
-		vs, ok := q.parked[pg]
-		if !ok {
+		if pg < 0 || pg >= int64(len(q.parked)) || len(q.parked[pg]) == 0 {
 			continue
 		}
-		delete(q.parked, pg)
+		// Visit never parks (only Step does), so nothing appends to the
+		// page's slice while its visitors run.
+		vs := q.parked[pg]
+		q.parked[pg] = vs[:0]
 		q.nParked -= len(vs)
 		any = true
 		for _, v := range vs {
@@ -434,6 +467,7 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 			q.stats.Executed++
 			q.algo.Visit(v, q)
 		}
+		clear(vs)
 	}
 	return any
 }

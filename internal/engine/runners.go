@@ -318,10 +318,9 @@ func newDOBFSRunner(env *runEnv) runner {
 // newDO builds and starts a direction-optimizing BFS from source (graph.Nil:
 // the hub) that sends through send.
 func newDO(env *runEnv, source graph.Vertex, send func(dest int, payload []byte)) *bfs.DO {
-	var hint bfs.RowHinter
-	if env.pager != nil {
-		hint = env.pager // bottom-up unvisited-row scans prefetch through the pager
-	}
+	// Bottom-up unvisited-row scans read ahead through the pager, when it
+	// offers hints (ooc.Pager does).
+	hint, _ := env.pager.(bfs.RowHinter)
 	d := bfs.NewDO(env.part, source, send, hint)
 	d.Start()
 	return d

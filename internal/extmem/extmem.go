@@ -29,7 +29,6 @@ type Store struct {
 	cache *pagecache.Cache
 	n     uint64
 	buf   []csr.Target
-	raw   []byte
 }
 
 var _ csr.TargetStore = (*Store)(nil)
@@ -41,6 +40,11 @@ func NewStore(cache *pagecache.Cache, n uint64) *Store {
 
 // Read returns targets[lo:hi] decoded from the cache. The returned slice is
 // reused by the next Read.
+//
+// Each page of the range is decoded in place from its pinned cache frame
+// (pagecache.Cache.ReadPinned): one lock trip to pin it and one to release
+// it, and no staging copy. A target straddling a page boundary — only with a
+// page size that is not a multiple of VertexBytes — is assembled in carry.
 func (s *Store) Read(lo, hi uint64) []csr.Target {
 	if hi < lo || hi > s.n {
 		panic(fmt.Sprintf("extmem: bad target range [%d,%d) of %d", lo, hi, s.n))
@@ -48,25 +52,46 @@ func (s *Store) Read(lo, hi uint64) []csr.Target {
 	n := int(hi - lo)
 	if cap(s.buf) < n {
 		s.buf = make([]csr.Target, n)
-		s.raw = make([]byte, n*vertexBytes)
 	}
-	s.buf = s.buf[:n]
-	s.raw = s.raw[:n*vertexBytes]
-	// A full read is required: the range check above guarantees the request
-	// lies inside the device, so io.EOF with a complete buffer (legal under
-	// the io.ReaderAt contract) is the only acceptable non-nil error.
-	// Device failure here is fail-stop by design: transient faults are
-	// expected to be absorbed below the cache (wrap the device in
-	// pagecache.RetryDevice); an error surviving that is a broken device,
-	// and a silently wrong adjacency list would be worse than a crash.
-	if nr, err := s.cache.ReadAt(s.raw, int64(lo)*vertexBytes); err != nil &&
-		!(errors.Is(err, io.EOF) && nr == len(s.raw)) {
-		panic(fmt.Sprintf("extmem: device read failed after %d bytes: %v", nr, err))
+	out := s.buf[:n]
+	var carry [vertexBytes]byte
+	nc, i := 0, 0
+	for off, end := int64(lo)*vertexBytes, int64(hi)*vertexBytes; off < end; {
+		// The range check above puts every byte inside the device, so an
+		// error here is a device failure, and that is fail-stop by design:
+		// transient faults are expected to be absorbed below the cache (wrap
+		// the device in pagecache.RetryDevice); an error surviving that is a
+		// broken device, and a silently wrong adjacency list would be worse
+		// than a crash.
+		pg, err := s.cache.ReadPinned(off)
+		if err != nil {
+			panic(fmt.Sprintf("extmem: device read failed at byte %d: %v", off, err))
+		}
+		b := pg.Bytes[:min(int64(len(pg.Bytes)), end-off)]
+		read := len(b)
+		for len(b) > 0 {
+			if nc == 0 && len(b) >= vertexBytes {
+				k := len(b) / vertexBytes
+				for j := range out[i : i+k] {
+					out[i+j] = csr.Target(binary.LittleEndian.Uint64(b[j*vertexBytes:]))
+				}
+				i += k
+				b = b[k*vertexBytes:]
+				continue
+			}
+			c := copy(carry[nc:], b)
+			nc += c
+			b = b[c:]
+			if nc == vertexBytes {
+				out[i] = csr.Target(binary.LittleEndian.Uint64(carry[:]))
+				i++
+				nc = 0
+			}
+		}
+		pg.Release(read)
+		off += int64(read)
 	}
-	for i := 0; i < n; i++ {
-		s.buf[i] = csr.Target(binary.LittleEndian.Uint64(s.raw[i*vertexBytes:]))
-	}
-	return s.buf
+	return out
 }
 
 // Len returns the number of stored targets.

@@ -34,20 +34,33 @@ func simStore(t *testing.T, targets []csr.Target) *Store {
 	return newStore(t, targets, 0, 64, 4)
 }
 
+// TestStoreReadRanges reads ranges through page sizes that hold whole
+// targets (64), that split one target across two pages (12), and that are
+// smaller than one target (3): every word must decode intact, and the cache
+// must count exactly the range's bytes as read.
 func TestStoreReadRanges(t *testing.T) {
-	targets := testTargets(1000)
-	s := simStore(t, targets)
-	defer s.Close()
-	for _, r := range [][2]uint64{{0, 10}, {5, 5}, {990, 1000}, {0, 1000}, {123, 456}} {
-		got := s.Read(r[0], r[1])
-		if uint64(len(got)) != r[1]-r[0] {
-			t.Fatalf("Read(%d,%d) returned %d targets", r[0], r[1], len(got))
-		}
-		for i, v := range got {
-			if v != targets[r[0]+uint64(i)] {
-				t.Fatalf("Read(%d,%d)[%d] = %d, want %d", r[0], r[1], i, v, targets[r[0]+uint64(i)])
+	targets := make([]csr.Target, 1000)
+	for i := range targets {
+		targets[i] = csr.Target(uint64(i+1) * 0x9e3779b97f4a7c15)
+	}
+	for _, pageSize := range []int{64, 12, 3} {
+		s := newStore(t, targets, 0, pageSize, 4)
+		for _, r := range [][2]uint64{{0, 10}, {5, 5}, {990, 1000}, {0, 1000}, {123, 456}} {
+			before := s.cache.Stats().BytesRead
+			got := s.Read(r[0], r[1])
+			if uint64(len(got)) != r[1]-r[0] {
+				t.Fatalf("page %d: Read(%d,%d) returned %d targets", pageSize, r[0], r[1], len(got))
+			}
+			for i, v := range got {
+				if v != targets[r[0]+uint64(i)] {
+					t.Fatalf("page %d: Read(%d,%d)[%d] = %#x, want %#x", pageSize, r[0], r[1], i, v, targets[r[0]+uint64(i)])
+				}
+			}
+			if read := s.cache.Stats().BytesRead - before; read != (r[1]-r[0])*VertexBytes {
+				t.Fatalf("page %d: Read(%d,%d) counted %d bytes read", pageSize, r[0], r[1], read)
 			}
 		}
+		s.Close()
 	}
 }
 

@@ -142,9 +142,9 @@ const (
 	CoreUnparked = "core.unparked"
 
 	// Pager fetch pipeline: demand fetches (a parked visit needs the page),
-	// prefetches issued ahead of the wave from frontier composition, and
-	// prefetches dropped because the prefetch queue was full (demand fetches
-	// are never dropped).
+	// prefetches issued by direction-optimizing BFS's bottom-up read-ahead
+	// (the only source of hints), and prefetches dropped because the
+	// prefetch queue was full (demand fetches are never dropped).
 	OOCDemandFetches   = "ooc.demand_fetches"
 	OOCPrefetches      = "ooc.prefetches"
 	OOCPrefetchDropped = "ooc.prefetch_dropped"

@@ -54,10 +54,14 @@ type Config struct {
 	// base device and the retry layer — the fault plane's hook point
 	// (faults.FaultyDevice).
 	WrapDevice func(pagecache.BlockDevice) pagecache.BlockDevice
-	// Fetchers is the pager's fetch worker count (default min(QueueDepth, 8)).
+	// Fetchers is the pager's fetch worker count (default min(QueueDepth,
+	// 8)), capped at a quarter of the cache frames (at least 1) so fetches
+	// cannot evict each other's pages before their parked visitors run.
 	Fetchers int
-	// PrefetchQueue bounds the pager's prefetch backlog; hints beyond it are
-	// dropped and counted (default 256). Demand fetches are never dropped.
+	// PrefetchQueue bounds the pager's prefetch backlog (default 256, capped
+	// at half the cache frames); hints beyond it are dropped and counted.
+	// Hints come only from direction-optimizing BFS's bottom-up read-ahead;
+	// visitor queues fetch on demand, and demand fetches are never dropped.
 	PrefetchQueue int
 	// Obs, when non-nil, receives the ooc.* and pagecache.* counters.
 	Obs *obs.Registry

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,7 +40,18 @@ func testMatrix(t *testing.T, degrees []uint64, pageSize, frames int,
 	return m, cache
 }
 
-// waitResident drives the RowResident/Drain/Release cycle until the row is
+// rowResident is one Step slice of a single row: the lock-free check, then
+// the batched call. It returns the row's park key, or resident.
+func rowResident(p *Pager, row int) (int64, bool) {
+	if p.Resident(row) {
+		return 0, true
+	}
+	keys := []int64{0}
+	p.Park([]int{row}, keys)
+	return keys[0], keys[0] < 0
+}
+
+// waitResident drives the Park/Drain/Release cycle until the row is
 // resident, the way the rank loop does, bounded by a deadline. Releasing the
 // drain batch matters: drained pages stay pinned until released, and the
 // fetch workers stall once enough completions sit unconsumed.
@@ -47,7 +59,7 @@ func waitResident(t *testing.T, p *Pager, row int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, resident := p.RowResident(row); resident {
+		if _, resident := rowResident(p, row); resident {
 			return
 		}
 		p.Release(p.Drain())
@@ -71,7 +83,7 @@ func TestPagerDemandFetch(t *testing.T) {
 	p := NewPager(m, cache, 2, 16, nil)
 	defer p.Close()
 
-	key, resident := p.RowResident(0)
+	key, resident := rowResident(p, 0)
 	if resident {
 		t.Fatal("row 0 resident on a cold cache")
 	}
@@ -115,7 +127,7 @@ func TestPagerPrefetch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		p.Release(p.Drain())
-		if _, resident := p.RowResident(3); resident {
+		if _, resident := rowResident(p, 3); resident {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -157,8 +169,8 @@ func TestPagerDedupsQueuedPages(t *testing.T) {
 	p := NewPager(m, cache, 2, 16, nil)
 	defer p.Close()
 
-	k1, r1 := p.RowResident(0)
-	k2, r2 := p.RowResident(1) // rows 0 and 1 share page 0 (32 rows/page)
+	k1, r1 := rowResident(p, 0)
+	k2, r2 := rowResident(p, 1) // rows 0 and 1 share page 0 (32 rows/page)
 	if r1 || r2 {
 		t.Fatal("rows resident on a cold cache")
 	}
@@ -183,7 +195,7 @@ func TestPagerWideRowIsResident(t *testing.T) {
 	p := NewPager(m, cache, 1, 16, nil)
 	defer p.Close()
 
-	if _, resident := p.RowResident(0); !resident {
+	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("wide row not reported resident")
 	}
 	demand, prefetch, _ := p.counts()
@@ -201,10 +213,10 @@ func TestPagerEmptyRowIsResident(t *testing.T) {
 	m, cache := testMatrix(t, []uint64{0, 16, 0}, 256, 4, nil)
 	p := NewPager(m, cache, 1, 16, nil)
 	defer p.Close()
-	if _, resident := p.RowResident(0); !resident {
+	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("empty row not resident")
 	}
-	if _, resident := p.RowResident(2); !resident {
+	if _, resident := rowResident(p, 2); !resident {
 		t.Fatal("empty row not resident")
 	}
 }
@@ -218,7 +230,7 @@ func (d *failDev) ReadAt(p []byte, off int64) (int, error) { return 0, errBroken
 
 // TestPagerFailedPageUnparks checks the sticky-failure policy: a page whose
 // fetch fails permanently is still reported by Drain (so parked visitors
-// wake), and subsequent RowResident calls treat it as resident so the visit
+// wake), and subsequent Park calls treat it as resident so the visit
 // proceeds to the synchronous read path, which surfaces the device error
 // instead of parking forever.
 func TestPagerFailedPageUnparks(t *testing.T) {
@@ -232,7 +244,7 @@ func TestPagerFailedPageUnparks(t *testing.T) {
 	p := NewPager(m, cache, 1, 16, nil)
 	defer p.Close()
 
-	key, resident := p.RowResident(0)
+	key, resident := rowResident(p, 0)
 	if resident {
 		t.Fatal("row resident on a cold failing cache")
 	}
@@ -248,7 +260,7 @@ func TestPagerFailedPageUnparks(t *testing.T) {
 			t.Fatal("failed page never drained: parked visitors would wait forever")
 		}
 	}
-	if _, resident := p.RowResident(0); !resident {
+	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("failed page must be treated as resident so the visit surfaces the error")
 	}
 	if p.FailedPages() == 0 {
@@ -271,14 +283,14 @@ func TestPagerPinsDrainedPagesUntilRelease(t *testing.T) {
 	p := NewPager(m, cache, 2, 16, nil) // 4 frames: fetchers and pinCap clamp to 1
 	defer p.Close()
 
-	key, resident := p.RowResident(0)
+	key, resident := rowResident(p, 0)
 	if resident {
 		t.Fatal("row 0 resident on a cold cache")
 	}
 	var batch []int64
 	deadline := time.Now().Add(5 * time.Second)
 	for len(batch) == 0 {
-		batch = p.Drain()
+		batch = slices.Clone(p.Drain()) // held across the Drains below
 		if time.Now().After(deadline) {
 			t.Fatal("demand page never drained")
 		}
@@ -304,7 +316,7 @@ func TestPagerPinsDrainedPagesUntilRelease(t *testing.T) {
 			break
 		}
 	}
-	key2, r2 := p.RowResident(row2)
+	key2, r2 := rowResident(p, row2)
 	if r2 {
 		t.Fatalf("row %d unexpectedly resident", row2)
 	}
@@ -374,7 +386,7 @@ func TestPagerCloseFailsOpen(t *testing.T) {
 	p := NewPager(m, cache, 2, 16, nil)
 	p.Close()
 	p.Close() // idempotent
-	if _, resident := p.RowResident(0); !resident {
+	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("closed pager must report rows resident")
 	}
 	p.PrefetchRow(1) // must not panic or block

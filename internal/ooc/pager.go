@@ -13,24 +13,27 @@ import (
 // partition's page cache. It satisfies core.RowPager structurally (core
 // defines the interface; neither package imports the other):
 //
-//   - RowResident answers "can this visit run now?" and, on a miss, enqueues
-//     a demand fetch for the first missing page of the row's span — the rank
-//     loop parks the visitor on the returned page key.
-//   - PrefetchRow enqueues best-effort fetches for rows that just entered a
-//     local scheduler (frontier composition), so pages arrive ahead of the
-//     wave.
+//   - Resident answers "can this visit run now?" from the cache's residency
+//     bits, without a lock.
+//   - Park takes one Step slice's misses under one lock: it enqueues a demand
+//     fetch for every absent page of each row's span and returns the page key
+//     the rank loop parks the row's visitor on.
 //   - Drain hands completed page keys back to the rank loop, which unparks
-//     the visitors waiting on them.
+//     the visitors waiting on them, and Release unpins them.
+//
+// PrefetchRow, outside the interface, is direction-optimizing BFS's
+// read-ahead for the rows its bottom-up scan is about to read
+// (bfs.RowHinter).
 //
 // Fetch workers pull pages (demand strictly before prefetch) and fault them
-// in via Cache.Touch, so the device's queue depth is actually exercised:
+// in via Cache.TouchPin, so the device's queue depth is actually exercised:
 // many fetches proceed concurrently while the rank goroutine keeps executing
 // resident visits. The queued set dedups fetches across queries parked on
 // the same page.
 //
-// RowResident/PrefetchRow/Drain are called only from the owning rank's
-// engine goroutine; the mutex synchronizes that goroutine against the fetch
-// workers.
+// Resident/Park/PrefetchRow/Drain/Release are called only from the owning
+// rank's engine goroutine; the mutex synchronizes that goroutine against the
+// fetch workers.
 type Pager struct {
 	m        *csr.Matrix
 	cache    *pagecache.Cache
@@ -43,11 +46,12 @@ type Pager struct {
 
 	mu       sync.Mutex
 	cond     sync.Cond
-	demand   []int64            // FIFO, never dropped
-	prefetch []int64            // FIFO, bounded by prefetchCap
+	demand   fifo               // never dropped
+	prefetch fifo               // bounded by prefetchCap
 	queued   map[int64]struct{} // pages enqueued or being fetched
-	failed   map[int64]error    // sticky fetch failures (see RowResident)
+	failed   map[int64]error    // sticky fetch failures (see Park)
 	done     []int64            // completed pages awaiting Drain
+	drained  []int64            // the last Drain batch's array, refilled by the one after
 	pinned   map[int64]struct{} // pages fetched-and-pinned, awaiting Release
 	closed   bool
 	wg       sync.WaitGroup
@@ -122,58 +126,73 @@ func (p *Pager) span(row int) (p0, p1 int64, ok bool) {
 	return p0, p1, true
 }
 
-// RowResident implements core.RowPager. On a miss it enqueues demand fetches
-// for EVERY absent page of the row's span and returns the last such page as
-// the park key: the fetch FIFO preserves order, so by the time the last
-// page's completion drains, the earlier pages have been fetched too —
-// usually in the same Drain batch, hence pinned together while the unparked
-// visitor runs. (Parking on the first absent page instead invites a
-// ping-pong: its batch is released before the later pages arrive, and the
-// later pages' arrival finds the first evicted again.) The key is guaranteed
-// to appear in a future Drain — the enqueue happens before the caller parks,
-// and completion strictly follows the enqueue, so the unpark signal cannot
-// be lost. Pages whose fetch failed permanently are treated as resident: the
-// visit proceeds to the synchronous read path, which surfaces the device
-// error instead of parking the visitor forever.
-func (p *Pager) RowResident(row int) (int64, bool) {
+// Resident implements core.RowPager: every page of row's span has its
+// residency bit set (pagecache.Cache.Resident, one atomic load a page). Empty
+// rows and rows wider than maxSpan are resident by definition.
+func (p *Pager) Resident(row int) bool {
 	p0, p1, ok := p.span(row)
 	if !ok || p1-p0+1 > p.maxSpan {
-		return 0, true
-	}
-	key, parked := int64(0), false
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return 0, true
+		return true
 	}
 	for pg := p0; pg <= p1; pg++ {
-		if p.cache.Resident(pg * p.pageSize) {
-			continue
+		if !p.cache.Resident(pg * p.pageSize) {
+			return false
 		}
-		if _, bad := p.failed[pg]; bad {
-			continue
-		}
-		if _, dup := p.queued[pg]; !dup {
-			p.queued[pg] = struct{}{}
-			p.demand = append(p.demand, pg)
-			p.nDemand++
-			if p.cDemand != nil {
-				p.cDemand.Inc()
-			}
-			p.cond.Signal()
-		}
-		key, parked = pg, true
 	}
-	p.mu.Unlock()
-	if parked {
-		return key, false
-	}
-	return 0, true
+	return true
 }
 
-// PrefetchRow implements core.RowPager: best-effort fetch hints for every
+// Park implements core.RowPager. For each row it enqueues demand fetches for
+// EVERY page of the span still absent and returns the last such page as the
+// park key: the fetch FIFO preserves order, so by the time the last page's
+// completion drains, the earlier pages have been fetched too — usually in the
+// same Drain batch, hence pinned together while the unparked visitor runs.
+// (Parking on the first absent page instead invites a ping-pong: its batch is
+// released before the later pages arrive, and the later pages' arrival finds
+// the first evicted again.) The key is guaranteed to appear in a future Drain
+// — the enqueue, or the fetch it dedups onto, precedes completion, which
+// appends to done under this same lock — so the unpark signal cannot be lost.
+// A row whose pages all completed since Resident, or whose absent pages'
+// fetches failed permanently, gets a negative key: its visit proceeds now,
+// and a failed page's synchronous read surfaces the device error instead of
+// parking the visitor forever. A closed pager parks nothing.
+func (p *Pager) Park(rows []int, keys []int64) {
+	enqueued := uint64(0)
+	p.mu.Lock()
+	for i, row := range rows {
+		keys[i] = -1
+		p0, p1, ok := p.span(row)
+		if p.closed || !ok || p1-p0+1 > p.maxSpan {
+			continue
+		}
+		for pg := p0; pg <= p1; pg++ {
+			if p.cache.Resident(pg * p.pageSize) {
+				continue
+			}
+			if _, bad := p.failed[pg]; bad {
+				continue
+			}
+			if _, dup := p.queued[pg]; !dup {
+				p.queued[pg] = struct{}{}
+				p.demand.push(pg)
+				enqueued++
+			}
+			keys[i] = pg
+		}
+	}
+	if enqueued > 0 {
+		p.nDemand += enqueued
+		if p.cDemand != nil {
+			p.cDemand.Add(enqueued)
+		}
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
+}
+
+// PrefetchRow implements bfs.RowHinter: best-effort fetch hints for every
 // absent page of row's span, dropped (and counted) when the prefetch queue
-// is full.
+// is full. Direction-optimizing BFS's bottom-up scan is its one caller.
 func (p *Pager) PrefetchRow(row int) {
 	p0, p1, ok := p.span(row)
 	if !ok || p1-p0+1 > p.maxSpan {
@@ -192,14 +211,14 @@ func (p *Pager) PrefetchRow(row int) {
 		_, bad := p.failed[pg]
 		switch {
 		case dup || bad:
-		case len(p.prefetch) >= p.prefetchCap:
+		case p.prefetch.len() >= p.prefetchCap:
 			p.nDropped++
 			if p.cDropped != nil {
 				p.cDropped.Inc()
 			}
 		default:
 			p.queued[pg] = struct{}{}
-			p.prefetch = append(p.prefetch, pg)
+			p.prefetch.push(pg)
 			p.nPrefetch++
 			if p.cPrefetch != nil {
 				p.cPrefetch.Inc()
@@ -213,10 +232,11 @@ func (p *Pager) PrefetchRow(row int) {
 // Drain implements core.RowPager: the pages whose fetches completed since
 // the last Drain. Failed pages are included — their parked visitors must
 // retry (and take the fail-stop synchronous path) rather than wait forever.
+// The batch is valid until the next Drain, which refills its array.
 func (p *Pager) Drain() []int64 {
 	p.mu.Lock()
 	d := p.done
-	p.done = nil
+	p.done, p.drained = p.drained[:0], d
 	p.mu.Unlock()
 	return d
 }
@@ -234,8 +254,8 @@ func (p *Pager) FailedPages() int {
 func (p *Pager) Depths() (demand, prefetch, inflight, done int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.demand), len(p.prefetch),
-		len(p.queued) - len(p.demand) - len(p.prefetch), len(p.done)
+	return p.demand.len(), p.prefetch.len(),
+		len(p.queued) - p.demand.len() - p.prefetch.len(), len(p.done)
 }
 
 func (p *Pager) counts() (demand, prefetch, dropped uint64) {
@@ -254,7 +274,7 @@ func (p *Pager) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for !p.closed && (len(p.demand) == 0 && len(p.prefetch) == 0 || len(p.pinned) >= p.pinCap) {
+		for !p.closed && (p.demand.len() == 0 && p.prefetch.len() == 0 || len(p.pinned) >= p.pinCap) {
 			p.cond.Wait()
 		}
 		if p.closed {
@@ -262,12 +282,10 @@ func (p *Pager) worker() {
 			return
 		}
 		var pg int64
-		if len(p.demand) > 0 {
-			pg = p.demand[0]
-			p.demand = p.demand[1:]
+		if p.demand.len() > 0 {
+			pg = p.demand.pop()
 		} else {
-			pg = p.prefetch[0]
-			p.prefetch = p.prefetch[1:]
+			pg = p.prefetch.pop()
 		}
 		p.mu.Unlock()
 
@@ -331,4 +349,25 @@ func (p *Pager) Close() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
+}
+
+// fifo is a queue of page keys that keeps its backing array: popped slots are
+// reclaimed once the consumed prefix is half of it, so a warm pager queues
+// without allocating.
+type fifo struct {
+	keys []int64
+	head int
+}
+
+func (f *fifo) len() int      { return len(f.keys) - f.head }
+func (f *fifo) push(pg int64) { f.keys = append(f.keys, pg) }
+
+func (f *fifo) pop() int64 {
+	pg := f.keys[f.head]
+	f.head++
+	if 2*f.head >= len(f.keys) {
+		n := copy(f.keys, f.keys[f.head:])
+		f.keys, f.head = f.keys[:n], 0
+	}
+	return pg
 }

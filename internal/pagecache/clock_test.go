@@ -176,7 +176,7 @@ func TestAllFramesPinnedBlocksWithoutSpinning(t *testing.T) {
 	}
 
 	// Drop one pin; the blocked reader must be woken and complete.
-	c.unpin(c.frames[0])
+	c.unpin(c.frames[0], 0)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -221,7 +221,7 @@ func TestEvictionSkipsPinnedFrames(t *testing.T) {
 		t.Fatalf("pinned frame now holds page %d, want 0", pinned.page)
 	}
 	c.mu.Unlock()
-	c.unpin(pinned)
+	c.unpin(pinned, 0)
 	if st := c.Stats(); st.Evictions != 14 {
 		// 15 faults beyond page 0 through the single unpinned frame: the
 		// first fills the free frame, the rest each evict its predecessor.

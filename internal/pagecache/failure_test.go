@@ -197,3 +197,114 @@ func TestCacheConcurrentReadersSurviveErrors(t *testing.T) {
 		}
 	}
 }
+
+// intermittentDevice fails every failEvery-th read and serves the rest from
+// its backing memory device.
+type intermittentDevice struct {
+	mem       MemDevice
+	failEvery int64
+	reads     atomic.Int64
+}
+
+func (d *intermittentDevice) ReadAt(p []byte, off int64) (int, error) {
+	if d.reads.Add(1)%d.failEvery == 0 {
+		return 0, errInjected
+	}
+	return d.mem.ReadAt(p, off)
+}
+func (d *intermittentDevice) Size() int64  { return d.mem.Size() }
+func (d *intermittentDevice) Close() error { return nil }
+
+// residencyMatchesTable checks, at quiescence, that every page's residency
+// bit says exactly what the frame table does: set iff the page is in the
+// table with its load complete.
+func residencyMatchesTable(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ps := int64(c.pageSize)
+	for pg := int64(0); pg*ps < c.dev.Size(); pg++ {
+		f, ok := c.table[pg]
+		want := ok && !f.loading
+		if got := c.Resident(pg * ps); got != want {
+			t.Errorf("page %d: Resident = %v, frame table says %v", pg, got, want)
+		}
+	}
+}
+
+// TestResidencyBitsMatchFrameTable races copying reads, pinned fetches and
+// in-place reads (with lock-free Resident probes beside them) over a cache
+// small enough to evict constantly, on a device that fails every fifth load.
+// At quiescence the residency bits must agree with the frame table, and every
+// read that succeeded must have returned the device's bytes.
+func TestResidencyBitsMatchFrameTable(t *testing.T) {
+	const pageSize = 64
+	data := testData(pageSize*48 + pageSize/2) // a short last page
+	dev := &intermittentDevice{mem: MemDevice{Data: data}, failEvery: 5}
+	c, err := New(dev, pageSize, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 16)
+			for i := 0; i < 2000; i++ {
+				off := int64((g*7919 + i*104729) % len(data))
+				switch i % 3 {
+				case 0:
+					if n, err := c.ReadAt(buf, off); err == nil && !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
+						t.Errorf("ReadAt(%d) returned wrong bytes", off)
+					}
+				case 1:
+					if c.TouchPin(off) == nil {
+						c.Unpin(off)
+					}
+				default:
+					if pg, err := c.ReadPinned(off); err == nil {
+						if !bytes.Equal(pg.Bytes, data[off:off+int64(len(pg.Bytes))]) {
+							t.Errorf("ReadPinned(%d) returned wrong bytes", off)
+						}
+						pg.Release(len(pg.Bytes))
+					}
+				}
+				c.Resident(off)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if dev.reads.Load() < 2*dev.failEvery {
+		t.Fatalf("only %d device reads: the cache never evicted", dev.reads.Load())
+	}
+	residencyMatchesTable(t, c)
+}
+
+// TestFailedLoadNeverSetsResidencyBit: a load that fails after evicting its
+// victim clears the victim's bit and never sets its own page's.
+func TestFailedLoadNeverSetsResidencyBit(t *testing.T) {
+	const pageSize = 64
+	dev := &flakyDevice{mem: MemDevice{Data: testData(pageSize * 8)}}
+	c, err := New(dev, pageSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	for pg := int64(0); pg < 2; pg++ {
+		if _, err := c.ReadAt(buf, pg*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.failN.Store(1)
+	if _, err := c.ReadAt(buf, 2*pageSize); !errors.Is(err, errInjected) {
+		t.Fatalf("load of page 2 = %v, want the injected failure", err)
+	}
+	if c.Resident(2 * pageSize) {
+		t.Fatal("failed load left its residency bit set")
+	}
+	if c.Resident(0) && c.Resident(pageSize) {
+		t.Fatal("the failed load's victim is still marked resident")
+	}
+	residencyMatchesTable(t, c)
+}

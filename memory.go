@@ -50,7 +50,9 @@ type MemoryStats struct {
 	// Device retry plane.
 	Retries   uint64
 	Exhausted uint64
-	// Pager fetch pipeline.
+	// Pager fetch pipeline. Prefetches and PrefetchDropped count the
+	// read-ahead hints of direction-optimizing BFS's bottom-up scans, the
+	// only source of hints; other traversals fetch on demand only.
 	DemandFetches   uint64
 	Prefetches      uint64
 	PrefetchDropped uint64
@@ -71,9 +73,9 @@ type TraversalCounters struct {
 // given budget. Must be called with no engine attached (the store swap is
 // not safe under in-flight queries). Every query afterwards — on an engine
 // attached by a subsequent StartEngine or on a one-shot call's transient one
-// — runs in latency-hiding out-of-core mode: visits park on absent pages and
-// frontier prefetch overlaps the device. Undo with ResetMemoryBudget; calling
-// again without resetting fails.
+// — runs in latency-hiding out-of-core mode: visits park on absent pages
+// while resident work overlaps the device. Undo with ResetMemoryBudget;
+// calling again without resetting fails.
 func (g *Graph) SetMemoryBudget(cfg MemoryConfig) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
