@@ -65,7 +65,7 @@ type Options struct {
 	// Topology routes the visitor mailbox: "1d" (direct, default), "2d", "3d".
 	Topology string
 	// GhostsPerPartition bounds each rank's ghost table, the sender-side
-	// filter of the algorithms that declare ghost usage (BFS, SSSP, CC). The
+	// filter the monotone algorithms consult (BFS, SSSP, CC). The
 	// default, 0, keeps every remote vertex the rank holds at least two edges
 	// to; a positive value caps the table at that many of the most repeated
 	// (the paper's experiments use 256); negative disables the filter.

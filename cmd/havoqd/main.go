@@ -150,7 +150,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 	return fs
 }
 
-// checkModes rejects mode flags that only mean something together, so that
+// checkModes rejects mode flags that only mean something together, and a
+// negative -deadline, which the engine would refuse every query for, so that
 // run's switch never reaches serve() — which builds a graph and listens until
 // signalled — with half of what was asked for dropped.
 func checkModes(o *options) error {
@@ -166,6 +167,8 @@ func checkModes(o *options) error {
 		return errors.New("-cluster needs -smoke or -chaos")
 	case o.smoke && o.chaosMode:
 		return errors.New("-smoke and -chaos are separate drills; give one")
+	case o.deadline < 0:
+		return errors.New("-deadline must not be negative")
 	}
 	return nil
 }

@@ -26,8 +26,8 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestRunRejectsModeConflicts: mode flags that only mean something together
-// exit 2 before any graph is built, instead of falling through to a server
+// TestRunRejectsModeConflicts: mode flags that only mean something together,
+// and a negative -deadline, exit 2 before any graph is built, instead of falling through to a server
 // that listens forever with half the request dropped.
 func TestRunRejectsModeConflicts(t *testing.T) {
 	for _, args := range [][]string{
@@ -38,6 +38,7 @@ func TestRunRejectsModeConflicts(t *testing.T) {
 		{"-smoke", "-coordinator"},
 		{"-smoke", "-cluster", "-join", "127.0.0.1:1"},
 		{"-chaos", "-cluster", "-coordinator"},
+		{"-deadline", "-1ms"},
 	} {
 		done := make(chan int, 1)
 		go func() { done <- run(append(args, "-scale", "6", "-ranks", "2", "-addr", "127.0.0.1:0")) }()

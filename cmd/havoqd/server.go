@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -160,6 +161,29 @@ func (f *frontEnd) health() map[string]any {
 	}
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// spec is the engine query the /query body asks for on an n-vertex graph,
+// validated and canonical, or the reason it is a bad request.
+func (req *queryRequest) spec(n uint64) (engine.Spec, error) {
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		return engine.Spec{}, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, maxDeadlineMS)
+	}
+	spec := engine.Spec{
+		Algo:       engine.Algo(req.Algo),
+		Source:     graph.Vertex(req.Source),
+		WeightSeed: req.WeightSeed,
+		K:          req.K,
+		Iters:      req.Iters,
+		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
+	}
+	if err := engine.Validate(spec, n); err != nil {
+		return engine.Spec{}, err
+	}
+	return engine.Canonical(spec), nil
+}
+
 // collapseKey is the identity under which equivalent requests collapse and
 // results cache: the canonical spec — so a field the query type does not
 // read, or a default spelled out, cannot split one question into two keys —
@@ -212,20 +236,12 @@ func (f *frontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	spec := engine.Spec{
-		Algo:       engine.Algo(req.Algo),
-		Source:     graph.Vertex(req.Source),
-		WeightSeed: req.WeightSeed,
-		K:          req.K,
-		Iters:      req.Iters,
-		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
-	}
-	if err := engine.Validate(spec, f.n); err != nil {
+	spec, err := req.spec(f.n)
+	if err != nil {
 		f.failed.Add(1)
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
 		return
 	}
-	spec = engine.Canonical(spec)
 
 	// Steps 2+3: result cache, then hot-query collapsing. The execution
 	// runs detached — this handler's disconnect only cancels it if no

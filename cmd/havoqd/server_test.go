@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -184,6 +185,9 @@ func rejectsBadRequests(t *testing.T, ts *httptest.Server) {
 		{"bfs_do source out of range", queryRequest{Algo: "bfs_do", Source: 1 << 40}, http.StatusBadRequest},
 		{"kcore k=0", queryRequest{Algo: "kcore"}, http.StatusBadRequest},
 		{"pagerank iters over cap", queryRequest{Algo: "pagerank", Iters: 1000}, http.StatusBadRequest},
+		{"negative deadline", queryRequest{Algo: "cc", DeadlineMS: -1}, http.StatusBadRequest},
+		{"deadline past a Duration", queryRequest{Algo: "cc", DeadlineMS: maxDeadlineMS + 1}, http.StatusBadRequest},
+		{"deadline that wraps negative", queryRequest{Algo: "cc", DeadlineMS: math.MinInt64}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

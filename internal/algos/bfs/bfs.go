@@ -2,9 +2,9 @@
 // distributed asynchronous visitor queue (paper §VI-A, Algorithms 2 and 3).
 // BFS is the Graph500 kernel: levels spread from a source, each visitor
 // carrying a candidate path length, with pre_visit admitting only visitors
-// that improve the vertex's current length. BFS declares ghost usage: the
-// ghost copy of a hub's level acts as an imprecise local filter that
-// suppresses redundant visitors to high in-degree vertices (§IV-B).
+// that improve the vertex's current length. BFS uses the queue's ghost
+// filter: the ghost copy of a hub's level acts as an imprecise local filter
+// that suppresses redundant visitors to high in-degree vertices (§IV-B).
 package bfs
 
 import (
@@ -35,11 +35,8 @@ type BFS struct {
 
 	Level  []uint32
 	Parent []graph.Vertex
-
-	ghostLevel []uint32 // parallel to the rank's ghost table; nil = no ghosts
 }
 
-var _ core.GhostAlgorithm[Visitor] = (*BFS)(nil)
 var _ core.BucketAlgorithm[Visitor] = (*BFS)(nil)
 
 // New initializes BFS state over the partition: every vertex at length ∞
@@ -57,14 +54,6 @@ func New(part *partition.Part) *BFS {
 	return b
 }
 
-// AttachGhosts allocates ghost filter state for the rank's ghost table.
-func (b *BFS) AttachGhosts(t *core.GhostTable) {
-	b.ghostLevel = make([]uint32, t.Len())
-	for i := range b.ghostLevel {
-		b.ghostLevel[i] = Unreached
-	}
-}
-
 // PreVisit admits the visitor iff it improves the vertex's current length,
 // recording the new length and parent (Algorithm 2 lines 4–11).
 func (b *BFS) PreVisit(v Visitor) bool {
@@ -80,27 +69,24 @@ func (b *BFS) PreVisit(v Visitor) bool {
 	return false
 }
 
-// PreVisitGhost applies the same improvement test to the never-synchronized
-// local ghost copy; a false return filters the visitor before transmission.
-func (b *BFS) PreVisitGhost(v Visitor, gi int) bool {
-	if v.Length < b.ghostLevel[gi] {
-		b.ghostLevel[gi] = v.Length
-		return true
-	}
-	return false
-}
-
 // Visit expands the frontier: if this visitor still holds the vertex's
 // current length, push a visitor for every (locally stored) out-edge
-// (Algorithm 2 lines 12–19).
+// (Algorithm 2 lines 12–19) whose ghost, if it has one, has not yet passed
+// a length as short.
 func (b *BFS) Visit(v Visitor, q *core.Queue[Visitor]) {
 	i := q.LocalRow(v.V)
 	if v.Length != b.Level[i] {
 		return
 	}
-	next := v.Length + 1
-	for _, t := range q.OutEdges(v.V) {
-		q.PushEdge(t, Visitor{V: t.Vertex(), Length: next, Parent: v.V})
+	edges := q.OutEdges(v.V)
+	if len(edges) == 0 {
+		return
+	}
+	next, ghosts := v.Length+1, q.Ghosts()
+	for _, t := range edges {
+		if !ghosts.Drop(t, uint64(next)) {
+			q.PushEdge(t, Visitor{V: t.Vertex(), Length: next, Parent: v.V})
+		}
 	}
 }
 

@@ -12,8 +12,9 @@
 // at those of degree 0, which label themselves). Label propagation runs over
 // the whole graph only when a query resumes from a checkpoint.
 //
-// Labels improve monotonically (minimum), so CC declares ghost usage: a
-// stale ghost copy can only fail to filter, never lose a better label.
+// Labels improve monotonically (minimum), so CC uses the queue's ghost
+// filter: a stale ghost copy can only fail to filter, never lose a better
+// label.
 package cc
 
 import (
@@ -38,11 +39,7 @@ func (v Visitor) Vertex() graph.Vertex { return v.V }
 type CC struct {
 	part  *partition.Part
 	Label []graph.Vertex
-
-	ghostLabel []graph.Vertex
 }
-
-var _ core.GhostAlgorithm[Visitor] = (*CC)(nil)
 
 // New initializes CC state with unassigned (∞) labels.
 func New(part *partition.Part) *CC {
@@ -51,14 +48,6 @@ func New(part *partition.Part) *CC {
 		c.Label[i] = graph.Nil
 	}
 	return c
-}
-
-// AttachGhosts allocates ghost filter state.
-func (c *CC) AttachGhosts(t *core.GhostTable) {
-	c.ghostLabel = make([]graph.Vertex, t.Len())
-	for i := range c.ghostLabel {
-		c.ghostLabel[i] = graph.Nil
-	}
 }
 
 // PreVisit admits the visitor iff it improves (lowers) the current label.
@@ -74,23 +63,22 @@ func (c *CC) PreVisit(v Visitor) bool {
 	return false
 }
 
-// PreVisitGhost applies the improvement test to the local ghost copy.
-func (c *CC) PreVisitGhost(v Visitor, gi int) bool {
-	if v.Label < c.ghostLabel[gi] {
-		c.ghostLabel[gi] = v.Label
-		return true
-	}
-	return false
-}
-
-// Visit floods the improved label to the locally stored neighbors.
+// Visit floods the improved label to the locally stored neighbors whose
+// ghost, if they have one, has not yet passed a label as low.
 func (c *CC) Visit(v Visitor, q *core.Queue[Visitor]) {
 	i := q.LocalRow(v.V)
 	if v.Label != c.Label[i] {
 		return
 	}
-	for _, t := range q.OutEdges(v.V) {
-		q.PushEdge(t, Visitor{V: t.Vertex(), Label: v.Label})
+	edges := q.OutEdges(v.V)
+	if len(edges) == 0 {
+		return
+	}
+	ghosts := q.Ghosts()
+	for _, t := range edges {
+		if !ghosts.Drop(t, uint64(v.Label)) {
+			q.PushEdge(t, Visitor{V: t.Vertex(), Label: v.Label})
+		}
 	}
 }
 

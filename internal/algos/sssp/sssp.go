@@ -82,11 +82,7 @@ type SSSP struct {
 
 	Dist   []uint64
 	Parent []graph.Vertex
-
-	ghostDist []uint64
 }
-
-var _ core.GhostAlgorithm[Visitor] = (*SSSP)(nil)
 
 // New initializes SSSP state: every vertex at distance ∞.
 func New(part *partition.Part, weightSeed uint64) *SSSP {
@@ -101,17 +97,6 @@ func New(part *partition.Part, weightSeed uint64) *SSSP {
 		s.Parent[i] = graph.Nil
 	}
 	return s
-}
-
-// AttachGhosts allocates ghost filter state. SSSP tolerates the imprecise
-// ghost filter for the same reason BFS does: distances improve
-// monotonically, so a stale ghost can only fail to filter, never block a
-// better path.
-func (s *SSSP) AttachGhosts(t *core.GhostTable) {
-	s.ghostDist = make([]uint64, t.Len())
-	for i := range s.ghostDist {
-		s.ghostDist[i] = Unreached
-	}
 }
 
 // PreVisit admits the visitor iff it improves the current distance. It is
@@ -135,30 +120,31 @@ func (s *SSSP) PreVisit(v Visitor) bool {
 	return false
 }
 
-// PreVisitGhost applies the improvement test to the local ghost copy.
-func (s *SSSP) PreVisitGhost(v Visitor, gi int) bool {
-	if v.Dist < s.ghostDist[gi] {
-		s.ghostDist[gi] = v.Dist
-		return true
-	}
-	return false
-}
-
 // Visit relaxes the locally stored out-edges. The addition saturates: a
 // near-max distance (possible only via corruption that slipped past the
 // PreVisit bound, e.g. state poked directly by a fault harness) must not wrap
 // past Unreached into a small garbage value that would win improvement tests.
+// SSSP uses the queue's ghost filter for the same reason BFS does: distances
+// improve monotonically, so a stale ghost can only fail to filter, never
+// block a better path.
 func (s *SSSP) Visit(v Visitor, q *core.Queue[Visitor]) {
 	i := q.LocalRow(v.V)
 	if v.Dist != s.Dist[i] {
 		return
 	}
-	for _, t := range q.OutEdges(v.V) {
+	edges := q.OutEdges(v.V)
+	if len(edges) == 0 {
+		return
+	}
+	ghosts := q.Ghosts()
+	for _, t := range edges {
 		nd := v.Dist + Weight(v.V, t.Vertex(), s.seed)
 		if nd < v.Dist {
 			nd = Unreached // saturate instead of wrapping
 		}
-		q.PushEdge(t, Visitor{V: t.Vertex(), Dist: nd, Parent: v.V})
+		if !ghosts.Drop(t, nd) {
+			q.PushEdge(t, Visitor{V: t.Vertex(), Dist: nd, Parent: v.V})
+		}
 	}
 }
 

@@ -4,8 +4,9 @@
 // visitor state to other vertices — and the queue provides parallelism,
 // asynchronous transmission through the routed mailbox, scheduling via a
 // local calendar of FIFO buckets, replica forwarding for split adjacency
-// lists, ghost filtering for high in-degree hubs, merging at the sender for
-// counted visitors, and termination detection.
+// lists, a ghost filter for high in-degree hubs that stale-tolerant
+// algorithms consult in their push loops (GhostFilter), merging at the sender
+// for counted visitors, and termination detection.
 package core
 
 import "havoqgt/internal/graph"
@@ -35,7 +36,8 @@ type Algorithm[V Visitor] interface {
 	// the queue. It sees only the local portion of the vertex's adjacency
 	// list; replicas of a split vertex each visit their own portion. Any
 	// per-vertex state it needs it must read before a Push or re-read after:
-	// a Push can run PreVisit on another local vertex, or this one.
+	// a Push can run PreVisit on another local vertex, or this one. A
+	// stale-tolerant algorithm asks q.Ghosts().Drop before each PushEdge.
 	Visit(v V, q *Queue[V])
 
 	// Encode appends v's wire form to buf and returns it.
@@ -63,28 +65,10 @@ type BucketAlgorithm[V Visitor] interface {
 	Bucket(v V) uint64
 }
 
-// GhostAlgorithm is implemented by algorithms that explicitly declare ghost
-// usage (§IV-B). Ghosts are an imprecise local filter: the ghost copy of a
-// hub's state is never globally synchronized, so only algorithms tolerant of
-// stale state (e.g. BFS) can opt in; algorithms needing precise event counts
-// (k-core, PageRank, triangle counting) must not filter — the counted ones
-// merge instead (CombineAlgorithm).
-type GhostAlgorithm[V Visitor] interface {
-	Algorithm[V]
-	// AttachGhosts allocates the ghost copies, one per entry of the rank's
-	// ghost table, each in the state of a vertex not yet seen. The queue calls
-	// it once, before the first PreVisitGhost.
-	AttachGhosts(t *GhostTable)
-	// PreVisitGhost applies the visitor to the local ghost copy identified
-	// by ghostIdx (an index into the rank's ghost table, usable for a
-	// parallel ghost-state array). It returns true if the visitor should
-	// still be transmitted to the vertex's master partition.
-	PreVisitGhost(v V, ghostIdx int) bool
-}
-
 // CombineAlgorithm is implemented by algorithms whose visitors for one vertex
 // can be merged before they leave the rank: PageRank's contributions within an
-// iteration sum, k-core's removal notices count. The queue holds one pending
+// iteration sum, k-core's removal notices count — the counted algorithms, which
+// the ghost filter (GhostFilter) would corrupt. The queue holds one pending
 // visitor per slot of the rank's ghost table — the remote targets the rank
 // stores at least two edges to, the only ones with anything to merge — folds
 // every later push for that slot into it, and sends what it holds when the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 )
@@ -61,3 +62,36 @@ func (t *GhostTable) Len() int { return len(t.vertices) }
 
 // Vertices returns the ghosted vertices in index order.
 func (t *GhostTable) Vertices() []graph.Vertex { return t.vertices }
+
+// GhostFilter is one query's ghost copies on one rank (§IV-B): per slot of the
+// rank's ghost table, the best key a push to that ghost has carried. The key
+// is the algorithm's improvement order, lower is better — BFS's level, SSSP's
+// distance, CC's label — so one filter serves every monotone algorithm. A
+// ghost is never synchronized with its master, so it can only fail to drop a
+// push, never drop one that improves on what the master was sent: an
+// algorithm tolerant of stale state (BFS, SSSP, CC) may call Drop in its push
+// loop, and calling it is the opt-in. A counted algorithm (k-core, PageRank,
+// triangle counting) needs every visitor's effect and must not; the first two
+// merge instead (CombineAlgorithm). Queue.Ghosts hands the filter out.
+type GhostFilter struct {
+	best    []uint64 // per ghost slot; ^0 until a push to it passes
+	dropped uint64   // pushes dropped since Queue.publish last folded them into Stats
+}
+
+// Drop reports whether a push along the edge whose target word is t,
+// carrying key, is dropped: its ghost has already passed a key at least as
+// good. A dropped push counts as pushed and ghost-filtered. A word with no
+// slot, or a slot at or past the ghost table's length, is never dropped; any
+// other key below the slot's best becomes its best, and the push goes on.
+func (f *GhostFilter) Drop(t csr.Target, key uint64) bool {
+	slot := t.Slot()
+	if uint(slot) >= uint(len(f.best)) {
+		return false
+	}
+	if key >= f.best[slot] {
+		f.dropped++
+		return true
+	}
+	f.best[slot] = key
+	return false
+}

@@ -92,11 +92,11 @@ type Queue[V Visitor] struct {
 	part *partition.Part
 	algo Algorithm[V]
 
-	ghostAlgo     GhostAlgorithm[V]   // nil when ghosts unused
-	combAlgo      CombineAlgorithm[V] // nil when the algorithm does not combine or ghosts unused
-	ghosts        *GhostTable
-	nGhosts       int  // slots below this are filtered or combined; 0 when ghosts unused
-	ghostAttached bool // ghostAlgo holds its filter state (sized on the first hit)
+	nGhosts int         // the ghost table's length: the slots the filter covers
+	filter  GhostFilter // sized on the first Ghosts call
+
+	combAlgo CombineAlgorithm[V] // nil when the algorithm does not combine or ghosts unused
+	nHeld    int                 // slots below this are combined; 0 when combAlgo is nil
 
 	// The combiner's accumulator: one pending visitor per ghost slot (sized on
 	// the first hit), and the slots holding one, in the order they took it.
@@ -174,12 +174,12 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 
 // NewQueue builds one query's queue on one rank: visitors travel through the
 // rank's shared mailbox stamped with tag (the query ID), and termination
-// detection runs on the caller-minted per-query detector. ghosts enables the
-// sender-side filter when the algorithm implements GhostAlgorithm and the
-// combiner when it implements CombineAlgorithm (nil or empty disables both);
-// the filter state and the combiner's accumulator are sized when a push first
-// hits the table, so a query that never leaves its source's rank pays nothing
-// for them. A non-nil pager marks the partition's CSR targets as out of
+// detection runs on the caller-minted per-query detector. ghosts sizes the
+// sender-side filter (Ghosts) and, when the algorithm implements
+// CombineAlgorithm, the combiner (nil or empty disables both); the filter is
+// sized on the first Ghosts call and the combiner's accumulator when a push
+// first hits the table, so a query that never pushes along an edge pays
+// nothing for them. A non-nil pager marks the partition's CSR targets as out of
 // core: Step parks visitors whose adjacency pages are absent instead of
 // blocking on the device, and the caller must feed Pager.Drain results back
 // through Unpark. The local scheduler is a calendar of FIFO buckets, keyed by
@@ -197,15 +197,27 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 		pager: pager,
 		met:   newQueueMetrics(r),
 	}
-	if ghosts != nil && ghosts.Len() > 0 {
-		q.ghostAlgo, _ = algo.(GhostAlgorithm[V])
-		q.combAlgo, _ = algo.(CombineAlgorithm[V])
-		if q.ghostAlgo != nil || q.combAlgo != nil {
-			q.ghosts = ghosts
-			q.nGhosts = ghosts.Len()
+	if ghosts != nil {
+		q.nGhosts = ghosts.Len()
+		if q.combAlgo, _ = algo.(CombineAlgorithm[V]); q.combAlgo != nil {
+			q.nHeld = q.nGhosts
 		}
 	}
 	return q
+}
+
+// Ghosts returns the query's ghost filter on this rank, sized to the rank's
+// ghost table on the first call. Fetch it once per Visit, after the vertex is
+// known to have edges to push along: a query that never pushes along an edge
+// then allocates no filter.
+func (q *Queue[V]) Ghosts() *GhostFilter {
+	if q.filter.best == nil && q.nGhosts > 0 {
+		q.filter.best = make([]uint64, q.nGhosts)
+		for i := range q.filter.best {
+			q.filter.best[i] = ^uint64(0)
+		}
+	}
+	return &q.filter
 }
 
 // LocalRow returns the CSR row index for a locally held vertex.
@@ -248,10 +260,10 @@ func (q *Queue[V]) route(v V) {
 // is t (v.Vertex() == t.Vertex()): what the sender can decide was resolved
 // into the word when the partition was built, so deciding is reading it. A
 // local target is applied in place; a target in one of the rank's remote slots
-// goes to the owner the slot names — when the slot is within the ghost table,
-// after the filter's verdict for an algorithm that declares ghost usage, and
-// through the slot's held visitor for one that combines; a word with nothing
-// resolved takes Push's path.
+// goes to the owner the slot names — through the slot's held visitor when the
+// algorithm combines and the slot is within the ghost table; a word with
+// nothing resolved takes Push's path. The ghost filter is the caller's: a push
+// it drops never gets here (GhostFilter.Drop).
 func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 	q.stats.Pushed++
 	if t.Local() {
@@ -259,28 +271,14 @@ func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 		q.apply(v)
 		return
 	}
-	slot := t.Slot()
-	if slot < 0 {
+	switch slot := t.Slot(); {
+	case slot < 0:
 		q.route(v)
-		return
+	case slot < q.nHeld:
+		q.hold(slot, v)
+	default:
+		q.send(int(q.part.SlotOwner[slot]), v)
 	}
-	if slot < q.nGhosts {
-		if q.ghostAlgo != nil {
-			if !q.ghostAttached {
-				q.ghostAlgo.AttachGhosts(q.ghosts)
-				q.ghostAttached = true
-			}
-			if !q.ghostAlgo.PreVisitGhost(v, slot) {
-				q.stats.GhostFiltered++
-				return
-			}
-		}
-		if q.combAlgo != nil {
-			q.hold(slot, v)
-			return
-		}
-	}
-	q.send(int(q.part.SlotOwner[slot]), v)
 }
 
 // hold makes v the slot's pending visitor: it takes an empty slot, merges into
@@ -289,7 +287,7 @@ func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 // cannot see, so LocalIdle stays false until Step sends it (flushHeld).
 func (q *Queue[V]) hold(slot int, v V) {
 	if q.held == nil {
-		q.held = make([]pending[V], q.nGhosts)
+		q.held = make([]pending[V], q.nHeld)
 	}
 	p := &q.held[slot]
 	switch {
@@ -525,9 +523,14 @@ func (q *Queue[V]) Stats() Stats {
 // publication (obs.PerRank.Publish). The rank loop reaches it through
 // PumpTermination every iteration and through Stats when it retires the
 // query, forced retirement included, so the registry equals Stats whenever
-// the rank is between iterations and lags by at most one while it runs.
+// the rank is between iterations and lags by at most one while it runs. The
+// pushes the ghost filter dropped are folded into Pushed and GhostFiltered
+// here first.
 func (q *Queue[V]) publish() {
 	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
+	cur.Pushed += q.filter.dropped
+	cur.GhostFiltered += q.filter.dropped
+	q.filter.dropped = 0
 	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
 	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
 	m.local.Publish(rank, cur.Local, &last.Local)

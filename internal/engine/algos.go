@@ -206,9 +206,9 @@ func Canonical(spec Spec) Spec {
 }
 
 // Validate rejects a spec no engine over an n-vertex graph can run: an
-// unknown query type, parameters its entry's checks refuse, or a Resume
-// checkpoint from another query, another graph, or a type that does not
-// resume (ErrNotResumable).
+// unknown query type, a negative deadline, parameters its entry's checks
+// refuse, or a Resume checkpoint from another query, another graph, or a type
+// that does not resume (ErrNotResumable).
 func Validate(spec Spec, n uint64) error {
 	_, err := resolve(spec, n)
 	return err
@@ -223,6 +223,9 @@ func resolve(spec Spec, n uint64) (*algo, error) {
 			names[i] = string(a.name)
 		}
 		return nil, fmt.Errorf("engine: unknown algorithm %q (want %s)", spec.Algo, strings.Join(names, "|"))
+	}
+	if spec.Deadline < 0 {
+		return nil, fmt.Errorf("engine: negative deadline %v", spec.Deadline)
 	}
 	if e.check != nil {
 		if err := e.check(spec, n); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
@@ -91,6 +92,9 @@ func TestToyQueryTypeIsOneEntry(t *testing.T) {
 	}
 	if err := Validate(Spec{Algo: reach.name, Source: graph.Vertex(n)}, n); err == nil {
 		t.Error("reach accepted an out-of-range source")
+	}
+	if err := Validate(Spec{Algo: reach.name, Source: source, Deadline: -time.Millisecond}, n); err == nil {
+		t.Error("reach accepted a negative deadline")
 	}
 	e, err := Start(cfg, Options{})
 	if err != nil {

@@ -44,7 +44,7 @@ type queueRunner[V core.Visitor] struct {
 func (rn *queueRunner[V]) Finish() { rn.finish() }
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
-// only for the algorithms that declare ghost usage (core.GhostAlgorithm: bfs,
+// only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs,
 // sssp, cc); the counted ones need every visitor's effect delivered and merge
 // over the same table instead (core.CombineAlgorithm: k-core's removal
 // counts, PageRank's contributions); triangle counting needs every adjacency

@@ -542,8 +542,9 @@ func benchPushRandom(b *testing.B) {
 // edgeAlgo is the toy behind BenchmarkVisitorPushRoute/edges. Its generator
 // visitor pushes one visitor along every edge its rank stores — once per
 // outcome the edge can have — and then itself, one pass poorer. The pushed
-// visitors are dropped on arrival; the ghost filter passes exactly those
-// marked send. ns is the rank's time inside each outcome's loop.
+// visitors are dropped on arrival. The slotted class asks the ghost filter
+// with the worst key, which it always drops; the remote class does not ask.
+// ns is the rank's time inside each outcome's loop.
 type edgeAlgo struct {
 	local, slotted, remote []csr.Target
 	ns                     [3]time.Duration // by outcome: local, ghost-filtered, sent
@@ -552,7 +553,6 @@ type edgeAlgo struct {
 type edgeVisitor struct {
 	v    graph.Vertex
 	left uint32 // passes this generator still owes; 0 marks a pushed visitor
-	send bool
 }
 
 func (e edgeVisitor) Vertex() graph.Vertex { return e.v }
@@ -575,20 +575,28 @@ func newEdgeAlgo(part *partition.Part) *edgeAlgo {
 	return a
 }
 
-func (a *edgeAlgo) PreVisit(v edgeVisitor) bool             { return v.left > 0 }
-func (a *edgeAlgo) AttachGhosts(*core.GhostTable)           {}
-func (a *edgeAlgo) PreVisitGhost(v edgeVisitor, _ int) bool { return v.send }
+func (a *edgeAlgo) PreVisit(v edgeVisitor) bool { return v.left > 0 }
 func (a *edgeAlgo) Visit(v edgeVisitor, q *core.Queue[edgeVisitor]) {
-	for i, class := range []struct {
-		targets []csr.Target
-		send    bool
-	}{{a.local, false}, {a.slotted, false}, {a.remote, true}} {
-		start := time.Now()
-		for _, t := range class.targets {
-			q.PushEdge(t, edgeVisitor{v: t.Vertex(), send: class.send})
-		}
-		a.ns[i] += time.Since(start)
+	ghosts, start := q.Ghosts(), time.Now()
+	lap := func(outcome int) {
+		now := time.Now()
+		a.ns[outcome] += now.Sub(start)
+		start = now
 	}
+	for _, t := range a.local {
+		q.PushEdge(t, edgeVisitor{v: t.Vertex()})
+	}
+	lap(0)
+	for _, t := range a.slotted {
+		if !ghosts.Drop(t, ^uint64(0)) {
+			q.PushEdge(t, edgeVisitor{v: t.Vertex()})
+		}
+	}
+	lap(1)
+	for _, t := range a.remote {
+		q.PushEdge(t, edgeVisitor{v: t.Vertex()})
+	}
+	lap(2)
 	if v.left > 1 {
 		q.Push(edgeVisitor{v: v.v, left: v.left - 1})
 	}
