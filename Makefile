@@ -94,13 +94,18 @@ chaos-short:
 # the message-plane micro-benchmarks run once each so they cannot rot:
 # BenchmarkVisitorPushRoute is the per-record number (/random) and the
 # per-push number by outcome over real tagged edges (/edges) to read before
-# spending 24 seconds on bench/run.sh. Nothing here times the system: `bash
-# bench/run.sh` does (bench/README.md).
+# spending 24 seconds on bench/run.sh. So do the graph build's two: the radix
+# BenchmarkSortEdges over one rank's share (131 K edges) and
+# BenchmarkBuildEdgeListSimple, the scale-15, 8-rank build behind every
+# workload's setup_s, with its bytes allocated per build. Nothing here times
+# the system: `bash bench/run.sh` does (bench/README.md).
 bench-smoke:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
 	$(GO) test -count=1 -run 'TestOneShotAllocBudget|TestBFSRecordBudget|TestAnalyticsExecutedBudget' -v .
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkSortEdges' -benchtime=1x ./internal/graph
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkBuildEdgeListSimple' -benchtime=1x -benchmem ./internal/partition
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own that compiles
 # against the root facade, so root `go test ./...` does not reach it: vet it

@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/pprof"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,12 +35,12 @@ func testCoordServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exits := make(chan error, o.workers)
+	exits := make(chan workerExit, o.workers)
 	for i := 0; i < o.workers; i++ {
 		go func() {
-			exits <- cluster.RunWorker(cluster.WorkerOptions{
+			exits <- workerExit{i, cluster.RunWorker(cluster.WorkerOptions{
 				Coordinator: c.Addr(), Config: clusterCfg(&o), Slot: -1, Logf: t.Logf,
-			})
+			})}
 		}()
 	}
 	cs := newCoordServer(c, &o, "")
@@ -47,17 +49,52 @@ func testCoordServer(t *testing.T) *httptest.Server {
 		ts.Close()
 		cs.close()
 		c.Close() // workers exit on the shutdown broadcast
-		for i := 0; i < o.workers; i++ {
-			if err := <-exits; err != nil {
-				t.Errorf("worker exit: %v", err)
-			}
-		}
+		waitWorkerExits(t, exits, o.workers, workerExitWait)
 		http.DefaultClient.CloseIdleConnections()
 	})
 	if err := c.WaitReady(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return ts
+}
+
+// workerExitWait bounds how long testCoordServer's cleanup waits for its
+// workers after the shutdown broadcast. A worker wedged in a collective would
+// otherwise hold the test binary until the go test timeout, naming nothing.
+const workerExitWait = 30 * time.Second
+
+type workerExit struct {
+	worker int
+	err    error
+}
+
+// waitWorkerExits collects n workers' exits. Past wait it fails the test
+// naming the workers still running, with every goroutine's stack, so a
+// stuck worker names the collective it is blocked in.
+func waitWorkerExits(t *testing.T, exits <-chan workerExit, n int, wait time.Duration) {
+	t.Helper()
+	exited := make([]bool, n)
+	timeout := time.After(wait)
+	for range n {
+		select {
+		case e := <-exits:
+			exited[e.worker] = true
+			if e.err != nil {
+				t.Errorf("worker %d exit: %v", e.worker, e.err)
+			}
+		case <-timeout:
+			var missing []int
+			for i, ok := range exited {
+				if !ok {
+					missing = append(missing, i)
+				}
+			}
+			var dump strings.Builder
+			_ = pprof.Lookup("goroutine").WriteTo(&dump, 2) // a strings.Builder write cannot fail
+			t.Errorf("workers %v still running %v after the shutdown broadcast; goroutines:\n%s", missing, wait, dump.String())
+			return
+		}
+	}
 }
 
 // TestCoordServerEndpoints drives the coordinator's HTTP front door — which

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -53,9 +54,61 @@ func CompareEdges(a, b Edge) int {
 	}
 }
 
-// SortEdges sorts the edge list in place by (Src, Dst).
+// SortEdges sorts the edge list in place by (Src, Dst): an LSD radix sort
+// (RadixSort) over the bits the largest Dst occupies, then those of the
+// largest Src, linear in the list's length, with one scratch list of the same
+// length.
 func SortEdges(edges []Edge) {
-	slices.SortFunc(edges, CompareEdges)
+	if len(edges) == 0 {
+		return
+	}
+	if sorted := radixSortEdges(edges, make([]Edge, len(edges)), edges); &sorted[0] != &edges[0] {
+		copy(edges, sorted)
+	}
+}
+
+// SortedEdges returns the edges sorted by (Src, Dst) in a list of its own and
+// leaves edges untouched. The radix sort's first pass reads edges and writes
+// the new list, so the copy costs no pass of its own. Its later passes need a
+// second scratch list of the same length while they run, so for that time the
+// caller holds three full-size lists (its own, the result and the scratch)
+// where copying and sorting in place would hold two.
+func SortedEdges(edges []Edge) []Edge {
+	out := make([]Edge, len(edges))
+	if len(edges) == 0 {
+		return out
+	}
+	sorted := radixSortEdges(edges, out, make([]Edge, len(edges)))
+	if &sorted[0] == &edges[0] { // already in order: no pass moved anything
+		copy(out, edges)
+		return out
+	}
+	return sorted
+}
+
+// radixSortEdges sorts src by (Src, Dst) with RadixSort's buffer contract
+// and returns the buffer holding the result. Ids whose bits fit one word
+// together sort as one packed key; wider ones (up to 64 bits each) sort by
+// Dst, then stably by Src.
+func radixSortEdges(src, dst, tmp []Edge) []Edge {
+	var srcBits, dstBits Vertex
+	for _, e := range src {
+		srcBits |= e.Src
+		dstBits |= e.Dst
+	}
+	sb, db := bits.Len64(uint64(srcBits)), bits.Len64(uint64(dstBits))
+	if sb+db <= 64 {
+		return RadixSort(src, dst, tmp, sb+db, func(e Edge) uint64 { return uint64(e.Src)<<db | uint64(e.Dst) })
+	}
+	bySrc := func(e Edge) uint64 { return uint64(e.Src) }
+	switch byDst := RadixSort(src, dst, tmp, db, func(e Edge) uint64 { return uint64(e.Dst) }); &byDst[0] {
+	case &src[0]:
+		return RadixSort(src, dst, tmp, sb, bySrc)
+	case &dst[0]:
+		return RadixSort(dst, tmp, dst, sb, bySrc)
+	default:
+		return RadixSort(tmp, dst, tmp, sb, bySrc)
+	}
 }
 
 // EdgesSorted reports whether the edge list is sorted by (Src, Dst).

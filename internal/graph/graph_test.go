@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"havoqgt/internal/xrand"
 )
 
 func TestCompareEdges(t *testing.T) {
@@ -143,5 +147,110 @@ func TestDegreeHistogram(t *testing.T) {
 	h := DegreeHistogram([]uint32{0, 1, 1, 3, 3, 3})
 	if h[0] != 1 || h[1] != 2 || h[3] != 3 {
 		t.Fatalf("histogram wrong: %v", h)
+	}
+}
+
+// TestSortEdgesMatchesComparisonSort checks the radix SortEdges and
+// SortedEdges against the comparison sort over short and long lists and ids
+// of up to 40 bits, where a packed (Src, Dst) key no longer fits one word and
+// the sort takes one key after the other.
+func TestSortEdgesMatchesComparisonSort(t *testing.T) {
+	rng := xrand.New(11)
+	shapes := []struct {
+		name string
+		gen  func(n int) []Edge
+	}{
+		{"ids40", func(n int) []Edge { return randomEdges(rng, n, 1<<40) }},
+		{"ids20", func(n int) []Edge { return randomEdges(rng, n, 1<<20) }},
+		// 16 wide sources, so the order within a source rests on the Dst
+		// key: four Dst passes, or three, then the Src key.
+		{"hubs40", func(n int) []Edge { return hubEdges(rng, n, 1<<40) }},
+		{"hubs40dst30", func(n int) []Edge { return hubEdges(rng, n, 1<<30) }},
+		{"duplicates", func(n int) []Edge { return randomEdges(rng, n, 6) }},
+		{"selfloops", func(n int) []Edge {
+			es := randomEdges(rng, n, 1<<12)
+			for i := 0; i < len(es); i += 3 {
+				es[i].Dst = es[i].Src
+			}
+			return es
+		}},
+		{"allequal", func(n int) []Edge {
+			es := make([]Edge, n)
+			for i := range es {
+				es[i] = Edge{Src: 1<<40 - 1, Dst: 1<<33 + 5}
+			}
+			return es
+		}},
+		{"presorted", func(n int) []Edge {
+			es := randomEdges(rng, n, 1<<40)
+			slices.SortFunc(es, CompareEdges)
+			return es
+		}},
+		{"reversed", func(n int) []Edge {
+			es := randomEdges(rng, n, 1<<20)
+			slices.SortFunc(es, func(a, b Edge) int { return CompareEdges(b, a) })
+			return es
+		}},
+	}
+	for _, n := range []int{0, 1, 2, 511, 512, 513, 100_000} {
+		for _, sh := range shapes {
+			in := sh.gen(n)
+			want := slices.Clone(in)
+			slices.SortFunc(want, CompareEdges)
+			orig := slices.Clone(in)
+			if got := SortedEdges(in); !slices.Equal(got, want) {
+				t.Errorf("%s/%d: SortedEdges disagrees with the comparison sort", sh.name, n)
+			}
+			if !slices.Equal(in, orig) {
+				t.Errorf("%s/%d: SortedEdges wrote its input", sh.name, n)
+			}
+			if SortEdges(in); !slices.Equal(in, want) {
+				t.Errorf("%s/%d: SortEdges disagrees with the comparison sort", sh.name, n)
+			}
+		}
+	}
+}
+
+func randomEdges(rng *xrand.Rand, n int, ids uint64) []Edge {
+	es := make([]Edge, n)
+	for i := range es {
+		es[i] = Edge{Src: Vertex(rng.Uint64n(ids)), Dst: Vertex(rng.Uint64n(ids))}
+	}
+	return es
+}
+
+func hubEdges(rng *xrand.Rand, n int, dsts uint64) []Edge {
+	es := make([]Edge, n)
+	for i := range es {
+		es[i] = Edge{Src: Vertex(rng.Uint64n(16) << 36), Dst: Vertex(rng.Uint64n(dsts))}
+	}
+	return es
+}
+
+// TestRadixSortStable: elements with equal keys keep their input order, in
+// place (src passed as tmp) and into a separate list, for key widths that
+// take one pass, several, and a full word.
+func TestRadixSortStable(t *testing.T) {
+	type item struct{ key, seq uint64 }
+	rng := xrand.New(5)
+	for _, keyBits := range []int{0, 3, 11, 12, 35, 64} {
+		in := make([]item, 5000)
+		for i := range in {
+			in[i] = item{rng.Uint64() & (1<<keyBits - 1), uint64(i)}
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b item) int { return cmp.Compare(a.key, b.key) })
+		key := func(x item) uint64 { return x.key }
+
+		orig := slices.Clone(in)
+		if got := RadixSort(in, make([]item, len(in)), make([]item, len(in)), keyBits, key); !slices.Equal(got, want) {
+			t.Errorf("%d-bit keys: sorted copy is not the stable order", keyBits)
+		}
+		if !slices.Equal(in, orig) {
+			t.Errorf("%d-bit keys: RadixSort wrote src", keyBits)
+		}
+		if got := RadixSort(in, make([]item, len(in)), in, keyBits, key); !slices.Equal(got, want) {
+			t.Errorf("%d-bit keys: in-place sort is not the stable order", keyBits)
+		}
 	}
 }

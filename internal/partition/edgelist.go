@@ -40,9 +40,9 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 	if err := checkVertexCount(numVertices); err != nil {
 		return nil, err
 	}
-	local = append([]graph.Edge(nil), local...) // own and mutate freely
+	local = graph.SortedEdges(local) // the caller's list stays as it was
 	if simplify {
-		// Drop self loops before the sort; duplicates fall out after it.
+		// Drop self loops before the exchange; duplicates fall out after it.
 		kept := local[:0]
 		for _, e := range local {
 			if !e.IsSelfLoop() {
@@ -51,7 +51,6 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 		}
 		local = kept
 	}
-	graph.SortEdges(local)
 	local = sampleSortExchange(r, local)
 	if simplify {
 		// After the sample sort all copies of an edge are contiguous on one
@@ -194,6 +193,9 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 // sampleSortExchange redistributes the locally sorted edges so rank r holds
 // the r-th range of the global (Src, Dst) order. Standard sample sort:
 // evenly spaced local samples, gathered everywhere, define p-1 splitters.
+// Every sender's samples and every sender's slice of its list arrive sorted,
+// so both are merged as p sorted runs (mergeEdgeRuns), never sorted again:
+// the build's one full-size sort is the local one before the exchange.
 func sampleSortExchange(r *rt.Rank, local []graph.Edge) []graph.Edge {
 	p := r.Size()
 	if p == 1 {
@@ -206,12 +208,7 @@ func sampleSortExchange(r *rt.Rank, local []graph.Edge) []graph.Edge {
 	for i := 0; i < s; i++ {
 		samples = append(samples, local[i*len(local)/s])
 	}
-	gathered := r.AllGatherBytes(encodeEdges(samples))
-	var all []graph.Edge
-	for _, g := range gathered {
-		all = decodeEdgesInto(all, g)
-	}
-	graph.SortEdges(all)
+	all := mergeEdgeRuns(r.AllGatherBytes(encodeEdges(samples)))
 	splitters := make([]graph.Edge, 0, p-1)
 	for i := 1; i < p; i++ {
 		if len(all) == 0 {
@@ -236,13 +233,7 @@ func sampleSortExchange(r *rt.Rank, local []graph.Edge) []graph.Edge {
 		out[i] = encodeEdges(local[prev:cut])
 		prev = cut
 	}
-	in := r.AllToAllv(out)
-	merged := make([]graph.Edge, 0, len(local))
-	for _, buf := range in {
-		merged = decodeEdgesInto(merged, buf)
-	}
-	graph.SortEdges(merged)
-	return merged
+	return mergeEdgeRuns(r.AllToAllv(out))
 }
 
 // rebalanceEqualCounts shifts edges between ranks so every rank holds
@@ -272,7 +263,7 @@ func rebalanceEqualCounts(r *rt.Rank, local []graph.Edge) []graph.Edge {
 		}
 	}
 	in := r.AllToAllv(out)
-	merged := make([]graph.Edge, 0)
+	merged := make([]graph.Edge, 0, decodedLen(in))
 	for _, buf := range in { // sender order == ascending global offset
 		merged = decodeEdgesInto(merged, buf)
 	}
@@ -292,18 +283,13 @@ func (part *Part) exchangeBoundaryDegrees(r *rt.Rank, local []graph.Edge, hasEdg
 		rec = append(rec, b[:]...)
 	}
 	if hasEdges[me] {
-		countDeg := func(v uint64) uint64 {
-			var d uint64
-			for _, e := range local { // boundary vertices only; fine to scan
-				if uint64(e.Src) == v {
-					d++
-				}
-			}
-			return d
-		}
-		put(firstSrc[me], countDeg(firstSrc[me]))
+		// local is sorted: the first source's edges are its leading run and
+		// the last source's its trailing run.
+		lead := sort.Search(len(local), func(i int) bool { return uint64(local[i].Src) > firstSrc[me] })
+		put(firstSrc[me], uint64(lead))
 		if lastSrc[me] != firstSrc[me] {
-			put(lastSrc[me], countDeg(lastSrc[me]))
+			trail := sort.Search(len(local), func(i int) bool { return uint64(local[i].Src) >= lastSrc[me] })
+			put(lastSrc[me], uint64(len(local)-trail))
 		}
 	}
 	for _, buf := range r.AllGatherBytes(rec) {

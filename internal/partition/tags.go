@@ -1,11 +1,9 @@
 package partition
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
@@ -45,11 +43,16 @@ func (p *Part) tagTargets(maxSlots int) error {
 			return fmt.Errorf("partition: vertex %d out of range (n=%d)", v, p.NumVertices)
 		}
 	}
-	remote = sortByVertex(remote, mem, p.NumVertices)
+	// Group them by vertex, radix-sorting over the bits a vertex id below n
+	// occupies: linear, where a comparison sort of a rank's edges would cost
+	// more than the ghost count it replaces.
+	remote = graph.RadixSort(remote, make([]int, len(remote)), remote, bits.Len64(p.NumVertices-1),
+		func(at int) uint64 { return uint64(mem[at]) })
 
 	// Each run of two or more edges to one vertex is a candidate.
 	type run struct{ start, count int }
 	var runs []run
+	hottest := 0
 	for i := 0; i < len(remote); {
 		j := i + 1
 		for j < len(remote) && mem[remote[j]] == mem[remote[i]] {
@@ -57,12 +60,14 @@ func (p *Part) tagTargets(maxSlots int) error {
 		}
 		if j-i >= 2 {
 			runs = append(runs, run{i, j - i})
+			hottest = max(hottest, j-i)
 		}
 		i = j
 	}
-	slices.SortFunc(runs, func(a, b run) int { // start order is vertex order
-		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.start, b.start))
-	})
+	// Count descending; the sort is stable and runs are in vertex order, so
+	// equal counts stay in vertex order.
+	runs = graph.RadixSort(runs, make([]run, len(runs)), runs, bits.Len(uint(hottest)),
+		func(r run) uint64 { return uint64(hottest - r.count) })
 	runs = runs[:min(len(runs), maxSlots)]
 
 	p.SlotVertex = make([]graph.Vertex, len(runs))
@@ -75,30 +80,4 @@ func (p *Part) tagTargets(maxSlots int) error {
 		}
 	}
 	return nil
-}
-
-// sortByVertex orders edges — indices into mem — by target vertex with an LSD
-// radix sort over the bits a vertex id below n occupies: linear, where a
-// comparison sort of a rank's edges would cost more than the ghost count it
-// replaces.
-func sortByVertex(edges []int, mem csr.MemTargets, n uint64) []int {
-	const digit = 11
-	tmp := make([]int, len(edges))
-	for shift := 0; shift < bits.Len64(n-1); shift += digit {
-		var next [1 << digit]int
-		for _, at := range edges {
-			next[mem[at]>>shift&(1<<digit-1)]++
-		}
-		sum := 0
-		for d, c := range next {
-			next[d], sum = sum, sum+c
-		}
-		for _, at := range edges {
-			d := mem[at] >> shift & (1<<digit - 1)
-			tmp[next[d]] = at
-			next[d]++
-		}
-		edges, tmp = tmp, edges
-	}
-	return edges
 }
