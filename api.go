@@ -241,8 +241,7 @@ func (g *Graph) Degree(v Vertex) (uint64, error) {
 	if uint64(v) >= g.n {
 		return 0, fmt.Errorf("havoqgt: vertex %d out of range", v)
 	}
-	owner := g.parts[0].Master(v)
-	return g.parts[owner].GlobalDegree(v), nil
+	return g.parts[0].GlobalDegree(v), nil
 }
 
 // BFSResult holds a breadth-first search over the whole graph.

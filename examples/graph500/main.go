@@ -64,7 +64,7 @@ func main() {
 	rng := xrand.New(seed)
 	for len(results) < numRoots {
 		root := graph.Vertex(rng.Uint64n(gen.NumVertices()))
-		if cfg.Parts[cfg.Parts[0].Master(root)].GlobalDegree(root) == 0 {
+		if cfg.Parts[0].GlobalDegree(root) == 0 {
 			continue
 		}
 		t0 := time.Now()

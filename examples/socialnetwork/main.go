@@ -63,12 +63,8 @@ func main() {
 	// 1. Triangles and wedges -> global clustering coefficient.
 	triangles := query(cfg, engine.Spec{Algo: engine.AlgoTriangles}).Triangles
 	var wedges uint64
-	for _, part := range cfg.Parts {
-		lo, hi := part.Owners.MasterRange(part.Rank)
-		for v := lo; v < hi; v++ {
-			d := part.GlobalDegree(graph.Vertex(v))
-			wedges += d * (d - 1) / 2
-		}
+	for _, d := range cfg.Parts[0].Degrees {
+		wedges += uint64(d) * uint64(d-1) / 2
 	}
 
 	// 2. k-core decomposition at increasing k: the "engaged core".

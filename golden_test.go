@@ -36,7 +36,8 @@ const (
 // cc at the same shape. Min-label propagation over the whole graph executed
 // 99,221 visits and sent 230,090 records. Marking the hub's component first
 // leaves 8,605 components of 1–3 vertices to propagate over: 17–32 visits and
-// 355–364 records over runs, 338 of them the marking's.
+// 299–307 records over runs, 282 of them the marking's (338 when each
+// marking re-sent the degree table).
 const ccExecutedMax, ccRecordsMax = 1_000, 1_000
 
 // cc's flood at the same shape (ccFlood) on the FIFO, over 31 runs: 79–135 K
@@ -265,6 +266,11 @@ func TestOneShotAllocBudget(t *testing.T) {
 // reached vertex (an asynchronous traversal re-visits a vertex whose better
 // level arrives late, and a split row is visited on every rank holding a
 // piece), so sending less has not meant visiting more.
+//
+// A direction-optimizing BFS from an isolated vertex scans level 0, sends its
+// empty contribution to each peer and ends: exactly p(p−1) records, 56 on 8
+// ranks, and a few KB on the transport. When each query replicated the
+// degree table itself, the same query sent 112 records and 1.32 MB.
 func TestBFSRecordBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 record budget: not under -short or -race")
@@ -310,6 +316,28 @@ func TestBFSRecordBudget(t *testing.T) {
 	}
 	if executed < reached || float64(executed) > 1.5*float64(reached) {
 		t.Errorf("executed %d visits to reach %d vertices, want between 1 and 1.5 per vertex", executed, reached)
+	}
+
+	var isolated Vertex
+	for d, _ := g.Degree(isolated); d > 0; d, _ = g.Degree(isolated) {
+		isolated++
+	}
+	g.machine.ResetStats()
+	if _, stats, err = engine.RunOnce(g.engineConfig(), engine.Options{}, engine.Spec{Algo: engine.AlgoBFSDO, Source: isolated}); err != nil {
+		t.Fatal(err)
+	}
+	var protocol uint64
+	records = 0
+	for _, s := range stats {
+		protocol += s.ProtocolSent
+		records += s.Mailbox.RecordsSent
+	}
+	p := uint64(len(g.parts))
+	t.Logf("bfs_do from isolated vertex %d: %d protocol records, %d records sent, %d transport bytes",
+		isolated, protocol, records, g.machine.Stats().BytesSent)
+	if protocol != p*(p-1) || records != p*(p-1) {
+		t.Errorf("bfs_do from an isolated vertex sent %d protocol records (%d records), want exactly p(p-1) = %d",
+			protocol, records, p*(p-1))
 	}
 }
 

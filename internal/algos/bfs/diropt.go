@@ -39,9 +39,9 @@ const (
 	Beta  = 24
 )
 
-// DO message kinds (first payload byte).
+// DO message kinds (first payload byte). Kind 1 carried the degree table
+// before the partition build replicated it; it is retired, not reused.
 const (
-	doKindDeg    = 1 // replicated degree table fragment (master range)
 	doKindLevel  = 2 // sparse next-frontier contribution for one level
 	doKindParent = 3 // parent candidate for a split vertex's master
 )
@@ -76,12 +76,6 @@ type DO struct {
 	send func(dest int, payload []byte)
 	hint RowHinter // optional pager prefetch hints
 
-	source graph.Vertex // graph.Nil until the hub is chosen (NewDO)
-
-	deg     []uint32 // replicated global degrees (u32: plenty at any simulated scale)
-	degSeen []bool
-	degLeft int
-
 	visited      core.Bitmap
 	frontier     core.Bitmap
 	prevFrontier core.Bitmap // the just-retired frontier (parent level)
@@ -112,11 +106,10 @@ type doLevelAcc struct {
 	bits core.Bitmap
 }
 
-// NewDO builds the state machine. send transmits one protocol payload to a
-// peer rank (never to self). hint may be nil. A source of graph.Nil starts
-// the traversal from the hub — the vertex of highest global degree, lowest id
-// on ties — which every rank reads off the same replicated degree table once
-// the table is complete, so the choice costs no message of its own.
+// NewDO builds the state machine, ready to scan level 0 from source. send
+// transmits one protocol payload to a peer rank (never to self). hint may be
+// nil. On a graph with no vertices there is no source, and the traversal
+// ends at its first merge.
 func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payload []byte), hint RowHinter) *DO {
 	d := &DO{
 		part:         part,
@@ -124,10 +117,6 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		p:            part.P,
 		send:         send,
 		hint:         hint,
-		source:       source,
-		deg:          make([]uint32, part.NumVertices),
-		degSeen:      make([]bool, part.P),
-		degLeft:      part.P,
 		visited:      core.NewBitmap(part.NumVertices),
 		frontier:     core.NewBitmap(part.NumVertices),
 		prevFrontier: core.NewBitmap(part.NumVertices),
@@ -140,85 +129,28 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		d.Level[i] = Unreached
 		d.Parent[i] = graph.Nil
 	}
-	if source != graph.Nil {
-		d.setSource()
+	if uint64(source) < d.n {
+		d.visited.Set(uint64(source))
+		d.frontier.Set(uint64(source))
+		if i, ok := part.LocalIndex(source); ok {
+			d.Level[i] = 0
+			d.Parent[i] = source
+		}
+		d.uEdges = part.GlobalEdges - part.GlobalDegree(source)
 	}
 	return d
 }
 
-// setSource makes d.source the visited level-0 frontier.
-func (d *DO) setSource() {
-	d.visited.Set(uint64(d.source))
-	d.frontier.Set(uint64(d.source))
-	if i, ok := d.part.LocalIndex(d.source); ok {
-		d.Level[i] = 0
-		d.Parent[i] = d.source
-	}
-}
-
-// hub returns the vertex of highest degree in the replicated table, lowest
-// id on ties.
-func (d *DO) hub() graph.Vertex {
-	var best graph.Vertex
-	for v, g := range d.deg {
-		if g > d.deg[best] {
-			best = graph.Vertex(v)
-		}
-	}
-	return best
-}
-
-// Start broadcasts this rank's degree-table fragment and merges its own.
-// The degree table replicates once per traversal so the edge-count heuristic
-// (and uEdges bookkeeping) is computable locally and identically everywhere.
-func (d *DO) Start() {
-	lo, hi := d.part.Owners.MasterRange(d.part.Rank)
-	buf := d.scratch[:0]
-	buf = append(buf, doKindDeg)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.part.Rank))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hi-lo))
-	for v := lo; v < hi; v++ {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.part.GlobalDegree(graph.Vertex(v))))
-	}
-	d.scratch = buf
-	for r := 0; r < d.p; r++ {
-		if r != d.part.Rank {
-			d.send(r, buf)
-		}
-	}
-	d.mergeDeg(d.part.Rank, lo, buf[9:])
-}
-
-func (d *DO) mergeDeg(src int, lo uint64, packed []byte) {
-	if d.degSeen[src] {
-		return
-	}
-	d.degSeen[src] = true
-	d.degLeft--
-	for i := 0; i*4+4 <= len(packed); i++ {
-		d.deg[lo+uint64(i)] = binary.LittleEndian.Uint32(packed[i*4:])
-	}
-	if d.degLeft == 0 {
-		if d.source == graph.Nil && d.n > 0 {
-			d.source = d.hub()
-			d.setSource()
-		}
-		for _, g := range d.deg {
-			d.uEdges += uint64(g)
-		}
-		d.uEdges -= d.sumDeg(d.frontier) // the source is already visited
-	}
-}
-
-// sumDeg returns Σ deg over the set bits of bm (global, replicated inputs ⇒
-// identical on every rank).
+// sumDeg returns Σ degree over the set bits of bm from the partition's
+// replicated degree table (global, replicated inputs ⇒ identical on every
+// rank).
 func (d *DO) sumDeg(bm core.Bitmap) uint64 {
 	var sum uint64
 	for wi, w := range bm.Words() {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
-			sum += uint64(d.deg[uint64(wi)<<6+uint64(b)])
+			sum += uint64(d.part.Degrees[uint64(wi)<<6+uint64(b)])
 		}
 	}
 	return sum
@@ -230,16 +162,6 @@ func (d *DO) Handle(payload []byte) {
 		return
 	}
 	switch payload[0] {
-	case doKindDeg:
-		if len(payload) < 9 {
-			return
-		}
-		src := int(binary.LittleEndian.Uint32(payload[1:]))
-		if src < 0 || src >= d.p {
-			return
-		}
-		lo, _ := d.part.Owners.MasterRange(src)
-		d.mergeDeg(src, lo, payload[9:])
 	case doKindLevel:
 		if len(payload) < 13 {
 			return
@@ -257,12 +179,17 @@ func (d *DO) Handle(payload []byte) {
 		acc.seen[src] = true
 		acc.left--
 		rest := payload[13:]
+		words := acc.bits.Words()
 		for i := 0; i < nw && (i+1)*12 <= len(rest); i++ {
 			idx := binary.LittleEndian.Uint32(rest[i*12:])
 			word := binary.LittleEndian.Uint64(rest[i*12+4:])
-			if uint64(idx) < uint64(len(acc.bits.Words())) {
+			if uint64(idx) < uint64(len(words)) {
 				acc.bits.OrWord(idx, word)
 			}
+		}
+		// Bits at or beyond n name no vertex (and no degree table entry).
+		if tail := d.n & 63; tail != 0 {
+			words[len(words)-1] &= 1<<tail - 1
 		}
 	case doKindParent:
 		if len(payload) < 17 {
@@ -270,7 +197,7 @@ func (d *DO) Handle(payload []byte) {
 		}
 		t := graph.Vertex(binary.LittleEndian.Uint64(payload[1:]))
 		pv := graph.Vertex(binary.LittleEndian.Uint64(payload[9:]))
-		if i, ok := d.part.LocalIndex(t); ok && d.Parent[i] == graph.Nil {
+		if i, ok := d.part.LocalIndex(t); ok && d.Parent[i] == graph.Nil && uint64(pv) < d.n {
 			d.Parent[i] = pv
 		}
 	}
@@ -289,7 +216,7 @@ func (d *DO) levelAcc(level uint32) *doLevelAcc {
 // broadcasting this rank's contribution for the next level, or merging a
 // completed level — and reports whether anything happened.
 func (d *DO) TryAdvance() bool {
-	if d.done || d.degLeft > 0 {
+	if d.done {
 		return false
 	}
 	if !d.sent {
@@ -309,9 +236,6 @@ func (d *DO) TryAdvance() bool {
 func (d *DO) Idle() bool {
 	if d.done {
 		return true
-	}
-	if d.degLeft > 0 {
-		return true // waiting on degree fragments already in flight
 	}
 	if !d.sent {
 		return false

@@ -79,7 +79,6 @@ func TestDOBFSSwitchesModes(t *testing.T) {
 	d := bfs.NewDO(part, 0, func(dest int, payload []byte) {
 		t.Fatalf("p=1 run must not send (dest %d)", dest)
 	}, nil)
-	d.Start()
 	for d.TryAdvance() {
 	}
 	if !d.Done() {

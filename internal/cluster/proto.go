@@ -37,7 +37,11 @@ import (
 // rank plane alike: every query type's tagged-record format is part of it,
 // since a worker that joins with another format decodes its peers' records
 // wrong and diverges without an error. Change a format, bump the version.
-const Version = "havoqd-cluster/3"
+// Version 4: the partition build replicates the degree table, so DO-BFS and
+// cc no longer send degree fragments (DO kind 1); a /3 worker in a /4
+// cluster would wait forever for fragments its peers never send, and only
+// this refusal turns that hang into ErrVersionMismatch.
+const Version = "havoqd-cluster/4"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

@@ -63,7 +63,7 @@ func TestToyQueryTypeIsOneEntry(t *testing.T) {
 	cfg := Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}
 
 	var source graph.Vertex
-	for g.parts[g.parts[0].Master(source)].GlobalDegree(source) == 0 {
+	for g.parts[0].GlobalDegree(source) == 0 {
 		source++
 	}
 	levels, _ := ref.BFS(ref.BuildAdj(edges, n), source)

@@ -150,8 +150,8 @@ func (w ccWire) Encode(v cc.Visitor, buf []byte) []byte { return w.CC.Encode(v, 
 func (w ccWire) Decode(buf []byte) cc.Visitor           { return w.CC.Decode(buf[1:]) }
 
 // ccRunner labels the giant component first. On a scale-free graph the hub
-// sits in the giant component, so a direction-optimizing BFS from it (bfs.DO,
-// whose source is the hub when given none) marks most of the graph; DO's
+// sits in the giant component, so a direction-optimizing BFS from it (bfs.DO
+// from partition.Part.Hub, picked at build) marks most of the graph; DO's
 // visited set is replicated, so when the marking ends every rank holds the
 // same component, and its lowest set bit — the component's minimum id — is
 // already the final label: no reduction, no barrier. Label propagation then
@@ -181,7 +181,7 @@ func newCCRunner(env *runEnv) runner {
 		forMasters(part, func(v graph.Vertex) { rn.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
 		return rn
 	}
-	rn.mark = newDO(env, graph.Nil, func(dest int, payload []byte) {
+	rn.mark = newDO(env, part.Hub, func(dest int, payload []byte) {
 		rn.protocolSent++
 		env.box.SendTagged(dest, q.id, payload)
 	})
@@ -315,15 +315,13 @@ func newDOBFSRunner(env *runEnv) runner {
 	return rn
 }
 
-// newDO builds and starts a direction-optimizing BFS from source (graph.Nil:
-// the hub) that sends through send.
+// newDO builds a direction-optimizing BFS from source that sends through
+// send.
 func newDO(env *runEnv, source graph.Vertex, send func(dest int, payload []byte)) *bfs.DO {
 	// Bottom-up unvisited-row scans read ahead through the pager, when it
 	// offers hints (ooc.Pager does).
 	hint, _ := env.pager.(bfs.RowHinter)
-	d := bfs.NewDO(env.part, source, send, hint)
-	d.Start()
-	return d
+	return bfs.NewDO(env.part, source, send, hint)
 }
 
 func (rn *doBFSRunner) Deliver(rec mailbox.Record) {

@@ -56,10 +56,10 @@ func startCC(t *testing.T, g *testGraph, run func(*runEnv) runner) (*Engine, *Ti
 }
 
 // TestCCMarkingHoldsOffIdle: a rank whose marking has a level to scan is not
-// idle, though its queue holds nothing. On one rank the degree table is
-// complete when the runner is built, and nothing is in flight, so a runner
-// that reported the queue's idleness alone would let the detector end the
-// query before the marking began.
+// idle, though its queue holds nothing. The marking can scan level 0 from the
+// build-time hub as soon as the runner is built, and on one rank nothing is
+// in flight, so a runner that reported the queue's idleness alone would let
+// the detector end the query before the marking began.
 func TestCCMarkingHoldsOffIdle(t *testing.T) {
 	idle := true
 	e, tk := startCC(t, buildTestGraph(t, graph.Undirect(ring(16, 1)), 16, 1), func(env *runEnv) runner {

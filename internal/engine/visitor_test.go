@@ -432,7 +432,7 @@ func TestBFSVisitsLevelsInOrderBetweenDeliveries(t *testing.T) {
 	g := rmatTestGraph(t, 10, p)
 	g.topo = "2d"
 	var source graph.Vertex
-	for g.parts[g.parts[0].Master(source)].GlobalDegree(source) < 8 {
+	for g.parts[0].GlobalDegree(source) < 8 {
 		source++
 	}
 	watches := make([]*levelWatch, p)

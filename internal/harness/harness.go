@@ -197,7 +197,7 @@ func pickSources(parts []*partition.Part, n int, seed uint64) []graph.Vertex {
 			continue
 		}
 		seen[v] = true
-		if parts[parts[0].Master(v)].GlobalDegree(v) > 0 {
+		if parts[0].GlobalDegree(v) > 0 {
 			sources = append(sources, v)
 		}
 	}
@@ -418,14 +418,9 @@ func RunTriangles(o TriangleOpts) (TriangleResult, error) {
 		return TriangleResult{}, err
 	}
 	defer e.close()
-	// Max degree (over masters) for the Figure 11 x-axis.
-	var maxDeg uint64
-	for _, part := range e.parts {
-		lo, hi := part.Owners.MasterRange(part.Rank)
-		for v := lo; v < hi; v++ {
-			maxDeg = max(maxDeg, part.GlobalDegree(graph.Vertex(v)))
-		}
-	}
+	// Max degree for the Figure 11 x-axis: the hub's, from the replicated
+	// degree table.
+	maxDeg := e.parts[0].GlobalDegree(e.parts[0].Hub)
 	// Triangle counting cannot use ghosts.
 	out, stats, elapsed, err := e.run(nil, engine.Spec{Algo: engine.AlgoTriangles}, "triangle.count")
 	if err != nil {

@@ -427,7 +427,7 @@ func TestPickSourcesDeterministicWithEdges(t *testing.T) {
 		if again[i] != v {
 			t.Fatalf("source %d differs between two picks of one seed", i)
 		}
-		if e.parts[e.parts[0].Master(v)].GlobalDegree(v) == 0 {
+		if e.parts[0].GlobalDegree(v) == 0 {
 			t.Fatalf("picked source %d has no edges", v)
 		}
 	}

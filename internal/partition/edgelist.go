@@ -18,10 +18,10 @@ import (
 //     sample sort,
 //  2. re-splits the sorted list into p equal-count ranges (the partitioning
 //     itself: each rank ends up with |E|/p ± 1 edges, regardless of hubs),
-//  3. exchanges boundary metadata to derive the master-ownership table, the
-//     replica-forwarding chain for split adjacency lists, and global degrees
-//     for boundary vertices,
-//  4. builds the local CSR.
+//  3. exchanges boundary metadata to derive the master-ownership table and
+//     the replica-forwarding chain for split adjacency lists,
+//  4. replicates the global degree table,
+//  5. builds the local CSR.
 //
 // Must be called collectively by every rank of the machine.
 func BuildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) {
@@ -110,13 +110,11 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 	}
 
 	part := &Part{
-		Rank:           r.Rank(),
-		P:              p,
-		NumVertices:    numVertices,
-		Owners:         owners,
-		BoundaryDegree: make(map[graph.Vertex]uint64),
+		Rank:        r.Rank(),
+		P:           p,
+		NumVertices: numVertices,
+		Owners:      owners,
 	}
-	part.GlobalEdges = r.AllReduceU64(uint64(len(local)), rt.Sum)
 
 	// State range: the master range, widened to include replica slots for
 	// boundary vertices whose adjacency this rank holds a fragment of.
@@ -172,12 +170,9 @@ func buildEdgeList(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify 
 		}
 	}
 
-	// Global degrees for boundary vertices: every rank publishes the local
-	// degree of its first and last source; summing the records per vertex
-	// yields the full degree for any vertex that appears as a boundary
-	// anywhere (split vertices appear as a boundary on every rank of their
-	// chain).
-	part.exchangeBoundaryDegrees(r, local, hasEdges, firstSrc, lastSrc)
+	if err := part.replicateDegrees(r, local); err != nil {
+		return nil, err
+	}
 
 	m, err := csr.FromSortedEdges(local, part.StateStart, part.StateLen)
 	if err != nil {
@@ -268,35 +263,4 @@ func rebalanceEqualCounts(r *rt.Rank, local []graph.Edge) []graph.Edge {
 		merged = decodeEdgesInto(merged, buf)
 	}
 	return merged
-}
-
-// exchangeBoundaryDegrees publishes (vertex, localDegree) for this rank's
-// first and last sources and accumulates the records into
-// part.BoundaryDegree.
-func (part *Part) exchangeBoundaryDegrees(r *rt.Rank, local []graph.Edge, hasEdges []bool, firstSrc, lastSrc []uint64) {
-	me := r.Rank()
-	var rec []byte
-	put := func(v uint64, deg uint64) {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[0:], v)
-		binary.LittleEndian.PutUint64(b[8:], deg)
-		rec = append(rec, b[:]...)
-	}
-	if hasEdges[me] {
-		// local is sorted: the first source's edges are its leading run and
-		// the last source's its trailing run.
-		lead := sort.Search(len(local), func(i int) bool { return uint64(local[i].Src) > firstSrc[me] })
-		put(firstSrc[me], uint64(lead))
-		if lastSrc[me] != firstSrc[me] {
-			trail := sort.Search(len(local), func(i int) bool { return uint64(local[i].Src) >= lastSrc[me] })
-			put(lastSrc[me], uint64(len(local)-trail))
-		}
-	}
-	for _, buf := range r.AllGatherBytes(rec) {
-		for off := 0; off+16 <= len(buf); off += 16 {
-			v := graph.Vertex(binary.LittleEndian.Uint64(buf[off:]))
-			d := binary.LittleEndian.Uint64(buf[off+8:])
-			part.BoundaryDegree[v] += d
-		}
-	}
 }

@@ -50,15 +50,16 @@ func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) 
 	graph.SortEdges(mine)
 
 	part := &Part{
-		Rank:           r.Rank(),
-		P:              p,
-		NumVertices:    numVertices,
-		Owners:         owners,
-		StateStart:     graph.Vertex(start[r.Rank()]),
-		StateLen:       int(start[r.Rank()+1] - start[r.Rank()]),
-		BoundaryDegree: map[graph.Vertex]uint64{},
+		Rank:        r.Rank(),
+		P:           p,
+		NumVertices: numVertices,
+		Owners:      owners,
+		StateStart:  graph.Vertex(start[r.Rank()]),
+		StateLen:    int(start[r.Rank()+1] - start[r.Rank()]),
 	}
-	part.GlobalEdges = r.AllReduceU64(uint64(len(mine)), rt.Sum)
+	if err := part.replicateDegrees(r, mine); err != nil {
+		return nil, err
+	}
 	m, err := csr.FromSortedEdges(mine, part.StateStart, part.StateLen)
 	if err != nil {
 		return nil, err

@@ -10,16 +10,20 @@
 //     (Figure 2).
 //
 // Both builders produce a Part, the uniform partition view the visitor-queue
-// core traverses: a replicated master-ownership table, a local CSR over the
-// rank's vertex state range, and (edge-list only) the replica-forwarding
-// metadata for split adjacency lists.
+// core traverses: a replicated master-ownership table, a replicated global
+// degree table, a local CSR over the rank's vertex state range, and
+// (edge-list only) the replica-forwarding metadata for split adjacency lists.
 package partition
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/rt"
 )
 
 // OwnerTable is the replicated table mapping a vertex to its master
@@ -106,11 +110,15 @@ type Part struct {
 	ForwardVertex graph.Vertex
 	ForwardTo     int
 
-	// BoundaryDegree maps partition-boundary vertices to their full global
-	// degree (their local CSR degree is only a fragment when the adjacency
-	// list spans ranks). Algorithms needing degree(v), like k-core
-	// initialization, consult this first.
-	BoundaryDegree map[graph.Vertex]uint64
+	// Degrees is the replicated global degree table: entry v is vertex v's
+	// full stored degree, a split hub's fragments summed across its chain.
+	// Every rank holds all n entries (4n bytes), built once with the
+	// partition, so any rank answers any vertex's degree with one read.
+	Degrees []uint32
+
+	// Hub is the vertex of highest degree, lowest id on ties (vertex 0 when
+	// every degree is 0; graph.Nil when the graph has no vertices).
+	Hub graph.Vertex
 
 	// PrevTail is the previous holder's final stored edge when this rank's
 	// first row continues a split adjacency list (PrevTailValid). Because
@@ -148,17 +156,57 @@ func (p *Part) IsMaster(v graph.Vertex) bool {
 	return uint64(v)-lo < hi-lo
 }
 
-// GlobalDegree returns the full degree of a locally held vertex, accounting
-// for adjacency lists split across partitions.
-func (p *Part) GlobalDegree(v graph.Vertex) uint64 {
-	if d, ok := p.BoundaryDegree[v]; ok {
-		return d
+// GlobalDegree returns the full degree of any vertex v < NumVertices,
+// accounting for adjacency lists split across partitions.
+func (p *Part) GlobalDegree(v graph.Vertex) uint64 { return uint64(p.Degrees[v]) }
+
+// ErrDegreeTooLarge is returned by the builders for a graph with a vertex
+// whose degree does not fit a degree table entry.
+var ErrDegreeTooLarge = errors.New("partition: vertex degree exceeds the degree table's uint32 entries")
+
+// replicateDegrees is both builders' closing collective, run on the rank's
+// sorted local edges before anything that can fail on one rank alone. Every
+// rank contributes the degrees of its local rows, and every rank sums all
+// the contributions into Degrees, so a split hub's fragments add up across
+// its chain, then totals GlobalEdges and picks Hub. Every rank sees the same
+// contributions, so an overflow fails the build on all of them alike.
+func (p *Part) replicateDegrees(r *rt.Rank, local []graph.Edge) error {
+	buf := make([]byte, 9+4*p.StateLen)
+	binary.LittleEndian.PutUint64(buf, uint64(p.StateStart))
+	for i := 0; i < len(local); {
+		j := i + 1
+		for j < len(local) && local[j].Src == local[i].Src {
+			j++
+		}
+		if uint64(j-i) > math.MaxUint32 {
+			buf[8] = 1
+		}
+		binary.LittleEndian.PutUint32(buf[9+4*(local[i].Src-p.StateStart):], uint32(j-i))
+		i = j
 	}
-	i, ok := p.LocalIndex(v)
-	if !ok {
-		panic(fmt.Sprintf("partition: GlobalDegree of non-local vertex %d on rank %d", v, p.Rank))
+	p.Degrees = make([]uint32, p.NumVertices)
+	for _, b := range r.AllGatherBytes(buf) {
+		if b[8] != 0 {
+			return fmt.Errorf("%w: a rank holds a row of more than %d edges", ErrDegreeTooLarge, uint32(math.MaxUint32))
+		}
+		start := binary.LittleEndian.Uint64(b)
+		for i := 0; 9+4*i < len(b); i++ {
+			v := start + uint64(i)
+			d := uint64(p.Degrees[v]) + uint64(binary.LittleEndian.Uint32(b[9+4*i:]))
+			if d > math.MaxUint32 {
+				return fmt.Errorf("%w: vertex %d", ErrDegreeTooLarge, v)
+			}
+			p.Degrees[v] = uint32(d)
+		}
 	}
-	return p.CSR.Degree(i)
+	p.Hub = graph.Nil
+	for v, d := range p.Degrees {
+		p.GlobalEdges += uint64(d)
+		if p.Hub == graph.Nil || d > p.Degrees[p.Hub] {
+			p.Hub = graph.Vertex(v)
+		}
+	}
+	return nil
 }
 
 // ShouldForward reports whether a visitor for v must continue to the next

@@ -23,6 +23,12 @@ func figure3Edges() []graph.Edge {
 // (scattered round-robin) and returns each rank's Part.
 func buildCollective(t *testing.T, edges []graph.Edge, n uint64, p int) []*Part {
 	t.Helper()
+	return buildWith(t, BuildEdgeList, edges, n, p)
+}
+
+// buildWith is buildCollective for any builder.
+func buildWith(t *testing.T, build func(*rt.Rank, []graph.Edge, uint64) (*Part, error), edges []graph.Edge, n uint64, p int) []*Part {
+	t.Helper()
 	parts := make([]*Part, p)
 	m := rt.NewMachine(p)
 	m.Run(func(r *rt.Rank) {
@@ -32,7 +38,7 @@ func buildCollective(t *testing.T, edges []graph.Edge, n uint64, p int) []*Part 
 				local = append(local, e)
 			}
 		}
-		part, err := BuildEdgeList(r, local, n)
+		part, err := build(r, local, n)
 		if err != nil {
 			panic(err)
 		}
@@ -181,15 +187,9 @@ func validateEdgeListBuild(t *testing.T, edges []graph.Edge, n uint64, parts []*
 		}
 	}
 
-	// (4) Global degrees: GlobalDegree on the master equals the true
-	// out-degree.
+	// (4) Global degrees.
+	checkDegreeTable(t, edges, n, parts)
 	deg := graph.OutDegrees(edges, n)
-	for v := uint64(0); v < n; v++ {
-		owner := parts[0].Master(graph.Vertex(v))
-		if got := parts[owner].GlobalDegree(graph.Vertex(v)); got != uint64(deg[v]) {
-			t.Fatalf("GlobalDegree(%d) = %d, want %d", v, got, deg[v])
-		}
-	}
 
 	// (5) Forward chains: following ShouldForward from the master visits
 	// ranks whose local fragments sum to the full adjacency list.
@@ -215,6 +215,37 @@ func validateEdgeListBuild(t *testing.T, edges []graph.Edge, n uint64, parts []*
 		}
 		if sum != uint64(deg[v]) {
 			t.Fatalf("vertex %d: fragments along chain sum to %d, want %d", v, sum, deg[v])
+		}
+	}
+}
+
+// checkDegreeTable is check (4) of every build: on every rank, GlobalDegree
+// answers every vertex, held there or not, with its out-degree in the input;
+// the table sums to GlobalEdges; and Hub is the highest degree, lowest id on
+// ties (vertex 0 when all are 0, graph.Nil with no vertices).
+func checkDegreeTable(t *testing.T, edges []graph.Edge, n uint64, parts []*Part) {
+	t.Helper()
+	deg := graph.OutDegrees(edges, n)
+	hub := graph.Nil
+	for v := len(deg) - 1; v >= 0; v-- {
+		if hub == graph.Nil || deg[v] >= deg[hub] {
+			hub = graph.Vertex(v)
+		}
+	}
+	for r, part := range parts {
+		var sum uint64
+		for v := uint64(0); v < n; v++ {
+			if got := part.GlobalDegree(graph.Vertex(v)); got != uint64(deg[v]) {
+				t.Fatalf("rank %d: GlobalDegree(%d) = %d, want %d", r, v, got, deg[v])
+			}
+			sum += uint64(part.Degrees[v])
+		}
+		if uint64(len(part.Degrees)) != n || sum != part.GlobalEdges || sum != uint64(len(edges)) {
+			t.Fatalf("rank %d: %d-entry table sums to %d, GlobalEdges %d, want %d entries and %d edges",
+				r, len(part.Degrees), sum, part.GlobalEdges, n, len(edges))
+		}
+		if part.Hub != hub {
+			t.Fatalf("rank %d: Hub = %d, want %d", r, part.Hub, hub)
 		}
 	}
 }
@@ -247,21 +278,24 @@ func TestBuildEdgeListHubGraph(t *testing.T) {
 	for v := uint64(1); v < n; v++ {
 		edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: 0})
 	}
-	parts := buildCollective(t, edges, n, 8)
-	validateEdgeListBuild(t, edges, n, parts)
-	// The hub's adjacency must actually span multiple partitions.
-	chain := 1
-	r := parts[0].Master(0)
-	for {
-		next, ok := parts[r].ShouldForward(0)
-		if !ok {
-			break
+	// The hub's adjacency must actually span multiple partitions: all three
+	// of three, at least four of eight.
+	for p, minChain := range map[int]int{1: 1, 3: 3, 8: 4} {
+		parts := buildCollective(t, edges, n, p)
+		validateEdgeListBuild(t, edges, n, parts)
+		chain := 1
+		r := parts[0].Master(0)
+		for {
+			next, ok := parts[r].ShouldForward(0)
+			if !ok {
+				break
+			}
+			r = next
+			chain++
 		}
-		r = next
-		chain++
-	}
-	if chain < 4 {
-		t.Fatalf("1000-edge hub spans only %d of 8 partitions", chain)
+		if chain < minChain {
+			t.Fatalf("1000-edge hub spans only %d of %d partitions", chain, p)
+		}
 	}
 }
 
@@ -283,6 +317,15 @@ func TestBuildEdgeListEmptyAndTinyInputs(t *testing.T) {
 
 	parts = buildCollective(t, []graph.Edge{{Src: 3, Dst: 5}}, 8, 4)
 	validateEdgeListBuild(t, []graph.Edge{{Src: 3, Dst: 5}}, 8, parts)
+
+	// No vertices, and only isolated ones, under both builders: the table
+	// is empty or all zero, and the hub is graph.Nil or vertex 0.
+	for _, p := range []int{1, 3, 8} {
+		for _, n := range []uint64{0, 8} {
+			checkDegreeTable(t, nil, n, buildWith(t, BuildEdgeList, nil, n, p))
+			checkDegreeTable(t, nil, n, buildWith(t, Build1D, nil, n, p))
+		}
+	}
 }
 
 func TestBuild1D(t *testing.T) {
@@ -326,6 +369,26 @@ func TestBuild1D(t *testing.T) {
 	}
 	if total != uint64(len(edges)) {
 		t.Fatalf("1D stored %d edges, want %d", total, len(edges))
+	}
+	// Check (4), the degree table, on the figure, a hub graph and a random
+	// multigraph; p = 8 over the figure's edges on 20 vertices leaves the
+	// last rank no vertex at all.
+	var hub []graph.Edge
+	for i := 0; i < 300; i++ {
+		hub = append(hub, graph.Edge{Src: 5, Dst: graph.Vertex(i % 40)}, graph.Edge{Src: graph.Vertex(i % 40), Dst: 5})
+	}
+	rng := xrand.New(13)
+	var random []graph.Edge
+	for i := 0; i < 400; i++ {
+		random = append(random, graph.Edge{Src: graph.Vertex(rng.Uint64n(50)), Dst: graph.Vertex(rng.Uint64n(50))})
+	}
+	for _, g := range []struct {
+		edges []graph.Edge
+		n     uint64
+	}{{edges, 8}, {edges, 20}, {hub, 40}, {random, 50}} {
+		for _, p := range []int{1, 3, 8} {
+			checkDegreeTable(t, g.edges, g.n, buildWith(t, Build1D, g.edges, g.n, p))
+		}
 	}
 }
 
