@@ -23,10 +23,14 @@ test:
 # and its differential tests additionally run in full (not -short): concurrent
 # traversals sharing one message plane are exactly where races hide. So do the
 # out-of-core packages: fetch workers write the page cache's residency bits
-# that rank goroutines read without its lock.
+# that rank goroutines read without its lock. havoqd's recovery ladder and
+# the coordinator's HTTP front end run ten times over in full: races between
+# a cluster's joins, or between a cancel and its drain, show only when
+# repeated.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/engine ./internal/algos/algotest ./internal/pagecache ./internal/ooc
+	$(GO) test -race -count=10 -run '^(TestLadder|TestCoordServerEndpoints)$$' ./cmd/havoqd
 
 vet:
 	$(GO) vet ./...

@@ -17,7 +17,6 @@ package main
 // stack; worker output lands in cluster-worker-N.log for post-mortems.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -151,14 +150,12 @@ type coordServer struct {
 	healWait time.Duration
 }
 
-// newCoordServer assembles the coordinator's mode. A query killed by a
-// worker loss, or refused while degraded, is retried after the cluster
-// heals, up to -query-retries times.
+// newCoordServer assembles the coordinator's mode as o's flags ask.
 func newCoordServer(c *cluster.Coordinator, o *options, addr string) *coordServer {
 	s := &coordServer{c: c, healWait: o.clusterTimeout, frontEnd: frontEnd{
 		plane: traffic.New(trafficConfig(o)), n: c.NumVertices(), retries: o.queryRetries, addr: addr, started: time.Now(),
 	}}
-	s.exec = s.execute
+	s.exec = ladder(&s.frontEnd, c.Submit, s.retry)
 	return s
 }
 
@@ -188,53 +185,15 @@ func (s *coordServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// execute runs one cluster query to completion, climbing the recovery
-// ladder on self-healing failures: a submit refused while degraded or a
-// query killed by a worker loss waits for the heal (bounded by healWait) and
-// retries, up to s.retries times. Deterministic partitions make the retry
-// transparent — the healed cluster returns bit-identical results.
-func (s *coordServer) execute(ctx context.Context, spec engine.Spec, full bool) ([]byte, error) {
-	attempts := s.retries
-	retry := func(err error) bool {
-		if attempts <= 0 || ctx.Err() != nil {
-			return false
-		}
-		attempts--
-		s.retried.Add(1)
-		fmt.Printf("havoqd: query retry after %v; awaiting heal\n", err)
-		return s.c.WaitReady(s.healWait) == nil
+// retry is the coordinator's retryable set: a submit refused while degraded,
+// or an attempt a worker loss killed. Once the cluster is whole again, within
+// healWait, the same spec reruns on the identical rebuilt partitions.
+func (s *coordServer) retry(spec engine.Spec, _ *cluster.Query, err error) (engine.Spec, bool) {
+	if !errors.Is(err, cluster.ErrClusterDegraded) && !errors.Is(err, cluster.ErrWorkerLost) {
+		return spec, false
 	}
-	start := time.Now()
-	for {
-		q, err := s.c.Submit(spec)
-		if err != nil {
-			if errors.Is(err, cluster.ErrClusterDegraded) && retry(err) {
-				continue
-			}
-			return nil, err
-		}
-		select {
-		case <-q.Done():
-		case <-ctx.Done():
-			// Every collapsed waiter abandoned: cancel the fan-out and wait
-			// for the workers' monotone partials to drain back.
-			q.Cancel()
-			<-q.Done()
-		}
-		res, err := q.Wait()
-		if err != nil {
-			if errors.Is(err, cluster.ErrWorkerLost) && retry(err) {
-				continue
-			}
-			return nil, err
-		}
-		if res.Cancelled {
-			// Drained cancelled (deadline or waiter abandonment) rather
-			// than failed typed.
-			return nil, havoqgt.ErrQueryCancelled
-		}
-		return respond(spec, full, q.ID(), start, res)
-	}
+	fmt.Printf("havoqd: query retry after %v; awaiting heal\n", err)
+	return spec, s.c.WaitReady(s.healWait) == nil
 }
 
 // localCluster is a coordinator plus its spawned local worker processes.
@@ -337,15 +296,11 @@ func refHashes(o *options, specs []engine.Spec) ([]uint64, error) {
 	defer e.Close()
 	hashes := make([]uint64, len(specs))
 	for i, spec := range specs {
-		q, err := e.SubmitQuery(querySpec(spec))
+		t, err := e.Submit(spec)
 		if err != nil {
 			return nil, err
 		}
-		res, err := q.Wait()
-		if err != nil {
-			return nil, err
-		}
-		hashes[i] = cluster.HashResult(engineResult(res))
+		hashes[i] = cluster.HashResult(t.Wait())
 	}
 	return hashes, nil
 }

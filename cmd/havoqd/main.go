@@ -120,7 +120,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "queries waiting for an in-flight slot before rejection")
 	fs.IntVar(&o.stepBatch, "step-batch", 0, "visitors per query per scheduling slice (0 = engine default)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "default per-query deadline (0 = none)")
-	fs.IntVar(&o.queryRetries, "query-retries", 2, "server-side checkpoint-resume retries for deadline-expired queries")
+	fs.IntVar(&o.queryRetries, "query-retries", 2, "server-side retries per query: checkpoint resumes of deadline-expired queries, or (-coordinator) reruns after a cluster heal")
 	fs.BoolVar(&o.reliable, "reliable", false, "run the engine's message plane with acked, retransmitted delivery")
 	fs.Float64Var(&o.tenantRate, "tenant-rate", 200, "sustained per-tenant request rate (req/s) for quota admission")
 	fs.Float64Var(&o.tenantBurst, "tenant-burst", 0, "per-tenant burst capacity (0 = 2x tenant-rate)")
@@ -290,8 +290,7 @@ func serve(o *options) error {
 	fmt.Printf("havoqd: graph ready in %v: vertices=%d edges=%d ranks=%d topo=%s\n",
 		time.Since(start).Round(time.Millisecond), g.NumVertices(), g.NumEdges(), g.Ranks(), o.topo)
 
-	s := newServer(g, e, trafficConfig(o))
-	s.retries = o.queryRetries
+	s := newServer(g, e, o)
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		s.close()

@@ -1,19 +1,23 @@
 package main
 
-// Degradation-path tests: oversized bodies shed with 413, deadline-expired
-// queries retried server-side from their checkpoints before any 504, and the
-// facade's typed retryable error distinguishing timeout from explicit cancel.
+// Degradation-path tests: oversized bodies shed with 413, the recovery
+// ladder's contract on a scripted mode, deadline-expired queries retried
+// server-side from their checkpoints before any 504, and the facade's typed
+// retryable error distinguishing timeout from explicit cancel.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
 	"havoqgt"
 	"havoqgt/internal/check"
+	"havoqgt/internal/engine"
 )
 
 func TestServerRejectsOversizedBody(t *testing.T) {
@@ -33,6 +37,127 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// errRetryable is the scripted mode's retryable failure;
+// errRetryableSubmit is one its submit raises.
+var (
+	errRetryable       = errors.New("retryable")
+	errRetryableSubmit = fmt.Errorf("at submit: %w", errRetryable)
+)
+
+// scriptedAttempt is one attempt of scriptedMode: it fails with err (nil
+// succeeds), or with abandon it runs until ctx ends, is cancelled, and then
+// fails retryably — a deadline racing the abandonment.
+type scriptedAttempt struct {
+	id        uint32
+	err       error
+	abandon   bool
+	cancelled bool
+}
+
+func (a *scriptedAttempt) ID() uint32 { return a.id }
+
+func (a *scriptedAttempt) WaitCtx(ctx context.Context) (*engine.Result, error) {
+	if a.abandon {
+		<-ctx.Done()
+		a.cancelled = true
+		return nil, errRetryable
+	}
+	if a.err != nil {
+		return nil, a.err
+	}
+	return &engine.Result{Triangles: 7}, nil
+}
+
+// scriptedMode is a fake mode for the ladder: attempt i fails with
+// script[i] (at submit for errRetryableSubmit), attempts past the script
+// succeed, and its retryable set is errRetryable, each retry doubling the
+// spec's deadline.
+type scriptedMode struct {
+	script   []error
+	abandon  bool
+	attempts []*scriptedAttempt
+	specs    []engine.Spec
+}
+
+func (m *scriptedMode) submit(spec engine.Spec) (*scriptedAttempt, error) {
+	i := len(m.specs)
+	m.specs = append(m.specs, spec)
+	var err error
+	if i < len(m.script) {
+		err = m.script[i]
+	}
+	if err == errRetryableSubmit {
+		return nil, err
+	}
+	a := &scriptedAttempt{id: uint32(i + 1), err: err, abandon: m.abandon}
+	m.attempts = append(m.attempts, a)
+	return a, nil
+}
+
+func (m *scriptedMode) retry(spec engine.Spec, _ *scriptedAttempt, err error) (engine.Spec, bool) {
+	spec.Deadline *= 2
+	return spec, errors.Is(err, errRetryable)
+}
+
+// TestLadder drives the recovery ladder with a scripted mode: the retry
+// count, the error a failed execution returns, what each attempt was
+// submitted with, and that an abandoned execution is cancelled, not retried.
+func TestLadder(t *testing.T) {
+	errHard := errors.New("not retryable")
+	for _, tc := range []struct {
+		name    string
+		budget  int
+		script  []error
+		abandon bool
+		retried int   // retries, so attempts submitted = retried + 1
+		err     error // nil: the last attempt's answer is served
+	}{
+		{name: "first try", budget: 2},
+		{name: "succeeds on retry 3", budget: 3, script: []error{errRetryable, errRetryableSubmit, errRetryable}, retried: 3},
+		{name: "budget spent", budget: 2, script: []error{errRetryable, errRetryable, errRetryable}, retried: 2, err: errRetryable},
+		{name: "no budget", budget: 0, script: []error{errRetryable}, err: errRetryable},
+		{name: "not retryable", budget: 2, script: []error{errHard}, err: errHard},
+		{name: "retryable then not", budget: 2, script: []error{errRetryableSubmit, errHard}, retried: 1, err: errHard},
+		{name: "abandoned", budget: 2, abandon: true, err: errRetryable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &scriptedMode{script: tc.script, abandon: tc.abandon}
+			f := &frontEnd{retries: tc.budget}
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.abandon {
+				cancel() // every client waiting on the execution has gone
+			}
+			defer cancel()
+			spec := engine.Spec{Algo: engine.AlgoTriangles, Deadline: time.Millisecond}
+			body, err := ladder(f, m.submit, m.retry)(ctx, spec, false)
+			if err != tc.err {
+				t.Fatalf("error %v, want %v", err, tc.err)
+			}
+			if got := int(f.retried.Load()); got != tc.retried || len(m.specs) != tc.retried+1 {
+				t.Fatalf("%d retries over %d attempts, want %d over %d", got, len(m.specs), tc.retried, tc.retried+1)
+			}
+			for i, s := range m.specs {
+				if want := time.Millisecond << i; s.Deadline != want {
+					t.Errorf("attempt %d submitted with deadline %v, want %v", i, s.Deadline, want)
+				}
+			}
+			if tc.abandon && !m.attempts[0].cancelled {
+				t.Error("an abandoned execution was not cancelled")
+			}
+			if tc.err != nil {
+				return
+			}
+			var qr queryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if last := m.attempts[len(m.attempts)-1]; qr.ID != last.id || qr.Triangles != 7 {
+				t.Fatalf("served id %d triangles %d, want the last attempt's (%d, 7)", qr.ID, qr.Triangles, last.id)
+			}
+		})
+	}
+}
+
 // TestServerRetriesDeadlineExpiredQuery drives a query whose first-attempt
 // deadline cannot possibly hold and checks the degradation ladder: the server
 // resumes it from checkpoints with doubled budgets, and the client either
@@ -40,12 +165,12 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 // Retry-After once the retry allowance is spent — never a hang and never a
 // wrong answer.
 func TestServerRetriesDeadlineExpiredQuery(t *testing.T) {
-	s, ts := testServer(t)
+	// A generous budget: 1ms doubling 16 times crosses any query time.
+	s, ts := testServer(t, "-query-retries", "16")
 	want, err := s.g.BFS(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.retries = 16 // generous: a 1ms budget doubling 16 times crosses any query time
 
 	// 1ms on a scale-9 graph: tight enough to usually expire at least once,
 	// small enough that an attempt can also finish — the test asserts the
@@ -140,52 +265,5 @@ func TestFacadeTimeoutErrAndResume(t *testing.T) {
 	q2.Cancel()
 	if _, err := q2.Wait(); errors.Is(err, havoqgt.ErrQueryTimeout) || !errors.Is(err, havoqgt.ErrQueryCancelled) {
 		t.Fatalf("explicit cancel surfaced %v, want plain ErrQueryCancelled", err)
-	}
-}
-
-// TestExecuteWithRecovery checks the bundled retry helper end to end.
-func TestExecuteWithRecovery(t *testing.T) {
-	check.NoLeaks(t)
-	g, err := havoqgt.GenerateRMAT(9, 7, havoqgt.Options{Ranks: 4, Simplify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := g.BFS(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	pol := havoqgt.RecoveryPolicy{Attempts: 24, Backoff: time.Microsecond}
-	res, err := e.ExecuteWithRecovery(havoqgt.QuerySpec{Algo: "bfs", Source: 2, Deadline: 100 * time.Microsecond}, pol)
-	if err != nil {
-		t.Fatalf("ExecuteWithRecovery: %v", err)
-	}
-	if res.BFS == nil || res.BFS.Reached != want.Reached || res.BFS.MaxLevel != want.MaxLevel {
-		t.Fatalf("recovered result wrong: %+v", res.BFS)
-	}
-
-	// The whole spec reaches the engine: a PageRank runs the iteration count
-	// it was asked for, not the default (the positional signature this
-	// replaced had no Iters and silently dropped it).
-	wantPR, err := g.PageRank(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = e.ExecuteWithRecovery(havoqgt.QuerySpec{Algo: "pagerank", Iters: 3}, pol)
-	if err != nil {
-		t.Fatalf("ExecuteWithRecovery pagerank: %v", err)
-	}
-	if res.PageRank == nil || res.PageRank.Iters != 3 {
-		t.Fatalf("pagerank through recovery ran %+v, want 3 iterations", res.PageRank)
-	}
-	for v, rk := range wantPR.Ranks {
-		if res.PageRank.Ranks[v] != rk {
-			t.Fatalf("pagerank through recovery: rank(%d) = %d, Graph.PageRank(3) says %d", v, res.PageRank.Ranks[v], rk)
-		}
 	}
 }

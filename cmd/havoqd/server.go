@@ -7,7 +7,8 @@ package main
 // query-type table, the versioned result cache, and hot-query collapsing —
 // so under the hot-key skew that scale-free graphs attract, most requests
 // never reach the engine at all, and the ones that do are one execution
-// shared by many clients. Only execute differs between the modes.
+// shared by many clients, run by the recovery ladder. Only the ladder's
+// submit and retryable set differ between the modes.
 
 import (
 	"bytes"
@@ -119,8 +120,7 @@ const tenantHeader = "X-Api-Key"
 const anonTenant = "anonymous"
 
 // frontEnd is POST /query for both modes: decode, tenant quota, validation,
-// then the traffic plane's cache and collapsing around the mode's exec. A
-// mode embeds it and supplies exec.
+// then the traffic plane's cache and collapsing around the mode's ladder.
 type frontEnd struct {
 	// plane is the front-door admission layer: tenant quotas, result cache,
 	// hot-query collapsing.
@@ -131,12 +131,9 @@ type frontEnd struct {
 	// changes — a heal rebuilds the identical deterministic partitions — so
 	// its answers key at version 1 and stay cached across worker deaths.
 	version func() uint64
-	// exec runs one validated, canonical query to completion and returns
-	// the serialized 200 body. ctx is the collapse group's context: it
-	// cancels only when every client waiting on this execution has gone
-	// away, at which point the query is cancelled to free the message plane.
+	// exec is the mode's ladder: one validated, canonical query to its 200 body.
 	exec func(ctx context.Context, spec engine.Spec, full bool) ([]byte, error)
-	// retries bounds the mode's server-side retry ladder.
+	// retries bounds the ladder's retries per execution (-query-retries).
 	retries int
 	// addr is the resolved listen address ("-addr :0" binds an ephemeral
 	// port; this is where it actually landed).
@@ -269,7 +266,7 @@ func (f *frontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Backpressure: the engine's wait queue is full.
 			f.failed.Add(1)
 			writeError(w, http.StatusTooManyRequests, codeEngineOverloaded, err.Error(), 1)
-		case errors.Is(err, havoqgt.ErrQueryCancelled):
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// Deadline exhaustion (even after retries) or all waiters gone.
 			f.failed.Add(1)
 			writeError(w, http.StatusGatewayTimeout, codeTimeout,
@@ -290,6 +287,45 @@ func (f *frontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+}
+
+// attempt is one submitted execution of a query: an *engine.Ticket in the
+// single process, a *cluster.Query on the coordinator.
+type attempt interface {
+	ID() uint32
+	WaitCtx(ctx context.Context) (*engine.Result, error)
+}
+
+// ladder is the recovery ladder, havoqd's one retry loop and both modes'
+// exec. The mode supplies submit, which starts an attempt, and retry, its
+// retryable set: whether err, from submit (a is then nil) or from a's wait,
+// is one it retries, and if so the next attempt's spec. Attempts wait under
+// ctx, the collapse group's context, which ends once every client waiting
+// on this execution has gone: the attempt is then cancelled and drained,
+// and nothing is retried.
+func ladder[A attempt](f *frontEnd, submit func(engine.Spec) (A, error),
+	retry func(spec engine.Spec, a A, err error) (engine.Spec, bool)) func(context.Context, engine.Spec, bool) ([]byte, error) {
+	return func(ctx context.Context, spec engine.Spec, full bool) ([]byte, error) {
+		start := time.Now()
+		for retries := f.retries; ; retries-- {
+			a, err := submit(spec)
+			if err == nil {
+				var res *engine.Result
+				if res, err = a.WaitCtx(ctx); err == nil {
+					return respond(spec, full, a.ID(), start, res)
+				}
+			}
+			if retries <= 0 || ctx.Err() != nil {
+				return nil, err
+			}
+			next, ok := retry(spec, a, err)
+			if !ok {
+				return nil, err
+			}
+			f.retried.Add(1)
+			spec = next
+		}
+	}
 }
 
 // respond shapes a finished query as the 200 body, the same in both modes:
@@ -367,17 +403,16 @@ type server struct {
 	e *havoqgt.Engine
 }
 
-// newServer assembles the single-process mode with a traffic plane built
-// from tc. The plane registers its metrics in the engine's registry so
-// /stats carries traffic.* next to engine.* and mailbox.*.
-func newServer(g *havoqgt.Graph, e *havoqgt.Engine, tc traffic.Config) *server {
-	if tc.Registry == nil {
-		tc.Registry = e.Metrics()
-	}
+// newServer assembles the single-process mode as o's flags ask. The traffic
+// plane registers its metrics in the engine's registry, so /stats carries
+// traffic.* next to engine.* and mailbox.*.
+func newServer(g *havoqgt.Graph, e *havoqgt.Engine, o *options) *server {
+	tc := trafficConfig(o)
+	tc.Registry = e.Metrics()
 	s := &server{g: g, e: e, frontEnd: frontEnd{
-		plane: traffic.New(tc), n: g.NumVertices(), version: g.Version, retries: 2, started: time.Now(),
+		plane: traffic.New(tc), n: g.NumVertices(), version: g.Version, retries: o.queryRetries, started: time.Now(),
 	}}
-	s.exec = s.execute
+	s.exec = ladder(&s.frontEnd, e.Submit, s.retry)
 	return s
 }
 
@@ -419,74 +454,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// execute runs one engine execution to completion. The degradation path: a
-// deadline-expired attempt is resumed from its checkpoint with a doubled
-// budget — the traversal progress already paid for is kept — up to
-// s.retries times and only while someone is still waiting.
-func (s *server) execute(ctx context.Context, spec engine.Spec, full bool) ([]byte, error) {
-	q, err := s.e.SubmitQuery(querySpec(spec))
-	if err != nil {
-		return nil, err
+// retry is the single process's retryable set: a deadline-expired attempt,
+// resumed from its checkpoint with a doubled deadline (Query.Resume(0)'s rule).
+func (s *server) retry(spec engine.Spec, t *engine.Ticket, err error) (engine.Spec, bool) {
+	if !errors.Is(err, context.DeadlineExceeded) {
+		return spec, false
 	}
-	start := time.Now()
-	retries := s.retries
-	var res *havoqgt.QueryResult
-	for {
-		select {
-		case <-q.Done():
-		case <-ctx.Done():
-			// Every waiter abandoned: stop the query so it stops consuming
-			// the message plane (its in-flight visitors drain without being
-			// applied), and wait for that drain.
-			q.Cancel()
-			<-q.Done()
-		}
-		res, err = q.Wait() // non-blocking: Done is closed
-		if err == nil {
-			break
-		}
-		if errors.Is(err, havoqgt.ErrQueryTimeout) && retries > 0 && ctx.Err() == nil {
-			if nq, rerr := q.Resume(0); rerr == nil {
-				retries--
-				s.retried.Add(1)
-				q = nq
-				continue
-			}
-		}
-		return nil, err
-	}
-	return respond(spec, full, q.ID(), start, engineResult(res))
-}
-
-// querySpec is spec as the facade takes it.
-func querySpec(spec engine.Spec) havoqgt.QuerySpec {
-	return havoqgt.QuerySpec{
-		Algo: string(spec.Algo), Source: spec.Source, WeightSeed: spec.WeightSeed,
-		K: spec.K, Iters: spec.Iters, Deadline: spec.Deadline,
-	}
-}
-
-// engineResult flattens the facade's per-algorithm result back into the
-// engine's one result shape, the shape respond and cluster.HashResult read.
-func engineResult(r *havoqgt.QueryResult) *engine.Result {
-	res := &engine.Result{}
-	if b := r.BFS; b != nil {
-		res.Levels, res.Parents = b.Levels, b.Parents
-	}
-	if d := r.SSSP; d != nil {
-		res.Dist, res.Parents = d.Distances, d.Parents
-	}
-	if c := r.Components; c != nil {
-		res.Labels, res.Components = c.Labels, c.Count
-	}
-	if k := r.KCore; k != nil {
-		res.InCore, res.CoreSize = k.InCore, k.CoreSize
-	}
-	if p := r.PageRank; p != nil {
-		res.Ranks = p.Ranks
-	}
-	if t := r.Triangles; t != nil {
-		res.Triangles = t.Count
-	}
-	return res
+	return t.RetrySpec(0), true
 }

@@ -8,33 +8,35 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"havoqgt"
 	"havoqgt/internal/check"
 	"havoqgt/internal/obs"
-	"havoqgt/internal/traffic"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
-	return testServerConfig(t, traffic.Config{}, havoqgt.EngineOptions{MaxInFlight: 8})
-}
-
-func testServerConfig(t *testing.T, tc traffic.Config, eo havoqgt.EngineOptions) (*server, *httptest.Server) {
+// testServer serves the single-process front end over a scale-9 graph (seed
+// 7, 4 ranks, 2d, simplify), configured as havoqd is: from its flags, with
+// extra ones appended.
+func testServer(t *testing.T, flags ...string) (*server, *httptest.Server) {
 	t.Helper()
 	check.NoLeaks(t) // registered first so the leak check runs after teardown
-	g, err := havoqgt.GenerateRMAT(9, 7, havoqgt.Options{Ranks: 4, Topology: "2d", Simplify: true})
+	var o options
+	if err := newFlagSet(&o).Parse(append([]string{"-scale", "9", "-seed", "7", "-ranks", "4"}, flags...)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := buildGraph(&o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := g.StartEngine(eo)
+	e, err := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: o.maxInFlight, MaxQueue: o.maxQueue})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(g, e, tc)
+	s := newServer(g, e, &o)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -142,6 +144,21 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code, qr, er := postQuery(t, ts, queryRequest{Algo: "pagerank", Iters: 6}); code != http.StatusOK || qr.Iters != 6 {
 		t.Fatalf("pagerank: status %d iters %d: %s", code, qr.Iters, er.Reason)
+	}
+	// The whole spec reaches the engine: a full PageRank runs the iteration
+	// count it was asked for, not the default.
+	wantPR, err := s.g.PageRank(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, qr, er = postQuery(t, ts, queryRequest{Algo: "pagerank", Iters: 3, Full: true})
+	if code != http.StatusOK || qr.Iters != 3 || len(qr.Ranks) != len(wantPR.Ranks) {
+		t.Fatalf("full pagerank: status %d iters %d ranks %d: %s", code, qr.Iters, len(qr.Ranks), er.Reason)
+	}
+	for v, rk := range wantPR.Ranks {
+		if qr.Ranks[v] != rk {
+			t.Fatalf("full pagerank: rank(%d) = %d, Graph.PageRank(3) says %d", v, qr.Ranks[v], rk)
+		}
 	}
 	if code, _, er := postQuery(t, ts, queryRequest{Algo: "triangles"}); code != http.StatusOK {
 		t.Fatalf("triangles: status %d: %s", code, er.Reason)
@@ -283,9 +300,7 @@ func TestServerConcurrentQueries(t *testing.T) {
 // checks the full shed contract: status 429, machine-readable code, a
 // Retry-After header, and isolation from other tenants.
 func TestServerQuotaShedsStructured429(t *testing.T) {
-	_, ts := testServerConfig(t, traffic.Config{
-		Quota: traffic.QuotaConfig{Rate: 1, Burst: 2, Tick: time.Hour},
-	}, havoqgt.EngineOptions{MaxInFlight: 8})
+	_, ts := testServer(t, "-tenant-rate", "1", "-tenant-burst", "2", "-quota-tick", "1h")
 	post := func(tenant string) *http.Response {
 		return postAs(t, ts, tenant, queryRequest{Algo: "bfs", Source: 0})
 	}
@@ -420,10 +435,8 @@ func TestServerStatsExposesTrafficCounters(t *testing.T) {
 // connection — and both shed counts follow from the configuration.
 func TestServerOverloadContract(t *testing.T) {
 	const tenants, perTenant, burst = 4, 40, 12
-	s, ts := testServerConfig(t, traffic.Config{
-		Quota:      traffic.QuotaConfig{Rate: 1, Burst: burst, Tick: time.Hour},
-		CacheBytes: -1,
-	}, havoqgt.EngineOptions{MaxInFlight: 2, MaxQueue: 2})
+	s, ts := testServer(t, "-tenant-rate", "1", "-tenant-burst", strconv.Itoa(burst), "-quota-tick", "1h",
+		"-cache-bytes", "-1", "-max-in-flight", "2", "-max-queue", "2")
 
 	var ok, quotaShed, engineShed atomic.Int64
 	var wg sync.WaitGroup

@@ -167,15 +167,10 @@ func (q *Query) Wait() (*QueryResult, error) {
 	return convert(q.spec, res), nil
 }
 
-// Resume resubmits a finished, cancelled query as a new attempt. For the
-// resumable algorithms (those whose Algo.Resumable capability is set: bfs,
-// sssp, cc) the new attempt is seeded from the cancelled run's checkpoint, so
-// the paid-for traversal progress carries over; the rest (kcore, pagerank,
-// triangles, bfs_do) carry no per-vertex monotone label and restart from
-// scratch. The new
-// attempt's deadline is d, or twice the previous attempt's when d is zero —
-// so a caller retrying in a loop gets a geometrically growing budget and
-// terminates. Resuming a still-running or cleanly completed query fails.
+// Resume resubmits a finished, cancelled query as a new attempt made by the
+// engine's retry rule (engine.Ticket.RetrySpec): resumed from the checkpoint
+// where the algorithm allows, with deadline d, or twice the previous
+// attempt's when d is zero. Resuming a running or completed query fails.
 func (q *Query) Resume(d time.Duration) (*Query, error) {
 	select {
 	case <-q.t.Done():
@@ -185,80 +180,7 @@ func (q *Query) Resume(d time.Duration) (*Query, error) {
 	if q.t.Err() == nil {
 		return nil, errors.New("havoqgt: query completed; nothing to resume")
 	}
-	spec := q.spec
-	spec.Resume = nil
-	if d == 0 {
-		d = 2 * spec.Deadline
-	}
-	spec.Deadline = d
-	if cp := q.t.Checkpoint(); cp != nil {
-		spec = cp.ResumeSpec(d)
-	}
-	return q.e.submit(spec)
-}
-
-// RecoveryPolicy bounds ExecuteWithRecovery's server-side retry loop.
-type RecoveryPolicy struct {
-	// Attempts is the total number of attempts, first try included
-	// (default 3).
-	Attempts int
-	// Backoff is the sleep before the first retry, doubling after each
-	// (default 5ms). Applies to admission rejections too, making this the
-	// client of the engine's 429-style backpressure.
-	Backoff time.Duration
-}
-
-func (p RecoveryPolicy) normalized() RecoveryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 5 * time.Millisecond
-	}
-	return p
-}
-
-// ExecuteWithRecovery runs one query under a bounded retry policy: qs.Deadline
-// (0 = the engine default) is the first attempt's budget; a deadline-expired
-// attempt is resubmitted from its checkpoint with a doubled budget after a
-// doubling backoff, and an admission rejection (ErrQueryRejected) is retried
-// after the same backoff. Non-retryable failures — explicit cancellation,
-// validation errors — return immediately. After the attempt budget, the last
-// error is returned.
-func (e *Engine) ExecuteWithRecovery(qs QuerySpec, pol RecoveryPolicy) (*QueryResult, error) {
-	pol = pol.normalized()
-	spec := qs.spec()
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		q, err := e.submit(spec)
-		if err != nil {
-			if errors.Is(err, ErrQueryRejected) {
-				lastErr = err // overload: back off and re-attempt admission
-				continue
-			}
-			return nil, err
-		}
-		res, err := q.Wait()
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrQueryTimeout) {
-			return nil, err // explicit cancel or hard failure: not retryable
-		}
-		spec = q.spec
-		spec.Resume = nil
-		spec.Deadline *= 2
-		if cp := q.t.Checkpoint(); cp != nil {
-			spec = cp.ResumeSpec(spec.Deadline)
-		}
-	}
-	return nil, lastErr
+	return q.e.submit(q.t.RetrySpec(d))
 }
 
 // QueryResult is one completed query's output; exactly one algorithm field
@@ -297,12 +219,19 @@ func convert(spec engine.Spec, res *engine.Result) *QueryResult {
 	panic("havoqgt: unknown algorithm past engine validation")
 }
 
-// submit wraps engine admission with the facade's default deadline.
-func (e *Engine) submit(spec engine.Spec) (*Query, error) {
+// Submit starts spec and returns the engine's own ticket and result shape,
+// for serving layers in this module (cmd/havoqd). The engine's default
+// deadline applies when spec sets none.
+func (e *Engine) Submit(spec engine.Spec) (*engine.Ticket, error) {
 	if spec.Deadline == 0 {
 		spec.Deadline = e.d
 	}
-	t, err := e.e.Submit(spec)
+	return e.e.Submit(spec)
+}
+
+// submit is Submit behind the facade's per-algorithm Query handle.
+func (e *Engine) submit(spec engine.Spec) (*Query, error) {
+	t, err := e.Submit(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -328,6 +329,57 @@ func TestCoordinatorDiesMidJoin(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker hung after coordinator death")
+	}
+}
+
+// TestJoinVerdictPrecedesLayout is a four-worker join storm that forces the
+// interleaving the handshake must survive: each early joiner's verdict is
+// held back — in the log line the coordinator writes just before sending it
+// — until the sealing joiner has logged its own, so the sealer's layout
+// broadcast is under way while the earlier verdicts are still unsent. Every
+// worker must still read its verdict first: a layout during the handshake
+// fails the join.
+func TestJoinVerdictPrecedesLayout(t *testing.T) {
+	check.NoLeaks(t)
+	const workers = 4
+	cfg := ClusterConfig{Workers: workers, Ranks: workers, Scale: 6, Seed: 1}
+	for round := 0; round < 3; round++ {
+		sealed := make(chan struct{})
+		logf := func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			var slot int
+			if _, err := fmt.Sscanf(line, "cluster: worker %d joined from", &slot); err == nil {
+				if slot == workers-1 {
+					close(sealed)
+				} else {
+					<-sealed
+					time.Sleep(50 * time.Millisecond) // the sealer's broadcast goes out meanwhile
+				}
+			}
+			t.Log(line)
+		}
+		c, err := NewCoordinator("127.0.0.1:0", cfg, logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := startWorkers(t, c, cfg, workers)
+		ready := make(chan error, 1)
+		go func() { ready <- c.WaitReady(30 * time.Second) }()
+		running := workers
+		select {
+		case err = <-ready:
+		case err = <-errs:
+			running--
+			err = fmt.Errorf("a worker exited during formation: %v", err)
+		}
+		if err != nil {
+			t.Errorf("round %d: %v", round, err)
+		}
+		c.Close()
+		drainWorkers(t, errs, running)
+		if t.Failed() {
+			return
+		}
 	}
 }
 

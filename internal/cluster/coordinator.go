@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -280,6 +281,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		seal = true
 	}
 	epoch := c.epoch
+	// Once c.mu is released a layout broadcast or a ping can reach the
+	// joiner: holding its encoder until the verdict is written orders it first.
+	w.encMu.Lock()
 	c.mu.Unlock()
 
 	verb := "joined"
@@ -288,7 +292,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	c.logf("cluster: worker %d %s from %s (mesh %s, ranks [%d,%d), epoch %d)",
 		slot, verb, conn.RemoteAddr(), join.MeshAddr, lo, hi, epoch)
-	if err := w.send(msg{Type: "joined", Slot: slot, Rejoin: rejoin}); err != nil {
+	err := w.enc.Encode(&msg{Type: "joined", Slot: slot, Rejoin: rejoin})
+	w.encMu.Unlock()
+	if err != nil {
 		c.dropWorker(w, "joined verdict write failed")
 		return
 	}
@@ -658,6 +664,24 @@ func (q *Query) Wait() (*engine.Result, error) {
 			q.id, len(q.errDetail), q.errDetail[0])
 	}
 	return q.res, nil
+}
+
+// WaitCtx is Wait, cancelling the query and waiting for its drain once ctx
+// ends, as engine.Ticket.WaitCtx does. A query that drained cancelled (by
+// ctx, Cancel or its deadline) rather than failing typed reports
+// context.Canceled.
+func (q *Query) WaitCtx(ctx context.Context) (*engine.Result, error) {
+	select {
+	case <-q.done:
+	case <-ctx.Done():
+		q.Cancel()
+		<-q.done
+	}
+	res, err := q.Wait()
+	if err == nil && res.Cancelled {
+		err = context.Canceled
+	}
+	return res, err
 }
 
 // Cancel broadcasts cancellation; every worker flips the query into drain

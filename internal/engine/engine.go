@@ -374,6 +374,22 @@ func (t *Ticket) Checkpoint() *Checkpoint {
 	return &Checkpoint{Spec: spec, Res: t.q.res}
 }
 
+// RetrySpec returns the spec that retries this finished, cancelled query:
+// resumed from its checkpoint for a resumable algorithm (Algo.Resumable),
+// from scratch otherwise, with deadline d, or twice this attempt's when d is
+// zero — so a caller retrying in a loop gets a geometrically growing budget.
+func (t *Ticket) RetrySpec(d time.Duration) Spec {
+	if d == 0 {
+		d = 2 * t.q.spec.Deadline
+	}
+	if cp := t.Checkpoint(); cp != nil {
+		return cp.ResumeSpec(d)
+	}
+	spec := t.q.spec
+	spec.Resume, spec.Deadline = nil, d
+	return spec
+}
+
 // Stats returns the query's per-rank counters as each rank recorded them when
 // it retired the query; valid only after Done, and all zero for a query that
 // never started. Mailbox is that rank's shared-mailbox snapshot — the whole

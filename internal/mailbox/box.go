@@ -422,15 +422,19 @@ func (b *Box) deliver(tag uint32, record []byte) {
 	}
 }
 
+// maxPresize caps a pool miss's presize, so a huge WithFlushBytes is not
+// allocated whole before the first record is written.
+const maxPresize = 64 << 10
+
 // getBuf returns an empty aggregation buffer, recycled from the pool when
 // one is available. A pool miss allocates the buffer at full flush-threshold
-// capacity (plus slack for the record that crosses the threshold) in one
-// shot, instead of paying append's doubling chain on every fill.
+// capacity (plus slack for the record that crosses the threshold, up to
+// maxPresize) in one shot, instead of paying append's doubling chain.
 func (b *Box) getBuf() []byte {
 	b.stats.PoolGets++
 	buf := b.pool.get()
 	if buf == nil {
-		return make([]byte, 0, b.flushBytes+b.flushBytes/4)
+		return make([]byte, 0, min(b.flushBytes+b.flushBytes/4, maxPresize))
 	}
 	b.stats.PoolHits++
 	b.met.poolFree.Add(-1)

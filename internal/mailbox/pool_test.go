@@ -57,6 +57,31 @@ func TestFlushThresholdCountsFramedBytes(t *testing.T) {
 	}
 }
 
+// TestHugeThresholdIsNotPresized: a pool miss presizes the default
+// threshold's buffer in one shot, but a 1 GiB threshold is not allocated on
+// the first send — the presize is capped at maxPresize.
+func TestHugeThresholdIsNotPresized(t *testing.T) {
+	for _, tc := range []struct {
+		threshold, wantCap int
+	}{
+		{DefaultFlushBytes, DefaultFlushBytes + DefaultFlushBytes/4},
+		{1 << 30, maxPresize},
+	} {
+		m := rt.NewMachine(2)
+		m.Run(func(r *rt.Rank) {
+			if r.Rank() != 0 {
+				return
+			}
+			box := New(r, NewDirect(2), nil, WithFlushBytes(tc.threshold))
+			box.pool.free = nil // buffers a closed box left behind would be a pool hit
+			box.Send(1, []byte("one small record"))
+			if got := cap(box.channels[1].buf); got != tc.wantCap {
+				t.Errorf("threshold %d: first buffer has capacity %d, want %d", tc.threshold, got, tc.wantCap)
+			}
+		})
+	}
+}
+
 // pumpExchange runs a full all-to-all exchange (msgs records from every rank
 // to every rank, loopback included) and hands each poll batch to inspect
 // before the next Poll invalidates it. Returns per-rank received payload
