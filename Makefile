@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench-smoke bench-test experiments serve-smoke cluster-smoke cluster-chaos clean
+.PHONY: all build test examples race lint vet fmt fmt-check staticcheck fuzz-smoke chaos chaos-short bench-smoke bench-test experiments serve-smoke cluster-smoke cluster-chaos clean
 
 STATICCHECK ?= staticcheck
 
@@ -17,6 +17,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Runs every example end to end; each exits non-zero on a failed build, query
+# or validation, and nothing else runs them.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/graph500
+	$(GO) run ./examples/socialnetwork
+	$(GO) run ./examples/externalmemory
 
 # Short-mode run under the race detector; slow simulation tests are gated
 # behind testing.Short() so this finishes in minutes. The multi-query engine

@@ -111,7 +111,7 @@ type Graph struct {
 
 	// stores, when non-nil, hold each rank's out-of-core adjacency backing
 	// (SetMemoryBudget). Indexed like parts.
-	stores []*ooc.Store
+	stores ooc.Stores
 
 	// version is the graph's monotone snapshot version, starting at 1.
 	// Today the partitioned graph is immutable, so the version only moves
@@ -148,16 +148,7 @@ func NewGraph(edges []Edge, numVertices uint64, opts Options) (*Graph, error) {
 	if opts.Undirect {
 		edges = graph.Undirect(edges)
 	}
-	chunk := func(rank, size int) []Edge {
-		var local []Edge
-		for i, e := range edges {
-			if i%size == rank {
-				local = append(local, e)
-			}
-		}
-		return local
-	}
-	return build(chunk, numVertices, opts)
+	return build(partition.RoundRobin(edges), numVertices, opts)
 }
 
 // GenerateRMAT builds a Graph500-parameter RMAT graph of the given scale,
@@ -165,44 +156,21 @@ func NewGraph(edges []Edge, numVertices uint64, opts Options) (*Graph, error) {
 func GenerateRMAT(scale uint, seed uint64, opts Options) (*Graph, error) {
 	opts = opts.normalized()
 	g := generators.NewGraph500(scale, seed)
-	return build(func(rank, size int) []Edge {
-		return graph.Undirect(g.GenerateChunk(rank, size))
-	}, g.NumVertices(), opts)
+	return build(partition.Undirected(g.GenerateChunk), g.NumVertices(), opts)
 }
 
 // build runs the collective construction.
-func build(chunk func(rank, size int) []Edge, n uint64, opts Options) (*Graph, error) {
+func build(chunk partition.Chunk, n uint64, opts Options) (*Graph, error) {
 	if _, err := mailbox.ByName(opts.Topology, opts.Ranks); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		opts:    opts,
-		n:       n,
-		machine: rt.NewMachine(opts.Ranks),
-		parts:   make([]*partition.Part, opts.Ranks),
+	m := rt.NewMachine(opts.Ranks)
+	parts, err := partition.Build(m, n, chunk, partition.EdgeList, opts.Simplify)
+	if err != nil {
+		return nil, err
 	}
-	errs := make([]error, opts.Ranks)
-	g.machine.Run(func(r *rt.Rank) {
-		local := chunk(r.Rank(), r.Size())
-		var part *partition.Part
-		var err error
-		if opts.Simplify {
-			part, err = partition.BuildEdgeListSimple(r, local, n)
-		} else {
-			part, err = partition.BuildEdgeList(r, local, n)
-		}
-		if err != nil {
-			errs[r.Rank()] = err
-			return
-		}
-		g.parts[r.Rank()] = part
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	g.ghosts = core.BuildGhostTables(g.parts, opts.GhostsPerPartition)
+	g := &Graph{opts: opts, n: n, machine: m, parts: parts,
+		ghosts: core.BuildGhostTables(parts, opts.GhostsPerPartition)}
 	g.version.Store(1)
 	return g, nil
 }

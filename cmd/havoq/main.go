@@ -1,7 +1,8 @@
 // Command havoq is the command-line front end to the library: generate
-// synthetic scale-free graphs, inspect their degree structure, and run the
-// distributed asynchronous algorithms (BFS, k-core, triangle counting) over
-// a simulated distributed machine — optionally with edge storage on
+// synthetic scale-free graphs, inspect their degree structure, convert edge
+// lists between text and binary, and run the distributed asynchronous
+// algorithms (BFS, SSSP, connected components, k-core, triangle counting)
+// over a simulated distributed machine — optionally with edge storage on
 // simulated node-local NVRAM behind a per-rank page cache (-nvram), where a
 // visit whose adjacency page is absent parks until the page arrives while
 // the rank keeps visiting.
@@ -11,8 +12,11 @@
 //	havoq generate -model rmat -scale 16 -seed 1 -out graph.hvqg
 //	havoq stats    -in graph.hvqg
 //	havoq bfs      -in graph.hvqg -p 8 -ghosts 256 -topo 2d [-nvram]
-//	havoq kcore    -in graph.hvqg -p 8 -k 4,16,64
+//	havoq sssp     -in graph.hvqg -p 8 -source 3 -weight-seed 1
+//	havoq cc       -in graph.hvqg -p 8
+//	havoq kcore    -in graph.hvqg -p 8 -k 4,16,64 [-1d-partition]
 //	havoq tc       -in graph.hvqg -p 8
+//	havoq convert  -in edges.txt -out graph.hvqg
 package main
 
 import (
@@ -200,7 +204,7 @@ func addRunFlags(fs *flag.FlagSet) *runOpts {
 	fs.StringVar(&o.in, "in", "graph.hvqg", "input graph file")
 	fs.IntVar(&o.p, "p", 8, "number of simulated ranks")
 	fs.StringVar(&o.topo, "topo", "2d", "mailbox routing topology: 1d | 2d | 3d")
-	fs.BoolVar(&o.oneD, "1d-partition", false, "use the 1D baseline partitioning instead of edge list partitioning")
+	fs.BoolVar(&o.oneD, "1d-partition", false, "use the 1D baseline partitioning instead of edge list partitioning; kcore and tc simplify the graph (self loops and duplicate edges removed) under either")
 	fs.BoolVar(&o.nvram, "nvram", false, "store edges on simulated node-local NVRAM")
 	fs.IntVar(&o.cacheMB, "cache-mb", 4, "per-rank page cache budget in MiB (with -nvram)")
 	return o
@@ -212,13 +216,12 @@ type loaded struct {
 	o      *runOpts
 	m      *rt.Machine
 	parts  []*partition.Part
-	stores []*ooc.Store    // nil without -nvram
-	pagers []core.RowPager // stores[r].Pager(), for engine.Config.Pagers
+	stores ooc.Stores // nil without -nvram
 }
 
-// load reads every rank's chunk and builds the partitions (and NVRAM stores,
-// each caching -cache-mb of its rank's targets) in one collective phase.
-// Callers must close the result.
+// load reads every rank's chunk and builds the partitions in one collective
+// phase, then (-nvram) moves each rank's targets onto NVRAM behind a cache
+// of -cache-mb. Callers must close the result.
 func (o *runOpts) load(simplify bool) (*loaded, error) {
 	h, err := graphio.ReadHeader(o.in)
 	if err != nil {
@@ -227,56 +230,28 @@ func (o *runOpts) load(simplify bool) (*loaded, error) {
 	if _, err := mailbox.ByName(o.topo, o.p); err != nil {
 		return nil, err
 	}
-	g := &loaded{o: o, m: rt.NewMachine(o.p), parts: make([]*partition.Part, o.p)}
-	if o.nvram {
-		g.stores = make([]*ooc.Store, o.p)
+	layout := partition.EdgeList
+	if o.oneD {
+		layout = partition.OneD
 	}
-	errs := make([]error, o.p)
-	g.m.Run(func(r *rt.Rank) {
-		// A rank whose read failed must still enter the collective build.
-		chunk, readErr := graphio.ReadChunk(o.in, r.Rank(), r.Size())
-		local := graph.Undirect(chunk)
-		var part *partition.Part
-		var err error
-		switch {
-		case o.oneD:
-			part, err = partition.Build1D(r, local, h.NumVertices)
-		case simplify:
-			part, err = partition.BuildEdgeListSimple(r, local, h.NumVertices)
-		default:
-			part, err = partition.BuildEdgeList(r, local, h.NumVertices)
-		}
-		if err == nil && o.nvram {
-			// The budget as a share of this rank's targets, in (0, 1]; a
-			// rank without targets divides by zero and caches them all.
-			targetBytes := float64(part.CSR.Targets().Len() * extmem.VertexBytes)
-			g.stores[r.Rank()], err = ooc.Externalize(part, ooc.Config{
-				ResidentFraction: min(1, float64(max(o.cacheMB<<20, 1))/targetBytes),
-				Rank:             r.Rank(),
-				Obs:              g.m.Obs(),
-			})
-		}
-		g.parts[r.Rank()], errs[r.Rank()] = part, errors.Join(readErr, err)
+	g := &loaded{o: o, m: rt.NewMachine(o.p)}
+	g.parts, err = partition.Build(g.m, h.NumVertices, func(rank, size int) ([]graph.Edge, error) {
+		chunk, err := graphio.ReadChunk(o.in, rank, size)
+		return graph.Undirect(chunk), err
+	}, layout, simplify)
+	if err != nil || !o.nvram {
+		return g, err
+	}
+	g.stores, err = ooc.ExternalizeAll(g.parts, g.m.Obs(), func(part *partition.Part) ooc.Config {
+		// The budget as a share of this rank's targets, in (0, 1]; a rank
+		// without targets divides by zero and caches them all.
+		targetBytes := float64(part.CSR.Targets().Len() * extmem.VertexBytes)
+		return ooc.Config{ResidentFraction: min(1, float64(max(o.cacheMB<<20, 1))/targetBytes)}
 	})
-	for _, err := range errs {
-		if err != nil {
-			g.close()
-			return nil, err
-		}
-	}
-	for _, st := range g.stores {
-		g.pagers = append(g.pagers, st.Pager())
-	}
-	return g, nil
+	return g, err
 }
 
-func (g *loaded) close() {
-	for _, st := range g.stores {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
+func (g *loaded) close() { g.stores.Close() }
 
 // ghostsFlag declares -ghosts for the traversals that filter at the sender
 // (bfs, sssp, cc); core.BuildGhostTables gives the value its meaning, the
@@ -290,7 +265,7 @@ func ghostsFlag(fs *flag.FlagSet) *int {
 // filter over ghost tables built for the -ghosts setting.
 func (g *loaded) query(ghosts int, spec engine.Spec) (*engine.Result, time.Duration, error) {
 	cfg := engine.Config{Machine: g.m, Parts: g.parts, Topology: g.o.topo,
-		Ghosts: core.BuildGhostTables(g.parts, ghosts), Pagers: g.pagers}
+		Ghosts: core.BuildGhostTables(g.parts, ghosts), Pagers: engine.RowPagers(g.stores.Pagers())}
 	start := time.Now()
 	res, _, err := engine.RunOnce(cfg, engine.Options{}, spec)
 	return res, time.Since(start), err
@@ -331,13 +306,8 @@ func cmdBFS(args []string) error {
 	fmt.Printf("  traversed edges:  %d\n", traversed)
 	fmt.Printf("  bfs depth:        %d\n", depth)
 	fmt.Printf("  TEPS:             %.3g\n", float64(traversed)/elapsed.Seconds())
-	var hits, misses uint64
-	for _, store := range g.stores {
-		st := store.Stats().Cache
-		hits, misses = hits+st.Hits, misses+st.Misses
-	}
-	if hits+misses > 0 {
-		fmt.Printf("  cache hit rate:   %.1f%%\n", 100*float64(hits)/float64(hits+misses))
+	if st := g.stores.Stats().Cache; st.Hits+st.Misses > 0 {
+		fmt.Printf("  cache hit rate:   %.1f%%\n", 100*st.HitRate())
 	}
 	if *validate {
 		fmt.Println("  validation:       passed")

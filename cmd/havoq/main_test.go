@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,10 +113,48 @@ func TestBFSCommandRejectsBadSource(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout sent to a file and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestKCoreCommand: both layouts simplify the RMAT multigraph, so they print
+// the same core sizes.
 func TestKCoreCommand(t *testing.T) {
 	path := genGraph(t, "rmat")
-	if err := cmdKCore([]string{"-in", path, "-p", "3", "-k", "2,4"}); err != nil {
-		t.Fatal(err)
+	coreSizes := func(extra ...string) []string {
+		out := captureStdout(t, func() error {
+			return cmdKCore(append([]string{"-in", path, "-p", "3", "-k", "2,8,16"}, extra...))
+		})
+		var sizes []string
+		for _, field := range strings.Fields(out) {
+			if strings.HasPrefix(field, "core-size=") {
+				sizes = append(sizes, field)
+			}
+		}
+		return sizes
+	}
+	edgeList, oneD := coreSizes(), coreSizes("-1d-partition")
+	if len(edgeList) != 3 || !slices.Equal(edgeList, oneD) {
+		t.Fatalf("edge list partitioning prints %v, -1d-partition prints %v", edgeList, oneD)
 	}
 	if err := cmdKCore([]string{"-in", path, "-k", "0"}); err == nil {
 		t.Fatal("k=0 accepted")

@@ -61,24 +61,15 @@ type Engine struct {
 
 // engineConfig binds an engine to the graph's machine. In out-of-core mode
 // each rank's pager goes along, so rank loops park visits on absent adjacency
-// pages instead of blocking on the device. Entries must be genuinely non-nil
-// interfaces (a typed-nil *ooc.Pager in a core.RowPager slot would defeat the
-// engine's nil checks), which Store.Pager guarantees for a live store. Caller
-// holds g.mu.
+// pages instead of blocking on the device. Caller holds g.mu.
 func (g *Graph) engineConfig() engine.Config {
-	cfg := engine.Config{
+	return engine.Config{
 		Machine:  g.machine,
 		Parts:    g.parts,
 		Ghosts:   g.ghosts,
 		Topology: g.opts.Topology,
+		Pagers:   engine.RowPagers(g.stores.Pagers()),
 	}
-	if g.stores != nil {
-		cfg.Pagers = make([]core.RowPager, len(g.stores))
-		for rank, st := range g.stores {
-			cfg.Pagers[rank] = st.Pager()
-		}
-	}
-	return cfg
 }
 
 // StartEngine attaches a multi-query engine to the graph. While attached,

@@ -44,18 +44,13 @@ func main() {
 
 	// Set-up is one collective phase: every rank generates its chunk and the
 	// builder sorts globally into balanced partitions.
-	m := rt.NewMachine(ranks)
-	cfg := engine.Config{Machine: m, Topology: "3d",
-		Parts: make([]*partition.Part, ranks)}
+	cfg := engine.Config{Machine: rt.NewMachine(ranks), Topology: "3d"}
 	start := time.Now()
-	m.Run(func(r *rt.Rank) {
-		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
-		part, err := partition.BuildEdgeList(r, local, gen.NumVertices())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Parts[r.Rank()] = part
-	})
+	parts, err := partition.Build(cfg.Machine, gen.NumVertices(), partition.Undirected(gen.GenerateChunk), partition.EdgeList, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Parts = parts
 	cfg.Ghosts = core.BuildGhostTables(cfg.Parts, 0)
 	buildTime := time.Since(start)
 

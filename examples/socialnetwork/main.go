@@ -41,16 +41,12 @@ func main() {
 	// Every rank generates its own chunk of the network; the builder sorts
 	// globally and hands back balanced partitions. Simplify: k-core needs a
 	// simple graph.
-	machine := rt.NewMachine(ranks)
-	cfg := engine.Config{Machine: machine, Topology: "2d", Parts: make([]*partition.Part, ranks)}
-	machine.Run(func(r *rt.Rank) {
-		local := graph.Undirect(gen.GenerateChunk(r.Rank(), r.Size()))
-		part, err := partition.BuildEdgeListSimple(r, local, numUsers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Parts[r.Rank()] = part
-	})
+	cfg := engine.Config{Machine: rt.NewMachine(ranks), Topology: "2d"}
+	parts, err := partition.Build(cfg.Machine, numUsers, partition.Undirected(gen.GenerateChunk), partition.EdgeList, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Parts = parts
 	// Each question is one query on a transient engine over the machine.
 	query := func(cfg engine.Config, spec engine.Spec) *engine.Result {
 		res, _, err := engine.RunOnce(cfg, engine.Options{}, spec)

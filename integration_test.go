@@ -57,7 +57,7 @@ func TestIntegrationSweep(t *testing.T) {
 				for _, ghosts := range []int{-1, 64, 0} { // off, capped, the default
 					name := fmt.Sprintf("%s/p%d/%s/g%d", gc.name, p, topoName, ghosts)
 					t.Run(name, func(t *testing.T) {
-						g := algotest.Build(t, gc.edges, gc.n, p, partition.BuildEdgeList)
+						g := algotest.Build(t, gc.edges, gc.n, p, partition.EdgeList, false)
 						setup := algotest.Setup{Topology: topoName, Ghosts: ghosts}
 						query := func(spec engine.Spec) *engine.Result {
 							res, _ := g.Run(t, setup, spec)

@@ -14,10 +14,6 @@ import (
 	"havoqgt/internal/rt"
 )
 
-// Builder constructs a partition collectively (partition.BuildEdgeList or
-// partition.Build1D).
-type Builder func(r *rt.Rank, local []graph.Edge, n uint64) (*partition.Part, error)
-
 // Graph is a partitioned graph on its own simulated machine. Tests that
 // move the partitions' targets out of core set Pagers (engine.Config.Pagers).
 type Graph struct {
@@ -26,25 +22,14 @@ type Graph struct {
 	Pagers  []core.RowPager
 }
 
-// Build scatters edges round-robin over p ranks and builds each rank's
-// partition with build.
-func Build(t testing.TB, edges []graph.Edge, n uint64, p int, build Builder) *Graph {
+// Build deals edges round robin over p ranks and builds the partitions under
+// layout (partition.Build), simplified when simplify is set.
+func Build(t testing.TB, edges []graph.Edge, n uint64, p int, layout partition.Layout, simplify bool) *Graph {
 	t.Helper()
-	g := &Graph{Machine: rt.NewMachine(p), Parts: make([]*partition.Part, p)}
-	errs := make([]error, p)
-	g.Machine.Run(func(r *rt.Rank) {
-		var local []graph.Edge
-		for i, e := range edges {
-			if i%p == r.Rank() {
-				local = append(local, e)
-			}
-		}
-		g.Parts[r.Rank()], errs[r.Rank()] = build(r, local, n)
-	})
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	g := &Graph{Machine: rt.NewMachine(p)}
+	var err error
+	if g.Parts, err = partition.Build(g.Machine, n, partition.RoundRobin(edges), layout, simplify); err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

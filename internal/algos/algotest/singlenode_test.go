@@ -29,23 +29,18 @@ import (
 // singleNode builds edges over p ranks of one process and, with nv non-nil,
 // moves each rank's CSR targets onto simulated NVRAM with its pager wired to
 // the engine. The stores are closed when the test ends.
-func singleNode(t *testing.T, edges []graph.Edge, n uint64, p int, nv *ooc.Config) (*algotest.Graph, []*ooc.Store) {
+func singleNode(t *testing.T, edges []graph.Edge, n uint64, p int, nv *ooc.Config) (*algotest.Graph, ooc.Stores) {
 	t.Helper()
-	g := algotest.Build(t, edges, n, p, partition.BuildEdgeList)
-	var stores []*ooc.Store
-	if nv != nil {
-		for rank, part := range g.Parts {
-			cfg := *nv
-			cfg.Rank, cfg.Obs = rank, g.Machine.Obs()
-			store, err := ooc.Externalize(part, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { store.Close() })
-			stores = append(stores, store)
-			g.Pagers = append(g.Pagers, store.Pager())
-		}
+	g := algotest.Build(t, edges, n, p, partition.EdgeList, false)
+	if nv == nil {
+		return g, nil
 	}
+	stores, err := ooc.ExternalizeAll(g.Parts, g.Machine.Obs(), func(*partition.Part) ooc.Config { return *nv })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stores.Close() })
+	g.Pagers = engine.RowPagers(stores.Pagers())
 	return g, stores
 }
 

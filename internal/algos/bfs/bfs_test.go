@@ -17,17 +17,17 @@ import (
 // runBFS executes the given BFS flavour over p ranks on the one executor and
 // returns the global levels and parents with the per-rank stats.
 func runBFS(t *testing.T, algo engine.Algo, edges []graph.Edge, n uint64, p int,
-	source graph.Vertex, build algotest.Builder, setup algotest.Setup) ([]uint32, []graph.Vertex, []core.Stats) {
+	source graph.Vertex, layout partition.Layout, setup algotest.Setup) ([]uint32, []graph.Vertex, []core.Stats) {
 	t.Helper()
-	res, stats := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: algo, Source: source})
+	res, stats := algotest.Build(t, edges, n, p, layout, false).Run(t, setup, engine.Spec{Algo: algo, Source: source})
 	return res.Levels, res.Parents, stats
 }
 
 // runDistributedBFS is runBFS for the top-down visitor-queue BFS.
 func runDistributedBFS(t *testing.T, edges []graph.Edge, n uint64, p int,
-	source graph.Vertex, build algotest.Builder, setup algotest.Setup) ([]uint32, []graph.Vertex) {
+	source graph.Vertex, layout partition.Layout, setup algotest.Setup) ([]uint32, []graph.Vertex) {
 	t.Helper()
-	levels, parents, _ := runBFS(t, engine.AlgoBFS, edges, n, p, source, build, setup)
+	levels, parents, _ := runBFS(t, engine.AlgoBFS, edges, n, p, source, layout, setup)
 	return levels, parents
 }
 
@@ -79,7 +79,7 @@ func randomGraph(n uint64, m int, seed uint64) []graph.Edge {
 func TestBFSMatchesReferenceAcrossRankCounts(t *testing.T) {
 	edges := randomGraph(64, 160, 1)
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		levels, parents := runDistributedBFS(t, edges, 64, p, 3, partition.BuildEdgeList, defaultCfg)
+		levels, parents := runDistributedBFS(t, edges, 64, p, 3, partition.EdgeList, defaultCfg)
 		checkAgainstRef(t, edges, 64, 3, levels, parents)
 	}
 }
@@ -88,7 +88,7 @@ func TestBFSOnRMAT(t *testing.T) {
 	g := generators.NewGraph500(9, 7)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices()
-	levels, parents := runDistributedBFS(t, edges, n, 4, 0, partition.BuildEdgeList, defaultCfg)
+	levels, parents := runDistributedBFS(t, edges, n, 4, 0, partition.EdgeList, defaultCfg)
 	checkAgainstRef(t, edges, n, 0, levels, parents)
 }
 
@@ -96,14 +96,14 @@ func TestBFSOnSmallWorldHighDiameter(t *testing.T) {
 	g := generators.NewSmallWorld(1<<9, 4, 0.01, 5)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	levels, parents := runDistributedBFS(t, edges, n, 4, 9, partition.BuildEdgeList, defaultCfg)
+	levels, parents := runDistributedBFS(t, edges, n, 4, 9, partition.EdgeList, defaultCfg)
 	checkAgainstRef(t, edges, n, 9, levels, parents)
 }
 
 func TestBFSWithRoutedTopologies(t *testing.T) {
 	edges := randomGraph(128, 512, 2)
 	for _, topo := range []string{"1d", "2d", "3d"} {
-		levels, parents := runDistributedBFS(t, edges, 128, 8, 0, partition.BuildEdgeList, algotest.Setup{Topology: topo})
+		levels, parents := runDistributedBFS(t, edges, 128, 8, 0, partition.EdgeList, algotest.Setup{Topology: topo})
 		checkAgainstRef(t, edges, 128, 0, levels, parents)
 	}
 }
@@ -113,7 +113,7 @@ func TestBFSWithGhosts(t *testing.T) {
 	g := generators.NewPA(1<<9, 4, 0, 3)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	levels, parents := runDistributedBFS(t, edges, n, 4, 1, partition.BuildEdgeList, algotest.Setup{Ghosts: 64})
+	levels, parents := runDistributedBFS(t, edges, n, 4, 1, partition.EdgeList, algotest.Setup{Ghosts: 64})
 	checkAgainstRef(t, edges, n, 1, levels, parents)
 }
 
@@ -121,7 +121,7 @@ func TestBFSGhostsActuallyFilter(t *testing.T) {
 	g := generators.NewPA(1<<10, 8, 0, 13)
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices
-	_, _, stats := runBFS(t, engine.AlgoBFS, edges, n, 4, 1, partition.BuildEdgeList,
+	_, _, stats := runBFS(t, engine.AlgoBFS, edges, n, 4, 1, partition.EdgeList,
 		algotest.Setup{Ghosts: core.DefaultGhostsPerPartition})
 	var total uint64
 	for _, s := range stats {
@@ -134,14 +134,14 @@ func TestBFSGhostsActuallyFilter(t *testing.T) {
 
 func TestBFSOn1DPartition(t *testing.T) {
 	edges := randomGraph(64, 256, 4)
-	levels, parents := runDistributedBFS(t, edges, 64, 4, 5, partition.Build1D, defaultCfg)
+	levels, parents := runDistributedBFS(t, edges, 64, 4, 5, partition.OneD, defaultCfg)
 	checkAgainstRef(t, edges, 64, 5, levels, parents)
 }
 
 func TestBFSDisconnectedGraph(t *testing.T) {
 	// Two components; traversal from one must leave the other unreached.
 	edges := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 5, Dst: 6}, {Src: 6, Dst: 7}})
-	levels, parents := runDistributedBFS(t, edges, 8, 3, 0, partition.BuildEdgeList, defaultCfg)
+	levels, parents := runDistributedBFS(t, edges, 8, 3, 0, partition.EdgeList, defaultCfg)
 	checkAgainstRef(t, edges, 8, 0, levels, parents)
 	if levels[5] != bfs.Unreached || levels[3] != bfs.Unreached {
 		t.Fatal("unreachable vertices got levels")
@@ -151,7 +151,7 @@ func TestBFSDisconnectedGraph(t *testing.T) {
 func TestBFSSingleVertexSource(t *testing.T) {
 	// Source with no edges: only itself reached.
 	edges := graph.Undirect([]graph.Edge{{Src: 1, Dst: 2}})
-	levels, _ := runDistributedBFS(t, edges, 4, 2, 0, partition.BuildEdgeList, defaultCfg)
+	levels, _ := runDistributedBFS(t, edges, 4, 2, 0, partition.EdgeList, defaultCfg)
 	if levels[0] != 0 || levels[1] != bfs.Unreached {
 		t.Fatalf("levels = %v", levels)
 	}
@@ -159,7 +159,7 @@ func TestBFSSingleVertexSource(t *testing.T) {
 
 func TestBFSStatsAccounting(t *testing.T) {
 	edges := randomGraph(64, 256, 6)
-	levels, _, stats := runBFS(t, engine.AlgoBFS, edges, 64, 4, 0, partition.BuildEdgeList, defaultCfg)
+	levels, _, stats := runBFS(t, engine.AlgoBFS, edges, 64, 4, 0, partition.EdgeList, defaultCfg)
 	var executed, queued uint64
 	for _, s := range stats {
 		executed += s.Executed

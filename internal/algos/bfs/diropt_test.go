@@ -16,7 +16,7 @@ import (
 func runDistributedDO(t *testing.T, edges []graph.Edge, n uint64, p int,
 	source graph.Vertex, setup algotest.Setup) ([]uint32, []graph.Vertex) {
 	t.Helper()
-	levels, parents, _ := runBFS(t, engine.AlgoBFSDO, edges, n, p, source, partition.BuildEdgeList, setup)
+	levels, parents, _ := runBFS(t, engine.AlgoBFSDO, edges, n, p, source, partition.EdgeList, setup)
 	return levels, parents
 }
 
@@ -36,7 +36,7 @@ func TestDOBFSMatchesTopDown(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for _, p := range []int{1, 2, 4, 8} {
-			want, _ := runDistributedBFS(t, g.edges, g.n, p, g.src, partition.BuildEdgeList, defaultCfg)
+			want, _ := runDistributedBFS(t, g.edges, g.n, p, g.src, partition.EdgeList, defaultCfg)
 			got, parents := runDistributedDO(t, g.edges, g.n, p, g.src, defaultCfg)
 			for v := uint64(0); v < g.n; v++ {
 				if got[v] != want[v] {
@@ -55,7 +55,7 @@ func TestDOBFSOnRMAT(t *testing.T) {
 	edges := graph.Undirect(g.Generate())
 	n := g.NumVertices()
 	for _, p := range []int{1, 4} {
-		want, _ := runDistributedBFS(t, edges, n, p, 2, partition.BuildEdgeList, defaultCfg)
+		want, _ := runDistributedBFS(t, edges, n, p, 2, partition.EdgeList, defaultCfg)
 		got, parents := runDistributedDO(t, edges, n, p, 2, defaultCfg)
 		for v := uint64(0); v < n; v++ {
 			if got[v] != want[v] {
@@ -75,7 +75,7 @@ func TestDOBFSSwitchesModes(t *testing.T) {
 	n := g.NumVertices()
 	// p=1 drives the state machine directly: scan/merge and the mode
 	// decision all run, and no messages may be emitted.
-	part := algotest.Build(t, edges, n, 1, partition.BuildEdgeList).Parts[0]
+	part := algotest.Build(t, edges, n, 1, partition.EdgeList, false).Parts[0]
 	d := bfs.NewDO(part, 0, func(dest int, payload []byte) {
 		t.Fatalf("p=1 run must not send (dest %d)", dest)
 	}, nil)

@@ -16,7 +16,7 @@ import (
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int,
 	setup algotest.Setup) ([]graph.Vertex, uint64) {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup, engine.Spec{Algo: engine.AlgoCC})
+	res, _ := algotest.Build(t, edges, n, p, partition.EdgeList, false).Run(t, setup, engine.Spec{Algo: engine.AlgoCC})
 	return res.Labels, res.Components
 }
 

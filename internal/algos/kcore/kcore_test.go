@@ -1,6 +1,7 @@
 package kcore_test
 
 import (
+	"slices"
 	"testing"
 
 	"havoqgt/internal/algos/algotest"
@@ -25,9 +26,9 @@ func simpleUndirected(n uint64, m int, seed uint64) []graph.Edge {
 
 // runDistributedKCore returns per-vertex core membership.
 func runDistributedKCore(t *testing.T, edges []graph.Edge, n uint64, p int, k uint32,
-	build algotest.Builder, setup algotest.Setup) []bool {
+	layout partition.Layout, setup algotest.Setup) []bool {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: engine.AlgoKCore, K: k})
+	res, _ := algotest.Build(t, edges, n, p, layout, false).Run(t, setup, engine.Spec{Algo: engine.AlgoKCore, K: k})
 	return res.InCore
 }
 
@@ -47,7 +48,7 @@ func TestKCoreMatchesReference(t *testing.T) {
 	edges := simpleUndirected(64, 300, 1)
 	for _, k := range []uint32{1, 2, 3, 4, 8} {
 		for _, p := range []int{1, 2, 4, 8} {
-			got := runDistributedKCore(t, edges, 64, p, k, partition.BuildEdgeList, defaultCfg)
+			got := runDistributedKCore(t, edges, 64, p, k, partition.EdgeList, defaultCfg)
 			checkKCore(t, edges, 64, k, got)
 		}
 	}
@@ -58,7 +59,7 @@ func TestKCoreOnRMAT(t *testing.T) {
 	edges := graph.Simplify(graph.Undirect(g.Generate()))
 	n := g.NumVertices()
 	for _, k := range []uint32{4, 16} {
-		got := runDistributedKCore(t, edges, n, 4, k, partition.BuildEdgeList, defaultCfg)
+		got := runDistributedKCore(t, edges, n, 4, k, partition.EdgeList, defaultCfg)
 		checkKCore(t, edges, n, k, got)
 	}
 }
@@ -79,7 +80,7 @@ func TestKCoreSplitHubCorrect(t *testing.T) {
 	}
 	edges := graph.Simplify(graph.Undirect(pairs))
 	for _, k := range []uint32{2, 7, 8} {
-		got := runDistributedKCore(t, edges, n, 8, k, partition.BuildEdgeList, defaultCfg)
+		got := runDistributedKCore(t, edges, n, 8, k, partition.EdgeList, defaultCfg)
 		checkKCore(t, edges, n, k, got)
 	}
 }
@@ -92,13 +93,13 @@ func TestKCoreRing(t *testing.T) {
 		pairs = append(pairs, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex((v + 1) % n)})
 	}
 	edges := graph.Simplify(graph.Undirect(pairs))
-	got2 := runDistributedKCore(t, edges, n, 3, 2, partition.BuildEdgeList, defaultCfg)
+	got2 := runDistributedKCore(t, edges, n, 3, 2, partition.EdgeList, defaultCfg)
 	for v, in := range got2 {
 		if !in {
 			t.Fatalf("ring vertex %d not in 2-core", v)
 		}
 	}
-	got3 := runDistributedKCore(t, edges, n, 3, 3, partition.BuildEdgeList, defaultCfg)
+	got3 := runDistributedKCore(t, edges, n, 3, 3, partition.EdgeList, defaultCfg)
 	for v, in := range got3 {
 		if in {
 			t.Fatalf("ring vertex %d claims 3-core membership", v)
@@ -110,7 +111,7 @@ func TestKCoreCascade(t *testing.T) {
 	// A path attached to a triangle: peeling the path must cascade.
 	pairs := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 5}}
 	edges := graph.Simplify(graph.Undirect(pairs))
-	got := runDistributedKCore(t, edges, 6, 3, 2, partition.BuildEdgeList, defaultCfg)
+	got := runDistributedKCore(t, edges, 6, 3, 2, partition.EdgeList, defaultCfg)
 	want := []bool{true, true, true, false, false, false}
 	for v := range want {
 		if got[v] != want[v] {
@@ -121,18 +122,45 @@ func TestKCoreCascade(t *testing.T) {
 
 func TestKCoreWithRoutedTopology(t *testing.T) {
 	edges := simpleUndirected(96, 500, 9)
-	got := runDistributedKCore(t, edges, 96, 8, 3, partition.BuildEdgeList, algotest.Setup{Topology: "2d"})
+	got := runDistributedKCore(t, edges, 96, 8, 3, partition.EdgeList, algotest.Setup{Topology: "2d"})
 	checkKCore(t, edges, 96, 3, got)
 }
 
+// TestKCoreOn1D runs k-core on the 1D baseline layout, over a simple graph
+// and over a sparse multigraph simplified at build: a duplicate edge or self
+// loop surviving the build would lift vertices into cores they are not in.
 func TestKCoreOn1D(t *testing.T) {
-	edges := simpleUndirected(64, 256, 11)
-	got := runDistributedKCore(t, edges, 64, 4, 2, partition.Build1D, defaultCfg)
-	checkKCore(t, edges, 64, 2, got)
+	rng := xrand.New(12)
+	var pairs []graph.Edge
+	for i := 0; i < 80; i++ {
+		pairs = append(pairs, graph.Edge{Src: graph.Vertex(rng.Uint64n(64)), Dst: graph.Vertex(rng.Uint64n(64))})
+	}
+	multi := graph.Undirect(pairs)
+	multi = append(multi, multi[:60]...)
+	for v := graph.Vertex(0); v < 64; v += 3 {
+		multi = append(multi, graph.Edge{Src: v, Dst: v})
+	}
+	for _, c := range []struct {
+		name     string
+		edges    []graph.Edge
+		simplify bool
+	}{
+		{"simple", simpleUndirected(64, 256, 11), false},
+		{"multigraph", multi, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := graph.Simplify(slices.Clone(c.edges))
+			for _, k := range []uint32{2, 3} {
+				res, _ := algotest.Build(t, c.edges, 64, 4, partition.OneD, c.simplify).Run(t, defaultCfg,
+					engine.Spec{Algo: engine.AlgoKCore, K: k})
+				checkKCore(t, want, 64, k, res.InCore)
+			}
+		})
+	}
 }
 
 func TestKCoreEmptyGraph(t *testing.T) {
-	got := runDistributedKCore(t, nil, 16, 4, 2, partition.BuildEdgeList, defaultCfg)
+	got := runDistributedKCore(t, nil, 16, 4, 2, partition.EdgeList, defaultCfg)
 	for v, in := range got {
 		if in {
 			t.Fatalf("edgeless vertex %d in 2-core", v)
@@ -141,7 +169,7 @@ func TestKCoreEmptyGraph(t *testing.T) {
 }
 
 func TestKCoreRejectsKZero(t *testing.T) {
-	g := algotest.Build(t, nil, 4, 1, partition.BuildEdgeList)
+	g := algotest.Build(t, nil, 4, 1, partition.EdgeList, false)
 	_, _, err := engine.RunOnce(engine.Config{Machine: g.Machine, Parts: g.Parts}, engine.Options{},
 		engine.Spec{Algo: engine.AlgoKCore, K: 0})
 	if err == nil {
@@ -152,7 +180,7 @@ func TestKCoreRejectsKZero(t *testing.T) {
 func TestCoreSize(t *testing.T) {
 	edges := simpleUndirected(64, 300, 13)
 	want := ref.CoreSize(ref.KCore(ref.BuildAdj(edges, 64), 3))
-	res, _ := algotest.Build(t, edges, 64, 4, partition.BuildEdgeList).Run(t, defaultCfg,
+	res, _ := algotest.Build(t, edges, 64, 4, partition.EdgeList, false).Run(t, defaultCfg,
 		engine.Spec{Algo: engine.AlgoKCore, K: 3})
 	if res.CoreSize != want {
 		t.Fatalf("core size %d, want %d", res.CoreSize, want)

@@ -17,7 +17,7 @@ import (
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int, iters uint32,
 	setup algotest.Setup) []uint64 {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup,
+	res, _ := algotest.Build(t, edges, n, p, partition.EdgeList, false).Run(t, setup,
 		engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
 	return res.Ranks
 }
@@ -76,7 +76,7 @@ func TestPageRankCombinedMatchesReference(t *testing.T) {
 	edges := graph.Undirect(gen.Generate())
 	n := gen.NumVertices()
 	want := ref.PageRank(ref.BuildAdj(edges, n), 6)
-	g := algotest.Build(t, edges, n, 4, partition.BuildEdgeList)
+	g := algotest.Build(t, edges, n, 4, partition.EdgeList, false)
 	for _, ghosts := range []int{-1, 1, 256, 0} {
 		res, stats := g.Run(t, algotest.Setup{Topology: "2d", Ghosts: ghosts}, engine.Spec{Algo: engine.AlgoPageRank, Iters: 6})
 		var combined uint64
@@ -145,7 +145,7 @@ func TestPageRankExecutesOnlyEmitsAndCompletions(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: v, Dst: v})
 	}
 	for _, p := range []int{1, 4} {
-		g := algotest.Build(t, edges, n, p, partition.BuildEdgeList)
+		g := algotest.Build(t, edges, n, p, partition.EdgeList, false)
 		var want uint64
 		for v := graph.Vertex(0); v < n; v++ {
 			holders := uint64(1)

@@ -18,7 +18,7 @@ const weightSeed = 99
 func runDistributed(t *testing.T, edges []graph.Edge, n uint64, p int, source graph.Vertex,
 	setup algotest.Setup) ([]uint64, []graph.Vertex) {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, setup,
+	res, _ := algotest.Build(t, edges, n, p, partition.EdgeList, false).Run(t, setup,
 		engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed})
 	return res.Dist, res.Parents
 }

@@ -21,7 +21,7 @@ import (
 // sampledCount returns the raw (unscaled) count of a run under opts.
 func sampledCount(t *testing.T, edges []graph.Edge, n uint64, p int, opts triangle.Options) uint64 {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, partition.BuildEdgeList).Run(t, defaultCfg,
+	res, _ := algotest.Build(t, edges, n, p, partition.EdgeList, false).Run(t, defaultCfg,
 		engine.Spec{Algo: engine.AlgoTriangles, SampleProb: opts.SampleProb, SampleSeed: opts.SampleSeed})
 	return res.Triangles
 }
@@ -76,7 +76,7 @@ func TestSamplingDeterministicAcrossRankCounts(t *testing.T) {
 }
 
 func TestSampleProbValidatedAtSubmit(t *testing.T) {
-	g := algotest.Build(t, nil, 4, 1, partition.BuildEdgeList)
+	g := algotest.Build(t, nil, 4, 1, partition.EdgeList, false)
 	for _, p := range []float64{-0.5, 1, 1.5, math.NaN()} {
 		_, _, err := engine.RunOnce(engine.Config{Machine: g.Machine, Parts: g.Parts}, engine.Options{},
 			engine.Spec{Algo: engine.AlgoTriangles, SampleProb: p})

@@ -23,9 +23,9 @@ func simpleUndirected(n uint64, m int, seed uint64) []graph.Edge {
 }
 
 func countDistributed(t *testing.T, edges []graph.Edge, n uint64, p int,
-	build algotest.Builder, setup algotest.Setup) uint64 {
+	layout partition.Layout, setup algotest.Setup) uint64 {
 	t.Helper()
-	res, _ := algotest.Build(t, edges, n, p, build).Run(t, setup, engine.Spec{Algo: engine.AlgoTriangles})
+	res, _ := algotest.Build(t, edges, n, p, layout, false).Run(t, setup, engine.Spec{Algo: engine.AlgoTriangles})
 	return res.Triangles
 }
 
@@ -48,7 +48,7 @@ func TestKnownSmallGraphs(t *testing.T) {
 	for _, c := range cases {
 		edges := graph.Simplify(graph.Undirect(c.pairs))
 		for _, p := range []int{1, 2, 3} {
-			if got := countDistributed(t, edges, c.n, p, partition.BuildEdgeList, defaultCfg); got != c.want {
+			if got := countDistributed(t, edges, c.n, p, partition.EdgeList, defaultCfg); got != c.want {
 				t.Errorf("%s p=%d: counted %d, want %d", c.name, p, got, c.want)
 			}
 		}
@@ -60,7 +60,7 @@ func TestMatchesReferenceRandom(t *testing.T) {
 		edges := simpleUndirected(48, 300, seed)
 		want := ref.CountTriangles(ref.BuildAdj(edges, 48))
 		for _, p := range []int{1, 3, 6} {
-			if got := countDistributed(t, edges, 48, p, partition.BuildEdgeList, defaultCfg); got != want {
+			if got := countDistributed(t, edges, 48, p, partition.EdgeList, defaultCfg); got != want {
 				t.Fatalf("seed=%d p=%d: %d triangles, want %d", seed, p, got, want)
 			}
 		}
@@ -75,7 +75,7 @@ func TestOnRMAT(t *testing.T) {
 	if want == 0 {
 		t.Fatal("test graph has no triangles; pick another seed")
 	}
-	if got := countDistributed(t, edges, n, 4, partition.BuildEdgeList, defaultCfg); got != want {
+	if got := countDistributed(t, edges, n, 4, partition.EdgeList, defaultCfg); got != want {
 		t.Fatalf("%d triangles, want %d", got, want)
 	}
 }
@@ -93,7 +93,7 @@ func TestSplitHubTriangles(t *testing.T) {
 	}
 	edges := graph.Simplify(graph.Undirect(pairs))
 	want := ref.CountTriangles(ref.BuildAdj(edges, n)) // one per ring edge
-	if got := countDistributed(t, edges, n, 8, partition.BuildEdgeList, defaultCfg); got != want {
+	if got := countDistributed(t, edges, n, 8, partition.EdgeList, defaultCfg); got != want {
 		t.Fatalf("split hub: %d triangles, want %d", got, want)
 	}
 }
@@ -103,7 +103,7 @@ func TestSmallWorldTriangles(t *testing.T) {
 	edges := graph.Simplify(graph.Undirect(g.Generate()))
 	n := g.NumVertices
 	want := ref.CountTriangles(ref.BuildAdj(edges, n))
-	if got := countDistributed(t, edges, n, 4, partition.BuildEdgeList, defaultCfg); got != want {
+	if got := countDistributed(t, edges, n, 4, partition.EdgeList, defaultCfg); got != want {
 		t.Fatalf("%d triangles, want %d", got, want)
 	}
 }
@@ -111,7 +111,7 @@ func TestSmallWorldTriangles(t *testing.T) {
 func TestWithRoutedTopology(t *testing.T) {
 	edges := simpleUndirected(64, 400, 7)
 	want := ref.CountTriangles(ref.BuildAdj(edges, 64))
-	if got := countDistributed(t, edges, 64, 8, partition.BuildEdgeList, algotest.Setup{Topology: "3d"}); got != want {
+	if got := countDistributed(t, edges, 64, 8, partition.EdgeList, algotest.Setup{Topology: "3d"}); got != want {
 		t.Fatalf("routed: %d triangles, want %d", got, want)
 	}
 }
@@ -119,7 +119,7 @@ func TestWithRoutedTopology(t *testing.T) {
 func TestOn1D(t *testing.T) {
 	edges := simpleUndirected(48, 256, 15)
 	want := ref.CountTriangles(ref.BuildAdj(edges, 48))
-	if got := countDistributed(t, edges, 48, 4, partition.Build1D, defaultCfg); got != want {
+	if got := countDistributed(t, edges, 48, 4, partition.OneD, defaultCfg); got != want {
 		t.Fatalf("1D: %d triangles, want %d", got, want)
 	}
 }
@@ -161,7 +161,7 @@ func TestMultigraphKnownAnswers(t *testing.T) {
 	for _, c := range cases {
 		edges := graph.Undirect(c.pairs) // multiplicity preserved: no Simplify
 		for _, p := range []int{1, 2, 3, 5} {
-			if got := countDistributed(t, edges, c.n, p, partition.BuildEdgeList, defaultCfg); got != c.want {
+			if got := countDistributed(t, edges, c.n, p, partition.EdgeList, defaultCfg); got != c.want {
 				t.Errorf("%s p=%d: counted %d, want %d", c.name, p, got, c.want)
 			}
 		}
@@ -183,7 +183,7 @@ func TestMultigraphMatchesSimplifiedReference(t *testing.T) {
 		multi := graph.Undirect(edges)
 		want := ref.CountTriangles(ref.BuildAdj(graph.Simplify(multi), 24))
 		for _, p := range []int{1, 3, 6, 8} {
-			if got := countDistributed(t, multi, 24, p, partition.BuildEdgeList, defaultCfg); got != want {
+			if got := countDistributed(t, multi, 24, p, partition.EdgeList, defaultCfg); got != want {
 				t.Fatalf("seed=%d p=%d: %d triangles, want %d", seed, p, got, want)
 			}
 		}
@@ -191,7 +191,7 @@ func TestMultigraphMatchesSimplifiedReference(t *testing.T) {
 }
 
 func TestEmptyAndEdgelessGraphs(t *testing.T) {
-	if got := countDistributed(t, nil, 8, 3, partition.BuildEdgeList, defaultCfg); got != 0 {
+	if got := countDistributed(t, nil, 8, 3, partition.EdgeList, defaultCfg); got != 0 {
 		t.Fatalf("empty graph counted %d triangles", got)
 	}
 }

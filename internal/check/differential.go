@@ -45,7 +45,7 @@ type Case struct {
 	// kcore and pagerank combine over it.
 	Ghosts int
 	// Resident, when in (0, 1), moves every rank's adjacency out of core at
-	// that resident fraction (ooc.Externalize, 64-byte pages so these tiny
+	// that resident fraction (ooc.ExternalizeAll, 64-byte pages so these tiny
 	// graphs span many) and hands the pagers to the engine, so the traversal
 	// parks and unparks. 0 runs fully resident.
 	Resident float64
@@ -167,32 +167,20 @@ func (c Case) run() (stats []core.Stats, err error) {
 	edges := c.Edges()
 
 	// Build phase: clean transport, fully resident.
-	cfg := engine.Config{Machine: rt.NewMachine(c.Ranks), Parts: make([]*partition.Part, c.Ranks), Topology: c.Topo}
-	cfg.Machine.Run(func(r *rt.Rank) {
-		var local []graph.Edge
-		for i, e := range edges {
-			if i%c.Ranks == r.Rank() {
-				local = append(local, e)
-			}
-		}
-		part, err := partition.BuildEdgeList(r, local, c.N)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Parts[r.Rank()] = part
-	})
+	cfg := engine.Config{Machine: rt.NewMachine(c.Ranks), Topology: c.Topo}
+	if cfg.Parts, err = partition.Build(cfg.Machine, c.N, partition.RoundRobin(edges), partition.EdgeList, false); err != nil {
+		return fail(err)
+	}
 	cfg.Ghosts = core.BuildGhostTables(cfg.Parts, c.Ghosts)
 	if c.Resident > 0 && c.Resident < 1 {
-		cfg.Pagers = make([]core.RowPager, c.Ranks)
-		for rank, part := range cfg.Parts {
-			st, err := ooc.Externalize(part, ooc.Config{ResidentFraction: c.Resident,
-				PageSize: 64, Latency: time.Microsecond, Rank: rank})
-			if err != nil {
-				return fail(err)
-			}
-			defer st.Restore()
-			cfg.Pagers[rank] = st.Pager()
+		stores, err := ooc.ExternalizeAll(cfg.Parts, cfg.Machine.Obs(), func(*partition.Part) ooc.Config {
+			return ooc.Config{ResidentFraction: c.Resident, PageSize: 64, Latency: time.Microsecond}
+		})
+		if err != nil {
+			return fail(err)
 		}
+		defer stores.Close()
+		cfg.Pagers = engine.RowPagers(stores.Pagers())
 	}
 	for _, part := range cfg.Parts {
 		if err := Error(EdgeTags(part)); err != nil {

@@ -19,28 +19,31 @@ import (
 // file that trip wrote verifies and reopens with the same words.
 func TestEdgeTagsEveryPartitioner(t *testing.T) {
 	gen := generators.NewGraph500(9, 42)
-	builders := map[string]func(*rt.Rank, []graph.Edge, uint64) (*partition.Part, error){
-		"edgelist": partition.BuildEdgeList, "simple": partition.BuildEdgeListSimple, "1d": partition.Build1D,
+	layouts := []struct {
+		name     string
+		layout   partition.Layout
+		simplify bool
+	}{
+		{"edgelist", partition.EdgeList, false},
+		{"simple", partition.EdgeList, true},
+		{"1d", partition.OneD, false},
+		{"1d-simple", partition.OneD, true},
 	}
-	for name, build := range builders {
+	for _, c := range layouts {
 		for _, p := range []int{1, 3, 8} {
-			parts := make([]*partition.Part, p)
-			rt.NewMachine(p).Run(func(r *rt.Rank) {
-				part, err := build(r, graph.Undirect(gen.GenerateChunk(r.Rank(), p)), gen.NumVertices())
-				if err != nil {
-					panic(err)
-				}
-				parts[r.Rank()] = part
-			})
+			parts, err := partition.Build(rt.NewMachine(p), gen.NumVertices(), partition.Undirected(gen.GenerateChunk), c.layout, c.simplify)
+			if err != nil {
+				t.Fatal(err)
+			}
 			slots := 0
 			for _, part := range parts {
 				slots += len(part.SlotVertex)
 				if err := Error(EdgeTags(part)); err != nil {
-					t.Fatalf("%s/p=%d: %v", name, p, err)
+					t.Fatalf("%s/p=%d: %v", c.name, p, err)
 				}
 			}
 			if p > 1 && slots == 0 {
-				t.Fatalf("%s/p=%d: no rank has a remote slot: the graph tests nothing", name, p)
+				t.Fatalf("%s/p=%d: no rank has a remote slot: the graph tests nothing", c.name, p)
 			}
 
 			dir := t.TempDir()
@@ -51,7 +54,7 @@ func TestEdgeTagsEveryPartitioner(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := Error(EdgeTags(part)); err != nil {
-					t.Fatalf("%s/p=%d out of core: %v", name, p, err)
+					t.Fatalf("%s/p=%d out of core: %v", c.name, p, err)
 				}
 				file := filepath.Join(dir, "copy.hvqt")
 				if err := extmem.WriteTargetsFile(file, words); err != nil {
@@ -66,7 +69,7 @@ func TestEdgeTagsEveryPartitioner(t *testing.T) {
 				}
 				for i, w := range reopened.Read(0, reopened.Len()) {
 					if w != words[i] {
-						t.Fatalf("%s/p=%d rank %d: word %d reopened as %#x, stored %#x", name, p, rank, i, uint64(w), uint64(words[i]))
+						t.Fatalf("%s/p=%d rank %d: word %d reopened as %#x, stored %#x", c.name, p, rank, i, uint64(w), uint64(words[i]))
 					}
 				}
 				if err := reopened.Close(); err != nil {

@@ -192,31 +192,23 @@ func runWorkerSession(opts WorkerOptions) (joined bool, err error) {
 	// machines belong to their engines — so it replays the whole
 	// deterministic build alone on a throwaway in-process machine and keeps
 	// only its window's partitions.
-	var parts []*partition.Part
-	var ghosts []*core.GhostTable
+	buildOn := machine
 	if rejoin {
 		opts.Logf("cluster: worker %d re-join: local rebuild of scale-%d partitions for ranks [%d,%d)", slot, cfg.Scale, lo, hi)
-		parts, ghosts, err = buildPartitions(rt.NewMachine(p), cfg, opts.Logf)
-		if err == nil {
-			for r := range parts {
-				if r < lo || r >= hi {
-					parts[r], ghosts[r] = nil, nil
-				}
-			}
-		}
+		buildOn = rt.NewMachine(p)
 	} else {
 		opts.Logf("cluster: worker %d building scale-%d partition for ranks [%d,%d)", slot, cfg.Scale, lo, hi)
-		parts, ghosts, err = buildPartitions(machine, cfg, opts.Logf)
-		if err == nil {
-			for r := lo; r < hi; r++ {
-				if parts[r] == nil {
-					err = fmt.Errorf("cluster: build produced no partition for rank %d", r)
-				}
-			}
-		}
 	}
+	gen := generators.NewGraph500(cfg.Scale, cfg.Seed)
+	parts, err := partition.Build(buildOn, gen.NumVertices(), partition.Undirected(gen.GenerateChunk), partition.EdgeList, cfg.Simplify)
 	if err != nil {
-		return true, err
+		return true, fmt.Errorf("cluster: build: %w", err)
+	}
+	ghosts := core.BuildGhostTables(parts, cfg.Ghosts)
+	for r := range parts {
+		if r < lo || r >= hi {
+			parts[r], ghosts[r] = nil, nil
+		}
 	}
 
 	eng, err := engine.Start(engine.Config{
@@ -348,39 +340,6 @@ func layoutPeers(infos []workerInfo, self int) map[int]string {
 		}
 	}
 	return peers
-}
-
-// buildPartitions runs the deterministic RMAT generation + partitioning on
-// the given machine — the shared cluster machine at formation (exchanges ride
-// the mesh), or a throwaway in-process machine on re-join — and returns the
-// per-rank partitions and ghost tables.
-func buildPartitions(machine *rt.Machine, cfg ClusterConfig, logf func(string, ...any)) ([]*partition.Part, []*core.GhostTable, error) {
-	p := cfg.Ranks
-	n := uint64(1) << cfg.Scale
-	gen := generators.NewGraph500(cfg.Scale, cfg.Seed)
-	parts := make([]*partition.Part, p)
-	buildErrs := make([]error, p)
-	machine.Run(func(r *rt.Rank) {
-		local := graph.Undirect(gen.GenerateChunk(r.Rank(), p))
-		var part *partition.Part
-		var err error
-		if cfg.Simplify {
-			part, err = partition.BuildEdgeListSimple(r, local, n)
-		} else {
-			part, err = partition.BuildEdgeList(r, local, n)
-		}
-		if err != nil {
-			buildErrs[r.Rank()] = err
-			return
-		}
-		parts[r.Rank()] = part
-	})
-	for r := 0; r < p; r++ {
-		if buildErrs[r] != nil {
-			return nil, nil, fmt.Errorf("cluster: build rank %d: %w", r, buildErrs[r])
-		}
-	}
-	return parts, core.BuildGhostTables(parts, cfg.Ghosts), nil
 }
 
 // resultMsg packages one query's worker-local outcome: the master-range

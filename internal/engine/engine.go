@@ -202,6 +202,19 @@ type Config struct {
 	Pagers []core.RowPager
 }
 
+// RowPagers turns a machine's concrete pagers (ooc.Stores.Pagers) into
+// Config.Pagers, nil for none. ooc satisfies core.RowPager structurally
+// without importing core, so this is the one place the conversion lives.
+// Every entry must be non-nil: a typed-nil pager in a core.RowPager slot
+// would defeat the rank loop's nil check.
+func RowPagers[P core.RowPager](pagers []P) []core.RowPager {
+	var out []core.RowPager
+	for _, p := range pagers {
+		out = append(out, p)
+	}
+	return out
+}
+
 // ctlKind discriminates control-log events.
 type ctlKind uint8
 

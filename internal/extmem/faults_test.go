@@ -103,7 +103,7 @@ func TestStoreOverFaultyDeviceWithRetry(t *testing.T) {
 		faults.Plan{Seed: 99, Device: faults.DeviceRule{ReadError: 0.3, TornRead: 0.2}},
 		reg,
 	)
-	cache, err := pagecache.New(pagecache.NewRetryDevice(faulty, 0, 0), 512, 8)
+	cache, err := pagecache.New(pagecache.NewRetryDevice(faulty, 0), 512, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,21 +121,10 @@ func Figure3() *Table {
 			"expected: vertices 2 and 5 span partitions; min_owner(2)=0, max_owner(2)=2, min_owner(5)=2, max_owner(5)=3",
 		},
 	}
-	parts := make([]*partition.Part, p)
-	m := rt.NewMachine(p)
-	m.Run(func(r *rt.Rank) {
-		var local []graph.Edge
-		for i, e := range edges {
-			if i%p == r.Rank() {
-				local = append(local, e)
-			}
-		}
-		part, err := partition.BuildEdgeList(r, local, 8)
-		if err != nil {
-			panic(err)
-		}
-		parts[r.Rank()] = part
-	})
+	parts, err := partition.Build(rt.NewMachine(p), 8, partition.RoundRobin(edges), partition.EdgeList, false)
+	if err != nil {
+		panic(err)
+	}
 	for rank, part := range parts {
 		var first, last, fwd string = "-", "-", "-"
 		if part.CSR.NumEdges() > 0 {
@@ -369,14 +358,14 @@ func Figure12(s Sizing) *Table {
 		scale := s.VertsPerRankLog2 - 1 + log2(p)
 		spec := RMATSpec(scale, s.Seed)
 		el, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: p, Topology: "2d", Partition: EdgeList, Seed: s.Seed},
+			CommonOpts: CommonOpts{P: p, Topology: "2d", Partition: partition.EdgeList, Seed: s.Seed},
 			Graph:      spec, Sources: s.Sources, Ghosts: 256,
 		})
 		if err != nil {
 			panic(err)
 		}
 		oned, err := RunBFS(BFSOpts{
-			CommonOpts: CommonOpts{P: p, Topology: "2d", Partition: OneD, Seed: s.Seed},
+			CommonOpts: CommonOpts{P: p, Topology: "2d", Partition: partition.OneD, Seed: s.Seed},
 			Graph:      spec, Sources: s.Sources, Ghosts: 256,
 		})
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/ooc"
+	"havoqgt/internal/pagecache"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/xrand"
@@ -72,21 +73,13 @@ func SWSpec(n, k uint64, rewire float64, seed uint64) GraphSpec {
 	}
 }
 
-// PartitionKind selects the graph partitioning strategy.
-type PartitionKind string
-
-const (
-	EdgeList PartitionKind = "edgelist" // the paper's edge list partitioning
-	OneD     PartitionKind = "1d"       // traditional 1D baseline
-)
-
 // CommonOpts configure a distributed run.
 type CommonOpts struct {
-	P          int           // number of simulated ranks
-	Topology   string        // "1d", "2d", "3d" (default "1d")
-	Partition  PartitionKind // default EdgeList
-	Simplify   bool          // globally remove self loops + duplicates
-	OOC        *ooc.Config   // non-nil: every rank's adjacency out of core (Rank and Obs are set per rank)
+	P          int              // number of simulated ranks
+	Topology   string           // "1d", "2d", "3d" (default "1d")
+	Partition  partition.Layout // default partition.EdgeList
+	Simplify   bool             // globally remove self loops + duplicates
+	OOC        *ooc.Config      // non-nil: every rank's adjacency out of core (Rank and Obs are set per rank)
 	FlushBytes int
 	Seed       uint64
 }
@@ -98,66 +91,32 @@ func (o CommonOpts) topologyName() string {
 	return o.Topology
 }
 
-func (o CommonOpts) build(r *rt.Rank, local []graph.Edge, n uint64) (*partition.Part, error) {
-	switch {
-	case o.Partition == OneD:
-		return partition.Build1D(r, local, n)
-	case o.Simplify:
-		return partition.BuildEdgeListSimple(r, local, n)
-	default:
-		return partition.BuildEdgeList(r, local, n)
-	}
-}
-
-// env is the machine-wide state a runner builds, SPMD, before its timed
-// sections: the machine, every rank's partition and (out-of-core runs) its
-// store and pager.
+// env is the machine-wide state a runner builds before its timed sections:
+// the machine, every rank's partition and (out-of-core runs) its store.
 type env struct {
 	o      CommonOpts
 	graph  string
 	m      *rt.Machine
 	parts  []*partition.Part
-	stores []*ooc.Store    // nil in DRAM runs
-	pagers []core.RowPager // stores[r].Pager(), for engine.Config.Pagers
+	stores ooc.Stores // nil in DRAM runs
 }
 
-// setup generates every rank's chunk, builds the partitions, and applies the
-// storage configuration — one collective phase on a fresh machine.
+// setup generates every rank's chunk and builds the partitions on a fresh
+// machine, then applies the storage configuration.
 func (o CommonOpts) setup(spec GraphSpec) (*env, error) {
-	e := &env{o: o, graph: spec.Name, m: rt.NewMachine(o.P), parts: make([]*partition.Part, o.P)}
-	if o.OOC != nil {
-		e.stores = make([]*ooc.Store, o.P)
+	e := &env{o: o, graph: spec.Name, m: rt.NewMachine(o.P)}
+	var err error
+	e.parts, err = partition.Build(e.m, spec.NumVertices, partition.Undirected(spec.GenChunk), o.Partition, o.Simplify)
+	if err == nil && o.OOC != nil {
+		e.stores, err = ooc.ExternalizeAll(e.parts, e.m.Obs(), func(*partition.Part) ooc.Config { return *o.OOC })
 	}
-	errs := make([]error, o.P)
-	e.m.Run(func(r *rt.Rank) {
-		local := graph.Undirect(spec.GenChunk(r.Rank(), r.Size()))
-		part, err := o.build(r, local, spec.NumVertices)
-		if err == nil && o.OOC != nil {
-			cfg := *o.OOC
-			cfg.Rank, cfg.Obs = r.Rank(), e.m.Obs()
-			e.stores[r.Rank()], err = ooc.Externalize(part, cfg)
-		}
-		e.parts[r.Rank()], errs[r.Rank()] = part, err
-	})
-	for _, err := range errs {
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-	}
-	for _, st := range e.stores {
-		e.pagers = append(e.pagers, st.Pager())
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (e *env) close() {
-	for _, st := range e.stores {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
+func (e *env) close() { e.stores.Close() }
 
 // run is one timed traversal: the machine's counters restart from a coherent
 // zero across rt/mailbox/termination, the query runs on a transient engine
@@ -168,7 +127,7 @@ func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*e
 	span := e.m.Obs().StartPhase(string(spec.Algo)+".run", 0)
 	start := time.Now()
 	res, stats, err := engine.RunOnce(
-		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName(), Pagers: e.pagers},
+		engine.Config{Machine: e.m, Parts: e.parts, Ghosts: ghosts, Topology: e.o.topologyName(), Pagers: engine.RowPagers(e.stores.Pagers())},
 		engine.Options{Core: core.Config{FlushBytes: e.o.FlushBytes}},
 		spec)
 	elapsed := time.Since(start)
@@ -243,29 +202,6 @@ func (a *AggStats) add(b AggStats) {
 	a.DetectorWaves = max(a.DetectorWaves, b.DetectorWaves)
 }
 
-// CacheAgg aggregates page-cache statistics across ranks.
-type CacheAgg struct {
-	Hits, Misses uint64
-}
-
-// HitRate returns the cluster-wide cache hit rate.
-func (c CacheAgg) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 1
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
-}
-
-func (e *env) cacheStats() CacheAgg {
-	var c CacheAgg
-	for _, store := range e.stores {
-		st := store.Stats().Cache
-		c.Hits += st.Hits
-		c.Misses += st.Misses
-	}
-	return c
-}
-
 // BFSResult summarizes a BFS experiment.
 type BFSResult struct {
 	Graph          string
@@ -279,7 +215,7 @@ type BFSResult struct {
 	TEPS           float64
 	MaxLevel       uint32
 	Stats          AggStats
-	Cache          CacheAgg
+	Cache          pagecache.Stats // summed over ranks
 }
 
 // BFSOpts configure a BFS experiment.
@@ -343,7 +279,7 @@ func RunBFS(o BFSOpts) (BFSResult, error) {
 		res.MaxLevel = max(res.MaxLevel, depth)
 		res.Stats.add(stats)
 	}
-	res.Cache = e.cacheStats()
+	res.Cache = e.stores.Stats().Cache
 	if res.TotalTime > 0 {
 		res.TEPS = float64(res.TraversedEdges) / res.TotalTime.Seconds()
 	}

@@ -42,37 +42,27 @@ type Config struct {
 	QueueDepth int
 	// Dir, when non-empty, stores the serialized targets in a real file
 	// under it (pagecache.FileDevice) instead of simulated NVRAM. The file
-	// is removed on Restore/Close.
+	// is removed on Restore.
 	Dir string
 	// Rank names the backing file within Dir.
 	Rank int
-	// RetryAttempts/RetryBackoff tune the RetryDevice under the cache
-	// (<= 0 / 0 select its defaults).
-	RetryAttempts int
-	RetryBackoff  time.Duration
 	// WrapDevice, when non-nil, interposes on the device stack between the
 	// base device and the retry layer — the fault plane's hook point
 	// (faults.FaultyDevice).
 	WrapDevice func(pagecache.BlockDevice) pagecache.BlockDevice
-	// Fetchers is the pager's fetch worker count (default min(QueueDepth,
-	// 8)), capped at a quarter of the cache frames (at least 1) so fetches
-	// cannot evict each other's pages before their parked visitors run.
-	Fetchers int
-	// PrefetchQueue bounds the pager's prefetch backlog (default 256, capped
-	// at half the cache frames); hints beyond it are dropped and counted.
-	// Hints come only from direction-optimizing BFS's bottom-up read-ahead;
-	// visitor queues fetch on demand, and demand fetches are never dropped.
-	PrefetchQueue int
 	// Obs, when non-nil, receives the ooc.* and pagecache.* counters.
 	Obs *obs.Registry
 }
 
+const (
+	defaultPageSize   = 4096
+	defaultLatency    = 25 * time.Microsecond
+	defaultQueueDepth = 64
+	maxFetchers       = 8   // fetch workers: min(QueueDepth, 8), capped again by NewPager
+	prefetchQueue     = 256 // prefetch backlog bound, capped again by NewPager
+)
+
 func (c Config) normalized() Config {
-	const (
-		defaultPageSize   = 4096
-		defaultLatency    = 25 * time.Microsecond
-		defaultQueueDepth = 64
-	)
 	if c.PageSize <= 0 {
 		c.PageSize = defaultPageSize
 	}
@@ -81,12 +71,6 @@ func (c Config) normalized() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = defaultQueueDepth
-	}
-	if c.Fetchers <= 0 {
-		c.Fetchers = min(c.QueueDepth, 8)
-	}
-	if c.PrefetchQueue <= 0 {
-		c.PrefetchQueue = 256
 	}
 	return c
 }
@@ -151,7 +135,7 @@ func Externalize(part *partition.Part, cfg Config) (*Store, error) {
 	if cfg.WrapDevice != nil {
 		dev = cfg.WrapDevice(dev)
 	}
-	retry := pagecache.NewRetryDevice(dev, cfg.RetryAttempts, cfg.RetryBackoff)
+	retry := pagecache.NewRetryDevice(dev, pagecache.DefaultReadAttempts)
 	if cfg.Obs != nil {
 		retry.SetCounters(cfg.Obs.Counter(obs.PCRetries), cfg.Obs.Counter(obs.PCExhausted))
 	}
@@ -181,7 +165,7 @@ func Externalize(part *partition.Part, cfg Config) (*Store, error) {
 		cache: cache,
 		retry: retry,
 		path:  path,
-		pager: NewPager(part.CSR, cache, cfg.Fetchers, cfg.PrefetchQueue, cfg.Obs),
+		pager: NewPager(part.CSR, cache, min(cfg.QueueDepth, maxFetchers), prefetchQueue, cfg.Obs),
 	}
 	return s, nil
 }
@@ -240,5 +224,65 @@ func (s *Store) Restore() error {
 	return err
 }
 
-// Close is Restore: the store has no half-teardown state.
-func (s *Store) Close() error { return s.Restore() }
+// Stores is a machine's out-of-core backing, one Store per rank.
+type Stores []*Store
+
+// ExternalizeAll is the one machine-wide externalize: it moves every rank's
+// partition out of core, rank r's under cfg(parts[r]) with Rank set to r and
+// Obs to reg. When a rank fails, the ranks already moved are restored —
+// their in-memory targets back, their backing files removed — and the error
+// names the failing rank.
+func ExternalizeAll(parts []*partition.Part, reg *obs.Registry, cfg func(*partition.Part) Config) (Stores, error) {
+	stores := make(Stores, 0, len(parts))
+	for rank, part := range parts {
+		c := cfg(part)
+		c.Rank, c.Obs = rank, reg
+		st, err := Externalize(part, c)
+		if err != nil {
+			stores.Close()
+			return nil, fmt.Errorf("ooc: externalize rank %d: %w", rank, err)
+		}
+		stores = append(stores, st)
+	}
+	return stores, nil
+}
+
+// Pagers returns every rank's pager in rank order, nil for no stores. The
+// engine side turns them into engine.Config.Pagers (engine.RowPagers).
+func (s Stores) Pagers() []*Pager {
+	var pagers []*Pager
+	for _, st := range s {
+		pagers = append(pagers, st.Pager())
+	}
+	return pagers
+}
+
+// Stats sums every rank's counters.
+func (s Stores) Stats() Snapshot {
+	var sum Snapshot
+	for _, st := range s {
+		x := st.Stats()
+		sum.Cache.Hits += x.Cache.Hits
+		sum.Cache.Misses += x.Cache.Misses
+		sum.Cache.Stalls += x.Cache.Stalls
+		sum.Cache.Evictions += x.Cache.Evictions
+		sum.Cache.BytesRead += x.Cache.BytesRead
+		sum.Retries += x.Retries
+		sum.Exhausted += x.Exhausted
+		sum.DemandFetches += x.DemandFetches
+		sum.Prefetches += x.Prefetches
+		sum.PrefetchDropped += x.PrefetchDropped
+	}
+	return sum
+}
+
+// Close restores every rank (Store.Restore) and returns the first error.
+func (s Stores) Close() error {
+	var first error
+	for _, st := range s {
+		if err := st.Restore(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}

@@ -2,11 +2,16 @@ package ooc
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"havoqgt/internal/core"
+	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
 	"havoqgt/internal/pagecache"
@@ -165,4 +170,55 @@ func TestQueueBatchedParking(t *testing.T) {
 			t.Errorf("a warm park → Drain → Unpark → Release cycle allocates %v times", allocs)
 		}
 	})
+}
+
+// TestExternalizeAllRollsBack: when one rank cannot go out of core, the
+// ranks already moved get their in-memory targets back and their backing
+// files are removed, and the error names the failing rank. Rank 2 of 4 fails
+// because a directory already sits where its backing file would go.
+func TestExternalizeAllRollsBack(t *testing.T) {
+	var edges []graph.Edge
+	for v := graph.Vertex(0); v < 64; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: (v + 1) % 64}, graph.Edge{Src: v, Dst: (v + 7) % 64})
+	}
+	parts, err := partition.Build(rt.NewMachine(4), 64, partition.RoundRobin(edges), partition.EdgeList, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := make([]csr.MemTargets, len(parts))
+	for rank, part := range parts {
+		orig[rank] = part.CSR.Targets().(csr.MemTargets)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "targets-rank0002.hvqt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0 // ranks whose device stack was built before the failure
+	stores, err := ExternalizeAll(parts, nil, func(*partition.Part) Config {
+		return Config{ResidentFraction: 0.5, PageSize: 64, Dir: dir,
+			WrapDevice: func(d pagecache.BlockDevice) pagecache.BlockDevice { moved++; return d }}
+	})
+	if err == nil || stores != nil || !strings.Contains(err.Error(), "rank 2") {
+		t.Fatalf("ExternalizeAll = %v, %v; want rank 2's error and no stores", stores, err)
+	}
+	if moved != 2 {
+		t.Fatalf("%d ranks went out of core before rank 2 failed, want 2", moved)
+	}
+	for rank, part := range parts {
+		mem, ok := part.CSR.Targets().(csr.MemTargets)
+		if !ok || !slices.Equal(mem, orig[rank]) {
+			t.Errorf("rank %d: targets %T not restored to memory", rank, part.CSR.Targets())
+		}
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != "targets-rank0002.hvqt" {
+		var names []string
+		for _, e := range left {
+			names = append(names, e.Name())
+		}
+		t.Errorf("backing files left behind: %v", names)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // transientError is implemented by errors that are worth retrying: the same
@@ -75,7 +74,6 @@ func (e *ExhaustedError) Transient() bool { return false }
 type RetryDevice struct {
 	under    BlockDevice
 	attempts int
-	backoff  time.Duration // sleep between attempts, doubling (0 = none)
 
 	retries   atomic.Uint64
 	exhausted atomic.Uint64
@@ -88,14 +86,13 @@ type RetryDevice struct {
 var _ BlockDevice = (*RetryDevice)(nil)
 
 // NewRetryDevice wraps under with up to attempts tries per read
-// (<= 0 selects DefaultReadAttempts) and an optional doubling backoff
-// between tries (0 = immediate; simulated devices already charge their
-// service latency per attempt).
-func NewRetryDevice(under BlockDevice, attempts int, backoff time.Duration) *RetryDevice {
+// (<= 0 selects DefaultReadAttempts), re-issued at once: a simulated device
+// already charges its service latency per attempt.
+func NewRetryDevice(under BlockDevice, attempts int) *RetryDevice {
 	if attempts <= 0 {
 		attempts = DefaultReadAttempts
 	}
-	return &RetryDevice{under: under, attempts: attempts, backoff: backoff}
+	return &RetryDevice{under: under, attempts: attempts}
 }
 
 // ReadAt retries transient failures and torn reads, returning the first
@@ -106,7 +103,6 @@ func NewRetryDevice(under BlockDevice, attempts int, backoff time.Duration) *Ret
 // transient handler; what survives it is permanent) while still wrapping the
 // last underlying failure for inspection.
 func (d *RetryDevice) ReadAt(p []byte, off int64) (int, error) {
-	delay := d.backoff
 	var n int
 	var err error
 	for a := 0; a < d.attempts; a++ {
@@ -114,10 +110,6 @@ func (d *RetryDevice) ReadAt(p []byte, off int64) (int, error) {
 			d.retries.Add(1)
 			if d.retrySink != nil {
 				d.retrySink.Add(1)
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-				delay *= 2
 			}
 		}
 		n, err = d.under.ReadAt(p, off)

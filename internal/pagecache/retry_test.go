@@ -37,7 +37,7 @@ func TestRetryDeviceAbsorbsTransientFaults(t *testing.T) {
 		data[i] = byte(i)
 	}
 	dev := &retryFlakyDev{MemDevice: MemDevice{Data: data}, failN: 3, tornN: 2}
-	rd := NewRetryDevice(dev, 8, 0)
+	rd := NewRetryDevice(dev, 8)
 	p := make([]byte, 512)
 	n, err := rd.ReadAt(p, 0)
 	if err != nil || n != 512 {
@@ -58,7 +58,7 @@ func TestRetryDeviceAbsorbsTransientFaults(t *testing.T) {
 
 func TestRetryDevicePermanentErrorFailsFast(t *testing.T) {
 	dev := &MemDevice{Data: make([]byte, 64)}
-	rd := NewRetryDevice(dev, 8, 0)
+	rd := NewRetryDevice(dev, 8)
 	// Out-of-range read returns a permanent (non-transient) error.
 	if _, err := rd.ReadAt(make([]byte, 8), 4096); err == nil {
 		t.Fatal("expected permanent error")
@@ -70,7 +70,7 @@ func TestRetryDevicePermanentErrorFailsFast(t *testing.T) {
 
 func TestRetryDeviceExhaustion(t *testing.T) {
 	dev := &retryFlakyDev{MemDevice: MemDevice{Data: make([]byte, 64)}, failN: 1 << 30}
-	rd := NewRetryDevice(dev, 4, 0)
+	rd := NewRetryDevice(dev, 4)
 	_, err := rd.ReadAt(make([]byte, 8), 0)
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("exhausted retries should return ErrExhausted, got %v", err)
@@ -105,7 +105,7 @@ func TestRetryDeviceExhaustion(t *testing.T) {
 func TestRetryDeviceExhaustionTornRead(t *testing.T) {
 	data := make([]byte, 4096)
 	dev := &retryFlakyDev{MemDevice: MemDevice{Data: data}, tornN: 1 << 30}
-	rd := NewRetryDevice(dev, 4, 0)
+	rd := NewRetryDevice(dev, 4)
 	n, err := rd.ReadAt(make([]byte, 512), 0)
 	if err == nil {
 		t.Fatalf("torn-read exhaustion returned (n=%d, nil): silent short read", n)
@@ -131,7 +131,7 @@ func TestCacheOverRetryDeviceSurvivesFaults(t *testing.T) {
 		data[i] = byte(i % 251)
 	}
 	dev := &retryFlakyDev{MemDevice: MemDevice{Data: data}, failN: 5, tornN: 3}
-	c, err := New(NewRetryDevice(dev, 16, 0), 256, 8)
+	c, err := New(NewRetryDevice(dev, 16), 256, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,11 @@ import (
 // partition — it simply never splits an adjacency list (HasForward is always
 // false) and its ownership table is the block mapping.
 func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) {
+	return build1D(r, local, numVertices, false)
+}
+
+// build1D is Build1D, with global simplification when simplify is set.
+func build1D(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify bool) (*Part, error) {
 	if err := checkVertexCount(numVertices); err != nil {
 		return nil, err
 	}
@@ -47,7 +52,13 @@ func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) 
 	for _, buf := range in {
 		mine = decodeEdgesInto(mine, buf)
 	}
-	graph.SortEdges(mine)
+	if simplify {
+		// Every copy of an edge routed to its source's owner, so removing
+		// self loops and duplicates here removes them globally.
+		mine = graph.Simplify(mine)
+	} else {
+		graph.SortEdges(mine)
+	}
 
 	part := &Part{
 		Rank:        r.Rank(),

@@ -9,7 +9,9 @@
 //   - Imbalance models for 1D, 2D-block, and edge-list partitioning
 //     (Figure 2).
 //
-// Both builders produce a Part, the uniform partition view the visitor-queue
+// Build is the machine-wide entry point every caller uses: one collective
+// phase that hands each rank its chunk and runs the chosen layout's builder,
+// simplified or not. Both builders produce a Part, the uniform partition view the visitor-queue
 // core traverses: a replicated master-ownership table, a replicated global
 // degree table, a local CSR over the rank's vertex state range, and
 // (edge-list only) the replica-forwarding metadata for split adjacency lists.

@@ -10,18 +10,14 @@ import (
 )
 
 // TestBuildRejectsVertexCountBeyondTargetWord: a graph whose identifiers would
-// not fit a target word's vertex field is refused, typed, by both builders,
+// not fit a target word's vertex field is refused, typed, under every layout,
 // before any collective step.
 func TestBuildRejectsVertexCountBeyondTargetWord(t *testing.T) {
-	builders := map[string]func(*rt.Rank, []graph.Edge, uint64) (*Part, error){
-		"edgelist": BuildEdgeList, "simple": BuildEdgeListSimple, "1d": Build1D,
-	}
-	for name, build := range builders {
-		rt.NewMachine(2).Run(func(r *rt.Rank) {
-			if _, err := build(r, nil, csr.MaxVertices+1); !errors.Is(err, ErrTooManyVertices) {
-				t.Errorf("%s: n = 2^40+1 built with error %v", name, err)
-			}
-		})
+	for _, c := range layouts {
+		_, err := Build(rt.NewMachine(2), csr.MaxVertices+1, RoundRobin(nil), c.layout, c.simplify)
+		if !errors.Is(err, ErrTooManyVertices) {
+			t.Errorf("%s: n = 2^40+1 built with error %v", c.name, err)
+		}
 	}
 	if err := checkVertexCount(csr.MaxVertices); err != nil {
 		t.Errorf("n = 2^40 refused: %v", err)

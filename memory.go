@@ -14,6 +14,7 @@ import (
 
 	"havoqgt/internal/obs"
 	"havoqgt/internal/ooc"
+	"havoqgt/internal/partition"
 )
 
 // MemoryConfig sets the out-of-core memory budget for SetMemoryBudget.
@@ -32,8 +33,6 @@ type MemoryConfig struct {
 	// under it instead of simulated NVRAM. Files are removed by
 	// ResetMemoryBudget.
 	Dir string
-	// RetryAttempts bounds device read retries (0 = pagecache default).
-	RetryAttempts int
 }
 
 // MemoryStats aggregates the out-of-core serving counters across ranks.
@@ -85,25 +84,17 @@ func (g *Graph) SetMemoryBudget(cfg MemoryConfig) error {
 	if g.stores != nil {
 		return errors.New("havoqgt: a memory budget is already set (ResetMemoryBudget first)")
 	}
-	stores := make([]*ooc.Store, len(g.parts))
-	for rank, part := range g.parts {
-		st, err := ooc.Externalize(part, ooc.Config{
+	stores, err := ooc.ExternalizeAll(g.parts, g.machine.Obs(), func(*partition.Part) ooc.Config {
+		return ooc.Config{
 			ResidentFraction: cfg.ResidentFraction,
 			PageSize:         cfg.PageSize,
 			Latency:          cfg.DeviceLatency,
 			QueueDepth:       cfg.DeviceQueueDepth,
 			Dir:              cfg.Dir,
-			Rank:             rank,
-			RetryAttempts:    cfg.RetryAttempts,
-			Obs:              g.machine.Obs(),
-		})
-		if err != nil {
-			for r := 0; r < rank; r++ {
-				stores[r].Restore()
-			}
-			return fmt.Errorf("havoqgt: externalize rank %d: %w", rank, err)
 		}
-		stores[rank] = st
+	})
+	if err != nil {
+		return fmt.Errorf("havoqgt: %w", err)
 	}
 	g.stores = stores
 	return nil
@@ -118,14 +109,9 @@ func (g *Graph) ResetMemoryBudget() error {
 	if g.eng != nil {
 		return errors.New("havoqgt: cannot change the memory budget while an engine is attached (close it first)")
 	}
-	var first error
-	for _, st := range g.stores {
-		if err := st.Restore(); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := g.stores.Close()
 	g.stores = nil
-	return first
+	return err
 }
 
 // OutOfCore reports whether a memory budget is currently set.
@@ -141,26 +127,20 @@ func (g *Graph) MemoryStats() MemoryStats {
 	g.mu.Lock()
 	stores := g.stores
 	g.mu.Unlock()
-	var out MemoryStats
-	for _, st := range stores {
-		s := st.Stats()
-		out.CacheHits += s.Cache.Hits
-		out.CacheMisses += s.Cache.Misses
-		out.CacheStalls += s.Cache.Stalls
-		out.CacheEvictions += s.Cache.Evictions
-		out.BytesRead += s.Cache.BytesRead
-		out.Retries += s.Retries
-		out.Exhausted += s.Exhausted
-		out.DemandFetches += s.DemandFetches
-		out.Prefetches += s.Prefetches
-		out.PrefetchDropped += s.PrefetchDropped
+	s := stores.Stats()
+	return MemoryStats{
+		CacheHits:       s.Cache.Hits,
+		CacheMisses:     s.Cache.Misses,
+		CacheStalls:     s.Cache.Stalls,
+		CacheEvictions:  s.Cache.Evictions,
+		BytesRead:       s.Cache.BytesRead,
+		HitRate:         s.Cache.HitRate(),
+		Retries:         s.Retries,
+		Exhausted:       s.Exhausted,
+		DemandFetches:   s.DemandFetches,
+		Prefetches:      s.Prefetches,
+		PrefetchDropped: s.PrefetchDropped,
 	}
-	if total := out.CacheHits + out.CacheMisses; total > 0 {
-		out.HitRate = float64(out.CacheHits) / float64(total)
-	} else {
-		out.HitRate = 1
-	}
-	return out
 }
 
 // TraversalCounters reads the machine-wide visitor-queue counters. Benchmark

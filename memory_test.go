@@ -2,6 +2,8 @@ package havoqgt
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -182,6 +184,46 @@ func TestMemoryBudgetFileBacked(t *testing.T) {
 	}
 	if g.MemoryStats().CacheMisses == 0 {
 		t.Fatal("file-backed run faulted nothing in")
+	}
+	if err := g.ResetMemoryBudget(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemoryBudgetRollsBack: a budget that fails on rank 2 of 4 leaves the
+// graph fully resident — ranks 0 and 1 back in memory with their backing
+// files gone — so queries still answer and a later budget can be set.
+func TestMemoryBudgetRollsBack(t *testing.T) {
+	g, err := GenerateRMAT(8, 5, Options{Ranks: 4, Undirect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.BFS(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "targets-rank0002.hvqt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetMemoryBudget(MemoryConfig{ResidentFraction: 0.25, Dir: dir}); err == nil {
+		t.Fatal("budget set over a blocked backing file")
+	}
+	if g.OutOfCore() {
+		t.Fatal("OutOfCore() true after a failed SetMemoryBudget")
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 {
+		t.Fatalf("%d entries under the budget dir, want only the blocker", len(left))
+	}
+	got, err := g.BFS(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bfsSig(got) != bfsSig(base) {
+		t.Fatal("BFS after a failed budget diverges")
+	}
+	if err := g.SetMemoryBudget(MemoryConfig{ResidentFraction: 0.25, Dir: t.TempDir()}); err != nil {
+		t.Fatalf("budget after the rollback: %v", err)
 	}
 	if err := g.ResetMemoryBudget(); err != nil {
 		t.Fatal(err)
