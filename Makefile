@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzTopologyRoute$$ -fuzztime=$(FUZZTIME) ./internal/mailbox
 	$(GO) test -run=^$$ -fuzz=^FuzzCacheReadAt$$ -fuzztime=$(FUZZTIME) ./internal/pagecache
 	$(GO) test -run=^$$ -fuzz=^FuzzDOHandle$$ -fuzztime=$(FUZZTIME) ./internal/algos/bfs
+	$(GO) test -run=^$$ -fuzz=^FuzzPageRankRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/pagerank
 	$(GO) test -run=^$$ -fuzz=^FuzzQueryRequest$$ -fuzztime=$(FUZZTIME) ./cmd/havoqd
 
 # Chaos harness (DESIGN.md §8): seeded fault plans × every algorithm × every

@@ -16,21 +16,14 @@ import (
 )
 
 // Σ Executed at the benchmark's shape on the FIFO: k-core(64) 30,829 every
-// time (a vertex is visited once, when it is removed, whatever the schedule),
-// PageRank(3) 142,595–144,588 over 16 runs (which contribution completes a
-// vertex's iteration depends on arrival order).
+// time (a vertex is visited once, when it is removed, whatever the schedule).
+// What it sends: uncombined (no ghost table) is exact and was the count
+// before the combiner — every push not applied in place is one record.
+// Combined, one record per (rank, ghost slot) plus whatever a slot's refused
+// merges send early — 57–58 K over runs.
 const (
-	kcoreExecutedMin, kcoreExecutedMax       = 30_829, 30_829
-	pagerankExecutedMin, pagerankExecutedMax = 141_000, 146_000
-)
-
-// What the same two runs send. Uncombined (no ghost table) is exact and was
-// the count before the combiner: every push not applied in place is one
-// record. Combined, one record per (rank, ghost slot, iteration) plus whatever
-// a slot's refused merges send early — 57–58 K and 340–360 K over runs.
-const (
-	kcoreRecordsUncombined, kcoreRecordsMax       = 252_464, 75_000
-	pagerankRecordsUncombined, pagerankRecordsMax = 2_319_546, 420_000
+	kcoreExecutedMin, kcoreExecutedMax      = 30_829, 30_829
+	kcoreRecordsUncombined, kcoreRecordsMax = 252_464, 75_000
 )
 
 // cc at the same shape. Min-label propagation over the whole graph executed
@@ -248,6 +241,7 @@ func TestOneShotAllocBudget(t *testing.T) {
 	}{
 		{"BFS", 10, perQuery(len(sources), func(i int) error { _, err := g.BFS(sources[i]); return err })},
 		{"KCore(64)", 7.5, perQuery(4, func(int) error { _, err := g.KCore(64); return err })},
+		{"PageRank(3)", 4, perQuery(4, func(int) error { _, err := g.PageRank(3); return err })},
 	} {
 		t.Logf("one-shot %s allocates %.1f MB per query", c.name, c.mb)
 		if c.mb > c.budgetMB {
@@ -344,13 +338,19 @@ func TestBFSRecordBudget(t *testing.T) {
 // TestAnalyticsExecutedBudget pins what the analytics kernels execute and
 // send at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64, three
 // PageRank iterations and cc, as bench/'s analytics round runs them).
-// Executed: the bounds are the FIFO's logged ranges, widened by the
-// run-to-run spread of an asynchronous traversal, and merging at the sender
-// must not move them. Records: the combiner must cut them to the budget, and
-// with no ghost table it must send exactly what the kernels sent before it
-// existed — it rides the table and nothing else. cc must leave label
-// propagation only what its marking did not reach, and its whole-graph flood
-// (a resume that labelled nothing) must stay within its own budget.
+// k-core: the executed bounds are the FIFO's logged range, and merging at the
+// sender must not move them; the combiner must cut its records to the
+// budget, and with no ghost table it must send exactly what the kernel sent
+// before it existed — it rides the table and nothing else. cc must leave
+// label propagation only what its marking did not reach, and its whole-graph
+// flood (a resume that labelled nothing) must stay within its own budget.
+//
+// PageRank executes no visitor and its counts are exact, with or without a
+// ghost table. Each of its iters rounds is one record from every rank to
+// every peer: p(p−1)·iters. A split row's contribution goes down its replica
+// chain once per iteration after the first, one record to each rank holding
+// a non-master fragment, and a rank holds at most one, its first row: with f
+// such ranks, (iters−1)·f more. Every record is a protocol record.
 func TestAnalyticsExecutedBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 visit budget: not under -short or -race")
@@ -361,39 +361,58 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 	}
 	uncombined := g.engineConfig()
 	uncombined.Ghosts = core.BuildGhostTables(g.parts, -1)
-	for _, c := range []struct {
-		spec                  engine.Spec
-		min, max              uint64
-		records, uncombinedAt uint64 // budget with the default tables; exact count without
-	}{
-		{engine.Spec{Algo: engine.AlgoKCore, K: 64}, kcoreExecutedMin, kcoreExecutedMax, kcoreRecordsMax, kcoreRecordsUncombined},
-		{engine.Spec{Algo: engine.AlgoPageRank, Iters: 3}, pagerankExecutedMin, pagerankExecutedMax, pagerankRecordsMax, pagerankRecordsUncombined},
-	} {
-		for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
-			_, stats, err := engine.RunOnce(cfg, engine.Options{}, c.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var executed, queued, combined, records uint64
-			for _, s := range stats {
-				executed += s.Executed
-				queued += s.Queued
-				combined += s.Combined
-				records += s.Mailbox.RecordsSent
-			}
-			combining := cfg.Ghosts != nil
-			t.Logf("%s (combining %v): executed %d, queued %d, combined %d, records sent %d",
-				c.spec.Algo, combining, executed, queued, combined, records)
-			if executed < c.min || executed > c.max {
-				t.Errorf("%s executed %d visits, want %d to %d", c.spec.Algo, executed, c.min, c.max)
-			}
-			switch {
-			case combining && records > c.records:
-				t.Errorf("%s sent %d records, budget %d", c.spec.Algo, records, c.records)
-			case !combining && (records != c.uncombinedAt || combined != 0):
-				t.Errorf("%s with no ghost table sent %d records (%d combined), want exactly %d, none combined",
-					c.spec.Algo, records, combined, c.uncombinedAt)
-			}
+	for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
+		_, stats, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoKCore, K: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed, queued, combined, records uint64
+		for _, s := range stats {
+			executed += s.Executed
+			queued += s.Queued
+			combined += s.Combined
+			records += s.Mailbox.RecordsSent
+		}
+		combining := cfg.Ghosts != nil
+		t.Logf("kcore (combining %v): executed %d, queued %d, combined %d, records sent %d",
+			combining, executed, queued, combined, records)
+		if executed < kcoreExecutedMin || executed > kcoreExecutedMax {
+			t.Errorf("kcore executed %d visits, want %d to %d", executed, kcoreExecutedMin, kcoreExecutedMax)
+		}
+		switch {
+		case combining && records > kcoreRecordsMax:
+			t.Errorf("kcore sent %d records, budget %d", records, kcoreRecordsMax)
+		case !combining && (records != kcoreRecordsUncombined || combined != 0):
+			t.Errorf("kcore with no ghost table sent %d records (%d combined), want exactly %d, none combined",
+				records, combined, kcoreRecordsUncombined)
+		}
+	}
+
+	const iters = 3
+	p := uint64(len(g.parts))
+	var fragments uint64
+	for _, part := range g.parts {
+		if part.StateLen > 0 && !part.IsMaster(part.StateStart) {
+			fragments++
+		}
+	}
+	want := p*(p-1)*iters + (iters-1)*fragments
+	for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
+		_, stats, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed, protocol, records uint64
+		for _, s := range stats {
+			executed += s.Executed
+			protocol += s.ProtocolSent
+			records += s.Mailbox.RecordsSent
+		}
+		t.Logf("pagerank (ghost table %v): executed %d, protocol records %d, records sent %d (%d split-row fragments)",
+			cfg.Ghosts != nil, executed, protocol, records, fragments)
+		if executed != 0 || protocol != want || records != want {
+			t.Errorf("pagerank executed %d visits and sent %d records (%d protocol), want 0 and exactly %d",
+				executed, records, protocol, want)
 		}
 	}
 

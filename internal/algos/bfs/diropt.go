@@ -8,11 +8,12 @@
 //
 // The protocol is collective-free — it runs on the same tagged mailbox and
 // termination detector as every other query, so the multi-query engine can
-// interleave it with other traversals. Per level, each rank sends exactly one
-// level message to every peer (its local contribution to the next frontier)
-// and advances when all p-1 peer contributions for that level have arrived;
-// because every rank merges identical data, the direction decision is
-// deterministic and identical everywhere without a barrier or reduction.
+// interleave it with other traversals. Levels are the rounds of a
+// core.RoundExchange: per level, each rank sends exactly one level message to
+// every peer (its local contribution to the next frontier) and advances when
+// all p-1 peer contributions for that level have arrived; because every rank
+// merges identical data, the direction decision is deterministic and
+// identical everywhere without a barrier or reduction.
 //
 // Parent assignment never needs its own scan: when a vertex joins the
 // frontier, its master finds a previous-level neighbor in its own row
@@ -90,20 +91,14 @@ type DO struct {
 	done   bool   // merged an empty frontier (or cancelled)
 	uEdges uint64 // Σ deg over unvisited vertices (identical on all ranks)
 
-	pending map[uint32]*doLevelAcc
+	// levels exchanges the contributions, round L being level L's frontier.
+	levels *core.RoundExchange[core.Bitmap]
 
 	scratch []byte
 
 	// TopDownLevels/BottomUpLevels count levels executed in each mode — the
 	// ablation evidence bench-algos records next to the speedup.
 	TopDownLevels, BottomUpLevels int
-}
-
-// doLevelAcc accumulates peer contributions for one level.
-type doLevelAcc struct {
-	seen []bool
-	left int
-	bits core.Bitmap
 }
 
 // NewDO builds the state machine, ready to scan level 0 from source. send
@@ -123,7 +118,7 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		contrib:      core.NewBitmap(part.NumVertices),
 		Level:        make([]uint32, part.StateLen),
 		Parent:       make([]graph.Vertex, part.StateLen),
-		pending:      make(map[uint32]*doLevelAcc),
+		levels:       core.NewRoundExchange(part.P, part.Rank, 1, core.NewBitmap(part.NumVertices), core.NewBitmap(part.NumVertices)),
 	}
 	for i := range d.Level {
 		d.Level[i] = Unreached
@@ -163,28 +158,21 @@ func (d *DO) Handle(payload []byte) {
 	}
 	switch payload[0] {
 	case doKindLevel:
-		if len(payload) < 13 {
+		if len(payload) < core.RoundHeader+4 {
 			return
 		}
-		src := int(binary.LittleEndian.Uint32(payload[1:]))
-		level := binary.LittleEndian.Uint32(payload[5:])
-		nw := int(binary.LittleEndian.Uint32(payload[9:]))
-		if src < 0 || src >= d.p {
+		acc, body, ok := d.levels.Accept(payload)
+		if !ok {
 			return
 		}
-		acc := d.levelAcc(level)
-		if acc.seen[src] {
-			return
-		}
-		acc.seen[src] = true
-		acc.left--
-		rest := payload[13:]
-		words := acc.bits.Words()
+		nw := int(binary.LittleEndian.Uint32(body))
+		rest := body[4:]
+		words := acc.Words()
 		for i := 0; i < nw && (i+1)*12 <= len(rest); i++ {
 			idx := binary.LittleEndian.Uint32(rest[i*12:])
 			word := binary.LittleEndian.Uint64(rest[i*12+4:])
 			if uint64(idx) < uint64(len(words)) {
-				acc.bits.OrWord(idx, word)
+				acc.OrWord(idx, word)
 			}
 		}
 		// Bits at or beyond n name no vertex (and no degree table entry).
@@ -203,15 +191,6 @@ func (d *DO) Handle(payload []byte) {
 	}
 }
 
-func (d *DO) levelAcc(level uint32) *doLevelAcc {
-	acc, ok := d.pending[level]
-	if !ok {
-		acc = &doLevelAcc{seen: make([]bool, d.p), left: d.p, bits: core.NewBitmap(d.n)}
-		d.pending[level] = acc
-	}
-	return acc
-}
-
 // TryAdvance performs whatever phase transition is possible — scanning and
 // broadcasting this rank's contribution for the next level, or merging a
 // completed level — and reports whether anything happened.
@@ -223,11 +202,11 @@ func (d *DO) TryAdvance() bool {
 		d.scanAndSend()
 		return true
 	}
-	acc, ok := d.pending[d.level+1]
-	if !ok || acc.left > 0 {
+	newly, ok := d.levels.Ready()
+	if !ok {
 		return false
 	}
-	d.merge(acc)
+	d.merge(*newly)
 	return true
 }
 
@@ -237,11 +216,8 @@ func (d *DO) Idle() bool {
 	if d.done {
 		return true
 	}
-	if !d.sent {
-		return false
-	}
-	acc, ok := d.pending[d.level+1]
-	return !ok || acc.left > 0
+	_, ready := d.levels.Ready()
+	return d.sent && !ready
 }
 
 // Done reports whether the traversal has finished on this rank.
@@ -252,11 +228,8 @@ func (d *DO) Done() bool { return d.done }
 // rank.
 func (d *DO) Visited() core.Bitmap { return d.visited }
 
-// Abort marks the machine done and drops buffered state (engine Cancel).
-func (d *DO) Abort() {
-	d.done = true
-	clear(d.pending)
-}
+// Abort marks the machine done (engine Cancel).
+func (d *DO) Abort() { d.done = true }
 
 // scanAndSend computes this rank's contribution to the next frontier from
 // its locally stored row portions — pushing frontier rows top-down, or
@@ -294,9 +267,7 @@ func (d *DO) scanAndSend() {
 
 	// Serialize the nonzero words and broadcast.
 	buf := d.scratch[:0]
-	buf = append(buf, doKindLevel)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.part.Rank))
-	buf = binary.LittleEndian.AppendUint32(buf, d.level+1)
+	buf = core.AppendRoundHeader(buf, doKindLevel, d.part.Rank, d.level+1)
 	nwAt := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	var nw uint32
@@ -315,16 +286,13 @@ func (d *DO) scanAndSend() {
 		}
 	}
 
-	acc := d.levelAcc(d.level + 1)
-	if !acc.seen[d.part.Rank] {
-		acc.seen[d.part.Rank] = true
-		acc.left--
-		for wi, w := range d.contrib.Words() {
-			if w != 0 {
-				acc.bits.OrWord(uint32(wi), w)
-			}
+	acc := d.levels.Acc(d.level + 1)
+	for wi, w := range d.contrib.Words() {
+		if w != 0 {
+			acc.OrWord(uint32(wi), w)
 		}
 	}
+	d.levels.Contribute()
 	d.sent = true
 }
 
@@ -332,9 +300,7 @@ func (d *DO) scanAndSend() {
 // the next frontier, newly visited masters get levels and parents, replica
 // holders send parent candidates for split vertices, and the direction for
 // the next scan is decided from the replicated edge counts.
-func (d *DO) merge(acc *doLevelAcc) {
-	delete(d.pending, d.level+1)
-	newly := acc.bits
+func (d *DO) merge(newly core.Bitmap) {
 	// A contribution may include vertices another rank reached at an earlier
 	// level only if scans raced ahead — impossible here (contributions only
 	// name unvisited-at-scan-time vertices and scans run level-synchronously)
@@ -359,17 +325,19 @@ func (d *DO) merge(acc *doLevelAcc) {
 		d.visited.OrWord(uint32(wi), w)
 	}
 	d.frontier.CopyFrom(newly)
+	newly.Clear()
+	d.levels.Advance()
 
 	// Levels for every locally held newly visited vertex (replicas too, as
 	// in the visitor-queue BFS); parents are resolved against the retired
 	// frontier (the parent level) in finishParents.
-	d.forLocalRows(newly, false, func(i int, v graph.Vertex) {
+	d.forLocalRows(d.frontier, false, func(i int, v graph.Vertex) {
 		d.Level[i] = d.level
 	})
-	d.finishParents(newly)
+	d.finishParents(d.frontier)
 
 	// Direction decision from replicated data — identical on every rank.
-	fEdges := d.sumDeg(newly)
+	fEdges := d.sumDeg(d.frontier)
 	d.uEdges -= fEdges
 	switch d.mode {
 	case modeTopDown:

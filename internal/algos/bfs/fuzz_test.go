@@ -17,19 +17,8 @@ import (
 // accumulated, nor a parent at or beyond n recorded; and TryAdvance and Idle
 // stay callable afterwards, through whatever merge the payload completes.
 func FuzzDOHandle(f *testing.F) {
-	const n = 70
-	var edges []graph.Edge
-	for v := graph.Vertex(1); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: v - 1, Dst: v}, graph.Edge{Src: v, Dst: v - 1})
-	}
-	parts := make([]*partition.Part, 2)
-	rt.NewMachine(2).Run(func(r *rt.Rank) {
-		var err error
-		if parts[r.Rank()], err = partition.BuildEdgeList(r, edges[r.Rank()*len(edges)/2:(r.Rank()+1)*len(edges)/2], n); err != nil {
-			panic(err)
-		}
-	})
-	part := parts[0]
+	const n = pathVertices
+	part := pathParts()[0]
 	source := part.StateStart // a vertex rank 0 holds
 	noSend := func(int, []byte) {}
 
@@ -40,8 +29,8 @@ func FuzzDOHandle(f *testing.F) {
 		d.Handle(payload) // a duplicate is dropped
 
 		if len(payload) > 0 && payload[0] == 1 {
-			if len(d.pending) != 0 || !slices.Equal(d.Level, fresh.Level) || !slices.Equal(d.Parent, fresh.Parent) {
-				t.Fatalf("retired kind 1 changed the machine: %d levels pending", len(d.pending))
+			if !sameMachine(d, fresh) {
+				t.Fatal("retired kind 1 changed the machine")
 			}
 		}
 		for i, pv := range d.Parent {
@@ -49,8 +38,8 @@ func FuzzDOHandle(f *testing.F) {
 				t.Fatalf("vertex %d took parent %d of a %d-vertex graph", part.Vertex(i), pv, n)
 			}
 		}
-		for level, acc := range d.pending {
-			if i, ok := firstBitFrom(acc.bits.Words(), n); ok {
+		for level := d.levels.Round(); level <= d.levels.Round()+1; level++ {
+			if i, ok := firstBitFrom(d.levels.Acc(level).Words(), n); ok {
 				t.Fatalf("level %d accumulates bit %d of a %d-vertex graph", level, i, n)
 			}
 		}
@@ -62,6 +51,42 @@ func FuzzDOHandle(f *testing.F) {
 			t.Fatalf("visited holds bit %d of a %d-vertex graph", i, n)
 		}
 	})
+}
+
+// pathVertices is the length of the path pathParts partitions.
+const pathVertices = 70
+
+// pathParts partitions the path 0–1–…–69 over two ranks.
+func pathParts() []*partition.Part {
+	var edges []graph.Edge
+	for v := graph.Vertex(1); v < pathVertices; v++ {
+		edges = append(edges, graph.Edge{Src: v - 1, Dst: v}, graph.Edge{Src: v, Dst: v - 1})
+	}
+	parts := make([]*partition.Part, 2)
+	rt.NewMachine(2).Run(func(r *rt.Rank) {
+		var err error
+		if parts[r.Rank()], err = partition.BuildEdgeList(r, edges[r.Rank()*len(edges)/2:(r.Rank()+1)*len(edges)/2], pathVertices); err != nil {
+			panic(err)
+		}
+	})
+	return parts
+}
+
+// sameMachine reports whether two machines hold the same state: levels,
+// parents, and what both rounds in the exchange's window have accumulated
+// and counted. A round outside the window has no state to compare.
+func sameMachine(a, b *DO) bool {
+	if a.levels.Round() != b.levels.Round() || !slices.Equal(a.Level, b.Level) || !slices.Equal(a.Parent, b.Parent) {
+		return false
+	}
+	for level := a.levels.Round(); level <= a.levels.Round()+1; level++ {
+		if !slices.Equal(a.levels.Acc(level).Words(), b.levels.Acc(level).Words()) {
+			return false
+		}
+	}
+	_, ra := a.levels.Ready()
+	_, rb := b.levels.Ready()
+	return ra == rb && a.Idle() == b.Idle()
 }
 
 // firstBitFrom returns the lowest set bit at or beyond n in words.

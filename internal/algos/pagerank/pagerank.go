@@ -1,26 +1,35 @@
-// Package pagerank implements PageRank as a visitor over the distributed
-// asynchronous visitor queue — the first-class engine query type promoted
-// from the offline harness (DESIGN.md §14).
+// Package pagerank implements PageRank as dense counted rounds — Ligra's
+// dense edgeMap as GBBS runs it — on the round exchange direction-optimizing
+// BFS levels run on (core.RoundExchange).
 //
-// The kernel is a self-clocked asynchronous wavefront in deterministic
-// fixed-point arithmetic (internal/ref holds the shared constants and the
-// sequential reference). Each master vertex counts the contributions it has
-// received for its current iteration; when the count reaches the vertex's
-// full degree, the iteration is complete — rank_{k+1}(v) = base + Σ c_k(u)
-// — and the vertex emits its own contribution for the next iteration down
-// its replica chain. No barrier separates iterations: different vertices
-// may be an iteration apart (never more — a neighbor cannot finish k+1
-// before this vertex's c_k arrives), so two accumulation buckets per vertex
-// suffice. Because the arithmetic is integral and completion is counted,
-// the result is bit-identical to the synchronous reference under any
-// message schedule — which is what makes pagerank hashable for cluster
-// equivalence. For the same reason contributions can be merged before they
-// leave the sending rank (core.CombineAlgorithm): a merged visitor carries the
-// sum of its contributions and how many it stands for, and fixed-point sums
-// are associative, so the master's bucket ends the same.
+// Every vertex is active in every iteration, so nothing is gained by making
+// each edge a visitor. Iteration k is round k of the exchange: each rank
+// sweeps its stored rows once and adds every row's contribution c_k(u) =
+// α·rank_k(u)/deg(u) into one of three places — a flat per-master array for
+// a target the rank masters (csr.Target.Local), one sum per remote slot (the
+// partition's Target.Slot numbering) for a remote target the rank stores at
+// least two edges to, or a per-owner run for the few other remote edges. It
+// then sends each peer one run of (vertex, sum) pairs, that peer's
+// contribution to the round, possibly empty. A master completes iteration k
+// when round k is complete — its p−1 peer runs and the rank's own sweep have
+// all arrived — and rank_{k+1} = base + the sum: no per-edge visitor, no
+// per-vertex count.
 //
-// PageRank is not monotone (ranks move both ways between iterations), so
-// the algorithm is non-resumable: the engine's capability flag routes
+// A split row (edge-list partitioning puts a fragment of at most one, its
+// first row, on a rank) is swept by every rank that holds a piece of it, and
+// those ranks need c_k from the row's master. Iteration 0 needs no message —
+// rank_0 = 1/n everywhere — and for each later iteration the master sends c_k
+// down the row's replica chain when it completes iteration k−1, one record
+// per chain rank, before any of them can sweep iteration k.
+//
+// The arithmetic is the deterministic fixed point of internal/ref, which
+// holds the shared constants and the sequential reference. Sums are integers,
+// so the order records arrive in cannot change them, and every rank count,
+// routing topology and schedule ends bit-identical to ref.PageRank — which is
+// what makes pagerank hashable for cluster equivalence.
+//
+// PageRank is not monotone (ranks move both ways between iterations), so the
+// algorithm is non-resumable: the engine's capability flag routes
 // checkpoint/resume attempts to ErrNotResumable instead of checkpointing
 // garbage.
 package pagerank
@@ -38,184 +47,311 @@ import (
 const DefaultIters = 20
 
 // MaxIters bounds a query's requested iteration count (each iteration is a
-// full supersweep of the edge set; 64 is far past convergence at fixed
-// point). It also keeps Visitor.Iter in 16 bits.
+// full sweep of the edge set; 64 is far past convergence at fixed point).
 const MaxIters = 64
 
-// Visitor kinds.
+// Record kinds (first payload byte).
 const (
-	kindContrib = 0 // Cnt per-edge contributions for iteration Iter, summed in Val
-	kindEmit    = 1 // fan out Val along the vertex's locally stored edges
+	kindRound = 1 // [header][count u32][count × pair]
+	kindChain = 2 // [kind][vertex u64][iter u32][contribution u64]
 )
 
-// Visitor is either a contribution to a vertex's accumulator (contrib) or
-// an instruction to a vertex's row holders to fan its contribution out
-// (emit, forwarded down the replica chain).
-type Visitor struct {
-	V    graph.Vertex
-	Val  uint64
-	Cnt  uint32 // contributions summed into Val (contrib only)
-	Iter uint16
-	Kind uint8
+const chainBytes = 21
+
+// A pair is 10 bytes: a u64 holding the vertex in its low 40 bits — every
+// vertex fits them (csr.MaxVertices) — and the sum's low 24 bits above it,
+// then a u16 holding the sum's top 16 bits. Any sum a rank sends fits 40
+// bits: ranks sum to at most ref.PRScale = 2^40 in every iteration (rank_0
+// does, and each iteration hands on at most α of the mass it received and
+// adds n·base = (1−α)·PRScale), so the contributions into one vertex total
+// at most α·PRScale.
+const (
+	pairBytes  = 10
+	vertexBits = 40
+)
+
+func appendPair(buf []byte, v, sum uint64) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, v|sum<<vertexBits)
+	return binary.LittleEndian.AppendUint16(buf, uint16(sum>>(64-vertexBits)))
 }
 
-// Vertex returns the visitor's target.
-func (v Visitor) Vertex() graph.Vertex { return v.V }
+func readPair(b []byte) (v, sum uint64) {
+	w := binary.LittleEndian.Uint64(b)
+	return w & (1<<vertexBits - 1), w>>vertexBits | uint64(binary.LittleEndian.Uint16(b[8:]))<<(64-vertexBits)
+}
 
-// PR is one rank's PageRank state.
+// sliceEdges is how many edges one TryAdvance sweeps before it returns, so
+// the rank loop interleaves other queries with a sweep.
+const sliceEdges = 256
+
+// PR is one rank's PageRank state machine. Drive it with Handle (one
+// delivered payload) and TryAdvance (a sweep slice, or a completed
+// iteration); once every iteration has completed it stays Idle. Sends go
+// through the injected send function, as bfs.DO's do.
 type PR struct {
-	part  *partition.Part
-	iters uint32
+	part   *partition.Part
+	iters  uint32
+	send   func(dest int, payload []byte)
+	lo, hi uint64 // master range
+	base   uint64
 
-	// Rank is the fixed-point rank per local state index (masters
-	// authoritative).
-	Rank []uint64
+	// sums exchanges the rounds; each accumulator is Σ contributions per
+	// master, indexed by vertex − lo. rank is the masters' fixed-point ranks,
+	// indexed the same way: the accumulator of the last completed round with
+	// base added — or, before the first, round 1's, holding rank_0 = 1/n. The
+	// next sweep reads it and frees it for the round after (see sweep).
+	sums *core.RoundExchange[[]uint64]
+	rank []uint64
 
-	// Per-master iteration clock: done counts completed iterations; the
-	// current bucket accumulates contributions tagged done, the next bucket
-	// those tagged done+1 (at most one iteration of skew is possible).
-	done            []uint32
-	cntCur, cntNext []uint32
-	accCur, accNext []uint64
-	dropped         uint64 // contributions outside the two-bucket window
+	// A split row's fragment (fragment: the rank's first row, mastered
+	// elsewhere) sweeps chainC, its master's contribution for iteration
+	// chainIter. Every other row is a master's, and sweeps its rank's share.
+	fragment  bool
+	chainIter uint32
+	chainC    uint64
+
+	slotSum []uint64 // per remote slot: the sweep's sum
+	runs    [][]byte // per peer: the record the sweep is building
+	// loose is the owner of every untagged edge to a vertex a peer masters,
+	// in sweep order: the first sweep resolves them, the later ones read
+	// them. next indexes it during a sweep.
+	loose []int32
+	next  int
+
+	swept int  // iterations swept; the sweep in progress is iteration swept
+	row   int  // next row of the sweep in progress; -1 when none is
+	done  bool // every iteration complete (or cancelled)
 }
 
-var _ core.CombineAlgorithm[Visitor] = (*PR)(nil)
-
-// New initializes PageRank state: every vertex at rank 1/n.
-func New(part *partition.Part, iters uint32) *PR {
+// New builds rank state for iters iterations (0: DefaultIters), every vertex
+// at rank 1/n and ready to sweep iteration 0. send transmits one record to a
+// peer rank (never to self).
+func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)) *PR {
 	if iters == 0 {
 		iters = DefaultIters
 	}
+	lo, hi := part.Owners.MasterRange(part.Rank)
 	p := &PR{
-		part:    part,
-		iters:   iters,
-		Rank:    make([]uint64, part.StateLen),
-		done:    make([]uint32, part.StateLen),
-		cntCur:  make([]uint32, part.StateLen),
-		cntNext: make([]uint32, part.StateLen),
-		accCur:  make([]uint64, part.StateLen),
-		accNext: make([]uint64, part.StateLen),
+		part:     part,
+		iters:    iters,
+		send:     send,
+		lo:       lo,
+		hi:       hi,
+		rank:     make([]uint64, hi-lo),
+		fragment: part.StateLen > 0 && !part.IsMaster(part.StateStart),
+		slotSum:  make([]uint64, len(part.SlotVertex)),
+		runs:     make([][]byte, part.P),
+		row:      -1,
 	}
-	for i := range p.Rank {
-		p.Rank[i] = ref.PRScale / part.NumVertices
+	p.sums = core.NewRoundExchange(part.P, part.Rank, 0, make([]uint64, hi-lo), p.rank)
+	if n := part.NumVertices; n > 0 {
+		p.base = ref.PRBase(n)
+		for i := range p.rank {
+			p.rank[i] = ref.PRScale / n
+		}
+		if p.fragment {
+			p.chainC = ref.PRContrib(ref.PRScale/n, part.GlobalDegree(part.StateStart))
+		}
+	}
+	// Each peer's run holds a pair per remote slot it owns and one per
+	// untagged edge to a vertex it masters: counted once, so the runs and
+	// loose are allocated at their size and reused by every sweep.
+	pairs := make([]int, part.P)
+	for _, o := range part.SlotOwner {
+		pairs[o]++
+	}
+	untagged := 0
+	for i := 0; i < part.StateLen; i++ {
+		for _, t := range part.CSR.Row(i) {
+			if v := uint64(t.Vertex()); !t.Local() && t.Slot() < 0 && v-lo >= hi-lo {
+				pairs[part.Master(t.Vertex())]++
+				untagged++
+			}
+		}
+	}
+	p.loose = make([]int32, 0, untagged)
+	for r, n := range pairs {
+		if r != part.Rank {
+			p.runs[r] = make([]byte, 0, core.RoundHeader+4+n*pairBytes)
+		}
 	}
 	return p
 }
 
-// Seed pushes the initial contribution wave: every local master with edges
-// emits c_0 = α·rank_0/deg; degree-0 masters settle immediately at the
-// teleport mass (they receive nothing and contribute nothing).
-func (p *PR) Seed(q *core.Queue[Visitor]) {
-	lo, hi := p.part.Owners.MasterRange(p.part.Rank)
-	base := ref.PRBase(p.part.NumVertices)
-	for v := lo; v < hi; v++ {
-		i, _ := p.part.LocalIndex(graph.Vertex(v))
-		deg := p.part.GlobalDegree(graph.Vertex(v))
-		if deg == 0 {
-			p.Rank[i] = base
-			p.done[i] = p.iters
-			continue
+// Handle applies one delivered record: a peer's run for a round, or a split
+// row's contribution from up its replica chain. A record the protocol cannot
+// have sent — out of its window, a duplicate, naming a vertex the rank does
+// not master — is dropped.
+func (p *PR) Handle(payload []byte) {
+	if len(payload) == 0 {
+		return
+	}
+	switch payload[0] {
+	case kindRound:
+		if len(payload) < core.RoundHeader+4 {
+			return
 		}
-		c := ref.PRContrib(p.Rank[i], deg)
-		q.Push(Visitor{V: graph.Vertex(v), Val: c, Iter: 0, Kind: kindEmit})
+		acc, body, ok := p.sums.Accept(payload)
+		if !ok {
+			return
+		}
+		sums := *acc
+		n := int(binary.LittleEndian.Uint32(body))
+		pairs := body[4:]
+		for i := 0; i < n && (i+1)*pairBytes <= len(pairs); i++ {
+			if v, sum := readPair(pairs[i*pairBytes:]); v-p.lo < p.hi-p.lo {
+				sums[v-p.lo] += sum
+			}
+		}
+	case kindChain:
+		if len(payload) < chainBytes {
+			return
+		}
+		v := graph.Vertex(binary.LittleEndian.Uint64(payload[1:]))
+		k := binary.LittleEndian.Uint32(payload[9:])
+		// The master sends iteration k's contribution once this rank has
+		// swept k−1 and before it can sweep k, so only one is ever expected.
+		if !p.fragment || v != p.part.StateStart || k != uint32(p.swept) || k == p.chainIter || k >= p.iters || p.done {
+			return
+		}
+		p.chainC = binary.LittleEndian.Uint64(payload[13:])
+		p.chainIter = k
+		if to, ok := p.part.ShouldForward(v); ok {
+			p.send(to, payload) // a middle piece: the chain continues
+		}
 	}
 }
 
-// PreVisit applies a contribution to the master's accumulator buckets, or
-// admits an emit for local fan-out (and replica-chain forwarding).
-func (p *PR) PreVisit(v Visitor) bool {
-	i, ok := p.part.LocalIndex(v.V)
+// canSweep reports whether the next iteration's sweep can start: the
+// previous iteration is complete here and, for a split row's fragment, its
+// contribution has arrived.
+func (p *PR) canSweep() bool {
+	return p.row < 0 && !p.done && uint32(p.swept) == p.sums.Round() &&
+		(!p.fragment || p.chainIter == uint32(p.swept))
+}
+
+// TryAdvance performs whatever step is possible — a slice of the current
+// sweep (starting it if need be), or completing an iteration — and reports
+// whether anything happened.
+func (p *PR) TryAdvance() bool {
+	switch {
+	case p.done:
+		return false
+	case p.row >= 0 || p.canSweep():
+		p.sweep()
+		return true
+	}
+	sums, ok := p.sums.Ready()
 	if !ok {
 		return false
 	}
-	if v.Kind == kindEmit {
-		return true // visit locally; the queue forwards down the chain
-	}
-	if !p.part.IsMaster(v.V) {
-		// A completing contribution returns true below, which makes the
-		// queue forward it down a split vertex's replica chain like any
-		// admitted visitor; replicas drop it here.
-		return false
-	}
-	if p.done[i] >= p.iters {
-		return false // vertex finished all iterations
-	}
-	switch uint32(v.Iter) {
-	case p.done[i]:
-		p.accCur[i] += v.Val
-		p.cntCur[i] += v.Cnt
-		// The contribution that completes the current iteration becomes the
-		// completion trigger: admit it so Visit runs the completion cascade
-		// (PreVisit cannot push). Exactly one contribution per completed
-		// bucket is that one, merged or not: the count only rises.
-		return uint64(p.cntCur[i]) == p.part.GlobalDegree(v.V)
-	case p.done[i] + 1:
-		// Never a trigger, even when the current bucket is already full: its
-		// trigger is queued, and the cascade it runs promotes this bucket.
-		p.accNext[i] += v.Val
-		p.cntNext[i] += v.Cnt
-	default:
-		p.dropped++ // impossible under exactly-once delivery; tolerated
-	}
-	return false
-}
-
-// Visit runs an emit fan-out over the locally stored row portion, or — for
-// the contribution that completed an iteration — the completion cascade.
-func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
-	i := q.LocalRow(v.V)
-	if v.Kind == kindEmit {
-		for _, t := range q.OutEdges(v.V) {
-			q.PushEdge(t, Visitor{V: t.Vertex(), Val: v.Val, Cnt: 1, Iter: v.Iter, Kind: kindContrib})
-		}
-		return
-	}
-	if !p.part.IsMaster(v.V) {
-		return
-	}
-	deg := p.part.GlobalDegree(v.V)
-	base := ref.PRBase(p.part.NumVertices)
-	// Cascade: promoting the next bucket may reveal an already-complete
-	// iteration (messages can arrive out of order), so loop.
-	for p.done[i] < p.iters && uint64(p.cntCur[i]) == deg {
-		p.Rank[i] = base + p.accCur[i]
-		p.done[i]++
-		p.accCur[i], p.accNext[i] = p.accNext[i], 0
-		p.cntCur[i], p.cntNext[i] = p.cntNext[i], 0
-		if p.done[i] < p.iters {
-			q.Push(Visitor{V: v.V, Val: ref.PRContrib(p.Rank[i], deg), Iter: uint16(p.done[i]), Kind: kindEmit})
-		}
-	}
-}
-
-// Combine merges two contributions of one iteration (core.CombineAlgorithm).
-// Only contributions travel an edge, so only they are ever offered.
-func (p *PR) Combine(acc *Visitor, v Visitor) bool {
-	if acc.Iter != v.Iter {
-		return false
-	}
-	acc.Val += v.Val
-	acc.Cnt += v.Cnt
+	p.complete(*sums)
 	return true
 }
 
-// Encode appends the 23-byte wire form.
-func (p *PR) Encode(v Visitor, buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.V))
-	buf = binary.LittleEndian.AppendUint64(buf, v.Val)
-	buf = binary.LittleEndian.AppendUint32(buf, v.Cnt)
-	buf = binary.LittleEndian.AppendUint16(buf, v.Iter)
-	return append(buf, v.Kind)
+// Idle reports whether this rank has no local step to make (waiting on
+// peers, or finished).
+func (p *PR) Idle() bool {
+	if p.done {
+		return true
+	}
+	_, ready := p.sums.Ready()
+	return p.row < 0 && !p.canSweep() && !ready
 }
 
-// Decode parses one visitor record.
-func (p *PR) Decode(buf []byte) Visitor {
-	return Visitor{
-		V:    graph.Vertex(binary.LittleEndian.Uint64(buf[0:])),
-		Val:  binary.LittleEndian.Uint64(buf[8:]),
-		Cnt:  binary.LittleEndian.Uint32(buf[16:]),
-		Iter: binary.LittleEndian.Uint16(buf[20:]),
-		Kind: buf[22],
+// Ranks returns the fixed-point ranks of the vertices this rank masters,
+// indexed by vertex − the master range's first; final once every iteration
+// has completed.
+func (p *PR) Ranks() []uint64 { return p.rank }
+
+// Abort marks the machine done (engine Cancel).
+func (p *PR) Abort() { p.done = true }
+
+// sweep runs one slice of the current iteration's sweep, starting it when
+// none is in progress, and sends the rank's runs when the last row is done.
+func (p *PR) sweep() {
+	k := uint32(p.swept)
+	if p.row < 0 {
+		p.row, p.next = 0, 0
+		for r := range p.runs {
+			if r != p.part.Rank {
+				p.runs[r] = binary.LittleEndian.AppendUint32(core.AppendRoundHeader(p.runs[r][:0], kindRound, p.part.Rank, k), 0)
+			}
+		}
+	}
+	sums := *p.sums.Acc(k)
+	for edges := 0; p.row < p.part.StateLen && edges < sliceEdges; p.row++ {
+		c := p.chainC
+		if p.row > 0 || !p.fragment {
+			c = 0
+			if v := p.part.Vertex(p.row); p.part.Degrees[v] > 0 {
+				c = ref.PRContrib(p.rank[uint64(v)-p.lo], uint64(p.part.Degrees[v]))
+			}
+		}
+		row := p.part.CSR.Row(p.row)
+		edges += len(row) + 1
+		for _, t := range row {
+			switch v := uint64(t.Vertex()); {
+			case t.Local():
+				sums[v-p.lo] += c
+			case t.Slot() >= 0:
+				p.slotSum[t.Slot()] += c
+			case v-p.lo < p.hi-p.lo: // an untagged word the rank masters
+				sums[v-p.lo] += c
+			default:
+				if p.next == len(p.loose) {
+					p.loose = append(p.loose, int32(p.part.Master(graph.Vertex(v))))
+				}
+				o := p.loose[p.next]
+				p.next++
+				p.runs[o] = appendPair(p.runs[o], v, c)
+			}
+		}
+	}
+	if p.row < p.part.StateLen {
+		return
+	}
+
+	for s, sum := range p.slotSum {
+		o := p.part.SlotOwner[s]
+		p.runs[o] = appendPair(p.runs[o], uint64(p.part.SlotVertex[s]), sum)
+	}
+	clear(p.slotSum)
+	// The swept ranks are spent, and their array is round k+1's accumulator:
+	// cleared before this rank's runs leave, since a peer sends its own run
+	// for round k+1 only after it has completed round k, with this rank's.
+	clear(p.rank)
+	for r, run := range p.runs {
+		if r != p.part.Rank {
+			binary.LittleEndian.PutUint32(run[core.RoundHeader:], uint32((len(run)-core.RoundHeader-4)/pairBytes))
+			p.send(r, run)
+		}
+	}
+	p.sums.Contribute()
+	p.swept++
+	p.row = -1
+}
+
+// complete folds a completed round into the masters' ranks and readies the
+// next iteration, sending the chain record for a split row this rank
+// masters.
+func (p *PR) complete(sums []uint64) {
+	for i := range sums {
+		sums[i] += p.base
+	}
+	p.rank = sums
+	p.sums.Advance()
+	k := p.sums.Round()
+	if k == p.iters {
+		p.done = true
+		return
+	}
+	if v := p.part.ForwardVertex; p.part.HasForward && p.part.IsMaster(v) {
+		var rec [chainBytes]byte
+		rec[0] = kindChain
+		binary.LittleEndian.PutUint64(rec[1:], uint64(v))
+		binary.LittleEndian.PutUint32(rec[9:], k)
+		binary.LittleEndian.PutUint64(rec[13:], ref.PRContrib(p.rank[uint64(v)-p.lo], p.part.GlobalDegree(v)))
+		p.send(p.part.ForwardTo, rec[:])
 	}
 }

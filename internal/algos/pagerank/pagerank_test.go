@@ -66,42 +66,6 @@ func TestPageRankOnRMAT(t *testing.T) {
 	}
 }
 
-// TestPageRankCombinedMatchesReference: contributions merged at the sender
-// (core.CombineAlgorithm) leave every rank bit-identical to the reference,
-// because fixed-point sums are associative — with no ghost table (nothing
-// merges), one slot and 256 (a few merge, the rest go out one by one) and
-// every slot (the default).
-func TestPageRankCombinedMatchesReference(t *testing.T) {
-	gen := generators.NewGraph500(9, 8)
-	edges := graph.Undirect(gen.Generate())
-	n := gen.NumVertices()
-	want := ref.PageRank(ref.BuildAdj(edges, n), 6)
-	g := algotest.Build(t, edges, n, 4, partition.EdgeList, false)
-	for _, ghosts := range []int{-1, 1, 256, 0} {
-		res, stats := g.Run(t, algotest.Setup{Topology: "2d", Ghosts: ghosts}, engine.Spec{Algo: engine.AlgoPageRank, Iters: 6})
-		var combined uint64
-		for _, s := range stats {
-			combined += s.Combined
-		}
-		if (combined > 0) != (ghosts >= 0) {
-			t.Errorf("ghosts=%d: %d contributions combined", ghosts, combined)
-		}
-		for v := range want {
-			if res.Ranks[v] != want[v] {
-				t.Fatalf("ghosts=%d: rank(%d) = %d, ref says %d", ghosts, v, res.Ranks[v], want[v])
-			}
-		}
-	}
-}
-
-func TestVisitorCodecRoundTrip(t *testing.T) {
-	p := &pagerank.PR{}
-	v := pagerank.Visitor{V: 1<<40 - 1, Val: 1<<63 + 5, Cnt: 123456, Iter: pagerank.MaxIters - 1, Kind: 1}
-	if got := p.Decode(p.Encode(v, nil)); got != v {
-		t.Fatalf("round trip %+v", got)
-	}
-}
-
 // TestPageRankRoutedTopology: grid routing reorders message delivery; the
 // counted-completion clock must still produce identical results.
 func TestPageRankRoutedTopology(t *testing.T) {
@@ -129,42 +93,90 @@ func TestPageRankMassConservation(t *testing.T) {
 	}
 }
 
-// TestPageRankExecutesOnlyEmitsAndCompletions pins the kernel's visit count:
-// an executed visitor is an emit (one per vertex, iteration and holder of a
-// piece of the vertex's row) or the one contribution that completed an
-// iteration — never a contribution that merely arrived while a completion
-// trigger was still queued. A completion trigger can run several iterations
-// at once when the next bucket filled while it waited, which would make the
-// count depend on the schedule; a self-loop on every vertex rules that out
-// (a vertex's next bucket needs its own next contribution, which only the
-// trigger emits), so the count is exact on any rank count.
-func TestPageRankExecutesOnlyEmitsAndCompletions(t *testing.T) {
+// protocolRecords is what a PageRank of iters iterations sends on parts:
+// one run from every rank to every peer per iteration, and per iteration
+// after the first one chain record to each of the fragments ranks whose
+// first row is a piece of a split row mastered elsewhere.
+func protocolRecords(parts []*partition.Part, iters uint64) (records, fragments uint64) {
+	p := uint64(len(parts))
+	for _, part := range parts {
+		if part.StateLen > 0 && !part.IsMaster(part.StateStart) {
+			fragments++
+		}
+	}
+	return p*(p-1)*iters + (iters-1)*fragments, fragments
+}
+
+// TestPageRankRecordsExact pins the dense protocol's traffic: no visitor
+// executes, and every record sent is a protocol record, exactly
+// protocolRecords of them. Self-loops on every vertex make rows split
+// across ranks, so the chain records are counted too.
+func TestPageRankRecordsExact(t *testing.T) {
 	const n, iters = 40, 3
 	edges := randomMultigraph(n, 120, 11)
 	for v := graph.Vertex(0); v < n; v++ {
 		edges = append(edges, graph.Edge{Src: v, Dst: v})
 	}
+	want := ref.PageRank(ref.BuildAdj(edges, n), iters)
 	for _, p := range []int{1, 4} {
 		g := algotest.Build(t, edges, n, p, partition.EdgeList, false)
-		var want uint64
-		for v := graph.Vertex(0); v < n; v++ {
-			holders := uint64(1)
-			for part := g.Parts[g.Parts[0].Master(v)]; ; holders++ {
-				next, ok := part.ShouldForward(v)
-				if !ok {
-					break
-				}
-				part = g.Parts[next]
-			}
-			want += iters * (holders + 1) // emits, and one completion per iteration
-		}
-		_, stats := g.Run(t, defaultCfg, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
-		var executed uint64
+		res, stats := g.Run(t, defaultCfg, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
+		var executed, protocol, records uint64
 		for _, s := range stats {
 			executed += s.Executed
+			protocol += s.ProtocolSent
+			records += s.Mailbox.RecordsSent
 		}
-		if executed != want {
-			t.Errorf("p=%d: executed %d visitors, emits + completions = %d", p, executed, want)
+		wantRecords, fragments := protocolRecords(g.Parts, iters)
+		if p > 1 && fragments == 0 {
+			t.Fatalf("p=%d: no row is split, so no chain record is counted", p)
+		}
+		if executed != 0 || protocol != wantRecords || records != wantRecords {
+			t.Errorf("p=%d: executed %d visitors, sent %d records (%d protocol), want 0 and %d",
+				p, executed, records, protocol, wantRecords)
+		}
+		for v := range want {
+			if res.Ranks[v] != want[v] {
+				t.Fatalf("p=%d: rank(%d) = %d, ref says %d", p, v, res.Ranks[v], want[v])
+			}
+		}
+	}
+}
+
+// TestPageRankSplitHub: a star whose hub also carries a self-loop per leaf,
+// so its row is two thirds of the edges and spans at least three ranks on
+// four or more under edge-list partitioning — each of them sweeping its piece with
+// the contribution the master sends down the chain. Every iteration count,
+// rank count and layout must match the reference.
+func TestPageRankSplitHub(t *testing.T) {
+	const n, leaves = 64, 63
+	var star []graph.Edge
+	for leaf := graph.Vertex(1); leaf <= leaves; leaf++ {
+		star = append(star, graph.Edge{Src: 0, Dst: leaf}, graph.Edge{Src: 0, Dst: 0})
+	}
+	edges := graph.Undirect(star)
+	adj := ref.BuildAdj(edges, n)
+	for _, layout := range []partition.Layout{partition.EdgeList, partition.OneD} {
+		for _, p := range []int{1, 2, 4, 8} {
+			g := algotest.Build(t, edges, n, p, layout, false)
+			holders := 0
+			for _, part := range g.Parts {
+				if _, ok := part.LocalIndex(0); ok && part.CSR.Degree(0) > 0 {
+					holders++
+				}
+			}
+			if layout == partition.EdgeList && p >= 4 && holders < 3 {
+				t.Fatalf("edge list p=%d: the hub's row spans %d ranks, want at least 3", p, holders)
+			}
+			for iters := uint32(1); iters <= 5; iters++ {
+				res, _ := g.Run(t, defaultCfg, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
+				want := ref.PageRank(adj, int(iters))
+				for v := range want {
+					if res.Ranks[v] != want[v] {
+						t.Fatalf("layout %d p=%d iters=%d: rank(%d) = %d, ref says %d", layout, p, iters, v, res.Ranks[v], want[v])
+					}
+				}
+			}
 		}
 	}
 }

@@ -58,24 +58,27 @@ func TestConservationCrossTopology(t *testing.T) {
 
 // TestConservationSeesGhostsAndLocalApplies: the laws above are only worth
 // asserting if the sweep's tiny graphs drive every sender-side decision. With
-// the default tables the label algorithms must filter some pushes, the
-// counted ones combine some, and all of them apply some in place; with the
+// the default tables the label algorithms must filter some pushes, k-core
+// combines some, and every visitor algorithm applies some in place; with the
 // setting off, or for an algorithm that does not declare the capability,
-// nothing may be filtered or combined. cc's marking takes the hub's component
-// whole, so cc runs on four interleaved copies of the graph: its label
-// propagation has the other three.
+// nothing may be filtered or combined. PageRank pushes no visitors at all —
+// it sums in counted rounds, whatever the ghost setting — so it filters,
+// combines and applies nothing. cc's marking takes the hub's component whole,
+// so cc runs on four interleaved copies of the graph: its label propagation
+// has the other three.
 func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 	base := Case{Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
 		FlushBytes: 64, K: 6} // k = 6 peels most of this graph; 2 peels nothing
 	for _, tc := range []struct {
-		algo              engine.Algo
-		ghosts            int
-		filters, combines bool
+		algo                       engine.Algo
+		ghosts                     int
+		filters, combines, inPlace bool
 	}{
-		{"bfs", 0, true, false}, {"sssp", 0, true, false}, {"cc", 0, true, false},
-		{"kcore", 0, false, true}, {"pagerank", 0, false, true},
-		{"bfs", -1, false, false}, {"cc", -1, false, false}, {"kcore", -1, false, false}, {"pagerank", -1, false, false},
-		{"triangles", 0, false, false},
+		{"bfs", 0, true, false, true}, {"sssp", 0, true, false, true}, {"cc", 0, true, false, true},
+		{"kcore", 0, false, true, true}, {"pagerank", 0, false, false, false},
+		{"bfs", -1, false, false, true}, {"cc", -1, false, false, true}, {"kcore", -1, false, false, true},
+		{"pagerank", -1, false, false, false},
+		{"triangles", 0, false, false, true},
 	} {
 		c := base
 		c.Algo, c.Ghosts = tc.algo, tc.ghosts
@@ -98,8 +101,8 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 		if (combined > 0) != tc.combines {
 			t.Errorf("%s: %d pushes combined, want combining = %v", c, combined, tc.combines)
 		}
-		if local == 0 {
-			t.Errorf("%s: no push was applied in place", c)
+		if (local > 0) != tc.inPlace {
+			t.Errorf("%s: %d pushes applied in place, want applying in place = %v", c, local, tc.inPlace)
 		}
 	}
 }

@@ -33,15 +33,26 @@ func TestDifferentialRandomized(t *testing.T) {
 const sweepSeed, sweepCases = 0xD1FF, 48
 
 // TestDifferentialGhostAxisCoversCombiners: the sweep draws the ghost axis
-// for every algorithm, so the two that combine over the ghost table — kcore
-// and pagerank — run both with it and without it. Pinned here so a change to
-// the draw or the grids cannot quietly drop a side.
+// for every algorithm, so kcore, which combines over the ghost table, runs
+// both with it and without it. So does pagerank, which no longer reads the
+// table but sums over the slot tags the partition build stored whatever the
+// setting: both sides must give the reference's ranks. pagerank is also drawn
+// on one rank and on several, and on every topology, since its rounds and
+// its split rows' chain records are what the rank count and the routing
+// change. Pinned here so a change to the draw or the grids cannot quietly
+// drop a side.
 func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
 	seen := map[engine.Algo]map[int]bool{engine.AlgoKCore: {}, engine.AlgoPageRank: {}}
+	prRanks, prTopos := map[bool]bool{}, map[string]bool{}
 	rng := xrand.New(sweepSeed)
 	for i := 0; i < sweepCases; i++ {
-		if c := RandomCase(rng); seen[c.Algo] != nil {
+		c := RandomCase(rng)
+		if seen[c.Algo] != nil {
 			seen[c.Algo][c.Ghosts] = true
+		}
+		if c.Algo == engine.AlgoPageRank {
+			prRanks[c.Ranks > 1] = true
+			prTopos[c.Topo] = true
 		}
 	}
 	for algo, drawn := range seen {
@@ -49,6 +60,14 @@ func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
 			if !drawn[g] {
 				t.Errorf("the %d-case sweep never runs %s with ghosts=%d", sweepCases, algo, g)
 			}
+		}
+	}
+	if !prRanks[false] || !prRanks[true] {
+		t.Errorf("the %d-case sweep runs pagerank on one rank %v, on several %v", sweepCases, prRanks[false], prRanks[true])
+	}
+	for _, topo := range Topologies() {
+		if !prTopos[topo] {
+			t.Errorf("the %d-case sweep never runs pagerank on %s", sweepCases, topo)
 		}
 	}
 }

@@ -41,7 +41,10 @@ import (
 // cc no longer send degree fragments (DO kind 1); a /3 worker in a /4
 // cluster would wait forever for fragments its peers never send, and only
 // this refusal turns that hang into ErrVersionMismatch.
-const Version = "havoqd-cluster/4"
+// Version 5: PageRank sends dense rounds — one run of (vertex, sum) pairs
+// per peer per iteration, and chain records down a split row — instead of
+// 23-byte visitors, and a worker of either version misreads the other's.
+const Version = "havoqd-cluster/5"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

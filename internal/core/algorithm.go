@@ -6,7 +6,9 @@
 // local calendar of FIFO buckets, replica forwarding for split adjacency
 // lists, a ghost filter for high in-degree hubs that stale-tolerant
 // algorithms consult in their push loops (GhostFilter), merging at the sender
-// for counted visitors, and termination detection.
+// for counted visitors, and termination detection. Kernels that touch every
+// vertex every step run as counted rounds instead (RoundExchange), on the
+// same mailbox and detector.
 package core
 
 import "havoqgt/internal/graph"
@@ -55,8 +57,8 @@ type Algorithm[V Visitor] interface {
 // delta-stepping SSSP's ⌊Dist/Δ⌋. The queue's local scheduler is a calendar
 // of FIFO buckets drained in ascending bucket order, push and pop O(1)
 // amortized, visitors within one bucket in arrival order. An algorithm that
-// does not implement it — cc, k-core, PageRank, triangle counting — drains one
-// FIFO bucket 0. Correctness never depends on the order: label-correcting
+// does not implement it — cc, k-core, triangle counting — drains one FIFO
+// bucket 0. Correctness never depends on the order: label-correcting
 // kernels converge to the same fixpoint under any drain order, and bucket
 // order merely keeps the work near-optimal.
 type BucketAlgorithm[V Visitor] interface {
@@ -66,9 +68,8 @@ type BucketAlgorithm[V Visitor] interface {
 }
 
 // CombineAlgorithm is implemented by algorithms whose visitors for one vertex
-// can be merged before they leave the rank: PageRank's contributions within an
-// iteration sum, k-core's removal notices count — the counted algorithms, which
-// the ghost filter (GhostFilter) would corrupt. The queue holds one pending
+// can be merged before they leave the rank: k-core's removal notices count —
+// a counted algorithm, which the ghost filter (GhostFilter) would corrupt. The queue holds one pending
 // visitor per slot of the rank's ghost table — the remote targets the rank
 // stores at least two edges to, the only ones with anything to merge — folds
 // every later push for that slot into it, and sends what it holds when the

@@ -5,7 +5,9 @@ package engine
 // algorithm's rank state and the query's visitor queue (core.NewQueue) over
 // the rank loop's shared mailbox and the query's detector instance, pushes
 // the initial visitors, and supplies the Finish gather. The embedded Queue
-// provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats.
+// provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats. The
+// dense kernels — direction-optimizing BFS and PageRank — are state machines
+// on a core.RoundExchange instead, behind one adapter (protocolRunner).
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -45,10 +47,10 @@ func (rn *queueRunner[V]) Finish() { rn.finish() }
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
 // only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs,
-// sssp, cc); the counted ones need every visitor's effect delivered and merge
-// over the same table instead (core.CombineAlgorithm: k-core's removal
-// counts, PageRank's contributions); triangle counting needs every adjacency
-// membership query (§VI-C) and does neither.
+// sssp, cc); k-core needs every removal notice delivered and merges them over
+// the same table instead (core.CombineAlgorithm); triangle counting needs
+// every adjacency membership query (§VI-C) and does neither. PageRank and
+// direction-optimizing BFS run no visitor queue (protocolRunner).
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
 	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }
@@ -288,30 +290,59 @@ func newKCoreRunner(env *runEnv) runner {
 	}}
 }
 
-// --- Direction-optimizing BFS ---
+// --- Counted rounds: direction-optimizing BFS and PageRank ---
 
-// doBFSRunner adapts the bfs.DO state machine — a counted peer-message
-// protocol rather than a visitor queue — to the engine's runner face. Sends
-// travel through the shared mailbox under the query's tag, so the rank-level
-// flow counter and the per-query detector account for them exactly like
-// visitor records, and Stats counts them as protocol records; quiescence is
-// reached when every rank has merged the empty frontier and all level
-// messages have drained.
-type doBFSRunner struct {
-	d         *bfs.DO
+// protocol is a state machine that runs on a core.RoundExchange instead of a
+// visitor queue (bfs.DO, pagerank.PR): it sends through the function it was
+// built with, and the runner hands it deliveries and execution slices.
+type protocol interface {
+	Handle(payload []byte)
+	TryAdvance() bool
+	Idle() bool
+	Abort()
+}
+
+// protocolRunner adapts a protocol to the engine's runner face. Sends travel
+// through the shared mailbox under the query's tag, so the rank-level flow
+// counter and the per-query detector account for them exactly like visitor
+// records, and Stats counts them as protocol records; quiescence is reached
+// when every rank has finished its last round and all records have drained.
+type protocolRunner struct {
+	m         protocol
 	det       *termination.Detector
-	part      *partition.Part
-	q         *query
 	cancelled bool
 	stats     core.Stats
+	finish    func()
+}
+
+// sender returns the send function a protocol is built with: one protocol
+// record to a peer, under the query's tag.
+func (rn *protocolRunner) sender(env *runEnv) func(dest int, payload []byte) {
+	return func(dest int, payload []byte) {
+		rn.stats.ProtocolSent++
+		env.box.SendTagged(dest, env.q.id, payload)
+	}
 }
 
 func newDOBFSRunner(env *runEnv) runner {
-	rn := &doBFSRunner{det: env.det, part: env.part, q: env.q}
-	rn.d = newDO(env, env.q.spec.Source, func(dest int, payload []byte) {
-		rn.stats.ProtocolSent++
-		env.box.SendTagged(dest, env.q.id, payload)
-	})
+	rn := &protocolRunner{det: env.det}
+	d := newDO(env, env.q.spec.Source, rn.sender(env))
+	rn.m = d
+	rn.finish = func() {
+		gatherInto(env.q.res.Levels, env.part, d.Level)
+		gatherInto(env.q.res.Parents, env.part, d.Parent)
+	}
+	return rn
+}
+
+func newPageRankRunner(env *runEnv) runner {
+	rn := &protocolRunner{det: env.det}
+	pr := pagerank.New(env.part, env.q.spec.Iters, rn.sender(env))
+	rn.m = pr
+	rn.finish = func() {
+		lo, _ := env.part.Owners.MasterRange(env.part.Rank)
+		copy(env.q.res.Ranks[lo:], pr.Ranks())
+	}
 	return rn
 }
 
@@ -324,34 +355,34 @@ func newDO(env *runEnv, source graph.Vertex, send func(dest int, payload []byte)
 	return bfs.NewDO(env.part, source, send, hint)
 }
 
-func (rn *doBFSRunner) Deliver(rec mailbox.Record) {
+func (rn *protocolRunner) Deliver(rec mailbox.Record) {
 	rn.stats.ProtocolReceived++
 	if rn.cancelled {
 		return // drain: delivery already counted, state no longer advances
 	}
-	rn.d.Handle(rec.Payload)
+	rn.m.Handle(rec.Payload)
 }
 
-func (rn *doBFSRunner) Step(batch int) bool {
+func (rn *protocolRunner) Step(batch int) bool {
 	progress := false
-	for i := 0; i < batch && rn.d.TryAdvance(); i++ {
+	for i := 0; i < batch && rn.m.TryAdvance(); i++ {
 		progress = true
 	}
 	return progress
 }
 
-// Unpark: the DO machine never parks visitors — bottom-up scans hint the
-// pager ahead of reads and then fault synchronously on the rare miss.
-func (rn *doBFSRunner) Unpark(pages []int64) bool { return false }
+// Unpark: a protocol never parks — bottom-up scans hint the pager ahead of
+// reads, and every scan faults synchronously on a miss.
+func (rn *protocolRunner) Unpark(pages []int64) bool { return false }
 
-func (rn *doBFSRunner) LocalIdle() bool { return rn.cancelled || rn.d.Idle() }
+func (rn *protocolRunner) LocalIdle() bool { return rn.cancelled || rn.m.Idle() }
 
-func (rn *doBFSRunner) Cancel() {
+func (rn *protocolRunner) Cancel() {
 	rn.cancelled = true
-	rn.d.Abort()
+	rn.m.Abort()
 }
 
-func (rn *doBFSRunner) PumpTermination(localIdle bool) bool {
+func (rn *protocolRunner) PumpTermination(localIdle bool) bool {
 	if !rn.det.Pump(localIdle) {
 		return false
 	}
@@ -361,24 +392,9 @@ func (rn *doBFSRunner) PumpTermination(localIdle bool) bool {
 	return true
 }
 
-func (rn *doBFSRunner) Stats() core.Stats { return rn.stats }
+func (rn *protocolRunner) Stats() core.Stats { return rn.stats }
 
-func (rn *doBFSRunner) Finish() {
-	gatherInto(rn.q.res.Levels, rn.part, rn.d.Level)
-	gatherInto(rn.q.res.Parents, rn.part, rn.d.Parent)
-}
-
-// --- PageRank ---
-
-func newPageRankRunner(env *runEnv) runner {
-	part, q := env.part, env.q
-	st := pagerank.New(part, q.spec.Iters)
-	qu := newQueue[pagerank.Visitor](env, st)
-	st.Seed(qu)
-	return &queueRunner[pagerank.Visitor]{Queue: qu, finish: func() {
-		gatherInto(q.res.Ranks, part, st.Rank)
-	}}
-}
+func (rn *protocolRunner) Finish() { rn.finish() }
 
 // --- Triangle counting ---
 
