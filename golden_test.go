@@ -15,15 +15,21 @@ import (
 	"havoqgt/internal/engine"
 )
 
-// Σ Executed at the benchmark's shape on the FIFO: k-core(64) 30,829 every
-// time (a vertex is visited once, when it is removed, whatever the schedule).
-// What it sends: uncombined (no ghost table) is exact and was the count
-// before the combiner — every push not applied in place is one record.
-// Combined, one record per (rank, ghost slot) plus whatever a slot's refused
-// merges send early — 57–58 K over runs.
+// k-core(64) at the benchmark's shape. Its first peel is a dense round:
+// 2,095 of the 32,768 vertices have degree ≥ 64, and the other 30,673 die
+// in round 0 without a visit. The cascade visits a vertex once, when it
+// leaves — whatever the schedule, since no vertex that leaves is split here —
+// so it executes exactly 2,095 − 1,941 (the 64-core) = 154 visits; seeding
+// every vertex with a visitor executed 30,829. What it sends with no ghost
+// table is exact: round 0 is one record from every rank to every peer,
+// p(p−1) = 56, and every cascade push not applied in place is one record —
+// the 154 leavers' notices to survivors of round 0 mastered elsewhere, plus
+// any forward down a replica chain — 6,653, for 6,709 in all (252,464 before
+// the dense round). Combined over the ghost table, 4,340–4,418 over runs
+// (57–58 K before).
 const (
-	kcoreExecutedMin, kcoreExecutedMax      = 30_829, 30_829
-	kcoreRecordsUncombined, kcoreRecordsMax = 252_464, 75_000
+	kcoreExecuted                           = 154
+	kcoreRecordsUncombined, kcoreRecordsMax = 6_709, 6_000
 )
 
 // cc at the same shape. Min-label propagation over the whole graph executed
@@ -202,8 +208,10 @@ func raceBuild() bool {
 // arenas, Record batches and envelope free-list from empty, a BFS allocated
 // 17-18 MB, about 12 MB of it that regrowth, and a KCore(64) 12 MB. Now a
 // closed box hands its storage to the next one built: a BFS allocates
-// 5.3-6.5 MB (budget 10) and a KCore(64) 4.8-4.9 MB (budget 7.5, 1.5x). The
-// effect does not exist at scale 12, so a smaller graph pins nothing.
+// 5.3-6.5 MB (budget 10). A KCore(64) allocated 4.8-4.9 MB with a seed
+// visitor per vertex and allocates 2.5 MB since its first peel is a dense
+// round (budget 4.5). The effect does not exist at scale 12, so a smaller
+// graph pins nothing.
 func TestOneShotAllocBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 allocation budget: not under -short or -race")
@@ -240,7 +248,7 @@ func TestOneShotAllocBudget(t *testing.T) {
 		mb       float64
 	}{
 		{"BFS", 10, perQuery(len(sources), func(i int) error { _, err := g.BFS(sources[i]); return err })},
-		{"KCore(64)", 7.5, perQuery(4, func(int) error { _, err := g.KCore(64); return err })},
+		{"KCore(64)", 4.5, perQuery(4, func(int) error { _, err := g.KCore(64); return err })},
 		{"PageRank(3)", 4, perQuery(4, func(int) error { _, err := g.PageRank(3); return err })},
 	} {
 		t.Logf("one-shot %s allocates %.1f MB per query", c.name, c.mb)
@@ -338,10 +346,10 @@ func TestBFSRecordBudget(t *testing.T) {
 // TestAnalyticsExecutedBudget pins what the analytics kernels execute and
 // send at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64, three
 // PageRank iterations and cc, as bench/'s analytics round runs them).
-// k-core: the executed bounds are the FIFO's logged range, and merging at the
-// sender must not move them; the combiner must cut its records to the
-// budget, and with no ghost table it must send exactly what the kernel sent
-// before it existed — it rides the table and nothing else. cc must leave
+// k-core: executed is exact, and merging at the sender must not move it; the
+// combiner must cut its records to the budget, and with no ghost table the
+// kernel must send exactly its round-0 records and cascade pushes — the
+// combiner rides the table and nothing else. cc must leave
 // label propagation only what its marking did not reach, and its whole-graph
 // flood (a resume that labelled nothing) must stay within its own budget.
 //
@@ -376,8 +384,8 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 		combining := cfg.Ghosts != nil
 		t.Logf("kcore (combining %v): executed %d, queued %d, combined %d, records sent %d",
 			combining, executed, queued, combined, records)
-		if executed < kcoreExecutedMin || executed > kcoreExecutedMax {
-			t.Errorf("kcore executed %d visits, want %d to %d", executed, kcoreExecutedMin, kcoreExecutedMax)
+		if executed != kcoreExecuted {
+			t.Errorf("kcore executed %d visits, want exactly %d", executed, kcoreExecuted)
 		}
 		switch {
 		case combining && records > kcoreRecordsMax:

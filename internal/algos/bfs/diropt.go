@@ -88,7 +88,7 @@ type DO struct {
 	level  uint32 // depth of the current frontier
 	mode   doMode
 	sent   bool   // contribution for level+1 scanned and sent
-	done   bool   // merged an empty frontier (or cancelled)
+	done   bool   // merged an empty frontier
 	uEdges uint64 // Σ deg over unvisited vertices (identical on all ranks)
 
 	// levels exchanges the contributions, round L being level L's frontier.
@@ -227,9 +227,6 @@ func (d *DO) Done() bool { return d.done }
 // has run to its end, it is the source's whole component, the same on every
 // rank.
 func (d *DO) Visited() core.Bitmap { return d.visited }
-
-// Abort marks the machine done (engine Cancel).
-func (d *DO) Abort() { d.done = true }
 
 // scanAndSend computes this rank's contribution to the next frontier from
 // its locally stored row portions — pushing frontier rows top-down, or

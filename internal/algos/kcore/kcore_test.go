@@ -1,6 +1,7 @@
 package kcore_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -83,6 +84,81 @@ func TestKCoreSplitHubCorrect(t *testing.T) {
 		got := runDistributedKCore(t, edges, n, 8, k, partition.EdgeList, defaultCfg)
 		checkKCore(t, edges, n, k, got)
 	}
+}
+
+// holders returns how many ranks store a piece of v's row.
+func holders(g *algotest.Graph, v graph.Vertex) int {
+	n := 0
+	for _, part := range g.Parts {
+		if i, ok := part.LocalIndex(v); ok && part.CSR.Degree(i) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// checkSplitRow runs k-core over edges on p ∈ {1, 2, 4, 8} ranks under both
+// layouts against the reference, and requires split's row to span at least
+// two ranks under edge-list partitioning on minP ranks or more.
+func checkSplitRow(t *testing.T, edges []graph.Edge, n uint64, k uint32, split graph.Vertex, minP int) {
+	t.Helper()
+	for _, layout := range []partition.Layout{partition.EdgeList, partition.OneD} {
+		for _, p := range []int{1, 2, 4, 8} {
+			g := algotest.Build(t, edges, n, p, layout, false)
+			if h := holders(g, split); layout == partition.EdgeList && p >= minP && h < 2 {
+				t.Fatalf("edge list p=%d: vertex %d's row is on %d rank(s), want it split", p, split, h)
+			}
+			res, _ := g.Run(t, defaultCfg, engine.Spec{Algo: engine.AlgoKCore, K: k})
+			checkKCore(t, edges, n, k, res.InCore)
+		}
+	}
+}
+
+// TestKCoreSplitRowDiesInRoundZero: a vertex of degree < k whose row is
+// split dies in round 0 on every rank holding a piece, and each piece's
+// notices must reach their targets with no message down the chain. With
+// k = 3, the 3-core is the 4-clique {0, 1, 4, 5}; tips 2 and 6 hang off
+// clique vertices 0 and 4 and the hub, 3, which has degree 2. The ids put
+// the hub's row, sorted edges 11 and 12 of 24, across the middle of the edge
+// list, a rank boundary at p = 2, 4 and 8: tip 6 hears of the hub only from
+// the fragment, and without that notice it would stay in the core.
+func TestKCoreSplitRowDiesInRoundZero(t *testing.T) {
+	const hub = 3
+	var pairs []graph.Edge
+	clique := []graph.Vertex{0, 1, 4, 5}
+	for i, a := range clique {
+		for _, b := range clique[i+1:] {
+			pairs = append(pairs, graph.Edge{Src: a, Dst: b})
+		}
+	}
+	for _, tip := range []graph.Vertex{2, 6} {
+		pairs = append(pairs, graph.Edge{Src: tip, Dst: 0}, graph.Edge{Src: tip, Dst: 4}, graph.Edge{Src: tip, Dst: hub})
+	}
+	checkSplitRow(t, graph.Simplify(graph.Undirect(pairs)), 7, 3, hub, 2)
+}
+
+// TestKCoreSplitHubLeavesInCascade: a split hub of degree ≥ k that leaves in
+// the cascade — after round 0 — and whose fragments learn of it only down the
+// replica chain. Hub 0 has 60 pendant leaves, which die in round 0, and two
+// tips, 61 and 62, which close its row, on its last fragment. With k = 3 the
+// hub is left two neighbors and leaves; each tip hangs off two vertices of the
+// 4-clique {63, …, 66} and the hub, so it leaves only when the hub's last
+// fragment notifies it.
+func TestKCoreSplitHubLeavesInCascade(t *testing.T) {
+	const n = 67
+	var pairs []graph.Edge
+	for leaf := graph.Vertex(1); leaf <= 60; leaf++ {
+		pairs = append(pairs, graph.Edge{Src: 0, Dst: leaf})
+	}
+	for a := graph.Vertex(63); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			pairs = append(pairs, graph.Edge{Src: a, Dst: b})
+		}
+	}
+	for _, tip := range []graph.Vertex{61, 62} {
+		pairs = append(pairs, graph.Edge{Src: tip, Dst: 0}, graph.Edge{Src: tip, Dst: 63}, graph.Edge{Src: tip, Dst: 64})
+	}
+	checkSplitRow(t, graph.Simplify(graph.Undirect(pairs)), n, 3, 0, 4)
 }
 
 func TestKCoreRing(t *testing.T) {
@@ -184,6 +260,18 @@ func TestCoreSize(t *testing.T) {
 		engine.Spec{Algo: engine.AlgoKCore, K: 3})
 	if res.CoreSize != want {
 		t.Fatalf("core size %d, want %d", res.CoreSize, want)
+	}
+}
+
+// TestPreVisitSaturates: a notice carrying more than a master's counter —
+// which no correct peer sends — takes the counter to 0 and removes the
+// vertex, where subtracting would wrap it and keep the vertex in the core.
+func TestPreVisitSaturates(t *testing.T) {
+	square := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}})
+	part := algotest.Build(t, square, 4, 1, partition.EdgeList, false).Parts[0]
+	a := kcore.New(part, 2, nil)
+	if !a.PreVisit(kcore.Visitor{V: 1, N: math.MaxUint32}) || a.Core[1] != 0 || a.Alive[1] {
+		t.Fatalf("a notice of %d on a counter at 2: counter %d, alive %v", uint32(math.MaxUint32), a.Core[1], a.Alive[1])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
@@ -97,8 +98,8 @@ func acceptedMass(pr *PR, rec []byte) uint64 {
 	}
 	var total uint64
 	count := int(binary.LittleEndian.Uint32(rec[9:]))
-	for i, pairs := 0, rec[13:]; i < count && len(pairs) >= pairBytes; i, pairs = i+1, pairs[pairBytes:] {
-		if v, sum := readPair(pairs); v >= pr.lo && v < pr.hi {
+	for i, pairs := 0, rec[13:]; i < count && len(pairs) >= core.PairBytes; i, pairs = i+1, pairs[core.PairBytes:] {
+		if v, sum := core.ReadPair(pairs); v >= pr.lo && v < pr.hi {
 			total += sum
 		}
 	}

@@ -50,35 +50,18 @@ const DefaultIters = 20
 // full sweep of the edge set; 64 is far past convergence at fixed point).
 const MaxIters = 64
 
-// Record kinds (first payload byte).
+// Record kinds (first payload byte). A round record's pairs are core pairs
+// (vertex, sum), and any sum a rank sends fits a pair's 40 bits: ranks sum
+// to at most ref.PRScale = 2^40 in every iteration (rank_0 does, and each
+// iteration hands on at most α of the mass it received and adds n·base =
+// (1−α)·PRScale), so the contributions into one vertex total at most
+// α·PRScale.
 const (
 	kindRound = 1 // [header][count u32][count × pair]
 	kindChain = 2 // [kind][vertex u64][iter u32][contribution u64]
 )
 
 const chainBytes = 21
-
-// A pair is 10 bytes: a u64 holding the vertex in its low 40 bits — every
-// vertex fits them (csr.MaxVertices) — and the sum's low 24 bits above it,
-// then a u16 holding the sum's top 16 bits. Any sum a rank sends fits 40
-// bits: ranks sum to at most ref.PRScale = 2^40 in every iteration (rank_0
-// does, and each iteration hands on at most α of the mass it received and
-// adds n·base = (1−α)·PRScale), so the contributions into one vertex total
-// at most α·PRScale.
-const (
-	pairBytes  = 10
-	vertexBits = 40
-)
-
-func appendPair(buf []byte, v, sum uint64) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, v|sum<<vertexBits)
-	return binary.LittleEndian.AppendUint16(buf, uint16(sum>>(64-vertexBits)))
-}
-
-func readPair(b []byte) (v, sum uint64) {
-	w := binary.LittleEndian.Uint64(b)
-	return w & (1<<vertexBits - 1), w>>vertexBits | uint64(binary.LittleEndian.Uint16(b[8:]))<<(64-vertexBits)
-}
 
 // sliceEdges is how many edges one TryAdvance sweeps before it returns, so
 // the rank loop interleaves other queries with a sweep.
@@ -120,7 +103,7 @@ type PR struct {
 
 	swept int  // iterations swept; the sweep in progress is iteration swept
 	row   int  // next row of the sweep in progress; -1 when none is
-	done  bool // every iteration complete (or cancelled)
+	done  bool // every iteration complete
 }
 
 // New builds rank state for iters iterations (0: DefaultIters), every vertex
@@ -172,7 +155,7 @@ func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)
 	p.loose = make([]int32, 0, untagged)
 	for r, n := range pairs {
 		if r != part.Rank {
-			p.runs[r] = make([]byte, 0, core.RoundHeader+4+n*pairBytes)
+			p.runs[r] = make([]byte, 0, core.RoundHeader+4+n*core.PairBytes)
 		}
 	}
 	return p
@@ -198,8 +181,8 @@ func (p *PR) Handle(payload []byte) {
 		sums := *acc
 		n := int(binary.LittleEndian.Uint32(body))
 		pairs := body[4:]
-		for i := 0; i < n && (i+1)*pairBytes <= len(pairs); i++ {
-			if v, sum := readPair(pairs[i*pairBytes:]); v-p.lo < p.hi-p.lo {
+		for i := 0; i < n && (i+1)*core.PairBytes <= len(pairs); i++ {
+			if v, sum := core.ReadPair(pairs[i*core.PairBytes:]); v-p.lo < p.hi-p.lo {
 				sums[v-p.lo] += sum
 			}
 		}
@@ -264,9 +247,6 @@ func (p *PR) Idle() bool {
 // has completed.
 func (p *PR) Ranks() []uint64 { return p.rank }
 
-// Abort marks the machine done (engine Cancel).
-func (p *PR) Abort() { p.done = true }
-
 // sweep runs one slice of the current iteration's sweep, starting it when
 // none is in progress, and sends the rank's runs when the last row is done.
 func (p *PR) sweep() {
@@ -304,7 +284,7 @@ func (p *PR) sweep() {
 				}
 				o := p.loose[p.next]
 				p.next++
-				p.runs[o] = appendPair(p.runs[o], v, c)
+				p.runs[o] = core.AppendPair(p.runs[o], v, c)
 			}
 		}
 	}
@@ -314,7 +294,7 @@ func (p *PR) sweep() {
 
 	for s, sum := range p.slotSum {
 		o := p.part.SlotOwner[s]
-		p.runs[o] = appendPair(p.runs[o], uint64(p.part.SlotVertex[s]), sum)
+		p.runs[o] = core.AppendPair(p.runs[o], uint64(p.part.SlotVertex[s]), sum)
 	}
 	clear(p.slotSum)
 	// The swept ranks are spent, and their array is round k+1's accumulator:
@@ -323,7 +303,7 @@ func (p *PR) sweep() {
 	clear(p.rank)
 	for r, run := range p.runs {
 		if r != p.part.Rank {
-			binary.LittleEndian.PutUint32(run[core.RoundHeader:], uint32((len(run)-core.RoundHeader-4)/pairBytes))
+			binary.LittleEndian.PutUint32(run[core.RoundHeader:], uint32((len(run)-core.RoundHeader-4)/core.PairBytes))
 			p.send(r, run)
 		}
 	}

@@ -20,9 +20,9 @@
 //     records sent, and visitors received + protocol records received ==
 //     mailbox records delivered, where a protocol record is one a runner
 //     sends outside its visitor queue (a direction-optimizing BFS, alone or
-//     marking cc's giant component, and PageRank's rounds); a cancelled
-//     query is the exception: the visitors its combiner held are discarded
-//     unsent
+//     marking cc's giant component, PageRank's rounds and k-core's first
+//     peel); a cancelled query is the exception: the visitors its combiner
+//     held are discarded unsent
 //   - one ledger:            per rank, every batch-published obs cell equals
 //     the plain Stats field it mirrors (asserted on every clean differential
 //     case)

@@ -44,7 +44,11 @@ import (
 // Version 5: PageRank sends dense rounds — one run of (vertex, sum) pairs
 // per peer per iteration, and chain records down a split row — instead of
 // 23-byte visitors, and a worker of either version misreads the other's.
-const Version = "havoqd-cluster/5"
+// Version 6: k-core peels its first round dense — one round record of
+// (vertex, count) pairs per peer, and visitors with a kind byte ahead of them
+// — instead of a seed visitor per vertex; a /5 worker would read a round
+// record as a visitor and never send the round record its peers wait on.
+const Version = "havoqd-cluster/6"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

@@ -14,13 +14,35 @@ func AppendRoundHeader(buf []byte, kind byte, sender int, round uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, round)
 }
 
+// PairBytes is the length of a round pair, the unit a dense kernel's round
+// record carries: a vertex and a value. It is a u64 holding the vertex in
+// its low 40 bits — every vertex fits them (csr.MaxVertices) — and the
+// value's low 24 bits above it, then a u16 holding the value's top 16 bits.
+// The value must fit 40 bits; each protocol says why its values do.
+const PairBytes = 10
+
+const pairVertexBits = 40
+
+// AppendPair appends the pair (v, x) to buf.
+func AppendPair(buf []byte, v, x uint64) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, v|x<<pairVertexBits)
+	return binary.LittleEndian.AppendUint16(buf, uint16(x>>(64-pairVertexBits)))
+}
+
+// ReadPair parses the pair at the start of b (at least PairBytes long).
+func ReadPair(b []byte) (v, x uint64) {
+	w := binary.LittleEndian.Uint64(b)
+	return w & (1<<pairVertexBits - 1), w>>pairVertexBits | uint64(binary.LittleEndian.Uint16(b[8:]))<<(64-pairVertexBits)
+}
+
 // RoundExchange is one rank's end of a counted round exchange, the protocol a
 // dense kernel runs on instead of a visitor queue (direction-optimizing BFS's
-// levels, PageRank's iterations). In each round every rank sends exactly one
-// record to every peer — its contribution, possibly empty — and merges its
-// own contribution directly; a round is complete on a rank when its p−1 peer
-// records and its own contribution have arrived. No barrier or reduction is
-// needed: every rank that merges the same records computes the same thing.
+// levels, PageRank's iterations, k-core's first peel). In each round every
+// rank sends exactly one record to every peer — its contribution, possibly
+// empty — and merges its own contribution directly; a round is complete on a
+// rank when its p−1 peer records and its own contribution have arrived. No
+// barrier or reduction is needed: every rank that merges the same records
+// computes the same thing.
 //
 // A rank sends its contribution to round r+1 only after it has completed
 // round r, which takes this rank's contribution to r. So while a rank waits

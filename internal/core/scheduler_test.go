@@ -35,7 +35,7 @@ func TestSchedulerChoice(t *testing.T) {
 			"bfs":       declaresOrder[bfs.Visitor](b),
 			"sssp":      declaresOrder[sssp.Visitor](s),
 			"cc":        !declaresOrder[cc.Visitor](cc.New(part)),
-			"kcore":     !declaresOrder[kcore.Visitor](kcore.New(part, 2)),
+			"kcore":     !declaresOrder[kcore.Visitor](kcore.New(part, 2, nil)),
 			"triangles": !declaresOrder[triangle.Visitor](triangle.New(part, triangle.Options{})),
 		} {
 			if !ok {

@@ -138,6 +138,76 @@ func newSSSPRunner(env *runEnv) runner {
 	}}
 }
 
+// --- A counted phase, then a visitor queue: cc and k-core ---
+
+// phase is a protocol a visitor queue runs after on one rank (cc's marking,
+// k-core's first peel: bfs.DO, kcore.KCore); Done reports that it has ended.
+type phase interface {
+	protocol
+	Done() bool
+}
+
+// phasedRunner runs a phase and then a visitor queue under the one query tag.
+// Every visitor record starts with kind, a byte no record of the phase starts
+// with, so each delivery says which of the two it belongs to. When the phase
+// ends on this rank, then seeds the queue; until it has ended everywhere,
+// peers' visitors may already arrive and are applied at once, and the
+// phase's and the queue's records share one detector epoch. The embedded
+// Queue provides Unpark, PumpTermination and the visitor counters; the
+// phase's records count as protocol records.
+type phasedRunner[V core.Visitor] struct {
+	*core.Queue[V]
+	phase  phase // nil once it has ended on this rank, or when there is none
+	kind   byte
+	then   func()
+	finish func()
+
+	protocolSent, protocolReceived uint64
+}
+
+func (rn *phasedRunner[V]) Deliver(rec mailbox.Record) {
+	if len(rec.Payload) > 0 && rec.Payload[0] == rn.kind {
+		rn.Queue.Deliver(rec)
+		return
+	}
+	rn.protocolReceived++
+	if rn.phase != nil {
+		rn.phase.Handle(rec.Payload)
+	}
+}
+
+func (rn *phasedRunner[V]) Step(batch int) bool {
+	progress := false
+	if rn.phase != nil {
+		for i := 0; i < batch && rn.phase.TryAdvance(); i++ {
+			progress = true
+		}
+		if rn.phase.Done() {
+			rn.phase = nil
+			rn.then()
+			progress = true
+		}
+	}
+	return rn.Queue.Step(batch) || progress
+}
+
+func (rn *phasedRunner[V]) LocalIdle() bool {
+	return (rn.phase == nil || rn.phase.Idle()) && rn.Queue.LocalIdle()
+}
+
+func (rn *phasedRunner[V]) Cancel() {
+	rn.phase = nil
+	rn.Queue.Cancel()
+}
+
+func (rn *phasedRunner[V]) Stats() core.Stats {
+	s := rn.Queue.Stats()
+	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
+	return s
+}
+
+func (rn *phasedRunner[V]) Finish() { rn.finish() }
+
 // --- Connected components ---
 
 // ccKind is the first byte of a cc visitor record. A cc query's marking and
@@ -151,30 +221,37 @@ type ccWire struct{ *cc.CC }
 func (w ccWire) Encode(v cc.Visitor, buf []byte) []byte { return w.CC.Encode(v, append(buf, ccKind)) }
 func (w ccWire) Decode(buf []byte) cc.Visitor           { return w.CC.Decode(buf[1:]) }
 
-// ccRunner labels the giant component first. On a scale-free graph the hub
-// sits in the giant component, so a direction-optimizing BFS from it (bfs.DO
-// from partition.Part.Hub, picked at build) marks most of the graph; DO's
-// visited set is replicated, so when the marking ends every rank holds the
-// same component, and its lowest set bit — the component's minimum id — is
-// already the final label: no reduction, no barrier. Label propagation then
-// runs over the unmarked masters only. Components are closed, so a remainder
-// visitor never reaches a marked vertex, and one arriving at a rank still
-// marking is applied at once; the marking's and the remainder's records share
-// one detector epoch.
-type ccRunner struct {
-	*core.Queue[cc.Visitor]
-	st   *cc.CC
-	mark *bfs.DO // the marking while it runs on this rank; nil after, or on resume
-	part *partition.Part
-	q    *query
-
-	protocolSent, protocolReceived uint64
-}
-
+// newCCRunner labels the giant component first. On a scale-free graph the
+// hub sits in the giant component, so a direction-optimizing BFS from it
+// (bfs.DO from partition.Part.Hub, picked at build) marks most of the graph;
+// DO's visited set is replicated, so when the marking ends every rank holds
+// the same component, and its lowest set bit — the component's minimum id —
+// is already the final label: no reduction, no barrier. Label propagation
+// then runs over the unmarked masters only. Components are closed, so a
+// remainder visitor never reaches a marked vertex.
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	rn := &ccRunner{Queue: newQueue[cc.Visitor](env, ccWire{st}), st: st, part: part, q: q}
+	rn := &phasedRunner[cc.Visitor]{Queue: newQueue[cc.Visitor](env, ccWire{st}), kind: ccKind}
+	rn.finish = func() {
+		var local uint64
+		forMasters(part, func(v graph.Vertex) {
+			i, _ := part.LocalIndex(v)
+			if st.Label[i] == graph.Nil {
+				// Cancelled before the marking ended: a master nothing
+				// labelled keeps its own id, which leaves a valid checkpoint.
+				st.Label[i] = v
+			}
+			// Component count: a master whose label is its own id represents
+			// one component. Accumulate atomically instead of AllReduce (see
+			// runner).
+			if st.Label[i] == v {
+				local++
+			}
+		})
+		gatherInto(q.res.Labels, part, st.Label)
+		q.accum.Add(local)
+	}
 	if cp := q.spec.Resume; cp != nil {
 		// Resume: full propagation, each master starting from its
 		// checkpointed label instead of its own id. Labels only decrease
@@ -183,123 +260,79 @@ func newCCRunner(env *runEnv) runner {
 		forMasters(part, func(v graph.Vertex) { rn.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
 		return rn
 	}
-	rn.mark = newDO(env, part.Hub, func(dest int, payload []byte) {
-		rn.protocolSent++
-		env.box.SendTagged(dest, q.id, payload)
-	})
+	mark := newDO(env, part.Hub, protocolSender(env, &rn.protocolSent))
+	rn.phase = mark
+	rn.then = func() { label(part, st, mark.Visited(), rn.Queue) }
 	return rn
-}
-
-func (rn *ccRunner) Deliver(rec mailbox.Record) {
-	if len(rec.Payload) > 0 && rec.Payload[0] == ccKind {
-		rn.Queue.Deliver(rec)
-		return
-	}
-	rn.protocolReceived++
-	if rn.mark != nil {
-		rn.mark.Handle(rec.Payload)
-	}
-}
-
-func (rn *ccRunner) Step(batch int) bool {
-	progress := false
-	if rn.mark != nil {
-		for i := 0; i < batch && rn.mark.TryAdvance(); i++ {
-			progress = true
-		}
-		if rn.mark.Done() {
-			rn.label()
-			progress = true
-		}
-	}
-	return rn.Queue.Step(batch) || progress
 }
 
 // label ends the marking on this rank: every locally held marked vertex takes
 // the marked set's lowest id; an unmarked master of degree 0 is a component of
 // its own and takes its id without a visit; every other unmarked master seeds
 // label propagation with its own id.
-func (rn *ccRunner) label() {
-	marked := rn.mark.Visited()
-	rn.mark = nil
+func label(part *partition.Part, st *cc.CC, marked core.Bitmap, qu *core.Queue[cc.Visitor]) {
 	first, _ := marked.First() // the source at least is marked
-	for i := range rn.st.Label {
-		if marked.Get(uint64(rn.part.StateStart) + uint64(i)) {
-			rn.st.Label[i] = graph.Vertex(first)
+	for i := range st.Label {
+		if marked.Get(uint64(part.StateStart) + uint64(i)) {
+			st.Label[i] = graph.Vertex(first)
 		}
 	}
-	forMasters(rn.part, func(v graph.Vertex) {
+	forMasters(part, func(v graph.Vertex) {
 		switch {
 		case marked.Get(uint64(v)):
-		case rn.part.GlobalDegree(v) == 0:
-			i, _ := rn.part.LocalIndex(v)
-			rn.st.Label[i] = v
-		default:
-			rn.Push(cc.Visitor{V: v, Label: v})
-		}
-	})
-}
-
-func (rn *ccRunner) LocalIdle() bool {
-	return (rn.mark == nil || rn.mark.Idle()) && rn.Queue.LocalIdle()
-}
-
-func (rn *ccRunner) Cancel() {
-	rn.mark = nil
-	rn.Queue.Cancel()
-}
-
-func (rn *ccRunner) Stats() core.Stats {
-	s := rn.Queue.Stats()
-	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
-	return s
-}
-
-func (rn *ccRunner) Finish() {
-	part, st, q := rn.part, rn.st, rn.q
-	var local uint64
-	forMasters(part, func(v graph.Vertex) {
-		i, _ := part.LocalIndex(v)
-		if st.Label[i] == graph.Nil {
-			// Cancelled before the marking ended: a master nothing labelled
-			// keeps its own id, which leaves a valid checkpoint.
+		case part.GlobalDegree(v) == 0:
+			i, _ := part.LocalIndex(v)
 			st.Label[i] = v
-		}
-		// Component count: a master whose label is its own id represents one
-		// component. Accumulate atomically instead of AllReduce (see runner).
-		if st.Label[i] == v {
-			local++
+		default:
+			qu.Push(cc.Visitor{V: v, Label: v})
 		}
 	})
-	gatherInto(q.res.Labels, part, st.Label)
-	q.accum.Add(local)
 }
 
 // --- K-core ---
 
 func newKCoreRunner(env *runEnv) runner {
+	rn, _ := kcoreRunner(env)
+	return rn
+}
+
+// kcoreRunner builds a k-core query's runner and returns it with the rank's
+// algorithm state. Round 0 — the first peel, a degree test of every vertex —
+// is the phase (kcore.KCore); the removal cascade from its survivors below k
+// then runs on the queue to quiescence.
+func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	part, q := env.part, env.q
-	st := kcore.New(part, q.spec.K)
-	qu := newQueue[kcore.Visitor](env, st)
-	// One visitor per vertex absorbs the +1 in the counter initialization
-	// (Algorithm 5); the removal cascade then runs to quiescence.
-	forMasters(part, func(v graph.Vertex) { qu.Push(kcore.Visitor{V: v, N: 1}) })
-	return &queueRunner[kcore.Visitor]{Queue: qu, finish: func() {
+	rn := &phasedRunner[kcore.Visitor]{kind: kcore.KindVisitor}
+	st := kcore.New(part, q.spec.K, protocolSender(env, &rn.protocolSent))
+	rn.Queue = newQueue[kcore.Visitor](env, st)
+	rn.phase = st
+	rn.then = func() { st.Seed(rn.Queue) }
+	rn.finish = func() {
 		gatherInto(q.res.InCore, part, st.Alive)
 		q.accum.Add(st.LocalCoreSize())
-	}}
+	}
+	return rn, st
 }
 
 // --- Counted rounds: direction-optimizing BFS and PageRank ---
 
 // protocol is a state machine that runs on a core.RoundExchange instead of a
-// visitor queue (bfs.DO, pagerank.PR): it sends through the function it was
-// built with, and the runner hands it deliveries and execution slices.
+// visitor queue (bfs.DO, pagerank.PR, kcore.KCore): it sends through the
+// function it was built with (protocolSender), and the runner hands it
+// deliveries and execution slices until it is Idle, or the query cancelled.
 type protocol interface {
 	Handle(payload []byte)
 	TryAdvance() bool
 	Idle() bool
-	Abort()
+}
+
+// protocolSender returns the send function a protocol is built with: one
+// protocol record to a peer, under the query's tag, counted in *sent.
+func protocolSender(env *runEnv, sent *uint64) func(dest int, payload []byte) {
+	return func(dest int, payload []byte) {
+		*sent++
+		env.box.SendTagged(dest, env.q.id, payload)
+	}
 }
 
 // protocolRunner adapts a protocol to the engine's runner face. Sends travel
@@ -315,18 +348,9 @@ type protocolRunner struct {
 	finish    func()
 }
 
-// sender returns the send function a protocol is built with: one protocol
-// record to a peer, under the query's tag.
-func (rn *protocolRunner) sender(env *runEnv) func(dest int, payload []byte) {
-	return func(dest int, payload []byte) {
-		rn.stats.ProtocolSent++
-		env.box.SendTagged(dest, env.q.id, payload)
-	}
-}
-
 func newDOBFSRunner(env *runEnv) runner {
 	rn := &protocolRunner{det: env.det}
-	d := newDO(env, env.q.spec.Source, rn.sender(env))
+	d := newDO(env, env.q.spec.Source, protocolSender(env, &rn.stats.ProtocolSent))
 	rn.m = d
 	rn.finish = func() {
 		gatherInto(env.q.res.Levels, env.part, d.Level)
@@ -337,7 +361,7 @@ func newDOBFSRunner(env *runEnv) runner {
 
 func newPageRankRunner(env *runEnv) runner {
 	rn := &protocolRunner{det: env.det}
-	pr := pagerank.New(env.part, env.q.spec.Iters, rn.sender(env))
+	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.stats.ProtocolSent))
 	rn.m = pr
 	rn.finish = func() {
 		lo, _ := env.part.Owners.MasterRange(env.part.Rank)
@@ -365,7 +389,7 @@ func (rn *protocolRunner) Deliver(rec mailbox.Record) {
 
 func (rn *protocolRunner) Step(batch int) bool {
 	progress := false
-	for i := 0; i < batch && rn.m.TryAdvance(); i++ {
+	for i := 0; i < batch && !rn.cancelled && rn.m.TryAdvance(); i++ {
 		progress = true
 	}
 	return progress
@@ -377,10 +401,7 @@ func (rn *protocolRunner) Unpark(pages []int64) bool { return false }
 
 func (rn *protocolRunner) LocalIdle() bool { return rn.cancelled || rn.m.Idle() }
 
-func (rn *protocolRunner) Cancel() {
-	rn.cancelled = true
-	rn.m.Abort()
-}
+func (rn *protocolRunner) Cancel() { rn.cancelled = true }
 
 func (rn *protocolRunner) PumpTermination(localIdle bool) bool {
 	if !rn.det.Pump(localIdle) {

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/algos/cc"
 	"havoqgt/internal/core"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
@@ -14,25 +16,25 @@ import (
 // stalledMarking is a cc runner whose marking stops advancing once this rank
 // has scanned its first level: the query cannot end until it is cancelled.
 type stalledMarking struct {
-	*ccRunner
+	*phasedRunner[cc.Visitor]
 	stalled *sync.WaitGroup // one Done per rank, when its marking stalls
 	once    sync.Once
 	marking *atomic.Int32 // ranks whose marking was still running when cancelled
 }
 
 func (m *stalledMarking) Step(batch int) bool {
-	if d := m.mark; d != nil && d.TopDownLevels+d.BottomUpLevels > 0 {
+	if d, _ := m.phase.(*bfs.DO); d != nil && d.TopDownLevels+d.BottomUpLevels > 0 {
 		m.once.Do(m.stalled.Done)
 		return m.Queue.Step(batch)
 	}
-	return m.ccRunner.Step(batch)
+	return m.phasedRunner.Step(batch)
 }
 
 func (m *stalledMarking) Cancel() {
-	if m.mark != nil {
+	if m.phase != nil {
 		m.marking.Add(1)
 	}
-	m.ccRunner.Cancel()
+	m.phasedRunner.Cancel()
 }
 
 // startCC starts an engine on g and submits one query of a cc variant: cc's
@@ -90,7 +92,7 @@ func TestCCCancelDuringMarkingResumes(t *testing.T) {
 	stalled.Add(p)
 	var marking atomic.Int32
 	e, tk := startCC(t, g, func(env *runEnv) runner {
-		return &stalledMarking{ccRunner: newCCRunner(env).(*ccRunner), stalled: &stalled, marking: &marking}
+		return &stalledMarking{phasedRunner: newCCRunner(env).(*phasedRunner[cc.Visitor]), stalled: &stalled, marking: &marking}
 	})
 	defer e.Close()
 	stalled.Wait()

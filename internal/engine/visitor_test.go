@@ -285,42 +285,58 @@ func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
 	}
 }
 
-// TestKCoreCountersNeverWrap: a master's counter starts at deg + 1, and a
-// notice merged at the sender subtracts several at once. A live vertex gets at
-// most one notice per edge plus its seed, so after any k-core run — notices
-// combined, peeled down to nothing at the largest k — no master's counter may
-// read above where it started, which is what a wrapped uint32 would.
+// TestKCoreCountersNeverWrap: a master's counter starts at its degree, round
+// 0 subtracts a count per peer at once, and a notice merged at the sender
+// subtracts several. A live vertex hears at most one notice per edge, so
+// after any k-core run on the real runner — notices combined — no master's
+// counter may read above its degree, which is what a wrapped uint32 would.
+// (The cascade at k = 4 is two visits; at 16 it combines notices.) At the
+// largest k every vertex dies in round 0: nothing is visited, and the
+// round's one record from every rank to every peer is all that is sent.
 func TestKCoreCountersNeverWrap(t *testing.T) {
 	const p = 4
 	gen := generators.NewGraph500(10, 42)
 	g := buildTestGraph(t, graph.Simplify(graph.Undirect(gen.Generate())), gen.NumVertices(), p)
 	g.ghosts = core.BuildGhostTables(g.parts, 0)
 	g.topo = "2d"
+	states := make([]*kcore.KCore, p)
+	probe := *lookup(AlgoKCore)
+	probe.name, probe.run = "kcore_probe", func(env *runEnv) runner {
+		rn, st := kcoreRunner(env)
+		states[env.part.Rank] = st
+		return rn
+	}
+	defer register(&probe)()
+	var combined uint64
 	for _, k := range []uint32{4, 16, 1 << 20} {
-		states := make([]*kcore.KCore, p)
-		stats := runVisitors(t, g,
-			func(part *partition.Part, newQueue func(core.Algorithm[kcore.Visitor]) *core.Queue[kcore.Visitor]) {
-				st := kcore.New(part, k)
-				states[part.Rank] = st
-				q := newQueue(st)
-				forMasters(part, func(v graph.Vertex) { q.Push(kcore.Visitor{V: v, N: 1}) })
-			})
-		var combined uint64
-		for _, s := range stats {
-			combined += s.Combined
+		_, stats, err := RunOnce(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{},
+			Spec{Algo: probe.name, K: k})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if combined == 0 {
-			t.Errorf("k=%d: no notice combined", k)
+		var executed, protocol, records uint64
+		for _, s := range stats {
+			executed += s.Executed
+			combined += s.Combined
+			protocol += s.ProtocolSent
+			records += s.Mailbox.RecordsSent
+		}
+		if k == 1<<20 && (executed != 0 || protocol != p*(p-1) || records != p*(p-1)) {
+			t.Errorf("k=%d: executed %d visits and sent %d records (%d protocol), want 0 and exactly %d",
+				k, executed, records, protocol, p*(p-1))
 		}
 		for rank, st := range states {
 			part := g.parts[rank]
 			forMasters(part, func(v graph.Vertex) {
 				i, _ := part.LocalIndex(v)
-				if start := part.GlobalDegree(v) + 1; uint64(st.Core[i]) > start {
-					t.Errorf("k=%d: vertex %d's counter reads %d, started at %d", k, v, st.Core[i], start)
+				if deg := part.GlobalDegree(v); uint64(st.Core[i]) > deg {
+					t.Errorf("k=%d: vertex %d's counter reads %d, degree %d", k, v, st.Core[i], deg)
 				}
 			})
 		}
+	}
+	if combined == 0 {
+		t.Error("no notice combined")
 	}
 }
 
