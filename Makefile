@@ -100,8 +100,8 @@ chaos-short:
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
 # share of pushes the ghost filter drops, visits per reached vertex, every
 # push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what
-# k-core and PageRank execute against their logged ranges and what they send,
-# merged at the sender and (exactly) without a ghost table, what cc executes
+# k-core and PageRank execute and send (exactly, with the default ghost table
+# and without one), what cc executes
 # and sends once its marking has taken the giant component (≤ 1,000 each; it
 # logs the marking's records next to the remainder's), and what cc's
 # whole-graph flood (a resume that labelled nothing) executes and sends

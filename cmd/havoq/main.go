@@ -255,10 +255,10 @@ func (g *loaded) close() { g.stores.Close() }
 
 // ghostsFlag declares -ghosts for the traversals that filter at the sender
 // (bfs, sssp, cc); core.BuildGhostTables gives the value its meaning, the
-// same as the library's Options.GhostsPerPartition. The same table bounds the
-// combiner of kcore, which runs on the default.
+// same as the library's Options.GhostsPerPartition. kcore reads no ghost
+// table.
 func ghostsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("ghosts", 0, "ghost vertices per partition, the table the sender-side filter (and, for counted kernels, the combiner) works over: 0 takes every remote vertex the rank has two or more edges to, N the N most repeated (a prefix of the numbering the partition build gives them), negative disables")
+	return fs.Int("ghosts", 0, "ghost vertices per partition, the table the sender-side filter works over: 0 takes every remote vertex the rank has two or more edges to, N the N most repeated (a prefix of the numbering the partition build gives them), negative disables")
 }
 
 // query times one traversal on a transient engine, with the sender-side

@@ -8,7 +8,7 @@ package havoqgt
 //	e, _ := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: 8})
 //	defer e.Close()
 //	q1, _ := e.SubmitBFS(0)
-//	q2, _ := e.SubmitSSSP(17, 1)
+//	q2, _ := e.SubmitQuery(havoqgt.QuerySpec{Algo: "sssp", Source: 17, WeightSeed: 1})
 //	bfsRes, _ := q1.Wait() // both traversals interleaved one message plane
 //
 // While an engine is attached, every Graph query method routes through it
@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"havoqgt/internal/algos/bfs"
@@ -104,12 +103,6 @@ func (e *Engine) Close() error {
 	}
 	e.g.mu.Unlock()
 	return err
-}
-
-// WriteStats writes the machine's full metrics snapshot (transport, mailbox,
-// termination, visitor-queue, and engine counters) as JSON.
-func (e *Engine) WriteStats(w io.Writer) error {
-	return e.e.Obs().Snapshot().WriteJSON(w)
 }
 
 // Metrics returns the machine's observability registry, so serving layers
@@ -229,45 +222,10 @@ func (e *Engine) submit(spec engine.Spec) (*Query, error) {
 	return &Query{e: e, t: t, spec: spec}, nil
 }
 
-// SubmitBFS starts an asynchronous BFS query from source.
+// SubmitBFS starts an asynchronous BFS query from source; SubmitQuery starts
+// any other.
 func (e *Engine) SubmitBFS(source Vertex) (*Query, error) {
 	return e.submit(engine.Spec{Algo: engine.AlgoBFS, Source: source})
-}
-
-// SubmitSSSP starts an asynchronous single-source shortest-path query.
-func (e *Engine) SubmitSSSP(source Vertex, weightSeed uint64) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: weightSeed})
-}
-
-// SubmitComponents starts an asynchronous connected-components query.
-func (e *Engine) SubmitComponents() (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoCC})
-}
-
-// SubmitKCore starts an asynchronous k-core query (k >= 1). The graph must
-// be simple (Options.Simplify).
-func (e *Engine) SubmitKCore(k uint32) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoKCore, K: k})
-}
-
-// SubmitBFSDO starts an asynchronous direction-optimizing BFS from source.
-// Its Levels are hash-identical to SubmitBFS on the same graph; only the
-// traversal schedule (and typically the runtime) differs.
-func (e *Engine) SubmitBFSDO(source Vertex) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoBFSDO, Source: source})
-}
-
-// SubmitPageRank starts an asynchronous fixed-point PageRank query. iters = 0
-// runs the default iteration count; values beyond the per-query cap are
-// rejected at admission.
-func (e *Engine) SubmitPageRank(iters uint32) (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
-}
-
-// SubmitTriangles starts an asynchronous exact triangle count. Duplicate
-// edges and self-loops are ignored, so the graph need not be simplified.
-func (e *Engine) SubmitTriangles() (*Query, error) {
-	return e.submit(engine.Spec{Algo: engine.AlgoTriangles})
 }
 
 // QuerySpec names a query generically, for serving layers that receive the

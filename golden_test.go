@@ -20,17 +20,14 @@ import (
 // in round 0 without a visit. The cascade visits a vertex once, when it
 // leaves — whatever the schedule, since no vertex that leaves is split here —
 // so it executes exactly 2,095 − 1,941 (the 64-core) = 154 visits; seeding
-// every vertex with a visitor executed 30,829. What it sends with no ghost
-// table is exact: round 0 is one record from every rank to every peer,
-// p(p−1) = 56, and every cascade push not applied in place is one record —
-// the 154 leavers' notices to survivors of round 0 mastered elsewhere, plus
-// any forward down a replica chain — 6,653, for 6,709 in all (252,464 before
-// the dense round). Combined over the ghost table, 4,340–4,418 over runs
-// (57–58 K before).
-const (
-	kcoreExecuted                           = 154
-	kcoreRecordsUncombined, kcoreRecordsMax = 6_709, 6_000
-)
+// every vertex with a visitor executed 30,829. What it sends is exact, with
+// a ghost table or without, since k-core reads none: round 0 is one record
+// from every rank to every peer, p(p−1) = 56, and every cascade push not
+// applied in place is one record — the 154 leavers' notices to survivors of
+// round 0 mastered elsewhere, plus any forward down a replica chain — 6,653,
+// for 6,709 in all (252,464 before the dense round; 4,340–4,418 over runs
+// when notices for one remote vertex were merged at the sender).
+const kcoreExecuted, kcoreRecords = 154, 6_709
 
 // cc at the same shape. Min-label propagation over the whole graph executed
 // 99,221 visits and sent 230,090 records. Marking the hub's component first
@@ -209,9 +206,10 @@ func raceBuild() bool {
 // 17-18 MB, about 12 MB of it that regrowth, and a KCore(64) 12 MB. Now a
 // closed box hands its storage to the next one built: a BFS allocates
 // 5.3-6.5 MB (budget 10). A KCore(64) allocated 4.8-4.9 MB with a seed
-// visitor per vertex and allocates 2.5 MB since its first peel is a dense
-// round (budget 4.5). The effect does not exist at scale 12, so a smaller
-// graph pins nothing.
+// visitor per vertex, 2.5 MB once its first peel was a dense round, and
+// 0.9 MB since its notices are no longer merged at the sender, whose held
+// visitor per ghost slot was the rest (budget 1.5). The effect does not
+// exist at scale 12, so a smaller graph pins nothing.
 func TestOneShotAllocBudget(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("scale-15 allocation budget: not under -short or -race")
@@ -248,7 +246,7 @@ func TestOneShotAllocBudget(t *testing.T) {
 		mb       float64
 	}{
 		{"BFS", 10, perQuery(len(sources), func(i int) error { _, err := g.BFS(sources[i]); return err })},
-		{"KCore(64)", 4.5, perQuery(4, func(int) error { _, err := g.KCore(64); return err })},
+		{"KCore(64)", 1.5, perQuery(4, func(int) error { _, err := g.KCore(64); return err })},
 		{"PageRank(3)", 4, perQuery(4, func(int) error { _, err := g.PageRank(3); return err })},
 	} {
 		t.Logf("one-shot %s allocates %.1f MB per query", c.name, c.mb)
@@ -346,10 +344,9 @@ func TestBFSRecordBudget(t *testing.T) {
 // TestAnalyticsExecutedBudget pins what the analytics kernels execute and
 // send at the benchmark's shape (scale 15, 8 ranks, 2d; k-core 64, three
 // PageRank iterations and cc, as bench/'s analytics round runs them).
-// k-core: executed is exact, and merging at the sender must not move it; the
-// combiner must cut its records to the budget, and with no ghost table the
-// kernel must send exactly its round-0 records and cascade pushes — the
-// combiner rides the table and nothing else. cc must leave
+// k-core: what it executes and what it sends are exact, with the default
+// ghost table and with none — it sends its round-0 records and one record per
+// cascade push not applied in place, whatever the table. cc must leave
 // label propagation only what its marking did not reach, and its whole-graph
 // flood (a resume that labelled nothing) must stay within its own budget.
 //
@@ -367,32 +364,24 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncombined := g.engineConfig()
-	uncombined.Ghosts = core.BuildGhostTables(g.parts, -1)
-	for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
+	noGhosts := g.engineConfig()
+	noGhosts.Ghosts = core.BuildGhostTables(g.parts, -1)
+	for _, cfg := range []engine.Config{g.engineConfig(), noGhosts} {
 		_, stats, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoKCore, K: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var executed, queued, combined, records uint64
+		var executed, queued, records uint64
 		for _, s := range stats {
 			executed += s.Executed
 			queued += s.Queued
-			combined += s.Combined
 			records += s.Mailbox.RecordsSent
 		}
-		combining := cfg.Ghosts != nil
-		t.Logf("kcore (combining %v): executed %d, queued %d, combined %d, records sent %d",
-			combining, executed, queued, combined, records)
-		if executed != kcoreExecuted {
-			t.Errorf("kcore executed %d visits, want exactly %d", executed, kcoreExecuted)
-		}
-		switch {
-		case combining && records > kcoreRecordsMax:
-			t.Errorf("kcore sent %d records, budget %d", records, kcoreRecordsMax)
-		case !combining && (records != kcoreRecordsUncombined || combined != 0):
-			t.Errorf("kcore with no ghost table sent %d records (%d combined), want exactly %d, none combined",
-				records, combined, kcoreRecordsUncombined)
+		t.Logf("kcore (ghost table %v): executed %d, queued %d, records sent %d",
+			cfg.Ghosts != nil, executed, queued, records)
+		if executed != kcoreExecuted || records != kcoreRecords {
+			t.Errorf("kcore (ghost table %v) executed %d visits and sent %d records, want exactly %d and %d",
+				cfg.Ghosts != nil, executed, records, kcoreExecuted, kcoreRecords)
 		}
 	}
 
@@ -405,7 +394,7 @@ func TestAnalyticsExecutedBudget(t *testing.T) {
 		}
 	}
 	want := p*(p-1)*iters + (iters-1)*fragments
-	for _, cfg := range []engine.Config{g.engineConfig(), uncombined} {
+	for _, cfg := range []engine.Config{g.engineConfig(), noGhosts} {
 		_, stats, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoPageRank, Iters: iters})
 		if err != nil {
 			t.Fatal(err)

@@ -23,11 +23,11 @@
 // removal notice, marks its copy dead and lets its portion of the (split)
 // adjacency list notify the neighbors. A neighbor of degree < k has been dead
 // since round 0 and is not notified. K-core requires precise counts, so it
-// cannot filter on ghost vertices (§IV-B); it combines instead
-// (core.CombineAlgorithm): notices bound for one remote vertex merge at the
-// sender into one visitor carrying their number. A notice can overtake round
-// 0 on its way to a master: counts subtract in any order, and a master whose
-// cascade notices did not yet take it below k is seeded when round 0 ends.
+// cannot filter on ghost vertices (§IV-B): every removed edge sends one
+// notice, a visitor carrying N = 1, as the paper's does. A notice can
+// overtake round 0 on its way to a master: counts subtract in any order, and
+// a master whose cascade notices did not yet take it below k is seeded when
+// round 0 ends.
 package kcore
 
 import (
@@ -51,7 +51,8 @@ const (
 const sliceEdges = 256
 
 // Visitor notifies a vertex that N of its neighbors left the k-core
-// (Algorithm 4 state: the target vertex, and how many notices it carries).
+// (Algorithm 4 state: the target vertex, and how many notices it carries): 1
+// for a cascade notice, 0 for the seed of a master round 0 took below k.
 type Visitor struct {
 	V graph.Vertex
 	N uint32
@@ -81,8 +82,6 @@ type KCore struct {
 	swept     bool     // the sweep's records sent
 	done      bool     // round 0 complete
 }
-
-var _ core.CombineAlgorithm[Visitor] = (*KCore)(nil)
 
 // New initializes the state: a local state is alive, and a master's counter
 // at its degree, when its (global) degree is at least k. send transmits one
@@ -281,12 +280,6 @@ func (a *KCore) Visit(v Visitor, q *core.Queue[Visitor]) {
 			q.PushEdge(t, Visitor{V: t.Vertex(), N: 1})
 		}
 	}
-}
-
-// Combine adds up two notices for one vertex (core.CombineAlgorithm).
-func (a *KCore) Combine(acc *Visitor, v Visitor) bool {
-	acc.N += v.N
-	return true
 }
 
 // Encode appends the 13-byte wire form.

@@ -16,13 +16,12 @@
 //     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
 //     the four-counter termination waves must see drain)
 //   - push accounting:       per rank, pushed − ghost-filtered − applied in
-//     place − combined + replica-forwarded + protocol records sent == mailbox
-//     records sent, and visitors received + protocol records received ==
+//     place + replica-forwarded + protocol records sent == mailbox records
+//     sent, and visitors received + protocol records received ==
 //     mailbox records delivered, where a protocol record is one a runner
 //     sends outside its visitor queue (a direction-optimizing BFS, alone or
 //     marking cc's giant component, PageRank's rounds and k-core's first
-//     peel); a cancelled query is the exception: the visitors its combiner
-//     held are discarded unsent
+//     peel)
 //   - one ledger:            per rank, every batch-published obs cell equals
 //     the plain Stats field it mirrors (asserted on every clean differential
 //     case)
@@ -186,13 +185,12 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 				r, s.Received, s.ProtocolReceived, got, s.Mailbox.RecordsDelivered)
 		}
 		// Every visitor push gets ghost-filtered, is applied in place on its
-		// master rank, is merged into the visitor held for its ghost slot, or
-		// becomes a mailbox send; replica forwards and protocol records send
-		// again. Anything else is a leak — a held visitor never sent included.
-		if want := s.Pushed - s.GhostFiltered - s.Local - s.Combined + s.Forwarded + s.ProtocolSent; want != s.Mailbox.RecordsSent {
+		// master rank, or becomes a mailbox send; replica forwards and
+		// protocol records send again. Anything else is a leak.
+		if want := s.Pushed - s.GhostFiltered - s.Local + s.Forwarded + s.ProtocolSent; want != s.Mailbox.RecordsSent {
 			vs.addf("push-accounting",
-				"rank %d: pushed(%d) − ghost-filtered(%d) − applied-locally(%d) − combined(%d) + replica-forwarded(%d) + protocol(%d) = %d != mailbox records sent=%d",
-				r, s.Pushed, s.GhostFiltered, s.Local, s.Combined, s.Forwarded, s.ProtocolSent, want, s.Mailbox.RecordsSent)
+				"rank %d: pushed(%d) − ghost-filtered(%d) − applied-locally(%d) + replica-forwarded(%d) + protocol(%d) = %d != mailbox records sent=%d",
+				r, s.Pushed, s.GhostFiltered, s.Local, s.Forwarded, s.ProtocolSent, want, s.Mailbox.RecordsSent)
 		}
 	}
 	return vs
@@ -213,7 +211,6 @@ func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 		{obs.CorePushed, func(s core.Stats) uint64 { return s.Pushed }},
 		{obs.CoreGhostFiltered, func(s core.Stats) uint64 { return s.GhostFiltered }},
 		{obs.CoreLocal, func(s core.Stats) uint64 { return s.Local }},
-		{obs.CoreCombined, func(s core.Stats) uint64 { return s.Combined }},
 		{obs.CoreReceived, func(s core.Stats) uint64 { return s.Received }},
 		{obs.CoreQueued, func(s core.Stats) uint64 { return s.Queued }},
 		{obs.CoreExecuted, func(s core.Stats) uint64 { return s.Executed }},

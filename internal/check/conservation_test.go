@@ -12,10 +12,11 @@ import (
 // TestConservationCrossTopology is the seeded conservation matrix: every
 // algorithm × every routing topology × several rank counts × the resident
 // fractions (fully resident, and two where visits park on absent pages) ×
-// the ghost settings (for the algorithms that filter or combine; the setting
-// is inert for the rest), each run differentially against internal/ref AND through the full
-// invariant set (record/envelope conservation, hop and channel bounds,
-// detector S/R agreement). Graphs stay tiny — the value is the cross product.
+// the ghost settings (bfs, sssp and cc filter on the table; for the rest it
+// must change nothing), each run differentially against internal/ref AND
+// through the full invariant set (record/envelope conservation, hop and
+// channel bounds, detector S/R agreement). Graphs stay tiny — the value is
+// the cross product.
 func TestConservationCrossTopology(t *testing.T) {
 	ranks := []int{1, 4, 9}
 	n, ef := uint64(32), 3
@@ -58,27 +59,26 @@ func TestConservationCrossTopology(t *testing.T) {
 
 // TestConservationSeesGhostsAndLocalApplies: the laws above are only worth
 // asserting if the sweep's tiny graphs drive every sender-side decision. With
-// the default tables the label algorithms must filter some pushes, k-core
-// combines some, and every visitor algorithm applies some in place; with the
-// setting off, or for an algorithm that does not declare the capability,
-// nothing may be filtered or combined. PageRank pushes no visitors at all —
-// it sums in counted rounds, whatever the ghost setting — so it filters,
-// combines and applies nothing. cc's marking takes the hub's component whole,
-// so cc runs on four interleaved copies of the graph: its label propagation
-// has the other three.
+// the default tables the label algorithms must filter some pushes, and every
+// visitor algorithm applies some in place; with the setting off, or for a
+// counted algorithm (k-core, triangles), nothing may be filtered. PageRank
+// pushes no visitors at all — it sums in counted rounds, whatever the ghost
+// setting — so it filters and applies nothing. cc's marking takes the hub's
+// component whole, so cc runs on four interleaved copies of the graph: its
+// label propagation has the other three.
 func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 	base := Case{Seed: 0xC0FFEE ^ 4, N: 32, EdgeFactor: 3, Ranks: 4, Topo: "2d",
 		FlushBytes: 64, K: 6} // k = 6 peels most of this graph; 2 peels nothing
 	for _, tc := range []struct {
-		algo                       engine.Algo
-		ghosts                     int
-		filters, combines, inPlace bool
+		algo             engine.Algo
+		ghosts           int
+		filters, inPlace bool
 	}{
-		{"bfs", 0, true, false, true}, {"sssp", 0, true, false, true}, {"cc", 0, true, false, true},
-		{"kcore", 0, false, true, true}, {"pagerank", 0, false, false, false},
-		{"bfs", -1, false, false, true}, {"cc", -1, false, false, true}, {"kcore", -1, false, false, true},
-		{"pagerank", -1, false, false, false},
-		{"triangles", 0, false, false, true},
+		{"bfs", 0, true, true}, {"sssp", 0, true, true}, {"cc", 0, true, true},
+		{"kcore", 0, false, true}, {"pagerank", 0, false, false},
+		{"bfs", -1, false, true}, {"cc", -1, false, true}, {"kcore", -1, false, true},
+		{"pagerank", -1, false, false},
+		{"triangles", 0, false, true},
 	} {
 		c := base
 		c.Algo, c.Ghosts = tc.algo, tc.ghosts
@@ -89,17 +89,13 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var filtered, combined, local uint64
+		var filtered, local uint64
 		for _, s := range stats {
 			filtered += s.GhostFiltered
-			combined += s.Combined
 			local += s.Local
 		}
 		if (filtered > 0) != tc.filters {
 			t.Errorf("%s: %d pushes ghost-filtered, want filtering = %v", c, filtered, tc.filters)
-		}
-		if (combined > 0) != tc.combines {
-			t.Errorf("%s: %d pushes combined, want combining = %v", c, combined, tc.combines)
 		}
 		if (local > 0) != tc.inPlace {
 			t.Errorf("%s: %d pushes applied in place, want applying in place = %v", c, local, tc.inPlace)

@@ -42,7 +42,7 @@ type Case struct {
 	K          uint32      // k-core parameter (kcore only)
 	// Ghosts is the ghost setting handed to core.BuildGhostTables: 0 the
 	// default tables, negative none. bfs, sssp and cc filter on the table;
-	// kcore combines over it; pagerank reads the slot tags either way.
+	// kcore and pagerank do not read it, so their results must not move.
 	Ghosts int
 	// Resident, when in (0, 1), moves every rank's adjacency out of core at
 	// that resident fraction (ooc.ExternalizeAll, 64-byte pages so these tiny

@@ -32,16 +32,16 @@ func TestDifferentialRandomized(t *testing.T) {
 // The randomized sweep's seed and its case count outside -short.
 const sweepSeed, sweepCases = 0xD1FF, 48
 
-// TestDifferentialGhostAxisCoversCombiners: the sweep draws the ghost axis
-// for every algorithm, so kcore, which combines over the ghost table, runs
-// both with it and without it. So does pagerank, which no longer reads the
-// table but sums over the slot tags the partition build stored whatever the
-// setting: both sides must give the reference's ranks. pagerank is also drawn
-// on one rank and on several, and on every topology, since its rounds and
-// its split rows' chain records are what the rank count and the routing
-// change. Pinned here so a change to the draw or the grids cannot quietly
+// TestDifferentialGhostAxisCoversCountedKernels: the sweep draws the ghost
+// axis for every algorithm, so kcore, which must send every notice whatever
+// the table, runs both with it and without it. So does pagerank, which does
+// not read the table but sums over the slot tags the partition build stored
+// whatever the setting: both sides must give the reference's answer.
+// pagerank is also drawn on one rank and on several, and on every topology,
+// since its rounds and its split rows' chain records are what the rank count
+// and the routing change. Pinned here so a change to the draw or the grids cannot quietly
 // drop a side.
-func TestDifferentialGhostAxisCoversCombiners(t *testing.T) {
+func TestDifferentialGhostAxisCoversCountedKernels(t *testing.T) {
 	seen := map[engine.Algo]map[int]bool{engine.AlgoKCore: {}, engine.AlgoPageRank: {}}
 	prRanks, prTopos := map[bool]bool{}, map[string]bool{}
 	rng := xrand.New(sweepSeed)

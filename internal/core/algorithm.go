@@ -5,8 +5,8 @@
 // asynchronous transmission through the routed mailbox, scheduling via a
 // local calendar of FIFO buckets, replica forwarding for split adjacency
 // lists, a ghost filter for high in-degree hubs that stale-tolerant
-// algorithms consult in their push loops (GhostFilter), merging at the sender
-// for counted visitors, and termination detection. Kernels that touch every
+// algorithms consult in their push loops (GhostFilter), and termination
+// detection. Kernels that touch every
 // vertex every step run as counted rounds instead (RoundExchange), on the
 // same mailbox and detector.
 package core
@@ -65,20 +65,4 @@ type BucketAlgorithm[V Visitor] interface {
 	Algorithm[V]
 	// Bucket returns the visitor's scheduling bucket (e.g. ⌊Dist/Δ⌋).
 	Bucket(v V) uint64
-}
-
-// CombineAlgorithm is implemented by algorithms whose visitors for one vertex
-// can be merged before they leave the rank: k-core's removal notices count —
-// a counted algorithm, which the ghost filter (GhostFilter) would corrupt. The queue holds one pending
-// visitor per slot of the rank's ghost table — the remote targets the rank
-// stores at least two edges to, the only ones with anything to merge — folds
-// every later push for that slot into it, and sends what it holds when the
-// local scheduler runs dry. The merged visitor must have the effect on the
-// master that the visitors it absorbed would have had, in any order.
-type CombineAlgorithm[V Visitor] interface {
-	Algorithm[V]
-	// Combine merges v into *acc, a visitor for the same vertex, and returns
-	// true; false when the two cannot merge (the queue then sends *acc and
-	// holds v in its place).
-	Combine(acc *V, v V) bool
 }

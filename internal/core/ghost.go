@@ -71,8 +71,8 @@ func (t *GhostTable) Vertices() []graph.Vertex { return t.vertices }
 // push, never drop one that improves on what the master was sent: an
 // algorithm tolerant of stale state (BFS, SSSP, CC) may call Drop in its push
 // loop, and calling it is the opt-in. A counted algorithm (k-core, triangle
-// counting) needs every visitor's effect and must not; k-core merges instead
-// (CombineAlgorithm). Queue.Ghosts hands the filter out.
+// counting) needs every visitor's effect and must not. Queue.Ghosts hands the
+// filter out.
 type GhostFilter struct {
 	best    []uint64 // per ghost slot; ^0 until a push to it passes
 	dropped uint64   // pushes dropped since Queue.publish last folded them into Stats

@@ -17,19 +17,16 @@ import (
 // one ledger the hot path writes — plain fields — and the machine's
 // obs.Registry gets the growth of the queue's own counters (Pushed through
 // Unparked) under the core.* names once per rank-loop iteration
-// (Queue.publish). Every push ends one of four ways, a replica forward sends
+// (Queue.publish). Every push ends one of three ways, a replica forward sends
 // once more, and a runner may send and receive records of a protocol of its
 // own beside its queue (a direction-optimizing BFS's level messages):
-// Pushed − GhostFiltered − Local − Combined + Forwarded + ProtocolSent ==
+// Pushed − GhostFiltered − Local + Forwarded + ProtocolSent ==
 // Mailbox.RecordsSent, and Received + ProtocolReceived ==
-// Mailbox.RecordsDelivered (check.Traversal). The one exception is a
-// cancelled query: the visitors its queue held unsent are discarded, like the
-// deliveries it drops.
+// Mailbox.RecordsDelivered (check.Traversal).
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
 	Local         uint64 // visitors pushed to a vertex this rank masters: applied in place, never sent
-	Combined      uint64 // visitors merged into one already held for the same ghost slot, never sent
 	Received      uint64 // visitors the mailbox delivered to this rank
 	Queued        uint64 // visitors whose PreVisit returned true
 	Executed      uint64 // visitors whose Visit ran
@@ -95,14 +92,6 @@ type Queue[V Visitor] struct {
 	nGhosts int         // the ghost table's length: the slots the filter covers
 	filter  GhostFilter // sized on the first Ghosts call
 
-	combAlgo CombineAlgorithm[V] // nil when the algorithm does not combine or ghosts unused
-	nHeld    int                 // slots below this are combined; 0 when combAlgo is nil
-
-	// The combiner's accumulator: one pending visitor per ghost slot (sized on
-	// the first hit), and the slots holding one, in the order they took it.
-	held  []pending[V]
-	dirty []int32
-
 	mb  *mailbox.Box
 	det *termination.Detector
 
@@ -130,12 +119,6 @@ type Queue[V Visitor] struct {
 	met      queueMetrics
 }
 
-// pending is one ghost slot's held visitor.
-type pending[V Visitor] struct {
-	v  V
-	ok bool
-}
-
 // queueMetrics bundles the rank's obs handles for the visitor queue.
 // Counters accumulate machine-wide (reset via obs.Registry.Reset); the Stats
 // struct stays per-Queue for per-traversal reads.
@@ -144,7 +127,6 @@ type queueMetrics struct {
 	pushed        *obs.PerRank
 	ghostFiltered *obs.PerRank
 	local         *obs.PerRank
-	combined      *obs.PerRank
 	received      *obs.PerRank
 	queued        *obs.PerRank
 	executed      *obs.PerRank
@@ -161,7 +143,6 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 		pushed:        reg.PerRank(obs.CorePushed, p),
 		ghostFiltered: reg.PerRank(obs.CoreGhostFiltered, p),
 		local:         reg.PerRank(obs.CoreLocal, p),
-		combined:      reg.PerRank(obs.CoreCombined, p),
 		received:      reg.PerRank(obs.CoreReceived, p),
 		queued:        reg.PerRank(obs.CoreQueued, p),
 		executed:      reg.PerRank(obs.CoreExecuted, p),
@@ -175,12 +156,10 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 // NewQueue builds one query's queue on one rank: visitors travel through the
 // rank's shared mailbox stamped with tag (the query ID), and termination
 // detection runs on the caller-minted per-query detector. ghosts sizes the
-// sender-side filter (Ghosts) and, when the algorithm implements
-// CombineAlgorithm, the combiner (nil or empty disables both); the filter is
-// sized on the first Ghosts call and the combiner's accumulator when a push
-// first hits the table, so a query that never pushes along an edge pays
-// nothing for them. A non-nil pager marks the partition's CSR targets as out of
-// core: Step parks visitors whose adjacency pages are absent instead of
+// sender-side filter (Ghosts; nil or empty disables it), allocated on the
+// first Ghosts call, so a query that never pushes along an edge pays nothing
+// for it. A non-nil pager marks the partition's CSR targets as out of core:
+// Step parks visitors whose adjacency pages are absent instead of
 // blocking on the device, and the caller must feed Pager.Drain results back
 // through Unpark. The local scheduler is a calendar of FIFO buckets, keyed by
 // the algorithm's BucketAlgorithm.Bucket, or one bucket when it declares none.
@@ -199,9 +178,6 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 	}
 	if ghosts != nil {
 		q.nGhosts = ghosts.Len()
-		if q.combAlgo, _ = algo.(CombineAlgorithm[V]); q.combAlgo != nil {
-			q.nHeld = q.nGhosts
-		}
 	}
 	return q
 }
@@ -260,10 +236,9 @@ func (q *Queue[V]) route(v V) {
 // is t (v.Vertex() == t.Vertex()): what the sender can decide was resolved
 // into the word when the partition was built, so deciding is reading it. A
 // local target is applied in place; a target in one of the rank's remote slots
-// goes to the owner the slot names — through the slot's held visitor when the
-// algorithm combines and the slot is within the ghost table; a word with
-// nothing resolved takes Push's path. The ghost filter is the caller's: a push
-// it drops never gets here (GhostFilter.Drop).
+// goes to the owner the slot names; a word with nothing resolved takes Push's
+// path. The ghost filter is the caller's: a push it drops never gets here
+// (GhostFilter.Drop).
 func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 	q.stats.Pushed++
 	if t.Local() {
@@ -271,47 +246,11 @@ func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 		q.apply(v)
 		return
 	}
-	switch slot := t.Slot(); {
-	case slot < 0:
-		q.route(v)
-	case slot < q.nHeld:
-		q.hold(slot, v)
-	default:
+	if slot := t.Slot(); slot >= 0 {
 		q.send(int(q.part.SlotOwner[slot]), v)
+	} else {
+		q.route(v)
 	}
-}
-
-// hold makes v the slot's pending visitor: it takes an empty slot, merges into
-// the visitor already there, or — when the two cannot merge — sends that one
-// and takes its place. What a slot holds is work the termination detector
-// cannot see, so LocalIdle stays false until Step sends it (flushHeld).
-func (q *Queue[V]) hold(slot int, v V) {
-	if q.held == nil {
-		q.held = make([]pending[V], q.nHeld)
-	}
-	p := &q.held[slot]
-	switch {
-	case !p.ok:
-		p.v, p.ok = v, true
-		q.dirty = append(q.dirty, int32(slot))
-	case q.combAlgo.Combine(&p.v, v):
-		q.stats.Combined++
-	default:
-		q.send(int(q.part.SlotOwner[slot]), p.v)
-		p.v = v
-	}
-}
-
-// flushHeld sends every held visitor and reports whether there was one.
-func (q *Queue[V]) flushHeld() bool {
-	for _, slot := range q.dirty {
-		p := &q.held[slot]
-		q.send(int(q.part.SlotOwner[slot]), p.v)
-		*p = pending[V]{}
-	}
-	sent := len(q.dirty) > 0
-	q.dirty = q.dirty[:0]
-	return sent
 }
 
 // send transmits v to rank dest under the query's tag.
@@ -363,14 +302,9 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // resident work instead of blocking on it. Parking counts as progress: the
 // queue did advance its frontier bookkeeping, and reporting false here could
 // let the rank loop sleep while fetches it must drain are in flight.
-//
-// Whenever the slice leaves the scheduler empty, or finds it so, Step sends
-// what the combiner holds: merging goes on for as long as the rank has local
-// work, and the rank never waits on its peers over visitors it has not sent.
-// Sending them is progress.
 func (q *Queue[V]) Step(batch int) bool {
 	if q.cal.n == 0 {
-		return q.flushHeld()
+		return false
 	}
 	q.met.queueDepth.Observe(uint64(q.cal.n))
 	for i := 0; i < batch && q.cal.n > 0; i++ {
@@ -387,9 +321,6 @@ func (q *Queue[V]) Step(batch int) bool {
 	}
 	if len(q.missRows) > 0 {
 		q.park()
-	}
-	if q.cal.n == 0 {
-		q.flushHeld()
 	}
 	return true
 }
@@ -471,21 +402,19 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 }
 
 // LocalIdle reports whether this queue holds no local work. Parked visitors
-// and the combiner's held ones are pending work — neither is in flight, so a
-// queue holding any must not report idle, or termination detection could
-// declare quiescence with traversal still to do.
+// are pending work — not in flight, so a queue holding any must not report
+// idle, or termination detection could declare quiescence with traversal
+// still to do.
 func (q *Queue[V]) LocalIdle() bool {
-	return q.cal.n == 0 && q.nParked == 0 && len(q.dirty) == 0
+	return q.cal.n == 0 && q.nParked == 0
 }
 
 // Cancel marks the queue cancelled on this rank: the locally queued visitors
-// and the combiner's held visitors are discarded (never sent, so never counted
-// in flight) and subsequent deliveries are drained without being applied.
+// are discarded (never sent, so never counted in flight) and subsequent
+// deliveries are drained without being applied.
 // Termination detection still runs to quiescence so the query's tagged
 // records fully drain from the message plane before the ID is retired.
 func (q *Queue[V]) Cancel() {
-	clear(q.held)
-	q.dirty = q.dirty[:0]
 	q.cancelled = true
 	q.cal.clear()
 	// Parked visitors are dropped too: their demand fetches may still
@@ -534,7 +463,6 @@ func (q *Queue[V]) publish() {
 	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
 	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
 	m.local.Publish(rank, cur.Local, &last.Local)
-	m.combined.Publish(rank, cur.Combined, &last.Combined)
 	m.received.Publish(rank, cur.Received, &last.Received)
 	m.queued.Publish(rank, cur.Queued, &last.Queued)
 	m.executed.Publish(rank, cur.Executed, &last.Executed)

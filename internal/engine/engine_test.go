@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"runtime/debug"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
+	"havoqgt/internal/mailbox"
 	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/ref"
@@ -313,6 +315,61 @@ func TestEngineDeadline(t *testing.T) {
 		t.Skip("query beat a 1µs deadline; nothing to assert")
 	}
 	checkFlows(t, tk)
+}
+
+// TestCancelledQueriesKeepThePushLaw: a cancelled queue discards what it had
+// queued and drops what it is delivered, but it holds nothing back at the
+// sender, so every push it made is still accounted for (check.Traversal).
+// k-core (k = 8) and top-down BFS on a scale-12 graph are cut off by
+// deadlines spread over one uncut run's time; each run must keep every law,
+// and at least one must have been cancelled.
+func TestCancelledQueriesKeepThePushLaw(t *testing.T) {
+	check.NoLeaks(t)
+	const p, topoName, runs = 4, "2d", 24
+	gen := generators.NewGraph500(12, 42)
+	m := rt.NewMachine(p)
+	parts, err := partition.Build(m, gen.NumVertices(), partition.Undirected(gen.GenerateChunk), partition.EdgeList, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := mailbox.ByName(topoName, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{Machine: m, Parts: parts, Ghosts: core.BuildGhostTables(parts, 0), Topology: topoName}
+	var source graph.Vertex // the highest-degree vertex: its BFS reaches the giant component
+	for v, d := range parts[0].Degrees {
+		if d > parts[0].Degrees[source] {
+			source = graph.Vertex(v)
+		}
+	}
+	total := 0
+	for _, spec := range []engine.Spec{{Algo: engine.AlgoKCore, K: 8}, {Algo: engine.AlgoBFS, Source: source}} {
+		start := time.Now()
+		if _, _, err := engine.RunOnce(cfg, engine.Options{}, spec); err != nil {
+			t.Fatal(err)
+		}
+		full, cancelled := time.Since(start), 0
+		for i := 1; i <= runs; i++ {
+			spec.Deadline = full * time.Duration(i) / (runs + 1)
+			_, stats, err := engine.RunOnce(cfg, engine.Options{}, spec)
+			cut := errors.Is(err, context.DeadlineExceeded)
+			if err != nil && !cut {
+				t.Fatal(err)
+			}
+			if cut {
+				cancelled++
+			}
+			if err := check.Error(check.Traversal(topo, stats)); err != nil {
+				t.Errorf("%s, deadline %v (cancelled %v): %v", spec.Algo, spec.Deadline, cut, err)
+			}
+		}
+		t.Logf("%s: %d of %d runs cancelled (an uncut run took %v)", spec.Algo, cancelled, runs, full)
+		total += cancelled
+	}
+	if total == 0 {
+		t.Error("no run was cancelled: the deadlines test nothing")
+	}
 }
 
 // TestEngineCancelWaiting cancels a query still parked in the wait queue: it

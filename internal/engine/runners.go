@@ -47,10 +47,9 @@ func (rn *queueRunner[V]) Finish() { rn.finish() }
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
 // only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs,
-// sssp, cc); k-core needs every removal notice delivered and merges them over
-// the same table instead (core.CombineAlgorithm); triangle counting needs
-// every adjacency membership query (§VI-C) and does neither. PageRank and
-// direction-optimizing BFS run no visitor queue (protocolRunner).
+// sssp, cc); k-core needs every removal notice delivered and triangle
+// counting every adjacency membership query (§VI-C), so neither asks.
+// PageRank and direction-optimizing BFS run no visitor queue (protocolRunner).
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
 	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }

@@ -286,13 +286,13 @@ func TestCorruptDistanceRejectedAndSaturated(t *testing.T) {
 }
 
 // TestKCoreCountersNeverWrap: a master's counter starts at its degree, round
-// 0 subtracts a count per peer at once, and a notice merged at the sender
-// subtracts several. A live vertex hears at most one notice per edge, so
-// after any k-core run on the real runner — notices combined — no master's
-// counter may read above its degree, which is what a wrapped uint32 would.
-// (The cascade at k = 4 is two visits; at 16 it combines notices.) At the
-// largest k every vertex dies in round 0: nothing is visited, and the
-// round's one record from every rank to every peer is all that is sent.
+// 0 subtracts a count per peer at once, and every cascade notice one more. A
+// live vertex hears at most one notice per edge, so after any k-core run on
+// the real runner no master's counter may read above its degree, which is
+// what a wrapped uint32 would. (The cascade at k = 4 is two visits; at 16 it
+// has more.) At the largest k every vertex dies in round 0: nothing is
+// visited, and the round's one record from every rank to every peer is all
+// that is sent.
 func TestKCoreCountersNeverWrap(t *testing.T) {
 	const p = 4
 	gen := generators.NewGraph500(10, 42)
@@ -307,7 +307,6 @@ func TestKCoreCountersNeverWrap(t *testing.T) {
 		return rn
 	}
 	defer register(&probe)()
-	var combined uint64
 	for _, k := range []uint32{4, 16, 1 << 20} {
 		_, stats, err := RunOnce(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts, Topology: g.topo}, Options{},
 			Spec{Algo: probe.name, K: k})
@@ -317,7 +316,6 @@ func TestKCoreCountersNeverWrap(t *testing.T) {
 		var executed, protocol, records uint64
 		for _, s := range stats {
 			executed += s.Executed
-			combined += s.Combined
 			protocol += s.ProtocolSent
 			records += s.Mailbox.RecordsSent
 		}
@@ -334,9 +332,6 @@ func TestKCoreCountersNeverWrap(t *testing.T) {
 				}
 			})
 		}
-	}
-	if combined == 0 {
-		t.Error("no notice combined")
 	}
 }
 

@@ -314,9 +314,9 @@ func RunKCore(o KCoreOpts) ([]KCoreResult, error) {
 	defer e.close()
 	results := make([]KCoreResult, len(o.Ks))
 	for i, k := range o.Ks {
-		// No ghost table, so no combiner: Fig. 6's cascade sends the paper's
-		// one notice per removed edge (its dense first round a count per
-		// peer and vertex).
+		// Fig. 6's cascade sends the paper's one notice per removed edge (its
+		// dense first round a count per peer and vertex); k-core reads no
+		// ghost table, so none is built.
 		out, stats, elapsed, err := e.run(nil, engine.Spec{Algo: engine.AlgoKCore, K: k}, fmt.Sprintf("kcore.k%d", k))
 		if err != nil {
 			return nil, err

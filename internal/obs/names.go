@@ -101,7 +101,6 @@ const (
 	CorePushed        = "core.pushed"
 	CoreGhostFiltered = "core.ghost_filtered"
 	CoreLocal         = "core.local"    // pushes applied in place on the master rank, never sent
-	CoreCombined      = "core.combined" // pushes merged into the visitor held for their ghost slot, never sent
 	CoreReceived      = "core.received" // mailbox deliveries
 	CoreQueued        = "core.queued"
 	CoreExecuted      = "core.executed"
