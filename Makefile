@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzDOHandle$$ -fuzztime=$(FUZZTIME) ./internal/algos/bfs
 	$(GO) test -run=^$$ -fuzz=^FuzzPageRankRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/pagerank
 	$(GO) test -run=^$$ -fuzz=^FuzzKCoreRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/kcore
+	$(GO) test -run=^$$ -fuzz=^FuzzSSSPRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/sssp
 	$(GO) test -run=^$$ -fuzz=^FuzzQueryRequest$$ -fuzztime=$(FUZZTIME) ./cmd/havoqd
 
 # Chaos harness (DESIGN.md §8): seeded fault plans × every algorithm × every

@@ -65,7 +65,7 @@ type Options struct {
 	// Topology routes the visitor mailbox: "1d" (direct, default), "2d", "3d".
 	Topology string
 	// GhostsPerPartition bounds each rank's ghost table, the sender-side
-	// filter the monotone algorithms consult (BFS, SSSP, CC). The
+	// filter the monotone visitor algorithms consult (BFS, CC). The
 	// default, 0, keeps every remote vertex the rank holds at least two edges
 	// to; a positive value caps the table at that many of the most repeated
 	// (the paper's experiments use 256); negative disables the filter.
@@ -116,9 +116,9 @@ type Graph struct {
 	// version is the graph's monotone snapshot version, starting at 1.
 	// Today the partitioned graph is immutable, so the version only moves
 	// when BumpVersion is called explicitly; the streaming-ingest path
-	// (ROADMAP item 4) will bump it on every compacted snapshot swap. The
-	// serving layer keys its result cache on this value, so a bump
-	// invalidates every cached answer.
+	// (ROADMAP's parked "Live graphs") will bump it on every compacted
+	// snapshot swap. The serving layer keys its result cache on this value,
+	// so a bump invalidates every cached answer.
 	version atomic.Uint64
 }
 
@@ -182,7 +182,8 @@ func (g *Graph) Version() uint64 { return g.version.Load() }
 
 // BumpVersion advances the snapshot version and returns the new value. This
 // is the invalidation hook for mutation paths (streaming ingest, snapshot
-// swap — ROADMAP item 4): bump after the new snapshot is visible and every
+// swap — ROADMAP's parked "Live graphs"): bump after the new snapshot is
+// visible and every
 // version-keyed cache entry from before it becomes stale atomically.
 func (g *Graph) BumpVersion() uint64 { return g.version.Add(1) }
 

@@ -254,8 +254,8 @@ func (o *runOpts) load(simplify bool) (*loaded, error) {
 func (g *loaded) close() { g.stores.Close() }
 
 // ghostsFlag declares -ghosts for the traversals that filter at the sender
-// (bfs, sssp, cc); core.BuildGhostTables gives the value its meaning, the
-// same as the library's Options.GhostsPerPartition. kcore reads no ghost
+// (bfs, cc); core.BuildGhostTables gives the value its meaning, the same as
+// the library's Options.GhostsPerPartition. kcore and sssp read no ghost
 // table.
 func ghostsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("ghosts", 0, "ghost vertices per partition, the table the sender-side filter works over: 0 takes every remote vertex the rank has two or more edges to, N the N most repeated (a prefix of the numbering the partition build gives them), negative disables")
@@ -319,7 +319,6 @@ func cmdSSSP(args []string) error {
 	fs := flag.NewFlagSet("sssp", flag.ContinueOnError)
 	o := addRunFlags(fs)
 	source := fs.Uint64("source", 0, "SSSP source vertex")
-	ghosts := ghostsFlag(fs)
 	weightSeed := fs.Uint64("weight-seed", 1, "seed for the synthesized edge weights")
 	if err := parseArgs(fs, args); err != nil {
 		return err
@@ -330,17 +329,11 @@ func cmdSSSP(args []string) error {
 		return err
 	}
 	defer g.close()
-	res, elapsed, err := g.query(*ghosts, engine.Spec{Algo: engine.AlgoSSSP, Source: graph.Vertex(*source), WeightSeed: *weightSeed})
+	res, elapsed, err := g.query(0, engine.Spec{Algo: engine.AlgoSSSP, Source: graph.Vertex(*source), WeightSeed: *weightSeed})
 	if err != nil {
 		return err
 	}
-	var reached, maxDist uint64
-	for _, d := range res.Dist {
-		if d != sssp.Unreached {
-			reached++
-			maxDist = max(maxDist, d)
-		}
-	}
+	reached, maxDist := sssp.Summary(res.Dist)
 	fmt.Printf("sssp: source=%d ranks=%d topo=%s\n", *source, o.p, o.topo)
 	fmt.Printf("  time:             %v\n", elapsed.Round(time.Microsecond))
 	fmt.Printf("  reached vertices: %d\n", reached)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"havoqgt/internal/algos/bfs"
+	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/core"
 	"havoqgt/internal/csr"
 	"havoqgt/internal/engine"
@@ -44,9 +45,10 @@ const ccFloodExecutedMax, ccFloodRecordsMax = 200_000, 470_000
 // goldenHashes are FNV-1a hashes of every query type's deterministic output
 // on GenerateRMAT(12, 42, {Ranks: 8, Topology: "2d", Simplify: true}),
 // recorded through the facade at the commit before the classic executor was
-// removed (PR 11, 9529f61). BFS/SSSP parents are excluded: they depend on
+// removed (PR 11, 9529f61). BFS/SSSP parents are excluded: BFS's depend on
 // arrival order among equal-cost alternatives (cluster.HashResult excludes
-// them for the same reason).
+// them for the same reason), and SSSP's did until its rounds took the
+// smaller parent on equal distances.
 var goldenHashes = map[string]uint64{
 	"bfs":       0x16e372a9a7e3d76e,
 	"bfs_do":    0x16e372a9a7e3d76e,
@@ -488,6 +490,63 @@ func TestUntaggedTargetsTraverseIdentically(t *testing.T) {
 		}
 		if spec.Resume != nil && (pushed == 0 || local == 0) {
 			t.Errorf("cc pushed %d, %d in place: untagged local targets must still be applied in place", pushed, local)
+		}
+	}
+}
+
+// One-shot SSSP at the benchmark's shape, from the first vertex of degree at
+// least 8 with weight seed 7: bulk-synchronous Δ-stepping at Δ = 16 runs
+// exactly 46 rounds, each one record from every rank to every peer, and
+// relaxes exactly 1,507,748 stored edges (1.7 per edge of the 882,584 it can
+// reach) to settle 24,155 vertices. The split rows' distances ride the
+// masters' round records, so nothing else is sent, and it executes no
+// visitor. The asynchronous visitor SSSP it replaced pushed 2.81–3.00 M
+// times, ran 135–142 K visits and sent 402–430 K records for the same query
+// over three runs, varying with the schedule. At Δ = 8 the same query runs
+// 73 rounds and 974,887 relaxations; Δ = 16 relaxes more but waits on fewer
+// rounds, which is what costs under concurrent queries (sssp.Delta).
+const ssspRounds, ssspRelaxed = 46, 1_507_748
+
+// TestSSSPRoundBudget pins what a one-shot SSSP runs and sends at the
+// benchmark's shape (scale 15, 8 ranks, 2d), in counts: rounds, records and
+// relaxations are functions of the graph and the source alone, so they are
+// exact, with the default ghost table and with none (SSSP reads none).
+func TestSSSPRoundBudget(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("scale-15 round budget: not under -short or -race")
+	}
+	g, err := GenerateRMAT(15, 42, Options{Ranks: 8, Topology: "2d", Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var source Vertex
+	for d, _ := g.Degree(source); d < 8; d, _ = g.Degree(source) {
+		source++
+	}
+	p := uint64(len(g.parts))
+	noGhosts := g.engineConfig()
+	noGhosts.Ghosts = core.BuildGhostTables(g.parts, -1)
+	for _, cfg := range []engine.Config{g.engineConfig(), noGhosts} {
+		res, stats, err := engine.RunOnce(cfg, engine.Options{}, engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed, protocol, records, relaxed uint64
+		for _, s := range stats {
+			executed += s.Executed
+			protocol += s.ProtocolSent
+			records += s.Mailbox.RecordsSent
+			relaxed += s.Relaxed
+		}
+		reached, _ := sssp.Summary(res.Dist)
+		t.Logf("sssp from %d (ghost table %v): reached %d, executed %d, protocol records %d, records sent %d, relaxed %d",
+			source, cfg.Ghosts != nil, reached, executed, protocol, records, relaxed)
+		if want := ssspRounds * p * (p - 1); executed != 0 || protocol != want || records != want {
+			t.Errorf("sssp executed %d visits and sent %d records (%d protocol), want 0 and exactly %d rounds·p(p−1) = %d",
+				executed, records, protocol, ssspRounds, want)
+		}
+		if relaxed != ssspRelaxed {
+			t.Errorf("sssp relaxed %d edges, want exactly %d", relaxed, ssspRelaxed)
 		}
 	}
 }

@@ -178,6 +178,38 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// TestSSSPExternalMemoryParks: out of core, SSSP's frontier rows park on
+// absent pages and every one is relaxed when its page arrives; the distances
+// are Dijkstra's, and the parks count in Stats and in the registry alike.
+func TestSSSPExternalMemoryParks(t *testing.T) {
+	const seed = 5
+	gen := generators.NewGraph500(10, 3)
+	edges := graph.Undirect(gen.Generate())
+	n := gen.NumVertices()
+	want, _ := ref.Dijkstra(ref.BuildAdj(edges, n), 2, func(u, v graph.Vertex) uint64 {
+		return sssp.Weight(u, v, seed)
+	})
+	g, _ := singleNode(t, edges, n, 4, &ooc.Config{
+		ResidentFraction: 1.0 / 4, Latency: time.Microsecond, QueueDepth: 16, PageSize: 512,
+	})
+	res, stats := g.Run(t, algotest.Setup{}, engine.Spec{Algo: engine.AlgoSSSP, Source: 2, WeightSeed: seed})
+	for v := range want {
+		if res.Dist[v] != want[v] {
+			t.Fatalf("dist(%d) = %d, want %d", v, res.Dist[v], want[v])
+		}
+	}
+	var parked, unparked uint64
+	for _, s := range stats {
+		parked, unparked = parked+s.Parked, unparked+s.Unparked
+	}
+	if parked == 0 || unparked != parked {
+		t.Fatalf("parked %d, unparked %d: want some, all relaxed", parked, unparked)
+	}
+	if got := g.Machine.Obs().Snapshot().Counter(obs.CoreParked); got != parked {
+		t.Fatalf("registry core.parked = %d, Stats %d", got, parked)
+	}
+}
+
 func TestCCMatchesReference(t *testing.T) {
 	edges := randomEdges(13, 128, 80) // sparse: several components
 	wantLabels, wantCount := ref.Components(ref.BuildAdj(edges, 128))

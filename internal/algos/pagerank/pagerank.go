@@ -137,20 +137,19 @@ func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)
 		}
 	}
 	// Each peer's run holds a pair per remote slot it owns and one per
-	// untagged edge to a vertex it masters: counted once, so the runs and
-	// loose are allocated at their size and reused by every sweep.
+	// untagged edge to a vertex it masters, both counted by the partition
+	// build, so the runs and loose are allocated at their size and reused by
+	// every sweep. (Words stripped of their tags after the build grow them.)
 	pairs := make([]int, part.P)
+	copy(pairs, part.UntaggedTo)
+	untagged := 0
+	for r, n := range pairs {
+		if r != part.Rank {
+			untagged += n
+		}
+	}
 	for _, o := range part.SlotOwner {
 		pairs[o]++
-	}
-	untagged := 0
-	for i := 0; i < part.StateLen; i++ {
-		for _, t := range part.CSR.Row(i) {
-			if v := uint64(t.Vertex()); !t.Local() && t.Slot() < 0 && v-lo >= hi-lo {
-				pairs[part.Master(t.Vertex())]++
-				untagged++
-			}
-		}
 	}
 	p.loose = make([]int32, 0, untagged)
 	for r, n := range pairs {
@@ -260,35 +259,39 @@ func (p *PR) sweep() {
 		}
 	}
 	sums := *p.sums.Acc(k)
-	for edges := 0; p.row < p.part.StateLen && edges < sliceEdges; p.row++ {
+	part, lo, span := p.part, p.lo, p.hi-p.lo
+	rank, degrees, slotSum := p.rank, part.Degrees, p.slotSum
+	i, next := p.row, p.next
+	for edges := 0; i < part.StateLen && edges < sliceEdges; i++ {
 		c := p.chainC
-		if p.row > 0 || !p.fragment {
+		if i > 0 || !p.fragment {
 			c = 0
-			if v := p.part.Vertex(p.row); p.part.Degrees[v] > 0 {
-				c = ref.PRContrib(p.rank[uint64(v)-p.lo], uint64(p.part.Degrees[v]))
+			if v := part.Vertex(i); degrees[v] > 0 {
+				c = ref.PRContrib(rank[uint64(v)-lo], uint64(degrees[v]))
 			}
 		}
-		row := p.part.CSR.Row(p.row)
+		row := part.CSR.Row(i)
 		edges += len(row) + 1
 		for _, t := range row {
 			switch v := uint64(t.Vertex()); {
 			case t.Local():
-				sums[v-p.lo] += c
+				sums[v-lo] += c
 			case t.Slot() >= 0:
-				p.slotSum[t.Slot()] += c
-			case v-p.lo < p.hi-p.lo: // an untagged word the rank masters
-				sums[v-p.lo] += c
+				slotSum[t.Slot()] += c
+			case v-lo < span: // an untagged word the rank masters
+				sums[v-lo] += c
 			default:
-				if p.next == len(p.loose) {
-					p.loose = append(p.loose, int32(p.part.Master(graph.Vertex(v))))
+				if next == len(p.loose) {
+					p.loose = append(p.loose, int32(part.Master(graph.Vertex(v))))
 				}
-				o := p.loose[p.next]
-				p.next++
+				o := p.loose[next]
+				next++
 				p.runs[o] = core.AppendPair(p.runs[o], v, c)
 			}
 		}
 	}
-	if p.row < p.part.StateLen {
+	p.row, p.next = i, next
+	if i < part.StateLen {
 		return
 	}
 

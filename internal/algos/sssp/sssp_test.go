@@ -106,15 +106,3 @@ func TestSSSPDisconnected(t *testing.T) {
 		t.Fatalf("dist = %v", dist)
 	}
 }
-
-func TestVisitorCodecRoundTrip(t *testing.T) {
-	s := &sssp.SSSP{}
-	v := sssp.Visitor{V: 7, Dist: 123456, Parent: 9}
-	buf := s.Encode(v, nil)
-	if len(buf) != 8+8+8 {
-		t.Fatalf("wire size %d", len(buf))
-	}
-	if got := s.Decode(buf); got != v {
-		t.Fatalf("round trip %+v", got)
-	}
-}

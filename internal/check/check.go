@@ -37,6 +37,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"havoqgt/internal/core"
@@ -246,7 +247,8 @@ func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 // a remote target has a slot exactly when the rank stores at least two edges
 // to it (unless every slot a word can name is taken); and slots are numbered
 // by that edge count descending, then vertex — the order that makes every
-// ghost cap a prefix.
+// ghost cap a prefix; and UntaggedTo counts the remote edges with no slot by
+// their target's master.
 func EdgeTags(part *partition.Part) []Violation {
 	var vs violations
 	if len(part.SlotVertex) != len(part.SlotOwner) {
@@ -254,12 +256,19 @@ func EdgeTags(part *partition.Part) []Violation {
 		return vs
 	}
 	counts := map[graph.Vertex]int{}
+	untagged := make([]int, part.P)
 	for row := 0; row < part.CSR.NumRows(); row++ {
 		for _, t := range part.CSR.Row(row) {
 			if v := t.Vertex(); !part.IsMaster(v) {
 				counts[v]++
+				if t.Slot() < 0 {
+					untagged[part.Master(v)]++
+				}
 			}
 		}
+	}
+	if !slices.Equal(part.UntaggedTo, untagged) {
+		vs.addf("edge-tags", "rank %d: untagged edges by master %v, counted %v", part.Rank, part.UntaggedTo, untagged)
 	}
 	for row := 0; row < part.CSR.NumRows(); row++ {
 		for _, t := range part.CSR.Row(row) {

@@ -12,7 +12,7 @@ import (
 // TestConservationCrossTopology is the seeded conservation matrix: every
 // algorithm × every routing topology × several rank counts × the resident
 // fractions (fully resident, and two where visits park on absent pages) ×
-// the ghost settings (bfs, sssp and cc filter on the table; for the rest it
+// the ghost settings (bfs and cc filter on the table; for the rest it
 // must change nothing), each run differentially against internal/ref AND
 // through the full invariant set (record/envelope conservation, hop and
 // channel bounds, detector S/R agreement). Graphs stay tiny — the value is
@@ -61,9 +61,9 @@ func TestConservationCrossTopology(t *testing.T) {
 // asserting if the sweep's tiny graphs drive every sender-side decision. With
 // the default tables the label algorithms must filter some pushes, and every
 // visitor algorithm applies some in place; with the setting off, or for a
-// counted algorithm (k-core, triangles), nothing may be filtered. PageRank
-// pushes no visitors at all — it sums in counted rounds, whatever the ghost
-// setting — so it filters and applies nothing. cc's marking takes the hub's
+// counted algorithm (k-core, triangles), nothing may be filtered. SSSP and
+// PageRank push no visitors at all — they run in counted rounds, whatever the
+// ghost setting — so they filter and apply nothing. cc's marking takes the hub's
 // component whole, so cc runs on four interleaved copies of the graph: its
 // label propagation has the other three.
 func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
@@ -74,10 +74,10 @@ func TestConservationSeesGhostsAndLocalApplies(t *testing.T) {
 		ghosts           int
 		filters, inPlace bool
 	}{
-		{"bfs", 0, true, true}, {"sssp", 0, true, true}, {"cc", 0, true, true},
-		{"kcore", 0, false, true}, {"pagerank", 0, false, false},
+		{"bfs", 0, true, true}, {"cc", 0, true, true},
+		{"kcore", 0, false, true}, {"sssp", 0, false, false}, {"pagerank", 0, false, false},
 		{"bfs", -1, false, true}, {"cc", -1, false, true}, {"kcore", -1, false, true},
-		{"pagerank", -1, false, false},
+		{"sssp", -1, false, false}, {"pagerank", -1, false, false},
 		{"triangles", 0, false, true},
 	} {
 		c := base

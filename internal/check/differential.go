@@ -41,7 +41,7 @@ type Case struct {
 	FlushBytes int         // mailbox aggregation threshold (1 = degenerate)
 	K          uint32      // k-core parameter (kcore only)
 	// Ghosts is the ghost setting handed to core.BuildGhostTables: 0 the
-	// default tables, negative none. bfs, sssp and cc filter on the table;
+	// default tables, negative none. bfs and cc filter on the table; sssp,
 	// kcore and pagerank do not read it, so their results must not move.
 	Ghosts int
 	// Resident, when in (0, 1), moves every rank's adjacency out of core at
@@ -49,8 +49,11 @@ type Case struct {
 	// graphs span many) and hands the pagers to the engine, so the traversal
 	// parks and unparks. 0 runs fully resident.
 	Resident float64
-	// Graph, when non-nil, is the undirected edge list over N vertices used
-	// instead of the seeded random one: a shape a test pins by hand.
+	// Graph, when non-nil, is the edge list over N vertices used as it is
+	// instead of the seeded random one: a shape a test pins by hand. It is
+	// undirected (both directions listed) unless the case's algorithm reads
+	// edge direction and the test means it — pagerank pushes along stored
+	// out-edges, and so does its reference.
 	Graph []graph.Edge
 
 	// Fault, when non-nil, arms a deterministic injector on the machine's

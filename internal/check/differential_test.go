@@ -122,6 +122,34 @@ func TestDifferentialCCShapes(t *testing.T) {
 	}
 }
 
+// TestDifferentialDirectedPageRank runs pagerank on directed graphs, where
+// a vertex's in- and out-neighbours differ: the kernel pushes each stored
+// row's contribution to its targets, so the reference must push along
+// out-edges too, not pull over a vertex's own list. The pinned graph gives
+// vertex 3 no in-edge and vertex 2 three; the random ones are drawn without
+// their reverse edges, on one rank and on several, split rows included.
+func TestDifferentialDirectedPageRank(t *testing.T) {
+	pinned := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 2}}
+	cases := []Case{{Algo: "pagerank", Seed: 3, N: 4, Ranks: 2, Topo: "1d", FlushBytes: 64, Graph: pinned}}
+	for i, p := range []int{1, 3, 8} {
+		rng := xrand.New(uint64(40 + i))
+		const n = 40
+		edges := make([]graph.Edge, 4*n)
+		for j := range edges {
+			edges[j] = graph.Edge{Src: graph.Vertex(rng.Uint64n(n / 4)), Dst: graph.Vertex(rng.Uint64n(n))}
+		}
+		cases = append(cases, Case{Algo: "pagerank", Seed: uint64(7 + i), N: n, Ranks: p, Topo: "2d",
+			FlushBytes: 64, Graph: edges})
+	}
+	for _, c := range cases {
+		t.Run(c.String(), func(t *testing.T) {
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestDifferentialReplaySeeds pins a few historically interesting shapes:
 // single-rank machines (pure loopback), prime rank counts (ragged grids
 // with fallback-to-direct routing), and the degenerate 1-byte threshold.

@@ -48,7 +48,11 @@ import (
 // (vertex, count) pairs per peer, and visitors with a kind byte ahead of them
 // — instead of a seed visitor per vertex; a /5 worker would read a round
 // record as a visitor and never send the round record its peers wait on.
-const Version = "havoqd-cluster/6"
+// Version 7: SSSP runs Δ-stepping in counted rounds — one record of (vertex,
+// dist, parent) triples per peer per bucket round — instead of 24-byte
+// visitors; a /6 worker would read a round record as a visitor and never
+// send the round records its peers wait on.
+const Version = "havoqd-cluster/7"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

@@ -53,8 +53,8 @@ type Algorithm[V Visitor] interface {
 }
 
 // BucketAlgorithm is the one order declaration: it is implemented by
-// algorithms whose visitor ordering is a small integer — BFS's level,
-// delta-stepping SSSP's ⌊Dist/Δ⌋. The queue's local scheduler is a calendar
+// algorithms whose visitor ordering is a small integer — BFS's level. The
+// queue's local scheduler is a calendar
 // of FIFO buckets drained in ascending bucket order, push and pop O(1)
 // amortized, visitors within one bucket in arrival order. An algorithm that
 // does not implement it — cc, k-core, triangle counting — drains one FIFO
@@ -63,6 +63,6 @@ type Algorithm[V Visitor] interface {
 // order merely keeps the work near-optimal.
 type BucketAlgorithm[V Visitor] interface {
 	Algorithm[V]
-	// Bucket returns the visitor's scheduling bucket (e.g. ⌊Dist/Δ⌋).
+	// Bucket returns the visitor's scheduling bucket (e.g. the BFS level).
 	Bucket(v V) uint64
 }

@@ -65,14 +65,15 @@ func (t *GhostTable) Vertices() []graph.Vertex { return t.vertices }
 
 // GhostFilter is one query's ghost copies on one rank (§IV-B): per slot of the
 // rank's ghost table, the best key a push to that ghost has carried. The key
-// is the algorithm's improvement order, lower is better — BFS's level, SSSP's
-// distance, CC's label — so one filter serves every monotone algorithm. A
-// ghost is never synchronized with its master, so it can only fail to drop a
-// push, never drop one that improves on what the master was sent: an
-// algorithm tolerant of stale state (BFS, SSSP, CC) may call Drop in its push
-// loop, and calling it is the opt-in. A counted algorithm (k-core, triangle
-// counting) needs every visitor's effect and must not. Queue.Ghosts hands the
-// filter out.
+// is the algorithm's improvement order, lower is better — BFS's level, CC's
+// label — so one filter serves every monotone visitor algorithm. A ghost is
+// never synchronized with its master, so it can only fail to drop a push,
+// never drop one that improves on what the master was sent: an algorithm
+// tolerant of stale state (BFS, CC) may call Drop in its push loop, and
+// calling it is the opt-in. A counted algorithm (k-core, triangle counting)
+// needs every visitor's effect and must not. SSSP runs no visitor queue: its
+// rounds keep an exact per-slot copy of their own (sssp.SSSP). Queue.Ghosts
+// hands the filter out.
 type GhostFilter struct {
 	best    []uint64 // per ghost slot; ^0 until a push to it passes
 	dropped uint64   // pushes dropped since Queue.publish last folded them into Stats

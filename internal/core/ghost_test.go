@@ -5,7 +5,6 @@ import (
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/algos/cc"
-	"havoqgt/internal/algos/sssp"
 	"havoqgt/internal/core"
 	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
@@ -117,10 +116,6 @@ func TestGhostFilterUnallocatedFromDegreeZeroSource(t *testing.T) {
 		{"bfs", func(src graph.Vertex) []bool {
 			return filterSized(p, func(part *partition.Part) core.Algorithm[bfs.Visitor] { return bfs.New(part) },
 				bfs.Visitor{V: src, Parent: src})
-		}},
-		{"sssp", func(src graph.Vertex) []bool {
-			return filterSized(p, func(part *partition.Part) core.Algorithm[sssp.Visitor] { return sssp.New(part, 1) },
-				sssp.Visitor{V: src, Parent: src})
 		}},
 		{"cc", func(src graph.Vertex) []bool {
 			return filterSized(p, func(part *partition.Part) core.Algorithm[cc.Visitor] { return cc.New(part) },

@@ -31,13 +31,16 @@ type Stats struct {
 	Queued        uint64 // visitors whose PreVisit returned true
 	Executed      uint64 // visitors whose Visit ran
 	Forwarded     uint64 // visitors forwarded along a replica chain
-	Parked        uint64 // visitors parked waiting for an adjacency page
-	Unparked      uint64 // parked visitors re-queued after their page arrived
+	Parked        uint64 // visitors or SSSP frontier rows parked waiting for an adjacency page
+	Unparked      uint64 // parked visitors or rows run after their page arrived
 	// ProtocolSent/ProtocolReceived count the records a runner sent, or was
 	// delivered, outside its visitor queue. The runner fills them in; a Queue
 	// leaves them zero.
 	ProtocolSent     uint64
 	ProtocolReceived uint64
+	// Relaxed counts the edges a round protocol relaxed (SSSP); others leave
+	// it zero.
+	Relaxed uint64
 	// Mailbox is filled in by the executor when the query retires on the rank
 	// (see engine.Ticket.Stats for which of its counters are the query's own).
 	Mailbox       mailbox.Stats
@@ -102,17 +105,9 @@ type Queue[V Visitor] struct {
 	encBuf []byte
 
 	// Out-of-core parking (non-nil pager): visitors whose adjacency page
-	// missed the cache, indexed by the page they wait for; each page's slice
-	// keeps its capacity across unparks. nParked is maintained alongside so
-	// idle checks are O(1).
-	pager   RowPager
-	parked  [][]V
-	nParked int
-	// One Step slice's misses — rows, their visitors, and the park keys
-	// RowPager.Park returns for them — reused across slices.
-	missRows []int
-	missVs   []V
-	missKeys []int64
+	// missed the cache wait on it in parked.
+	pager  RowPager
+	parked Parking[V]
 
 	stats    Stats
 	mirrored Stats // what publish has already given the registry
@@ -167,14 +162,15 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
 	ba, _ := algo.(BucketAlgorithm[V])
 	q := &Queue[V]{
-		part:  part,
-		algo:  algo,
-		mb:    mb,
-		det:   det,
-		tag:   tag,
-		cal:   newCalendar[V](ba),
-		pager: pager,
-		met:   newQueueMetrics(r),
+		part:   part,
+		algo:   algo,
+		mb:     mb,
+		det:    det,
+		tag:    tag,
+		cal:    newCalendar[V](ba),
+		pager:  pager,
+		parked: NewParking[V](pager),
+		met:    newQueueMetrics(r),
 	}
 	if ghosts != nil {
 		q.nGhosts = ghosts.Len()
@@ -241,7 +237,7 @@ func (q *Queue[V]) route(v V) {
 // (GhostFilter.Drop).
 func (q *Queue[V]) PushEdge(t csr.Target, v V) {
 	q.stats.Pushed++
-	if t.Local() {
+	if isLocal(t) {
 		q.stats.Local++
 		q.apply(v)
 		return
@@ -311,51 +307,18 @@ func (q *Queue[V]) Step(batch int) bool {
 		v := q.cal.pop()
 		if q.pager != nil {
 			if row := q.LocalRow(v.Vertex()); !q.pager.Resident(row) {
-				q.missRows = append(q.missRows, row)
-				q.missVs = append(q.missVs, v)
+				q.parked.Miss(row, v)
 				continue
 			}
 		}
 		q.stats.Executed++
 		q.algo.Visit(v, q)
 	}
-	if len(q.missRows) > 0 {
-		q.park()
+	for _, v := range q.parked.Park() {
+		q.stats.Executed++
+		q.algo.Visit(v, q)
 	}
 	return true
-}
-
-// parkedPageCap is the capacity a page's parked slice starts with: a
-// scale-15 BFS at 1/8 resident parks ≈ 24 visitors per fetched page, so
-// starting at one would regrow each page's slice five times a query.
-const parkedPageCap = 16
-
-// park hands the slice's misses to the pager in one call and parks each
-// visitor on the page key it returns, or runs it when its row turned out
-// resident after all.
-func (q *Queue[V]) park() {
-	n := len(q.missRows)
-	q.missKeys = slices.Grow(q.missKeys[:0], n)[:n]
-	q.pager.Park(q.missRows, q.missKeys)
-	for i, key := range q.missKeys {
-		v := q.missVs[i]
-		if key < 0 {
-			q.stats.Executed++
-			q.algo.Visit(v, q)
-			continue
-		}
-		if int(key) >= len(q.parked) {
-			q.parked = slices.Grow(q.parked, int(key)+1-len(q.parked))[:key+1]
-		}
-		if q.parked[key] == nil {
-			q.parked[key] = make([]V, 0, parkedPageCap)
-		}
-		q.parked[key] = append(q.parked[key], v)
-		q.nParked++
-		q.stats.Parked++
-	}
-	clear(q.missVs)
-	q.missRows, q.missVs = q.missRows[:0], q.missVs[:0]
 }
 
 // Unpark runs the visitors parked on the given pages (called by the rank
@@ -377,25 +340,19 @@ func (q *Queue[V]) park() {
 // again would drop the visitor (e.g. BFS's "level already set" filter);
 // stale visitors are self-pruned by each algorithm's Visit re-check.
 func (q *Queue[V]) Unpark(pages []int64) bool {
-	if q.nParked == 0 {
+	if q.parked.Len() == 0 {
 		return false
 	}
 	any := false
 	for _, pg := range pages {
-		if pg < 0 || pg >= int64(len(q.parked)) || len(q.parked[pg]) == 0 {
-			continue
-		}
 		// Visit never parks (only Step does), so nothing appends to the
 		// page's slice while its visitors run.
-		vs := q.parked[pg]
-		q.parked[pg] = vs[:0]
-		q.nParked -= len(vs)
-		any = true
+		vs := q.parked.Take(pg)
 		for _, v := range vs {
-			q.stats.Unparked++
 			q.stats.Executed++
 			q.algo.Visit(v, q)
 		}
+		any = any || len(vs) > 0
 		clear(vs)
 	}
 	return any
@@ -406,7 +363,7 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 // idle, or termination detection could declare quiescence with traversal
 // still to do.
 func (q *Queue[V]) LocalIdle() bool {
-	return q.cal.n == 0 && q.nParked == 0
+	return q.cal.n == 0 && q.parked.Len() == 0
 }
 
 // Cancel marks the queue cancelled on this rank: the locally queued visitors
@@ -420,8 +377,7 @@ func (q *Queue[V]) Cancel() {
 	// Parked visitors are dropped too: their demand fetches may still
 	// complete, but Unpark on a cancelled queue has nothing to re-queue and
 	// the pages simply age out of the cache.
-	clear(q.parked)
-	q.nParked = 0
+	q.parked.Clear()
 }
 
 // PumpTermination drives this query's detector with the caller-computed
@@ -457,6 +413,7 @@ func (q *Queue[V]) Stats() Stats {
 // here first.
 func (q *Queue[V]) publish() {
 	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
+	cur.Parked, cur.Unparked = q.parked.Parked, q.parked.Unparked
 	cur.Pushed += q.filter.dropped
 	cur.GhostFiltered += q.filter.dropped
 	q.filter.dropped = 0
@@ -474,10 +431,9 @@ func (q *Queue[V]) publish() {
 // calendar is the local scheduler: visitors land in FIFO buckets keyed by
 // BucketAlgorithm.Bucket — all in bucket 0, one plain FIFO, when the
 // algorithm declares no order (algo nil) — drained in ascending bucket order.
-// Push and pop are
-// O(1) amortized — order sorts the indices of the buckets present (a handful
-// for SSSP's ⌊Dist/Δ⌋, two for BFS's levels; touched once per bucket), not
-// visitors — and neither pays the map for the bucket it used last: open is
+// Push and pop are O(1) amortized — order sorts the indices of the buckets
+// present (two for BFS's levels; touched once per bucket), not visitors — and
+// neither pays the map for the bucket it used last: open is
 // the one being drained, last the one pushed into most recently. Spent buckets
 // keep their backing arrays in a free list: the steady state allocates nothing.
 type calendar[V Visitor] struct {
@@ -585,3 +541,15 @@ func (c *calendar[V]) clear() {
 	c.order = c.order[:0]
 	c.n = 0
 }
+
+// isLocal is csr.Target.Local, called through a plain function of this
+// package so that every push loop inlines it. The compiler inlines a
+// function of another package only when it holds the body: from that
+// package's export data if it is imported directly, or carried along with
+// an inlinable function of a package that is. PushEdge is generic, so it is
+// compiled in the packages whose visitors instantiate it, and bfs, cc and
+// k-core do not import csr; nor does pagerank, whose sweep tests Local
+// itself. With no inlinable function of core calling Local, its body reached
+// none of them and each such test was a call; isLocal's body, exported with
+// core's, carries it to every importer of core.
+func isLocal(t csr.Target) bool { return t.Local() }

@@ -6,8 +6,9 @@ package engine
 // the rank loop's shared mailbox and the query's detector instance, pushes
 // the initial visitors, and supplies the Finish gather. The embedded Queue
 // provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats. The
-// dense kernels — direction-optimizing BFS and PageRank — are state machines
-// on a core.RoundExchange instead, behind one adapter (protocolRunner).
+// counted kernels — direction-optimizing BFS, SSSP and PageRank — are state
+// machines on a core.RoundExchange instead, behind one adapter
+// (protocolRunner).
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -19,6 +20,7 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
+	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/termination"
@@ -46,10 +48,10 @@ type queueRunner[V core.Visitor] struct {
 func (rn *queueRunner[V]) Finish() { rn.finish() }
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
-// only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs,
-// sssp, cc); k-core needs every removal notice delivered and triangle
-// counting every adjacency membership query (§VI-C), so neither asks.
-// PageRank and direction-optimizing BFS run no visitor queue (protocolRunner).
+// only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs
+// and cc); k-core needs every removal notice delivered and triangle counting
+// every adjacency membership query (§VI-C), so neither asks. SSSP, PageRank
+// and direction-optimizing BFS run no visitor queue (protocolRunner).
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
 	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.det, env.q.id)
 }
@@ -104,35 +106,6 @@ func newBFSRunner(env *runEnv) runner {
 	}
 	return &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {
 		gatherInto(q.res.Levels, part, st.Level)
-		gatherInto(q.res.Parents, part, st.Parent)
-	}}
-}
-
-// --- SSSP ---
-
-func newSSSPRunner(env *runEnv) runner {
-	part, q := env.part, env.q
-	st := sssp.New(part, q.spec.WeightSeed)
-	qu := newQueue[sssp.Visitor](env, st)
-	src := sssp.Visitor{V: q.spec.Source, Dist: 0, Parent: q.spec.Source}
-	if cp := q.spec.Resume; cp != nil {
-		// Same frontier-replay scheme as BFS, over tentative distances.
-		// Distances in the checkpoint are upper bounds that only the relax
-		// rule can lower, so replaying them is safe even if the cancelled run
-		// had not converged them yet.
-		forMasters(part, func(v graph.Vertex) {
-			if d := cp.Res.Dist[v]; d != sssp.Unreached {
-				qu.Push(sssp.Visitor{V: v, Dist: d, Parent: cp.Res.Parents[v]})
-			}
-		})
-		if part.IsMaster(q.spec.Source) && cp.Res.Dist[q.spec.Source] == sssp.Unreached {
-			qu.Push(src)
-		}
-	} else if part.IsMaster(q.spec.Source) {
-		qu.Push(src)
-	}
-	return &queueRunner[sssp.Visitor]{Queue: qu, finish: func() {
-		gatherInto(q.res.Dist, part, st.Dist)
 		gatherInto(q.res.Parents, part, st.Parent)
 	}}
 }
@@ -313,12 +286,13 @@ func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	return rn, st
 }
 
-// --- Counted rounds: direction-optimizing BFS and PageRank ---
+// --- Counted rounds: direction-optimizing BFS, SSSP and PageRank ---
 
 // protocol is a state machine that runs on a core.RoundExchange instead of a
-// visitor queue (bfs.DO, pagerank.PR, kcore.KCore): it sends through the
-// function it was built with (protocolSender), and the runner hands it
-// deliveries and execution slices until it is Idle, or the query cancelled.
+// visitor queue (bfs.DO, sssp.SSSP, pagerank.PR, kcore.KCore): it sends
+// through the function it was built with (protocolSender), and the runner
+// hands it deliveries and execution slices until it is Idle, or the query
+// cancelled.
 type protocol interface {
 	Handle(payload []byte)
 	TryAdvance() bool
@@ -358,6 +332,86 @@ func newDOBFSRunner(env *runEnv) runner {
 	return rn
 }
 
+// newSSSPRunner runs Δ-stepping from the source or, resumed, from every
+// finite distance in the checkpoint. Distances only fall, so a checkpoint's
+// are upper bounds that the rounds lower where they can: replaying them is
+// safe even where the cancelled run had not settled them.
+func newSSSPRunner(env *runEnv) runner {
+	rn := &ssspRunner{
+		protocolRunner: protocolRunner{det: env.det},
+		box:            env.box,
+		rank:           env.r.Rank(),
+		parked:         env.r.Obs().PerRank(obs.CoreParked, env.r.Size()),
+		unparked:       env.r.Obs().PerRank(obs.CoreUnparked, env.r.Size()),
+	}
+	st := sssp.New(env.part, env.q.spec.Source, env.q.spec.WeightSeed, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
+	if cp := env.q.spec.Resume; cp != nil {
+		st.Resume(cp.Res.Dist, cp.Res.Parents)
+	}
+	rn.m, rn.st = st, st
+	rn.finish = func() {
+		gatherInto(env.q.res.Dist, env.part, st.Dist)
+		gatherInto(env.q.res.Parents, env.part, st.Parent)
+	}
+	return rn
+}
+
+// ssspRunner is a protocolRunner that hurries SSSP's rounds, hands SSSP the
+// pages its parked rows wait on, and whose stats count the edges it relaxed
+// and the rows it parked.
+//
+// A round completes on a rank only once its slowest peer's record is in, so
+// Δ-stepping's tens of rounds are as fast as their records travel. With other
+// queries in flight, a round that waits for the query's next slice, or a
+// record that waits in an aggregation buffer until it fills or the rank runs
+// out of work, waits many rank-loop iterations on every rank. So the
+// delivery that completes a round — the one after which the rank is no
+// longer waiting — runs a slice at once, which completes the round and
+// relaxes the start of the next; and a slice that sent records flushes the
+// rank's buffers, which sends every peer's at once (other queries' partial
+// buffers to those peers go with them). DESIGN.md §7 has the measurements,
+// and why DO-BFS's handful of levels does not do the same.
+type ssspRunner struct {
+	protocolRunner
+	st    *sssp.SSSP
+	box   *mailbox.Box
+	batch int // the last slice's batch: a delivery's slice takes as much
+
+	// core.parked and core.unparked, published as a Queue publishes them
+	rank             int
+	parked, unparked *obs.PerRank
+	mirrored         core.Stats
+}
+
+func (rn *ssspRunner) Deliver(rec mailbox.Record) {
+	waiting := rn.st.Idle()
+	rn.protocolRunner.Deliver(rec)
+	if waiting && !rn.cancelled && !rn.st.Idle() {
+		rn.Step(rn.batch)
+	}
+}
+
+func (rn *ssspRunner) Step(batch int) bool {
+	rn.batch = batch
+	sent := rn.stats.ProtocolSent
+	progress := rn.protocolRunner.Step(batch)
+	if rn.stats.ProtocolSent != sent {
+		rn.box.FlushAll()
+	}
+	return progress
+}
+
+func (rn *ssspRunner) Unpark(pages []int64) bool { return !rn.cancelled && rn.st.Unpark(pages) }
+
+func (rn *ssspRunner) Stats() core.Stats {
+	s := rn.protocolRunner.Stats()
+	s.Relaxed = rn.st.Relaxed
+	s.Parked, s.Unparked = rn.st.Parks()
+	rn.parked.Publish(rn.rank, s.Parked, &rn.mirrored.Parked)
+	rn.unparked.Publish(rn.rank, s.Unparked, &rn.mirrored.Unparked)
+	return s
+}
+
 func newPageRankRunner(env *runEnv) runner {
 	rn := &protocolRunner{det: env.det}
 	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.stats.ProtocolSent))
@@ -394,8 +448,9 @@ func (rn *protocolRunner) Step(batch int) bool {
 	return progress
 }
 
-// Unpark: a protocol never parks — bottom-up scans hint the pager ahead of
-// reads, and every scan faults synchronously on a miss.
+// Unpark: the protocols behind this runner never park — bottom-up scans hint
+// the pager ahead of reads, and every scan faults synchronously on a miss.
+// SSSP's frontier rows park (ssspRunner).
 func (rn *protocolRunner) Unpark(pages []int64) bool { return false }
 
 func (rn *protocolRunner) LocalIdle() bool { return rn.cancelled || rn.m.Idle() }

@@ -105,6 +105,11 @@ type Part struct {
 	SlotVertex []graph.Vertex
 	SlotOwner  []uint32
 
+	// UntaggedTo counts, by rank, the stored edges to vertices that rank
+	// masters which carry no tag: edges to remote vertices that got no slot.
+	// A dense round sizes its per-peer records from it and SlotOwner.
+	UntaggedTo []int
+
 	// Replica forwarding: when HasForward, visitors applied to ForwardVertex
 	// must be forwarded to rank ForwardTo, the next partition holding a
 	// piece of that vertex's adjacency list (Alg. 1, check_mailbox).

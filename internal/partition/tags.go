@@ -26,7 +26,8 @@ func checkVertexCount(numVertices uint64) error {
 // descending, then vertex, so the k hottest remote targets are always slots
 // [0, k) and a tag means the same under every ghost setting
 // (core.BuildGhostTable takes a prefix). Candidates beyond maxSlots
-// (csr.MaxSlots outside tests) stay untagged, like single-edge remotes.
+// (csr.MaxSlots outside tests) stay untagged, like single-edge remotes, and
+// UntaggedTo counts those edges by their target's master.
 func (p *Part) tagTargets(maxSlots int) error {
 	mem := p.CSR.Targets().(csr.MemTargets) // the builders assemble in memory
 	lo, hi := p.Owners.MasterRange(p.Rank)
@@ -78,6 +79,18 @@ func (p *Part) tagTargets(maxSlots int) error {
 		for _, at := range remote[r.start : r.start+r.count] {
 			mem[at] = mem[at].WithSlot(s)
 		}
+	}
+	p.UntaggedTo = make([]int, p.P)
+	for i := 0; i < len(remote); {
+		v := mem[remote[i]].Vertex()
+		j := i + 1
+		for j < len(remote) && mem[remote[j]].Vertex() == v {
+			j++
+		}
+		if mem[remote[i]].Slot() < 0 {
+			p.UntaggedTo[p.Owners.Master(v)] += j - i
+		}
+		i = j
 	}
 	return nil
 }

@@ -29,10 +29,14 @@ func PRBase(n uint64) uint64 { return PRScale / PRAlphaDen * (PRAlphaDen - PRAlp
 func PRContrib(rank, deg uint64) uint64 { return rank * PRAlphaNum / PRAlphaDen / deg }
 
 // PageRank runs iters synchronous fixed-point PageRank iterations and
-// returns the per-vertex ranks. Duplicate edges count with multiplicity and
-// self-loops feed a vertex's own rank, exactly as the distributed kernel
-// counts them; dangling (degree-0) vertices keep the teleport mass only
-// (their damped mass leaks, the standard simplification).
+// returns the per-vertex ranks. Each vertex pushes its contribution along
+// its out-edges, adj[u], as the distributed kernel pushes along its stored
+// rows: on a directed graph a vertex receives from its in-neighbours. (On a
+// symmetric graph pulling over adj[v] sums the same terms.) Duplicate edges
+// count with multiplicity and self-loops feed a vertex's own rank, exactly as
+// the distributed kernel counts them; dangling (out-degree-0) vertices keep
+// the teleport mass only (their damped mass leaks, the standard
+// simplification).
 func PageRank(adj Adj, iters int) []uint64 {
 	n := uint64(len(adj))
 	ranks := make([]uint64, n)
@@ -43,20 +47,18 @@ func PageRank(adj Adj, iters int) []uint64 {
 		return ranks
 	}
 	base := PRBase(n)
-	contrib := make([]uint64, n)
 	next := make([]uint64, n)
 	for k := 0; k < iters; k++ {
-		for v := range contrib {
-			if deg := uint64(len(adj[v])); deg > 0 {
-				contrib[v] = PRContrib(ranks[v], deg)
-			}
-		}
 		for v := range next {
-			acc := base
-			for _, u := range adj[v] {
-				acc += contrib[u]
+			next[v] = base
+		}
+		for u, out := range adj {
+			if deg := uint64(len(out)); deg > 0 {
+				c := PRContrib(ranks[u], deg)
+				for _, v := range out {
+					next[v] += c
+				}
 			}
-			next[v] = acc
 		}
 		ranks, next = next, ranks
 	}
