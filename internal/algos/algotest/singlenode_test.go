@@ -8,6 +8,7 @@ package algotest_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -178,35 +179,71 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestSSSPExternalMemoryParks: out of core, SSSP's frontier rows park on
-// absent pages and every one is relaxed when its page arrives; the distances
-// are Dijkstra's, and the parks count in Stats and in the registry alike.
-func TestSSSPExternalMemoryParks(t *testing.T) {
-	const seed = 5
+// TestExternalMemoryParks: out of core, every dense kernel's rows park on
+// absent pages — direction-optimizing BFS's scans, cc's marking, PageRank's
+// and k-core's sweeps, SSSP's frontier — and every one runs when its page
+// arrives. The answers are the references', the parks count in Stats and in
+// the registry alike, and at least three quarters of the cache's misses are
+// the pager's demand fetches: rows wait on the device instead of faulting
+// synchronously.
+func TestExternalMemoryParks(t *testing.T) {
+	const seed, k, iters = 5, 4, 3
 	gen := generators.NewGraph500(10, 3)
 	edges := graph.Undirect(gen.Generate())
 	n := gen.NumVertices()
-	want, _ := ref.Dijkstra(ref.BuildAdj(edges, n), 2, func(u, v graph.Vertex) uint64 {
-		return sssp.Weight(u, v, seed)
-	})
-	g, _ := singleNode(t, edges, n, 4, &ooc.Config{
-		ResidentFraction: 1.0 / 4, Latency: time.Microsecond, QueueDepth: 16, PageSize: 512,
-	})
-	res, stats := g.Run(t, algotest.Setup{}, engine.Spec{Algo: engine.AlgoSSSP, Source: 2, WeightSeed: seed})
-	for v := range want {
-		if res.Dist[v] != want[v] {
-			t.Fatalf("dist(%d) = %d, want %d", v, res.Dist[v], want[v])
-		}
-	}
-	var parked, unparked uint64
-	for _, s := range stats {
-		parked, unparked = parked+s.Parked, unparked+s.Unparked
-	}
-	if parked == 0 || unparked != parked {
-		t.Fatalf("parked %d, unparked %d: want some, all relaxed", parked, unparked)
-	}
-	if got := g.Machine.Obs().Snapshot().Counter(obs.CoreParked); got != parked {
-		t.Fatalf("registry core.parked = %d, Stats %d", got, parked)
+	adj := ref.BuildAdj(edges, n)
+	for _, c := range []struct {
+		spec  engine.Spec
+		check func(t *testing.T, res *engine.Result)
+	}{
+		{engine.Spec{Algo: engine.AlgoBFSDO, Source: 2}, func(t *testing.T, res *engine.Result) {
+			checkLevels(t, edges, n, 2, res.Levels)
+		}},
+		{engine.Spec{Algo: engine.AlgoCC}, func(t *testing.T, res *engine.Result) {
+			want, _ := ref.Components(adj)
+			if !slices.Equal(res.Labels, want) {
+				t.Fatal("labels differ from the reference")
+			}
+		}},
+		{engine.Spec{Algo: engine.AlgoPageRank, Iters: iters}, func(t *testing.T, res *engine.Result) {
+			if !slices.Equal(res.Ranks, ref.PageRank(adj, iters)) {
+				t.Fatal("ranks differ from the reference")
+			}
+		}},
+		{engine.Spec{Algo: engine.AlgoKCore, K: k}, func(t *testing.T, res *engine.Result) {
+			if !slices.Equal(res.InCore, ref.KCore(adj, k)) {
+				t.Fatal("core membership differs from the reference")
+			}
+		}},
+		{engine.Spec{Algo: engine.AlgoSSSP, Source: 2, WeightSeed: seed}, func(t *testing.T, res *engine.Result) {
+			want, _ := ref.Dijkstra(adj, 2, func(u, v graph.Vertex) uint64 { return sssp.Weight(u, v, seed) })
+			if !slices.Equal(res.Dist, want) {
+				t.Fatal("distances differ from Dijkstra's")
+			}
+		}},
+	} {
+		t.Run(string(c.spec.Algo), func(t *testing.T) {
+			g, stores := singleNode(t, edges, n, 4, &ooc.Config{
+				ResidentFraction: 1.0 / 4, Latency: time.Microsecond, QueueDepth: 16, PageSize: 512,
+			})
+			res, stats := g.Run(t, algotest.Setup{}, c.spec)
+			c.check(t, res)
+			var parked, unparked uint64
+			for _, s := range stats {
+				parked, unparked = parked+s.Parked, unparked+s.Unparked
+			}
+			if parked == 0 || unparked != parked {
+				t.Fatalf("parked %d, unparked %d: want some, all run", parked, unparked)
+			}
+			if got := g.Machine.Obs().Snapshot().Counter(obs.CoreParked); got != parked {
+				t.Fatalf("registry core.parked = %d, Stats %d", got, parked)
+			}
+			mem := stores.Stats()
+			t.Logf("parked %d, demand fetches %d, cache misses %d", parked, mem.DemandFetches, mem.Cache.Misses)
+			if 4*mem.DemandFetches < 3*mem.Cache.Misses {
+				t.Fatalf("%d demand fetches of %d cache misses: rows faulted synchronously", mem.DemandFetches, mem.Cache.Misses)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,11 @@
 // in the row); for split hub vertices whose master portion happens to lack
 // one, the replica holding that portion sends a rare parent-candidate
 // message.
+//
+// Out of core, a row the scan or the parent search would read from absent
+// pages parks on its page, as a visitor does (core.Parking), and is read when
+// the page arrives. A level's contribution goes out only once nothing is
+// parked, so the parent search ends before the next merge retires its level.
 package bfs
 
 import (
@@ -59,12 +64,6 @@ const (
 	modeBottomUp
 )
 
-// RowHinter receives prefetch hints for rows the bottom-up scan is about to
-// read; the engine passes its out-of-core pager (ooc.Pager) so unvisited row
-// scans overlap device fetches instead of faulting serially. It is the one
-// source of prefetch hints: top-down visitor queues fetch on demand only.
-type RowHinter interface{ PrefetchRow(row int) }
-
 // DO is one rank's direction-optimizing BFS state machine. Drive it with
 // Handle (one delivered payload) and TryAdvance (scan/merge when possible);
 // it reports completion via Done. Sends go through the injected send
@@ -75,7 +74,6 @@ type DO struct {
 	n    uint64
 	p    int
 	send func(dest int, payload []byte)
-	hint RowHinter // optional pager prefetch hints
 
 	visited      core.Bitmap
 	frontier     core.Bitmap
@@ -85,33 +83,44 @@ type DO struct {
 	Level  []uint32       // per local state index; Unreached = ∞
 	Parent []graph.Vertex // per local state index; graph.Nil = none
 
-	level  uint32 // depth of the current frontier
-	mode   doMode
-	sent   bool   // contribution for level+1 scanned and sent
-	done   bool   // merged an empty frontier
-	uEdges uint64 // Σ deg over unvisited vertices (identical on all ranks)
+	level   uint32 // depth of the current frontier
+	mode    doMode
+	scanned bool   // every row of the level's scan read or parked
+	sent    bool   // contribution for level+1 scanned and sent
+	done    bool   // merged an empty frontier
+	uEdges  uint64 // Σ deg over unvisited vertices (identical on all ranks)
 
 	// levels exchanges the contributions, round L being level L's frontier.
 	levels *core.RoundExchange[core.Bitmap]
 
 	scratch []byte
 
+	// Out of core, the rows waiting on their pages: Unpark reads those of a
+	// pager Drain batch.
+	core.Parking[doRow]
+
 	// TopDownLevels/BottomUpLevels count levels executed in each mode — the
 	// ablation evidence bench-algos records next to the speedup.
 	TopDownLevels, BottomUpLevels int
 }
 
+// doRow is a parked row: a local state, and whether the parent search reads
+// it rather than the level's scan.
+type doRow struct {
+	i      int32
+	parent bool
+}
+
 // NewDO builds the state machine, ready to scan level 0 from source. send
-// transmits one protocol payload to a peer rank (never to self). hint may be
-// nil. On a graph with no vertices there is no source, and the traversal
-// ends at its first merge.
-func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payload []byte), hint RowHinter) *DO {
+// transmits one protocol payload to a peer rank (never to self); pager is
+// nil when the adjacency is resident. On a graph with no vertices there is
+// no source, and the traversal ends at its first merge.
+func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payload []byte), pager core.RowPager) *DO {
 	d := &DO{
 		part:         part,
 		n:            part.NumVertices,
 		p:            part.P,
 		send:         send,
-		hint:         hint,
 		visited:      core.NewBitmap(part.NumVertices),
 		frontier:     core.NewBitmap(part.NumVertices),
 		prevFrontier: core.NewBitmap(part.NumVertices),
@@ -120,6 +129,7 @@ func NewDO(part *partition.Part, source graph.Vertex, send func(dest int, payloa
 		Parent:       make([]graph.Vertex, part.StateLen),
 		levels:       core.NewRoundExchange(part.P, part.Rank, 1, core.NewBitmap(part.NumVertices), core.NewBitmap(part.NumVertices)),
 	}
+	d.Parking = core.NewParking(pager, d.runRow)
 	for i := range d.Level {
 		d.Level[i] = Unreached
 		d.Parent[i] = graph.Nil
@@ -199,8 +209,7 @@ func (d *DO) TryAdvance() bool {
 		return false
 	}
 	if !d.sent {
-		d.scanAndSend()
-		return true
+		return d.scanAndSend()
 	}
 	newly, ok := d.levels.Ready()
 	if !ok {
@@ -211,7 +220,8 @@ func (d *DO) TryAdvance() bool {
 }
 
 // Idle reports whether this rank has no local transition to make (waiting on
-// peers, or finished).
+// peers, or finished). A level with rows parked is not idle: its
+// contribution is still to be sent.
 func (d *DO) Idle() bool {
 	if d.done {
 		return true
@@ -230,36 +240,31 @@ func (d *DO) Visited() core.Bitmap { return d.visited }
 
 // scanAndSend computes this rank's contribution to the next frontier from
 // its locally stored row portions — pushing frontier rows top-down, or
-// probing unvisited rows for a frontier neighbor bottom-up — then broadcasts
-// the sparse contribution and self-merges it.
-func (d *DO) scanAndSend() {
-	d.contrib.Clear()
-	if d.mode == modeTopDown {
-		d.TopDownLevels++
-		d.forLocalRows(d.frontier, false, func(i int, v graph.Vertex) {
-			for _, e := range d.part.CSR.Row(i) {
-				if t := uint64(e.Vertex()); !d.visited.Get(t) {
-					d.contrib.Set(t)
-				}
-			}
-		})
-	} else {
-		d.BottomUpLevels++
-		if d.hint != nil {
-			// Hint the pager across the unvisited rows this scan will read so
-			// the fetches overlap the scan instead of faulting one by one.
-			d.forLocalRows(d.visited, true, func(i int, v graph.Vertex) {
-				d.hint.PrefetchRow(i)
-			})
+// probing unvisited rows for a frontier neighbor bottom-up — parking the rows
+// whose pages are absent, then broadcasts the sparse contribution and
+// self-merges it once nothing is parked. It reports whether it did anything:
+// a scan waiting on pages has nothing to do until Unpark.
+func (d *DO) scanAndSend() bool {
+	progress := !d.scanned
+	if !d.scanned {
+		d.contrib.Clear()
+		rows, unvisited := d.frontier, d.mode == modeBottomUp
+		if unvisited {
+			rows = d.visited
+			d.BottomUpLevels++
+		} else {
+			d.TopDownLevels++
 		}
-		d.forLocalRows(d.visited, true, func(i int, v graph.Vertex) {
-			for _, t := range d.part.CSR.Row(i) {
-				if d.frontier.Get(uint64(t.Vertex())) {
-					d.contrib.Set(uint64(v))
-					break // one frontier neighbor suffices
-				}
+		d.forLocalRows(rows, unvisited, func(i int, _ graph.Vertex) {
+			if !d.Parking.Absent(i, doRow{i: int32(i)}) {
+				d.scanRow(i)
 			}
 		})
+		d.Parking.Park()
+		d.scanned = true
+	}
+	if d.Parking.Len() > 0 {
+		return progress
 	}
 
 	// Serialize the nonzero words and broadcast.
@@ -291,6 +296,36 @@ func (d *DO) scanAndSend() {
 	}
 	d.levels.Contribute()
 	d.sent = true
+	return true
+}
+
+// scanRow reads row i for the level's scan: top-down, every unvisited
+// target joins the contribution; bottom-up, the row's vertex joins it when
+// one target is in the frontier.
+func (d *DO) scanRow(i int) {
+	if d.mode == modeTopDown {
+		for _, e := range d.part.CSR.Row(i) {
+			if t := uint64(e.Vertex()); !d.visited.Get(t) {
+				d.contrib.Set(t)
+			}
+		}
+		return
+	}
+	for _, t := range d.part.CSR.Row(i) {
+		if d.frontier.Get(uint64(t.Vertex())) {
+			d.contrib.Set(uint64(d.part.StateStart) + uint64(i))
+			return // one frontier neighbor suffices
+		}
+	}
+}
+
+// runRow reads a row that was parked on its page.
+func (d *DO) runRow(r doRow) {
+	if r.parent {
+		d.findParent(int(r.i))
+	} else {
+		d.scanRow(int(r.i))
+	}
 }
 
 // merge folds the completed level: the union of all contributions becomes
@@ -346,39 +381,49 @@ func (d *DO) merge(newly core.Bitmap) {
 			d.mode = modeTopDown
 		}
 	}
-	d.sent = false
+	d.scanned, d.sent = false, false
 }
 
 // finishParents assigns parents for newly visited local vertices and emits
-// parent candidates from replica holders of split vertices.
+// parent candidates from replica holders of split vertices, parking the rows
+// whose pages are absent.
 func (d *DO) finishParents(newly core.Bitmap) {
 	d.forLocalRows(newly, false, func(i int, v graph.Vertex) {
-		if d.Parent[i] != graph.Nil {
-			return
+		if d.Parent[i] == graph.Nil && !d.Parking.Absent(i, doRow{i: int32(i), parent: true}) {
+			d.findParent(i)
 		}
-		var found graph.Vertex = graph.Nil
-		for _, e := range d.part.CSR.Row(i) {
-			if t := e.Vertex(); d.prevFrontier.Get(uint64(t)) {
-				found = t
-				break
-			}
-		}
-		if found == graph.Nil {
-			return
-		}
-		if d.part.IsMaster(v) {
-			d.Parent[i] = found
-			return
-		}
-		// Replica holder of a split vertex: the master's portion may lack a
-		// previous-level neighbor, so offer ours.
-		buf := d.scratch[:0]
-		buf = append(buf, doKindParent)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(found))
-		d.scratch = buf
-		d.send(d.part.Master(v), buf)
 	})
+	d.Parking.Park()
+}
+
+// findParent reads row i for a neighbor in the parent level: a master takes
+// it as the parent, and a replica holder of a split vertex offers it to the
+// vertex's master, whose portion may lack one.
+func (d *DO) findParent(i int) {
+	if d.Parent[i] != graph.Nil {
+		return
+	}
+	var found graph.Vertex = graph.Nil
+	for _, e := range d.part.CSR.Row(i) {
+		if t := e.Vertex(); d.prevFrontier.Get(uint64(t)) {
+			found = t
+			break
+		}
+	}
+	if found == graph.Nil {
+		return
+	}
+	v := d.part.Vertex(i)
+	if d.part.IsMaster(v) {
+		d.Parent[i] = found
+		return
+	}
+	buf := d.scratch[:0]
+	buf = append(buf, doKindParent)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(found))
+	d.scratch = buf
+	d.send(d.part.Master(v), buf)
 }
 
 // forLocalRows iterates the locally stored rows whose vertex's bit in bm is

@@ -40,7 +40,7 @@ func FuzzKCoreRound(f *testing.F) {
 	part := parts[me]
 	noSend := func(int, []byte) {}
 	swept := func() *KCore {
-		a := New(part, k, noSend)
+		a := New(part, k, noSend, nil)
 		for a.TryAdvance() {
 		}
 		return a

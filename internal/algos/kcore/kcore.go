@@ -15,7 +15,8 @@
 // pairs, possibly empty. When round 0 completes on a rank, each master it
 // holds subtracts its count from its counter, which starts at its degree, and
 // the runner seeds the visitor queue with one visitor carrying no notice for
-// every master still alive whose counter is below k (Seed).
+// every master still alive whose counter is below k (Seed). Out of core, the
+// sweep parks its rows as PageRank's does (core.Parking).
 //
 // The queue runs only the cascade. A master's pre_visit returns true exactly
 // once per vertex — at the removal event — and only that visitor flows down
@@ -81,12 +82,17 @@ type KCore struct {
 	row       int      // next row of the sweep
 	swept     bool     // the sweep's records sent
 	done      bool     // round 0 complete
+
+	// Out of core, the sweep's rows waiting on their pages: Unpark sweeps
+	// those of a pager Drain batch.
+	core.Parking[int]
 }
 
 // New initializes the state: a local state is alive, and a master's counter
 // at its degree, when its (global) degree is at least k. send transmits one
-// round record to a peer rank (never to self).
-func New(part *partition.Part, k uint32, send func(dest int, payload []byte)) *KCore {
+// round record to a peer rank (never to self); pager is nil when the
+// adjacency is resident.
+func New(part *partition.Part, k uint32, send func(dest int, payload []byte), pager core.RowPager) *KCore {
 	lo, hi := part.Owners.MasterRange(part.Rank)
 	a := &KCore{
 		part:      part,
@@ -100,6 +106,7 @@ func New(part *partition.Part, k uint32, send func(dest int, payload []byte)) *K
 		slotCount: make([]uint32, len(part.SlotVertex)),
 		runs:      make([][]byte, part.P),
 	}
+	a.Parking = core.NewParking(pager, func(i int) { a.sweepRow(*a.notices.Acc(0), i) })
 	for i := 0; i < part.StateLen; i++ {
 		a.Core[i] = part.Degrees[part.Vertex(i)]
 		a.Alive[i] = a.Core[i] >= k
@@ -153,8 +160,7 @@ func (a *KCore) TryAdvance() bool {
 	case a.done:
 		return false
 	case !a.swept:
-		a.sweep()
-		return true
+		return a.sweep()
 	}
 	counts, ok := a.notices.Ready()
 	if !ok {
@@ -177,35 +183,24 @@ func (a *KCore) Idle() bool {
 // Done reports whether round 0 is complete on this rank.
 func (a *KCore) Done() bool { return a.done }
 
-// sweep runs one slice of round 0's sweep over the rows of dead vertices and
-// sends the rank's records when the last row is done.
-func (a *KCore) sweep() {
+// sweep runs one slice of round 0's sweep over the rows of dead vertices,
+// parking the rows whose pages are absent, and sends the rank's records once
+// the last row is done and nothing is parked. It reports whether it did
+// anything: a sweep waiting on pages has nothing to do until Unpark.
+func (a *KCore) sweep() bool {
+	if a.row == a.part.StateLen && a.Parking.Len() > 0 {
+		return false
+	}
 	counts := *a.notices.Acc(0)
 	for edges := 0; a.row < a.part.StateLen && edges < sliceEdges; a.row++ {
 		edges++
-		if a.Alive[a.row] {
-			continue
-		}
-		row := a.part.CSR.Row(a.row)
-		edges += len(row)
-		for _, t := range row {
-			u := t.Vertex()
-			if a.part.Degrees[u] < a.K {
-				continue // dead too: nothing to tell it
-			}
-			switch v := uint64(u); {
-			case v-a.lo < a.hi-a.lo: // local, or an untagged word the rank masters
-				counts[v-a.lo]++
-			case t.Slot() >= 0:
-				a.slotCount[t.Slot()]++
-			default:
-				o := a.part.Master(u)
-				a.runs[o] = core.AppendPair(a.runs[o], v, 1)
-			}
+		if !a.Alive[a.row] && !a.Parking.Absent(a.row, a.row) {
+			edges += a.sweepRow(counts, a.row)
 		}
 	}
-	if a.row < a.part.StateLen {
-		return
+	a.Parking.Park()
+	if a.row < a.part.StateLen || a.Parking.Len() > 0 {
+		return true
 	}
 	for s, c := range a.slotCount {
 		if c > 0 {
@@ -221,6 +216,29 @@ func (a *KCore) sweep() {
 	}
 	a.notices.Contribute()
 	a.swept = true
+	return true
+}
+
+// sweepRow counts dead row i's notices to its targets of degree ≥ k, into
+// counts for the masters of this rank, and returns how many targets it has.
+func (a *KCore) sweepRow(counts []uint32, i int) int {
+	row := a.part.CSR.Row(i)
+	for _, t := range row {
+		u := t.Vertex()
+		if a.part.Degrees[u] < a.K {
+			continue // dead too: nothing to tell it
+		}
+		switch v := uint64(u); {
+		case v-a.lo < a.hi-a.lo: // local, or an untagged word the rank masters
+			counts[v-a.lo]++
+		case t.Slot() >= 0:
+			a.slotCount[t.Slot()]++
+		default:
+			o := a.part.Master(u)
+			a.runs[o] = core.AppendPair(a.runs[o], v, 1)
+		}
+	}
+	return len(row)
 }
 
 // peel subtracts round 0's notices from the counters of the masters still

@@ -269,7 +269,7 @@ func TestCoreSize(t *testing.T) {
 func TestPreVisitSaturates(t *testing.T) {
 	square := graph.Undirect([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}})
 	part := algotest.Build(t, square, 4, 1, partition.EdgeList, false).Parts[0]
-	a := kcore.New(part, 2, nil)
+	a := kcore.New(part, 2, nil, nil)
 	if !a.PreVisit(kcore.Visitor{V: 1, N: math.MaxUint32}) || a.Core[1] != 0 || a.Alive[1] {
 		t.Fatalf("a notice of %d on a counter at 2: counter %d, alive %v", uint32(math.MaxUint32), a.Core[1], a.Alive[1])
 	}

@@ -43,7 +43,7 @@ func FuzzPageRankRound(f *testing.F) {
 	}
 	noSend := func(int, []byte) {}
 	swept := func() *PR {
-		pr := New(part, 3, noSend)
+		pr := New(part, 3, noSend, nil)
 		for pr.TryAdvance() {
 		}
 		return pr

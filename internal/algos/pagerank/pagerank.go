@@ -22,6 +22,10 @@
 // down the row's replica chain when it completes iteration k−1, one record
 // per chain rank, before any of them can sweep iteration k.
 //
+// Out of core, a row on absent pages parks on its page, as a visitor does
+// (core.Parking), and is swept when the page arrives; the runs go out only
+// once nothing is parked.
+//
 // The arithmetic is the deterministic fixed point of internal/ref, which
 // holds the shared constants and the sequential reference. Sums are integers,
 // so the order records arrive in cannot change them, and every rank count,
@@ -95,21 +99,20 @@ type PR struct {
 
 	slotSum []uint64 // per remote slot: the sweep's sum
 	runs    [][]byte // per peer: the record the sweep is building
-	// loose is the owner of every untagged edge to a vertex a peer masters,
-	// in sweep order: the first sweep resolves them, the later ones read
-	// them. next indexes it during a sweep.
-	loose []int32
-	next  int
 
 	swept int  // iterations swept; the sweep in progress is iteration swept
 	row   int  // next row of the sweep in progress; -1 when none is
 	done  bool // every iteration complete
+
+	// Out of core, the sweep's rows waiting on their pages: Unpark sweeps
+	// those of a pager Drain batch.
+	core.Parking[int]
 }
 
 // New builds rank state for iters iterations (0: DefaultIters), every vertex
 // at rank 1/n and ready to sweep iteration 0. send transmits one record to a
-// peer rank (never to self).
-func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)) *PR {
+// peer rank (never to self); pager is nil when the adjacency is resident.
+func New(part *partition.Part, iters uint32, send func(dest int, payload []byte), pager core.RowPager) *PR {
 	if iters == 0 {
 		iters = DefaultIters
 	}
@@ -126,6 +129,7 @@ func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)
 		runs:     make([][]byte, part.P),
 		row:      -1,
 	}
+	p.Parking = core.NewParking(pager, func(i int) { p.sweepRow(*p.sums.Acc(uint32(p.swept)), i) })
 	p.sums = core.NewRoundExchange(part.P, part.Rank, 0, make([]uint64, hi-lo), p.rank)
 	if n := part.NumVertices; n > 0 {
 		p.base = ref.PRBase(n)
@@ -138,20 +142,13 @@ func New(part *partition.Part, iters uint32, send func(dest int, payload []byte)
 	}
 	// Each peer's run holds a pair per remote slot it owns and one per
 	// untagged edge to a vertex it masters, both counted by the partition
-	// build, so the runs and loose are allocated at their size and reused by
-	// every sweep. (Words stripped of their tags after the build grow them.)
+	// build, so the runs are allocated at their size and reused by every
+	// sweep. (Words stripped of their tags after the build grow them.)
 	pairs := make([]int, part.P)
 	copy(pairs, part.UntaggedTo)
-	untagged := 0
-	for r, n := range pairs {
-		if r != part.Rank {
-			untagged += n
-		}
-	}
 	for _, o := range part.SlotOwner {
 		pairs[o]++
 	}
-	p.loose = make([]int32, 0, untagged)
 	for r, n := range pairs {
 		if r != part.Rank {
 			p.runs[r] = make([]byte, 0, core.RoundHeader+4+n*core.PairBytes)
@@ -220,8 +217,7 @@ func (p *PR) TryAdvance() bool {
 	case p.done:
 		return false
 	case p.row >= 0 || p.canSweep():
-		p.sweep()
-		return true
+		return p.sweep()
 	}
 	sums, ok := p.sums.Ready()
 	if !ok {
@@ -232,7 +228,8 @@ func (p *PR) TryAdvance() bool {
 }
 
 // Idle reports whether this rank has no local step to make (waiting on
-// peers, or finished).
+// peers, or finished). A sweep with rows parked is not idle: its runs are
+// still to be sent.
 func (p *PR) Idle() bool {
 	if p.done {
 		return true
@@ -247,52 +244,31 @@ func (p *PR) Idle() bool {
 func (p *PR) Ranks() []uint64 { return p.rank }
 
 // sweep runs one slice of the current iteration's sweep, starting it when
-// none is in progress, and sends the rank's runs when the last row is done.
-func (p *PR) sweep() {
-	k := uint32(p.swept)
+// none is in progress and parking the rows whose pages are absent, and sends
+// the rank's runs once the last row is done and nothing is parked. It
+// reports whether it did anything: a sweep waiting on pages has nothing to
+// do until Unpark.
+func (p *PR) sweep() bool {
 	if p.row < 0 {
-		p.row, p.next = 0, 0
+		p.row = 0
 		for r := range p.runs {
 			if r != p.part.Rank {
-				p.runs[r] = binary.LittleEndian.AppendUint32(core.AppendRoundHeader(p.runs[r][:0], kindRound, p.part.Rank, k), 0)
+				p.runs[r] = binary.LittleEndian.AppendUint32(core.AppendRoundHeader(p.runs[r][:0], kindRound, p.part.Rank, uint32(p.swept)), 0)
 			}
+		}
+	} else if p.row == p.part.StateLen && p.Parking.Len() > 0 {
+		return false
+	}
+	i, sums := p.row, *p.sums.Acc(uint32(p.swept))
+	for edges := 0; i < p.part.StateLen && edges < sliceEdges; i++ {
+		if !p.Parking.Absent(i, i) {
+			edges += p.sweepRow(sums, i) + 1
 		}
 	}
-	sums := *p.sums.Acc(k)
-	part, lo, span := p.part, p.lo, p.hi-p.lo
-	rank, degrees, slotSum := p.rank, part.Degrees, p.slotSum
-	i, next := p.row, p.next
-	for edges := 0; i < part.StateLen && edges < sliceEdges; i++ {
-		c := p.chainC
-		if i > 0 || !p.fragment {
-			c = 0
-			if v := part.Vertex(i); degrees[v] > 0 {
-				c = ref.PRContrib(rank[uint64(v)-lo], uint64(degrees[v]))
-			}
-		}
-		row := part.CSR.Row(i)
-		edges += len(row) + 1
-		for _, t := range row {
-			switch v := uint64(t.Vertex()); {
-			case t.Local():
-				sums[v-lo] += c
-			case t.Slot() >= 0:
-				slotSum[t.Slot()] += c
-			case v-lo < span: // an untagged word the rank masters
-				sums[v-lo] += c
-			default:
-				if next == len(p.loose) {
-					p.loose = append(p.loose, int32(part.Master(graph.Vertex(v))))
-				}
-				o := p.loose[next]
-				next++
-				p.runs[o] = core.AppendPair(p.runs[o], v, c)
-			}
-		}
-	}
-	p.row, p.next = i, next
-	if i < part.StateLen {
-		return
+	p.row = i
+	p.Parking.Park()
+	if i < p.part.StateLen || p.Parking.Len() > 0 {
+		return true
 	}
 
 	for s, sum := range p.slotSum {
@@ -313,6 +289,37 @@ func (p *PR) sweep() {
 	p.sums.Contribute()
 	p.swept++
 	p.row = -1
+	return true
+}
+
+// sweepRow adds row i's contribution for the sweep's iteration into its
+// targets' sums (sums, the iteration's accumulator, for the masters of this
+// rank) and returns how many targets it has. An untagged edge to a vertex a
+// peer masters goes to the owner's run.
+func (p *PR) sweepRow(sums []uint64, i int) int {
+	part, lo, span, slotSum := p.part, p.lo, p.hi-p.lo, p.slotSum
+	c := p.chainC
+	if i > 0 || !p.fragment {
+		c = 0
+		if v := part.Vertex(i); part.Degrees[v] > 0 {
+			c = ref.PRContrib(p.rank[uint64(v)-lo], uint64(part.Degrees[v]))
+		}
+	}
+	row := part.CSR.Row(i)
+	for _, t := range row {
+		switch v := uint64(t.Vertex()); {
+		case t.Local():
+			sums[v-lo] += c
+		case t.Slot() >= 0:
+			slotSum[t.Slot()] += c
+		case v-lo < span: // an untagged word the rank masters
+			sums[v-lo] += c
+		default:
+			o := part.Master(graph.Vertex(v))
+			p.runs[o] = core.AppendPair(p.runs[o], v, c)
+		}
+	}
+	return len(row)
 }
 
 // complete folds a completed round into the masters' ranks and readies the

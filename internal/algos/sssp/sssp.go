@@ -136,8 +136,7 @@ type SSSP struct {
 	part   *partition.Part
 	seed   uint64
 	send   func(dest int, payload []byte)
-	pager  core.RowPager // nil: the adjacency is resident
-	lo, hi uint64        // master range
+	lo, hi uint64 // master range
 
 	// Dist and Parent are per local state; a fragment's Parent is unused.
 	Dist   []uint64
@@ -179,8 +178,9 @@ type SSSP struct {
 
 	runs [][]byte // per peer: the record the round is building
 
-	// Out of core: the frontier entries waiting on their rows' pages.
-	parked core.Parking[relaxation]
+	// Out of core, the frontier entries waiting on their rows' pages: Unpark
+	// relaxes those of a pager Drain batch.
+	core.Parking[relaxation]
 }
 
 // relaxation is one frontier entry: a state and the distance it is relaxed at.
@@ -210,7 +210,6 @@ func New(part *partition.Part, source graph.Vertex, weightSeed uint64, send func
 		part:       part,
 		seed:       weightSeed,
 		send:       send,
-		pager:      pager,
 		lo:         lo,
 		hi:         hi,
 		Dist:       make([]uint64, part.StateLen),
@@ -223,8 +222,8 @@ func New(part *partition.Part, source graph.Vertex, weightSeed uint64, send func
 		slotParent: make([]graph.Vertex, len(part.SlotVertex)),
 		slotDirty:  make([]bool, len(part.SlotVertex)),
 		runs:       make([][]byte, part.P),
-		parked:     core.NewParking[relaxation](pager),
 	}
+	s.Parking = core.NewParking(pager, func(f relaxation) { s.relaxRow(f) })
 	for i := range s.Dist {
 		s.Dist[i] = Unreached
 		s.Parent[i] = graph.Nil
@@ -340,21 +339,16 @@ func (s *SSSP) Idle() bool {
 func (s *SSSP) relax() bool {
 	if !s.started {
 		s.take()
-	} else if s.fi == len(s.frontier) && s.parked.Len() > 0 {
+	} else if s.fi == len(s.frontier) && s.Parking.Len() > 0 {
 		return false
 	}
 	for edges := 0; s.fi < len(s.frontier) && edges < sliceEdges; s.fi++ {
-		f := s.frontier[s.fi]
-		if s.pager != nil && !s.pager.Resident(int(f.i)) {
-			s.parked.Miss(int(f.i), f)
-			continue
+		if f := s.frontier[s.fi]; !s.Parking.Absent(int(f.i), f) {
+			edges += s.relaxRow(f) + 1
 		}
-		edges += s.relaxRow(f) + 1
 	}
-	for _, f := range s.parked.Park() {
-		s.relaxRow(f)
-	}
-	if s.fi == len(s.frontier) && s.parked.Len() == 0 {
+	s.Parking.Park()
+	if s.fi == len(s.frontier) && s.Parking.Len() == 0 {
 		s.flush()
 	}
 	return true
@@ -397,30 +391,6 @@ func (s *SSSP) relaxRow(f relaxation) int {
 	s.Relaxed += uint64(len(row))
 	return len(row)
 }
-
-// Unpark relaxes the frontier entries parked on the given pages (a pager
-// Drain batch, pinned resident until the rank loop releases it), at once and
-// without a residency re-check, as core.Queue.Unpark runs its visitors, and
-// reports whether there were any. The round's records go out at the next
-// TryAdvance.
-func (s *SSSP) Unpark(pages []int64) bool {
-	if s.parked.Len() == 0 {
-		return false
-	}
-	any := false
-	for _, pg := range pages {
-		fs := s.parked.Take(pg)
-		for _, f := range fs {
-			s.relaxRow(f)
-		}
-		any = any || len(fs) > 0
-	}
-	return any
-}
-
-// Parks returns how many frontier entries this rank parked on absent pages
-// and how many it relaxed when their pages arrived.
-func (s *SSSP) Parks() (parked, unparked uint64) { return s.parked.Parked, s.parked.Unparked }
 
 // take starts the round: it moves the pending states in a bucket at most
 // B_r to the frontier, at their current distance, and starts the records.

@@ -162,16 +162,16 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
 	ba, _ := algo.(BucketAlgorithm[V])
 	q := &Queue[V]{
-		part:   part,
-		algo:   algo,
-		mb:     mb,
-		det:    det,
-		tag:    tag,
-		cal:    newCalendar[V](ba),
-		pager:  pager,
-		parked: NewParking[V](pager),
-		met:    newQueueMetrics(r),
+		part:  part,
+		algo:  algo,
+		mb:    mb,
+		det:   det,
+		tag:   tag,
+		cal:   newCalendar[V](ba),
+		pager: pager,
+		met:   newQueueMetrics(r),
 	}
+	q.parked = NewParking(pager, q.visit)
 	if ghosts != nil {
 		q.nGhosts = ghosts.Len()
 	}
@@ -305,20 +305,24 @@ func (q *Queue[V]) Step(batch int) bool {
 	q.met.queueDepth.Observe(uint64(q.cal.n))
 	for i := 0; i < batch && q.cal.n > 0; i++ {
 		v := q.cal.pop()
+		// The residency test is inline, not Parking.Absent, which does not
+		// inline: it runs once per visitor.
 		if q.pager != nil {
 			if row := q.LocalRow(v.Vertex()); !q.pager.Resident(row) {
 				q.parked.Miss(row, v)
 				continue
 			}
 		}
-		q.stats.Executed++
-		q.algo.Visit(v, q)
+		q.visit(v)
 	}
-	for _, v := range q.parked.Park() {
-		q.stats.Executed++
-		q.algo.Visit(v, q)
-	}
+	q.parked.Park()
 	return true
+}
+
+// visit executes one visitor.
+func (q *Queue[V]) visit(v V) {
+	q.stats.Executed++
+	q.algo.Visit(v, q)
 }
 
 // Unpark runs the visitors parked on the given pages (called by the rank
@@ -340,22 +344,7 @@ func (q *Queue[V]) Step(batch int) bool {
 // again would drop the visitor (e.g. BFS's "level already set" filter);
 // stale visitors are self-pruned by each algorithm's Visit re-check.
 func (q *Queue[V]) Unpark(pages []int64) bool {
-	if q.parked.Len() == 0 {
-		return false
-	}
-	any := false
-	for _, pg := range pages {
-		// Visit never parks (only Step does), so nothing appends to the
-		// page's slice while its visitors run.
-		vs := q.parked.Take(pg)
-		for _, v := range vs {
-			q.stats.Executed++
-			q.algo.Visit(v, q)
-		}
-		any = any || len(vs) > 0
-		clear(vs)
-	}
-	return any
+	return q.parked.Unpark(pages)
 }
 
 // LocalIdle reports whether this queue holds no local work. Parked visitors

@@ -33,7 +33,7 @@ func TestSchedulerChoice(t *testing.T) {
 		for name, ok := range map[string]bool{
 			"bfs":       declaresOrder[bfs.Visitor](b),
 			"cc":        !declaresOrder[cc.Visitor](cc.New(part)),
-			"kcore":     !declaresOrder[kcore.Visitor](kcore.New(part, 2, nil)),
+			"kcore":     !declaresOrder[kcore.Visitor](kcore.New(part, 2, nil, nil)),
 			"triangles": !declaresOrder[triangle.Visitor](triangle.New(part, triangle.Options{})),
 		} {
 			if !ok {

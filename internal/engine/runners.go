@@ -6,9 +6,12 @@ package engine
 // the rank loop's shared mailbox and the query's detector instance, pushes
 // the initial visitors, and supplies the Finish gather. The embedded Queue
 // provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats. The
-// counted kernels — direction-optimizing BFS, SSSP and PageRank — are state
-// machines on a core.RoundExchange instead, behind one adapter
-// (protocolRunner).
+// counted kernels — direction-optimizing BFS, SSSP, PageRank and k-core's
+// first peel — are state machines on a core.RoundExchange instead: alone
+// behind one adapter (protocolRunner), or as the phase ahead of a visitor
+// queue (phasedRunner: cc's marking, k-core's round 0). Out of core, every
+// one of them parks a row whose pages are absent in a core.Parking, as the
+// queue parks a visitor, and both adapters hand it the drained pages.
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -125,17 +128,22 @@ type phase interface {
 // ends on this rank, then seeds the queue; until it has ended everywhere,
 // peers' visitors may already arrive and are applied at once, and the
 // phase's and the queue's records share one detector epoch. The embedded
-// Queue provides Unpark, PumpTermination and the visitor counters; the
-// phase's records count as protocol records.
+// Queue provides PumpTermination and the visitor counters; drained pages go
+// to both, and the phase's records and parks count beside the queue's.
 type phasedRunner[V core.Visitor] struct {
 	*core.Queue[V]
-	phase  phase // nil once it has ended on this rank, or when there is none
+	phase  phase // nil when there is none
+	ended  bool  // the phase ended on this rank, or the query was cancelled
 	kind   byte
 	then   func()
 	finish func()
+	parks  parkLedger
 
 	protocolSent, protocolReceived uint64
 }
+
+// running reports whether the phase still runs on this rank.
+func (rn *phasedRunner[V]) running() bool { return rn.phase != nil && !rn.ended }
 
 func (rn *phasedRunner[V]) Deliver(rec mailbox.Record) {
 	if len(rec.Payload) > 0 && rec.Payload[0] == rn.kind {
@@ -143,19 +151,19 @@ func (rn *phasedRunner[V]) Deliver(rec mailbox.Record) {
 		return
 	}
 	rn.protocolReceived++
-	if rn.phase != nil {
+	if rn.running() {
 		rn.phase.Handle(rec.Payload)
 	}
 }
 
 func (rn *phasedRunner[V]) Step(batch int) bool {
 	progress := false
-	if rn.phase != nil {
+	if rn.running() {
 		for i := 0; i < batch && rn.phase.TryAdvance(); i++ {
 			progress = true
 		}
 		if rn.phase.Done() {
-			rn.phase = nil
+			rn.ended = true
 			rn.then()
 			progress = true
 		}
@@ -163,18 +171,26 @@ func (rn *phasedRunner[V]) Step(batch int) bool {
 	return rn.Queue.Step(batch) || progress
 }
 
+func (rn *phasedRunner[V]) Unpark(pages []int64) bool {
+	ran := rn.Queue.Unpark(pages)
+	return rn.running() && rn.phase.Unpark(pages) || ran
+}
+
 func (rn *phasedRunner[V]) LocalIdle() bool {
-	return (rn.phase == nil || rn.phase.Idle()) && rn.Queue.LocalIdle()
+	return (!rn.running() || rn.phase.Idle()) && rn.Queue.LocalIdle()
 }
 
 func (rn *phasedRunner[V]) Cancel() {
-	rn.phase = nil
+	rn.ended = true
 	rn.Queue.Cancel()
 }
 
 func (rn *phasedRunner[V]) Stats() core.Stats {
 	s := rn.Queue.Stats()
 	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
+	if rn.phase != nil {
+		rn.parks.publish(rn.phase, &s)
+	}
 	return s
 }
 
@@ -204,7 +220,7 @@ func (w ccWire) Decode(buf []byte) cc.Visitor           { return w.CC.Decode(buf
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	rn := &phasedRunner[cc.Visitor]{Queue: newQueue[cc.Visitor](env, ccWire{st}), kind: ccKind}
+	rn := &phasedRunner[cc.Visitor]{Queue: newQueue[cc.Visitor](env, ccWire{st}), kind: ccKind, parks: newParkLedger(env)}
 	rn.finish = func() {
 		var local uint64
 		forMasters(part, func(v graph.Vertex) {
@@ -232,7 +248,7 @@ func newCCRunner(env *runEnv) runner {
 		forMasters(part, func(v graph.Vertex) { rn.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
 		return rn
 	}
-	mark := newDO(env, part.Hub, protocolSender(env, &rn.protocolSent))
+	mark := bfs.NewDO(part, part.Hub, protocolSender(env, &rn.protocolSent), env.pager)
 	rn.phase = mark
 	rn.then = func() { label(part, st, mark.Visited(), rn.Queue) }
 	return rn
@@ -274,8 +290,8 @@ func newKCoreRunner(env *runEnv) runner {
 // then runs on the queue to quiescence.
 func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	part, q := env.part, env.q
-	rn := &phasedRunner[kcore.Visitor]{kind: kcore.KindVisitor}
-	st := kcore.New(part, q.spec.K, protocolSender(env, &rn.protocolSent))
+	rn := &phasedRunner[kcore.Visitor]{kind: kcore.KindVisitor, parks: newParkLedger(env)}
+	st := kcore.New(part, q.spec.K, protocolSender(env, &rn.protocolSent), env.pager)
 	rn.Queue = newQueue[kcore.Visitor](env, st)
 	rn.phase = st
 	rn.then = func() { st.Seed(rn.Queue) }
@@ -291,12 +307,37 @@ func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 // protocol is a state machine that runs on a core.RoundExchange instead of a
 // visitor queue (bfs.DO, sssp.SSSP, pagerank.PR, kcore.KCore): it sends
 // through the function it was built with (protocolSender), and the runner
-// hands it deliveries and execution slices until it is Idle, or the query
-// cancelled.
+// hands it deliveries, execution slices and drained pages until it is Idle,
+// or the query cancelled. Its core.Parking's Unpark runs the rows parked on
+// a Drain batch and Parks counts them; Idle is false while any is parked.
 type protocol interface {
 	Handle(payload []byte)
 	TryAdvance() bool
 	Idle() bool
+	Unpark(pages []int64) bool
+	Parks() (parked, unparked uint64)
+}
+
+// parkLedger publishes a protocol's parks to core.parked and core.unparked,
+// as a core.Queue publishes its visitors'.
+type parkLedger struct {
+	rank             int
+	parked, unparked *obs.PerRank
+	mirrored         core.Stats // what the registry has already been given
+}
+
+func newParkLedger(env *runEnv) parkLedger {
+	reg, p := env.r.Obs(), env.r.Size()
+	return parkLedger{rank: env.r.Rank(), parked: reg.PerRank(obs.CoreParked, p), unparked: reg.PerRank(obs.CoreUnparked, p)}
+}
+
+// publish adds m's parks to s and gives the registry their growth.
+func (l *parkLedger) publish(m protocol, s *core.Stats) {
+	parked, unparked := m.Parks()
+	l.parked.Publish(l.rank, parked, &l.mirrored.Parked)
+	l.unparked.Publish(l.rank, unparked, &l.mirrored.Unparked)
+	s.Parked += parked
+	s.Unparked += unparked
 }
 
 // protocolSender returns the send function a protocol is built with: one
@@ -318,12 +359,17 @@ type protocolRunner struct {
 	det       *termination.Detector
 	cancelled bool
 	stats     core.Stats
+	parks     parkLedger
 	finish    func()
 }
 
+func newProtocolRunner(env *runEnv) *protocolRunner {
+	return &protocolRunner{det: env.det, parks: newParkLedger(env)}
+}
+
 func newDOBFSRunner(env *runEnv) runner {
-	rn := &protocolRunner{det: env.det}
-	d := newDO(env, env.q.spec.Source, protocolSender(env, &rn.stats.ProtocolSent))
+	rn := newProtocolRunner(env)
+	d := bfs.NewDO(env.part, env.q.spec.Source, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
 	rn.m = d
 	rn.finish = func() {
 		gatherInto(env.q.res.Levels, env.part, d.Level)
@@ -337,13 +383,7 @@ func newDOBFSRunner(env *runEnv) runner {
 // are upper bounds that the rounds lower where they can: replaying them is
 // safe even where the cancelled run had not settled them.
 func newSSSPRunner(env *runEnv) runner {
-	rn := &ssspRunner{
-		protocolRunner: protocolRunner{det: env.det},
-		box:            env.box,
-		rank:           env.r.Rank(),
-		parked:         env.r.Obs().PerRank(obs.CoreParked, env.r.Size()),
-		unparked:       env.r.Obs().PerRank(obs.CoreUnparked, env.r.Size()),
-	}
+	rn := &ssspRunner{protocolRunner: *newProtocolRunner(env), box: env.box}
 	st := sssp.New(env.part, env.q.spec.Source, env.q.spec.WeightSeed, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
 	if cp := env.q.spec.Resume; cp != nil {
 		st.Resume(cp.Res.Dist, cp.Res.Parents)
@@ -356,9 +396,8 @@ func newSSSPRunner(env *runEnv) runner {
 	return rn
 }
 
-// ssspRunner is a protocolRunner that hurries SSSP's rounds, hands SSSP the
-// pages its parked rows wait on, and whose stats count the edges it relaxed
-// and the rows it parked.
+// ssspRunner is a protocolRunner that hurries SSSP's rounds and whose stats
+// count the edges it relaxed.
 //
 // A round completes on a rank only once its slowest peer's record is in, so
 // Δ-stepping's tens of rounds are as fast as their records travel. With other
@@ -376,11 +415,6 @@ type ssspRunner struct {
 	st    *sssp.SSSP
 	box   *mailbox.Box
 	batch int // the last slice's batch: a delivery's slice takes as much
-
-	// core.parked and core.unparked, published as a Queue publishes them
-	rank             int
-	parked, unparked *obs.PerRank
-	mirrored         core.Stats
 }
 
 func (rn *ssspRunner) Deliver(rec mailbox.Record) {
@@ -401,35 +435,21 @@ func (rn *ssspRunner) Step(batch int) bool {
 	return progress
 }
 
-func (rn *ssspRunner) Unpark(pages []int64) bool { return !rn.cancelled && rn.st.Unpark(pages) }
-
 func (rn *ssspRunner) Stats() core.Stats {
 	s := rn.protocolRunner.Stats()
 	s.Relaxed = rn.st.Relaxed
-	s.Parked, s.Unparked = rn.st.Parks()
-	rn.parked.Publish(rn.rank, s.Parked, &rn.mirrored.Parked)
-	rn.unparked.Publish(rn.rank, s.Unparked, &rn.mirrored.Unparked)
 	return s
 }
 
 func newPageRankRunner(env *runEnv) runner {
-	rn := &protocolRunner{det: env.det}
-	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.stats.ProtocolSent))
+	rn := newProtocolRunner(env)
+	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
 	rn.m = pr
 	rn.finish = func() {
 		lo, _ := env.part.Owners.MasterRange(env.part.Rank)
 		copy(env.q.res.Ranks[lo:], pr.Ranks())
 	}
 	return rn
-}
-
-// newDO builds a direction-optimizing BFS from source that sends through
-// send.
-func newDO(env *runEnv, source graph.Vertex, send func(dest int, payload []byte)) *bfs.DO {
-	// Bottom-up unvisited-row scans read ahead through the pager, when it
-	// offers hints (ooc.Pager does).
-	hint, _ := env.pager.(bfs.RowHinter)
-	return bfs.NewDO(env.part, source, send, hint)
 }
 
 func (rn *protocolRunner) Deliver(rec mailbox.Record) {
@@ -448,10 +468,7 @@ func (rn *protocolRunner) Step(batch int) bool {
 	return progress
 }
 
-// Unpark: the protocols behind this runner never park — bottom-up scans hint
-// the pager ahead of reads, and every scan faults synchronously on a miss.
-// SSSP's frontier rows park (ssspRunner).
-func (rn *protocolRunner) Unpark(pages []int64) bool { return false }
+func (rn *protocolRunner) Unpark(pages []int64) bool { return !rn.cancelled && rn.m.Unpark(pages) }
 
 func (rn *protocolRunner) LocalIdle() bool { return rn.cancelled || rn.m.Idle() }
 
@@ -467,7 +484,11 @@ func (rn *protocolRunner) PumpTermination(localIdle bool) bool {
 	return true
 }
 
-func (rn *protocolRunner) Stats() core.Stats { return rn.stats }
+func (rn *protocolRunner) Stats() core.Stats {
+	s := rn.stats
+	rn.parks.publish(rn.m, &s)
+	return s
+}
 
 func (rn *protocolRunner) Finish() { rn.finish() }
 

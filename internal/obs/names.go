@@ -133,17 +133,17 @@ const (
 
 	// Out-of-core serving (internal/ooc + core parking). When a partition's
 	// CSR targets live behind the page cache, a visitor popped for a vertex
-	// whose adjacency page is absent is parked (CoreParked) instead of
-	// executed, a demand fetch is issued, and the visitor executes when the
-	// page arrives (CoreUnparked). Parked − Unparked is the gauge of
-	// visits currently pending on device I/O.
+	// whose adjacency page is absent, or a counted sweep's row, is parked
+	// (CoreParked) instead of executed, a demand fetch is issued, and the
+	// visitor or row runs when the page arrives (CoreUnparked). Parked −
+	// Unparked is the gauge of work currently pending on device I/O.
 	CoreParked   = "core.parked"
 	CoreUnparked = "core.unparked"
 
-	// Pager fetch pipeline: demand fetches (a parked visit needs the page),
-	// prefetches issued by direction-optimizing BFS's bottom-up read-ahead
-	// (the only source of hints), and prefetches dropped because the
-	// prefetch queue was full (demand fetches are never dropped).
+	// Pager fetch pipeline: demand fetches (a parked visitor or row needs
+	// the page). The pager issues no read-ahead: OOCPrefetches and
+	// OOCPrefetchDropped are never counted, and stay only because bench/
+	// reads them.
 	OOCDemandFetches   = "ooc.demand_fetches"
 	OOCPrefetches      = "ooc.prefetches"
 	OOCPrefetchDropped = "ooc.prefetch_dropped"

@@ -58,8 +58,7 @@ const (
 	defaultPageSize   = 4096
 	defaultLatency    = 25 * time.Microsecond
 	defaultQueueDepth = 64
-	maxFetchers       = 8   // fetch workers: min(QueueDepth, 8), capped again by NewPager
-	prefetchQueue     = 256 // prefetch backlog bound, capped again by NewPager
+	maxFetchers       = 8 // fetch workers: min(QueueDepth, 8), capped again by NewPager
 )
 
 func (c Config) normalized() Config {
@@ -91,12 +90,10 @@ type Store struct {
 
 // Snapshot is a point-in-time view of the store's counters.
 type Snapshot struct {
-	Cache           pagecache.Stats
-	Retries         uint64
-	Exhausted       uint64
-	DemandFetches   uint64
-	Prefetches      uint64
-	PrefetchDropped uint64
+	Cache         pagecache.Stats
+	Retries       uint64
+	Exhausted     uint64
+	DemandFetches uint64
 }
 
 // Externalize moves part's in-memory CSR targets onto an out-of-core device
@@ -165,7 +162,7 @@ func Externalize(part *partition.Part, cfg Config) (*Store, error) {
 		cache: cache,
 		retry: retry,
 		path:  path,
-		pager: NewPager(part.CSR, cache, min(cfg.QueueDepth, maxFetchers), prefetchQueue, cfg.Obs),
+		pager: NewPager(part.CSR, cache, min(cfg.QueueDepth, maxFetchers), cfg.Obs),
 	}
 	return s, nil
 }
@@ -192,14 +189,11 @@ func (s *Store) Pager() *Pager { return s.pager }
 
 // Stats returns all of the store's counters in one snapshot.
 func (s *Store) Stats() Snapshot {
-	d, p, dr := s.pager.counts()
 	return Snapshot{
-		Cache:           s.cache.Stats(),
-		Retries:         s.retry.Retries(),
-		Exhausted:       s.retry.Exhausted(),
-		DemandFetches:   d,
-		Prefetches:      p,
-		PrefetchDropped: dr,
+		Cache:         s.cache.Stats(),
+		Retries:       s.retry.Retries(),
+		Exhausted:     s.retry.Exhausted(),
+		DemandFetches: s.pager.counts(),
 	}
 }
 
@@ -270,8 +264,6 @@ func (s Stores) Stats() Snapshot {
 		sum.Retries += x.Retries
 		sum.Exhausted += x.Exhausted
 		sum.DemandFetches += x.DemandFetches
-		sum.Prefetches += x.Prefetches
-		sum.PrefetchDropped += x.PrefetchDropped
 	}
 	return sum
 }

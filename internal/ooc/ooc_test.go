@@ -80,7 +80,7 @@ func TestPagerDemandFetch(t *testing.T) {
 		degrees[i] = 16
 	}
 	m, cache := testMatrix(t, degrees, 256, 4, nil)
-	p := NewPager(m, cache, 2, 16, nil)
+	p := NewPager(m, cache, 2, nil)
 	defer p.Close()
 
 	key, resident := rowResident(p, 0)
@@ -102,45 +102,13 @@ func TestPagerDemandFetch(t *testing.T) {
 		}
 	}
 	waitResident(t, p, 0)
-	demand, _, _ := p.counts()
+	demand := p.counts()
 	if demand == 0 {
 		t.Fatal("no demand fetch counted")
 	}
 	// The row's targets must now read correctly through the cache.
 	if got := m.Row(0); got[3] != csr.Target(21) {
 		t.Fatalf("row 0 target 3 = %d, want 21", got[3])
-	}
-}
-
-// TestPagerPrefetch verifies PrefetchRow makes a row resident without any
-// demand fetch being recorded.
-func TestPagerPrefetch(t *testing.T) {
-	degrees := make([]uint64, 64)
-	for i := range degrees {
-		degrees[i] = 16
-	}
-	m, cache := testMatrix(t, degrees, 256, 8, nil)
-	p := NewPager(m, cache, 2, 16, nil)
-	defer p.Close()
-
-	p.PrefetchRow(3)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.Release(p.Drain())
-		if _, resident := rowResident(p, 3); resident {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prefetched row never became resident")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	demand, prefetch, _ := p.counts()
-	if demand != 0 {
-		t.Fatalf("demand = %d after pure prefetch, want 0", demand)
-	}
-	if prefetch == 0 {
-		t.Fatal("no prefetch counted")
 	}
 }
 
@@ -166,7 +134,7 @@ func TestPagerDedupsQueuedPages(t *testing.T) {
 	m, cache := testMatrix(t, degrees, 256, 4, func(d pagecache.BlockDevice) pagecache.BlockDevice {
 		return &gateDev{BlockDevice: d, gate: gate}
 	})
-	p := NewPager(m, cache, 2, 16, nil)
+	p := NewPager(m, cache, 2, nil)
 	defer p.Close()
 
 	k1, r1 := rowResident(p, 0)
@@ -177,7 +145,7 @@ func TestPagerDedupsQueuedPages(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("rows 0 and 1 parked on different pages %d, %d", k1, k2)
 	}
-	demand, _, _ := p.counts()
+	demand := p.counts()
 	if demand != 1 {
 		t.Fatalf("demand = %d for a coalesced page, want 1", demand)
 	}
@@ -192,15 +160,14 @@ func TestPagerWideRowIsResident(t *testing.T) {
 	// Row 0 has 1024 targets = 8 KiB = 32 pages of 256 bytes; cache has 4
 	// frames, so maxSpan = 2.
 	m, cache := testMatrix(t, []uint64{1024, 4}, 256, 4, nil)
-	p := NewPager(m, cache, 1, 16, nil)
+	p := NewPager(m, cache, 1, nil)
 	defer p.Close()
 
 	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("wide row not reported resident")
 	}
-	demand, prefetch, _ := p.counts()
-	if demand != 0 || prefetch != 0 {
-		t.Fatalf("wide row enqueued fetches: demand=%d prefetch=%d", demand, prefetch)
+	if demand := p.counts(); demand != 0 {
+		t.Fatalf("wide row enqueued %d fetches", demand)
 	}
 	// The synchronous path must still read it correctly.
 	if got := m.Row(0); got[1000] != csr.Target(7000) {
@@ -211,7 +178,7 @@ func TestPagerWideRowIsResident(t *testing.T) {
 // TestPagerEmptyRowIsResident: no targets, nothing to fetch.
 func TestPagerEmptyRowIsResident(t *testing.T) {
 	m, cache := testMatrix(t, []uint64{0, 16, 0}, 256, 4, nil)
-	p := NewPager(m, cache, 1, 16, nil)
+	p := NewPager(m, cache, 1, nil)
 	defer p.Close()
 	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("empty row not resident")
@@ -241,7 +208,7 @@ func TestPagerFailedPageUnparks(t *testing.T) {
 	m, cache := testMatrix(t, degrees, 256, 4, func(d pagecache.BlockDevice) pagecache.BlockDevice {
 		return &failDev{BlockDevice: d}
 	})
-	p := NewPager(m, cache, 1, 16, nil)
+	p := NewPager(m, cache, 1, nil)
 	defer p.Close()
 
 	key, resident := rowResident(p, 0)
@@ -280,7 +247,7 @@ func TestPagerPinsDrainedPagesUntilRelease(t *testing.T) {
 		degrees[i] = 32 // one 256-byte page per row
 	}
 	m, cache := testMatrix(t, degrees, 256, 4, nil)
-	p := NewPager(m, cache, 2, 16, nil) // 4 frames: fetchers and pinCap clamp to 1
+	p := NewPager(m, cache, 2, nil) // 4 frames: fetchers and pinCap clamp to 1
 	defer p.Close()
 
 	key, resident := rowResident(p, 0)
@@ -347,34 +314,6 @@ func TestPagerPinsDrainedPagesUntilRelease(t *testing.T) {
 	}
 }
 
-// TestPagerPrefetchQueueBound checks that prefetch hints beyond the queue
-// bound are dropped and counted, never blocking the caller.
-func TestPagerPrefetchQueueBound(t *testing.T) {
-	gate := make(chan struct{})
-	degrees := make([]uint64, 512)
-	for i := range degrees {
-		degrees[i] = 32 // one page per row: 32 targets * 8B = 256B
-	}
-	m, cache := testMatrix(t, degrees, 256, 4, func(d pagecache.BlockDevice) pagecache.BlockDevice {
-		return &gateDev{BlockDevice: d, gate: gate}
-	})
-	p := NewPager(m, cache, 1, 4, nil) // tiny prefetch queue, gated device
-	defer p.Close()
-
-	for row := 0; row < 512; row++ {
-		p.PrefetchRow(row)
-	}
-	_, prefetch, dropped := p.counts()
-	if dropped == 0 {
-		t.Fatalf("no prefetch drops with a full queue (accepted %d)", prefetch)
-	}
-	// 1 fetch may be in flight at the worker plus 4 queued.
-	if prefetch > 5 {
-		t.Fatalf("accepted %d prefetches into a 4-deep queue", prefetch)
-	}
-	close(gate)
-}
-
 // TestPagerCloseUnblocksAndReportsResident: after Close every row reads as
 // resident (fail-open: the synchronous path still works) and no worker leaks.
 func TestPagerCloseFailsOpen(t *testing.T) {
@@ -383,11 +322,10 @@ func TestPagerCloseFailsOpen(t *testing.T) {
 		degrees[i] = 16
 	}
 	m, cache := testMatrix(t, degrees, 256, 4, nil)
-	p := NewPager(m, cache, 2, 16, nil)
+	p := NewPager(m, cache, 2, nil)
 	p.Close()
 	p.Close() // idempotent
 	if _, resident := rowResident(p, 0); !resident {
 		t.Fatal("closed pager must report rows resident")
 	}
-	p.PrefetchRow(1) // must not panic or block
 }

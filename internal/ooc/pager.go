@@ -19,21 +19,17 @@ import (
 //     fetch for every absent page of each row's span and returns the page key
 //     the rank loop parks the row's visitor on.
 //   - Drain hands completed page keys back to the rank loop, which unparks
-//     the visitors waiting on them, and Release unpins them.
+//     the visitors and rows waiting on them, and Release unpins them.
 //
-// PrefetchRow, outside the interface, is direction-optimizing BFS's
-// read-ahead for the rows its bottom-up scan is about to read
-// (bfs.RowHinter).
+// Every read that can wait goes through Park: the visitor queues' and every
+// counted sweep's (core.Parking). Fetch workers pull pages in park order and
+// fault them in via Cache.TouchPin, so the device's queue depth is actually
+// exercised: many fetches proceed concurrently while the rank goroutine keeps
+// executing resident work. The queued set dedups fetches across queries
+// parked on the same page.
 //
-// Fetch workers pull pages (demand strictly before prefetch) and fault them
-// in via Cache.TouchPin, so the device's queue depth is actually exercised:
-// many fetches proceed concurrently while the rank goroutine keeps executing
-// resident visits. The queued set dedups fetches across queries parked on
-// the same page.
-//
-// Resident/Park/PrefetchRow/Drain/Release are called only from the owning
-// rank's engine goroutine; the mutex synchronizes that goroutine against the
-// fetch workers.
+// Resident/Park/Drain/Release are called only from the owning rank's engine
+// goroutine; the mutex synchronizes that goroutine against the fetch workers.
 type Pager struct {
 	m        *csr.Matrix
 	cache    *pagecache.Cache
@@ -44,38 +40,33 @@ type Pager struct {
 	// path streams through the cache page by page and always terminates).
 	maxSpan int64
 
-	mu       sync.Mutex
-	cond     sync.Cond
-	demand   fifo               // never dropped
-	prefetch fifo               // bounded by prefetchCap
-	queued   map[int64]struct{} // pages enqueued or being fetched
-	failed   map[int64]error    // sticky fetch failures (see Park)
-	done     []int64            // completed pages awaiting Drain
-	drained  []int64            // the last Drain batch's array, refilled by the one after
-	pinned   map[int64]struct{} // pages fetched-and-pinned, awaiting Release
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	cond    sync.Cond
+	demand  fifo               // pages to fetch, in park order
+	queued  map[int64]struct{} // pages enqueued or being fetched
+	failed  map[int64]error    // sticky fetch failures (see Park)
+	done    []int64            // completed pages awaiting Drain
+	drained []int64            // the last Drain batch's array, refilled by the one after
+	pinned  map[int64]struct{} // pages fetched-and-pinned, awaiting Release
+	closed  bool
+	wg      sync.WaitGroup
 
-	prefetchCap int
 	// pinCap bounds fetched-but-unconsumed pages: workers stall once pinCap
 	// pages sit pinned awaiting Release, coupling the fetch rate to the rank
 	// loop's consumption rate. Without it, fetches evict each other's pages
 	// before their parked visitors run (see Unpark in internal/core).
 	pinCap int
 
-	// Monotone counters, mirrored into obs when a registry was given.
-	nDemand, nPrefetch, nDropped uint64
-	cDemand, cPrefetch, cDropped *obs.Counter
+	// The demand fetch count, mirrored into obs when a registry was given.
+	nDemand uint64
+	cDemand *obs.Counter
 }
 
 // NewPager builds a pager over a matrix whose targets read through cache,
-// with the given fetch worker count and prefetch queue bound. reg may be nil.
-func NewPager(m *csr.Matrix, cache *pagecache.Cache, fetchers, prefetchCap int, reg *obs.Registry) *Pager {
+// with the given fetch worker count. reg may be nil.
+func NewPager(m *csr.Matrix, cache *pagecache.Cache, fetchers int, reg *obs.Registry) *Pager {
 	if fetchers <= 0 {
 		fetchers = 1
-	}
-	if prefetchCap <= 0 {
-		prefetchCap = 256
 	}
 	// Scale the fetch pipeline to the cache, not just the device: pages
 	// loaded faster than parked visitors consume them evict each other (and
@@ -87,25 +78,19 @@ func NewPager(m *csr.Matrix, cache *pagecache.Cache, fetchers, prefetchCap int, 
 	if maxF := cache.NumFrames() / 4; fetchers > maxF {
 		fetchers = max(1, maxF)
 	}
-	if maxP := cache.NumFrames() / 2; prefetchCap > maxP {
-		prefetchCap = max(2, maxP)
-	}
 	p := &Pager{
-		m:           m,
-		cache:       cache,
-		pageSize:    int64(cache.PageSize()),
-		maxSpan:     int64(max(1, cache.NumFrames()/2)),
-		queued:      make(map[int64]struct{}),
-		failed:      make(map[int64]error),
-		pinned:      make(map[int64]struct{}),
-		prefetchCap: prefetchCap,
-		pinCap:      max(1, cache.NumFrames()/4),
+		m:        m,
+		cache:    cache,
+		pageSize: int64(cache.PageSize()),
+		maxSpan:  int64(max(1, cache.NumFrames()/2)),
+		queued:   make(map[int64]struct{}),
+		failed:   make(map[int64]error),
+		pinned:   make(map[int64]struct{}),
+		pinCap:   max(1, cache.NumFrames()/4),
 	}
 	p.cond.L = &p.mu
 	if reg != nil {
 		p.cDemand = reg.Counter(obs.OOCDemandFetches)
-		p.cPrefetch = reg.Counter(obs.OOCPrefetches)
-		p.cDropped = reg.Counter(obs.OOCPrefetchDropped)
 	}
 	p.wg.Add(fetchers)
 	for i := 0; i < fetchers; i++ {
@@ -190,45 +175,6 @@ func (p *Pager) Park(rows []int, keys []int64) {
 	p.mu.Unlock()
 }
 
-// PrefetchRow implements bfs.RowHinter: best-effort fetch hints for every
-// absent page of row's span, dropped (and counted) when the prefetch queue
-// is full. Direction-optimizing BFS's bottom-up scan is its one caller.
-func (p *Pager) PrefetchRow(row int) {
-	p0, p1, ok := p.span(row)
-	if !ok || p1-p0+1 > p.maxSpan {
-		return
-	}
-	for pg := p0; pg <= p1; pg++ {
-		if p.cache.Resident(pg * p.pageSize) {
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		_, dup := p.queued[pg]
-		_, bad := p.failed[pg]
-		switch {
-		case dup || bad:
-		case p.prefetch.len() >= p.prefetchCap:
-			p.nDropped++
-			if p.cDropped != nil {
-				p.cDropped.Inc()
-			}
-		default:
-			p.queued[pg] = struct{}{}
-			p.prefetch.push(pg)
-			p.nPrefetch++
-			if p.cPrefetch != nil {
-				p.cPrefetch.Inc()
-			}
-			p.cond.Signal()
-		}
-		p.mu.Unlock()
-	}
-}
-
 // Drain implements core.RowPager: the pages whose fetches completed since
 // the last Drain. Failed pages are included — their parked visitors must
 // retry (and take the fail-stop synchronous path) rather than wait forever.
@@ -248,45 +194,30 @@ func (p *Pager) FailedPages() int {
 	return len(p.failed)
 }
 
-// Depths reports the pager's instantaneous queue state: demand and prefetch
-// FIFO lengths, pages handed to a worker but not yet completed, and
-// completions awaiting Drain. Diagnostic — values are stale on return.
-func (p *Pager) Depths() (demand, prefetch, inflight, done int) {
+func (p *Pager) counts() (demand uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.demand.len(), p.prefetch.len(),
-		len(p.queued) - p.demand.len() - p.prefetch.len(), len(p.done)
+	return p.nDemand
 }
 
-func (p *Pager) counts() (demand, prefetch, dropped uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nDemand, p.nPrefetch, p.nDropped
-}
-
-// worker is one fetch goroutine: pop a page (demand first), fault it in with
-// the frame pinned, report completion. The pin holds the page resident until
-// the rank loop has drained the completion and run the parked visitors
-// (Release); workers stall once pinCap completions sit unconsumed, so the
-// fetch pipeline can never run ahead of consumption and evict pages whose
-// waiters have not executed yet.
+// worker is one fetch goroutine: pop a page, fault it in with the frame
+// pinned, report completion. The pin holds the page resident until the rank
+// loop has drained the completion and run the parked work (Release); workers
+// stall once pinCap completions sit unconsumed, so the fetch pipeline can
+// never run ahead of consumption and evict pages whose waiters have not run
+// yet.
 func (p *Pager) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for !p.closed && (p.demand.len() == 0 && p.prefetch.len() == 0 || len(p.pinned) >= p.pinCap) {
+		for !p.closed && (p.demand.len() == 0 || len(p.pinned) >= p.pinCap) {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		var pg int64
-		if p.demand.len() > 0 {
-			pg = p.demand.pop()
-		} else {
-			pg = p.prefetch.pop()
-		}
+		pg := p.demand.pop()
 		p.mu.Unlock()
 
 		err := p.cache.TouchPin(pg * p.pageSize)

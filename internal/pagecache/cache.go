@@ -352,29 +352,15 @@ func (c *Cache) Resident(off int64) bool {
 	return c.resident[page>>6].Load()&(uint64(1)<<(page&63)) != 0
 }
 
-// Touch faults in the page containing off without copying any data out,
-// blocking until the page is resident (or the load fails). It is the fetch
-// primitive for asynchronous prefetchers: a worker goroutine calls Touch so
-// that a later ReadAt on the serving path hits. Touching past end-of-device
-// is a no-op.
-func (c *Cache) Touch(off int64) error {
-	if off < 0 {
-		return fmt.Errorf("pagecache: negative offset")
-	}
-	if off >= c.size {
-		return nil
-	}
-	return c.readFromPage(nil, off/int64(c.pageSize), 0, false)
-}
-
-// TouchPin faults in the page containing off like Touch, but returns with a
-// reader pin held on the frame: the page cannot be evicted until a matching
-// Unpin. It is the fetch primitive for flow-controlled prefetchers — pinning
-// from fault-in until the page's consumers have run guarantees a fetched
-// page is consumed at least once before eviction, which a plain Touch cannot
-// (under memory pressure the page can be evicted before the consumer runs,
-// degenerating into fetch/evict livelock). No pin is taken when the load
-// fails or off is past end-of-device (both are safe to Unpin anyway).
+// TouchPin faults in the page containing off without copying any data out,
+// blocking until the page is resident (or the load fails), and returns with
+// a reader pin held on the frame: the page cannot be evicted until a
+// matching Unpin. It is the pager's fetch primitive — pinning from fault-in
+// until the page's consumers have run guarantees a fetched page is consumed
+// at least once before eviction (under memory pressure an unpinned page can
+// be evicted before the consumer runs, degenerating into fetch/evict
+// livelock). No pin is taken when the load fails or off is past
+// end-of-device (both are safe to Unpin anyway).
 //
 // Pins count against the frame pool: callers must bound their outstanding
 // pins well below NumFrames or concurrent readers stall waiting for frames.

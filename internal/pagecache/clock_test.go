@@ -265,14 +265,18 @@ func TestClockSecondChance(t *testing.T) {
 	}
 }
 
-// TestResidentAndTouch covers the prefetch primitives: Touch faults a page in
-// (counting one miss), a second Touch is a hit, and Resident tracks exactly
-// the loaded-and-complete state.
+// TestResidentAndTouch covers the pager's primitives: TouchPin faults a page
+// in (counting one miss), a second is a hit, and Resident tracks exactly the
+// loaded-and-complete state.
 func TestResidentAndTouch(t *testing.T) {
 	const pageSize = 64
 	c, err := New(&MemDevice{Data: testData(pageSize * 4)}, pageSize, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	touch := func(off int64) error {
+		defer c.Unpin(off)
+		return c.TouchPin(off)
 	}
 	if c.Resident(0) {
 		t.Fatal("page 0 resident before any access")
@@ -283,29 +287,29 @@ func TestResidentAndTouch(t *testing.T) {
 	if !c.Resident(4 * pageSize) {
 		t.Fatal("offset past end-of-device must be trivially resident")
 	}
-	if err := c.Touch(0); err != nil {
+	if err := touch(0); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Resident(0) {
-		t.Fatal("page 0 not resident after Touch")
+		t.Fatal("page 0 not resident after TouchPin")
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("after first Touch: Misses=%d Hits=%d, want 1/0", st.Misses, st.Hits)
+		t.Fatalf("after first TouchPin: Misses=%d Hits=%d, want 1/0", st.Misses, st.Hits)
 	}
-	if err := c.Touch(pageSize / 2); err != nil { // same page, different offset
+	if err := touch(pageSize / 2); err != nil { // same page, different offset
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("after second Touch: Misses=%d Hits=%d, want 1/1", st.Misses, st.Hits)
+		t.Fatalf("after second TouchPin: Misses=%d Hits=%d, want 1/1", st.Misses, st.Hits)
 	}
-	if err := c.Touch(100 * pageSize); err != nil { // past EOF: no-op
+	if err := touch(100 * pageSize); err != nil { // past EOF: no-op
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits+st.Misses != 2 {
-		t.Fatalf("Touch past end-of-device counted an access: Hits=%d Misses=%d", st.Hits, st.Misses)
+		t.Fatalf("TouchPin past end-of-device counted an access: Hits=%d Misses=%d", st.Hits, st.Misses)
 	}
-	if err := c.Touch(-5); err == nil {
-		t.Fatal("Touch(-5) succeeded, want error")
+	if err := touch(-5); err == nil {
+		t.Fatal("TouchPin(-5) succeeded, want error")
 	}
 }
 

@@ -49,9 +49,10 @@ type MemoryStats struct {
 	// Device retry plane.
 	Retries   uint64
 	Exhausted uint64
-	// Pager fetch pipeline. Prefetches and PrefetchDropped count the
-	// read-ahead hints of direction-optimizing BFS's bottom-up scans, the
-	// only source of hints; other traversals fetch on demand only.
+	// Pager fetch pipeline: every read that waits on the device is a demand
+	// fetch. Prefetches and PrefetchDropped are always zero — the pager
+	// issues no read-ahead — and stay only because bench/ reads them; they
+	// go when it stops.
 	DemandFetches   uint64
 	Prefetches      uint64
 	PrefetchDropped uint64
@@ -129,17 +130,15 @@ func (g *Graph) MemoryStats() MemoryStats {
 	g.mu.Unlock()
 	s := stores.Stats()
 	return MemoryStats{
-		CacheHits:       s.Cache.Hits,
-		CacheMisses:     s.Cache.Misses,
-		CacheStalls:     s.Cache.Stalls,
-		CacheEvictions:  s.Cache.Evictions,
-		BytesRead:       s.Cache.BytesRead,
-		HitRate:         s.Cache.HitRate(),
-		Retries:         s.Retries,
-		Exhausted:       s.Exhausted,
-		DemandFetches:   s.DemandFetches,
-		Prefetches:      s.Prefetches,
-		PrefetchDropped: s.PrefetchDropped,
+		CacheHits:      s.Cache.Hits,
+		CacheMisses:    s.Cache.Misses,
+		CacheStalls:    s.Cache.Stalls,
+		CacheEvictions: s.Cache.Evictions,
+		BytesRead:      s.Cache.BytesRead,
+		HitRate:        s.Cache.HitRate(),
+		Retries:        s.Retries,
+		Exhausted:      s.Exhausted,
+		DemandFetches:  s.DemandFetches,
 	}
 }
 
