@@ -65,16 +65,20 @@ lint: vet fmt-check staticcheck
 # Brief native-fuzzing runs of every fuzz target (one -fuzz pattern per
 # invocation; the toolchain rejects multi-target fuzzing). The committed
 # regression corpus under testdata/fuzz/ runs as seeds in plain `make test`
-# too; this target actually mutates inputs for FUZZTIME each.
+# too; this target actually mutates inputs for FUZZTIME each. Minimizing one
+# new-coverage input is capped at 5 s (-fuzzminimizetime): the fuzz
+# coordinator counts a minimizing worker's execs only when minimization ends,
+# and the default cap is 60 s, so a target that finds new coverage would read
+# 0 execs/s for most of a 30 s run.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=^FuzzEnvelopeDecode$$ -fuzztime=$(FUZZTIME) ./internal/mailbox
-	$(GO) test -run=^$$ -fuzz=^FuzzTopologyRoute$$ -fuzztime=$(FUZZTIME) ./internal/mailbox
-	$(GO) test -run=^$$ -fuzz=^FuzzCacheReadAt$$ -fuzztime=$(FUZZTIME) ./internal/pagecache
-	$(GO) test -run=^$$ -fuzz=^FuzzDOHandle$$ -fuzztime=$(FUZZTIME) ./internal/algos/bfs
-	$(GO) test -run=^$$ -fuzz=^FuzzPageRankRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/pagerank
-	$(GO) test -run=^$$ -fuzz=^FuzzKCoreRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/kcore
-	$(GO) test -run=^$$ -fuzz=^FuzzSSSPRound$$ -fuzztime=$(FUZZTIME) ./internal/algos/sssp
-	$(GO) test -run=^$$ -fuzz=^FuzzQueryRequest$$ -fuzztime=$(FUZZTIME) ./cmd/havoqd
+	$(GO) test -run=^$$ -fuzz=^FuzzEnvelopeDecode$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/mailbox
+	$(GO) test -run=^$$ -fuzz=^FuzzTopologyRoute$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/mailbox
+	$(GO) test -run=^$$ -fuzz=^FuzzCacheReadAt$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/pagecache
+	$(GO) test -run=^$$ -fuzz=^FuzzDOHandle$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/bfs
+	$(GO) test -run=^$$ -fuzz=^FuzzPageRankRound$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/pagerank
+	$(GO) test -run=^$$ -fuzz=^FuzzKCoreRound$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/kcore
+	$(GO) test -run=^$$ -fuzz=^FuzzSSSPRound$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/sssp
+	$(GO) test -run=^$$ -fuzz=^FuzzQueryRequest$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./cmd/havoqd
 
 # Chaos harness (DESIGN.md §8): seeded fault plans × every algorithm × every
 # routing topology on a fault-injecting transport, plus the engine recovery
@@ -121,7 +125,7 @@ bench-smoke:
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkSortEdges' -benchtime=1x ./internal/graph
-	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkBuildEdgeListSimple' -benchtime=1x -benchmem ./internal/partition
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkBuildEdgeListSimple|BenchmarkOwnerMaster' -benchtime=1x -benchmem ./internal/partition
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own that compiles
 # against the root facade, so root `go test ./...` does not reach it: vet it

@@ -14,6 +14,7 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/csr"
 	"havoqgt/internal/engine"
+	"havoqgt/internal/obs"
 )
 
 // k-core(64) at the benchmark's shape. Its first peel is a dense round:
@@ -285,6 +286,7 @@ func TestBFSRecordBudget(t *testing.T) {
 	for d, _ := g.Degree(source); d < 8; d, _ = g.Degree(source) {
 		source++
 	}
+	g.machine.ResetStats()
 	res, stats, err := engine.RunOnce(g.engineConfig(), engine.Options{}, engine.Spec{Algo: engine.AlgoBFS, Source: source})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +295,7 @@ func TestBFSRecordBudget(t *testing.T) {
 	if reached < g.NumVertices()/4 {
 		t.Fatalf("source %d reaches %d vertices: not in the giant component", source, reached)
 	}
-	var pushed, filtered, local, forwarded, executed, records uint64
+	var pushed, filtered, local, forwarded, executed, records, hops uint64
 	slots := make([]int, len(g.parts))
 	for rank, s := range stats {
 		pushed += s.Pushed
@@ -302,8 +304,10 @@ func TestBFSRecordBudget(t *testing.T) {
 		forwarded += s.Forwarded
 		executed += s.Executed
 		records += s.Mailbox.RecordsSent
+		hops += s.Mailbox.Hops
 		slots[rank] = len(g.parts[rank].SlotVertex)
 	}
+	env := g.machine.Obs().Snapshot().Histograms[obs.MBEnvelopeBytes]
 	t.Logf("reached %d: pushed %d, applied in place %d, ghost-filtered %d (%.3f), records sent %d, executed %d (%.3f per reached vertex); remote slots per rank %v",
 		reached, pushed, local, filtered, float64(filtered)/float64(pushed), records, executed, float64(executed)/float64(reached), slots)
 	if local+filtered+records-forwarded != pushed {
@@ -312,6 +316,14 @@ func TestBFSRecordBudget(t *testing.T) {
 	}
 	if records > 300_000 {
 		t.Errorf("one BFS sent %d records, budget 300000", records)
+	}
+	// A 20-byte visitor framed alone costs 32 bytes a hop with a 12-byte
+	// header; in runs of its tag and width it costs about 20.
+	perHop := float64(env.Sum) / float64(hops)
+	t.Logf("mailbox: %d envelopes, %d bytes, %d routed record-hops, %.2f bytes per record-hop",
+		env.Count, env.Sum, hops, perHop)
+	if perHop > 21 {
+		t.Errorf("one BFS shipped %.2f mailbox bytes per routed record-hop, budget 21", perHop)
 	}
 	if float64(filtered) < 0.70*float64(pushed) {
 		t.Errorf("ghost filter dropped %d of %d pushes, want at least 0.70", filtered, pushed)

@@ -1,11 +1,15 @@
 package check
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"havoqgt/internal/mailbox"
 	"havoqgt/internal/obs"
 	"havoqgt/internal/rt"
+	"havoqgt/internal/termination"
 )
 
 // pollHostile injects one raw envelope into rank 0's transport inbox and
@@ -73,25 +77,109 @@ func TestHostileCorpusAcrossTopologies(t *testing.T) {
 }
 
 // TestEnvelopeFramingMatchesMailbox proves check.Envelope and the mailbox
-// agree on framing: an envelope built here round-trips through Poll with the
-// exact payload bytes.
+// agree on framing, both ways: an envelope built here round-trips through
+// Poll with the exact payload bytes and tags, and the envelope a Box ships
+// for the same records is byte for byte the one built here — runs of one
+// tag and width joined, a zero-width record alone, a new tag or width
+// opening a run.
 func TestEnvelopeFramingMatchesMailbox(t *testing.T) {
-	payloads := [][]byte{[]byte("alpha"), {}, []byte("bravo-charlie")}
-	env := Envelope(
-		EnvRecord{Dest: 0, Payload: payloads[0]},
-		EnvRecord{Dest: 0, Payload: payloads[1]},
-		EnvRecord{Dest: 0, Payload: payloads[2]},
-	)
-	recs, st, _ := pollHostile(2, mailbox.NewDirect(2), env)
-	if len(recs) != len(payloads) {
-		t.Fatalf("delivered %d records, want %d", len(recs), len(payloads))
+	recs := []EnvRecord{
+		{Payload: []byte("alpha")}, {Payload: []byte("bravo")}, {}, {},
+		{Payload: []byte("charlie-delta")}, {Tag: 7, Payload: []byte("delta-charlie")},
+		{Tag: 7, Payload: []byte("echo!")}, {Tag: 7, Payload: []byte("golf!")},
 	}
-	for i, rec := range recs {
-		if string(rec.Payload) != string(payloads[i]) {
-			t.Fatalf("record %d = %q, want %q", i, rec.Payload, payloads[i])
+	env := Envelope(recs...)
+	got, st, _ := pollHostile(2, mailbox.NewDirect(2), env)
+	if len(got) != len(recs) {
+		t.Fatalf("delivered %d records, want %d", len(got), len(recs))
+	}
+	for i, rec := range got {
+		if string(rec.Payload) != string(recs[i].Payload) || rec.Tag != recs[i].Tag {
+			t.Fatalf("record %d = %d/%q, want %d/%q", i, rec.Tag, rec.Payload, recs[i].Tag, recs[i].Payload)
 		}
 	}
 	if st.DecodeErrors != 0 {
 		t.Fatalf("well-formed envelope counted %d decode errors", st.DecodeErrors)
+	}
+
+	var shipped [][]byte
+	m := rt.NewMachine(2)
+	m.Run(func(r *rt.Rank) {
+		if r.Rank() == 1 {
+			box := mailbox.New(r, mailbox.NewDirect(2), nil)
+			for _, rec := range recs {
+				box.SendTagged(0, rec.Tag, rec.Payload)
+			}
+			box.FlushAll()
+		}
+		r.Barrier()
+		if r.Rank() == 0 {
+			for _, msg := range r.Recv(rt.KindMailbox) {
+				shipped = append(shipped, msg.Payload)
+			}
+		}
+	})
+	if len(shipped) != 1 || !bytes.Equal(shipped[0], env) {
+		t.Fatalf("the box shipped %x, check.Envelope frames %x", shipped, env)
+	}
+}
+
+// TestEnvelopeFIFOThroughIntermediateHop pins per-(origin, dest) FIFO
+// across a 2d route's forward hop: on a 2×2 grid, rank 3's records to rank 0
+// travel along its row to rank 2, then up the column, and at rank 2 they join
+// the runs rank 2 stages for rank 0 of its own records. Each origin's sequence
+// numbers must arrive in the order they were sent, whatever the runs,
+// envelopes and interleaving did to them.
+func TestEnvelopeFIFOThroughIntermediateHop(t *testing.T) {
+	const p, perOrigin = 4, 3000
+	topo := mailbox.NewGrid2D(p)
+	if topo.Rows != 2 || topo.Cols != 2 || topo.NextHop(3, 0) != 2 {
+		t.Fatalf("want a 2×2 grid routing 3→0 through rank 2, got %+v", topo)
+	}
+	next := make([]uint32, p)
+	var delivered int
+	var failure string
+	m := rt.NewMachine(p)
+	m.Run(func(r *rt.Rank) {
+		det := termination.New(r)
+		box := mailbox.New(r, topo, det, mailbox.WithFlushBytes(256))
+		if r.Rank() != 0 {
+			rec := make([]byte, 8)
+			for seq := 0; seq < perOrigin; seq++ {
+				binary.LittleEndian.PutUint32(rec[0:], uint32(r.Rank()))
+				binary.LittleEndian.PutUint32(rec[4:], uint32(seq))
+				// Every tenth record another width and tag: runs break and
+				// restart mid-stream without reordering anything.
+				if seq%10 == 0 {
+					box.SendTagged(0, 1, append(rec, 0))
+				} else {
+					box.Send(0, rec)
+				}
+				if seq%97 == 0 {
+					box.Poll() // forward what came through this rank so far
+				}
+			}
+		}
+		for {
+			for _, rec := range box.Poll() {
+				from := binary.LittleEndian.Uint32(rec.Payload[0:])
+				seq := binary.LittleEndian.Uint32(rec.Payload[4:])
+				if seq != next[from] && failure == "" {
+					failure = fmt.Sprintf("from %d: got seq %d, want %d", from, seq, next[from])
+				}
+				next[from] = seq + 1
+				delivered++
+			}
+			box.FlushAll()
+			if det.Pump(box.Idle()) {
+				break
+			}
+		}
+	})
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if delivered != (p-1)*perOrigin {
+		t.Fatalf("delivered %d records, want %d", delivered, (p-1)*perOrigin)
 	}
 }

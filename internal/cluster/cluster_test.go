@@ -183,6 +183,9 @@ func rawJoin(t *testing.T, addr string, join msg) (net.Conn, msg) {
 	return conn, reply
 }
 
+// TestJoinVersionMismatch: a worker of another protocol version is refused
+// at join — an ancient one, and one of the version just before this one
+// (its records framed one by one, which this version's peers cannot read).
 func TestJoinVersionMismatch(t *testing.T) {
 	check.NoLeaks(t)
 	cfg := ClusterConfig{Workers: 1, Ranks: 1, Scale: 5, Seed: 1}
@@ -193,11 +196,13 @@ func TestJoinVersionMismatch(t *testing.T) {
 	defer c.Close()
 
 	old := joinVersion
-	joinVersion = "havoqd-cluster/0-ancient"
 	defer func() { joinVersion = old }()
-	err = RunWorker(WorkerOptions{Coordinator: c.Addr(), Config: cfg, Slot: -1})
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("got %v, want ErrVersionMismatch", err)
+	for _, v := range []string{"havoqd-cluster/0-ancient", "havoqd-cluster/7"} {
+		joinVersion = v
+		err = RunWorker(WorkerOptions{Coordinator: c.Addr(), Config: cfg, Slot: -1})
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("%s: got %v, want ErrVersionMismatch", v, err)
+		}
 	}
 }
 

@@ -52,7 +52,11 @@ import (
 // dist, parent) triples per peer per bucket round — instead of 24-byte
 // visitors; a /6 worker would read a round record as a visitor and never
 // send the round records its peers wait on.
-const Version = "havoqd-cluster/7"
+// Version 8: mailbox envelopes carry runs — [dest][tag][width][count] and
+// then count records of one width — instead of a 12-byte header per record;
+// a /7 worker would decode a run header as a record header and deliver
+// garbage.
+const Version = "havoqd-cluster/8"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator

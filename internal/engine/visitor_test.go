@@ -474,7 +474,7 @@ func BenchmarkVisitorPushRoute(b *testing.B) {
 }
 
 // benchPushRandom is what one visitor record costs from Queue.Push through
-// SendTagged, enqueue, the 2d route's forward hop, Poll and Deliver to its
+// SendTagged, stage, the 2d route's forward hop, Poll and Deliver to its
 // PreVisit, on 8 ranks, with nothing of a real algorithm around it. One
 // generator per rank emits a burst per rank-loop iteration, so Step and Poll
 // alternate as they do under a real traversal. ns/record is wall time over

@@ -18,6 +18,15 @@ import (
 	"havoqgt/internal/termination"
 )
 
+// appendRun frames one run — count records of width bytes, body — onto env,
+// as a Box stages it.
+func appendRun(env []byte, dest, tag, width, count uint32, body []byte) []byte {
+	for _, f := range []uint32{dest, tag, width, count} {
+		env = binary.LittleEndian.AppendUint32(env, f)
+	}
+	return append(env, body...)
+}
+
 // budgetEpsilon tolerates stray runtime-internal allocations (GC metadata,
 // background goroutine wakeups) that AllocsPerRun can observe; anything
 // above it means a real per-cycle allocation has crept back into the path.
@@ -59,16 +68,13 @@ func TestAllocBudgetLoopback(t *testing.T) {
 func TestAllocBudgetDecodeDeliver(t *testing.T) {
 	rt.NewMachine(1).Run(func(r *rt.Rank) {
 		box := New(r, NewDirect(1), nil)
-		// One envelope holding 32 records addressed to this rank.
-		const recs = 32
-		env := make([]byte, 0, recs*(recordHeader+benchPayloadBytes))
-		var hdr [recordHeader]byte
-		for i := 0; i < recs; i++ {
-			binary.LittleEndian.PutUint32(hdr[0:], 0) // dest: self
-			binary.LittleEndian.PutUint32(hdr[4:], uint32(i))
-			binary.LittleEndian.PutUint32(hdr[8:], benchPayloadBytes)
-			env = append(env, hdr[:]...)
-			env = append(env, make([]byte, benchPayloadBytes)...)
+		// One envelope holding 32 records addressed to this rank: four runs
+		// of eight, one per tag.
+		const recs, runs = 32, 4
+		env := make([]byte, 0, runs*runHeader+recs*benchPayloadBytes)
+		for i := 0; i < runs; i++ {
+			env = appendRun(env, 0, uint32(i), benchPayloadBytes, recs/runs,
+				make([]byte, recs/runs*benchPayloadBytes))
 		}
 		cycle := func() {
 			r.Send(0, rt.KindMailbox, 0, env)
@@ -299,24 +305,19 @@ func TestAllocBudgetHandOffNoAlias(t *testing.T) {
 
 // TestAllocBudgetHandOffDropsBacklog closes a box holding an undecoded
 // backlog (two envelopes of an epoch's records each arrived; one Poll decoded
-// the first) and a dirty channel buffer (a record sent, never flushed). The
+// the first) and a staged run (a record sent, never flushed). The
 // box that adopts its storage starts empty: no backlog, idle, nothing
 // pending, every adopted Record zero and every inbox slot nil.
 func TestAllocBudgetHandOffDropsBacklog(t *testing.T) {
 	rt.NewMachine(2).Run(func(r *rt.Rank) {
-		if r.Rank() == 1 { // only the address of the dirty channel
+		if r.Rank() == 1 { // only the address of the staged run
 			return
 		}
 		rec := make([]byte, 4)
 		envelope := func() []byte {
-			env := make([]byte, 0, pollEpochRecords*(recordHeader+len(rec)))
-			for i := 0; i < pollEpochRecords; i++ {
-				env = binary.LittleEndian.AppendUint32(env, 0) // dest: self
-				env = binary.LittleEndian.AppendUint32(env, 0)
-				env = binary.LittleEndian.AppendUint32(env, uint32(len(rec)))
-				env = append(env, rec...)
-			}
-			return env
+			// One run of an epoch's records, addressed to this rank.
+			return appendRun(nil, 0, 0, uint32(len(rec)), pollEpochRecords,
+				make([]byte, pollEpochRecords*len(rec)))
 		}
 		for attempt := 1; ; attempt++ {
 			box := New(r, NewDirect(2), nil)
@@ -325,7 +326,7 @@ func TestAllocBudgetHandOffDropsBacklog(t *testing.T) {
 			box.Poll()
 			box.Send(1, rec)
 			if !box.Backlog() || box.Idle() || box.PendingRecords() == 0 {
-				t.Fatalf("before Close: Backlog %v, Idle %v, PendingRecords %d; want a backlog and a dirty channel",
+				t.Fatalf("before Close: Backlog %v, Idle %v, PendingRecords %d; want a backlog and a staged run",
 					box.Backlog(), box.Idle(), box.PendingRecords())
 			}
 			box.Close()

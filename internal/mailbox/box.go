@@ -10,26 +10,32 @@ import (
 	"havoqgt/internal/termination"
 )
 
-// DefaultFlushBytes is the per-channel aggregation threshold, measured in
-// framed envelope bytes — record payloads PLUS the 12-byte recordHeader each
-// record carries — i.e. exactly the transport message size a shipped buffer
-// produces. A channel's buffer is shipped once the framed bytes reach the
-// threshold (a single record may overshoot it; the whole record still ships
-// in one envelope). Idle ranks flush everything (FlushAll) so aggregation
-// never stalls termination.
+// DefaultFlushBytes is the per-hop aggregation threshold, measured in framed
+// envelope bytes — record payloads PLUS the 16-byte runHeader of every run
+// staged for the destinations routed through the hop — i.e. exactly the
+// transport message size the hop's next shipment produces. The hop ships once
+// its framed bytes reach the threshold (a single record or forwarded run may
+// overshoot it; the whole run still ships in one envelope). Idle ranks flush
+// everything (FlushAll) so aggregation never stalls termination.
 //
 // The threshold deliberately counts framing, not raw payload: the quantity
 // being bounded is the wire/transport unit. WithFlushBytes documents the
 // same semantic, and TestFlushThresholdCountsFramedBytes pins the boundary.
 const DefaultFlushBytes = 4096
 
-// recordHeader is the per-record framing inside an aggregated envelope:
-// [finalDest u32][tag u32][payloadLen u32]. The tag is a caller-defined
-// record namespace — the multi-query engine stores a compact query ID there
-// so one shared mailbox can interleave many concurrent traversals and
-// demultiplex delivered records back to their queries. Single-traversal
-// callers use tag 0.
-const recordHeader = 12
+// runHeader frames one run of equal-width records inside an aggregated
+// envelope: [finalDest u32][tag u32][width u32][count u32], then count×width
+// payload bytes — record i is bytes [i·width, (i+1)·width) of the run. An
+// envelope is a sequence of runs. The tag is a caller-defined record
+// namespace — the multi-query engine stores a compact query ID there so one
+// shared mailbox can interleave many concurrent traversals and demultiplex
+// delivered records back to their queries; single-traversal callers use tag
+// 0. The width rides in the header, so a record of any length is a run of
+// one, and a stream of same-tag, same-width records to one destination (a
+// traversal's visitors) pays the header once per run instead of once per
+// record. A zero-width record is always a run of one, so no run holds more
+// records than it has payload bytes, or one.
+const runHeader = 16
 
 // Stats counts mailbox activity on one rank for one Box lifetime. It is the
 // one ledger the hot path writes: plain rank-confined fields, no atomics. The
@@ -133,6 +139,13 @@ func newMetrics(r *rt.Rank) metrics {
 // lone detector in an adapter that ignores the tag. Implementations are
 // invoked only from the owning rank's goroutine (Send/Poll are not
 // concurrency-safe), so they need no internal locking.
+//
+// The two sides are not batched alike. SendTagged calls CountSent once per
+// record, before the record can leave the rank: the detector's S must never
+// lag what is in flight (see publish). A delivered run calls CountReceived
+// once with its count, where its records are delivered: R reaches the value
+// the per-record calls would, at the same point of the same Poll, and only
+// the owning rank reads it, between Polls.
 type FlowCounter interface {
 	// CountSent records n records entering the mailbox under tag (at the
 	// originating rank).
@@ -159,11 +172,14 @@ type Box struct {
 
 	flushBytes int
 	// route[dest] is the next hop toward dest, filled once in New from the
-	// Topology (the single source of routing truth); channels is indexed by
-	// that next-hop rank. Both are sized r.Size(), so routing a record is two
-	// slice loads: no interface call, no map.
+	// Topology (the single source of routing truth). stages is indexed by
+	// final destination, hops by next-hop rank, and via[hops[h].lo:hops[h].hi]
+	// lists the destinations routed through hop h. All are sized r.Size(), so
+	// staging a record is slice loads: no interface call, no map.
 	route    []int32
-	channels []channel
+	stages   []stage
+	hops     []hop
+	via      []int32
 	stats    Stats
 	mirrored Stats // what publish has already given the registry
 	met      metrics
@@ -188,7 +204,7 @@ type Box struct {
 	arena         []byte
 	arenaPrev     []byte
 
-	// inbox holds the envelopes (framed record bytes) taken off the transport
+	// inbox holds the envelopes (framed runs) taken off the transport
 	// — accepted by the reliable layer, on a reliable box — and inbox[next:]
 	// is the backlog Poll has not decoded yet. msgScratch is the reusable
 	// rt.Msg drain buffer handed to rt.Rank.RecvInto.
@@ -210,8 +226,8 @@ type Box struct {
 // from empty — the two delivery arenas, the two Record batches, the envelope
 // free-list, the inbox and the drain scratch. Close hands it to spare and New
 // takes it back, so a one-shot query's transient engine starts from the last
-// one's capacity. Nothing else carries over: stats, flows, routes, channel
-// buffers, reliable-layer state and the epoch are per box.
+// one's capacity. Nothing else carries over: stats, flows, routes, staged
+// runs, reliable-layer state and the epoch are per box.
 type storage struct {
 	delivered, deliveredPrev []Record
 	arena, arenaPrev         []byte
@@ -225,10 +241,23 @@ type storage struct {
 // moving it to another box, on any machine, keeps the rule.
 var spare sync.Pool
 
-// channel is the aggregation state of one next-hop rank.
-type channel struct {
-	buf  []byte // pending framed records; nil between a ship and the next record
-	used bool   // ever carried a record (Stats.ChannelsUsed counts these)
+// stage is the outbound runs of one final destination: records sent to it
+// here and runs routed through this rank toward it, in arrival order, so
+// per-(origin, dest) FIFO holds. The last run is open while records of its
+// tag and width keep coming.
+type stage struct {
+	buf        []byte // framed runs; nil before its first record and after it carried an envelope
+	at         int    // offset of the open run's count field in buf
+	tag, width uint32 // the open run's
+	count      uint32 // the open run's records; 0 = no open run
+}
+
+// hop is the aggregation state of one next-hop rank. Its envelope is the
+// staged runs of every destination routed through it, shipped together.
+type hop struct {
+	lo, hi int32 // via[lo:hi] are the destinations routed through it
+	framed int   // their staged bytes, headers included
+	used   bool  // ever carried a record (Stats.ChannelsUsed counts these)
 }
 
 // Record is one delivered visitor record. The payload is a copy carved from
@@ -250,10 +279,10 @@ type Record struct {
 // Option configures a Box.
 type Option func(*Box)
 
-// WithFlushBytes sets the per-channel aggregation threshold, measured in
-// framed envelope bytes — record payloads plus the 12-byte per-record
-// header — exactly the size of the transport message a ship produces (see
-// DefaultFlushBytes).
+// WithFlushBytes sets the per-hop aggregation threshold, measured in framed
+// envelope bytes — the record payloads plus the 16-byte header of every run
+// staged for the destinations routed through the hop — exactly the size of
+// the transport message the hop's shipment produces (see DefaultFlushBytes).
 func WithFlushBytes(n int) Option {
 	return func(b *Box) { b.flushBytes = n }
 }
@@ -288,11 +317,14 @@ func WithRTO(base, max time.Duration) Option {
 // intermediate aggregation buffers are exactly the S−R in-flight gap the
 // termination waves must see drain to zero).
 func New(r *rt.Rank, topo Topology, det *termination.Detector, opts ...Option) *Box {
+	p := r.Size()
 	b := &Box{
 		r:          r,
 		flushBytes: DefaultFlushBytes,
-		route:      make([]int32, r.Size()),
-		channels:   make([]channel, r.Size()),
+		route:      make([]int32, p),
+		stages:     make([]stage, p),
+		hops:       make([]hop, p),
+		via:        make([]int32, 0, p),
 		met:        newMetrics(r),
 	}
 	if st, _ := spare.Get().(*storage); st != nil {
@@ -306,6 +338,15 @@ func New(r *rt.Rank, topo Topology, det *termination.Detector, opts ...Option) *
 		if dest != r.Rank() { // own rank is loopback, never routed
 			b.route[dest] = int32(topo.NextHop(r.Rank(), dest))
 		}
+	}
+	for h := range b.hops {
+		b.hops[h].lo = int32(len(b.via))
+		for dest, next := range b.route {
+			if int(next) == h && dest != r.Rank() {
+				b.via = append(b.via, int32(dest))
+			}
+		}
+		b.hops[h].hi = int32(len(b.via))
 	}
 	if det != nil {
 		b.flows = detFlow{det: det}
@@ -330,7 +371,7 @@ func (b *Box) Reliable() bool { return b.rel != nil }
 func (b *Box) Send(dest int, record []byte) { b.SendTagged(dest, 0, record) }
 
 // SendTagged routes one record toward dest under the given tag. The tag
-// travels in the record header and comes back out on the delivered Record,
+// travels in the run header and comes back out on the delivered Record,
 // letting one mailbox multiplex records of many concurrent traversals.
 func (b *Box) SendTagged(dest int, tag uint32, record []byte) {
 	b.stats.RecordsSent++
@@ -339,62 +380,98 @@ func (b *Box) SendTagged(dest int, tag uint32, record []byte) {
 	}
 	if dest == b.r.Rank() {
 		// Loopback delivery, as MPI self-sends do.
-		b.deliver(tag, record)
+		b.deliver(tag, uint32(len(record)), 1, record)
 		return
 	}
-	b.enqueue(dest, tag, record)
+	b.stage(dest, tag, uint32(len(record)), 1, record)
 }
 
-// enqueue appends a framed record to the aggregation buffer of the next hop
-// toward dest, shipping the buffer if it crossed the flush threshold.
-func (b *Box) enqueue(dest int, tag uint32, record []byte) {
+// stage appends count records of the given width — body, count×width bytes —
+// to dest's staged runs, continuing the open run when tag and width match,
+// and ships the next hop toward dest once its framed bytes cross the flush
+// threshold. A zero-width record never continues a run, and a run whose
+// count would wrap is closed and a new one begun.
+func (b *Box) stage(dest int, tag, width, count uint32, body []byte) {
 	// A dest outside [0, p) panics here, at the send site, with the rank in
 	// the index-out-of-range message.
-	hop := int(b.route[dest])
-	b.stats.Hops++
-	ch := &b.channels[hop]
-	buf := ch.buf
-	if buf == nil {
-		// A fresh outbound buffer: draw recycled capacity from the pool so
-		// steady-state aggregation reallocates nothing.
-		buf = b.getBuf()
+	next := int(b.route[dest])
+	h, st := &b.hops[next], &b.stages[dest]
+	b.stats.Hops += uint64(count)
+	grown := len(body)
+	if st.count != 0 && st.tag == tag && st.width == width && width != 0 && st.count+count > st.count {
+		st.count += count
+		binary.LittleEndian.PutUint32(st.buf[st.at:], st.count)
+		st.buf = append(st.buf, body...)
+	} else {
+		buf := st.buf
+		if buf == nil {
+			// A fresh outbound buffer: draw recycled capacity from the pool so
+			// steady-state aggregation reallocates nothing.
+			buf = b.getBuf()
+		}
+		// The header goes straight into the buffer. Built in a stack array
+		// and appended, it is narrow stores re-read by one wide load, which
+		// the store buffer cannot forward: a stall per run.
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
+		buf = binary.LittleEndian.AppendUint32(buf, tag)
+		buf = binary.LittleEndian.AppendUint32(buf, width)
+		st.at = len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, count)
+		st.buf = append(buf, body...)
+		st.tag, st.width, st.count = tag, width, count
+		grown += runHeader
 	}
-	// Count distinct next-hop channels, not buffer (re)creations: a buffer is
-	// nil again after every ship/FlushAll, so keying the count off buffer
-	// existence would inflate ChannelsUsed past Topology.MaxChannels.
-	if !ch.used {
-		ch.used = true
+	// Count distinct next hops, not staging buffers: several destinations
+	// may share one hop, so keying the count off buffer creation would
+	// inflate ChannelsUsed past Topology.MaxChannels.
+	if !h.used {
+		h.used = true
 		b.stats.ChannelsUsed++
 	}
-	// The header goes straight into the buffer. Built in a stack array and
-	// appended, it is three narrow stores re-read by one wide load, which the
-	// store buffer cannot forward: a stall per record.
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
-	buf = binary.LittleEndian.AppendUint32(buf, tag)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(record)))
-	buf = append(buf, record...)
-	if len(buf) >= b.flushBytes {
-		b.ship(hop, buf)
-		buf = nil
+	if h.framed += grown; h.framed >= b.flushBytes {
+		b.shipHop(next)
 	}
-	ch.buf = buf
+}
+
+// shipHop ships hop h's envelope: the staged runs of the destinations routed
+// through it, appended to the first staged destination's buffer, which ships
+// and is replaced from the pool at that stage's next record. The other
+// stages keep their capacity.
+func (b *Box) shipHop(h int) {
+	hp := &b.hops[h]
+	var env []byte
+	for _, d := range b.via[hp.lo:hp.hi] {
+		st := &b.stages[d]
+		switch {
+		case len(st.buf) == 0:
+			continue
+		case env == nil:
+			env, st.buf = st.buf, nil
+		default:
+			env = append(env, st.buf...)
+			st.buf = st.buf[:0]
+		}
+		st.count = 0
+	}
+	hp.framed = 0
+	b.ship(h, env)
 }
 
 // ship sends one aggregated envelope to the next hop. Stats count logical
 // envelopes: a reliable box's retransmissions of the same envelope are
 // accounted under Stats.Retransmits, not here, so envelope conservation
 // (Σsent == Σrecv at quiescence) holds under faults too.
-func (b *Box) ship(hop int, buf []byte) {
+func (b *Box) ship(to int, buf []byte) {
 	if b.rel != nil {
-		// rel.send copies the framed records into a fresh frame it retains
-		// for retransmission; the aggregation buffer is exclusively ours
-		// again the moment send returns, so it goes straight back to the
-		// pool (safe even under fault injection — this buffer never entered
-		// the transport).
-		b.rel.send(hop, buf)
+		// rel.send copies the framed runs into a fresh frame it retains for
+		// retransmission; the aggregation buffer is exclusively ours again
+		// the moment send returns, so it goes straight back to the pool (safe
+		// even under fault injection — this buffer never entered the
+		// transport).
+		b.rel.send(to, buf)
 		b.recycle(buf)
 	} else {
-		b.r.Send(hop, rt.KindMailbox, 0, buf)
+		b.r.Send(to, rt.KindMailbox, 0, buf)
 	}
 	b.stats.EnvelopesSent++
 	b.met.envelopeBytes.Observe(uint64(len(buf)))
@@ -403,22 +480,28 @@ func (b *Box) ship(hop int, buf []byte) {
 	}
 }
 
-// deliver appends a record addressed to this rank to the delivered queue.
-// The bytes are always copied — delivered payloads must never alias the
-// incoming envelope's backing array nor a loopback caller's reusable buffer
-// — but instead of one heap allocation per record, the copy lands in the
-// current poll epoch's grow-only arena and the Record gets a
-// capacity-clamped sub-slice (appending to it reallocates rather than
-// running into the next record's bytes). Arena storage is reclaimed at the
-// next-plus-one Poll or at Close; see Record for the ownership contract.
-func (b *Box) deliver(tag uint32, record []byte) {
+// deliver appends a run of count records of the given width addressed to
+// this rank — body, count×width bytes — to the delivered queue, and counts
+// them received under tag at once. The bytes are always copied — delivered
+// payloads must never alias the incoming envelope's backing array nor a
+// loopback caller's reusable buffer — but instead of one heap allocation per
+// record, the run lands in the current poll epoch's grow-only arena in one
+// copy and each Record gets a capacity-clamped sub-slice (appending to it
+// reallocates rather than running into the next record's bytes). Arena
+// storage is reclaimed at the next-plus-one Poll or at Close; see Record for
+// the ownership contract.
+func (b *Box) deliver(tag, width, count uint32, body []byte) {
 	off := len(b.arena)
-	b.arena = append(b.arena, record...)
-	end := len(b.arena)
-	b.delivered = append(b.delivered, Record{Tag: tag, Payload: b.arena[off:end:end]})
-	b.stats.RecordsDelivered++
+	b.arena = append(b.arena, body...)
+	arena, w := b.arena, int(width)
+	for range count {
+		end := off + w
+		b.delivered = append(b.delivered, Record{Tag: tag, Payload: arena[off:end:end]})
+		off = end
+	}
+	b.stats.RecordsDelivered += uint64(count)
 	if b.flows != nil {
-		b.flows.CountReceived(tag, 1)
+		b.flows.CountReceived(tag, uint64(count))
 	}
 }
 
@@ -481,7 +564,8 @@ func (b *Box) publish() {
 // leave this machine's mailbox.pool_free gauge here and join the adopting
 // box's machine there, so the gauge reads 0 once every box is closed. Every
 // Record is zeroed and every inbox slot nil'd first; an undecoded backlog (a
-// forced abort's) and unshipped channel buffers are dropped. Records from the
+// forced abort's) and unshipped staged runs are dropped, and the staging
+// buffers, ours alone, join the free-list handed on. Records from the
 // last Poll expire here, as at the next Poll. The owner calls it once the
 // Box will send and poll no more; a second call does nothing, since two
 // boxes sharing one arena would alias payloads.
@@ -490,12 +574,23 @@ func (b *Box) Close() {
 		return
 	}
 	b.closed = true
+	for i := range b.stages {
+		if st := &b.stages[i]; st.buf != nil {
+			b.recycle(st.buf)
+			*st = stage{}
+		}
+	}
 	b.publish()
 	b.met.poolFree.Add(-int64(b.pool.size()))
-	clear(b.delivered[:cap(b.delivered)])
-	clear(b.deliveredPrev[:cap(b.deliveredPrev)])
-	clear(b.inbox[:cap(b.inbox)])
-	clear(b.msgScratch[:cap(b.msgScratch)])
+	// Nothing past a slice's length holds a reference — Poll zeroes a Record
+	// batch before refilling it and nils each inbox slot and drained message
+	// as it takes them — so clearing to the lengths zeroes all of it without
+	// sweeping idle capacity (up to two epochs of Records: swept whole, about
+	// 1.4% of a one-shot BFS's CPU).
+	clear(b.delivered)
+	clear(b.deliveredPrev)
+	clear(b.inbox)
+	clear(b.msgScratch)
 	spare.Put(&storage{
 		delivered: b.delivered[:0], deliveredPrev: b.deliveredPrev[:0],
 		arena: b.arena[:0], arenaPrev: b.arenaPrev[:0],
@@ -541,35 +636,56 @@ func (b *Box) ackSent() {
 	b.met.acksSent.Inc(b.met.rank)
 }
 
-// decodeEnvelope walks one envelope's framed records, delivering records
-// addressed to this rank and re-forwarding the rest. Malformed framing never
-// panics: a record whose header length exceeds the remaining bytes (or a
-// truncated trailing header) discards the rest of the envelope, and a record
-// whose dest is outside [0, p) is skipped — both counted as decode errors.
+// runHdr is one run header read off an envelope.
+type runHdr struct{ dest, tag, width, count uint32 }
+
+// cutRun splits the run at the front of p into its header, its body and the
+// rest of p; ok is false when the header or the body would run past p. The
+// body's length is taken in 64 bits, so no count×width product wraps.
+func cutRun(p []byte) (h runHdr, body, rest []byte, ok bool) {
+	if len(p) < runHeader {
+		return h, nil, nil, false
+	}
+	h = runHdr{
+		dest:  binary.LittleEndian.Uint32(p[0:]),
+		tag:   binary.LittleEndian.Uint32(p[4:]),
+		width: binary.LittleEndian.Uint32(p[8:]),
+		count: binary.LittleEndian.Uint32(p[12:]),
+	}
+	n := uint64(h.count) * uint64(h.width)
+	if n > uint64(len(p)-runHeader) {
+		return h, nil, nil, false
+	}
+	return h, p[runHeader : runHeader+int(n)], p[runHeader+int(n):], true
+}
+
+// wellFormed reports whether a run's count is one its sender could have
+// framed: at least one record, and exactly one when the width is zero.
+func (h runHdr) wellFormed() bool { return h.count != 0 && (h.width != 0 || h.count == 1) }
+
+// decodeEnvelope walks one envelope's runs, delivering runs addressed to
+// this rank and re-staging the rest toward their next hop. Malformed framing
+// never panics: a run whose header or body would run past the envelope
+// discards the rest of the envelope, and a run whose dest is outside [0, p)
+// or whose count no sender frames (zero, or more than one zero-width record)
+// is skipped — each counted as one decode error.
 func (b *Box) decodeEnvelope(p []byte) {
+	size, self := uint32(b.r.Size()), uint32(b.r.Rank())
 	for len(p) > 0 {
-		if len(p) < recordHeader {
-			b.decodeError() // truncated header tail
+		h, body, rest, ok := cutRun(p)
+		if !ok {
+			b.decodeError() // truncated header, or a body past the envelope
 			return
 		}
-		dest := int(binary.LittleEndian.Uint32(p[0:]))
-		tag := binary.LittleEndian.Uint32(p[4:])
-		n := int(binary.LittleEndian.Uint32(p[8:]))
-		if n > len(p)-recordHeader {
-			b.decodeError() // oversized length: would run past the envelope
-			return
-		}
-		rec := p[recordHeader : recordHeader+n]
-		p = p[recordHeader+n:]
-		if dest < 0 || dest >= b.r.Size() {
-			b.decodeError() // misrouted dest: NextHop preconditions violated
-			continue
-		}
-		if dest == b.r.Rank() {
-			b.deliver(tag, rec)
-		} else {
-			b.stats.RecordsForwarded++
-			b.enqueue(dest, tag, rec)
+		p = rest
+		switch {
+		case h.dest >= size || !h.wellFormed():
+			b.decodeError() // misrouted dest or forged count
+		case h.dest == self:
+			b.deliver(h.tag, h.width, h.count, body)
+		default:
+			b.stats.RecordsForwarded += uint64(h.count)
+			b.stage(int(h.dest), h.tag, h.width, h.count, body)
 		}
 	}
 }
@@ -657,24 +773,27 @@ func (b *Box) Poll() []Record {
 // decoding: the previous Poll filled its epoch before it reached them.
 func (b *Box) Backlog() bool { return b.next < len(b.inbox) }
 
-// eachPending calls fn with the tag of every record this rank holds that is
-// neither delivered nor shipped: the records parked in aggregation buffers
-// (self-framed and well-formed by construction) and the records of backlog
+// eachPending calls fn with the tag and count of every run this rank holds
+// that is neither delivered nor shipped: the runs staged for its next hops
+// (self-framed and well-formed by construction) and the runs of backlog
 // envelopes (off the transport, so framing is checked as decodeEnvelope
-// checks it).
-func (b *Box) eachPending(fn func(tag uint32)) {
+// checks it, and a run it would reject is not counted).
+func (b *Box) eachPending(fn func(tag uint32, n int)) {
+	size := uint32(b.r.Size())
 	walk := func(buf []byte) {
-		for len(buf) >= recordHeader {
-			n := int(binary.LittleEndian.Uint32(buf[8:]))
-			if n > len(buf)-recordHeader {
+		for {
+			h, _, rest, ok := cutRun(buf)
+			if !ok {
 				return
 			}
-			fn(binary.LittleEndian.Uint32(buf[4:]))
-			buf = buf[recordHeader+n:]
+			if h.dest < size && h.wellFormed() {
+				fn(h.tag, int(h.count))
+			}
+			buf = rest
 		}
 	}
-	for i := range b.channels {
-		walk(b.channels[i].buf)
+	for i := range b.stages {
+		walk(b.stages[i].buf)
 	}
 	for _, env := range b.inbox[b.next:] {
 		walk(env)
@@ -682,13 +801,13 @@ func (b *Box) eachPending(fn func(tag uint32)) {
 }
 
 // PendingRecords counts the records this rank holds between transport and
-// delivery — parked in its aggregation buffers or sitting in undecoded backlog
+// delivery — staged in its outbound runs or sitting in undecoded backlog
 // envelopes — the per-rank term of the machine-wide conservation law
 // Σsent == Σdelivered + Σpending that internal/check asserts between flush
 // rounds.
 func (b *Box) PendingRecords() int {
 	total := 0
-	b.eachPending(func(uint32) { total++ })
+	b.eachPending(func(_ uint32, n int) { total += n })
 	return total
 }
 
@@ -697,27 +816,26 @@ func (b *Box) PendingRecords() int {
 // mid-flight.
 func (b *Box) PendingByTag() map[uint32]int {
 	out := make(map[uint32]int)
-	b.eachPending(func(tag uint32) { out[tag]++ })
+	b.eachPending(func(tag uint32, n int) { out[tag] += n })
 	return out
 }
 
-// FlushAll ships every non-empty aggregation buffer. Called when the rank
-// runs out of local work so partially filled buffers cannot stall the
-// traversal or termination detection.
+// FlushAll ships every hop with staged runs. Called when the rank runs out
+// of local work so partially filled envelopes cannot stall the traversal or
+// termination detection.
 func (b *Box) FlushAll() {
 	b.inFlush = true
-	for hop := range b.channels {
-		if ch := &b.channels[hop]; len(ch.buf) > 0 {
-			b.ship(hop, ch.buf)
-			ch.buf = nil
+	for h := range b.hops {
+		if b.hops[h].framed > 0 {
+			b.shipHop(h)
 		}
 	}
 	b.inFlush = false
 	b.publish()
 }
 
-// Idle reports whether this rank's mailbox holds no buffered outbound
-// records and no undecoded backlog — and, on a reliable box, no
+// Idle reports whether this rank's mailbox holds no staged outbound runs
+// and no undecoded backlog — and, on a reliable box, no
 // unacknowledged frames: a rank stays non-idle (and keeps retransmitting via
 // Poll) until its deliveries are confirmed, so quiescence implies the message
 // plane is truly drained.
@@ -725,8 +843,8 @@ func (b *Box) Idle() bool {
 	if b.Backlog() {
 		return false
 	}
-	for i := range b.channels {
-		if len(b.channels[i].buf) > 0 {
+	for i := range b.stages {
+		if len(b.stages[i].buf) > 0 {
 			return false
 		}
 	}

@@ -23,12 +23,12 @@ import (
 func TestPollEpochBounded(t *testing.T) {
 	const (
 		p           = 8
-		payload     = 20                                         // a BFS visitor
-		perEnvelope = mailbox.DefaultFlushBytes/(12+payload) + 1 // records in one shipped envelope
-		perSender   = 5*mailbox.PollEpochRecords/(p-1) + 1       // so the total exceeds five epochs
-		total       = (p - 1) * perSender                        // records rank 0 is owed
-		maxEpoch    = mailbox.PollEpochRecords - 1 + perEnvelope // decode stops at the bound, mid-envelope never
-		maxArena    = 2 * maxEpoch * payload                     // append at most doubles
+		payload     = 20                                                        // a BFS visitor
+		perEnvelope = (mailbox.DefaultFlushBytes-mailbox.RunHeader)/payload + 1 // records in one shipped envelope (one run)
+		perSender   = 5*mailbox.PollEpochRecords/(p-1) + 1                      // so the total exceeds five epochs
+		total       = (p - 1) * perSender                                       // records rank 0 is owed
+		maxEpoch    = mailbox.PollEpochRecords - 1 + perEnvelope                // decode stops at the bound, mid-envelope never
+		maxArena    = 2 * maxEpoch * payload                                    // append at most doubles
 	)
 	topo := mailbox.NewDirect(p)
 	for _, reliable := range []bool{false, true} {

@@ -5,5 +5,7 @@ package mailbox
 
 const PollEpochRecords = pollEpochRecords
 
+const RunHeader = runHeader
+
 // ArenaCap returns the capacity of the larger of the two delivery arenas.
 func (b *Box) ArenaCap() int { return max(cap(b.arena), cap(b.arenaPrev)) }

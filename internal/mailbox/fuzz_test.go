@@ -21,25 +21,28 @@ const fuzzRanks = 3 // matches check.HostileCorpusRanks
 // the number of records that must be re-forwarded, and the number of decode
 // errors.
 func refDecode(p []byte, size, self int) (deliver [][]byte, forwarded int, errs uint64) {
-	const hdr = 12 // [finalDest u32][tag u32][payloadLen u32]
+	const hdr = 16 // [finalDest u32][tag u32][width u32][count u32]
 	for len(p) > 0 {
 		if len(p) < hdr {
 			return deliver, forwarded, errs + 1
 		}
-		dest := int(binary.LittleEndian.Uint32(p[0:]))
-		n := int(binary.LittleEndian.Uint32(p[8:]))
-		if n > len(p)-hdr {
+		dest := uint64(binary.LittleEndian.Uint32(p[0:]))
+		width := uint64(binary.LittleEndian.Uint32(p[8:]))
+		count := uint64(binary.LittleEndian.Uint32(p[12:]))
+		if width*count > uint64(len(p)-hdr) {
 			return deliver, forwarded, errs + 1
 		}
-		rec := p[hdr : hdr+n]
-		p = p[hdr+n:]
+		body := p[hdr : hdr+width*count]
+		p = p[hdr+width*count:]
 		switch {
-		case dest < 0 || dest >= size:
+		case dest >= uint64(size), count == 0, width == 0 && count > 1:
 			errs++
-		case dest == self:
-			deliver = append(deliver, append([]byte(nil), rec...))
+		case dest == uint64(self):
+			for i := uint64(0); i < count; i++ {
+				deliver = append(deliver, append([]byte(nil), body[i*width:(i+1)*width]...))
+			}
 		default:
-			forwarded++
+			forwarded += int(count)
 		}
 	}
 	return deliver, forwarded, errs
@@ -56,6 +59,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	}
 	f.Add(check.Envelope(
 		check.EnvRecord{Dest: 0, Payload: []byte("self")},
+		check.EnvRecord{Dest: 0, Payload: []byte("more")},
 		check.EnvRecord{Dest: 1, Payload: []byte("forward")},
 		check.EnvRecord{Dest: 2, Payload: bytes.Repeat([]byte{0xAB}, 64)},
 	))

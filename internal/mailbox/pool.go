@@ -5,16 +5,18 @@ package mailbox
 //
 // Two kinds of memory dominate the Send→route→deliver→drain cycle:
 //
-//   - aggregation/envelope buffers: the per-next-hop byte buffers records
-//     are framed into before shipping. Buffers a Box consumes (inbound
-//     envelopes on the raw path, post-frame-copy aggregation buffers on the
-//     reliable path) feed a per-Box free-list that future outbound buffers
-//     are drawn from, so at steady state envelope memory circulates between
-//     ranks instead of being reallocated per shipment.
+//   - aggregation/envelope buffers: the per-destination byte buffers
+//     records are staged into as runs; a hop's envelope is the first staged
+//     destination's buffer with the other destinations' runs appended.
+//     Buffers a Box consumes (inbound envelopes on the raw path,
+//     post-frame-copy envelopes on the reliable path, staging buffers at
+//     Close) feed a per-Box free-list that future outbound buffers are drawn
+//     from, so at steady state envelope memory circulates between ranks
+//     instead of being reallocated per shipment.
 //
 //   - delivered record payloads: previously one heap copy per record.
-//     Box.deliver now batch-copies each poll epoch's records into one arena
-//     and hands out capacity-clamped sub-slices (appending to a
+//     Box.deliver now copies each delivered run into the poll epoch's arena
+//     in one append and hands out capacity-clamped sub-slices (appending to a
 //     Record.Payload reallocates instead of running into a sibling). Two
 //     arenas alternate across Poll calls, so a poll's records stay valid
 //     while the caller processes them and expire at the next Poll or Close,

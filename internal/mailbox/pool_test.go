@@ -18,9 +18,10 @@ import (
 
 // TestFlushThresholdCountsFramedBytes pins the flush-threshold semantic
 // documented on DefaultFlushBytes/WithFlushBytes: the threshold is measured
-// in FRAMED envelope bytes — payload plus the 12-byte per-record header —
-// so with T=64, a 51-byte payload (framed 63) stays buffered and a 52-byte
-// payload (framed 64) ships immediately.
+// in FRAMED envelope bytes — payload plus the 16-byte header of every run —
+// so with T=64, a 47-byte payload (framed 63) stays buffered and a 48-byte
+// payload (framed 64) ships immediately. Records of one width share their
+// run's header; a record of another width opens a run and pays its own.
 func TestFlushThresholdCountsFramedBytes(t *testing.T) {
 	const threshold = 64
 	cases := []struct {
@@ -29,11 +30,15 @@ func TestFlushThresholdCountsFramedBytes(t *testing.T) {
 		wantShips uint64
 		wantPend  int
 	}{
-		{"one under (framed 63)", []int{threshold - recordHeader - 1}, 0, 1},
-		{"exactly at (framed 64)", []int{threshold - recordHeader}, 1, 0},
+		{"one under (framed 63)", []int{threshold - runHeader - 1}, 0, 1},
+		{"exactly at (framed 64)", []int{threshold - runHeader}, 1, 0},
 		{"single overshoot ships whole", []int{500}, 1, 0},
-		{"two records cross together", []int{20, 20}, 1, 0}, // framed 32+32 = 64
-		{"two records stay under", []int{20, 19}, 0, 2},     // framed 32+31 = 63
+		{"two records cross together", []int{24, 24}, 1, 0},         // one run: framed 16+24+24 = 64
+		{"two records stay under", []int{23, 23}, 0, 2},             // one run: framed 16+23+23 = 62
+		{"two runs cross", []int{20, 12}, 1, 0},                     // framed 16+20 + 16+12 = 64
+		{"two runs stay under", []int{20, 11}, 0, 2},                // framed 16+20 + 16+11 = 63
+		{"zero-width records never share", []int{0, 0, 0, 0}, 1, 0}, // framed 4×16
+		{"three zero-width stay under", []int{0, 0, 0}, 0, 3},       // framed 3×16 = 48
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,7 +80,7 @@ func TestHugeThresholdIsNotPresized(t *testing.T) {
 			box := New(r, NewDirect(2), nil, WithFlushBytes(tc.threshold))
 			box.pool.free = nil // buffers a closed box left behind would be a pool hit
 			box.Send(1, []byte("one small record"))
-			if got := cap(box.channels[1].buf); got != tc.wantCap {
+			if got := cap(box.stages[1].buf); got != tc.wantCap {
 				t.Errorf("threshold %d: first buffer has capacity %d, want %d", tc.threshold, got, tc.wantCap)
 			}
 		})

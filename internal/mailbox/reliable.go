@@ -12,7 +12,7 @@ package mailbox
 //
 // Wire format, multiplexed on rt.KindMailbox by the rt.Msg tag:
 //
-//	data (tag relData): [epoch u32][seq u64][crc64 u64][framed records...]
+//	data (tag relData): [epoch u32][seq u64][crc64 u64][framed runs...]
 //	ack  (tag relAck):  [epoch u32][cumAck u64][crc64 u64]
 //
 // The CRC (ECMA crc64 over header fields + records) turns payload corruption

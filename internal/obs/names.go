@@ -44,9 +44,9 @@ const (
 	// for 2D, 3 for 3D).
 	MBHops = "mailbox.hops"
 
-	// MBEnvelopeBytes is the histogram of aggregation buffer occupancy at
-	// ship time (framed envelope bytes — record payloads plus per-record
-	// headers): how full buffers are when they go out, the direct measure of
+	// MBEnvelopeBytes is the histogram of envelope size at ship time
+	// (framed envelope bytes — record payloads plus one header per run):
+	// how full envelopes are when they go out, the direct measure of
 	// aggregation quality per topology.
 	MBEnvelopeBytes = "mailbox.envelope_bytes"
 

@@ -47,6 +47,9 @@ func NewOwnerTable(start []uint64) (OwnerTable, error) {
 			return OwnerTable{}, fmt.Errorf("partition: owner table not monotone at %d", i)
 		}
 	}
+	if start[len(start)-1] >= 1<<63 {
+		return OwnerTable{}, fmt.Errorf("partition: owner table ends at %d, past 2^63", start[len(start)-1])
+	}
 	return OwnerTable{start: start}, nil
 }
 
@@ -57,23 +60,39 @@ func (t OwnerTable) P() int { return len(t.start) - 1 }
 func (t OwnerTable) NumVertices() uint64 { return t.start[len(t.start)-1] }
 
 // Master returns min_owner(v): the first rank holding v's adjacency (or, for
-// an isolated vertex, the rank covering its id range).
+// an isolated vertex, the rank covering its id range). It is a branch-free
+// lower bound — the first r with start[r+1] > v, so empty ranges
+// (start[r]==start[r+1]) are skipped — whose halving steps are masks and
+// whose last step is a conditional move, and it inlines: the out-of-range
+// panic formats its message out of line (vertexRangeError).
 func (t OwnerTable) Master(v graph.Vertex) int {
-	if uint64(v) >= t.NumVertices() {
-		panic(fmt.Sprintf("partition: vertex %d out of range (n=%d)", v, t.NumVertices()))
+	ends := t.start[1:]
+	if uint64(v) >= ends[len(ends)-1] {
+		panic(vertexRangeError{v, ends[len(ends)-1]})
 	}
-	// First r with start[r+1] > v; empty ranges (start[r]==start[r+1]) are
-	// skipped automatically.
-	lo, hi := 0, t.P()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.start[mid+1] > uint64(v) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	base := 0
+	for n := len(ends); n > 1; {
+		// ends[base+half] <= v exactly when v−ends[base+half] does not
+		// borrow (NewOwnerTable keeps every end below 2^63), so the step is
+		// a mask on its sign, not a branch.
+		half := n >> 1
+		base += half &^ int(int64(uint64(v)-ends[base+half])>>63)
+		n -= half
 	}
-	return lo
+	if ends[base] <= uint64(v) {
+		base++
+	}
+	return base
+}
+
+// vertexRangeError is Master's panic: a vertex at or past the table's end.
+type vertexRangeError struct {
+	v graph.Vertex
+	n uint64
+}
+
+func (e vertexRangeError) Error() string {
+	return fmt.Sprintf("partition: vertex %d out of range (n=%d)", e.v, e.n)
 }
 
 // MasterRange returns the half-open master vertex range of rank r.

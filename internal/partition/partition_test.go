@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"havoqgt/internal/graph"
@@ -120,6 +121,9 @@ func TestOwnerTableValidation(t *testing.T) {
 	}
 	if _, err := NewOwnerTable([]uint64{0}); err == nil {
 		t.Error("single-entry table accepted")
+	}
+	if _, err := NewOwnerTable([]uint64{0, 5, 1 << 63}); err == nil {
+		t.Error("table ending at 2^63 accepted")
 	}
 }
 
@@ -553,5 +557,87 @@ func TestBuildEdgeListSimpleMatchesGraphSimplify(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("edge %d: %v vs %v", i, got[i], want[i])
 		}
+	}
+}
+
+// masterBySearch is the owner lookup Master replaced, a branchy binary
+// search: the reference TestOwnerMasterMatchesSearch holds Master to.
+func masterBySearch(start []uint64, v uint64) int {
+	lo, hi := 0, len(start)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if start[mid+1] > v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// TestOwnerMasterMatchesSearch holds the branch-free Master to the binary
+// search it replaced, over random boundary arrays of 1 to 70 ranks with
+// empty ranges (a leading, trailing or interior rank mastering nothing) in
+// many of them, at every vertex of every table — and to its panic past the
+// last vertex.
+func TestOwnerMasterMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 43))
+	for trial := 0; trial < 2000; trial++ {
+		p := 1 + rng.IntN(70)
+		start := make([]uint64, p+1)
+		for r := 1; r <= p; r++ {
+			step := uint64(rng.IntN(6))
+			if rng.IntN(3) == 0 {
+				step = 0 // an empty range
+			}
+			start[r] = start[r-1] + step
+		}
+		if start[p] == 0 {
+			start[p] = 1 // a table masters at least one vertex
+		}
+		ot, err := NewOwnerTable(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(0); v < start[p]; v++ {
+			if got, want := ot.Master(graph.Vertex(v)), masterBySearch(start, v); got != want {
+				t.Fatalf("table %v: Master(%d) = %d, the search says %d", start, v, got, want)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("table %v: Master(%d) did not panic", start, start[p])
+				}
+			}()
+			ot.Master(graph.Vertex(start[p]))
+		}()
+	}
+}
+
+// BenchmarkOwnerMaster is one owner lookup at the benchmark's shape: 8 ranks
+// over 2^15 vertices, random vertices.
+func BenchmarkOwnerMaster(b *testing.B) {
+	const p, n = 8, 1 << 15
+	start := make([]uint64, p+1)
+	for r := range start {
+		start[r] = uint64(r) * n / p
+	}
+	ot, err := NewOwnerTable(start)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vs := make([]graph.Vertex, 4096)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range vs {
+		vs[i] = graph.Vertex(rng.Uint64N(n))
+	}
+	sum := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += ot.Master(vs[i&(len(vs)-1)])
+	}
+	if sum < 0 {
+		b.Fatal(sum)
 	}
 }
