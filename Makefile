@@ -103,8 +103,9 @@ chaos-short:
 # means pooling or arena delivery broke. TestOneShotAllocBudget pins the same
 # thing end to end (a scale-15 one-shot BFS and KCore(64) through the facade),
 # TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
-# share of pushes the ghost filter drops, visits per reached vertex, every
-# push accounted for by exactly one outcome), TestAnalyticsExecutedBudget what
+# ≤ 21 mailbox bytes per routed record-hop, share of pushes the ghost filter
+# drops, visits per reached vertex, every push accounted for by exactly one
+# outcome), TestAnalyticsExecutedBudget what
 # k-core and PageRank execute and send (exactly, with the default ghost table
 # and without one), what cc executes
 # and sends once its marking has taken the giant component (≤ 1,000 each; it

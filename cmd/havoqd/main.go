@@ -58,7 +58,6 @@ type options struct {
 
 	maxInFlight  int
 	maxQueue     int
-	stepBatch    int
 	deadline     time.Duration
 	queryRetries int
 	reliable     bool
@@ -118,7 +117,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.simplify, "simplify", true, "remove self loops and duplicate edges (required for kcore queries)")
 	fs.IntVar(&o.maxInFlight, "max-in-flight", 8, "concurrently executing queries")
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "queries waiting for an in-flight slot before rejection")
-	fs.IntVar(&o.stepBatch, "step-batch", 0, "visitors per query per scheduling slice (0 = engine default)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "default per-query deadline (0 = none)")
 	fs.IntVar(&o.queryRetries, "query-retries", 2, "server-side retries per query: checkpoint resumes of deadline-expired queries, or (-coordinator) reruns after a cluster heal")
 	fs.BoolVar(&o.reliable, "reliable", false, "run the engine's message plane with acked, retransmitted delivery")
@@ -280,7 +278,6 @@ func serve(o *options) error {
 	e, err := g.StartEngine(havoqgt.EngineOptions{
 		MaxInFlight:     o.maxInFlight,
 		MaxQueue:        o.maxQueue,
-		StepBatch:       o.stepBatch,
 		DefaultDeadline: o.deadline,
 		Reliable:        o.reliable,
 	})

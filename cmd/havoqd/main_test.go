@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"mem-budget", "mem-dir", "mem-latency", "mem-page", "mem-queue-depth",
 		"mesh-addr", "model", "queries", "query-retries", "quota-tick", "ranks",
 		"reliable", "scale", "seed", "sim-latency", "simplify", "slot", "smoke",
-		"step-batch", "tenant-burst", "tenant-rate", "topo", "workers",
+		"tenant-burst", "tenant-rate", "topo", "workers",
 	}
 	var got []string
 	newFlagSet(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name

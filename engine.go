@@ -37,10 +37,6 @@ type EngineOptions struct {
 	// MaxQueue bounds queries waiting for an in-flight slot (default 64);
 	// submissions beyond it fail with ErrQueryRejected.
 	MaxQueue int
-	// StepBatch bounds visitors one query executes per scheduling slice
-	// (default 128): smaller values interleave more fairly, larger values
-	// amortize better.
-	StepBatch int
 	// DefaultDeadline, if nonzero, cancels any query still running after
 	// this long (per-query deadlines can be set on submission instead).
 	DefaultDeadline time.Duration
@@ -83,7 +79,6 @@ func (g *Graph) StartEngine(opts EngineOptions) (*Engine, error) {
 	e, err := engine.Start(g.engineConfig(), engine.Options{
 		MaxInFlight: opts.MaxInFlight,
 		MaxQueue:    opts.MaxQueue,
-		StepBatch:   opts.StepBatch,
 		Core:        core.Config{Reliable: opts.Reliable},
 	})
 	if err != nil {

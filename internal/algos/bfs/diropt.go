@@ -1,4 +1,4 @@
-// Direction-optimizing BFS (Beamer's hybrid, DESIGN.md §14): level-
+// Direction-optimizing BFS (Beamer's hybrid, DESIGN.md §3): level-
 // synchronous traversal that switches between top-down frontier expansion
 // and bottom-up unvisited scans, driven by the frontier-vs-unvisited
 // edge-count heuristic. Unlike the visitor-queue BFS (bfs.go), levels are

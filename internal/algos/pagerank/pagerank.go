@@ -238,6 +238,9 @@ func (p *PR) Idle() bool {
 	return p.row < 0 && !p.canSweep() && !ready
 }
 
+// Done reports whether every iteration has completed on this rank.
+func (p *PR) Done() bool { return p.done }
+
 // Ranks returns the fixed-point ranks of the vertices this rank masters,
 // indexed by vertex − the master range's first; final once every iteration
 // has completed.

@@ -331,6 +331,9 @@ func (s *SSSP) Idle() bool {
 	return s.sent && !ready
 }
 
+// Done reports whether the traversal has finished on this rank.
+func (s *SSSP) Done() bool { return s.done }
+
 // relax runs one slice of the round: it takes the frontier when the round
 // starts, relaxes frontier rows until a slice's worth of edges, parking the
 // ones whose pages are absent, and sends the round's records once the

@@ -3,7 +3,7 @@ package core
 import "math/bits"
 
 // Bitmap is a dense bit-per-vertex set used by the direction-optimizing BFS
-// frontier (DESIGN.md §14): bottom-up phases test "is any neighbor in the
+// frontier (DESIGN.md §3): bottom-up phases test "is any neighbor in the
 // frontier" against a replicated bitmap instead of materializing per-vertex
 // visitor records, and level deltas travel between ranks as sparse word
 // lists (index, word) rather than per-vertex messages.

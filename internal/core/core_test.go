@@ -248,7 +248,7 @@ func TestLocalPushAppliedInPlace(t *testing.T) {
 		det := termination.New(r)
 		box := mailbox.New(r, topo, det)
 		algo := &orderAlgo{}
-		q := NewQueue[orderVisitor](r, part, algo, nil, nil, box, det, 0)
+		q := NewQueue[orderVisitor](r, part, algo, nil, nil, box, 0)
 		if !q.LocalIdle() {
 			t.Error("fresh queue not idle")
 		}

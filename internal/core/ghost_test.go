@@ -62,7 +62,7 @@ func TestGhostFilterContract(t *testing.T) {
 		}
 		det := termination.New(r)
 		box := mailbox.New(r, topo, det)
-		q := core.NewQueue[bfs.Visitor](r, part, bfs.New(part), core.BuildGhostTable(part, capSlots), nil, box, det, 0)
+		q := core.NewQueue[bfs.Visitor](r, part, bfs.New(part), core.BuildGhostTable(part, capSlots), nil, box, 0)
 		g := q.Ghosts()
 		slot := func(s int) csr.Target { return csr.Target(part.SlotVertex[s]).WithSlot(s) }
 		worst := ^uint64(0)
@@ -153,7 +153,7 @@ func filterSized[V core.Visitor](p int, newAlgo func(*partition.Part) core.Algor
 		det := termination.New(r)
 		box := mailbox.New(r, topo, det)
 		ghosts := core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
-		q := core.NewQueue[V](r, part, newAlgo(part), ghosts, nil, box, det, 0)
+		q := core.NewQueue[V](r, part, newAlgo(part), ghosts, nil, box, 0)
 		if part.IsMaster(seed.Vertex()) {
 			q.Push(seed)
 		}
@@ -163,7 +163,7 @@ func filterSized[V core.Visitor](p int, newAlgo func(*partition.Part) core.Algor
 				q.Deliver(rec)
 			}
 			box.FlushAll()
-			if q.PumpTermination(q.LocalIdle()) {
+			if det.Pump(q.LocalIdle()) {
 				break
 			}
 		}

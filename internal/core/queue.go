@@ -10,19 +10,19 @@ import (
 	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
-	"havoqgt/internal/termination"
 )
 
 // Stats counts one rank's activity for one query. Like mailbox.Stats it is the
 // one ledger the hot path writes — plain fields — and the machine's
 // obs.Registry gets the growth of the queue's own counters (Pushed through
-// Unparked) under the core.* names once per rank-loop iteration
-// (Queue.publish). Every push ends one of three ways, a replica forward sends
-// once more, and a runner may send and receive records of a protocol of its
-// own beside its queue (a direction-optimizing BFS's level messages):
-// Pushed − GhostFiltered − Local + Forwarded + ProtocolSent ==
-// Mailbox.RecordsSent, and Received + ProtocolReceived ==
-// Mailbox.RecordsDelivered (check.Traversal).
+// Unparked) under the core.* names once per rank-loop iteration and whenever
+// Stats is read (Queue.publish). Every push ends one of three ways, a replica
+// forward sends once more, and a runner may send and receive records of a
+// protocol of its own beside or instead of its queue (a direction-optimizing
+// BFS's level messages): Pushed − GhostFiltered − Local + Forwarded +
+// ProtocolSent == Mailbox.RecordsSent, and Received + ProtocolReceived ==
+// Mailbox.RecordsDelivered (check.Traversal). A Queue fills only its own
+// counters; the runner and the rank loop that drive it fill the rest.
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
@@ -43,15 +43,16 @@ type Stats struct {
 	Relaxed uint64
 	// Mailbox is filled in by the executor when the query retires on the rank
 	// (see engine.Ticket.Stats for which of its counters are the query's own).
-	Mailbox       mailbox.Stats
-	DetectorWaves uint64
-	// DetectorSent/DetectorReceived are the termination detector's monotone
-	// S and R counters at quiescence. The mailbox's per-tag flow counts feed
-	// the detector (one CountSent per Send, one CountReceived per delivery),
-	// so after a quiesced query they must agree exactly with
-	// Mailbox.RecordsSent and Mailbox.RecordsDelivered on every rank — the
-	// S−R in-flight gap the four-counter waves watch drain. internal/check
-	// asserts this.
+	Mailbox mailbox.Stats
+	// DetectorWaves, DetectorSent and DetectorReceived are the query's
+	// termination detector's waves and monotone S and R counters at
+	// quiescence, filled in by the executor when it retires the query. The
+	// mailbox's per-tag flow counts feed the detector (one CountSent per
+	// Send, one CountReceived per delivery), so after a quiesced query S and
+	// R must agree exactly with Mailbox.RecordsSent and
+	// Mailbox.RecordsDelivered on every rank — the S−R in-flight gap the
+	// four-counter waves watch drain. internal/check asserts this.
+	DetectorWaves    uint64
 	DetectorSent     uint64
 	DetectorReceived uint64
 }
@@ -85,9 +86,11 @@ func (cfg Config) MailboxOptions() []mailbox.Option {
 }
 
 // Queue is one rank's end of one query's distributed asynchronous visitor
-// queue (Algorithm 1). It owns no loop: the rank's executor (internal/engine)
-// polls the shared mailbox, routes records carrying this queue's tag into
-// Deliver, gives it execution slices with Step, and pumps PumpTermination.
+// queue (Algorithm 1). It owns no loop and no termination detector: the
+// rank's executor (internal/engine) polls the shared mailbox, routes records
+// carrying this queue's tag into Deliver, gives it execution slices with
+// Step, and decides quiescence itself from LocalIdle and the mailbox's
+// per-tag flow counts (§V).
 type Queue[V Visitor] struct {
 	part *partition.Part
 	algo Algorithm[V]
@@ -95,8 +98,7 @@ type Queue[V Visitor] struct {
 	nGhosts int         // the ghost table's length: the slots the filter covers
 	filter  GhostFilter // sized on the first Ghosts call
 
-	mb  *mailbox.Box
-	det *termination.Detector
+	mb *mailbox.Box
 
 	tag       uint32 // record tag stamped on every push (the query ID)
 	cancelled bool   // drain without applying (see Cancel)
@@ -149,8 +151,7 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 }
 
 // NewQueue builds one query's queue on one rank: visitors travel through the
-// rank's shared mailbox stamped with tag (the query ID), and termination
-// detection runs on the caller-minted per-query detector. ghosts sizes the
+// rank's shared mailbox stamped with tag (the query ID). ghosts sizes the
 // sender-side filter (Ghosts; nil or empty disables it), allocated on the
 // first Ghosts call, so a query that never pushes along an edge pays nothing
 // for it. A non-nil pager marks the partition's CSR targets as out of core:
@@ -159,13 +160,12 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 // through Unpark. The local scheduler is a calendar of FIFO buckets, keyed by
 // the algorithm's BucketAlgorithm.Bucket, or one bucket when it declares none.
 func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
-	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, det *termination.Detector, tag uint32) *Queue[V] {
+	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, tag uint32) *Queue[V] {
 	ba, _ := algo.(BucketAlgorithm[V])
 	q := &Queue[V]{
 		part:  part,
 		algo:  algo,
 		mb:    mb,
-		det:   det,
 		tag:   tag,
 		cal:   newCalendar[V](ba),
 		pager: pager,
@@ -288,7 +288,9 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 
 // Step executes up to batch locally queued visitors, returning whether any
 // work happened — this query's slice of the DO_TRAVERSAL loop, which the
-// engine interleaves with every other in-flight query's on the rank.
+// engine interleaves with every other in-flight query's on the rank. Each
+// call first gives the registry what the counters grew since the last
+// (publish).
 //
 // With an out-of-core pager, each popped visitor's row is checked against the
 // cache's residency bits without a lock; the slice's misses go to the pager
@@ -299,6 +301,7 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // queue did advance its frontier bookkeeping, and reporting false here could
 // let the rank loop sleep while fetches it must drain are in flight.
 func (q *Queue[V]) Step(batch int) bool {
+	q.publish()
 	if q.cal.n == 0 {
 		return false
 	}
@@ -369,37 +372,21 @@ func (q *Queue[V]) Cancel() {
 	q.parked.Clear()
 }
 
-// PumpTermination drives this query's detector with the caller-computed
-// local idle state and returns true at global quiescence, snapshotting the
-// detector counters into Stats exactly once. No end-of-traversal barrier is
-// needed: records of other queries cannot be misattributed — the tag
-// demultiplexes them — so ranks may retire the query independently.
-func (q *Queue[V]) PumpTermination(localIdle bool) bool {
-	q.publish()
-	if !q.det.Pump(localIdle && q.LocalIdle()) {
-		return false
-	}
-	q.stats.DetectorWaves = q.det.Waves
-	q.stats.DetectorSent = q.det.Sent()
-	q.stats.DetectorReceived = q.det.Received()
-	return true
-}
-
-// Stats returns the rank's traversal counters; the detector fields are set
-// once PumpTermination has returned true. Mailbox is left zero — the mailbox
-// is the rank's, not the queue's, and its owner fills it in.
+// Stats returns the rank's traversal counters. The protocol, detector and
+// mailbox fields are left zero: they are the runner's and the executor's.
 func (q *Queue[V]) Stats() Stats {
 	q.publish()
 	return q.stats
 }
 
 // publish gives the registry what the counters have grown since the last
-// publication (obs.PerRank.Publish). The rank loop reaches it through
-// PumpTermination every iteration and through Stats when it retires the
-// query, forced retirement included, so the registry equals Stats whenever
-// the rank is between iterations and lags by at most one while it runs. The
-// pushes the ghost filter dropped are folded into Pushed and GhostFiltered
-// here first.
+// publication (obs.PerRank.Publish). The rank loop reaches it through Step,
+// which it calls once per iteration for every query in flight, and through
+// Stats when it retires the query, forced retirement included, before the
+// query's done channel can close: so the registry equals Stats when done
+// closes, and lags by at most one rank-loop iteration while the query runs.
+// The pushes the ghost filter dropped are folded into Pushed and
+// GhostFiltered here first.
 func (q *Queue[V]) publish() {
 	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
 	cur.Parked, cur.Unparked = q.parked.Parked, q.parked.Unparked

@@ -36,7 +36,7 @@ var reach = &algo{
 		if part.IsMaster(q.spec.Source) {
 			qu.Push(bfs.Visitor{V: q.spec.Source, Parent: q.spec.Source})
 		}
-		return &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {
+		return &run{queue: qu, finish: func() {
 			var reached uint64
 			forMasters(part, func(v graph.Vertex) {
 				if i, _ := part.LocalIndex(v); st.Level[i] != bfs.Unreached {

@@ -85,7 +85,7 @@ func TestUnwaitLeavesNoStaleTail(t *testing.T) {
 	defer open.Store(true) // before Close, which waits for the blocker
 	t.Cleanup(register(&algo{name: "gated", run: func(env *runEnv) runner {
 		qu := newQueue[orderVisitor](env, &orderAlgo{})
-		return gated{&queueRunner[orderVisitor]{Queue: qu, finish: func() {}}, &open}
+		return gated{&run{queue: qu, finish: func() {}}, &open}
 	}}))
 	blocker, err := e.Submit(Spec{Algo: "gated"})
 	if err != nil {

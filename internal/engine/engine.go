@@ -166,9 +166,6 @@ type Options struct {
 	MaxInFlight int
 	// MaxQueue bounds queries waiting for an in-flight slot (default 64).
 	MaxQueue int
-	// StepBatch bounds visitors executed per query per rank-loop iteration,
-	// the interleaving granularity (default 128).
-	StepBatch int
 	// Core configures every rank's shared mailbox (aggregation threshold,
 	// reliable delivery).
 	Core core.Config
@@ -180,9 +177,6 @@ func (o Options) normalized() Options {
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.StepBatch <= 0 {
-		o.StepBatch = 128
 	}
 	return o
 }

@@ -324,13 +324,15 @@ func TestEngineDeadline(t *testing.T) {
 // sender, so every push it made is still accounted for (check.Traversal). A
 // cancelled round protocol stops stepping and drains what it is delivered,
 // and every record it sent is still counted. k-core (k = 8), top-down BFS,
-// and the round protocols — SSSP, direction-optimizing BFS and PageRank — on
-// a scale-12 graph are cut off by deadlines spread over one uncut run's
-// time (a warm one: the first run is cold and slower); each run must keep
-// every law, and each query type must have been cancelled at least once. Then the same, plus cc, out of core at 1/8
+// the round protocols — SSSP, direction-optimizing BFS and PageRank — and
+// triangle counting on a scale-12 graph are cut off by deadlines spread over
+// one uncut run's time (a warm one: the first run is cold and slower); each
+// run must keep every law, and each query type must have been cancelled at
+// least once. Then the same, less triangles and plus cc, out of core at 1/8
 // resident, where a cancel can leave visitors and rows parked on pages still
 // in flight: after each query type's cancelled runs, an uncut run must still
-// return the reference's answer.
+// return the reference's answer. cc is left out of the resident half: there
+// it finishes too fast for a deadline to cut it.
 func TestCancelledQueriesKeepThePushLaw(t *testing.T) {
 	check.NoLeaks(t)
 	const p, topoName, runs = 4, "2d", 24
@@ -383,7 +385,7 @@ func TestCancelledQueriesKeepThePushLaw(t *testing.T) {
 			t.Errorf("no %s %s run was cancelled: its deadlines test nothing", name, spec.Algo)
 		}
 	}
-	for _, spec := range specs {
+	for _, spec := range append(specs, engine.Spec{Algo: engine.AlgoTriangles}) {
 		cut("resident", spec)
 	}
 
@@ -524,53 +526,91 @@ func TestEngineCloseDrains(t *testing.T) {
 // TestRegistryAtQuiescence pins the two registry contracts a retired rank
 // loop owes. The counters: hot paths write plain ledgers and publish to the
 // registry in batches, and the registry equals the ledgers when a query's
-// done closes, not only once the engine is gone. The pool gauge: a closed box
-// takes its pooled buffers out of mailbox.pool_free and the box that adopts
-// its storage brings them back in, so the gauge reads 0 after Engine.Close
-// and after RunOnce instead of climbing with every engine the machine has
-// ever hosted — and a one-shot after the first starts with the carried
-// free-lists counted, before it ships anything, and draws pool hits on them.
+// done closes, not only once the engine is gone — for a query of every
+// runner shape: a visitor queue (bfs), a counted phase (bfs_do, pagerank), a
+// phase and then a queue (cc, kcore), and the SSSP wrapper. The pool gauge: a
+// closed box takes its pooled buffers out of mailbox.pool_free and the box
+// that adopts its storage brings them back in, so the gauge reads 0 after
+// Engine.Close and after RunOnce instead of climbing with every engine the
+// machine has ever hosted — and a one-shot after the first starts with the
+// carried free-lists counted, before it ships anything, and draws pool hits
+// on them.
 func TestRegistryAtQuiescence(t *testing.T) {
 	cfg, edges, n := buildConfig(t, 10, 4, "2d")
 	spec := engine.Spec{Algo: engine.AlgoBFS, Source: edges[0].Src}
-	poolFree := cfg.Machine.Obs().Gauge(obs.MBPoolFree)
+	reg := cfg.Machine.Obs()
+	poolFree := reg.Gauge(obs.MBPoolFree)
 
-	e, err := engine.Start(cfg, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
+	ledgers := []struct {
+		name  string
+		field func(core.Stats) uint64
+	}{
+		{obs.CorePushed, func(s core.Stats) uint64 { return s.Pushed }},
+		{obs.CoreGhostFiltered, func(s core.Stats) uint64 { return s.GhostFiltered }},
+		{obs.CoreLocal, func(s core.Stats) uint64 { return s.Local }},
+		{obs.CoreReceived, func(s core.Stats) uint64 { return s.Received }},
+		{obs.CoreQueued, func(s core.Stats) uint64 { return s.Queued }},
+		{obs.CoreExecuted, func(s core.Stats) uint64 { return s.Executed }},
+		{obs.CoreForwarded, func(s core.Stats) uint64 { return s.Forwarded }},
+		{obs.CoreParked, func(s core.Stats) uint64 { return s.Parked }},
+		{obs.CoreUnparked, func(s core.Stats) uint64 { return s.Unparked }},
+		{obs.MBRecordsSent, func(s core.Stats) uint64 { return s.Mailbox.RecordsSent }},
+		{obs.MBRecordsDelivered, func(s core.Stats) uint64 { return s.Mailbox.RecordsDelivered }},
+		{obs.MBRecordsForwarded, func(s core.Stats) uint64 { return s.Mailbox.RecordsForwarded }},
+		{obs.MBHops, func(s core.Stats) uint64 { return s.Mailbox.Hops }},
 	}
-	tk, err := e.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Wait()
-	// done has closed and the engine is still running: the registry already
-	// holds everything the ranks' ledgers do.
-	var pushed, executed, sent, hops uint64
-	for _, s := range tk.Stats() {
-		pushed += s.Pushed
-		executed += s.Executed
-		sent += s.Mailbox.RecordsSent
-		hops += s.Mailbox.Hops
-	}
-	snap := e.Obs().Snapshot()
+	// What each shape writes: a phase pushes no visitor, and nothing parks
+	// in memory. On this graph every vertex the hub's component leaves out
+	// is isolated, so cc's label propagation has nothing to push; k-core's
+	// cascade is the phase-then-queue shape whose queue works.
+	records := []string{obs.MBRecordsSent, obs.MBRecordsDelivered, obs.MBRecordsForwarded, obs.MBHops}
+	visitors := slices.Concat(records, []string{obs.CorePushed, obs.CoreReceived, obs.CoreQueued, obs.CoreExecuted})
 	for _, c := range []struct {
-		name string
-		want uint64
-	}{{obs.CorePushed, pushed}, {obs.CoreExecuted, executed}, {obs.MBRecordsSent, sent},
-		{obs.MBRecordsDelivered, sent}, {obs.MBHops, hops}} {
-		if got := snap.Counter(c.name); got != c.want || got == 0 {
-			t.Errorf("when done closed: registry %s = %d, ledgers say %d", c.name, got, c.want)
-		}
-	}
-	if poolFree.Value() <= 0 {
-		t.Fatalf("%s = %d with resident boxes after a routed BFS, want > 0", obs.MBPoolFree, poolFree.Value())
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := poolFree.Value(); got != 0 {
-		t.Errorf("%s = %d after Engine.Close, want 0", obs.MBPoolFree, got)
+		spec   engine.Spec
+		writes []string
+	}{
+		{spec, visitors},
+		{engine.Spec{Algo: engine.AlgoBFSDO, Source: spec.Source}, records},
+		{engine.Spec{Algo: engine.AlgoPageRank}, records},
+		{engine.Spec{Algo: engine.AlgoCC}, records},
+		{engine.Spec{Algo: engine.AlgoKCore, K: 16}, visitors},
+		{engine.Spec{Algo: engine.AlgoSSSP, Source: spec.Source}, records},
+	} {
+		t.Run(string(c.spec.Algo), func(t *testing.T) {
+			// An engine of its own on a reset registry: the box-wide mailbox
+			// counters are then the query's.
+			reg.Reset()
+			e, err := engine.Start(cfg, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := e.Submit(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.Wait()
+			// done has closed and the engine is still running: the registry
+			// already holds everything the ranks' ledgers do.
+			snap := reg.Snapshot()
+			for _, l := range ledgers {
+				var want uint64
+				for _, s := range tk.Stats() {
+					want += l.field(s)
+				}
+				if got := snap.Counter(l.name); got != want || got == 0 && slices.Contains(c.writes, l.name) {
+					t.Errorf("%s, when done closed: registry %s = %d, ledgers say %d", c.spec.Algo, l.name, got, want)
+				}
+			}
+			if poolFree.Value() <= 0 {
+				t.Fatalf("%s = %d with resident boxes after a routed %s, want > 0", obs.MBPoolFree, poolFree.Value(), c.spec.Algo)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := poolFree.Value(); got != 0 {
+				t.Errorf("%s = %d after Engine.Close, want 0", obs.MBPoolFree, got)
+			}
+		})
 	}
 
 	for i := 0; i < 3; i++ {

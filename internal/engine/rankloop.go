@@ -53,18 +53,26 @@ func (f *rankFlows) drop(tag uint32) {
 func (f *rankFlows) CountSent(tag uint32, n uint64)     { f.cell(tag).sent += n }
 func (f *rankFlows) CountReceived(tag uint32, n uint64) { f.cell(tag).received += n }
 
-// runner is the algorithm-erased face of one query's core.Queue on one rank
-// (Queue is generic in its visitor type; the engine interleaves queries of
-// different visitor types in one loop).
+// stepBatch bounds the visitors, or protocol steps, one query executes per
+// rank-loop iteration: the granularity at which queries in flight interleave.
+const stepBatch = 128
+
+// runner is one query's execution on one rank, as the rank loop drives it:
+// a run (runners.go), or a test's wrapper around one. The loop hands it the
+// query's records, execution slices and drained pages, and pumps the query's
+// detector with its LocalIdle; it never sees the detector.
 type runner interface {
 	Deliver(rec mailbox.Record)
 	Step(batch int) bool
-	// Unpark re-queues visitors parked on the given adjacency pages (out-of-
-	// core mode; a no-op runner-side when nothing is parked).
+	// Unpark runs the visitors and rows parked on the given adjacency pages
+	// (out-of-core mode; a no-op when nothing is parked).
 	Unpark(pages []int64) bool
+	// LocalIdle reports that the rank holds no work of the query: nothing
+	// queued, parked or ready to step.
 	LocalIdle() bool
 	Cancel()
-	PumpTermination(localIdle bool) bool
+	// Stats returns the rank's counters for the query and gives the
+	// registry their growth; the detector and mailbox fields are the loop's.
 	Stats() core.Stats
 	// Finish gathers this rank's master-range results into the shared query
 	// object (disjoint writes) and accumulates cross-rank scalars through
@@ -184,7 +192,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		// parks visitors whose adjacency pages are absent (issuing demand
 		// fetches) and keeps executing resident ones — latency hiding.
 		for _, rq := range s.active {
-			if rq.run.Step(e.opts.StepBatch) {
+			if rq.run.Step(stepBatch) {
 				progress = true
 			}
 		}
@@ -261,11 +269,12 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			s.box.FlushAll()
 		}
 
-		// Termination detection, per query.
+		// Termination detection, per query (§V, global_empty): the loop's,
+		// not the runner's, which only reports whether it is locally idle.
 		finished = finished[:0]
 		for id, rq := range s.active {
 			rq.syncFlows()
-			if rq.run.PumpTermination(rq.run.LocalIdle()) {
+			if rq.det.Pump(rq.run.LocalIdle()) {
 				finished = append(finished, id)
 			}
 		}
@@ -292,17 +301,15 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 }
 
 // start brings a query live on this rank: mint its detector instance, build
-// its visitor queue, seed the initial visitors, and drain any records that
-// arrived ahead of the start event.
+// its runner (which seeds the query), and drain any records that arrived
+// ahead of the start event.
 func (s *rankState) start(r *rt.Rank, q *query) {
-	det := s.mux.Detector(q.id)
 	rq := &runningQuery{
 		q:    q,
-		det:  det,
+		det:  s.mux.Detector(q.id),
 		cell: s.flows.cell(q.id),
 	}
-	env := &runEnv{r: r, part: s.e.cfg.Parts[r.Rank()], pager: s.pager,
-		box: s.box, det: det, q: q}
+	env := &runEnv{r: r, part: s.e.cfg.Parts[r.Rank()], pager: s.pager, box: s.box, q: q}
 	if s.e.cfg.Ghosts != nil {
 		env.ghosts = s.e.cfg.Ghosts[r.Rank()]
 	}
@@ -332,6 +339,13 @@ func (s *rankState) retire(r *rt.Rank, id uint32, forced bool) {
 	rq := s.active[id]
 	delete(s.active, id)
 	st := rq.run.Stats()
+	if !forced {
+		// Detection completed: the detector's S and R are the query's
+		// in-flight ledger at quiescence, which check.Traversal holds to the
+		// mailbox's.
+		st.DetectorWaves = rq.det.Waves
+		st.DetectorSent, st.DetectorReceived = rq.det.Sent(), rq.det.Received()
+	}
 	// The box is the rank's, shared by every query in flight; the tag's flow
 	// cell is this query's (see Ticket.Stats).
 	st.Mailbox = s.box.Stats()

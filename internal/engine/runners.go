@@ -1,17 +1,15 @@
 package engine
 
 // Per-algorithm runner constructors — the one place a traversal is seeded.
-// Each is its query type's entry's run (algos.go). Each builds the
-// algorithm's rank state and the query's visitor queue (core.NewQueue) over
-// the rank loop's shared mailbox and the query's detector instance, pushes
-// the initial visitors, and supplies the Finish gather. The embedded Queue
-// provides Deliver/Step/Unpark/LocalIdle/Cancel/PumpTermination/Stats. The
-// counted kernels — direction-optimizing BFS, SSSP, PageRank and k-core's
-// first peel — are state machines on a core.RoundExchange instead: alone
-// behind one adapter (protocolRunner), or as the phase ahead of a visitor
-// queue (phasedRunner: cc's marking, k-core's round 0). Out of core, every
-// one of them parks a row whose pages are absent in a core.Parking, as the
-// queue parks a visitor, and both adapters hand it the drained pages.
+// Each is its query type's entry's run (algos.go), and each builds one run:
+// a visitor queue (core.NewQueue) over the rank loop's shared mailbox, a
+// counted phase on a core.RoundExchange, or a phase and then a queue under
+// the one query tag (cc's marking, k-core's first peel). The constructor
+// builds the algorithm's rank state, pushes the initial visitors or builds
+// the phase, and supplies the Finish gather. Termination is not the run's:
+// the rank loop pumps the query's detector with the run's LocalIdle. Out of
+// core, a phase parks a row whose pages are absent in a core.Parking, as the
+// queue parks a visitor, and the run hands both the drained pages.
 
 import (
 	"havoqgt/internal/algos/bfs"
@@ -26,7 +24,6 @@ import (
 	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
-	"havoqgt/internal/termination"
 )
 
 // runEnv is what one query's runner is built from on one rank: the rank, its
@@ -37,26 +34,157 @@ type runEnv struct {
 	ghosts *core.GhostTable // nil: no ghost filtering on this rank
 	pager  core.RowPager    // nil: fully resident
 	box    *mailbox.Box
-	det    *termination.Detector
 	q      *query
 }
 
-// queueRunner is a visitor-queue runner: the query's core.Queue plus the
-// algorithm's gather.
-type queueRunner[V core.Visitor] struct {
-	*core.Queue[V]
-	finish func()
+// visitorQueue is what a run drives of its query's visitor queue;
+// *core.Queue[V] has it for every visitor type V.
+type visitorQueue interface {
+	Deliver(rec mailbox.Record)
+	Step(batch int) bool
+	Unpark(pages []int64) bool
+	LocalIdle() bool
+	Cancel()
+	Stats() core.Stats
 }
 
-func (rn *queueRunner[V]) Finish() { rn.finish() }
+// protocol is a state machine that runs on a core.RoundExchange instead of a
+// visitor queue (bfs.DO, sssp.SSSP, pagerank.PR, kcore.KCore): it sends
+// through the function it was built with (protocolSender), and its run hands
+// it deliveries, execution slices and drained pages until it is Idle, or the
+// query cancelled; Done reports that it has ended on this rank. Its
+// core.Parking's Unpark runs the rows parked on a Drain batch and Parks
+// counts them; Idle is false while any is parked.
+type protocol interface {
+	Handle(payload []byte)
+	TryAdvance() bool
+	Idle() bool
+	Done() bool
+	Unpark(pages []int64) bool
+	Parks() (parked, unparked uint64)
+}
+
+// run is every query type's runner: a visitor queue (bfs, triangles), a
+// counted phase (bfs_do, PageRank, SSSP), or a phase and then a queue (cc,
+// k-core). With both, every queue record starts with kind, a byte no phase
+// record starts with, so each delivery says which of the two it belongs to:
+// a record goes to the queue when the run has one and either has no phase or
+// the record starts with kind, and every other record to the phase, counted
+// as a protocol record. When the phase is done on this rank, then seeds the
+// queue; until it is done everywhere, peers' visitors may already arrive and
+// are applied at once, and the phase's and the queue's records share one
+// detector epoch. A phase's sends travel through the shared mailbox under
+// the query's tag, so the rank's flow counter and the query's detector
+// account for them exactly like visitor records.
+type run struct {
+	queue  visitorQueue // nil: no visitor queue
+	kind   byte
+	phase  protocol // nil: no counted phase
+	then   func()   // nil once it has run, or with no queue to seed
+	finish func()
+
+	cancelled bool
+	parks     parkLedger
+
+	protocolSent, protocolReceived uint64
+}
+
+func newRun(env *runEnv) *run { return &run{parks: newParkLedger(env)} }
+
+func (rn *run) Deliver(rec mailbox.Record) {
+	if rn.queue != nil && (rn.phase == nil || len(rec.Payload) > 0 && rec.Payload[0] == rn.kind) {
+		rn.queue.Deliver(rec)
+		return
+	}
+	rn.protocolReceived++
+	if !rn.cancelled {
+		rn.phase.Handle(rec.Payload)
+	}
+}
+
+func (rn *run) Step(batch int) bool {
+	progress := false
+	if rn.phase != nil && !rn.cancelled {
+		for i := 0; i < batch && rn.phase.TryAdvance(); i++ {
+			progress = true
+		}
+		if rn.then != nil && rn.phase.Done() {
+			rn.then()
+			rn.then = nil
+			progress = true
+		}
+	}
+	return rn.queue != nil && rn.queue.Step(batch) || progress
+}
+
+func (rn *run) Unpark(pages []int64) bool {
+	ran := rn.queue != nil && rn.queue.Unpark(pages)
+	return rn.phase != nil && !rn.cancelled && rn.phase.Unpark(pages) || ran
+}
+
+func (rn *run) LocalIdle() bool {
+	return (rn.phase == nil || rn.cancelled || rn.phase.Idle()) && (rn.queue == nil || rn.queue.LocalIdle())
+}
+
+func (rn *run) Cancel() {
+	rn.cancelled = true
+	if rn.queue != nil {
+		rn.queue.Cancel()
+	}
+}
+
+func (rn *run) Stats() core.Stats {
+	var s core.Stats
+	if rn.queue != nil {
+		s = rn.queue.Stats()
+	}
+	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
+	if rn.phase != nil {
+		rn.parks.publish(rn.phase, &s)
+	}
+	return s
+}
+
+func (rn *run) Finish() { rn.finish() }
+
+// parkLedger publishes a protocol's parks to core.parked and core.unparked,
+// as a core.Queue publishes its visitors'.
+type parkLedger struct {
+	rank             int
+	parked, unparked *obs.PerRank
+	mirrored         core.Stats // what the registry has already been given
+}
+
+func newParkLedger(env *runEnv) parkLedger {
+	reg, p := env.r.Obs(), env.r.Size()
+	return parkLedger{rank: env.r.Rank(), parked: reg.PerRank(obs.CoreParked, p), unparked: reg.PerRank(obs.CoreUnparked, p)}
+}
+
+// publish adds m's parks to s and gives the registry their growth.
+func (l *parkLedger) publish(m protocol, s *core.Stats) {
+	parked, unparked := m.Parks()
+	l.parked.Publish(l.rank, parked, &l.mirrored.Parked)
+	l.unparked.Publish(l.rank, unparked, &l.mirrored.Unparked)
+	s.Parked += parked
+	s.Unparked += unparked
+}
+
+// protocolSender returns the send function a protocol is built with: one
+// protocol record to a peer, under the query's tag, counted in *sent.
+func protocolSender(env *runEnv, sent *uint64) func(dest int, payload []byte) {
+	return func(dest int, payload []byte) {
+		*sent++
+		env.box.SendTagged(dest, env.q.id, payload)
+	}
+}
 
 // newQueue builds the query's visitor queue for algo. The ghost table filters
 // only for the algorithms whose push loops ask it (core.GhostFilter.Drop: bfs
 // and cc); k-core needs every removal notice delivered and triangle counting
 // every adjacency membership query (§VI-C), so neither asks. SSSP, PageRank
-// and direction-optimizing BFS run no visitor queue (protocolRunner).
+// and direction-optimizing BFS run no visitor queue.
 func newQueue[V core.Visitor](env *runEnv, algo core.Algorithm[V]) *core.Queue[V] {
-	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.det, env.q.id)
+	return core.NewQueue[V](env.r, env.part, algo, env.ghosts, env.pager, env.box, env.q.id)
 }
 
 // forMasters calls fn for every vertex this rank masters.
@@ -107,94 +235,14 @@ func newBFSRunner(env *runEnv) runner {
 	} else if part.IsMaster(q.spec.Source) {
 		qu.Push(src)
 	}
-	return &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {
+	rn := newRun(env)
+	rn.queue = qu
+	rn.finish = func() {
 		gatherInto(q.res.Levels, part, st.Level)
 		gatherInto(q.res.Parents, part, st.Parent)
-	}}
-}
-
-// --- A counted phase, then a visitor queue: cc and k-core ---
-
-// phase is a protocol a visitor queue runs after on one rank (cc's marking,
-// k-core's first peel: bfs.DO, kcore.KCore); Done reports that it has ended.
-type phase interface {
-	protocol
-	Done() bool
-}
-
-// phasedRunner runs a phase and then a visitor queue under the one query tag.
-// Every visitor record starts with kind, a byte no record of the phase starts
-// with, so each delivery says which of the two it belongs to. When the phase
-// ends on this rank, then seeds the queue; until it has ended everywhere,
-// peers' visitors may already arrive and are applied at once, and the
-// phase's and the queue's records share one detector epoch. The embedded
-// Queue provides PumpTermination and the visitor counters; drained pages go
-// to both, and the phase's records and parks count beside the queue's.
-type phasedRunner[V core.Visitor] struct {
-	*core.Queue[V]
-	phase  phase // nil when there is none
-	ended  bool  // the phase ended on this rank, or the query was cancelled
-	kind   byte
-	then   func()
-	finish func()
-	parks  parkLedger
-
-	protocolSent, protocolReceived uint64
-}
-
-// running reports whether the phase still runs on this rank.
-func (rn *phasedRunner[V]) running() bool { return rn.phase != nil && !rn.ended }
-
-func (rn *phasedRunner[V]) Deliver(rec mailbox.Record) {
-	if len(rec.Payload) > 0 && rec.Payload[0] == rn.kind {
-		rn.Queue.Deliver(rec)
-		return
 	}
-	rn.protocolReceived++
-	if rn.running() {
-		rn.phase.Handle(rec.Payload)
-	}
+	return rn
 }
-
-func (rn *phasedRunner[V]) Step(batch int) bool {
-	progress := false
-	if rn.running() {
-		for i := 0; i < batch && rn.phase.TryAdvance(); i++ {
-			progress = true
-		}
-		if rn.phase.Done() {
-			rn.ended = true
-			rn.then()
-			progress = true
-		}
-	}
-	return rn.Queue.Step(batch) || progress
-}
-
-func (rn *phasedRunner[V]) Unpark(pages []int64) bool {
-	ran := rn.Queue.Unpark(pages)
-	return rn.running() && rn.phase.Unpark(pages) || ran
-}
-
-func (rn *phasedRunner[V]) LocalIdle() bool {
-	return (!rn.running() || rn.phase.Idle()) && rn.Queue.LocalIdle()
-}
-
-func (rn *phasedRunner[V]) Cancel() {
-	rn.ended = true
-	rn.Queue.Cancel()
-}
-
-func (rn *phasedRunner[V]) Stats() core.Stats {
-	s := rn.Queue.Stats()
-	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
-	if rn.phase != nil {
-		rn.parks.publish(rn.phase, &s)
-	}
-	return s
-}
-
-func (rn *phasedRunner[V]) Finish() { rn.finish() }
 
 // --- Connected components ---
 
@@ -220,7 +268,9 @@ func (w ccWire) Decode(buf []byte) cc.Visitor           { return w.CC.Decode(buf
 func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
-	rn := &phasedRunner[cc.Visitor]{Queue: newQueue[cc.Visitor](env, ccWire{st}), kind: ccKind, parks: newParkLedger(env)}
+	qu := newQueue[cc.Visitor](env, ccWire{st})
+	rn := newRun(env)
+	rn.queue, rn.kind = qu, ccKind
 	rn.finish = func() {
 		var local uint64
 		forMasters(part, func(v graph.Vertex) {
@@ -245,12 +295,12 @@ func newCCRunner(env *runEnv) runner {
 		// checkpointed label instead of its own id. Labels only decrease
 		// toward the component minimum, so any partial label is a valid
 		// (better) start.
-		forMasters(part, func(v graph.Vertex) { rn.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
+		forMasters(part, func(v graph.Vertex) { qu.Push(cc.Visitor{V: v, Label: min(v, cp.Res.Labels[v])}) })
 		return rn
 	}
 	mark := bfs.NewDO(part, part.Hub, protocolSender(env, &rn.protocolSent), env.pager)
 	rn.phase = mark
-	rn.then = func() { label(part, st, mark.Visited(), rn.Queue) }
+	rn.then = func() { label(part, st, mark.Visited(), qu) }
 	return rn
 }
 
@@ -290,11 +340,11 @@ func newKCoreRunner(env *runEnv) runner {
 // then runs on the queue to quiescence.
 func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	part, q := env.part, env.q
-	rn := &phasedRunner[kcore.Visitor]{kind: kcore.KindVisitor, parks: newParkLedger(env)}
+	rn := newRun(env)
 	st := kcore.New(part, q.spec.K, protocolSender(env, &rn.protocolSent), env.pager)
-	rn.Queue = newQueue[kcore.Visitor](env, st)
-	rn.phase = st
-	rn.then = func() { st.Seed(rn.Queue) }
+	qu := newQueue[kcore.Visitor](env, st)
+	rn.queue, rn.kind, rn.phase = qu, kcore.KindVisitor, st
+	rn.then = func() { st.Seed(qu) }
 	rn.finish = func() {
 		gatherInto(q.res.InCore, part, st.Alive)
 		q.accum.Add(st.LocalCoreSize())
@@ -302,75 +352,12 @@ func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	return rn, st
 }
 
-// --- Counted rounds: direction-optimizing BFS, SSSP and PageRank ---
-
-// protocol is a state machine that runs on a core.RoundExchange instead of a
-// visitor queue (bfs.DO, sssp.SSSP, pagerank.PR, kcore.KCore): it sends
-// through the function it was built with (protocolSender), and the runner
-// hands it deliveries, execution slices and drained pages until it is Idle,
-// or the query cancelled. Its core.Parking's Unpark runs the rows parked on
-// a Drain batch and Parks counts them; Idle is false while any is parked.
-type protocol interface {
-	Handle(payload []byte)
-	TryAdvance() bool
-	Idle() bool
-	Unpark(pages []int64) bool
-	Parks() (parked, unparked uint64)
-}
-
-// parkLedger publishes a protocol's parks to core.parked and core.unparked,
-// as a core.Queue publishes its visitors'.
-type parkLedger struct {
-	rank             int
-	parked, unparked *obs.PerRank
-	mirrored         core.Stats // what the registry has already been given
-}
-
-func newParkLedger(env *runEnv) parkLedger {
-	reg, p := env.r.Obs(), env.r.Size()
-	return parkLedger{rank: env.r.Rank(), parked: reg.PerRank(obs.CoreParked, p), unparked: reg.PerRank(obs.CoreUnparked, p)}
-}
-
-// publish adds m's parks to s and gives the registry their growth.
-func (l *parkLedger) publish(m protocol, s *core.Stats) {
-	parked, unparked := m.Parks()
-	l.parked.Publish(l.rank, parked, &l.mirrored.Parked)
-	l.unparked.Publish(l.rank, unparked, &l.mirrored.Unparked)
-	s.Parked += parked
-	s.Unparked += unparked
-}
-
-// protocolSender returns the send function a protocol is built with: one
-// protocol record to a peer, under the query's tag, counted in *sent.
-func protocolSender(env *runEnv, sent *uint64) func(dest int, payload []byte) {
-	return func(dest int, payload []byte) {
-		*sent++
-		env.box.SendTagged(dest, env.q.id, payload)
-	}
-}
-
-// protocolRunner adapts a protocol to the engine's runner face. Sends travel
-// through the shared mailbox under the query's tag, so the rank-level flow
-// counter and the per-query detector account for them exactly like visitor
-// records, and Stats counts them as protocol records; quiescence is reached
-// when every rank has finished its last round and all records have drained.
-type protocolRunner struct {
-	m         protocol
-	det       *termination.Detector
-	cancelled bool
-	stats     core.Stats
-	parks     parkLedger
-	finish    func()
-}
-
-func newProtocolRunner(env *runEnv) *protocolRunner {
-	return &protocolRunner{det: env.det, parks: newParkLedger(env)}
-}
+// --- Counted rounds alone: direction-optimizing BFS, SSSP and PageRank ---
 
 func newDOBFSRunner(env *runEnv) runner {
-	rn := newProtocolRunner(env)
-	d := bfs.NewDO(env.part, env.q.spec.Source, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
-	rn.m = d
+	rn := newRun(env)
+	d := bfs.NewDO(env.part, env.q.spec.Source, protocolSender(env, &rn.protocolSent), env.pager)
+	rn.phase = d
 	rn.finish = func() {
 		gatherInto(env.q.res.Levels, env.part, d.Level)
 		gatherInto(env.q.res.Parents, env.part, d.Parent)
@@ -383,12 +370,12 @@ func newDOBFSRunner(env *runEnv) runner {
 // are upper bounds that the rounds lower where they can: replaying them is
 // safe even where the cancelled run had not settled them.
 func newSSSPRunner(env *runEnv) runner {
-	rn := &ssspRunner{protocolRunner: *newProtocolRunner(env), box: env.box}
-	st := sssp.New(env.part, env.q.spec.Source, env.q.spec.WeightSeed, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
+	rn := &ssspRunner{run: newRun(env), box: env.box}
+	st := sssp.New(env.part, env.q.spec.Source, env.q.spec.WeightSeed, protocolSender(env, &rn.protocolSent), env.pager)
 	if cp := env.q.spec.Resume; cp != nil {
 		st.Resume(cp.Res.Dist, cp.Res.Parents)
 	}
-	rn.m, rn.st = st, st
+	rn.phase, rn.st = st, st
 	rn.finish = func() {
 		gatherInto(env.q.res.Dist, env.part, st.Dist)
 		gatherInto(env.q.res.Parents, env.part, st.Parent)
@@ -396,8 +383,8 @@ func newSSSPRunner(env *runEnv) runner {
 	return rn
 }
 
-// ssspRunner is a protocolRunner that hurries SSSP's rounds and whose stats
-// count the edges it relaxed.
+// ssspRunner is a run that hurries SSSP's rounds and whose stats count the
+// edges it relaxed.
 //
 // A round completes on a rank only once its slowest peer's record is in, so
 // Δ-stepping's tens of rounds are as fast as their records travel. With other
@@ -411,86 +398,44 @@ func newSSSPRunner(env *runEnv) runner {
 // buffers to those peers go with them). DESIGN.md §7 has the measurements,
 // and why DO-BFS's handful of levels does not do the same.
 type ssspRunner struct {
-	protocolRunner
-	st    *sssp.SSSP
-	box   *mailbox.Box
-	batch int // the last slice's batch: a delivery's slice takes as much
+	*run
+	st  *sssp.SSSP
+	box *mailbox.Box
 }
 
 func (rn *ssspRunner) Deliver(rec mailbox.Record) {
 	waiting := rn.st.Idle()
-	rn.protocolRunner.Deliver(rec)
+	rn.run.Deliver(rec)
 	if waiting && !rn.cancelled && !rn.st.Idle() {
-		rn.Step(rn.batch)
+		rn.Step(stepBatch)
 	}
 }
 
 func (rn *ssspRunner) Step(batch int) bool {
-	rn.batch = batch
-	sent := rn.stats.ProtocolSent
-	progress := rn.protocolRunner.Step(batch)
-	if rn.stats.ProtocolSent != sent {
+	sent := rn.protocolSent
+	progress := rn.run.Step(batch)
+	if rn.protocolSent != sent {
 		rn.box.FlushAll()
 	}
 	return progress
 }
 
 func (rn *ssspRunner) Stats() core.Stats {
-	s := rn.protocolRunner.Stats()
+	s := rn.run.Stats()
 	s.Relaxed = rn.st.Relaxed
 	return s
 }
 
 func newPageRankRunner(env *runEnv) runner {
-	rn := newProtocolRunner(env)
-	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.stats.ProtocolSent), env.pager)
-	rn.m = pr
+	rn := newRun(env)
+	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.protocolSent), env.pager)
+	rn.phase = pr
 	rn.finish = func() {
 		lo, _ := env.part.Owners.MasterRange(env.part.Rank)
 		copy(env.q.res.Ranks[lo:], pr.Ranks())
 	}
 	return rn
 }
-
-func (rn *protocolRunner) Deliver(rec mailbox.Record) {
-	rn.stats.ProtocolReceived++
-	if rn.cancelled {
-		return // drain: delivery already counted, state no longer advances
-	}
-	rn.m.Handle(rec.Payload)
-}
-
-func (rn *protocolRunner) Step(batch int) bool {
-	progress := false
-	for i := 0; i < batch && !rn.cancelled && rn.m.TryAdvance(); i++ {
-		progress = true
-	}
-	return progress
-}
-
-func (rn *protocolRunner) Unpark(pages []int64) bool { return !rn.cancelled && rn.m.Unpark(pages) }
-
-func (rn *protocolRunner) LocalIdle() bool { return rn.cancelled || rn.m.Idle() }
-
-func (rn *protocolRunner) Cancel() { rn.cancelled = true }
-
-func (rn *protocolRunner) PumpTermination(localIdle bool) bool {
-	if !rn.det.Pump(localIdle) {
-		return false
-	}
-	rn.stats.DetectorWaves = rn.det.Waves
-	rn.stats.DetectorSent = rn.det.Sent()
-	rn.stats.DetectorReceived = rn.det.Received()
-	return true
-}
-
-func (rn *protocolRunner) Stats() core.Stats {
-	s := rn.stats
-	rn.parks.publish(rn.m, &s)
-	return s
-}
-
-func (rn *protocolRunner) Finish() { rn.finish() }
 
 // --- Triangle counting ---
 
@@ -499,9 +444,12 @@ func newTriangleRunner(env *runEnv) runner {
 	st := triangle.New(part, triangle.Options{SampleProb: q.spec.SampleProb, SampleSeed: q.spec.SampleSeed})
 	qu := newQueue[triangle.Visitor](env, st)
 	st.Seed(qu)
-	return &queueRunner[triangle.Visitor]{Queue: qu, finish: func() {
+	rn := newRun(env)
+	rn.queue = qu
+	rn.finish = func() {
 		// Queries quiesce in different orders on different ranks, so the
 		// local tallies accumulate atomically rather than all-reduce.
 		q.accum.Add(st.LocalCount())
-	}}
+	}
+	return rn
 }

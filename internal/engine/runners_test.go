@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"havoqgt/internal/algos/bfs"
-	"havoqgt/internal/algos/cc"
 	"havoqgt/internal/core"
 	"havoqgt/internal/generators"
 	"havoqgt/internal/graph"
@@ -16,7 +15,7 @@ import (
 // stalledMarking is a cc runner whose marking stops advancing once this rank
 // has scanned its first level: the query cannot end until it is cancelled.
 type stalledMarking struct {
-	*phasedRunner[cc.Visitor]
+	*run
 	stalled *sync.WaitGroup // one Done per rank, when its marking stalls
 	once    sync.Once
 	marking *atomic.Int32 // ranks whose marking was still running when cancelled
@@ -25,16 +24,16 @@ type stalledMarking struct {
 func (m *stalledMarking) Step(batch int) bool {
 	if d, _ := m.phase.(*bfs.DO); d != nil && d.TopDownLevels+d.BottomUpLevels > 0 {
 		m.once.Do(m.stalled.Done)
-		return m.Queue.Step(batch)
+		return m.queue.Step(batch)
 	}
-	return m.phasedRunner.Step(batch)
+	return m.run.Step(batch)
 }
 
 func (m *stalledMarking) Cancel() {
-	if m.phase != nil {
+	if m.then != nil {
 		m.marking.Add(1)
 	}
-	m.phasedRunner.Cancel()
+	m.run.Cancel()
 }
 
 // startCC starts an engine on g and submits one query of a cc variant: cc's
@@ -92,7 +91,7 @@ func TestCCCancelDuringMarkingResumes(t *testing.T) {
 	stalled.Add(p)
 	var marking atomic.Int32
 	e, tk := startCC(t, g, func(env *runEnv) runner {
-		return &stalledMarking{phasedRunner: newCCRunner(env).(*phasedRunner[cc.Visitor]), stalled: &stalled, marking: &marking}
+		return &stalledMarking{run: newCCRunner(env).(*run), stalled: &stalled, marking: &marking}
 	})
 	defer e.Close()
 	stalled.Wait()

@@ -65,7 +65,7 @@ func runVisitors[V core.Visitor](t testing.TB, g *testGraph,
 			qu = newQueue[V](env, algo)
 			return qu
 		})
-		return &queueRunner[V]{Queue: qu, finish: func() {}}
+		return &run{queue: qu, finish: func() {}}
 	})
 }
 
@@ -367,14 +367,14 @@ func TestTrianglePerVertexCounts(t *testing.T) {
 // levelWatch is a BFS runner that remembers the level of the rank's last
 // visit since its last delivery; watchedBFS is the BFS that reports to it.
 type levelWatch struct {
-	*queueRunner[bfs.Visitor]
+	*run
 	floor          uint32
 	visits, behind int
 }
 
 func (w *levelWatch) Deliver(rec mailbox.Record) {
 	w.floor = 0
-	w.queueRunner.Deliver(rec)
+	w.run.Deliver(rec)
 }
 
 type watchedBFS struct {
@@ -408,7 +408,7 @@ func TestBFSVisitsLevelsInOrderBetweenDeliveries(t *testing.T) {
 		w := &levelWatch{}
 		watches[env.part.Rank] = w
 		qu := newQueue[bfs.Visitor](env, watchedBFS{bfs.New(env.part), w})
-		w.queueRunner = &queueRunner[bfs.Visitor]{Queue: qu, finish: func() {}}
+		w.run = &run{queue: qu, finish: func() {}}
 		if env.part.IsMaster(source) {
 			qu.Push(bfs.Visitor{V: source, Parent: source})
 		}

@@ -7,7 +7,6 @@ import (
 
 	"havoqgt/internal/obs"
 	"havoqgt/internal/rt"
-	"havoqgt/internal/termination"
 )
 
 // DefaultFlushBytes is the per-hop aggregation threshold, measured in framed
@@ -155,10 +154,16 @@ type FlowCounter interface {
 	CountReceived(tag uint32, n uint64)
 }
 
-// detFlow adapts a single termination detector to the FlowCounter seam for
-// a Box that serves one exchange alone (every record feeds the one detector,
-// whatever its tag).
-type detFlow struct{ det *termination.Detector }
+// Detector is the record-count face of the one termination detector
+// (termination.Detector) of a Box that serves one exchange alone.
+type Detector interface {
+	CountSent(n uint64)
+	CountReceived(n uint64)
+}
+
+// detFlow adapts a single detector to the FlowCounter seam (every record
+// feeds the one detector, whatever its tag).
+type detFlow struct{ det Detector }
 
 func (f detFlow) CountSent(_ uint32, n uint64)     { f.det.CountSent(n) }
 func (f detFlow) CountReceived(_ uint32, n uint64) { f.det.CountReceived(n) }
@@ -316,7 +321,7 @@ func WithRTO(base, max time.Duration) Option {
 // originating rank, one receive at the final destination (records parked in
 // intermediate aggregation buffers are exactly the S−R in-flight gap the
 // termination waves must see drain to zero).
-func New(r *rt.Rank, topo Topology, det *termination.Detector, opts ...Option) *Box {
+func New(r *rt.Rank, topo Topology, det Detector, opts ...Option) *Box {
 	p := r.Size()
 	b := &Box{
 		r:          r,

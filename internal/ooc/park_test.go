@@ -99,7 +99,7 @@ func TestQueueBatchedParking(t *testing.T) {
 		det := termination.New(r)
 		algo := &pageAlgo{}
 		pager := &countingPager{Pager: st.Pager()}
-		q := core.NewQueue[pageVisitor](r, part, algo, nil, pager, mailbox.New(r, topo, det), det, 0)
+		q := core.NewQueue[pageVisitor](r, part, algo, nil, pager, mailbox.New(r, topo, det), 0)
 		drain := func() bool {
 			deadline := time.Now().Add(5 * time.Second)
 			for !q.LocalIdle() {

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"encoding/binary"
-	"math"
 )
 
 // Collectives are built from point-to-point messages, as in the paper's
@@ -61,13 +60,12 @@ func (r *Rank) Barrier() {
 // AllReduceU64 combines x across all ranks with op and returns the result on
 // every rank.
 //
-// Scratch discipline (shared with AllReduceF64): the 8-byte payloads come
-// from the rank's collective scratch pool. An up-phase contribution is built
-// by one child and consumed by exactly one parent, so the parent recycles it
-// into its own pool after reading the value — buffers circulate up the tree
-// and interior ranks reach steady-state zero allocation. The down-phase
-// result buffer is sent to up to two children (shared aliases) and is never
-// recycled by anyone.
+// Scratch discipline: the 8-byte payloads come from the rank's collective
+// scratch pool. An up-phase contribution is built by one child and consumed
+// by exactly one parent, so the parent recycles it into its own pool after
+// reading the value — buffers circulate up the tree and interior ranks reach
+// steady-state zero allocation. The down-phase result buffer is sent to up to
+// two children (shared aliases) and is never recycled by anyone.
 func (r *Rank) AllReduceU64(x uint64, op ReduceOp) uint64 {
 	tag := r.nextTag()
 	acc := x
@@ -86,36 +84,6 @@ func (r *Rank) AllReduceU64(x uint64, op ReduceOp) uint64 {
 	if cs := r.children(); len(cs) > 0 {
 		buf := r.collBuf()
 		binary.LittleEndian.PutUint64(buf, acc)
-		for _, c := range cs {
-			r.Send(c, KindColl, tag|1, buf)
-		}
-	}
-	return acc
-}
-
-// AllReduceF64 combines a float64 across all ranks (sum/min/max semantics via
-// op applied to float values).
-func (r *Rank) AllReduceF64(x float64, op func(a, b float64) float64) float64 {
-	// Reuse the u64 tree by shipping IEEE bits and applying op on decoded
-	// values; implemented directly to keep op on floats. Scratch discipline
-	// as in AllReduceU64.
-	tag := r.nextTag()
-	acc := x
-	for _, c := range r.children() {
-		m := r.waitMatch(KindColl, func(m Msg) bool { return m.Tag == tag && m.From == c })
-		acc = op(acc, math.Float64frombits(binary.LittleEndian.Uint64(m.Payload)))
-		r.collRecycle(m.Payload)
-	}
-	if r.rank != 0 {
-		buf := r.collBuf()
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(acc))
-		r.Send(r.parent(), KindColl, tag, buf)
-		m := r.waitMatch(KindColl, func(m Msg) bool { return m.Tag == tag|1 && m.From == r.parent() })
-		acc = math.Float64frombits(binary.LittleEndian.Uint64(m.Payload))
-	}
-	if cs := r.children(); len(cs) > 0 {
-		buf := r.collBuf()
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(acc))
 		for _, c := range cs {
 			r.Send(c, KindColl, tag|1, buf)
 		}

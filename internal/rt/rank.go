@@ -125,13 +125,6 @@ func (r *Rank) collRecycle(b []byte) {
 	r.collPool = append(r.collPool, b[:8])
 }
 
-// HasPending reports whether messages of the given kind are queued
-// (after polling).
-func (r *Rank) HasPending(kind uint8) bool {
-	r.Poll()
-	return len(r.pending[kind]) > 0
-}
-
 // waitMatch blocks until a message of the given kind arrives satisfying
 // match, removes it from pending, and returns it. Other messages of the kind
 // stay queued in arrival order. Used by collectives, which must tolerate

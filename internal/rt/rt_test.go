@@ -148,20 +148,6 @@ func TestAllReduceU64(t *testing.T) {
 	}
 }
 
-func TestAllReduceF64(t *testing.T) {
-	p := 6
-	m := NewMachine(p)
-	out := make([]float64, p)
-	m.Run(func(r *Rank) {
-		out[r.Rank()] = r.AllReduceF64(0.5, func(a, b float64) float64 { return a + b })
-	})
-	for i, v := range out {
-		if v != 3.0 {
-			t.Errorf("rank %d: %v, want 3.0", i, v)
-		}
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	for _, root := range []int{0, 1, 4} {
 		p := 5
