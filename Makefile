@@ -139,33 +139,34 @@ bench-test:
 experiments:
 	$(GO) run ./cmd/experiments all
 
-# End-to-end query-serving smoke: build a scale-12 RMAT graph, serve it with
-# havoqd, fire 50 concurrent mixed queries over real HTTP, verify every
-# answer, drain, exit non-zero on any failure.
+# The havoqd and cluster end-to-end checks are tests that run real child
+# processes; these targets run exactly those tests. -timeout turns a wedged
+# cluster into a loud failure with every goroutine's stack, and a failing
+# test prints its child processes' output.
+
+# End-to-end query serving (TestServeSmoke): a havoqd process serves a
+# scale-12 RMAT graph on 8 ranks, answers 50 concurrent mixed queries over
+# real HTTP, then drains on a real SIGTERM and exits 0.
 serve-smoke:
-	$(GO) run ./cmd/havoqd -smoke -scale 12 -ranks 8 -queries 50 -addr 127.0.0.1:0
+	$(GO) test -count=1 -v -timeout 5m -run '^TestServeSmoke$$' ./cmd/havoqd
 
-# Real multi-process cluster smoke: boot a coordinator plus 4 worker
-# OS processes on localhost (rank frames crossing the kernel's TCP stack),
-# run every query type in the engine's table (bfs, bfs_do, sssp, cc, kcore,
-# triangles, pagerank) through the cluster, and require the deterministic
-# result hashes to be identical to the in-process engine on the same
-# scale-12 RMAT graph. A hard watchdog aborts with exit 124 if the cluster
-# wedges; worker output lands in cluster-worker-N.log for post-mortems.
+# Real multi-process cluster (TestClusterSmoke): a coordinator and 4
+# `havoqd -join` worker processes on localhost (rank frames crossing the
+# kernel's TCP stack) answer every query type in the engine's table, and every
+# result hash must be the in-process engine's on the same scale-12 RMAT graph.
 cluster-smoke:
-	$(GO) run ./cmd/havoqd -smoke -cluster -workers 4 -ranks 4 -scale 12 -cluster-timeout 5m
+	$(GO) test -count=1 -v -timeout 5m -run '^TestClusterSmoke$$' ./cmd/havoqd
 
-# Cluster self-healing chaos (DESIGN.md §13): kill -9 workers of a live
-# 4-process cluster with queries in flight, and require (1) every in-flight
+# Cluster self-healing (DESIGN.md §13; TestKillAndRejoin): two kill/heal
+# cycles SIGKILL a worker of a live 4-process cluster with queries in flight,
+# slot 0 (rank 0's host) and then slot 1, and require (1) every in-flight
 # query to resolve with a typed worker-lost error instead of hanging, (2) the
 # coordinator to report the dead slot and shed typed while degraded, (3) the
-# respawned worker to re-join under a bumped epoch, and (4) post-heal query
-# hashes identical to the in-process engine. Watchdog aborts with exit 124 on
-# any wedge; worker logs (appended across respawns) in cluster-worker-N.log.
+# respawned worker to re-join under a bumped epoch, and (4) post-heal BFS,
+# SSSP and CC hashes identical to the in-process engine.
 cluster-chaos:
-	$(GO) run ./cmd/havoqd -chaos -cluster -workers 4 -ranks 4 -scale 11 \
-		-heartbeat 200ms -liveness 2s -join-retry 60s -chaos-kills 2 -cluster-timeout 5m
+	$(GO) test -count=1 -v -timeout 5m -run '^TestKillAndRejoin$$' ./internal/cluster
 
 clean:
-	rm -f obs_profiles.json obs_profiles.csv cluster-worker-*.log
+	rm -f obs_profiles.json obs_profiles.csv
 	$(GO) clean ./...

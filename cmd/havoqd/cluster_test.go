@@ -98,10 +98,10 @@ func waitWorkerExits(t *testing.T, exits <-chan workerExit, n int, wait time.Dur
 }
 
 // TestCoordServerEndpoints drives the coordinator's HTTP front door — which
-// neither -smoke -cluster nor -chaos -cluster reaches; both call
-// Coordinator.Submit — over a two-worker cluster, against the single-process
-// server on the same graph: every query type, full arrays included, answers
-// the same except that the cluster ships no parents.
+// neither TestClusterSmoke nor internal/cluster's TestKillAndRejoin reaches;
+// both call Coordinator.Submit — over a two-worker cluster, against the
+// single-process server on the same graph: every query type, full arrays
+// included, answers the same except that the cluster ships no parents.
 func TestCoordServerEndpoints(t *testing.T) {
 	s, single := testServer(t)
 	ts := testCoordServer(t)

@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	havoqd -model rmat -scale 14 -ranks 8 -addr :8642   # serve until SIGTERM
+//	havoqd -scale 14 -ranks 8 -addr :8642               # serve until SIGTERM
 //	havoqd -in graph.hvqg -ranks 8                      # serve a graph file
-//	havoqd -smoke -scale 12 -ranks 8 -queries 50        # end-to-end smoke run
 //	havoqd -mem-budget 0.125 -scale 14 -ranks 8         # serve with 1/8 of edges resident
 //
-// cluster.go has the multi-process modes (-coordinator, -join, -smoke
-// -cluster, -chaos -cluster). havoqd times nothing: bench/ is the benchmark
-// (bash bench/run.sh).
+// cluster.go has the multi-process modes (-coordinator, -join). havoqd times
+// nothing: bench/ is the benchmark (bash bench/run.sh). Its end-to-end checks
+// are tests that run it as a child process (process_test.go, and
+// internal/cluster's TestKillAndRejoin).
 //
 // Endpoints:
 //
@@ -43,59 +43,35 @@ import (
 	"havoqgt/internal/traffic"
 )
 
+// options is what havoqd's flags set; they write the subsystem configs
+// directly.
 type options struct {
 	addr string
 
-	in         string
-	model      string
-	scale      uint
-	seed       uint64
-	edgefactor uint64
-
+	in       string
+	scale    uint
+	seed     uint64
 	ranks    int
 	topo     string
 	simplify bool
 
-	maxInFlight  int
-	maxQueue     int
-	deadline     time.Duration
+	engine       havoqgt.EngineOptions
 	queryRetries int
-	reliable     bool
+	traffic      traffic.Config // the front-door plane (internal/traffic; see server.go)
+	simLatency   time.Duration
+	mem          havoqgt.MemoryConfig // out-of-core serving
 
-	// Front-door traffic plane (internal/traffic; see server.go).
-	tenantRate  float64
-	tenantBurst float64
-	quotaTick   time.Duration
-	cacheBytes  int64
-
-	smoke   bool
-	queries int
-
-	simLatency time.Duration
-
-	// Out-of-core serving (the facade's MemoryConfig).
-	memBudget     float64
-	memPage       int
-	memLatency    time.Duration
-	memQueueDepth int
-	memDir        string
-
-	// Cluster modes (see cluster.go).
+	// Cluster modes (see cluster.go and internal/cluster).
 	coordinator    bool
 	join           string
 	workers        int
 	slot           int
 	meshAddr       string
-	clusterMode    bool
 	clusterAddr    string
 	clusterTimeout time.Duration
-
-	// Cluster self-healing (see cluster.go and internal/cluster).
-	heartbeat  time.Duration
-	liveness   time.Duration
-	joinRetry  time.Duration
-	chaosMode  bool
-	chaosKills int
+	heartbeat      time.Duration
+	liveness       time.Duration
+	joinRetry      time.Duration
 }
 
 func main() {
@@ -107,65 +83,49 @@ func main() {
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("havoqd", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
-	fs.StringVar(&o.in, "in", "", "graph file to serve (.hvqg); empty generates -model instead")
-	fs.StringVar(&o.model, "model", "rmat", "synthetic model when -in is empty (rmat only)")
+	fs.StringVar(&o.in, "in", "", "graph file to serve (.hvqg); empty generates an RMAT graph instead")
 	fs.UintVar(&o.scale, "scale", 14, "log2 vertex count for the generated graph")
 	fs.Uint64Var(&o.seed, "seed", 1, "generator seed")
-	fs.Uint64Var(&o.edgefactor, "edgefactor", 16, "edges per vertex (rmat)")
 	fs.IntVar(&o.ranks, "ranks", 8, "number of simulated ranks")
 	fs.StringVar(&o.topo, "topo", "2d", "mailbox routing topology: 1d | 2d | 3d")
 	fs.BoolVar(&o.simplify, "simplify", true, "remove self loops and duplicate edges (required for kcore queries)")
-	fs.IntVar(&o.maxInFlight, "max-in-flight", 8, "concurrently executing queries")
-	fs.IntVar(&o.maxQueue, "max-queue", 64, "queries waiting for an in-flight slot before rejection")
-	fs.DurationVar(&o.deadline, "deadline", 0, "default per-query deadline (0 = none)")
+	fs.IntVar(&o.engine.MaxInFlight, "max-in-flight", 8, "concurrently executing queries")
+	fs.IntVar(&o.engine.MaxQueue, "max-queue", 64, "queries waiting for an in-flight slot before rejection")
+	fs.DurationVar(&o.engine.DefaultDeadline, "deadline", 0, "default per-query deadline (0 = none)")
 	fs.IntVar(&o.queryRetries, "query-retries", 2, "server-side retries per query: checkpoint resumes of deadline-expired queries, or (-coordinator) reruns after a cluster heal")
-	fs.BoolVar(&o.reliable, "reliable", false, "run the engine's message plane with acked, retransmitted delivery")
-	fs.Float64Var(&o.tenantRate, "tenant-rate", 200, "sustained per-tenant request rate (req/s) for quota admission")
-	fs.Float64Var(&o.tenantBurst, "tenant-burst", 0, "per-tenant burst capacity (0 = 2x tenant-rate)")
-	fs.DurationVar(&o.quotaTick, "quota-tick", 100*time.Millisecond, "batched quota refill period")
-	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "result cache capacity in bytes (0 = 64 MiB, negative disables)")
-	fs.BoolVar(&o.smoke, "smoke", false, "start the server, fire -queries concurrent queries at it, verify, exit")
-	fs.IntVar(&o.queries, "queries", 50, "concurrent queries for -smoke")
+	fs.BoolVar(&o.engine.Reliable, "reliable", false, "run the engine's message plane with acked, retransmitted delivery")
+	fs.Float64Var(&o.traffic.Quota.Rate, "tenant-rate", 200, "sustained per-tenant request rate (req/s) for quota admission")
+	fs.Float64Var(&o.traffic.Quota.Burst, "tenant-burst", 0, "per-tenant burst capacity (0 = 2x tenant-rate)")
+	fs.DurationVar(&o.traffic.Quota.Tick, "quota-tick", 100*time.Millisecond, "batched quota refill period")
+	fs.Int64Var(&o.traffic.CacheBytes, "cache-bytes", 0, "result cache capacity in bytes (0 = 64 MiB, negative disables)")
 	fs.DurationVar(&o.simLatency, "sim-latency", 0, "simulated per-message interconnect latency (0 = instantaneous transport)")
-	fs.Float64Var(&o.memBudget, "mem-budget", 1, "resident fraction of adjacency data kept in DRAM, (0,1]; <1 serves out of core")
-	fs.IntVar(&o.memPage, "mem-page", 0, "out-of-core cache page size in bytes (0 = 4096)")
-	fs.DurationVar(&o.memLatency, "mem-latency", 0, "modeled NVRAM read latency for out-of-core mode (0 = 25µs)")
-	fs.IntVar(&o.memQueueDepth, "mem-queue-depth", 0, "modeled NVRAM queue depth for out-of-core mode (0 = 64)")
-	fs.StringVar(&o.memDir, "mem-dir", "", "back out-of-core adjacency with real files under this directory instead of simulated NVRAM")
+	fs.Float64Var(&o.mem.ResidentFraction, "mem-budget", 1, "resident fraction of adjacency data kept in DRAM, (0,1]; <1 serves out of core")
+	fs.IntVar(&o.mem.PageSize, "mem-page", 0, "out-of-core cache page size in bytes (0 = 4096)")
+	fs.DurationVar(&o.mem.DeviceLatency, "mem-latency", 0, "modeled NVRAM read latency for out-of-core mode (0 = 25µs)")
+	fs.IntVar(&o.mem.DeviceQueueDepth, "mem-queue-depth", 0, "modeled NVRAM queue depth for out-of-core mode (0 = 64)")
+	fs.StringVar(&o.mem.Dir, "mem-dir", "", "back out-of-core adjacency with real files under this directory instead of simulated NVRAM")
 	fs.BoolVar(&o.coordinator, "coordinator", false, "run as a cluster coordinator: wait for -workers joins, then serve queries")
 	fs.StringVar(&o.join, "join", "", "run as a cluster worker joining the coordinator at this address")
 	fs.IntVar(&o.workers, "workers", 4, "worker processes in the cluster")
 	fs.IntVar(&o.slot, "slot", -1, "explicit worker slot for -join (-1 = coordinator-assigned)")
 	fs.StringVar(&o.meshAddr, "mesh-addr", "", "data-plane listen address for -join (default 127.0.0.1:0)")
-	fs.BoolVar(&o.clusterMode, "cluster", false, "with -smoke or -chaos: spawn a real multi-process cluster on localhost")
 	fs.StringVar(&o.clusterAddr, "cluster-addr", "127.0.0.1:7642", "control-plane listen address for -coordinator")
-	fs.DurationVar(&o.clusterTimeout, "cluster-timeout", 5*time.Minute, "cluster formation bound; also the -cluster watchdog abort")
+	fs.DurationVar(&o.clusterTimeout, "cluster-timeout", 5*time.Minute, "with -coordinator: bound on cluster formation, and on each wait for a heal before a query is retried")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 500*time.Millisecond, "coordinator ping spacing on worker control connections")
 	fs.DurationVar(&o.liveness, "liveness", 5*time.Second, "worker silence after which the coordinator declares it dead (min 2x -heartbeat)")
 	fs.DurationVar(&o.joinRetry, "join-retry", 0, "with -join: keep retrying a refused join for this long (a restarted worker must out-wait the failure detector); also re-join after eviction")
-	fs.BoolVar(&o.chaosMode, "chaos", false, "with -cluster: kill -9 workers mid-query and verify typed failure, re-join, and hash-identical recovery")
-	fs.IntVar(&o.chaosKills, "chaos-kills", 2, "kill/heal cycles for -chaos")
 	return fs
 }
 
-// checkModes rejects mode flags that only mean something together, and a
-// negative -deadline, which the engine would refuse every query for, so that
-// run's switch never reaches serve() — which builds a graph and listens until
-// signalled — with half of what was asked for dropped.
+// checkModes rejects -join with -coordinator, which are different processes,
+// and a negative -deadline, which the engine would refuse every query for,
+// so that run's switch never reaches a mode that builds a graph and listens
+// until signalled with half of what was asked for dropped.
 func checkModes(o *options) error {
-	member := o.join != "" || o.coordinator
 	switch {
 	case o.join != "" && o.coordinator:
 		return errors.New("-join and -coordinator are different processes; give one")
-	case member && (o.smoke || o.clusterMode || o.chaosMode):
-		return errors.New("-smoke, -cluster and -chaos start their own servers; they do not combine with -join or -coordinator")
-	case o.chaosMode && !o.clusterMode:
-		return errors.New("-chaos needs -cluster")
-	case o.clusterMode && !o.smoke && !o.chaosMode:
-		return errors.New("-cluster needs -smoke or -chaos")
-	case o.smoke && o.chaosMode:
-		return errors.New("-smoke and -chaos are separate drills; give one")
-	case o.deadline < 0:
+	case o.engine.DefaultDeadline < 0:
 		return errors.New("-deadline must not be negative")
 	}
 	return nil
@@ -190,10 +150,6 @@ func run(args []string) int {
 		err = runClusterWorker(&o)
 	case o.coordinator:
 		err = runClusterCoordinator(&o)
-	case o.chaosMode:
-		err = clusterChaos(&o)
-	case o.clusterMode:
-		err = clusterSmoke(&o)
 	default:
 		err = serve(&o)
 	}
@@ -204,43 +160,20 @@ func run(args []string) int {
 	return 0
 }
 
-// trafficConfig assembles the front-door plane's configuration from flags.
-func trafficConfig(o *options) traffic.Config {
-	return traffic.Config{
-		Quota: traffic.QuotaConfig{
-			Rate:  o.tenantRate,
-			Burst: o.tenantBurst,
-			Tick:  o.quotaTick,
-		},
-		CacheBytes: o.cacheBytes,
-	}
-}
-
-// memConfig assembles the facade memory config from the command line.
-func memConfig(o *options) havoqgt.MemoryConfig {
-	return havoqgt.MemoryConfig{
-		ResidentFraction: o.memBudget,
-		PageSize:         o.memPage,
-		DeviceLatency:    o.memLatency,
-		DeviceQueueDepth: o.memQueueDepth,
-		Dir:              o.memDir,
-	}
-}
-
-// memBanner describes the out-of-core set-up memConfig asks for. A zero
+// memBanner describes the out-of-core set-up -mem-* asks for. A zero
 // -mem-latency selects the device's own default, so it prints as "default",
 // not as a 0s device that does not exist; with -mem-dir there is no modeled
 // device at all.
-func memBanner(o *options) string {
-	device := "files under " + o.memDir
-	if o.memDir == "" {
+func memBanner(mem havoqgt.MemoryConfig) string {
+	device := "files under " + mem.Dir
+	if mem.Dir == "" {
 		latency := "default"
-		if o.memLatency > 0 {
-			latency = o.memLatency.String()
+		if mem.DeviceLatency > 0 {
+			latency = mem.DeviceLatency.String()
 		}
 		device = "simulated device, latency " + latency
 	}
-	return fmt.Sprintf("out-of-core: resident fraction %.4g (%s)", o.memBudget, device)
+	return fmt.Sprintf("out-of-core: resident fraction %.4g (%s)", mem.ResidentFraction, device)
 }
 
 // buildGraph loads or generates the resident graph.
@@ -254,9 +187,6 @@ func buildGraph(o *options) (*havoqgt.Graph, error) {
 		opts.Undirect = true
 		return havoqgt.NewGraph(edges, h.NumVertices, opts)
 	}
-	if o.model != "rmat" {
-		return nil, fmt.Errorf("unknown model %q", o.model)
-	}
 	return havoqgt.GenerateRMAT(o.scale, o.seed, opts)
 }
 
@@ -269,18 +199,13 @@ func serve(o *options) error {
 	if o.simLatency > 0 {
 		g.SetSimLatency(o.simLatency)
 	}
-	if o.memBudget < 1 {
-		if err := g.SetMemoryBudget(memConfig(o)); err != nil {
+	if o.mem.ResidentFraction < 1 {
+		if err := g.SetMemoryBudget(o.mem); err != nil {
 			return err
 		}
-		fmt.Println("havoqd: " + memBanner(o))
+		fmt.Println("havoqd: " + memBanner(o.mem))
 	}
-	e, err := g.StartEngine(havoqgt.EngineOptions{
-		MaxInFlight:     o.maxInFlight,
-		MaxQueue:        o.maxQueue,
-		DefaultDeadline: o.deadline,
-		Reliable:        o.reliable,
-	})
+	e, err := g.StartEngine(o.engine)
 	if err != nil {
 		return err
 	}
@@ -295,13 +220,8 @@ func serve(o *options) error {
 		return err
 	}
 	s.addr = ln.Addr().String()
-	srv := newHTTPServer(s.handler())
-	if o.smoke {
-		return smoke(o, s, srv, ln, e)
-	}
-
-	fmt.Printf("havoqd: listening on %s (max-in-flight=%d max-queue=%d)\n", ln.Addr(), o.maxInFlight, o.maxQueue)
-	err = serveUntilSignal(srv, ln)
+	fmt.Printf("havoqd: listening on %s (max-in-flight=%d max-queue=%d)\n", ln.Addr(), o.engine.MaxInFlight, o.engine.MaxQueue)
+	err = serveUntilSignal(newHTTPServer(s.handler()), ln)
 	s.close()
 	if cerr := e.Close(); err == nil {
 		err = cerr

@@ -11,12 +11,11 @@ import (
 // is a reviewed line in this list rather than a recount.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "cache-bytes", "chaos", "chaos-kills", "cluster", "cluster-addr",
-		"cluster-timeout", "coordinator", "deadline", "edgefactor", "heartbeat",
-		"in", "join", "join-retry", "liveness", "max-in-flight", "max-queue",
-		"mem-budget", "mem-dir", "mem-latency", "mem-page", "mem-queue-depth",
-		"mesh-addr", "model", "queries", "query-retries", "quota-tick", "ranks",
-		"reliable", "scale", "seed", "sim-latency", "simplify", "slot", "smoke",
+		"addr", "cache-bytes", "cluster-addr", "cluster-timeout", "coordinator",
+		"deadline", "heartbeat", "in", "join", "join-retry", "liveness",
+		"max-in-flight", "max-queue", "mem-budget", "mem-dir", "mem-latency",
+		"mem-page", "mem-queue-depth", "mesh-addr", "query-retries", "quota-tick",
+		"ranks", "reliable", "scale", "seed", "sim-latency", "simplify", "slot",
 		"tenant-burst", "tenant-rate", "topo", "workers",
 	}
 	var got []string
@@ -26,19 +25,17 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestRunRejectsModeConflicts: mode flags that only mean something together,
-// and a negative -deadline, exit 2 before any graph is built, instead of falling through to a server
-// that listens forever with half the request dropped.
+// TestRunRejectsModeConflicts: -join with -coordinator, a negative
+// -deadline, and the graph flags havoqd does not have (-edgefactor and
+// -model, which it once parsed and ignored) exit 2 before any graph is
+// built, instead of falling through to a server that listens forever with
+// half the request dropped.
 func TestRunRejectsModeConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-chaos"},
-		{"-cluster"},
-		{"-smoke", "-chaos", "-cluster"},
 		{"-join", "127.0.0.1:1", "-coordinator"},
-		{"-smoke", "-coordinator"},
-		{"-smoke", "-cluster", "-join", "127.0.0.1:1"},
-		{"-chaos", "-cluster", "-coordinator"},
 		{"-deadline", "-1ms"},
+		{"-edgefactor", "4"},
+		{"-model", "rmat"},
 	} {
 		done := make(chan int, 1)
 		go func() { done <- run(append(args, "-scale", "6", "-ranks", "2", "-addr", "127.0.0.1:0")) }()
@@ -53,18 +50,22 @@ func TestRunRejectsModeConflicts(t *testing.T) {
 	}
 }
 
-// TestMemBanner: the out-of-core banner names the device that will run, not
-// the flag's zero value.
+// TestMemBanner: the out-of-core banner names the device the -mem-* flags
+// select, not a flag's zero value.
 func TestMemBanner(t *testing.T) {
 	for _, tc := range []struct {
-		o    options
-		want string
+		flags []string
+		want  string
 	}{
-		{options{memBudget: 0.125}, "out-of-core: resident fraction 0.125 (simulated device, latency default)"},
-		{options{memBudget: 0.5, memLatency: 90 * time.Microsecond}, "out-of-core: resident fraction 0.5 (simulated device, latency 90µs)"},
-		{options{memBudget: 0.25, memDir: "/tmp/adj", memLatency: time.Second}, "out-of-core: resident fraction 0.25 (files under /tmp/adj)"},
+		{[]string{"-mem-budget", "0.125"}, "out-of-core: resident fraction 0.125 (simulated device, latency default)"},
+		{[]string{"-mem-budget", "0.5", "-mem-latency", "90us"}, "out-of-core: resident fraction 0.5 (simulated device, latency 90µs)"},
+		{[]string{"-mem-budget", "0.25", "-mem-dir", "/tmp/adj", "-mem-latency", "1s"}, "out-of-core: resident fraction 0.25 (files under /tmp/adj)"},
 	} {
-		if got := memBanner(&tc.o); got != tc.want {
+		var o options
+		if err := newFlagSet(&o).Parse(tc.flags); err != nil {
+			t.Fatal(err)
+		}
+		if got := memBanner(o.mem); got != tc.want {
 			t.Errorf("memBanner = %q, want %q", got, tc.want)
 		}
 	}

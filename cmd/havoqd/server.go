@@ -407,7 +407,7 @@ type server struct {
 // plane registers its metrics in the engine's registry, so /stats carries
 // traffic.* next to engine.* and mailbox.*.
 func newServer(g *havoqgt.Graph, e *havoqgt.Engine, o *options) *server {
-	tc := trafficConfig(o)
+	tc := o.traffic
 	tc.Registry = e.Metrics()
 	s := &server{g: g, e: e, frontEnd: frontEnd{
 		plane: traffic.New(tc), n: g.NumVertices(), version: g.Version, retries: o.queryRetries, started: time.Now(),

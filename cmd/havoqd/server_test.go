@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"havoqgt"
 	"havoqgt/internal/check"
 	"havoqgt/internal/obs"
 )
@@ -32,7 +31,7 @@ func testServer(t *testing.T, flags ...string) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := g.StartEngine(havoqgt.EngineOptions{MaxInFlight: o.maxInFlight, MaxQueue: o.maxQueue})
+	e, err := g.StartEngine(o.engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,14 +490,4 @@ func TestServerOverloadContract(t *testing.T) {
 		t.Errorf("served+shed+failed = %d, want %d", got, tenants*perTenant)
 	}
 	t.Logf("served %d, quota sheds %d, engine sheds %d", ok.Load(), quotaShed.Load(), engineShed.Load())
-}
-
-func TestSmokeMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke mode is a full end-to-end run")
-	}
-	code := run([]string{"-smoke", "-scale", "9", "-ranks", "4", "-queries", "12", "-addr", "127.0.0.1:0"})
-	if code != 0 {
-		t.Fatalf("smoke run exited %d", code)
-	}
 }
