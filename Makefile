@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzKCoreRound$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/kcore
 	$(GO) test -run=^$$ -fuzz=^FuzzSSSPRound$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/algos/sssp
 	$(GO) test -run=^$$ -fuzz=^FuzzQueryRequest$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./cmd/havoqd
+	$(GO) test -run=^$$ -fuzz=^FuzzResultPartial$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/cluster
 
 # Chaos harness (DESIGN.md §8): seeded fault plans × every algorithm × every
 # routing topology on a fault-injecting transport, plus the engine recovery

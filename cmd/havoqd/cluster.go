@@ -10,6 +10,7 @@ package main
 // queries fan out to every worker and assemble from master-range partials.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -122,7 +123,10 @@ func newCoordServer(c *cluster.Coordinator, o *options, addr string) *coordServe
 	s := &coordServer{c: c, healWait: o.clusterTimeout, frontEnd: frontEnd{
 		plane: traffic.New(o.traffic), n: c.NumVertices(), retries: o.queryRetries, addr: addr, started: time.Now(),
 	}}
-	s.exec = ladder(&s.frontEnd, c.Submit, s.retry)
+	s.exec = ladder(&s.frontEnd, func(spec engine.Spec) (*cluster.Query, error) {
+		spec.Deadline = cmp.Or(spec.Deadline, o.engine.DefaultDeadline) // deadline_ms 0: the server default
+		return c.Submit(spec)
+	}, s.retry)
 	return s
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"havoqgt"
+	"havoqgt/internal/check"
 	"havoqgt/internal/cluster"
 )
 
@@ -21,14 +22,15 @@ const coordBurst = 16
 
 // testCoordServer serves the coordinator's front end over a two-worker
 // cluster on the single-process test server's graph (scale 9, seed 7, 4
-// ranks, 2d, simplify). Call it after testServer, whose leak check then
-// covers both: a second baseline taken here would race the single server's
-// rank goroutines still starting.
-func testCoordServer(t *testing.T) *httptest.Server {
+// ranks, 2d, simplify), configured from its flags with extra ones appended.
+// Call it after testServer, whose leak check then covers both: a second
+// baseline taken here would race the single server's rank goroutines still
+// starting.
+func testCoordServer(t *testing.T, flags ...string) *httptest.Server {
 	t.Helper()
 	var o options
-	if err := newFlagSet(&o).Parse([]string{"-workers", "2", "-ranks", "4", "-scale", "9", "-seed", "7",
-		"-tenant-rate", "1", "-tenant-burst", strconv.Itoa(coordBurst), "-quota-tick", "1h"}); err != nil {
+	if err := newFlagSet(&o).Parse(append([]string{"-workers", "2", "-ranks", "4", "-scale", "9", "-seed", "7",
+		"-tenant-rate", "1", "-tenant-burst", strconv.Itoa(coordBurst), "-quota-tick", "1h"}, flags...)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := cluster.NewCoordinator("127.0.0.1:0", clusterCfg(&o), t.Logf)
@@ -168,5 +170,16 @@ func TestCoordServerEndpoints(t *testing.T) {
 	}
 	if !health.OK || !health.Cluster || len(health.Missing) != 0 {
 		t.Errorf("healthz: %+v, want ok, cluster, no missing slots", health)
+	}
+}
+
+// TestCoordServerDefaultDeadline: on the coordinator, as in the single
+// process, a request with deadline_ms 0 runs under -deadline. At 1ns the
+// deadline cancels the query as it starts, and the front door answers 504.
+func TestCoordServerDefaultDeadline(t *testing.T) {
+	check.NoLeaks(t)
+	ts := testCoordServer(t, "-deadline", "1ns")
+	if code, _, er := postQuery(t, ts, queryRequest{Algo: "pagerank", Iters: 64}); code != http.StatusGatewayTimeout || er.Code != codeTimeout {
+		t.Fatalf("status %d %+v, want 504 %s", code, er, codeTimeout)
 	}
 }

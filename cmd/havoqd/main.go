@@ -35,6 +35,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -117,38 +119,85 @@ func newFlagSet(o *options) *flag.FlagSet {
 	return fs
 }
 
+// mode is one of havoqd's processes.
+type mode uint8
+
+const (
+	single mode = 1 << iota // serve one resident graph (the default)
+	coord                   // -coordinator
+	worker                  // -join
+)
+
+func (m mode) String() string {
+	return map[mode]string{single: "single-process havoqd", coord: "-coordinator", worker: "-join"}[m]
+}
+
+// mode is the process o's flags ask for.
+func (o *options) mode() mode {
+	switch {
+	case o.join != "":
+		return worker
+	case o.coordinator:
+		return coord
+	}
+	return single
+}
+
+// readBy names the flags each set of modes reads. A cluster has no graph
+// file, no out-of-core pager and no simulated latency, and a worker has no
+// front door: the coordinator owns admission, deadlines and the traffic
+// plane. The mode flags themselves are read in every mode, to pick it.
+var readBy = map[mode]string{
+	single | coord | worker: "coordinator join scale seed ranks topo simplify max-in-flight reliable",
+	single | coord:          "addr deadline query-retries tenant-rate tenant-burst quota-tick cache-bytes",
+	single:                  "in max-queue sim-latency mem-budget mem-page mem-latency mem-queue-depth mem-dir",
+	coord:                   "cluster-addr cluster-timeout heartbeat liveness",
+	coord | worker:          "workers",
+	worker:                  "slot mesh-addr join-retry",
+}
+
 // checkModes rejects -join with -coordinator, which are different processes,
-// and a negative -deadline, which the engine would refuse every query for,
-// so that run's switch never reaches a mode that builds a graph and listens
-// until signalled with half of what was asked for dropped.
-func checkModes(o *options) error {
+// a negative -deadline, which the engine would refuse every query for, and
+// any flag set on fs's command line that the mode does not read, so that
+// run's switch never reaches a mode that builds a graph and listens until
+// signalled with part of what was asked for dropped.
+func checkModes(fs *flag.FlagSet, o *options) error {
 	switch {
 	case o.join != "" && o.coordinator:
 		return errors.New("-join and -coordinator are different processes; give one")
 	case o.engine.DefaultDeadline < 0:
 		return errors.New("-deadline must not be negative")
 	}
-	return nil
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for modes, names := range readBy {
+			if m := o.mode(); err == nil && modes&m == 0 && slices.Contains(strings.Fields(names), f.Name) {
+				err = fmt.Errorf("%s does not read -%s", m, f.Name)
+			}
+		}
+	})
+	return err
 }
 
 func run(args []string) int {
 	var o options
-	if err := newFlagSet(&o).Parse(args); err != nil {
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	if err := checkModes(&o); err != nil {
+	if err := checkModes(fs, &o); err != nil {
 		fmt.Fprintf(os.Stderr, "havoqd: %v\n", err)
 		return 2
 	}
 
 	var err error
-	switch {
-	case o.join != "":
+	switch o.mode() {
+	case worker:
 		err = runClusterWorker(&o)
-	case o.coordinator:
+	case coord:
 		err = runClusterCoordinator(&o)
 	default:
 		err = serve(&o)

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestFlagSurface pins havoqd's flags by name, so adding or removing a knob
@@ -25,27 +24,58 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestRunRejectsModeConflicts: -join with -coordinator, a negative
-// -deadline, and the graph flags havoqd does not have (-edgefactor and
-// -model, which it once parsed and ignored) exit 2 before any graph is
-// built, instead of falling through to a server that listens forever with
-// half the request dropped.
+// TestRunRejectsModeConflicts: every flag, set on the command line, is read
+// by its mode or refused, naming the flag and the mode, before any graph is
+// built — instead of falling through to a server that listens forever with
+// part of the request dropped. So are -join with -coordinator and a negative
+// -deadline; and the graph flags havoqd does not have (-edgefactor and
+// -model, which it once parsed and ignored) fail to parse.
 func TestRunRejectsModeConflicts(t *testing.T) {
-	for _, args := range [][]string{
-		{"-join", "127.0.0.1:1", "-coordinator"},
-		{"-deadline", "-1ms"},
-		{"-edgefactor", "4"},
-		{"-model", "rmat"},
+	const s, c, w = "single", "coordinator", "join"
+	modes := map[string][]string{s: nil, c: {"-coordinator"}, w: {"-join", "127.0.0.1:1"}}
+	for _, tc := range []struct {
+		flag, value string
+		readBy      string // the modes that read it
+	}{
+		{"addr", "127.0.0.1:0", s + c}, {"cache-bytes", "1", s + c}, {"cluster-addr", "127.0.0.1:0", c},
+		{"cluster-timeout", "1s", c}, {"coordinator", "false", s + c + w}, {"deadline", "1s", s + c},
+		{"heartbeat", "1s", c}, {"in", "g.hvqg", s}, {"join", "", s + c + w}, {"join-retry", "1s", w},
+		{"liveness", "1s", c}, {"max-in-flight", "2", s + c + w}, {"max-queue", "2", s},
+		{"mem-budget", "0.5", s}, {"mem-dir", "d", s}, {"mem-latency", "1us", s}, {"mem-page", "512", s},
+		{"mem-queue-depth", "2", s}, {"mesh-addr", "127.0.0.1:0", w}, {"query-retries", "1", s + c},
+		{"quota-tick", "1s", s + c}, {"ranks", "2", s + c + w}, {"reliable", "true", s + c + w},
+		{"scale", "6", s + c + w}, {"seed", "2", s + c + w}, {"sim-latency", "1us", s},
+		{"simplify", "false", s + c + w}, {"slot", "0", w}, {"tenant-burst", "1", s + c},
+		{"tenant-rate", "1", s + c}, {"topo", "1d", s + c + w}, {"workers", "2", c + w},
 	} {
-		done := make(chan int, 1)
-		go func() { done <- run(append(args, "-scale", "6", "-ranks", "2", "-addr", "127.0.0.1:0")) }()
-		select {
-		case code := <-done:
-			if code != 2 {
-				t.Errorf("havoqd %s: exit %d, want 2", strings.Join(args, " "), code)
+		for _, m := range []string{s, c, w} {
+			var o options
+			fs := newFlagSet(&o)
+			if err := fs.Parse(append(modes[m], "-"+tc.flag+"="+tc.value)); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("havoqd %s: still running after 10s, want exit 2", strings.Join(args, " "))
+			err := checkModes(fs, &o)
+			switch read := strings.Contains(tc.readBy, m); {
+			case read && err != nil:
+				t.Errorf("-%s in %s mode: %v", tc.flag, m, err)
+			case !read && (err == nil || !strings.Contains(err.Error(), "-"+tc.flag) || !strings.Contains(err.Error(), o.mode().String())):
+				t.Errorf("-%s in %s mode: error %v, want a refusal naming the flag and %q", tc.flag, m, err, o.mode())
+			}
+		}
+	}
+	for _, args := range [][]string{{"-join", "127.0.0.1:1", "-coordinator"}, {"-deadline", "-1ms"}} {
+		var o options
+		fs := newFlagSet(&o)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if checkModes(fs, &o) == nil {
+			t.Errorf("havoqd %s: accepted", strings.Join(args, " "))
+		}
+	}
+	for _, args := range [][]string{{"-edgefactor", "4"}, {"-model", "rmat"}} {
+		if newFlagSet(new(options)).Parse(args) == nil {
+			t.Errorf("havoqd %s: parsed", strings.Join(args, " "))
 		}
 	}
 }

@@ -145,9 +145,10 @@ func TestServeSmoke(t *testing.T) {
 // TestClusterSmoke forms a cluster of an in-process coordinator and 4
 // `havoqd -join` worker processes on a scale-12 graph (one rank each), runs
 // every query type through it — three sources for those that read one,
-// deduplicated by engine.Canonical — and requires every result hash to be
-// the in-process engine's on the same graph, and every worker to exit 0 on
-// the shutdown broadcast.
+// deduplicated by engine.Canonical, and a sampled triangle count, so every
+// parameter the query table reads crosses processes — and requires every
+// result hash to be the in-process engine's on the same graph, and every
+// worker to exit 0 on the shutdown broadcast.
 func TestClusterSmoke(t *testing.T) {
 	check.NoLeaks(t)
 	flags := []string{"-workers", "4", "-ranks", "4", "-scale", "12"}
@@ -170,7 +171,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	n := c.NumVertices()
-	var specs []engine.Spec
+	specs := []engine.Spec{{Algo: engine.AlgoTriangles, SampleProb: 0.25, SampleSeed: 3}}
 	for _, a := range engine.Algos() {
 		for i := uint64(0); i < 3; i++ {
 			spec := engine.Canonical(engine.Spec{Algo: a, Source: graph.Vertex(xrand.Mix64(i+42) % n),
@@ -192,7 +193,7 @@ func TestClusterSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", specs[i], err)
 		}
-		got[i] = cluster.HashResult(res)
+		got[i] = cluster.HashResult(specs[i], n, res)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -217,7 +218,7 @@ func TestClusterSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := cluster.HashResult(tk.Wait()); got[i] != want {
+		if want := cluster.HashResult(spec, n, tk.Wait()); got[i] != want {
 			t.Errorf("%+v: cluster hash %016x, in-process %016x", spec, got[i], want)
 		}
 	}

@@ -182,21 +182,10 @@ func (req *queryRequest) spec(n uint64) (engine.Spec, error) {
 }
 
 // collapseKey is the identity under which equivalent requests collapse and
-// results cache: the canonical spec — so a field the query type does not
-// read, or a default spelled out, cannot split one question into two keys —
-// plus the rest of what shapes the answer bytes, and the graph version so a
-// snapshot swap invalidates by key mismatch.
+// results cache: the canonical spec, whether the answer is full, and the
+// graph version so a snapshot swap invalidates by key mismatch.
 func collapseKey(spec engine.Spec, req *queryRequest, version uint64) traffic.Key {
-	return traffic.Key{
-		Algo:       string(spec.Algo),
-		Source:     uint64(spec.Source),
-		WeightSeed: spec.WeightSeed,
-		K:          spec.K,
-		Iters:      spec.Iters,
-		Full:       req.Full,
-		DeadlineMS: req.DeadlineMS,
-		Version:    version,
-	}
+	return traffic.Key{Spec: spec, Full: req.Full, Version: version}
 }
 
 func (f *frontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"havoqgt"
 	"havoqgt/internal/check"
 	"havoqgt/internal/engine"
+	"havoqgt/internal/graph"
 )
 
 // startWorkers launches n worker goroutines against the coordinator and
@@ -44,12 +46,15 @@ func drainWorkers(t *testing.T, errs chan error, n int) {
 }
 
 // TestClusterMatchesInProcess is the core equivalence check: a multi-worker
-// cluster (separate machines glued by the real TCP mesh) must produce
-// byte-identical deterministic results — BFS levels, SSSP distances, CC
-// labels — to the single-process engine on the same generated graph.
+// cluster (separate machines glued by the real TCP mesh) must produce the
+// same deterministic results — every array a query type ships, and its
+// total — as the single-process engine on the same generated graph. The
+// sampled triangle count holds the cluster to every parameter the query
+// reads: a worker that counted every wedge answered the exact count, four
+// times the sample.
 func TestClusterMatchesInProcess(t *testing.T) {
 	check.NoLeaks(t)
-	cfg := ClusterConfig{Workers: 2, Ranks: 4, Scale: 9, Seed: 42}
+	cfg := ClusterConfig{Workers: 2, Ranks: 4, Scale: 9, Seed: 42, Simplify: true}
 	c, err := NewCoordinator("127.0.0.1:0", cfg, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -60,103 +65,58 @@ func TestClusterMatchesInProcess(t *testing.T) {
 	}
 
 	const source, wseed = 3, 7
-	qBFS, err := c.Submit(engine.Spec{Algo: engine.AlgoBFS, Source: source})
-	if err != nil {
-		t.Fatal(err)
+	specs := []engine.Spec{
+		{Algo: engine.AlgoBFS, Source: source},
+		{Algo: engine.AlgoSSSP, Source: source, WeightSeed: wseed},
+		{Algo: engine.AlgoCC},
+		{Algo: engine.AlgoBFSDO, Source: source},
+		{Algo: engine.AlgoKCore, K: 4},
+		{Algo: engine.AlgoPageRank, Iters: 8},
+		{Algo: engine.AlgoTriangles},
+		{Algo: engine.AlgoTriangles, SampleProb: 0.25, SampleSeed: 3},
 	}
-	qSSSP, err := c.Submit(engine.Spec{Algo: engine.AlgoSSSP, Source: source, WeightSeed: wseed})
-	if err != nil {
-		t.Fatal(err)
+	queries := make([]*Query, len(specs))
+	for i, spec := range specs {
+		if queries[i], err = c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	qCC, err := c.Submit(engine.Spec{Algo: engine.AlgoCC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qDO, err := c.Submit(engine.Spec{Algo: engine.AlgoBFSDO, Source: source})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qPR, err := c.Submit(engine.Spec{Algo: engine.AlgoPageRank, Iters: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qTri, err := c.Submit(engine.Spec{Algo: engine.AlgoTriangles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resBFS, err := qBFS.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSSSP, err := qSSSP.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resCC, err := qCC.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resDO, err := qDO.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPR, err := qPR.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resTri, err := qTri.Wait()
-	if err != nil {
-		t.Fatal(err)
+	got := make([]*engine.Result, len(specs))
+	for i, q := range queries {
+		if got[i], err = q.Wait(); err != nil {
+			t.Fatalf("%+v: %v", specs[i], err)
+		}
 	}
 
 	// In-process reference on the identical generated graph.
-	g, err := havoqgt.GenerateRMAT(cfg.Scale, cfg.Seed, havoqgt.Options{Ranks: cfg.Ranks})
+	g, err := havoqgt.GenerateRMAT(cfg.Scale, cfg.Seed, havoqgt.Options{Ranks: cfg.Ranks, Simplify: cfg.Simplify})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBFS, err := g.BFS(source)
+	e, err := g.StartEngine(havoqgt.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSSSP, err := g.ShortestPaths(source, wseed)
-	if err != nil {
-		t.Fatal(err)
+	defer e.Close()
+	for i, spec := range specs {
+		tk, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := got[i], tk.Wait()
+		if !slices.Equal(a.Levels, b.Levels) || !slices.Equal(a.Dist, b.Dist) || !slices.Equal(a.Labels, b.Labels) ||
+			!slices.Equal(a.InCore, b.InCore) || !slices.Equal(a.Ranks, b.Ranks) {
+			t.Errorf("%+v: the cluster's arrays differ from the in-process engine's", spec)
+		}
+		if a.Components != b.Components || a.CoreSize != b.CoreSize || a.Triangles != b.Triangles {
+			t.Errorf("%+v: cluster totals %d/%d/%d, in-process %d/%d/%d (components/core/triangles)",
+				spec, a.Components, a.CoreSize, a.Triangles, b.Components, b.CoreSize, b.Triangles)
+		}
+		if a.Parents != nil {
+			t.Errorf("%+v: the cluster assembled parents, which depend on arrival order", spec)
+		}
 	}
-	refCC, err := g.Components()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPR, err := g.PageRank(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTri, err := g.CountTriangles()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := HashResult(resBFS), HashU32s(refBFS.Levels); got != want {
-		t.Errorf("bfs levels hash: cluster %016x, in-process %016x", got, want)
-	}
-	if got, want := HashResult(resSSSP), HashU64s(refSSSP.Distances); got != want {
-		t.Errorf("sssp dist hash: cluster %016x, in-process %016x", got, want)
-	}
-	if got, want := HashResult(resCC), HashVertices(refCC.Labels); got != want {
-		t.Errorf("cc labels hash: cluster %016x, in-process %016x", got, want)
-	}
-	if resCC.Components != refCC.Count {
-		t.Errorf("components: cluster %d, in-process %d", resCC.Components, refCC.Count)
-	}
-	if got, want := HashResult(resDO), HashU32s(refBFS.Levels); got != want {
-		t.Errorf("bfs_do levels hash: cluster %016x, in-process top-down %016x", got, want)
-	}
-	if got, want := HashResult(resPR), HashU64s(refPR.Ranks); got != want {
-		t.Errorf("pagerank hash: cluster %016x, in-process %016x", got, want)
-	}
-	if resTri.Triangles != refTri {
-		t.Errorf("triangles: cluster %d, in-process %d", resTri.Triangles, refTri)
-	}
-	if resBFS.Waves == 0 {
+	if got[0].Waves == 0 {
 		t.Error("cluster BFS reported zero termination waves")
 	}
 
@@ -414,45 +374,61 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestAddPartialRefusesMisfits feeds result partials to a query over two
-// workers on 16 vertices. One that does not fit the query — a vertex range
-// outside [0, n), inverted or overlapping another worker's, an array the
-// query type does not fill or of the wrong length, a second report from one
-// slot — must fail the query with an error naming the sender's slot: never
-// panic the connection goroutine. Partials that fit one by one but leave
-// part of the range unreported fail the query at completion: it never
-// assembles a result with a hole in it.
+// partial is one worker slot's result message.
+type partial struct {
+	slot int
+	m    msg
+}
+
+func levels(lo, hi uint64) msg {
+	return msg{Type: "result", Lo: lo, Hi: hi, Part: &engine.Result{Levels: make([]uint32, hi-lo)}}
+}
+
+// misfits are result partials for a query over two workers on 16 vertices,
+// and why the query refuses them ("": it assembles).
+var misfits = []struct {
+	name     string
+	algo     engine.Algo
+	partials []partial
+	refusal  string // in the query's error; "": the query assembles
+}{
+	{"fits", engine.AlgoBFS, []partial{{1, levels(8, 16)}, {0, levels(0, 8)}}, ""},
+	{"range past n", engine.AlgoBFS, []partial{{1, levels(8, 100)}}, "refused worker 1's"},
+	{"inverted range", engine.AlgoBFS, []partial{{0, msg{Type: "result", Lo: 8, Hi: 4}}}, "refused worker 0's"},
+	{"levels on kcore", engine.AlgoKCore, []partial{{0, levels(0, 8)}}, "refused worker 0's"},
+	{"labels missing", engine.AlgoCC, []partial{{1, msg{Type: "result", Lo: 8, Hi: 16}}}, "refused worker 1's"},
+	{"dist short", engine.AlgoSSSP, []partial{{0, msg{Type: "result", Lo: 0, Hi: 8,
+		Part: &engine.Result{Dist: make([]uint64, 4)}}}}, "refused worker 0's"},
+	{"parents shipped", engine.AlgoBFS, []partial{{0, msg{Type: "result", Lo: 0, Hi: 8,
+		Part: &engine.Result{Levels: make([]uint32, 8), Parents: make([]graph.Vertex, 8)}}}}, "refused worker 0's"},
+	{"second report", engine.AlgoBFS, []partial{{0, levels(0, 8)}, {0, levels(0, 8)}}, "refused worker 0's"},
+	{"overlapping ranges", engine.AlgoBFS, []partial{{0, levels(0, 8)}, {1, levels(0, 8)}}, "refused worker 1's"},
+	{"range gap", engine.AlgoBFS, []partial{{0, levels(0, 4)}, {1, levels(8, 16)}}, "cover 12 of 16 vertices"},
+}
+
+// pendingQuery is a query of spec over two workers on n vertices, submitted
+// as Coordinator.Submit registers one, with no worker to send it to.
+func pendingQuery(spec engine.Spec, n uint64) (*Coordinator, *Query) {
+	c := &Coordinator{n: n, cfg: ClusterConfig{Workers: 2}, queries: map[uint32]*Query{}, sem: make(chan struct{}, 1)}
+	c.sem <- struct{}{} // the query's admission slot
+	q := &Query{c: c, id: 1, spec: spec, res: engine.Part(spec, engine.NewResult(spec, n), 0, n),
+		spans: make([]span, 2), pending: 2, done: make(chan struct{})}
+	c.queries[q.id] = q
+	return c, q
+}
+
+// TestAddPartialRefusesMisfits feeds the misfits to their queries. One that
+// does not fit the query — a vertex range outside [0, n), inverted or
+// overlapping another worker's, an array the query type does not ship or of
+// the wrong length, a second report from one slot — must fail the query with
+// an error naming the sender's slot: never panic the connection goroutine.
+// Partials that fit one by one but leave part of the range unreported fail
+// the query at completion: it never assembles a result with a hole in it.
 func TestAddPartialRefusesMisfits(t *testing.T) {
 	const n = 16
-	type partial struct {
-		slot int
-		m    msg
-	}
-	levels := func(lo, hi uint64) msg { return msg{Lo: lo, Hi: hi, Levels: make([]uint32, hi-lo)} }
-	for _, tc := range []struct {
-		name     string
-		algo     engine.Algo
-		partials []partial
-		refusal  string // in the query's error; "": the query assembles
-	}{
-		{"fits", engine.AlgoBFS, []partial{{1, levels(8, 16)}, {0, levels(0, 8)}}, ""},
-		{"range past n", engine.AlgoBFS, []partial{{1, levels(8, 100)}}, "refused worker 1's"},
-		{"inverted range", engine.AlgoBFS, []partial{{0, msg{Lo: 8, Hi: 4}}}, "refused worker 0's"},
-		{"levels on kcore", engine.AlgoKCore, []partial{{0, levels(0, 8)}}, "refused worker 0's"},
-		{"labels missing", engine.AlgoCC, []partial{{1, msg{Lo: 8, Hi: 16}}}, "refused worker 1's"},
-		{"dist short", engine.AlgoSSSP, []partial{{0, msg{Lo: 0, Hi: 8, Dist: make([]uint64, 4)}}}, "refused worker 0's"},
-		{"second report", engine.AlgoBFS, []partial{{0, levels(0, 8)}, {0, levels(0, 8)}}, "refused worker 0's"},
-		{"overlapping ranges", engine.AlgoBFS, []partial{{0, levels(0, 8)}, {1, levels(0, 8)}}, "refused worker 1's"},
-		{"range gap", engine.AlgoBFS, []partial{{0, levels(0, 4)}, {1, levels(8, 16)}}, "cover 12 of 16 vertices"},
-	} {
+	for _, tc := range misfits {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Coordinator{n: n, cfg: ClusterConfig{Workers: 2}, queries: map[uint32]*Query{}, sem: make(chan struct{}, 1)}
-			c.sem <- struct{}{} // the query's admission slot
-			spec := engine.Canonical(engine.Spec{Algo: tc.algo, K: 2})
-			q := &Query{c: c, id: 1, spec: spec, res: engine.NewResult(spec, n),
-				spans: make([]span, 2), pending: 2, done: make(chan struct{})}
-			q.res.Parents = nil
-			c.queries[q.id] = q
+			c, q := pendingQuery(engine.Canonical(engine.Spec{Algo: tc.algo, K: 2}), n)
 			for _, p := range tc.partials {
 				q.addPartial(p.slot, &p.m)
 			}
@@ -473,4 +449,59 @@ func TestAddPartialRefusesMisfits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzResultPartial decodes its bytes as one control-plane result line from
+// worker 0 and feeds it, then a fitting partial from worker 1 for vertices
+// [8, 16), to a two-worker, 16-vertex query of the fuzz-chosen type. Nothing
+// may panic, and a query that assembles without error has every vertex
+// covered by exactly one worker and every array its type ships 16 long. The
+// seeds are the misfits' partials.
+func FuzzResultPartial(f *testing.F) {
+	const n = 16
+	types := engine.Algos()
+	for _, tc := range misfits {
+		for _, p := range tc.partials {
+			line, err := json.Marshal(&p.m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(slices.Index(types, tc.algo)), line)
+		}
+	}
+	f.Fuzz(func(t *testing.T, algo uint8, line []byte) {
+		var m msg
+		if json.Unmarshal(line, &m) != nil || m.Type != "result" {
+			return
+		}
+		spec := engine.Canonical(engine.Spec{Algo: types[int(algo)%len(types)], K: 2})
+		_, q := pendingQuery(spec, n)
+		q.addPartial(0, &m)
+		q.addPartial(1, &msg{Type: "result", Lo: n / 2, Hi: n, Part: engine.Part(spec, engine.NewResult(spec, n), n/2, n)})
+		select {
+		case <-q.Done():
+		default:
+			t.Fatalf("%s: query still pending after both partials of %q", spec.Algo, line)
+		}
+		res, err := q.Wait()
+		if err != nil {
+			return
+		}
+		var covered [n]int
+		for _, s := range q.spans {
+			for v := s.lo; v < s.hi; v++ {
+				covered[v]++
+			}
+		}
+		for v, k := range covered {
+			if k != 1 {
+				t.Fatalf("%s: assembled %q with vertex %d covered %d times", spec.Algo, line, v, k)
+			}
+		}
+		// Merge accepts a part over every vertex only if each array the type
+		// ships is n long and it carries no other.
+		if err := engine.Merge(spec, engine.NewResult(spec, n), res, 0, n); err != nil {
+			t.Fatalf("%s: assembled %q into a misfit result: %v", spec.Algo, line, err)
+		}
+	})
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"havoqgt/internal/engine"
-	"havoqgt/internal/graph"
 )
 
 // ErrCoordinatorClosed reports a Submit after Close.
@@ -499,7 +498,6 @@ type Query struct {
 	spans     []span // by slot: the vertex range its partial filled
 	covered   uint64 // vertices the accepted partials filled, summed
 	pending   int
-	accumSum  uint64
 	errDetail []string
 	failErr   error // terminal typed failure (worker lost)
 	finished  bool
@@ -539,45 +537,51 @@ func (c *Coordinator) Submit(spec engine.Spec) (*Query, error) {
 		c:       c,
 		id:      c.nextQID,
 		spec:    spec,
-		res:     engine.NewResult(spec, c.n),
+		res:     engine.Part(spec, engine.NewResult(spec, c.n), 0, c.n), // what workers ship, for every vertex
 		spans:   make([]span, c.cfg.Workers),
 		pending: c.cfg.Workers,
 		done:    make(chan struct{}),
 	}
-	// Parents depend on arrival order, so workers never ship them.
-	q.res.Parents = nil
 	c.nextQID++
 	c.queries[q.id] = q
 	conns := append([]*wconn(nil), c.workers...)
 	c.mu.Unlock()
 
-	if spec.Deadline > 0 {
-		q.timer = time.AfterFunc(spec.Deadline, q.Cancel)
-	}
-	sub := msg{
-		Type: "submit", QID: q.id, Algo: string(spec.Algo),
-		Source: uint64(spec.Source), WeightSeed: spec.WeightSeed, K: spec.K,
-		Iters: spec.Iters,
-	}
+	wire := engine.Canonical(spec)
+	wire.Deadline, wire.Resume = 0, nil
+	sub := msg{Type: "submit", QID: q.id, Spec: &wire}
 	for _, w := range conns {
 		if w != nil {
 			w.send(sub)
 		}
+	}
+	// Armed once every worker has the submit, so a deadline's cancel can
+	// never overtake it and be dropped by a worker that has no such query.
+	if spec.Deadline > 0 {
+		q.mu.Lock()
+		if !q.finished {
+			q.timer = time.AfterFunc(spec.Deadline, q.Cancel)
+		}
+		q.mu.Unlock()
 	}
 	return q, nil
 }
 
 // addPartial folds worker slot's master-range result into the assembly; the
 // last worker to report completes the query. A partial that does not fit the
-// query (checkPartial) fails it instead: the coordinator slices its arrays
-// with the worker's bounds, so it never trusts them.
+// query (checkPartial, engine.Merge) fails it instead: the coordinator
+// places its arrays by the worker's bounds, so it never trusts them.
 func (q *Query) addPartial(slot int, m *msg) {
 	q.mu.Lock()
 	if q.finished {
 		q.mu.Unlock()
 		return
 	}
-	if err := q.checkPartial(slot, m); err != nil {
+	err := q.checkPartial(slot, m)
+	if err == nil {
+		err = engine.Merge(q.spec, q.res, m.Part, m.Lo, m.Hi)
+	}
+	if err != nil {
 		q.finish(fmt.Errorf("cluster: query %d: refused worker %d's partial: %w", q.id, slot, err))
 		return
 	}
@@ -586,27 +590,11 @@ func (q *Query) addPartial(slot int, m *msg) {
 	if m.Err != "" {
 		q.errDetail = append(q.errDetail, m.Err)
 	}
-	switch {
-	case m.Levels != nil:
-		copy(q.res.Levels[m.Lo:m.Hi], m.Levels)
-	case m.Dist != nil:
-		copy(q.res.Dist[m.Lo:m.Hi], m.Dist)
-	case m.Labels != nil:
-		dst := q.res.Labels[m.Lo:m.Hi]
-		for i, v := range m.Labels {
-			dst[i] = graph.Vertex(v)
+	if p := m.Part; p != nil {
+		if m.Lo == 0 && m.Hi > 0 {
+			q.res.Waves = p.Waves // detector root lives on rank 0's worker
 		}
-	case m.InCore != nil:
-		copy(q.res.InCore[m.Lo:m.Hi], m.InCore)
-	case m.Ranks != nil:
-		copy(q.res.Ranks[m.Lo:m.Hi], m.Ranks)
-	}
-	q.accumSum += m.Accum
-	if m.Lo == 0 && m.Hi > 0 {
-		q.res.Waves = m.Waves // detector root lives on rank 0's worker
-	}
-	if m.Cancelled {
-		q.res.Cancelled = true
+		q.res.Cancelled = q.res.Cancelled || p.Cancelled
 	}
 	if q.pending--; q.pending > 0 {
 		q.mu.Unlock()
@@ -619,9 +607,6 @@ func (q *Query) addPartial(slot int, m *msg) {
 		q.finish(fmt.Errorf("cluster: query %d: the workers' partials cover %d of %d vertices", q.id, q.covered, q.c.n))
 		return
 	}
-	if total := q.spec.Algo.Total(q.res); total != nil {
-		*total = q.accumSum
-	}
 	q.finish(nil)
 }
 
@@ -632,9 +617,9 @@ type span struct {
 }
 
 // checkPartial is why q, with q.mu held, refuses worker slot's partial m: a
-// second report from the slot, a vertex range outside [0, n), inverted or
-// overlapping another worker's, or an array the query type does not fill or
-// not as long as the range. nil accepts m.
+// second report from the slot, or a vertex range outside [0, n), inverted or
+// overlapping another worker's. nil accepts m; engine.Merge then checks its
+// arrays.
 func (q *Query) checkPartial(slot int, m *msg) error {
 	if q.spans[slot].ok {
 		return errors.New("the worker already reported")
@@ -645,26 +630,6 @@ func (q *Query) checkPartial(slot int, m *msg) error {
 	for other, s := range q.spans {
 		if s.ok && m.Lo < s.hi && s.lo < m.Hi {
 			return fmt.Errorf("vertex range [%d, %d) overlaps worker %d's [%d, %d)", m.Lo, m.Hi, other, s.lo, s.hi)
-		}
-	}
-	span := int(m.Hi - m.Lo)
-	for _, a := range []struct {
-		name  string
-		fills bool // the query type fills this array
-		got   int
-	}{
-		{"levels", q.res.Levels != nil, len(m.Levels)},
-		{"dist", q.res.Dist != nil, len(m.Dist)},
-		{"labels", q.res.Labels != nil, len(m.Labels)},
-		{"inCore", q.res.InCore != nil, len(m.InCore)},
-		{"ranks", q.res.Ranks != nil, len(m.Ranks)},
-	} {
-		want := 0
-		if a.fills {
-			want = span
-		}
-		if a.got != want {
-			return fmt.Errorf("%d %s entries for vertex range [%d, %d), want %d", a.got, a.name, m.Lo, m.Hi, want)
 		}
 	}
 	return nil

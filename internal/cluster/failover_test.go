@@ -105,7 +105,7 @@ func TestKillAndRejoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = HashResult(tk.Wait())
+		want[i] = HashResult(spec, g.NumVertices(), tk.Wait())
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestKillAndRejoin(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %s: %v", what, spec.Algo, err)
 			}
-			if got := HashResult(res); got != want[i] {
+			if got := HashResult(spec, c.NumVertices(), res); got != want[i] {
 				t.Fatalf("%s: %s hash: cluster %016x, in-process %016x", what, spec.Algo, got, want[i])
 			}
 		}
@@ -187,7 +187,7 @@ func TestKillAndRejoin(t *testing.T) {
 			res, err := q.Wait()
 			switch {
 			case err == nil:
-				if got := HashResult(res); got != want[asked[j]] {
+				if got := HashResult(specs[asked[j]], c.NumVertices(), res); got != want[asked[j]] {
 					t.Errorf("cycle %d: query %d completed but hash %016x != %016x", cycle, j, got, want[asked[j]])
 				}
 			case errors.Is(err, ErrWorkerLost):

@@ -1,82 +1,23 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
 
 	"havoqgt/internal/engine"
-	"havoqgt/internal/graph"
 )
 
-// Result hashing for cluster-vs-in-process equivalence checks. Only the
-// DETERMINISTIC output of each traversal is hashed: BFS levels, SSSP
-// distances, and component labels are fixpoints of monotone updates and do
-// not depend on message timing or partition boundaries. Parent arrays are
-// excluded on purpose — under asynchronous execution a vertex may be reached
-// first through any of several equal-length paths, so parents legitimately
-// differ between two correct runs.
-
-// HashU32s digests a uint32 array (BFS levels).
-func HashU32s(vals []uint32) uint64 {
+// HashResult digests res, spec's result over an n-vertex graph, for
+// cluster-vs-in-process equivalence checks: engine.Part of every vertex —
+// the arrays the query type ships and its total — with Waves cleared. Parts
+// leave out what depends on message timing (parent arrays: a vertex reached
+// along several equal-length paths keeps whichever arrived first), so two
+// correct runs hash the same, in one process or across many.
+func HashResult(spec engine.Spec, n uint64, res *engine.Result) uint64 {
+	part := engine.Part(spec, res, 0, n)
+	part.Waves = 0
+	b, _ := json.Marshal(part) // a Result holds only integers, bools and slices of them
 	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(b[:], v)
-		h.Write(b[:])
-	}
+	h.Write(b)
 	return h.Sum64()
-}
-
-// HashU64s digests a uint64 array (SSSP distances).
-func HashU64s(vals []uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
-
-// HashVertices digests a vertex array (CC labels).
-func HashVertices(vals []graph.Vertex) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
-
-// HashResult digests a result's deterministic arrays: levels for BFS (both
-// the top-down and direction-optimizing variants), distances for SSSP, labels
-// for CC, fixed-point ranks for PageRank. Scalar-only results (triangle
-// counting) hash the count itself. Returns 0 for results with no
-// deterministic output (k-core membership is deterministic too, so it is
-// included when present).
-func HashResult(res *engine.Result) uint64 {
-	switch {
-	case res.Levels != nil:
-		return HashU32s(res.Levels)
-	case res.Dist != nil:
-		return HashU64s(res.Dist)
-	case res.Labels != nil:
-		return HashVertices(res.Labels)
-	case res.Ranks != nil:
-		return HashU64s(res.Ranks)
-	case res.Triangles != 0:
-		return HashU64s([]uint64{res.Triangles})
-	case res.InCore != nil:
-		h := fnv.New64a()
-		for _, in := range res.InCore {
-			if in {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
-			}
-		}
-		return h.Sum64()
-	}
-	return 0
 }

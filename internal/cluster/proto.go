@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"havoqgt/internal/engine"
 )
 
 // Version names the protocol a worker speaks. Joins from any other version
@@ -56,7 +58,11 @@ import (
 // then count records of one width — instead of a 12-byte header per record;
 // a /7 worker would decode a run header as a record header and deliver
 // garbage.
-const Version = "havoqd-cluster/8"
+// Version 9: a submit carries the query as its engine.Spec, a triangle
+// sample's parameters included (/8 dropped them and counted every wedge), and
+// a result its engine.Part, instead of fields of their own; a /8
+// coordinator's submit would reach a /9 worker with no query in it.
+const Version = "havoqd-cluster/9"
 
 // Handshake refusals, typed so workers (and their operators) can tell
 // configuration mistakes apart from infrastructure failures. The coordinator
@@ -255,24 +261,16 @@ type msg struct {
 	Workers []workerInfo `json:"workers,omitempty"`
 
 	// submit / cancel / result
-	QID        uint32 `json:"qid,omitempty"`
-	Algo       string `json:"algo,omitempty"`
-	Source     uint64 `json:"source,omitempty"`
-	WeightSeed uint64 `json:"weightSeed,omitempty"`
-	K          uint32 `json:"k,omitempty"`
-	Iters      uint32 `json:"iters,omitempty"`
+	QID uint32 `json:"qid,omitempty"`
+	// submit: the query, canonical, with no deadline (the coordinator owns
+	// it) and no resume checkpoint (a cluster query runs fresh).
+	Spec *engine.Spec `json:"spec,omitempty"`
 
 	// result: the worker's contiguous master range [Lo, Hi) of the global
-	// vertex space plus the per-algorithm array slice over it.
-	Lo        uint64   `json:"vlo,omitempty"`
-	Hi        uint64   `json:"vhi,omitempty"`
-	Levels    []uint32 `json:"levels,omitempty"`
-	Dist      []uint64 `json:"dist,omitempty"`
-	Labels    []uint64 `json:"labels,omitempty"`
-	InCore    []bool   `json:"inCore,omitempty"`
-	Ranks     []uint64 `json:"ranks,omitempty"`
-	Accum     uint64   `json:"accum,omitempty"` // worker-local component/core/triangle sum
-	Waves     uint64   `json:"waves,omitempty"` // detector waves (slot hosting rank 0 only)
-	Cancelled bool     `json:"cancelled,omitempty"`
-	Err       string   `json:"err,omitempty"`
+	// vertex space and engine.Part of its result over that range. Waves
+	// counts only on the slot hosting rank 0, whose detector is the root.
+	Lo   uint64         `json:"vlo,omitempty"`
+	Hi   uint64         `json:"vhi,omitempty"`
+	Part *engine.Result `json:"part,omitempty"`
+	Err  string         `json:"err,omitempty"`
 }

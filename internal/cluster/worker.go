@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/engine"
 	"havoqgt/internal/generators"
-	"havoqgt/internal/graph"
 	hnet "havoqgt/internal/net"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
@@ -260,13 +260,7 @@ serve:
 		case "ping":
 			send(&msg{Type: "pong", Slot: slot})
 		case "submit":
-			spec := engine.Spec{
-				Algo:       engine.Algo(m.Algo),
-				Source:     graph.Vertex(m.Source),
-				WeightSeed: m.WeightSeed,
-				K:          m.K,
-				Iters:      m.Iters,
-			}
+			spec := *cmp.Or(m.Spec, new(engine.Spec)) // a submit with none is refused as an unknown query type
 			tk, err := eng.SubmitRemote(m.QID, spec)
 			if err != nil {
 				send(&msg{Type: "result", QID: m.QID, Err: err.Error()})
@@ -282,7 +276,7 @@ serve:
 				mu.Lock()
 				delete(tickets, qid)
 				mu.Unlock()
-				send(resultMsg(qid, spec.Algo, res, gLo, gHi))
+				send(&msg{Type: "result", QID: qid, Lo: gLo, Hi: gHi, Part: engine.Part(spec, res, gLo, gHi)})
 			}(m.QID, tk)
 		case "cancel":
 			mu.Lock()
@@ -340,30 +334,4 @@ func layoutPeers(infos []workerInfo, self int) map[int]string {
 		}
 	}
 	return peers
-}
-
-// resultMsg packages one query's worker-local outcome: the master-range
-// slice of the deterministic arrays, the worker-local total of the query
-// type's scalar, and (from rank 0's host only) the detector wave count.
-func resultMsg(qid uint32, algo engine.Algo, res *engine.Result, gLo, gHi uint64) *msg {
-	m := &msg{Type: "result", QID: qid, Lo: gLo, Hi: gHi, Cancelled: res.Cancelled, Waves: res.Waves}
-	if total := algo.Total(res); total != nil {
-		m.Accum = *total
-	}
-	switch {
-	case res.Levels != nil:
-		m.Levels = res.Levels[gLo:gHi]
-	case res.Dist != nil:
-		m.Dist = res.Dist[gLo:gHi]
-	case res.Labels != nil:
-		m.Labels = make([]uint64, gHi-gLo)
-		for i, v := range res.Labels[gLo:gHi] {
-			m.Labels[i] = uint64(v)
-		}
-	case res.InCore != nil:
-		m.InCore = res.InCore[gLo:gHi]
-	case res.Ranks != nil:
-		m.Ranks = res.Ranks[gLo:gHi]
-	}
-	return m
 }

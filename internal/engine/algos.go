@@ -4,17 +4,18 @@ package engine
 // and the checks they must pass, the Result arrays it fills and what they
 // hold before any rank gathered into them, its runner constructor, whether
 // it resumes, and the Result scalar its ranks' accum totals into. Validate,
-// NewResult, Canonical, Algo.Resumable and Algo.Total read the table; the
-// cluster and havoqd reach it only through them. Submit resolves a query's
-// entry once and carries it on the query, so rank loops never read the
-// table. What a query type still needs outside it: its facade method and
-// result struct, its cluster wire array, and its internal/ref oracle with
-// its differential case.
+// NewResult, Canonical, Part, Merge and Algo.Resumable read the table; the
+// cluster, the traffic plane and havoqd reach it only through them, and carry
+// a query as its Spec and its answer as Results cut by Part. Submit resolves a
+// query's entry once and carries it on the query, so rank loops never read
+// the table. What a query type still needs outside it: its facade method and
+// result struct, and its internal/ref oracle with its differential case.
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"havoqgt/internal/algos/bfs"
@@ -90,6 +91,12 @@ func sourceInRange(s Spec, n uint64) error {
 
 // array is one per-vertex Result array.
 type array struct {
+	name string
+	// ordered marks an array whose entries depend on the order visits
+	// arrived in (parents: a vertex reached along several equal paths keeps
+	// whichever came first), so two correct runs may differ in it. Part
+	// leaves it out.
+	ordered bool
 	// alloc sets the array to n entries of its "nothing known" value rather
 	// than zero. A completed query overwrites every entry through the
 	// per-rank gathers, but a query cancelled before it ever started skips
@@ -97,44 +104,59 @@ type array struct {
 	// array of spurious level-0 vertices.
 	alloc func(res *Result, n uint64)
 	size  func(res *Result) int
+	// cut sets dst's array to entries [lo, hi) of src's; put copies part's
+	// array into dst's from entry lo.
+	cut func(dst, src *Result, lo, hi uint64)
+	put func(dst, part *Result, lo uint64)
 }
 
-// filled is the array field returns, every entry starting at none(n); nil
-// none leaves the zero value.
-func filled[T any](field func(*Result) *[]T, none func(n uint64) T) array {
+// filled is the array field returns, its n entries set by fill; nil fill
+// leaves the zero value.
+func filled[T any](name string, ordered bool, field func(*Result) *[]T, fill func([]T)) array {
 	return array{
+		name:    name,
+		ordered: ordered,
 		alloc: func(res *Result, n uint64) {
 			a := make([]T, n)
-			if none != nil && n > 0 {
-				x := none(n)
-				for i := range a {
-					a[i] = x
-				}
+			if fill != nil && n > 0 {
+				fill(a)
 			}
 			*field(res) = a
 		},
 		size: func(res *Result) int { return len(*field(res)) },
+		cut:  func(dst, src *Result, lo, hi uint64) { *field(dst) = (*field(src))[lo:hi] },
+		put:  func(dst, part *Result, lo uint64) { copy((*field(dst))[lo:], *field(part)) },
+	}
+}
+
+// fillWith fills with x.
+func fillWith[T any](x T) func([]T) {
+	return func(a []T) {
+		for i := range a {
+			a[i] = x
+		}
 	}
 }
 
 var (
-	levels  = filled(func(r *Result) *[]uint32 { return &r.Levels }, func(uint64) uint32 { return bfs.Unreached })
-	dist    = filled(func(r *Result) *[]uint64 { return &r.Dist }, func(uint64) uint64 { return sssp.Unreached })
-	parents = filled(func(r *Result) *[]graph.Vertex { return &r.Parents }, nil)
-	inCore  = filled(func(r *Result) *[]bool { return &r.InCore }, nil)
+	levels  = filled("levels", false, func(r *Result) *[]uint32 { return &r.Levels }, fillWith(bfs.Unreached))
+	dist    = filled("dist", false, func(r *Result) *[]uint64 { return &r.Dist }, fillWith(sssp.Unreached))
+	parents = filled("parents", true, func(r *Result) *[]graph.Vertex { return &r.Parents }, nil)
+	inCore  = filled("inCore", false, func(r *Result) *[]bool { return &r.InCore }, nil)
 	// Iteration 0, uniform 1/n: what a query cancelled before any iteration
 	// would mean.
-	ranks = filled(func(r *Result) *[]uint64 { return &r.Ranks }, func(n uint64) uint64 { return ref.PRScale / n })
+	ranks = filled("ranks", false, func(r *Result) *[]uint64 { return &r.Ranks },
+		func(a []uint64) { fillWith(ref.PRScale / uint64(len(a)))(a) })
 	// Every vertex its own component.
-	labels = array{
-		alloc: func(r *Result, n uint64) {
-			r.Labels = make([]graph.Vertex, n)
-			for v := range r.Labels {
-				r.Labels[v] = graph.Vertex(v)
+	labels = filled("labels", false, func(r *Result) *[]graph.Vertex { return &r.Labels },
+		func(a []graph.Vertex) {
+			for v := range a {
+				a[v] = graph.Vertex(v)
 			}
-		},
-		size: func(r *Result) int { return len(r.Labels) },
-	}
+		})
+	// allArrays is every per-vertex Result array: Merge refuses those a
+	// query type does not ship.
+	allArrays = []array{levels, dist, parents, labels, inCore, ranks}
 )
 
 // lookup returns a's entry, or nil for a type the table does not hold.
@@ -171,16 +193,6 @@ func Algos() []Algo {
 func (a Algo) Resumable() bool {
 	e := lookup(a)
 	return e != nil && e.resumes
-}
-
-// Total returns the Result scalar a query of type a totals its ranks' (in a
-// cluster, its workers') accumulators into — the component count, the core
-// size, the triangle count — or nil for a type with none.
-func (a Algo) Total(res *Result) *uint64 {
-	if e := lookup(a); e != nil && e.total != nil {
-		return e.total(res)
-	}
-	return nil
 }
 
 // key is the part of spec the entry reads.
@@ -269,4 +281,65 @@ func (e *algo) newResult(n uint64) *Result {
 		a.alloc(res, n)
 	}
 	return res
+}
+
+// shipped is the arrays a share of the entry's result carries: all it fills
+// but the ordered ones.
+func (e *algo) shipped() []array {
+	return slices.DeleteFunc(slices.Clone(e.arrays), func(a array) bool { return a.ordered })
+}
+
+// Part returns a share of res, spec's result, for vertices [lo, hi): every
+// array the query type fills and ships — all but the ordered ones — cut to
+// the range (sharing res's storage), its total, Cancelled and Waves. A
+// cluster worker ships its master range as one. Part(spec, res, 0, n) with
+// Waves cleared is the same for any two complete, correct runs of spec.
+func Part(spec Spec, res *Result, lo, hi uint64) *Result {
+	part := &Result{Cancelled: res.Cancelled, Waves: res.Waves}
+	e := lookup(spec.Algo)
+	if e == nil {
+		return part
+	}
+	for _, a := range e.shipped() {
+		a.cut(part, res, lo, hi)
+	}
+	if e.total != nil {
+		*e.total(part) = *e.total(res)
+	}
+	return part
+}
+
+// Merge copies part, a Part of spec's result for vertices [lo, hi), into dst
+// from vertex lo and adds its total to dst's. It refuses, leaving dst as it
+// was, a part that carries an array spec's query type does not ship, or a
+// shipped array not hi-lo long, or a range that does not fit dst. Cancelled
+// and Waves are left to the caller. A nil part is an empty one.
+func Merge(spec Spec, dst, part *Result, lo, hi uint64) error {
+	e := lookup(spec.Algo)
+	if e == nil {
+		return fmt.Errorf("engine: unknown algorithm %q", spec.Algo)
+	}
+	if part == nil {
+		part = &Result{}
+	}
+	shipped := e.shipped()
+	for _, a := range allArrays {
+		want := 0
+		if slices.ContainsFunc(shipped, func(s array) bool { return s.name == a.name }) {
+			want = int(hi - lo)
+			if lo > hi || uint64(a.size(dst)) < hi {
+				return fmt.Errorf("engine: vertex range [%d, %d) not within the %d %s entries", lo, hi, a.size(dst), a.name)
+			}
+		}
+		if got := a.size(part); got != want {
+			return fmt.Errorf("engine: %d %s entries for vertex range [%d, %d), want %d", got, a.name, lo, hi, want)
+		}
+	}
+	for _, a := range shipped {
+		a.put(dst, part, lo)
+	}
+	if e.total != nil {
+		*e.total(dst) += *e.total(part)
+	}
+	return nil
 }

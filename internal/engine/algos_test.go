@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -120,5 +121,72 @@ func TestToyQueryTypeIsOneEntry(t *testing.T) {
 	}
 	if len(algos) != 7 || slices.Contains(Algos(), reach.name) {
 		t.Fatalf("table after removal: %v", Algos())
+	}
+}
+
+// TestPartMerge: every query type's result, cut by Part into two shares and
+// merged into a fresh one, is its Part over every vertex, the totals added;
+// and Merge refuses, untouched, a share that carries parents or an array the
+// type does not fill, or whose arrays do not match its range.
+func TestPartMerge(t *testing.T) {
+	const n = 16
+	for _, a := range Algos() {
+		spec := Canonical(Spec{Algo: a, K: 2})
+		res := NewResult(spec, n)
+		for v := range uint64(n) { // distinct entries, so a misplaced copy shows
+			if res.Levels != nil {
+				res.Levels[v] = uint32(v)
+			}
+			if res.Dist != nil {
+				res.Dist[v] = v
+			}
+			if res.Labels != nil {
+				res.Labels[v] = graph.Vertex(n - v)
+			}
+			if res.InCore != nil {
+				res.InCore[v] = v%3 == 0
+			}
+			if res.Ranks != nil {
+				res.Ranks[v] = v * v
+			}
+		}
+		total := lookup(a).total
+		if total != nil {
+			*total(res) = 7
+		}
+		dst := Part(spec, NewResult(spec, n), 0, n)
+		for _, r := range [][2]uint64{{5, n}, {0, 5}} {
+			if err := Merge(spec, dst, Part(spec, res, r[0], r[1]), r[0], r[1]); err != nil {
+				t.Fatalf("%s: merging [%d, %d): %v", a, r[0], r[1], err)
+			}
+		}
+		want := Part(spec, res, 0, n)
+		if total != nil {
+			*total(want) = 14
+		}
+		if !reflect.DeepEqual(dst, want) || dst.Parents != nil {
+			t.Errorf("%s: merged %+v, want %+v", a, dst, want)
+		}
+	}
+
+	bfsSpec, kcoreSpec := Spec{Algo: AlgoBFS}, Spec{Algo: AlgoKCore, K: 2}
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		part   *Result
+		lo, hi uint64
+	}{
+		{"parents", bfsSpec, &Result{Levels: make([]uint32, 8), Parents: make([]graph.Vertex, 8)}, 0, 8},
+		{"levels on kcore", kcoreSpec, &Result{InCore: make([]bool, 8), Levels: make([]uint32, 8)}, 0, 8},
+		{"short levels", bfsSpec, &Result{Levels: make([]uint32, 4)}, 0, 8},
+		{"missing levels", bfsSpec, nil, 0, 8},
+		{"inverted range", bfsSpec, nil, 8, 4},
+		{"past the end", bfsSpec, &Result{Levels: make([]uint32, 8)}, 12, 20},
+	} {
+		dst := Part(tc.spec, NewResult(tc.spec, n), 0, n)
+		before := Part(tc.spec, NewResult(tc.spec, n), 0, n)
+		if err := Merge(tc.spec, dst, tc.part, tc.lo, tc.hi); err == nil || !reflect.DeepEqual(dst, before) {
+			t.Errorf("%s: Merge = %v, dst changed %t; want a refusal leaving dst as it was", tc.name, err, !reflect.DeepEqual(dst, before))
+		}
 	}
 }

@@ -12,7 +12,7 @@ type Layout uint8
 
 const (
 	EdgeList Layout = iota // the paper's edge list partitioning (BuildEdgeList)
-	OneD                   // the traditional 1D baseline (Build1D)
+	OneD                   // the traditional 1D baseline (build1D)
 )
 
 // Chunk returns one rank's share of the directed edge list on a machine of

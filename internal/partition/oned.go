@@ -6,19 +6,15 @@ import (
 	"havoqgt/internal/rt"
 )
 
-// Build1D collectively builds the traditional 1D block partition: vertex v
-// and its entire adjacency list live on rank v / ceil(n/p). This is the
-// baseline of Figure 12; a single hub's adjacency list can exceed the average
-// edge count per partition, producing the data imbalance of Figure 2.
+// build1D collectively builds the traditional 1D block partition (the OneD
+// layout), with global simplification when simplify is set: vertex v and its
+// entire adjacency list live on rank v / ceil(n/p). This is the baseline of
+// Figure 12; a single hub's adjacency list can exceed the average edge count
+// per partition, producing the data imbalance of Figure 2.
 //
 // The resulting Part uses the same traversal machinery as the edge-list
 // partition — it simply never splits an adjacency list (HasForward is always
 // false) and its ownership table is the block mapping.
-func Build1D(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) {
-	return build1D(r, local, numVertices, false)
-}
-
-// build1D is Build1D, with global simplification when simplify is set.
 func build1D(r *rt.Rank, local []graph.Edge, numVertices uint64, simplify bool) (*Part, error) {
 	if err := checkVertexCount(numVertices); err != nil {
 		return nil, err

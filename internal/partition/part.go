@@ -4,7 +4,7 @@
 //     the global edge list is sorted by source (distributed sample sort) and
 //     split into equal-count ranges, so hub adjacency lists span consecutive
 //     partitions and every partition holds the same number of edges.
-//   - Build1D: the traditional 1D baseline (each vertex's whole adjacency
+//   - OneD: the traditional 1D baseline (each vertex's whole adjacency
 //     list on one partition), which Figure 12 compares against.
 //   - Imbalance models for 1D, 2D-block, and edge-list partitioning
 //     (Figure 2).
@@ -99,7 +99,7 @@ func (e vertexRangeError) Error() string {
 func (t OwnerTable) MasterRange(r int) (lo, hi uint64) { return t.start[r], t.start[r+1] }
 
 // Part is one rank's view of a partitioned graph. It is built collectively
-// (BuildEdgeList / Build1D) and then traversed by internal/core.
+// (Build, either layout) and then traversed by internal/core.
 type Part struct {
 	Rank int
 	P    int

@@ -27,6 +27,11 @@ func buildCollective(t *testing.T, edges []graph.Edge, n uint64, p int) []*Part 
 	return buildWith(t, BuildEdgeList, edges, n, p)
 }
 
+// oneD builds the OneD layout, unsimplified.
+func oneD(r *rt.Rank, local []graph.Edge, numVertices uint64) (*Part, error) {
+	return build1D(r, local, numVertices, false)
+}
+
 // buildWith is buildCollective for any builder.
 func buildWith(t *testing.T, build func(*rt.Rank, []graph.Edge, uint64) (*Part, error), edges []graph.Edge, n uint64, p int) []*Part {
 	t.Helper()
@@ -327,7 +332,7 @@ func TestBuildEdgeListEmptyAndTinyInputs(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		for _, n := range []uint64{0, 8} {
 			checkDegreeTable(t, nil, n, buildWith(t, BuildEdgeList, nil, n, p))
-			checkDegreeTable(t, nil, n, buildWith(t, Build1D, nil, n, p))
+			checkDegreeTable(t, nil, n, buildWith(t, oneD, nil, n, p))
 		}
 	}
 }
@@ -344,7 +349,7 @@ func TestBuild1D(t *testing.T) {
 				local = append(local, e)
 			}
 		}
-		part, err := Build1D(r, local, 8)
+		part, err := oneD(r, local, 8)
 		if err != nil {
 			panic(err)
 		}
@@ -391,7 +396,7 @@ func TestBuild1D(t *testing.T) {
 		n     uint64
 	}{{edges, 8}, {edges, 20}, {hub, 40}, {random, 50}} {
 		for _, p := range []int{1, 3, 8} {
-			checkDegreeTable(t, g.edges, g.n, buildWith(t, Build1D, g.edges, g.n, p))
+			checkDegreeTable(t, g.edges, g.n, buildWith(t, oneD, g.edges, g.n, p))
 		}
 	}
 }

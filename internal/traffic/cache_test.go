@@ -3,9 +3,15 @@ package traffic
 import (
 	"fmt"
 	"testing"
+
+	"havoqgt/internal/engine"
+	"havoqgt/internal/graph"
 )
 
-func ck(src, ver uint64) Key { return Key{Algo: "bfs", Source: src, Version: ver} }
+// bfs is a BFS query from src.
+func bfs(src uint64) engine.Spec { return engine.Spec{Algo: engine.AlgoBFS, Source: graph.Vertex(src)} }
+
+func ck(src, ver uint64) Key { return Key{Spec: bfs(src), Version: ver} }
 
 func TestCacheHitAndMiss(t *testing.T) {
 	c := newResultCache(1 << 20)

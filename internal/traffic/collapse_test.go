@@ -16,7 +16,7 @@ func TestCollapseManyIntoOneExecution(t *testing.T) {
 	started := make(chan struct{})
 
 	const n = 16
-	key := Key{Algo: "bfs", Source: 7, Version: 1}
+	key := Key{Spec: bfs(7), Version: 1}
 	var wg sync.WaitGroup
 	vals := make([][]byte, n)
 	joins := make([]bool, n)
@@ -78,14 +78,14 @@ func TestCollapseDifferentKeysDoNotCollapse(t *testing.T) {
 		execs.Add(1)
 		return nil, nil
 	}
-	if _, _, err := g.do(context.Background(), Key{Source: 1}, exec); err != nil {
+	if _, _, err := g.do(context.Background(), Key{Spec: bfs(1)}, exec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.do(context.Background(), Key{Source: 2}, exec); err != nil {
+	if _, _, err := g.do(context.Background(), Key{Spec: bfs(2)}, exec); err != nil {
 		t.Fatal(err)
 	}
 	// Same source, different version: a version bump must miss.
-	if _, _, err := g.do(context.Background(), Key{Source: 1, Version: 1}, exec); err != nil {
+	if _, _, err := g.do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec); err != nil {
 		t.Fatal(err)
 	}
 	if got := execs.Load(); got != 3 {
@@ -99,7 +99,7 @@ func TestCollapseDifferentKeysDoNotCollapse(t *testing.T) {
 // completes.
 func TestCollapseFollowerCancelDoesNotCancelLeader(t *testing.T) {
 	var g group
-	key := Key{Algo: "bfs", Source: 1}
+	key := Key{Spec: bfs(1)}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	execCancelled := make(chan struct{})
@@ -160,7 +160,7 @@ func TestCollapseFollowerCancelDoesNotCancelLeader(t *testing.T) {
 
 func TestCollapseLastWaiterGoneCancelsExecution(t *testing.T) {
 	var g group
-	key := Key{Algo: "bfs", Source: 2}
+	key := Key{Spec: bfs(2)}
 	started := make(chan struct{})
 	execCancelled := make(chan struct{})
 
@@ -189,7 +189,7 @@ func TestCollapseLastWaiterGoneCancelsExecution(t *testing.T) {
 
 func TestCollapseSharedErrorReachesAllWaiters(t *testing.T) {
 	var g group
-	key := Key{Algo: "bfs", Source: 3}
+	key := Key{Spec: bfs(3)}
 	boom := errors.New("boom")
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -233,7 +233,7 @@ func TestCollapseSharedErrorReachesAllWaiters(t *testing.T) {
 func TestCollapseCallUnregisteredAfterCompletion(t *testing.T) {
 	var g group
 	var execs atomic.Int64
-	key := Key{Algo: "bfs", Source: 4}
+	key := Key{Spec: bfs(4)}
 	exec := func(context.Context) ([]byte, error) {
 		execs.Add(1)
 		return nil, nil

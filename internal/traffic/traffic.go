@@ -6,7 +6,7 @@
 //     the admission hot path is one atomic decrement, refill happens on a
 //     coarse shared tick ("commit information, not traffic");
 //  2. a bounded result cache over serialized responses, keyed by
-//     (algo, source, params, graph version) and invalidated by graph-version
+//     (engine spec, graph version) and invalidated by graph-version
 //     advance (cache.go) — scale-free traffic is hot-key traffic, and the
 //     cheapest query is the one the engine never sees;
 //  3. hot-query collapsing (collapse.go) — concurrent identical cache
@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"havoqgt/internal/engine"
 	"havoqgt/internal/obs"
 )
 
@@ -29,18 +30,14 @@ import (
 // answer bytes, including the graph version so a snapshot swap (ROADMAP
 // item 4) invalidates by key mismatch alone.
 type Key struct {
-	Algo       string
-	Source     uint64
-	WeightSeed uint64
-	K          uint32
-	Iters      uint32
-	Full       bool
-	// DeadlineMS separates requests with different deadline budgets:
-	// their successful answers are identical, but their failure behaviour
-	// is not, and a tight-deadline leader must not hand its timeout to a
-	// patient follower.
-	DeadlineMS int64
-	Version    uint64
+	// Spec is the query, canonical (engine.Canonical), so a field its type
+	// does not read cannot split one question into two keys. Its Deadline
+	// separates requests with different deadline budgets: their successful
+	// answers are identical, but their failure behaviour is not, and a
+	// tight-deadline leader must not hand its timeout to a patient follower.
+	Spec    engine.Spec
+	Full    bool // the answer carries the per-vertex arrays
+	Version uint64
 }
 
 // Outcome classifies how a Do request was satisfied.

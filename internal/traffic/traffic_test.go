@@ -27,7 +27,7 @@ func TestPlaneDoCachesSuccess(t *testing.T) {
 		execs.Add(1)
 		return []byte("result"), nil
 	}
-	key := Key{Algo: "bfs", Source: 1, Version: 1}
+	key := Key{Spec: bfs(1), Version: 1}
 
 	val, outcome, err := p.Do(context.Background(), key, exec)
 	if err != nil || string(val) != "result" || outcome != OutcomeExecuted {
@@ -46,7 +46,7 @@ func TestPlaneDoNeverCachesErrors(t *testing.T) {
 	p := testPlane(t, Config{})
 	boom := errors.New("boom")
 	var execs atomic.Int64
-	key := Key{Algo: "bfs", Source: 1, Version: 1}
+	key := Key{Spec: bfs(1), Version: 1}
 
 	_, _, err := p.Do(context.Background(), key, func(context.Context) ([]byte, error) {
 		execs.Add(1)
@@ -76,12 +76,12 @@ func TestPlaneVersionBumpInvalidates(t *testing.T) {
 		execs.Add(1)
 		return []byte("x"), nil
 	}
-	p.Do(context.Background(), Key{Source: 1, Version: 1}, exec)
-	if _, outcome, _ := p.Do(context.Background(), Key{Source: 1, Version: 1}, exec); outcome != OutcomeCached {
+	p.Do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec)
+	if _, outcome, _ := p.Do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec); outcome != OutcomeCached {
 		t.Fatalf("same-version outcome = %v, want cached", outcome)
 	}
 	// Version 2 misses by key and purges version-1 bytes.
-	if _, outcome, _ := p.Do(context.Background(), Key{Source: 1, Version: 2}, exec); outcome != OutcomeExecuted {
+	if _, outcome, _ := p.Do(context.Background(), Key{Spec: bfs(1), Version: 2}, exec); outcome != OutcomeExecuted {
 		t.Fatalf("bumped-version outcome = %v, want executed", outcome)
 	}
 	if got := p.Version(); got != 2 {
@@ -99,7 +99,7 @@ func TestPlaneCacheDisabled(t *testing.T) {
 		execs.Add(1)
 		return []byte("x"), nil
 	}
-	key := Key{Source: 1, Version: 1}
+	key := Key{Spec: bfs(1), Version: 1}
 	p.Do(context.Background(), key, exec)
 	if _, outcome, _ := p.Do(context.Background(), key, exec); outcome != OutcomeExecuted {
 		t.Fatalf("outcome with caching disabled = %v, want executed", outcome)
@@ -119,8 +119,8 @@ func TestPlaneCountersFlowIntoRegistry(t *testing.T) {
 		t.Fatal("second request admitted past burst 1")
 	}
 	exec := func(context.Context) ([]byte, error) { return []byte("x"), nil }
-	p.Do(context.Background(), Key{Source: 1, Version: 1}, exec)
-	p.Do(context.Background(), Key{Source: 1, Version: 1}, exec)
+	p.Do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec)
+	p.Do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec)
 	p.ObserveLatency(5 * time.Millisecond)
 
 	s := reg.Snapshot()
@@ -151,8 +151,8 @@ func TestPlaneEvictionCounter(t *testing.T) {
 	// Capacity for one 64B entry only: the second put evicts the first.
 	p := testPlane(t, Config{Registry: reg, CacheBytes: 64 + cacheEntryOverhead})
 	exec := func(context.Context) ([]byte, error) { return make([]byte, 64), nil }
-	p.Do(context.Background(), Key{Source: 1, Version: 1}, exec)
-	p.Do(context.Background(), Key{Source: 2, Version: 1}, exec)
+	p.Do(context.Background(), Key{Spec: bfs(1), Version: 1}, exec)
+	p.Do(context.Background(), Key{Spec: bfs(2), Version: 1}, exec)
 	if got := reg.Snapshot().Counter(obs.TrafficCacheEvictions); got != 1 {
 		t.Fatalf("%s = %d, want 1", obs.TrafficCacheEvictions, got)
 	}
