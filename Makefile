@@ -97,33 +97,16 @@ chaos-short:
 	$(GO) test -race -short -count=1 -run 'SurvivesControl|Mux' ./internal/termination
 
 # Allocation-budget smoke (DESIGN.md §9): the TestAllocBudget* suite pins the
-# message-plane hot paths to their steady-state allocation budgets (loopback
-# and decode/deliver at ~0 allocs/cycle, routed duplex well under the
-# pre-pooling floor, a box that adopted a closed box's storage at ~0 allocs on
-# its first routed cycle). Fast enough to run on every push; a regression here
-# means pooling or arena delivery broke. TestOneShotAllocBudget pins the same
-# thing end to end (a scale-15 one-shot BFS and KCore(64) through the facade),
-# TestBFSRecordBudget pins what that BFS sends, in counts (records routed,
-# ≤ 21 mailbox bytes per routed record-hop, share of pushes the ghost filter
-# drops, visits per reached vertex, every push accounted for by exactly one
-# outcome), TestAnalyticsExecutedBudget what
-# k-core and PageRank execute and send (exactly, with the default ghost table
-# and without one), what cc executes
-# and sends once its marking has taken the giant component (≤ 1,000 each; it
-# logs the marking's records next to the remainder's), and what cc's
-# whole-graph flood (a resume that labelled nothing) executes and sends
-# (≤ 200 K visits, ≤ 470 K records), and
-# the message-plane micro-benchmarks run once each so they cannot rot:
-# BenchmarkVisitorPushRoute is the per-record number (/random) and the
-# per-push number by outcome over real tagged edges (/edges) to read before
-# spending 24 seconds on bench/run.sh. So do the graph build's two: the radix
-# BenchmarkSortEdges over one rank's share (131 K edges) and
-# BenchmarkBuildEdgeListSimple, the scale-15, 8-rank build behind every
-# workload's setup_s, with its bytes allocated per build. Nothing here times
-# the system: `bash bench/run.sh` does (bench/README.md).
+# message-plane hot paths to their steady-state allocation budgets, and
+# TestLedger checks every query type's counts and per-query allocation
+# against the ledger table in golden_test.go, whose rows are the bounds.
+# The message-plane micro-benchmarks (BenchmarkVisitorPushRoute: per record,
+# and per push by outcome) and the graph build's two (BenchmarkSortEdges,
+# BenchmarkBuildEdgeListSimple) run once each so they cannot rot. Nothing
+# here times the system: `bash bench/run.sh` does (bench/README.md).
 bench-smoke:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
-	$(GO) test -count=1 -run 'TestOneShotAllocBudget|TestBFSRecordBudget|TestAnalyticsExecutedBudget' -v .
+	$(GO) test -count=1 -run 'TestLedger' -v .
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkMsgPlane' -benchtime=1x ./internal/mailbox
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkVisitorPushRoute' -benchtime=1x ./internal/engine
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkSortEdges' -benchtime=1x ./internal/graph

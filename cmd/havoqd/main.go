@@ -157,8 +157,9 @@ var readBy = map[mode]string{
 }
 
 // checkModes rejects -join with -coordinator, which are different processes,
-// a negative -deadline, which the engine would refuse every query for, and
-// any flag set on fs's command line that the mode does not read, so that
+// a negative -deadline, which the engine would refuse every query for,
+// -scale or -seed beside -in, which serves its file instead of generating,
+// and any flag set on fs's command line that the mode does not read, so that
 // run's switch never reaches a mode that builds a graph and listens until
 // signalled with part of what was asked for dropped.
 func checkModes(fs *flag.FlagSet, o *options) error {
@@ -170,6 +171,9 @@ func checkModes(fs *flag.FlagSet, o *options) error {
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
+		if o.in != "" && (f.Name == "scale" || f.Name == "seed") && err == nil {
+			err = fmt.Errorf("-in serves its file; it does not read -%s", f.Name)
+		}
 		for modes, names := range readBy {
 			if m := o.mode(); err == nil && modes&m == 0 && slices.Contains(strings.Fields(names), f.Name) {
 				err = fmt.Errorf("%s does not read -%s", m, f.Name)

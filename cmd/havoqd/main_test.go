@@ -27,8 +27,8 @@ func TestFlagSurface(t *testing.T) {
 // TestRunRejectsModeConflicts: every flag, set on the command line, is read
 // by its mode or refused, naming the flag and the mode, before any graph is
 // built — instead of falling through to a server that listens forever with
-// part of the request dropped. So are -join with -coordinator and a negative
-// -deadline; and the graph flags havoqd does not have (-edgefactor and
+// part of the request dropped. So are -join with -coordinator, a negative
+// -deadline, and -scale or -seed beside -in, which serves its file; and the graph flags havoqd does not have (-edgefactor and
 // -model, which it once parsed and ignored) fail to parse.
 func TestRunRejectsModeConflicts(t *testing.T) {
 	const s, c, w = "single", "coordinator", "join"
@@ -63,14 +63,20 @@ func TestRunRejectsModeConflicts(t *testing.T) {
 			}
 		}
 	}
-	for _, args := range [][]string{{"-join", "127.0.0.1:1", "-coordinator"}, {"-deadline", "-1ms"}} {
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the refusal names
+	}{
+		{[]string{"-join", "127.0.0.1:1", "-coordinator"}, "-join"}, {[]string{"-deadline", "-1ms"}, "-deadline"},
+		{[]string{"-in", "g.hvqg", "-scale", "20"}, "-scale"}, {[]string{"-in", "g.hvqg", "-seed", "2"}, "-seed"},
+	} {
 		var o options
 		fs := newFlagSet(&o)
-		if err := fs.Parse(args); err != nil {
+		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
-		if checkModes(fs, &o) == nil {
-			t.Errorf("havoqd %s: accepted", strings.Join(args, " "))
+		if err := checkModes(fs, &o); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("havoqd %s: error %v, want a refusal naming %s", strings.Join(tc.args, " "), err, tc.flag)
 		}
 	}
 	for _, args := range [][]string{{"-edgefactor", "4"}, {"-model", "rmat"}} {

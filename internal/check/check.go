@@ -12,9 +12,9 @@
 //   - hop bound:             Σ hops  ≤ diameter × Σ records sent
 //   - channel bound:         per rank, ChannelsUsed ≤ Topology.MaxChannels()
 //   - clean decode:          Σ decode errors == 0
-//   - S/R agreement:         per rank, detector S == mailbox records sent and
-//     detector R == mailbox records delivered; globally Σ S == Σ R (the gap
-//     the four-counter termination waves must see drain)
+//   - termination drain:     per query, Σ S == Σ R, where a rank's S and R
+//     are its detector's counts of the query's tagged records sent and
+//     delivered (the gap the four-counter termination waves must see drain)
 //   - push accounting:       per rank, pushed − ghost-filtered − applied in
 //     place + replica-forwarded + protocol records sent == mailbox records
 //     sent, and visitors received + protocol records received ==
@@ -93,76 +93,51 @@ func MailboxInFlight(topo mailbox.Topology, stats []mailbox.Stats, pending []int
 		vs.addf("arity", "pending has %d entries for %d ranks", len(pending), len(stats))
 		return vs
 	}
-	var sent, delivered, forwarded, envSent, envRecv, hops, decodeErrs uint64
+	var t mailbox.Stats
 	var pend uint64
 	for r, s := range stats {
-		sent += s.RecordsSent
-		delivered += s.RecordsDelivered
-		forwarded += s.RecordsForwarded
-		envSent += s.EnvelopesSent
-		envRecv += s.EnvelopesRecv
-		hops += s.Hops
-		decodeErrs += s.DecodeErrors
+		t.Add(s)
 		pend += uint64(pending[r])
 		if topo != nil && s.ChannelsUsed > topo.MaxChannels() {
 			vs.addf("channel-bound", "rank %d used %d next-hop channels, topology %s bounds it at %d",
 				r, s.ChannelsUsed, topo.Name(), topo.MaxChannels())
 		}
 	}
-	if sent != delivered+pend {
+	if t.RecordsSent != t.RecordsDelivered+pend {
 		vs.addf("record-conservation",
 			"Σsent=%d != Σdelivered=%d + Σpending-in-buffers=%d (lost or duplicated records)",
-			sent, delivered, pend)
+			t.RecordsSent, t.RecordsDelivered, pend)
 	}
-	if envSent != envRecv {
-		vs.addf("envelope-conservation", "Σenvelopes sent=%d != Σenvelopes received=%d", envSent, envRecv)
+	if t.EnvelopesSent != t.EnvelopesRecv {
+		vs.addf("envelope-conservation", "Σenvelopes sent=%d != Σenvelopes received=%d", t.EnvelopesSent, t.EnvelopesRecv)
 	}
 	if topo != nil {
-		if d := uint64(topo.Diameter()); hops > d*sent {
+		if d := uint64(topo.Diameter()); t.Hops > d*t.RecordsSent {
 			vs.addf("hop-bound", "Σhops=%d exceeds diameter(%d) × Σsent(%d) = %d on %s",
-				hops, d, sent, d*sent, topo.Name())
+				t.Hops, d, t.RecordsSent, d*t.RecordsSent, topo.Name())
 		}
 	}
-	if hops < forwarded {
-		vs.addf("hop-bound", "Σhops=%d < Σforwarded=%d (every forward is at least one hop)", hops, forwarded)
+	if t.Hops < t.RecordsForwarded {
+		vs.addf("hop-bound", "Σhops=%d < Σforwarded=%d (every forward is at least one hop)", t.Hops, t.RecordsForwarded)
 	}
-	if decodeErrs != 0 {
-		vs.addf("clean-decode", "Σdecode errors=%d on a healthy exchange (envelope corruption)", decodeErrs)
+	if t.DecodeErrors != 0 {
+		vs.addf("clean-decode", "Σdecode errors=%d on a healthy exchange (envelope corruption)", t.DecodeErrors)
 	}
 	return vs
 }
 
-// QueryConservation checks one quiesced query's own conservation laws from
-// its per-rank stats (engine.Ticket.Stats), whatever else shared the message
-// plane: globally Σsent == Σdelivered under the query's tag (no stranded or
-// leaked records anywhere, including after a mid-flight cancellation — a
-// cancelled query stops applying visitors, but its records still drain and
-// are still counted), and on every rank the detector's monotone S/R equal
-// the tagged record counts, the agreement that makes the four-counter waves
-// sound per query.
+// QueryConservation checks one quiesced query's own conservation law from its
+// per-rank stats (engine.Ticket.Stats), whatever else shared the message
+// plane. A query's tagged record counts are its termination detector's S and
+// R, so globally ΣS == ΣR: the S−R in-flight gap the four-counter waves watch
+// drained, and no tagged record is stranded or leaked anywhere, including
+// after a mid-flight cancellation — a cancelled query stops applying
+// visitors, but its records still drain and are still counted.
 func QueryConservation(stats []core.Stats) []Violation {
 	var vs violations
-	var sent, delivered, detS, detR uint64
-	for r, s := range stats {
-		sent += s.Mailbox.RecordsSent
-		delivered += s.Mailbox.RecordsDelivered
-		detS += s.DetectorSent
-		detR += s.DetectorReceived
-		if s.DetectorSent != s.Mailbox.RecordsSent {
-			vs.addf("detector-agreement", "rank %d: detector S=%d != tagged records sent=%d",
-				r, s.DetectorSent, s.Mailbox.RecordsSent)
-		}
-		if s.DetectorReceived != s.Mailbox.RecordsDelivered {
-			vs.addf("detector-agreement", "rank %d: detector R=%d != tagged records delivered=%d",
-				r, s.DetectorReceived, s.Mailbox.RecordsDelivered)
-		}
-	}
-	if sent != delivered {
-		vs.addf("record-conservation",
-			"Σsent=%d != Σdelivered=%d at quiescence (stranded or leaked tagged records)", sent, delivered)
-	}
-	if detS != detR {
-		vs.addf("termination-drain", "ΣS=%d != ΣR=%d after detection (the S−R gap never drained)", detS, detR)
+	if total := core.Sum(stats); total.Mailbox.RecordsSent != total.Mailbox.RecordsDelivered {
+		vs.addf("termination-drain", "ΣS=%d records sent != ΣR=%d delivered after detection (the S−R gap never drained)",
+			total.Mailbox.RecordsSent, total.Mailbox.RecordsDelivered)
 	}
 	return vs
 }

@@ -44,17 +44,39 @@ type Stats struct {
 	// Mailbox is filled in by the executor when the query retires on the rank
 	// (see engine.Ticket.Stats for which of its counters are the query's own).
 	Mailbox mailbox.Stats
-	// DetectorWaves, DetectorSent and DetectorReceived are the query's
-	// termination detector's waves and monotone S and R counters at
-	// quiescence, filled in by the executor when it retires the query. The
-	// mailbox's per-tag flow counts feed the detector (one CountSent per
-	// Send, one CountReceived per delivery), so after a quiesced query S and
-	// R must agree exactly with Mailbox.RecordsSent and
-	// Mailbox.RecordsDelivered on every rank — the S−R in-flight gap the
-	// four-counter waves watch drain. internal/check asserts this.
-	DetectorWaves    uint64
-	DetectorSent     uint64
-	DetectorReceived uint64
+	// DetectorWaves is the waves the query's termination detector completed,
+	// filled in by the executor when it retires the query. Only the root
+	// rank's detector completes waves, so the other ranks' are zero. The
+	// detector's S and R are Mailbox.RecordsSent and RecordsDelivered.
+	DetectorWaves uint64
+}
+
+// Sum returns the machine-wide totals of one query's per-rank counters,
+// mailbox counters included.
+func Sum(stats []Stats) Stats {
+	var t Stats
+	for _, s := range stats {
+		t.Add(s)
+	}
+	return t
+}
+
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Pushed += o.Pushed
+	s.GhostFiltered += o.GhostFiltered
+	s.Local += o.Local
+	s.Received += o.Received
+	s.Queued += o.Queued
+	s.Executed += o.Executed
+	s.Forwarded += o.Forwarded
+	s.Parked += o.Parked
+	s.Unparked += o.Unparked
+	s.ProtocolSent += o.ProtocolSent
+	s.ProtocolReceived += o.ProtocolReceived
+	s.Relaxed += o.Relaxed
+	s.Mailbox.Add(o.Mailbox)
+	s.DetectorWaves += o.DetectorWaves
 }
 
 // Config tunes the message plane of an executor: the engine builds every

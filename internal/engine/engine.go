@@ -19,8 +19,9 @@
 // loop that polls the single shared mailbox and demultiplexes delivered
 // records into per-query visitor queues (core.NewQueue). Termination is
 // detected per query: each in-flight query gets its own four-counter detector
-// instance (termination.Mux), fed by a tag-aware flow counter registered on
-// the shared mailbox, so the S/R conservation argument of §V holds
+// instance, and the rank's termination.Mux, registered as the shared
+// mailbox's flow counter, counts each tagged record straight into its
+// query's instance, so the S/R conservation argument of §V holds
 // independently per query ID. No collectives run on engine paths — queries
 // quiesce in different orders on different ranks, so cross-rank aggregates
 // (component counts, core sizes) accumulate through atomics on the shared
@@ -402,7 +403,8 @@ func (t *Ticket) RetrySpec(d time.Duration) Spec {
 // never started. Mailbox is that rank's shared-mailbox snapshot — the whole
 // box, so its envelope, hop and pool counters are the query's own only when
 // it ran alone on a fresh engine (RunOnce) — except RecordsSent and
-// RecordsDelivered, which are always the query's own tagged record counts.
+// RecordsDelivered, which are always the query's own tagged record counts:
+// its termination detector's S and R on that rank.
 func (t *Ticket) Stats() []core.Stats { return t.q.stats }
 
 // Cancel stops the query: an in-flight query drains its remaining tagged

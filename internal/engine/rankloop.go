@@ -10,49 +10,6 @@ import (
 	"havoqgt/internal/termination"
 )
 
-// flowCell accumulates one tag's end-to-end record counts on one rank. Plain
-// integers: FlowCounter callbacks run only on the owning rank's goroutine.
-type flowCell struct{ sent, received uint64 }
-
-// rankFlows is the tag-aware FlowCounter registered on the rank's shared
-// mailbox. Cells outlive detector creation — a record can be delivered (and
-// counted) before this rank has processed the query's start event — and the
-// running query later syncs cell deltas into its detector.
-type rankFlows struct {
-	cells map[uint32]*flowCell
-	// One-entry memo of the last cell looked up: the mailbox counts every
-	// record, and records come in long runs of one tag (always, with one
-	// query in flight), so the map is consulted once per run.
-	lastTag uint32
-	last    *flowCell
-}
-
-func newRankFlows() *rankFlows { return &rankFlows{cells: make(map[uint32]*flowCell)} }
-
-func (f *rankFlows) cell(tag uint32) *flowCell {
-	if f.last != nil && f.lastTag == tag {
-		return f.last
-	}
-	c := f.cells[tag]
-	if c == nil {
-		c = &flowCell{}
-		f.cells[tag] = c
-	}
-	f.lastTag, f.last = tag, c
-	return c
-}
-
-// drop forgets a retired query's cell.
-func (f *rankFlows) drop(tag uint32) {
-	delete(f.cells, tag)
-	if f.lastTag == tag {
-		f.last = nil
-	}
-}
-
-func (f *rankFlows) CountSent(tag uint32, n uint64)     { f.cell(tag).sent += n }
-func (f *rankFlows) CountReceived(tag uint32, n uint64) { f.cell(tag).received += n }
-
 // stepBatch bounds the visitors, or protocol steps, one query executes per
 // rank-loop iteration: the granularity at which queries in flight interleave.
 const stepBatch = 128
@@ -83,32 +40,18 @@ type runner interface {
 
 // runningQuery is one in-flight query's rank-local execution state.
 type runningQuery struct {
-	q    *query
-	run  runner
-	det  *termination.Detector
-	cell *flowCell
-	// Counter values already synced into the detector.
-	syncedS, syncedR uint64
-}
-
-// syncFlows feeds the cell's growth since the last sync into the detector.
-func (rq *runningQuery) syncFlows() {
-	if d := rq.cell.sent - rq.syncedS; d > 0 {
-		rq.det.CountSent(d)
-		rq.syncedS = rq.cell.sent
-	}
-	if d := rq.cell.received - rq.syncedR; d > 0 {
-		rq.det.CountReceived(d)
-		rq.syncedR = rq.cell.received
-	}
+	q   *query
+	run runner
+	det *termination.Detector
 }
 
 // rankState is one rank's engine loop state. Strictly rank-confined.
 type rankState struct {
-	e     *Engine
-	box   *mailbox.Box
-	mux   *termination.Mux
-	flows *rankFlows
+	e   *Engine
+	box *mailbox.Box
+	// mux is the rank's control plane and the box's flow counter: it counts
+	// every record straight into its query's detector.
+	mux *termination.Mux
 	// pager is this rank's out-of-core fetch engine (nil = fully resident).
 	pager core.RowPager
 	// active maps query ID -> running query.
@@ -117,12 +60,7 @@ type rankState struct {
 	// fast rank can seed visitors (and the mailbox can deliver them here)
 	// before this rank's control-log cursor reaches the start event.
 	pending map[uint32][]mailbox.Record
-	// dead holds force-aborted query IDs: stragglers for these tags (from
-	// peers that had not aborted yet) are dropped at the demux instead of
-	// parked in pending forever. IDs never recycle, so entries are permanent
-	// tombstones, one per aborted query.
-	dead   map[uint32]struct{}
-	cursor int // control-log position
+	cursor  int // control-log position
 }
 
 // rankLoop is the per-rank executor, the repository's only traversal loop
@@ -132,16 +70,14 @@ type rankState struct {
 // Exits after the shutdown event once no query is active on this rank.
 func (e *Engine) rankLoop(r *rt.Rank) {
 	topo, _ := mailbox.ByName(e.cfg.Topology, r.Size())
-	flows := newRankFlows()
-	boxOpts := append(e.opts.Core.MailboxOptions(), mailbox.WithFlows(flows))
+	mux := termination.NewMux(r)
+	boxOpts := append(e.opts.Core.MailboxOptions(), mailbox.WithFlows(mux))
 	s := &rankState{
 		e:       e,
 		box:     mailbox.New(r, topo, nil, boxOpts...),
-		mux:     termination.NewMux(r),
-		flows:   flows,
+		mux:     mux,
 		active:  make(map[uint32]*runningQuery),
 		pending: make(map[uint32][]mailbox.Record),
-		dead:    make(map[uint32]struct{}),
 	}
 	if e.cfg.Pagers != nil {
 		s.pager = e.cfg.Pagers[r.Rank()]
@@ -173,12 +109,15 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 				// quiescence that can never arrive. The start event precedes
 				// the abort in the log, so an absent ID means the query
 				// already finished on this rank — only the tombstone is left.
-				s.dead[ev.q.id] = struct{}{}
-				delete(s.pending, ev.q.id)
+				// Stragglers for a retired ID (from peers that had not
+				// aborted yet) are dropped at the demux instead of parked
+				// in pending forever.
 				if rq := s.active[ev.q.id]; rq != nil {
 					rq.run.Cancel()
 					s.retire(r, ev.q.id, true)
 				}
+				s.mux.Retire(ev.q.id)
+				delete(s.pending, ev.q.id)
 			case evShutdown:
 				shutdown = true
 			}
@@ -233,7 +172,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		// Poll ran is applied before the next Step. Interleaving epochs with
 		// execution slices instead pushes more visitors: a later, better
 		// visitor for a hub arrives after the hub was already expanded.
-		var lastTag uint32 // one-entry memo of the demux, as in rankFlows.cell
+		var lastTag uint32 // one-entry memo of the demux, as in termination.Mux
 		var last *runningQuery
 		for more := true; more; more = s.box.Backlog() {
 			for _, rec := range s.box.Poll() {
@@ -243,7 +182,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 				}
 				if last != nil {
 					last.run.Deliver(rec)
-				} else if _, gone := s.dead[rec.Tag]; gone {
+				} else if s.mux.Retired(rec.Tag) {
 					// Straggler for a force-aborted query (a surviving peer
 					// kept sending until its own abort landed): drop it. The
 					// flow ledger of an aborted query is void by construction.
@@ -273,7 +212,6 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		// not the runner's, which only reports whether it is locally idle.
 		finished = finished[:0]
 		for id, rq := range s.active {
-			rq.syncFlows()
 			if rq.det.Pump(rq.run.LocalIdle()) {
 				finished = append(finished, id)
 			}
@@ -304,11 +242,7 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 // its runner (which seeds the query), and drain any records that arrived
 // ahead of the start event.
 func (s *rankState) start(r *rt.Rank, q *query) {
-	rq := &runningQuery{
-		q:    q,
-		det:  s.mux.Detector(q.id),
-		cell: s.flows.cell(q.id),
-	}
+	rq := &runningQuery{q: q, det: s.mux.Detector(q.id)}
 	env := &runEnv{r: r, part: s.e.cfg.Parts[r.Rank()], pager: s.pager, box: s.box, q: q}
 	if s.e.cfg.Ghosts != nil {
 		env.ghosts = s.e.cfg.Ghosts[r.Rank()]
@@ -340,18 +274,13 @@ func (s *rankState) retire(r *rt.Rank, id uint32, forced bool) {
 	delete(s.active, id)
 	st := rq.run.Stats()
 	if !forced {
-		// Detection completed: the detector's S and R are the query's
-		// in-flight ledger at quiescence, which check.Traversal holds to the
-		// mailbox's.
 		st.DetectorWaves = rq.det.Waves
-		st.DetectorSent, st.DetectorReceived = rq.det.Sent(), rq.det.Received()
 	}
-	// The box is the rank's, shared by every query in flight; the tag's flow
-	// cell is this query's (see Ticket.Stats).
+	// The box is the rank's, shared by every query in flight; the records
+	// are the query's own, its detector's S and R (see Ticket.Stats).
 	st.Mailbox = s.box.Stats()
-	st.Mailbox.RecordsSent, st.Mailbox.RecordsDelivered = rq.cell.sent, rq.cell.received
+	st.Mailbox.RecordsSent, st.Mailbox.RecordsDelivered = rq.det.Sent(), rq.det.Received()
 	rq.q.stats[r.Rank()] = st
-	s.flows.drop(id)
 	if r.Rank() == 0 {
 		rq.q.res.Waves = st.DetectorWaves
 	}

@@ -1,7 +1,7 @@
 package engine_test
 
-// Recovery-path tests: cancellation causes as context errors, WaitCtx
-// prompt release of queued queries, checkpoint/resume of cancelled
+// Recovery-path tests: cancellation causes as context errors,
+// checkpoint/resume of cancelled
 // traversals, and the engine running its shared mailbox in reliable mode
 // over a faulty transport.
 
@@ -106,53 +106,6 @@ func TestEngineErrCauses(t *testing.T) {
 	if e.Obs().Counter(obs.EngineDeadlineExpired).Value() == 0 {
 		t.Error("EngineDeadlineExpired counter not incremented")
 	}
-}
-
-// TestEngineWaitCtxReleasesQueuedQuery is the wait-queue cancellation
-// regression test: a query parked behind a full in-flight set whose caller
-// context expires must come back promptly with context.DeadlineExceeded and
-// free its wait-queue slot immediately — not linger until a slot opens.
-func TestEngineWaitCtxReleasesQueuedQuery(t *testing.T) {
-	e, _, _ := buildEngine(t, 10, 4, "1d", engine.Options{MaxInFlight: 1, MaxQueue: 1})
-	defer e.Close()
-
-	blocker, err := e.Submit(engine.Spec{Algo: engine.AlgoCC})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	queued, err := e.Submit(engine.Spec{Algo: engine.AlgoBFS, Source: 0})
-	if err != nil {
-		t.Fatalf("Submit queued: %v", err)
-	}
-
-	// Pre-expired context: the deadline has already passed when WaitCtx runs,
-	// so the call must cancel the (still-queued) query rather than wait for
-	// the blocker to free a slot. Timeout 0 keeps the DeadlineExceeded cause.
-	ctx, cancel := context.WithTimeout(context.Background(), 0)
-	defer cancel()
-	begin := time.Now()
-	res, werr := queued.WaitCtx(ctx)
-	elapsed := time.Since(begin)
-	if !errors.Is(werr, context.DeadlineExceeded) {
-		t.Fatalf("WaitCtx = %v, want context.DeadlineExceeded", werr)
-	}
-	if !res.Cancelled {
-		t.Fatal("queued query released by WaitCtx not marked Cancelled")
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("WaitCtx took %v; queued query was not released promptly", elapsed)
-	}
-
-	// The wait-queue slot must be free immediately: with MaxQueue 1 and the
-	// blocker still (possibly) running, this submit must not hit ErrRejected.
-	next, err := e.Submit(engine.Spec{Algo: engine.AlgoBFS, Source: 1})
-	if err != nil {
-		t.Fatalf("post-release submit: %v (wait-queue slot not reclaimed)", err)
-	}
-	if res := next.Wait(); res.Cancelled {
-		t.Fatal("follow-up query cancelled unexpectedly")
-	}
-	blocker.Wait()
 }
 
 // TestEngineResumeFromCheckpoint seeds a BFS from a synthetic mid-traversal

@@ -74,8 +74,8 @@ type protocol interface {
 // queue; until it is done everywhere, peers' visitors may already arrive and
 // are applied at once, and the phase's and the queue's records share one
 // detector epoch. A phase's sends travel through the shared mailbox under
-// the query's tag, so the rank's flow counter and the query's detector
-// account for them exactly like visitor records.
+// the query's tag, so the query's detector counts them exactly like visitor
+// records.
 type run struct {
 	queue  visitorQueue // nil: no visitor queue
 	kind   byte

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"havoqgt/internal/algos/bfs"
 	"havoqgt/internal/core"
@@ -125,5 +128,83 @@ func TestCCCancelDuringMarkingResumes(t *testing.T) {
 	}
 	if res.Components != count {
 		t.Fatalf("resumed count %d, reference %d", res.Components, count)
+	}
+}
+
+// heldRun is a runner that holds its query open, never locally idle, until
+// release is closed.
+type heldRun struct {
+	*run
+	release <-chan struct{}
+}
+
+func (h heldRun) LocalIdle() bool {
+	select {
+	case <-h.release:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestEngineWaitCtxReleasesQueuedQuery is the wait-queue cancellation
+// regression test: a query parked behind a full in-flight set whose caller
+// context expires must come back promptly with context.DeadlineExceeded and
+// free its wait-queue slot immediately — not linger until a slot opens. The
+// in-flight slot is held by a query that cannot end before the test lets it.
+func TestEngineWaitCtxReleasesQueuedQuery(t *testing.T) {
+	g := rmatTestGraph(t, 10, 4)
+	release := make(chan struct{})
+	t.Cleanup(register(&algo{name: "held", run: func(*runEnv) runner {
+		return heldRun{&run{finish: func() {}}, release}
+	}}))
+	e, err := Start(Config{Machine: g.m, Parts: g.parts, Ghosts: g.ghosts}, Options{MaxInFlight: 1, MaxQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var free sync.Once
+	defer free.Do(func() { close(release) })
+
+	blocker, err := e.Submit(Spec{Algo: "held"})
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	queued, err := e.Submit(Spec{Algo: AlgoBFS, Source: 0})
+	if err != nil {
+		t.Fatalf("Submit queued: %v", err)
+	}
+
+	// Pre-expired context: the deadline has already passed when WaitCtx runs,
+	// so the call must cancel the still-queued query rather than wait for
+	// the blocker to free a slot. Timeout 0 keeps the DeadlineExceeded cause.
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	begin := time.Now()
+	res, werr := queued.WaitCtx(ctx)
+	elapsed := time.Since(begin)
+	if !errors.Is(werr, context.DeadlineExceeded) {
+		t.Fatalf("WaitCtx = %v, want context.DeadlineExceeded", werr)
+	}
+	if !res.Cancelled {
+		t.Fatal("queued query released by WaitCtx not marked Cancelled")
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("WaitCtx took %v; queued query was not released promptly", elapsed)
+	}
+
+	// The wait-queue slot must be free immediately: with MaxQueue 1 and the
+	// blocker still holding the in-flight slot, this submit must not hit
+	// ErrRejected.
+	next, err := e.Submit(Spec{Algo: AlgoBFS, Source: 1})
+	if err != nil {
+		t.Fatalf("post-release submit: %v (wait-queue slot not reclaimed)", err)
+	}
+	free.Do(func() { close(release) })
+	if res := next.Wait(); res.Cancelled {
+		t.Fatal("follow-up query cancelled unexpectedly")
+	}
+	if res := blocker.Wait(); res.Cancelled {
+		t.Fatal("blocker cancelled unexpectedly")
 	}
 }

@@ -162,7 +162,7 @@ func AblationTopology(s Sizing) *Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(name, topo.MaxChannels(), res.Stats.EnvelopesSent, res.Stats.RecordsSent, res.TEPS)
+		t.AddRow(name, topo.MaxChannels(), res.Stats.Mailbox.EnvelopesSent, res.Stats.Mailbox.RecordsSent, res.TEPS)
 	}
 	return t
 }
@@ -186,7 +186,7 @@ func AblationAggregation(s Sizing) *Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(fb, res.Stats.EnvelopesSent, res.TEPS)
+		t.AddRow(fb, res.Stats.Mailbox.EnvelopesSent, res.TEPS)
 	}
 	return t
 }

@@ -207,7 +207,7 @@ func Figure5(s Sizing) *Table {
 		}
 		seqTEPS := sequentialBFSTEPS(spec, s.Sources, s.Seed)
 		t.AddRow(p, scale, res.GlobalEdges/2, res.TEPS, res.TEPS/float64(p),
-			res.Stats.VisitorsExecuted, res.Stats.GhostFiltered, seqTEPS)
+			res.Stats.Executed, res.Stats.GhostFiltered, seqTEPS)
 	}
 	return t
 }
@@ -253,7 +253,7 @@ func Figure6(s Sizing) *Table {
 			panic(err)
 		}
 		for _, res := range results {
-			t.AddRow(p, scale, res.K, res.Time.Round(time.Millisecond), res.CoreSize, res.Stats.VisitorsExecuted)
+			t.AddRow(p, scale, res.K, res.Time.Round(time.Millisecond), res.CoreSize, res.Stats.Executed)
 		}
 	}
 	return t
@@ -280,7 +280,7 @@ func Figure7(s Sizing) *Table {
 			if err != nil {
 				panic(err)
 			}
-			t.AddRow(p, n, rw, res.Time.Round(time.Millisecond), res.Triangles, res.Stats.VisitorsExecuted)
+			t.AddRow(p, n, rw, res.Time.Round(time.Millisecond), res.Triangles, res.Stats.Executed)
 		}
 	}
 	return t
@@ -337,7 +337,7 @@ func Figure11(s Sizing) *Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(rw, res.MaxDegree, res.Time.Round(time.Millisecond), res.Triangles, res.Stats.VisitorsExecuted)
+		t.AddRow(rw, res.MaxDegree, res.Time.Round(time.Millisecond), res.Triangles, res.Stats.Executed)
 	}
 	return t
 }

@@ -122,7 +122,7 @@ func (e *env) close() { e.stores.Close() }
 // zero across rt/mailbox/termination, the query runs on a transient engine
 // (engine.RunOnce), and the phase's communication profile is recorded under
 // the given phase name.
-func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*engine.Result, AggStats, time.Duration, error) {
+func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*engine.Result, core.Stats, time.Duration, error) {
 	e.m.ResetStats()
 	span := e.m.Obs().StartPhase(string(spec.Algo)+".run", 0)
 	start := time.Now()
@@ -133,7 +133,7 @@ func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*e
 	elapsed := time.Since(start)
 	span.End()
 	if err != nil {
-		return nil, AggStats{}, 0, err
+		return nil, core.Stats{}, 0, err
 	}
 	RecordProfile(PhaseProfile{
 		Graph: e.graph, Algo: string(spec.Algo), Phase: phase,
@@ -141,7 +141,7 @@ func (e *env) run(ghosts []*core.GhostTable, spec engine.Spec, phase string) (*e
 		WallNS:  elapsed.Nanoseconds(),
 		Metrics: e.m.Obs().Snapshot(),
 	})
-	return res, sumStats(stats), elapsed, nil
+	return res, core.Sum(stats), elapsed, nil
 }
 
 // pickSources selects n distinct source vertices with at least one edge,
@@ -163,45 +163,6 @@ func pickSources(parts []*partition.Part, n int, seed uint64) []graph.Vertex {
 	return sources
 }
 
-// AggStats are cluster-wide sums of the per-rank queue counters.
-type AggStats struct {
-	VisitorsExecuted uint64
-	VisitorsPushed   uint64
-	GhostFiltered    uint64
-	Forwarded        uint64
-	EnvelopesSent    uint64
-	RecordsSent      uint64
-	DetectorWaves    uint64
-}
-
-// sumStats folds one query's per-rank counters (Ticket.Stats).
-func sumStats(stats []core.Stats) AggStats {
-	var a AggStats
-	for _, s := range stats {
-		a.add(AggStats{
-			VisitorsExecuted: s.Executed,
-			VisitorsPushed:   s.Pushed,
-			GhostFiltered:    s.GhostFiltered,
-			Forwarded:        s.Forwarded,
-			EnvelopesSent:    s.Mailbox.EnvelopesSent,
-			RecordsSent:      s.Mailbox.RecordsSent,
-			DetectorWaves:    s.DetectorWaves,
-		})
-	}
-	return a
-}
-
-// add accumulates b: sums, except the wave count, which is a maximum.
-func (a *AggStats) add(b AggStats) {
-	a.VisitorsExecuted += b.VisitorsExecuted
-	a.VisitorsPushed += b.VisitorsPushed
-	a.GhostFiltered += b.GhostFiltered
-	a.Forwarded += b.Forwarded
-	a.EnvelopesSent += b.EnvelopesSent
-	a.RecordsSent += b.RecordsSent
-	a.DetectorWaves = max(a.DetectorWaves, b.DetectorWaves)
-}
-
 // BFSResult summarizes a BFS experiment.
 type BFSResult struct {
 	Graph          string
@@ -214,7 +175,7 @@ type BFSResult struct {
 	TraversedEdges uint64        // summed over sources (undirected count)
 	TEPS           float64
 	MaxLevel       uint32
-	Stats          AggStats
+	Stats          core.Stats
 	Cache          pagecache.Stats // summed over ranks
 }
 
@@ -277,7 +238,7 @@ func RunBFS(o BFSOpts) (BFSResult, error) {
 		res.TraversedEdges += TraversedEdges(e.parts, out.Levels)
 		_, depth := bfs.Summary(out.Levels)
 		res.MaxLevel = max(res.MaxLevel, depth)
-		res.Stats.add(stats)
+		res.Stats.Add(stats)
 	}
 	res.Cache = e.stores.Stats().Cache
 	if res.TotalTime > 0 {
@@ -294,7 +255,7 @@ type KCoreResult struct {
 	GlobalEdges uint64
 	Time        time.Duration
 	CoreSize    uint64
-	Stats       AggStats
+	Stats       core.Stats
 }
 
 // KCoreOpts configure a k-core experiment (one traversal per k).
@@ -338,7 +299,7 @@ type TriangleResult struct {
 	MaxDegree   uint64
 	Time        time.Duration
 	Triangles   uint64
-	Stats       AggStats
+	Stats       core.Stats
 }
 
 // TriangleOpts configure a triangle-counting experiment.

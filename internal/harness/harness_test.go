@@ -27,7 +27,7 @@ func TestRunBFSSmoke(t *testing.T) {
 	if res.TEPS <= 0 || res.TraversedEdges == 0 {
 		t.Fatalf("BFS produced no work: %+v", res)
 	}
-	if res.Stats.VisitorsExecuted == 0 {
+	if res.Stats.Executed == 0 {
 		t.Fatal("no visitors executed")
 	}
 	if res.GlobalEdges == 0 || res.NumVertices != 1024 {

@@ -69,6 +69,27 @@ type Stats struct {
 	PoolBytesRecycled uint64 // buffer capacity accepted back into the pool
 }
 
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.RecordsSent += o.RecordsSent
+	s.RecordsDelivered += o.RecordsDelivered
+	s.RecordsForwarded += o.RecordsForwarded
+	s.EnvelopesSent += o.EnvelopesSent
+	s.EnvelopesRecv += o.EnvelopesRecv
+	s.Hops += o.Hops
+	s.Flushes += o.Flushes
+	s.DecodeErrors += o.DecodeErrors
+	s.ChannelsUsed += o.ChannelsUsed
+	s.Retransmits += o.Retransmits
+	s.DupDropped += o.DupDropped
+	s.CorruptDropped += o.CorruptDropped
+	s.StaleDropped += o.StaleDropped
+	s.AcksSent += o.AcksSent
+	s.PoolGets += o.PoolGets
+	s.PoolHits += o.PoolHits
+	s.PoolBytesRecycled += o.PoolBytesRecycled
+}
+
 // AggregationRatio returns records per shipped envelope — the direct
 // measure of how much the aggregation layer batches per topology.
 func (s Stats) AggregationRatio() float64 {

@@ -102,37 +102,90 @@ func (d *Detector) recv() []rt.Msg {
 }
 
 // Mux demultiplexes one rank's control message plane across many detector
-// instances, keyed by the instance ID carried in the message tag. Create one
-// per rank, then mint per-query detectors with Detector. Messages for
-// instances not yet registered are buffered until that instance pumps —
-// asynchronous query admission means a fast rank's first wave can reach a
-// rank that has not created the query's detector yet.
+// instances, keyed by the instance ID carried in the message tag, and is the
+// rank's mailbox.FlowCounter: it counts each tagged record straight into its
+// instance's S or R. Create one per rank. An instance is minted by its first
+// count or its first Detector call, whichever comes first — a peer's record
+// can be delivered, and a peer's first wave arrive, before this rank has
+// started the query — and control messages for instances not minted yet are
+// buffered until the instance pumps.
 //
 // A Mux (like the Detectors it serves) is confined to its rank's goroutine.
 type Mux struct {
 	r      *rt.Rank
+	dets   map[uint32]*Detector
 	queues map[uint32][]rt.Msg
-	dead   map[uint32]struct{} // retired ids whose late waves are dropped
+	dead   map[uint32]struct{} // retired ids whose late waves and counts are dropped
+	// One-entry memo of the last instance looked up: the mailbox counts every
+	// record, and records come in long runs of one tag (always, with one
+	// query in flight), so the map is consulted once per run.
+	lastID uint32
+	last   *Detector
 }
 
 // NewMux returns a control-plane demultiplexer for the rank.
 func NewMux(r *rt.Rank) *Mux {
-	return &Mux{r: r, queues: make(map[uint32][]rt.Msg)}
+	return &Mux{r: r, dets: make(map[uint32]*Detector), queues: make(map[uint32][]rt.Msg)}
 }
 
-// Detector mints the detector instance for id on this rank. Every rank of
-// the machine must mint the same id for waves to aggregate; ids must not be
-// reused until the previous instance detected quiescence.
+// Detector returns the detector instance for id on this rank, minting it if
+// no record or call has yet. Every rank of the machine must mint the same id
+// for waves to aggregate; ids must not be reused until the previous instance
+// detected quiescence.
 func (m *Mux) Detector(id uint32) *Detector {
-	if id > MaxID {
-		panic("termination: detector instance id overflows the tag namespace")
+	if m.last != nil && m.lastID == id {
+		return m.last
 	}
-	return &Detector{
-		r:          m.r,
-		id:         id,
-		mux:        m,
-		obsWaves:   m.r.Obs().Counter(obs.TermWaves),
-		obsRetests: m.r.Obs().Counter(obs.TermRetests),
+	d := m.dets[id]
+	if d == nil {
+		if id > MaxID {
+			panic("termination: detector instance id overflows the tag namespace")
+		}
+		d = &Detector{
+			r:          m.r,
+			id:         id,
+			mux:        m,
+			obsWaves:   m.r.Obs().Counter(obs.TermWaves),
+			obsRetests: m.r.Obs().Counter(obs.TermRetests),
+		}
+		m.dets[id] = d
+	}
+	m.lastID, m.last = id, d
+	return d
+}
+
+// counted is the instance a record under id counts into, nil for a retired
+// id or one no detector can have (a tag no engine mints).
+func (m *Mux) counted(id uint32) *Detector {
+	if m.last != nil && m.lastID == id {
+		return m.last
+	}
+	if id > MaxID || m.Retired(id) {
+		return nil
+	}
+	return m.Detector(id)
+}
+
+// Retired reports whether id was retired without detecting quiescence
+// (Retire).
+func (m *Mux) Retired(id uint32) bool {
+	_, gone := m.dead[id]
+	return gone
+}
+
+// CountSent counts n records sent under tag id into its instance's S
+// (mailbox.FlowCounter).
+func (m *Mux) CountSent(id uint32, n uint64) {
+	if d := m.counted(id); d != nil {
+		d.sent += n
+	}
+}
+
+// CountReceived counts n records delivered under tag id into its instance's
+// R (mailbox.FlowCounter).
+func (m *Mux) CountReceived(id uint32, n uint64) {
+	if d := m.counted(id); d != nil {
+		d.received += n
 	}
 }
 
@@ -143,7 +196,7 @@ func (m *Mux) Detector(id uint32) *Detector {
 func (m *Mux) poll() {
 	for _, msg := range m.r.Recv(rt.KindControl) {
 		id := msg.Tag >> typeBits
-		if _, gone := m.dead[id]; gone {
+		if m.Retired(id) {
 			continue
 		}
 		m.queues[id] = append(m.queues[id], msg)
@@ -159,21 +212,27 @@ func (m *Mux) take(id uint32) []rt.Msg {
 	return msgs
 }
 
-// Release drops any remaining buffered messages for a retired instance.
-// Safe only after the instance's Pump returned true on this rank: global
-// quiescence plus DONE propagation guarantee no further control traffic for
-// the id.
-func (m *Mux) Release(id uint32) { delete(m.queues, id) }
-
-// Retire drops the instance's buffered messages AND blacklists the id so
-// late-arriving waves are discarded at poll time instead of re-buffered.
-// This is the forced-abort teardown (process failure elsewhere in the
-// cluster): quiescence never happened, so other ranks may still emit control
-// traffic for the id. Ids are never reused within an engine's lifetime, so
-// the blacklist entry (one id per aborted query) is a bounded, permanent
-// tombstone.
-func (m *Mux) Retire(id uint32) {
+// Release forgets a retired instance and drops any remaining buffered
+// messages for it. Safe only after the instance's Pump returned true on this
+// rank: global quiescence plus DONE propagation guarantee no further control
+// traffic or record for the id.
+func (m *Mux) Release(id uint32) {
 	delete(m.queues, id)
+	delete(m.dets, id)
+	if m.lastID == id {
+		m.last = nil
+	}
+}
+
+// Retire is Release for an instance that never detected quiescence, and
+// blacklists the id so late-arriving waves are discarded at poll time
+// instead of re-buffered, and late records are not counted. This is the
+// forced-abort teardown (process failure elsewhere in the cluster): other
+// ranks may still emit control traffic and records for the id. Ids are never
+// reused within an engine's lifetime, so the blacklist entry (one id per
+// aborted query) is a bounded, permanent tombstone.
+func (m *Mux) Retire(id uint32) {
+	m.Release(id)
 	if m.dead == nil {
 		m.dead = make(map[uint32]struct{})
 	}

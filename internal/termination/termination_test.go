@@ -179,6 +179,30 @@ func TestCountersAccumulate(t *testing.T) {
 	})
 }
 
+// TestMuxCountsStraightIntoDetectors: as the mailbox's flow counter, a Mux
+// counts a tag into that query's detector, minting it on the first count —
+// the one Detector later returns — and counts nothing for a retired id, so a
+// straggler re-creates no instance after Retire.
+func TestMuxCountsStraightIntoDetectors(t *testing.T) {
+	m := rt.NewMachine(1)
+	m.Run(func(r *rt.Rank) {
+		mux := NewMux(r)
+		mux.CountReceived(7, 2) // delivered before this rank started query 7
+		mux.CountSent(8, 1)
+		mux.CountSent(7, 3)
+		d := mux.Detector(7)
+		if d.Sent() != 3 || d.Received() != 2 || mux.Detector(8).Sent() != 1 {
+			panic("counts did not land in their tags' detectors")
+		}
+		mux.Retire(7)
+		mux.CountSent(7, 1)
+		mux.CountReceived(MaxID+1, 1)
+		if len(mux.dets) != 1 || d.Sent() != 3 {
+			panic("a count re-created or reached a retired or impossible id")
+		}
+	})
+}
+
 func TestSequentialTraversalsFreshDetectors(t *testing.T) {
 	// Two traversals back to back on the same machine: the second detector
 	// must not be confused by the first's control traffic.
