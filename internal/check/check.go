@@ -22,9 +22,10 @@
 //     sends outside its visitor queue (a direction-optimizing BFS, alone or
 //     marking cc's giant component, PageRank's rounds and k-core's first
 //     peel)
-//   - one ledger:            per rank, every batch-published obs cell equals
-//     the plain Stats field it mirrors (asserted on every clean differential
-//     case)
+//   - one ledger:            per rank, every obs cell the engine's rank loop
+//     publishes from a core.Stats or mailbox.Stats field equals that field
+//     once the query is done (LedgerMirrored; asserted on every clean
+//     differential case)
 //   - edge tags:             per rank, what the partition build resolved into
 //     each stored target word is what the owner table and the rank's own edge
 //     counts say (EdgeTags; asserted on every differential case, through the
@@ -172,14 +173,16 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 	return vs
 }
 
-// ledgerMirrored checks the one-ledger contract at quiescence (DESIGN.md §9,
+// LedgerMirrored checks the one-ledger contract at quiescence (DESIGN.md §9,
 // "Counters on the hot path"): the hot paths write only the plain core.Stats
-// and mailbox.Stats fields and publish their growth to the registry in
-// batches, so once a query is done every such per-rank cell must equal the
-// field it mirrors, on every rank. stats must be those of the only query the
+// and mailbox.Stats fields, and the engine's rank loop publishes their growth
+// to the registry from its own table (internal/engine, ledger.go), so once a
+// query is done every such per-rank cell must equal the field it mirrors, on
+// every rank. The table here is written independently of the engine's, so
+// that each checks the other. stats must be those of the only query the
 // machine has run since its registry was last reset (engine.RunOnce on a
 // fresh machine).
-func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
+func LedgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 	mirrors := []struct {
 		name  string
 		field func(core.Stats) uint64
@@ -200,8 +203,15 @@ func ledgerMirrored(reg *obs.Registry, stats []core.Stats) []Violation {
 		{obs.MBEnvelopesRecv, func(s core.Stats) uint64 { return s.Mailbox.EnvelopesRecv }},
 		{obs.MBHops, func(s core.Stats) uint64 { return s.Mailbox.Hops }},
 		{obs.MBFlushes, func(s core.Stats) uint64 { return s.Mailbox.Flushes }},
+		{obs.MBDecodeErrors, func(s core.Stats) uint64 { return s.Mailbox.DecodeErrors }},
+		{obs.MBRetransmits, func(s core.Stats) uint64 { return s.Mailbox.Retransmits }},
+		{obs.MBDupDropped, func(s core.Stats) uint64 { return s.Mailbox.DupDropped }},
+		{obs.MBCorruptDropped, func(s core.Stats) uint64 { return s.Mailbox.CorruptDropped }},
+		{obs.MBStaleDropped, func(s core.Stats) uint64 { return s.Mailbox.StaleDropped }},
+		{obs.MBAcksSent, func(s core.Stats) uint64 { return s.Mailbox.AcksSent }},
 		{obs.MBPoolGets, func(s core.Stats) uint64 { return s.Mailbox.PoolGets }},
 		{obs.MBPoolHits, func(s core.Stats) uint64 { return s.Mailbox.PoolHits }},
+		{obs.MBPoolRecycledBytes, func(s core.Stats) uint64 { return s.Mailbox.PoolBytesRecycled }},
 	}
 	var vs violations
 	for _, m := range mirrors {

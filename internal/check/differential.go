@@ -240,7 +240,7 @@ func (c Case) run() (stats []core.Stats, err error) {
 		if err := Error(Traversal(topo, stats)); err != nil {
 			return fail(err)
 		}
-		if err := Error(ledgerMirrored(cfg.Machine.Obs(), stats)); err != nil {
+		if err := Error(LedgerMirrored(cfg.Machine.Obs(), stats)); err != nil {
 			return fail(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"havoqgt/internal/algos/bfs"
@@ -9,7 +10,6 @@ import (
 	"havoqgt/internal/csr"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
-	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 	"havoqgt/internal/termination"
@@ -90,18 +90,66 @@ func TestGhostFilterContract(t *testing.T) {
 		}
 
 		const dropped = 4
-		for range 2 { // a second publication folds nothing twice
+		for range 2 { // a second read folds nothing twice
 			st := q.Stats()
 			if st.Pushed != dropped || st.GhostFiltered != dropped {
 				t.Errorf("Stats: pushed %d, ghost-filtered %d, want %d each", st.Pushed, st.GhostFiltered, dropped)
 			}
-			for _, name := range []string{obs.CorePushed, obs.CoreGhostFiltered} {
-				if got := r.Obs().PerRank(name, p).Rank(0); got != dropped {
-					t.Errorf("registry %s = %d, want %d", name, got, dropped)
-				}
-			}
 		}
 	})
+}
+
+// TestRawComponentsPublishNothing: a Queue and a Box driven outside the
+// engine keep their counts in Stats and leave every core.* and mailbox.*
+// counter cell of a fresh machine at zero. Publication is the engine rank
+// loop's alone (internal/engine, ledger.go).
+func TestRawComponentsPublishNothing(t *testing.T) {
+	const p = 2
+	topo, err := mailbox.ByName("2d", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.NewMachine(p)
+	qs, mbs := make([]core.Stats, p), make([]mailbox.Stats, p)
+	m.Run(func(r *rt.Rank) {
+		part := filterGraph(r, p)
+		det := termination.New(r)
+		box := mailbox.New(r, topo, det)
+		ghosts := core.BuildGhostTable(part, core.DefaultGhostsPerPartition)
+		q := core.NewQueue[bfs.Visitor](r, part, bfs.New(part), ghosts, nil, box, 0)
+		if part.IsMaster(0) {
+			q.Push(bfs.Visitor{V: 0, Parent: 0})
+		}
+		for {
+			q.Step(64)
+			for _, rec := range box.Poll() {
+				q.Deliver(rec)
+			}
+			box.FlushAll()
+			if det.Pump(q.LocalIdle()) {
+				break
+			}
+		}
+		box.Close()
+		qs[r.Rank()], mbs[r.Rank()] = q.Stats(), box.Stats()
+	})
+	st := core.Sum(qs)
+	var mb mailbox.Stats
+	for _, s := range mbs {
+		mb.Add(s)
+	}
+	if st.Pushed == 0 || st.Received == 0 || st.Executed == 0 || st.GhostFiltered == 0 {
+		t.Errorf("queue Stats hold no traversal: %+v", st)
+	}
+	if mb.RecordsSent == 0 || mb.RecordsDelivered != mb.RecordsSent || mb.Hops == 0 || mb.EnvelopesSent == 0 ||
+		mb.PoolGets == 0 || mb.PoolBytesRecycled == 0 {
+		t.Errorf("box Stats hold no exchange: %+v", mb)
+	}
+	for name, v := range m.Obs().Snapshot().Counters {
+		if (strings.HasPrefix(name, "core.") || strings.HasPrefix(name, "mailbox.")) && v != 0 {
+			t.Errorf("registry %s = %d from a raw Queue and Box, want 0", name, v)
+		}
+	}
 }
 
 // TestGhostFilterUnallocatedFromDegreeZeroSource: a query whose source has no

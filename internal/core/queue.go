@@ -13,10 +13,10 @@ import (
 )
 
 // Stats counts one rank's activity for one query. Like mailbox.Stats it is the
-// one ledger the hot path writes — plain fields — and the machine's
-// obs.Registry gets the growth of the queue's own counters (Pushed through
-// Unparked) under the core.* names once per rank-loop iteration and whenever
-// Stats is read (Queue.publish). Every push ends one of three ways, a replica
+// one ledger the hot path writes — plain fields. The queue publishes nothing:
+// the engine's rank loop gives the machine's obs.Registry the growth of
+// Pushed through Unparked under the core.* names, from one table
+// (internal/engine, ledger.go). Every push ends one of three ways, a replica
 // forward sends once more, and a runner may send and receive records of a
 // protocol of its own beside or instead of its queue (a direction-optimizing
 // BFS's level messages): Pushed − GhostFiltered − Local + Forwarded +
@@ -133,43 +133,8 @@ type Queue[V Visitor] struct {
 	pager  RowPager
 	parked Parking[V]
 
-	stats    Stats
-	mirrored Stats // what publish has already given the registry
-	met      queueMetrics
-}
-
-// queueMetrics bundles the rank's obs handles for the visitor queue.
-// Counters accumulate machine-wide (reset via obs.Registry.Reset); the Stats
-// struct stays per-Queue for per-traversal reads.
-type queueMetrics struct {
-	rank          int
-	pushed        *obs.PerRank
-	ghostFiltered *obs.PerRank
-	local         *obs.PerRank
-	received      *obs.PerRank
-	queued        *obs.PerRank
-	executed      *obs.PerRank
-	forwarded     *obs.PerRank
-	parked        *obs.PerRank
-	unparked      *obs.PerRank
-	queueDepth    *obs.Histogram
-}
-
-func newQueueMetrics(r *rt.Rank) queueMetrics {
-	reg, p := r.Obs(), r.Size()
-	return queueMetrics{
-		rank:          r.Rank(),
-		pushed:        reg.PerRank(obs.CorePushed, p),
-		ghostFiltered: reg.PerRank(obs.CoreGhostFiltered, p),
-		local:         reg.PerRank(obs.CoreLocal, p),
-		received:      reg.PerRank(obs.CoreReceived, p),
-		queued:        reg.PerRank(obs.CoreQueued, p),
-		executed:      reg.PerRank(obs.CoreExecuted, p),
-		forwarded:     reg.PerRank(obs.CoreForwarded, p),
-		parked:        reg.PerRank(obs.CoreParked, p),
-		unparked:      reg.PerRank(obs.CoreUnparked, p),
-		queueDepth:    reg.Histogram(obs.CoreQueueDepth),
-	}
+	stats      Stats
+	queueDepth *obs.Histogram
 }
 
 // NewQueue builds one query's queue on one rank: visitors travel through the
@@ -185,13 +150,13 @@ func NewQueue[V Visitor](r *rt.Rank, part *partition.Part, algo Algorithm[V],
 	ghosts *GhostTable, pager RowPager, mb *mailbox.Box, tag uint32) *Queue[V] {
 	ba, _ := algo.(BucketAlgorithm[V])
 	q := &Queue[V]{
-		part:  part,
-		algo:  algo,
-		mb:    mb,
-		tag:   tag,
-		cal:   newCalendar[V](ba),
-		pager: pager,
-		met:   newQueueMetrics(r),
+		part:       part,
+		algo:       algo,
+		mb:         mb,
+		tag:        tag,
+		cal:        newCalendar[V](ba),
+		pager:      pager,
+		queueDepth: r.Obs().Histogram(obs.CoreQueueDepth),
 	}
 	q.parked = NewParking(pager, q.visit)
 	if ghosts != nil {
@@ -310,9 +275,7 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 
 // Step executes up to batch locally queued visitors, returning whether any
 // work happened — this query's slice of the DO_TRAVERSAL loop, which the
-// engine interleaves with every other in-flight query's on the rank. Each
-// call first gives the registry what the counters grew since the last
-// (publish).
+// engine interleaves with every other in-flight query's on the rank.
 //
 // With an out-of-core pager, each popped visitor's row is checked against the
 // cache's residency bits without a lock; the slice's misses go to the pager
@@ -323,11 +286,10 @@ func (q *Queue[V]) Deliver(rec mailbox.Record) {
 // queue did advance its frontier bookkeeping, and reporting false here could
 // let the rank loop sleep while fetches it must drain are in flight.
 func (q *Queue[V]) Step(batch int) bool {
-	q.publish()
 	if q.cal.n == 0 {
 		return false
 	}
-	q.met.queueDepth.Observe(uint64(q.cal.n))
+	q.queueDepth.Observe(uint64(q.cal.n))
 	for i := 0; i < batch && q.cal.n > 0; i++ {
 		v := q.cal.pop()
 		// The residency test is inline, not Parking.Absent, which does not
@@ -394,36 +356,17 @@ func (q *Queue[V]) Cancel() {
 	q.parked.Clear()
 }
 
-// Stats returns the rank's traversal counters. The protocol, detector and
-// mailbox fields are left zero: they are the runner's and the executor's.
+// Stats returns the rank's traversal counters, first folding in the pushes
+// the ghost filter dropped (counted in Pushed and GhostFiltered, once) and
+// the parking's counts. The protocol, detector and mailbox fields are left
+// zero: they are the runner's and the executor's.
 func (q *Queue[V]) Stats() Stats {
-	q.publish()
-	return q.stats
-}
-
-// publish gives the registry what the counters have grown since the last
-// publication (obs.PerRank.Publish). The rank loop reaches it through Step,
-// which it calls once per iteration for every query in flight, and through
-// Stats when it retires the query, forced retirement included, before the
-// query's done channel can close: so the registry equals Stats when done
-// closes, and lags by at most one rank-loop iteration while the query runs.
-// The pushes the ghost filter dropped are folded into Pushed and
-// GhostFiltered here first.
-func (q *Queue[V]) publish() {
-	m, cur, last, rank := &q.met, &q.stats, &q.mirrored, q.met.rank
+	cur := &q.stats
 	cur.Parked, cur.Unparked = q.parked.Parked, q.parked.Unparked
 	cur.Pushed += q.filter.dropped
 	cur.GhostFiltered += q.filter.dropped
 	q.filter.dropped = 0
-	m.pushed.Publish(rank, cur.Pushed, &last.Pushed)
-	m.ghostFiltered.Publish(rank, cur.GhostFiltered, &last.GhostFiltered)
-	m.local.Publish(rank, cur.Local, &last.Local)
-	m.received.Publish(rank, cur.Received, &last.Received)
-	m.queued.Publish(rank, cur.Queued, &last.Queued)
-	m.executed.Publish(rank, cur.Executed, &last.Executed)
-	m.forwarded.Publish(rank, cur.Forwarded, &last.Forwarded)
-	m.parked.Publish(rank, cur.Parked, &last.Parked)
-	m.unparked.Publish(rank, cur.Unparked, &last.Unparked)
+	return *cur
 }
 
 // calendar is the local scheduler: visitors land in FIFO buckets keyed by

@@ -4,7 +4,7 @@ package engine
 // and the checks they must pass, the Result arrays it fills and what they
 // hold before any rank gathered into them, its runner constructor, whether
 // it resumes, and the Result scalar its ranks' accum totals into. Validate,
-// NewResult, Canonical, Part, Merge and Algo.Resumable read the table; the
+// NewResult, Canonical, Part and Merge read the table; the
 // cluster, the traffic plane and havoqd reach it only through them, and carry
 // a query as its Spec and its answer as Results cut by Part. Submit resolves a
 // query's entry once and carries it on the query, so rank loops never read
@@ -38,7 +38,17 @@ type algo struct {
 	arrays []array
 	// run builds the query's runner on one rank (runners.go).
 	run func(*runEnv) runner
-	// resumes is the checkpoint/resume capability (Algo.Resumable).
+	// resumes is the checkpoint/resume capability: true when the query
+	// type's per-vertex state is monotone (levels, distances and labels only
+	// ever improve toward the fixpoint), so a cancelled query's partial
+	// gather is a consistent lower bound a resumed run can re-seed from. The
+	// others fail the test for structural reasons, not as special cases:
+	// k-core's interlocked removal counts would double-remove edges on
+	// replay; PageRank's ranks move both ways between iterations; the
+	// direction-optimizing BFS and triangle counting hold mid-protocol
+	// wavefront state (frontier bitmaps, partial wedges) that a fresh engine
+	// cannot re-enter. Everything that gates on resumability — Spec.Resume
+	// validation, Ticket.Checkpoint, Ticket.RetrySpec — reads this one flag.
 	resumes bool
 	// total, when non-nil, is the Result scalar the ranks' accum totals into.
 	total func(*Result) *uint64
@@ -176,23 +186,6 @@ func Algos() []Algo {
 		out[i] = e.name
 	}
 	return out
-}
-
-// Resumable is the checkpoint/resume capability flag: true when the
-// algorithm's per-vertex state is monotone (levels, distances, and labels
-// only ever improve toward the fixpoint), so a cancelled query's partial
-// gather is a consistent lower bound a resumed run can re-seed from.
-//
-// The others fail the test for structural reasons, not as special cases:
-// k-core's interlocked removal counts would double-remove edges on replay;
-// pagerank ranks move both ways between iterations; the direction-optimizing
-// BFS and triangle counting hold mid-protocol wavefront state (frontier
-// bitmaps, partial wedges) that a fresh engine cannot re-enter. Everything
-// that gates on resumability — Spec.Resume validation, Ticket.Checkpoint,
-// retry ladders — consults this one flag, the entry's.
-func (a Algo) Resumable() bool {
-	e := lookup(a)
-	return e != nil && e.resumes
 }
 
 // key is the part of spec the entry reads.

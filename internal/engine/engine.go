@@ -64,7 +64,7 @@ var (
 )
 
 // ErrNotResumable rejects Spec.Resume for algorithms whose rank state is not
-// a monotone per-vertex lower bound (see Algo.Resumable). It is a typed
+// a monotone per-vertex lower bound (the table's resumes flag, algos.go). It is a typed
 // sentinel so retry ladders can distinguish "this query can never resume"
 // (fall back to a fresh start) from transient admission errors.
 var ErrNotResumable = errors.New("engine: algorithm is not resumable")
@@ -100,13 +100,14 @@ type Spec struct {
 	// Resume, if non-nil, seeds the query from a checkpoint taken off an
 	// earlier cancelled run of the same traversal (same algo, and the same
 	// values of the fields it reads) instead of from scratch. Only
-	// algorithms with Algo.Resumable may resume. See Ticket.Checkpoint.
+	// algorithms whose table entry resumes may resume (algos.go). See
+	// Ticket.Checkpoint.
 	Resume *Checkpoint
 }
 
 // Checkpoint is a coarse query checkpoint: the partial per-vertex state a
 // cancelled query had reached when it drained. Only algorithms with the
-// Algo.Resumable capability produce one — their monotone per-vertex values
+// resume capability (algos.go) produce one — their monotone per-vertex values
 // make any partial gather a consistent lower bound of work already done, and
 // a resumed query re-seeds its frontier from it rather than from the source
 // alone.
@@ -365,8 +366,8 @@ func (t *Ticket) WaitCtx(ctx context.Context) (*Result, error) {
 
 // Checkpoint returns the cancelled query's partial state for resumption, or
 // nil if the query completed cleanly (nothing to resume), has not finished
-// draining yet, or ran an algorithm without the resume capability (see
-// Algo.Resumable).
+// draining yet, or ran an algorithm without the resume capability
+// (algos.go).
 func (t *Ticket) Checkpoint() *Checkpoint {
 	select {
 	case <-t.q.done:
@@ -383,7 +384,7 @@ func (t *Ticket) Checkpoint() *Checkpoint {
 }
 
 // RetrySpec returns the spec that retries this finished, cancelled query:
-// resumed from its checkpoint for a resumable algorithm (Algo.Resumable),
+// resumed from its checkpoint for a resumable algorithm (algos.go),
 // from scratch otherwise, with deadline d, or twice this attempt's when d is
 // zero — so a caller retrying in a loop gets a geometrically growing budget.
 func (t *Ticket) RetrySpec(d time.Duration) Spec {

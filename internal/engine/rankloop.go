@@ -28,8 +28,9 @@ type runner interface {
 	// queued, parked or ready to step.
 	LocalIdle() bool
 	Cancel()
-	// Stats returns the rank's counters for the query and gives the
-	// registry their growth; the detector and mailbox fields are the loop's.
+	// Stats returns the rank's counters for the query, its ledger, which
+	// the loop publishes (ledger.go); the detector and mailbox fields are
+	// the loop's.
 	Stats() core.Stats
 	// Finish gathers this rank's master-range results into the shared query
 	// object (disjoint writes) and accumulates cross-rank scalars through
@@ -43,6 +44,9 @@ type runningQuery struct {
 	q   *query
 	run runner
 	det *termination.Detector
+	// stats is the run's ledger as last read; published is what the
+	// registry has been given of it (ledger.publish).
+	stats, published core.Stats
 }
 
 // rankState is one rank's engine loop state. Strictly rank-confined.
@@ -61,6 +65,12 @@ type rankState struct {
 	// before this rank's control-log cursor reaches the start event.
 	pending map[uint32][]mailbox.Record
 	cursor  int // control-log position
+
+	// The registry cells of the query and box ledgers, and the box's ledger
+	// as last read and as published (ledger.go).
+	queryCells             ledger[core.Stats]
+	boxCells               ledger[mailbox.Stats]
+	boxStats, boxPublished mailbox.Stats
 }
 
 // rankLoop is the per-rank executor, the repository's only traversal loop
@@ -78,6 +88,9 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		mux:     mux,
 		active:  make(map[uint32]*runningQuery),
 		pending: make(map[uint32][]mailbox.Record),
+
+		queryCells: newLedger(r, queryRows),
+		boxCells:   newLedger(r, boxRows),
 	}
 	if e.cfg.Pagers != nil {
 		s.pager = e.cfg.Pagers[r.Rank()]
@@ -221,6 +234,11 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			s.finish(r, id)
 		}
 
+		for _, rq := range s.active {
+			s.publish(rq)
+		}
+		s.publishBox() // on shutdown, the last: Close counts nothing
+
 		if shutdown && len(s.active) == 0 {
 			s.box.Close()
 			return
@@ -272,13 +290,16 @@ func (s *rankState) finish(r *rt.Rank, id uint32) { s.retire(r, id, false) }
 func (s *rankState) retire(r *rt.Rank, id uint32, forced bool) {
 	rq := s.active[id]
 	delete(s.active, id)
-	st := rq.run.Stats()
+	s.publish(rq)
+	s.publishBox()
+	st := rq.stats
 	if !forced {
 		st.DetectorWaves = rq.det.Waves
 	}
-	// The box is the rank's, shared by every query in flight; the records
-	// are the query's own, its detector's S and R (see Ticket.Stats).
-	st.Mailbox = s.box.Stats()
+	// The box is the rank's, shared by every query in flight, and published
+	// as the box's; the records are the query's own, its detector's S and R
+	// (see Ticket.Stats).
+	st.Mailbox = s.boxStats
 	st.Mailbox.RecordsSent, st.Mailbox.RecordsDelivered = rq.det.Sent(), rq.det.Received()
 	rq.q.stats[r.Rank()] = st
 	if r.Rank() == 0 {
@@ -298,4 +319,17 @@ func (s *rankState) retire(r *rt.Rank, id uint32, forced bool) {
 	if int(rq.q.ranksDone.Add(1)) == s.e.localRanks {
 		s.e.completeQuery(rq.q)
 	}
+}
+
+// publish reads the query's ledger on this rank and gives the registry its
+// growth.
+func (s *rankState) publish(rq *runningQuery) {
+	rq.stats = rq.run.Stats()
+	s.queryCells.publish(&rq.stats, &rq.published)
+}
+
+// publishBox reads the box's ledger and gives the registry its growth.
+func (s *rankState) publishBox() {
+	s.boxStats = s.box.Stats()
+	s.boxCells.publish(&s.boxStats, &s.boxPublished)
 }

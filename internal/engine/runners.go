@@ -21,7 +21,6 @@ import (
 	"havoqgt/internal/core"
 	"havoqgt/internal/graph"
 	"havoqgt/internal/mailbox"
-	"havoqgt/internal/obs"
 	"havoqgt/internal/partition"
 	"havoqgt/internal/rt"
 )
@@ -84,12 +83,9 @@ type run struct {
 	finish func()
 
 	cancelled bool
-	parks     parkLedger
 
 	protocolSent, protocolReceived uint64
 }
-
-func newRun(env *runEnv) *run { return &run{parks: newParkLedger(env)} }
 
 func (rn *run) Deliver(rec mailbox.Record) {
 	if rn.queue != nil && (rn.phase == nil || len(rec.Payload) > 0 && rec.Payload[0] == rn.kind) {
@@ -140,34 +136,14 @@ func (rn *run) Stats() core.Stats {
 	}
 	s.ProtocolSent, s.ProtocolReceived = rn.protocolSent, rn.protocolReceived
 	if rn.phase != nil {
-		rn.parks.publish(rn.phase, &s)
+		parked, unparked := rn.phase.Parks()
+		s.Parked += parked
+		s.Unparked += unparked
 	}
 	return s
 }
 
 func (rn *run) Finish() { rn.finish() }
-
-// parkLedger publishes a protocol's parks to core.parked and core.unparked,
-// as a core.Queue publishes its visitors'.
-type parkLedger struct {
-	rank             int
-	parked, unparked *obs.PerRank
-	mirrored         core.Stats // what the registry has already been given
-}
-
-func newParkLedger(env *runEnv) parkLedger {
-	reg, p := env.r.Obs(), env.r.Size()
-	return parkLedger{rank: env.r.Rank(), parked: reg.PerRank(obs.CoreParked, p), unparked: reg.PerRank(obs.CoreUnparked, p)}
-}
-
-// publish adds m's parks to s and gives the registry their growth.
-func (l *parkLedger) publish(m protocol, s *core.Stats) {
-	parked, unparked := m.Parks()
-	l.parked.Publish(l.rank, parked, &l.mirrored.Parked)
-	l.unparked.Publish(l.rank, unparked, &l.mirrored.Unparked)
-	s.Parked += parked
-	s.Unparked += unparked
-}
 
 // protocolSender returns the send function a protocol is built with: one
 // protocol record to a peer, under the query's tag, counted in *sent.
@@ -235,7 +211,7 @@ func newBFSRunner(env *runEnv) runner {
 	} else if part.IsMaster(q.spec.Source) {
 		qu.Push(src)
 	}
-	rn := newRun(env)
+	rn := &run{}
 	rn.queue = qu
 	rn.finish = func() {
 		gatherInto(q.res.Levels, part, st.Level)
@@ -269,7 +245,7 @@ func newCCRunner(env *runEnv) runner {
 	part, q := env.part, env.q
 	st := cc.New(part)
 	qu := newQueue[cc.Visitor](env, ccWire{st})
-	rn := newRun(env)
+	rn := &run{}
 	rn.queue, rn.kind = qu, ccKind
 	rn.finish = func() {
 		var local uint64
@@ -340,7 +316,7 @@ func newKCoreRunner(env *runEnv) runner {
 // then runs on the queue to quiescence.
 func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 	part, q := env.part, env.q
-	rn := newRun(env)
+	rn := &run{}
 	st := kcore.New(part, q.spec.K, protocolSender(env, &rn.protocolSent), env.pager)
 	qu := newQueue[kcore.Visitor](env, st)
 	rn.queue, rn.kind, rn.phase = qu, kcore.KindVisitor, st
@@ -355,7 +331,7 @@ func kcoreRunner(env *runEnv) (runner, *kcore.KCore) {
 // --- Counted rounds alone: direction-optimizing BFS, SSSP and PageRank ---
 
 func newDOBFSRunner(env *runEnv) runner {
-	rn := newRun(env)
+	rn := &run{}
 	d := bfs.NewDO(env.part, env.q.spec.Source, protocolSender(env, &rn.protocolSent), env.pager)
 	rn.phase = d
 	rn.finish = func() {
@@ -370,7 +346,7 @@ func newDOBFSRunner(env *runEnv) runner {
 // are upper bounds that the rounds lower where they can: replaying them is
 // safe even where the cancelled run had not settled them.
 func newSSSPRunner(env *runEnv) runner {
-	rn := &ssspRunner{run: newRun(env), box: env.box}
+	rn := &ssspRunner{run: &run{}, box: env.box}
 	st := sssp.New(env.part, env.q.spec.Source, env.q.spec.WeightSeed, protocolSender(env, &rn.protocolSent), env.pager)
 	if cp := env.q.spec.Resume; cp != nil {
 		st.Resume(cp.Res.Dist, cp.Res.Parents)
@@ -427,7 +403,7 @@ func (rn *ssspRunner) Stats() core.Stats {
 }
 
 func newPageRankRunner(env *runEnv) runner {
-	rn := newRun(env)
+	rn := &run{}
 	pr := pagerank.New(env.part, env.q.spec.Iters, protocolSender(env, &rn.protocolSent), env.pager)
 	rn.phase = pr
 	rn.finish = func() {
@@ -444,7 +420,7 @@ func newTriangleRunner(env *runEnv) runner {
 	st := triangle.New(part, triangle.Options{SampleProb: q.spec.SampleProb, SampleSeed: q.spec.SampleSeed})
 	qu := newQueue[triangle.Visitor](env, st)
 	st.Seed(qu)
-	rn := newRun(env)
+	rn := &run{}
 	rn.queue = qu
 	rn.finish = func() {
 		// Queries quiesce in different orders on different ranks, so the

@@ -38,9 +38,10 @@ const runHeader = 16
 
 // Stats counts mailbox activity on one rank for one Box lifetime. It is the
 // one ledger the hot path writes: plain rank-confined fields, no atomics. The
-// machine's obs.Registry carries the same counts under the mailbox.* names,
-// accumulated machine-wide until obs.Registry.Reset; Box.publish hands it the
-// growth once per batch (see there for when the two agree).
+// Box publishes none of it: the engine's rank loop, which owns the rank's
+// box, gives the machine's obs.Registry the growth under the mailbox.* names
+// from one table (internal/engine, ledger.go). A Box driven outside the
+// engine keeps its Stats and leaves those registry cells alone.
 type Stats struct {
 	RecordsSent      uint64 // records entered via Send on this rank
 	RecordsDelivered uint64 // records delivered to this rank (final dest)
@@ -90,69 +91,6 @@ func (s *Stats) Add(o Stats) {
 	s.PoolBytesRecycled += o.PoolBytesRecycled
 }
 
-// AggregationRatio returns records per shipped envelope — the direct
-// measure of how much the aggregation layer batches per topology.
-func (s Stats) AggregationRatio() float64 {
-	if s.EnvelopesSent == 0 {
-		return 0
-	}
-	return float64(s.RecordsSent+s.RecordsForwarded) / float64(s.EnvelopesSent)
-}
-
-// metrics bundles the rank's obs handles for the hot paths.
-type metrics struct {
-	rank          int
-	recordsSent   *obs.PerRank
-	delivered     *obs.PerRank
-	forwarded     *obs.PerRank
-	envelopesSent *obs.PerRank
-	envelopesRecv *obs.PerRank
-	hops          *obs.PerRank
-	flushes       *obs.PerRank
-	decodeErrors  *obs.PerRank
-	envelopeBytes *obs.Histogram
-
-	poolGets     *obs.PerRank
-	poolHits     *obs.PerRank
-	poolRecycled *obs.PerRank
-	poolFree     *obs.Gauge
-	arenaBytes   *obs.Histogram
-
-	retransmits    *obs.PerRank
-	dupDropped     *obs.PerRank
-	corruptDropped *obs.PerRank
-	staleDropped   *obs.PerRank
-	acksSent       *obs.PerRank
-}
-
-func newMetrics(r *rt.Rank) metrics {
-	reg, p := r.Obs(), r.Size()
-	return metrics{
-		rank:          r.Rank(),
-		recordsSent:   reg.PerRank(obs.MBRecordsSent, p),
-		delivered:     reg.PerRank(obs.MBRecordsDelivered, p),
-		forwarded:     reg.PerRank(obs.MBRecordsForwarded, p),
-		envelopesSent: reg.PerRank(obs.MBEnvelopesSent, p),
-		envelopesRecv: reg.PerRank(obs.MBEnvelopesRecv, p),
-		hops:          reg.PerRank(obs.MBHops, p),
-		flushes:       reg.PerRank(obs.MBFlushes, p),
-		decodeErrors:  reg.PerRank(obs.MBDecodeErrors, p),
-		envelopeBytes: reg.Histogram(obs.MBEnvelopeBytes),
-
-		poolGets:     reg.PerRank(obs.MBPoolGets, p),
-		poolHits:     reg.PerRank(obs.MBPoolHits, p),
-		poolRecycled: reg.PerRank(obs.MBPoolRecycledBytes, p),
-		poolFree:     reg.Gauge(obs.MBPoolFree),
-		arenaBytes:   reg.Histogram(obs.MBArenaPollBytes),
-
-		retransmits:    reg.PerRank(obs.MBRetransmits, p),
-		dupDropped:     reg.PerRank(obs.MBDupDropped, p),
-		corruptDropped: reg.PerRank(obs.MBCorruptDropped, p),
-		staleDropped:   reg.PerRank(obs.MBStaleDropped, p),
-		acksSent:       reg.PerRank(obs.MBAcksSent, p),
-	}
-}
-
 // FlowCounter receives end-to-end record counts partitioned by record tag.
 // The multi-query engine registers one to feed each in-flight query's
 // termination detector independently; the single-traversal path wraps its
@@ -160,12 +98,14 @@ func newMetrics(r *rt.Rank) metrics {
 // invoked only from the owning rank's goroutine (Send/Poll are not
 // concurrency-safe), so they need no internal locking.
 //
-// The two sides are not batched alike. SendTagged calls CountSent once per
-// record, before the record can leave the rank: the detector's S must never
-// lag what is in flight (see publish). A delivered run calls CountReceived
-// once with its count, where its records are delivered: R reaches the value
-// the per-record calls would, at the same point of the same Poll, and only
-// the owning rank reads it, between Polls.
+// These counts are not statistics, published late in batches like Stats, but
+// the detector's S and R: a sender whose S lags while its records are in
+// flight lets ΣS == ΣR hold across two waves with work outstanding — a false
+// termination. The two sides are not batched alike. SendTagged calls
+// CountSent once per record, before the record can leave the rank. A
+// delivered run calls CountReceived once with its count, where its records
+// are delivered: R reaches the value the per-record calls would, at the same
+// point of the same Poll, and only the owning rank reads it, between Polls.
 type FlowCounter interface {
 	// CountSent records n records entering the mailbox under tag (at the
 	// originating rank).
@@ -202,14 +142,17 @@ type Box struct {
 	// final destination, hops by next-hop rank, and via[hops[h].lo:hops[h].hi]
 	// lists the destinations routed through hop h. All are sized r.Size(), so
 	// staging a record is slice loads: no interface call, no map.
-	route    []int32
-	stages   []stage
-	hops     []hop
-	via      []int32
-	stats    Stats
-	mirrored Stats // what publish has already given the registry
-	met      metrics
-	inFlush  bool // inside FlushAll (attributes shipments to MBFlushes)
+	route   []int32
+	stages  []stage
+	hops    []hop
+	via     []int32
+	stats   Stats
+	inFlush bool // inside FlushAll (attributes shipments to Stats.Flushes)
+
+	// What the box observes itself, in the registry: distributions and a
+	// gauge, not ledger counters.
+	envelopeBytes, arenaBytes *obs.Histogram
+	poolFree                  *obs.Gauge
 
 	// pool is the per-Box free-list of aggregation/envelope buffers
 	// (pool.go). It is fed by consumed inbound envelopes (raw path, exclusive
@@ -351,14 +294,17 @@ func New(r *rt.Rank, topo Topology, det Detector, opts ...Option) *Box {
 		stages:     make([]stage, p),
 		hops:       make([]hop, p),
 		via:        make([]int32, 0, p),
-		met:        newMetrics(r),
+
+		envelopeBytes: r.Obs().Histogram(obs.MBEnvelopeBytes),
+		arenaBytes:    r.Obs().Histogram(obs.MBArenaPollBytes),
+		poolFree:      r.Obs().Gauge(obs.MBPoolFree),
 	}
 	if st, _ := spare.Get().(*storage); st != nil {
 		b.delivered, b.deliveredPrev = st.delivered, st.deliveredPrev
 		b.arena, b.arenaPrev = st.arena, st.arenaPrev
 		b.pool.free = st.free
 		b.inbox, b.msgScratch = st.inbox, st.msgScratch
-		b.met.poolFree.Add(int64(b.pool.size()))
+		b.poolFree.Add(int64(b.pool.size()))
 	}
 	for dest := range b.route {
 		if dest != r.Rank() { // own rank is loopback, never routed
@@ -500,7 +446,7 @@ func (b *Box) ship(to int, buf []byte) {
 		b.r.Send(to, rt.KindMailbox, 0, buf)
 	}
 	b.stats.EnvelopesSent++
-	b.met.envelopeBytes.Observe(uint64(len(buf)))
+	b.envelopeBytes.Observe(uint64(len(buf)))
 	if b.inFlush {
 		b.stats.Flushes++
 	}
@@ -546,7 +492,7 @@ func (b *Box) getBuf() []byte {
 		return make([]byte, 0, min(b.flushBytes+b.flushBytes/4, maxPresize))
 	}
 	b.stats.PoolHits++
-	b.met.poolFree.Add(-1)
+	b.poolFree.Add(-1)
 	return buf
 }
 
@@ -556,58 +502,32 @@ func (b *Box) getBuf() []byte {
 func (b *Box) recycle(buf []byte) {
 	if b.pool.put(buf) {
 		b.stats.PoolBytesRecycled += uint64(cap(buf))
-		b.met.poolRecycled.Add(b.met.rank, uint64(cap(buf)))
-		b.met.poolFree.Add(1)
+		b.poolFree.Add(1)
 	}
 }
 
-// publish gives the registry what the per-record counters have grown since
-// the last publication. Poll, FlushAll and Close end with it, so the registry
-// equals Stats whenever the owning rank is between those calls with nothing
-// sent since, and lags by at most one round of them otherwise. The rare-event
-// counters (decode errors, the reliable layer's, recycled bytes) and the
-// histograms are not batched: they write the registry where they happen.
-//
-// The FlowCounter calls in SendTagged and deliver are deliberately not
-// batched. They are not statistics but the termination detector's S and R: a
-// sender whose S lags while its records are in flight lets ΣS == ΣR hold
-// across two waves with work outstanding — a false termination.
-func (b *Box) publish() {
-	m, cur, last, rank := &b.met, &b.stats, &b.mirrored, b.met.rank
-	m.recordsSent.Publish(rank, cur.RecordsSent, &last.RecordsSent)
-	m.delivered.Publish(rank, cur.RecordsDelivered, &last.RecordsDelivered)
-	m.forwarded.Publish(rank, cur.RecordsForwarded, &last.RecordsForwarded)
-	m.envelopesSent.Publish(rank, cur.EnvelopesSent, &last.EnvelopesSent)
-	m.envelopesRecv.Publish(rank, cur.EnvelopesRecv, &last.EnvelopesRecv)
-	m.hops.Publish(rank, cur.Hops, &last.Hops)
-	m.flushes.Publish(rank, cur.Flushes, &last.Flushes)
-	m.poolGets.Publish(rank, cur.PoolGets, &last.PoolGets)
-	m.poolHits.Publish(rank, cur.PoolHits, &last.PoolHits)
-}
-
-// Close retires the Box: the last publication of its counters, and its
-// storage goes to the next box New builds (see storage). Its pooled buffers
-// leave this machine's mailbox.pool_free gauge here and join the adopting
-// box's machine there, so the gauge reads 0 once every box is closed. Every
-// Record is zeroed and every inbox slot nil'd first; an undecoded backlog (a
-// forced abort's) and unshipped staged runs are dropped, and the staging
-// buffers, ours alone, join the free-list handed on. Records from the
-// last Poll expire here, as at the next Poll. The owner calls it once the
-// Box will send and poll no more; a second call does nothing, since two
-// boxes sharing one arena would alias payloads.
+// Close retires the Box: its storage goes to the next box New builds (see
+// storage). Its pooled buffers leave this machine's mailbox.pool_free gauge
+// here and join the adopting box's machine there, so the gauge reads 0 once
+// every box is closed. Every Record is zeroed and every inbox slot nil'd
+// first; an undecoded backlog (a forced abort's) and unshipped staged runs
+// are dropped, and the staging buffers, ours alone, join the free-list handed
+// on — uncounted, as the box's traffic did not return them, so Stats are
+// final before Close. Records from the last Poll expire here, as at the next
+// Poll. The owner calls it once the Box will send and poll no more; a second
+// call does nothing, since two boxes sharing one arena would alias payloads.
 func (b *Box) Close() {
 	if b.closed {
 		return
 	}
 	b.closed = true
+	b.poolFree.Add(-int64(b.pool.size()))
 	for i := range b.stages {
 		if st := &b.stages[i]; st.buf != nil {
-			b.recycle(st.buf)
+			b.pool.put(st.buf)
 			*st = stage{}
 		}
 	}
-	b.publish()
-	b.met.poolFree.Add(-int64(b.pool.size()))
 	// Nothing past a slice's length holds a reference — Poll zeroes a Record
 	// batch before refilling it and nils each inbox slot and drained message
 	// as it takes them — so clearing to the lengths zeroes all of it without
@@ -626,40 +546,6 @@ func (b *Box) Close() {
 	b.pool = envPool{}
 	b.delivered, b.deliveredPrev, b.arena, b.arenaPrev = nil, nil, nil, nil
 	b.inbox, b.next, b.msgScratch = nil, 0, nil
-}
-
-// decodeError counts one malformed envelope datum (Stats.DecodeErrors and
-// the mailbox.decode_errors obs metric).
-func (b *Box) decodeError() {
-	b.stats.DecodeErrors++
-	b.met.decodeErrors.Inc(b.met.rank)
-}
-
-// Reliable-protocol accounting (invoked from reliable.go).
-
-func (b *Box) retransmitted() {
-	b.stats.Retransmits++
-	b.met.retransmits.Inc(b.met.rank)
-}
-
-func (b *Box) dupDropped() {
-	b.stats.DupDropped++
-	b.met.dupDropped.Inc(b.met.rank)
-}
-
-func (b *Box) corruptDropped() {
-	b.stats.CorruptDropped++
-	b.met.corruptDropped.Inc(b.met.rank)
-}
-
-func (b *Box) staleDropped() {
-	b.stats.StaleDropped++
-	b.met.staleDropped.Inc(b.met.rank)
-}
-
-func (b *Box) ackSent() {
-	b.stats.AcksSent++
-	b.met.acksSent.Inc(b.met.rank)
 }
 
 // runHdr is one run header read off an envelope.
@@ -700,13 +586,13 @@ func (b *Box) decodeEnvelope(p []byte) {
 	for len(p) > 0 {
 		h, body, rest, ok := cutRun(p)
 		if !ok {
-			b.decodeError() // truncated header, or a body past the envelope
+			b.stats.DecodeErrors++ // truncated header, or a body past the envelope
 			return
 		}
 		p = rest
 		switch {
 		case h.dest >= size || !h.wellFormed():
-			b.decodeError() // misrouted dest or forged count
+			b.stats.DecodeErrors++ // misrouted dest or forged count
 		case h.dest == self:
 			b.deliver(h.tag, h.width, h.count, body)
 		default:
@@ -778,7 +664,7 @@ func (b *Box) Poll() []Record {
 		}
 	}
 	if len(b.arena) > 0 {
-		b.met.arenaBytes.Observe(uint64(len(b.arena)))
+		b.arenaBytes.Observe(uint64(len(b.arena)))
 	}
 	// Roll the delivery epoch: hand the current batch to the caller, reclaim
 	// the previous batch's storage for the next one. Two epochs alternate so
@@ -791,7 +677,6 @@ func (b *Box) Poll() []Record {
 	b.delivered = prev[:0]
 	b.deliveredPrev = out
 	b.arena, b.arenaPrev = b.arenaPrev[:0], b.arena
-	b.publish()
 	return out
 }
 
@@ -799,13 +684,15 @@ func (b *Box) Poll() []Record {
 // decoding: the previous Poll filled its epoch before it reached them.
 func (b *Box) Backlog() bool { return b.next < len(b.inbox) }
 
-// eachPending calls fn with the tag and count of every run this rank holds
-// that is neither delivered nor shipped: the runs staged for its next hops
-// (self-framed and well-formed by construction) and the runs of backlog
-// envelopes (off the transport, so framing is checked as decodeEnvelope
-// checks it, and a run it would reject is not counted).
-func (b *Box) eachPending(fn func(tag uint32, n int)) {
-	size := uint32(b.r.Size())
+// PendingRecords counts the records this rank holds between transport and
+// delivery — staged in its outbound runs or sitting in undecoded backlog
+// envelopes — the per-rank term of the machine-wide conservation law
+// Σsent == Σdelivered + Σpending that internal/check asserts between flush
+// rounds. Staged runs are self-framed and well-formed by construction; a
+// backlog envelope came off the transport, so its framing is checked as
+// decodeEnvelope checks it, and a run it would reject is not counted.
+func (b *Box) PendingRecords() int {
+	size, total := uint32(b.r.Size()), 0
 	walk := func(buf []byte) {
 		for {
 			h, _, rest, ok := cutRun(buf)
@@ -813,7 +700,7 @@ func (b *Box) eachPending(fn func(tag uint32, n int)) {
 				return
 			}
 			if h.dest < size && h.wellFormed() {
-				fn(h.tag, int(h.count))
+				total += int(h.count)
 			}
 			buf = rest
 		}
@@ -824,26 +711,7 @@ func (b *Box) eachPending(fn func(tag uint32, n int)) {
 	for _, env := range b.inbox[b.next:] {
 		walk(env)
 	}
-}
-
-// PendingRecords counts the records this rank holds between transport and
-// delivery — staged in its outbound runs or sitting in undecoded backlog
-// envelopes — the per-rank term of the machine-wide conservation law
-// Σsent == Σdelivered + Σpending that internal/check asserts between flush
-// rounds.
-func (b *Box) PendingRecords() int {
-	total := 0
-	b.eachPending(func(_ uint32, n int) { total += n })
 	return total
-}
-
-// PendingByTag is PendingRecords per record tag — the per-query pending term
-// of the per-query conservation law the engine's invariant checks assert
-// mid-flight.
-func (b *Box) PendingByTag() map[uint32]int {
-	out := make(map[uint32]int)
-	b.eachPending(func(tag uint32, n int) { out[tag] += n })
-	return out
 }
 
 // FlushAll ships every hop with staged runs. Called when the rank runs out
@@ -857,7 +725,6 @@ func (b *Box) FlushAll() {
 		}
 	}
 	b.inFlush = false
-	b.publish()
 }
 
 // Idle reports whether this rank's mailbox holds no staged outbound runs

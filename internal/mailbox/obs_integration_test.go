@@ -12,11 +12,14 @@ import (
 
 // TestObsCountersPopulateAcrossSubsystems runs one all-to-all exchange on a
 // 2D-routed machine and checks that the machine's obs.Registry saw activity
-// from every wired subsystem — transport, mailbox, and termination — then
+// from every subsystem that writes it directly — transport, termination and
+// the mailbox's envelope-size histogram — and that the box's own counters,
+// which only the engine's rank loop publishes, are in its Stats; then
 // verifies that Machine.ResetStats (the single reset path) zeroes them all.
 func TestObsCountersPopulateAcrossSubsystems(t *testing.T) {
 	p := 4
 	m := rt.NewMachine(p)
+	stats := make([]Stats, p)
 	m.Run(func(r *rt.Rank) {
 		det := termination.New(r)
 		box := New(r, NewGrid2D(p), det)
@@ -34,23 +37,30 @@ func TestObsCountersPopulateAcrossSubsystems(t *testing.T) {
 				panic("exchange did not quiesce")
 			}
 		}
+		stats[r.Rank()] = box.Stats()
 	})
 
-	snap := m.Obs().Snapshot()
-	if got := snap.Counter(obs.MBRecordsSent); got != uint64(p*p) {
-		t.Fatalf("%s = %d, want %d", obs.MBRecordsSent, got, p*p)
+	var st Stats
+	for _, s := range stats {
+		st.Add(s)
 	}
-	if got := snap.Counter(obs.MBRecordsDelivered); got != uint64(p*p) {
-		t.Fatalf("%s = %d, want %d", obs.MBRecordsDelivered, got, p*p)
+	if st.RecordsSent != uint64(p*p) {
+		t.Fatalf("RecordsSent = %d, want %d", st.RecordsSent, p*p)
+	}
+	if st.RecordsDelivered != uint64(p*p) {
+		t.Fatalf("RecordsDelivered = %d, want %d", st.RecordsDelivered, p*p)
 	}
 	// Routed records must have taken at least one hop each beyond loopback.
-	if snap.Counter(obs.MBHops) == 0 {
-		t.Fatalf("%s is zero after a routed exchange", obs.MBHops)
+	if st.Hops == 0 {
+		t.Fatal("Hops is zero after a routed exchange")
 	}
+	if st.EnvelopesSent == 0 || st.EnvelopesRecv == 0 {
+		t.Fatalf("EnvelopesSent = %d, EnvelopesRecv = %d after a full exchange", st.EnvelopesSent, st.EnvelopesRecv)
+	}
+	snap := m.Obs().Snapshot()
 	for _, name := range []string{
 		obs.RTMsgs, obs.RTBytes,
 		obs.RTKindMsgs("mailbox"), obs.RTKindMsgs("control"),
-		obs.MBEnvelopesSent, obs.MBEnvelopesRecv,
 		obs.TermWaves,
 	} {
 		if snap.Counter(name) == 0 {

@@ -228,8 +228,9 @@ func TestArenaRecyclesAcrossPolls(t *testing.T) {
 
 // TestEnvelopePoolRoundTrip checks receiver-side envelope recycling on the
 // raw path: a rank that both receives and sends should serve outbound
-// aggregation buffers from consumed inbound envelopes (pool hits), with the
-// per-Box stats mirrored into the obs registry.
+// aggregation buffers from consumed inbound envelopes (pool hits). The box
+// keeps the pool counters in its Stats; the engine's rank loop publishes
+// them (check.LedgerMirrored compares them with the registry).
 func TestEnvelopePoolRoundTrip(t *testing.T) {
 	const p, msgs = 2, 400
 	var stats [p]Stats
@@ -258,7 +259,7 @@ func TestEnvelopePoolRoundTrip(t *testing.T) {
 		}
 		stats[r.Rank()] = box.Stats()
 	})
-	var gets, hits, recycled uint64
+	var hits, recycled uint64
 	for rank, st := range stats {
 		if st.PoolGets == 0 {
 			t.Errorf("rank %d: no pool gets recorded", rank)
@@ -266,7 +267,6 @@ func TestEnvelopePoolRoundTrip(t *testing.T) {
 		if st.PoolHits > st.PoolGets {
 			t.Errorf("rank %d: hits %d exceed gets %d", rank, st.PoolHits, st.PoolGets)
 		}
-		gets += st.PoolGets
 		hits += st.PoolHits
 		recycled += st.PoolBytesRecycled
 	}
@@ -276,17 +276,7 @@ func TestEnvelopePoolRoundTrip(t *testing.T) {
 	if recycled == 0 {
 		t.Error("no bytes recycled: consumed envelopes are not re-entering pools")
 	}
-	reg := m.Obs()
-	if got := reg.PerRank(obs.MBPoolGets, p).Total(); got != gets {
-		t.Errorf("obs %s = %d, want %d", obs.MBPoolGets, got, gets)
-	}
-	if got := reg.PerRank(obs.MBPoolHits, p).Total(); got != hits {
-		t.Errorf("obs %s = %d, want %d", obs.MBPoolHits, got, hits)
-	}
-	if got := reg.PerRank(obs.MBPoolRecycledBytes, p).Total(); got != recycled {
-		t.Errorf("obs %s = %d, want %d", obs.MBPoolRecycledBytes, got, recycled)
-	}
-	if free := reg.Gauge(obs.MBPoolFree).Value(); free < 0 {
+	if free := m.Obs().Gauge(obs.MBPoolFree).Value(); free < 0 {
 		t.Errorf("pool-free gauge negative: %d", free)
 	}
 }

@@ -109,7 +109,7 @@ const envFreeCap = 64
 // reliable is the per-Box protocol state.
 type reliable struct {
 	r         *rt.Rank
-	b         *Box // stats / metrics backref
+	b         *Box // scratch and stats backref
 	epoch     uint32
 	base, max time.Duration
 	out       map[int]*outPeer
@@ -219,7 +219,7 @@ func (rl *reliable) poll(out [][]byte) [][]byte {
 		default:
 			// Unframed traffic on a reliable box: misconfiguration, count it
 			// where envelope malformations are counted.
-			rl.b.decodeError()
+			rl.b.stats.DecodeErrors++
 		}
 		m.Payload = nil
 	}
@@ -230,11 +230,11 @@ func (rl *reliable) poll(out [][]byte) [][]byte {
 func (rl *reliable) handleAck(m rt.Msg) {
 	p := m.Payload
 	if len(p) != relHeader || frameCRC(p) != binary.LittleEndian.Uint64(p[12:]) {
-		rl.b.corruptDropped() // damaged ack: ignore, data will be re-acked
+		rl.b.stats.CorruptDropped++ // damaged ack: ignore, data will be re-acked
 		return
 	}
 	if binary.LittleEndian.Uint32(p[0:]) != rl.epoch {
-		rl.b.staleDropped()
+		rl.b.stats.StaleDropped++
 		return
 	}
 	cum := binary.LittleEndian.Uint64(p[4:])
@@ -270,11 +270,11 @@ func (rl *reliable) handleData(m rt.Msg, out [][]byte) [][]byte {
 	if len(p) < relHeader || frameCRC(p) != binary.LittleEndian.Uint64(p[12:]) {
 		// Corruption becomes loss: no ack, the sender retransmits the intact
 		// frame it retained.
-		rl.b.corruptDropped()
+		rl.b.stats.CorruptDropped++
 		return out
 	}
 	if binary.LittleEndian.Uint32(p[0:]) != rl.epoch {
-		rl.b.staleDropped()
+		rl.b.stats.StaleDropped++
 		return out
 	}
 	seq := binary.LittleEndian.Uint64(p[4:])
@@ -283,7 +283,7 @@ func (rl *reliable) handleData(m rt.Msg, out [][]byte) [][]byte {
 	case seq < ip.expected:
 		// Already delivered: idempotent drop, but re-ack — the original ack
 		// may have been the lost message.
-		rl.b.dupDropped()
+		rl.b.stats.DupDropped++
 	case seq == ip.expected:
 		out = append(out, p[relHeader:])
 		ip.expected++
@@ -300,7 +300,7 @@ func (rl *reliable) handleData(m rt.Msg, out [][]byte) [][]byte {
 	default:
 		// Future frame: park it until the gap fills (selective repeat).
 		if _, dup := ip.held[seq]; dup {
-			rl.b.dupDropped()
+			rl.b.stats.DupDropped++
 		} else {
 			ip.held[seq] = p[relHeader:]
 		}
@@ -323,7 +323,7 @@ func (rl *reliable) sendAck(to int, cum uint64) {
 	binary.LittleEndian.PutUint32(frame[0:], rl.epoch)
 	binary.LittleEndian.PutUint64(frame[4:], cum)
 	binary.LittleEndian.PutUint64(frame[12:], frameCRC(frame))
-	rl.b.ackSent()
+	rl.b.stats.AcksSent++
 	rl.r.Send(to, rt.KindMailbox, relAck, frame)
 }
 
@@ -342,7 +342,7 @@ func (rl *reliable) tick() {
 			if e.rto > rl.max {
 				e.rto = rl.max
 			}
-			rl.b.retransmitted()
+			rl.b.stats.Retransmits++
 			rl.r.Send(hop, rt.KindMailbox, relData, e.frame)
 		}
 	}

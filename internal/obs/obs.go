@@ -25,7 +25,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -73,9 +72,10 @@ func (c *PerRank) Inc(rank int) { c.cells[rank].v.Add(1) }
 // Publish adds to rank's slot what a rank-confined plain counter has grown
 // since its previous publication: cur is the counter now, *last what the slot
 // has already been given (updated here). Hot paths keep one plain ledger and
-// call this once per batch instead of paying an atomic add per event; growth
-// rather than the absolute value is published so that Registry.Reset between
-// phases keeps working for a ledger that outlives the phase.
+// the engine's rank loop calls this once per iteration instead of paying an
+// atomic add per event; growth rather than the absolute value is published so
+// that Registry.Reset between phases keeps working for a ledger that outlives
+// the phase.
 func (c *PerRank) Publish(rank int, cur uint64, last *uint64) {
 	if cur != *last {
 		c.cells[rank].v.Add(cur - *last)
@@ -277,20 +277,4 @@ func (r *Registry) counterTotals() map[string]uint64 {
 		out[name] = c.Total()
 	}
 	return out
-}
-
-// CounterNames returns the sorted names of all registered counters and
-// per-rank vectors.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.counters)+len(r.perRank))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.perRank {
-		names = append(names, n)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }

@@ -68,17 +68,6 @@ type inbox struct {
 	_  [64 - 8]byte //nolint:unused // padding
 }
 
-// Stats aggregates transport counters across all ranks. It is a thin
-// adapter over the machine's obs.Registry, kept for existing callers; new
-// code should read the registry snapshot directly.
-type Stats struct {
-	MsgsSent  uint64
-	BytesSent uint64
-	// Per kind.
-	MsgsByKind  [numKinds]uint64
-	BytesByKind [numKinds]uint64
-}
-
 // Machine is a simulated distributed machine with a fixed number of ranks.
 // All transport counters live in the machine's obs.Registry (one registry
 // per machine), which downstream subsystems reach through Rank.Obs.
@@ -322,19 +311,6 @@ func (m *Machine) drain(r int, into []Msg) []Msg {
 		}
 	}
 	return into
-}
-
-// Stats returns a snapshot of the transport counters (adapter over the
-// obs registry).
-func (m *Machine) Stats() Stats {
-	var s Stats
-	s.MsgsSent = m.msgsSent.Total()
-	s.BytesSent = m.bytesSent.Total()
-	for k := 0; k < int(numKinds); k++ {
-		s.MsgsByKind[k] = m.kindMsgs[k].Value()
-		s.BytesByKind[k] = m.kindBytes[k].Value()
-	}
-	return s
 }
 
 // ResetStats zeroes every metric of the machine — transport, mailbox,

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"havoqgt/internal/obs"
 )
 
 func TestPointToPointDelivery(t *testing.T) {
@@ -95,13 +97,16 @@ func TestStatsCounting(t *testing.T) {
 			}
 		}
 	})
-	s := m.Stats()
-	if s.MsgsSent != 1 || s.BytesSent != 100 {
-		t.Fatalf("stats = %+v", s)
+	snap := m.Obs().Snapshot()
+	if msgs, bytes := snap.Counter(obs.RTMsgs), snap.Counter(obs.RTBytes); msgs != 1 || bytes != 100 {
+		t.Fatalf("%s = %d, %s = %d, want 1 and 100", obs.RTMsgs, msgs, obs.RTBytes, bytes)
+	}
+	if msgs := snap.Counter(obs.RTKindMsgs("mailbox")); msgs != 1 {
+		t.Fatalf("%s = %d, want 1", obs.RTKindMsgs("mailbox"), msgs)
 	}
 	m.ResetStats()
-	if s := m.Stats(); s.MsgsSent != 0 {
-		t.Fatalf("reset failed: %+v", s)
+	if msgs := m.Obs().Snapshot().Counter(obs.RTMsgs); msgs != 0 {
+		t.Fatalf("reset failed: %s = %d", obs.RTMsgs, msgs)
 	}
 }
 

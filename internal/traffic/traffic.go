@@ -102,7 +102,7 @@ type Plane struct {
 }
 
 // New builds a Plane. The initial graph version is 1 (matching a freshly
-// built Graph); SetVersion advances it.
+// built Graph); a request keyed to a newer version advances it (advance).
 func New(cfg Config) *Plane {
 	reg := cfg.Registry
 	if reg == nil {
@@ -201,10 +201,8 @@ func (p *Plane) ObserveLatency(d time.Duration) {
 // Version returns the plane's current graph version.
 func (p *Plane) Version() uint64 { return p.version.Load() }
 
-// SetVersion advances the plane's graph version and purges cache entries
+// advance moves the plane's graph version up to v and purges cache entries
 // from older versions. Regressions are ignored — versions are monotone.
-func (p *Plane) SetVersion(v uint64) { p.advance(v) }
-
 func (p *Plane) advance(v uint64) {
 	for {
 		cur := p.version.Load()
